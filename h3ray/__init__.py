@@ -90,6 +90,7 @@ from .kernels.region import (  # noqa: F401
     geometry_from_geojson,
     plot_linestring,
     polygon_to_cells,
+    polygons_to_cells,
     prepare_geometry,
 )
 from .kernels.solvent import cell_to_multipolygon, dissolve  # noqa: F401

@@ -40,6 +40,11 @@ def max_grid_ring_size(k: int) -> int:
     return 6 * k if k > 0 else 1
 
 
+# Digit-move tables indexed by resolution parity: [res & 1, from, direction].
+_NEW_DIRECTION = np.stack([NEW_DIRECTION_III, NEW_DIRECTION_II])
+_NEW_ADJUSTMENT = np.stack([NEW_ADJUSTMENT_III, NEW_ADJUSTMENT_II])
+
+
 def neighbor_rotations(cells, direction, rotations):
     """Vectorized neighbor-in-direction with rotation tracking.
 
@@ -51,7 +56,39 @@ def neighbor_rotations(cells, direction, rotations):
     Returns:
         (neighbor_bits, new_rotations, valid) — `valid` is False where the
         move crosses a pentagon's deleted K axis (result undefined).
+
+    Fast path: a move that resolves at the finest digit (no carry into the
+    parent) of a cell outside the pentagon base cells is one digit write
+    with the rotations unchanged. Only the remaining rows take the full
+    digit walk (`_neighbor_rotations_walk`), which agrees with the fast
+    path on every row it covers.
     """
+    cells = bits.as_i64(np.asarray(cells))
+    n = cells.shape[0]
+    rotations = np.broadcast_to(np.asarray(rotations, dtype=np.int64), (n,))
+    direction = np.broadcast_to(np.asarray(direction, dtype=np.int64), (n,))
+    res = bits.get_resolution(cells)
+    fine = np.maximum(res, 1)  # res-0 cells have no digit; never fast
+    parity = fine & 1
+    frm = np.where(res > 0, bits.get_direction(cells, fine), 0)
+    cur_dir = bits.ROTATE60_CCW_N[rotations % 6, direction]
+    fast = (_NEW_ADJUSTMENT[parity, frm, cur_dir] == 0) & (res > 0) & \
+        ~BC_IS_PENTAGON[bits.get_base_cell(cells)]
+    current = bits.set_direction(cells, _NEW_DIRECTION[parity, frm, cur_dir],
+                                 fine)
+    new_rot = rotations % 6
+    valid = np.ones(n, dtype=bool)
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        current[slow], new_rot[slow], valid[slow] = _neighbor_rotations_walk(
+            cells[slow], direction[slow], rotations[slow])
+    return current, new_rot, valid
+
+
+def _neighbor_rotations_walk(cells, direction, rotations):
+    """Full digit walk of `neighbor_rotations` (src/grid/algo.rs:26-169):
+    finest-to-coarsest digit adjustment, base-cell hop, pentagon fixups.
+    Same arguments and returns; correct for every row."""
     cells = bits.as_i64(np.asarray(cells))
     n = cells.shape[0]
     rotations = np.broadcast_to(np.asarray(rotations, dtype=np.int64), (n,)).copy()
@@ -156,10 +193,9 @@ def neighbor_rotations(cells, direction, rotations):
 
     hex_rot = ~pent & (new_rotations != 0)
     for count in range(1, 6):
-        m = hex_rot & (new_rotations == count)
-        if m.any():
-            current = np.where(m, bits.rotate60(current, count, ccw=True),
-                               current)
+        m = np.flatnonzero(hex_rot & (new_rotations == count))
+        if m.size:
+            current[m] = bits.rotate60(current[m], count, ccw=True)
 
     return current, (rotations + new_rotations) % 6, valid
 

@@ -5,6 +5,9 @@ From-scratch NumPy implementation of the reference tiler algorithm
 pentagon-diameter steps, buffer with 1-ring neighbors, apply the containment
 predicate, seed the outermost inner layer, then propagate inward
 generation-by-generation with no further point-in-polygon checks.
+`polygons_to_cells` runs that fill for a whole list of geometries at once,
+on (polygon_id, cell) pairs packed into one int64 key, so each generation is
+one whole-batch step; `polygon_to_cells` is its one-geometry case.
 
 Containment modes mirror ContainmentMode (tiler.rs:420-461):
   - "centroid"  (ContainsCentroid): cell centroid inside the polygon.
@@ -160,17 +163,23 @@ def _ring_coord_pos(px, py, ring: np.ndarray):
     step = max(1, int(4_000_000 // max(m, 1)))
     for s in range(0, n, step):
         e = min(n, s + step)
-        qx = px[s:e, None]
-        qy = py[s:e, None]
-        orient = (bx - ax) * (qy - ay) - (by - ay) * (qx - ax)
-        on_seg = (orient == 0.0) & \
-            (qx >= np.minimum(ax, bx)) & (qx <= np.maximum(ax, bx)) & \
-            (qy >= np.minimum(ay, by)) & (qy <= np.maximum(ay, by))
-        up = (ay <= qy) & (by > qy) & (orient > 0.0)
-        down = (ay > qy) & (by <= qy) & (orient < 0.0)
+        on_seg, up, down = _edge_pos(px[s:e, None], py[s:e, None],
+                                     ax, ay, bx, by)
         wn[s:e] = (up.sum(axis=1) - down.sum(axis=1))
         on[s:e] = on_seg.any(axis=1)
     return (wn != 0) & ~on, on
+
+
+def _edge_pos(qx, qy, ax, ay, bx, by):
+    """Winding terms of points (qx, qy) vs edges a->b, elementwise with
+    broadcasting: (on the edge, upward crossing, downward crossing)."""
+    orient = (bx - ax) * (qy - ay) - (by - ay) * (qx - ax)
+    on_seg = (orient == 0.0) & \
+        (qx >= np.minimum(ax, bx)) & (qx <= np.maximum(ax, bx)) & \
+        (qy >= np.minimum(ay, by)) & (qy <= np.maximum(ay, by))
+    up = (ay <= qy) & (by > qy) & (orient > 0.0)
+    down = (ay > qy) & (by <= qy) & (orient < 0.0)
+    return on_seg, up, down
 
 
 def _ring_contains(px, py, ring, bbox):
@@ -218,9 +227,10 @@ def contains_points(geom: dict, lat, lng, degrees: bool = False):
 # ---------------------------------------------------------------------------
 
 def _segments_relate(cax, cay, cbx, cby, pax, pay, pbx, pby):
-    """Pairwise segment relations: returns (any_intersect, any_proper).
+    """Segment relations of each cell edge vs every polygon segment.
 
-    cell segments (nc,) vs polygon segments (mp,), full broadcast.
+    cell segments (nc,) vs polygon segments (mp,), full broadcast. Returns
+    per-cell-edge (intersects_any, proper_any) bool arrays.
     """
     cax = cax[:, None]
     cay = cay[:, None]
@@ -242,25 +252,31 @@ def _segments_relate(cax, cay, cbx, cby, pax, pay, pbx, pby):
         _on(d3, pax, pay, cax, cay, cbx, cby) | \
         _on(d4, pbx, pby, cax, cay, cbx, cby)
     inter = proper | touch
-    return inter.any(), proper.any()
+    return inter.any(axis=1), proper.any(axis=1)
 
 
 def _cell_vertices_in_frame(cells, geom_center_lng):
     """Cell boundaries as ragged vertex arrays, each cell unwrapped to be
     continuous and placed in the 2π-window nearest `geom_center_lng`."""
     off, vlat, vlng = cell_to_boundary_rads(cells)
+    counts = np.diff(off)
     # Unwrap each cell's vertex longitudes around its first vertex.
-    out_lng = vlng.copy()
-    for idx in range(cells.shape[0]):
-        s, e = off[idx], off[idx + 1]
-        seg = vlng[s:e]
-        ref = seg[0]
-        seg = np.where(seg - ref > math.pi, seg - TWO_PI,
-                       np.where(ref - seg > math.pi, seg + TWO_PI, seg))
-        mid = seg.mean()
-        shift = np.round((geom_center_lng - mid) / TWO_PI) * TWO_PI
-        out_lng[s:e] = seg + shift
-    return off, vlat, out_lng
+    ref = np.repeat(vlng[off[:-1]], counts)
+    seg = np.where(vlng - ref > math.pi, vlng - TWO_PI,
+                   np.where(ref - vlng > math.pi, vlng + TWO_PI, vlng))
+    # Per-cell mean, one (cells, k) block per vertex count k so each row
+    # sums exactly as a k-element array does.
+    mid = np.empty(cells.shape[0])
+    for k in np.unique(counts):
+        rows = np.flatnonzero(counts == k)
+        mid[rows] = seg[off[rows][:, None] + np.arange(k)].mean(axis=1)
+    shift = np.round((geom_center_lng - mid) / TWO_PI) * TWO_PI
+    return off, vlat, seg + np.repeat(shift, counts)
+
+
+def _any_per(group: np.ndarray, flags: np.ndarray, n: int) -> np.ndarray:
+    """Per-group OR of `flags` over rows labelled by `group` (0..n-1)."""
+    return np.bincount(group, weights=flags, minlength=n) > 0
 
 
 def relate_cells(geom: dict, cells) -> tuple[np.ndarray, np.ndarray]:
@@ -268,11 +284,15 @@ def relate_cells(geom: dict, cells) -> tuple[np.ndarray, np.ndarray]:
 
     Mirrors the PreparedGeometry relate predicate (tiler.rs:546-560):
     intersects = any sharing of points; covers = geometry covers the cell.
+    Vectorized over cells: cell edges, and (cell, nearby polygon vertex)
+    pairs, are flat rows reduced per cell.
     """
     cells = bits.as_i64(np.asarray(cells))
     n = cells.shape[0]
     intersects = np.zeros(n, dtype=bool)
     covers = np.zeros(n, dtype=bool)
+    if n == 0:
+        return intersects, covers
 
     for rings, shifted, bboxes in zip(geom["polys"], geom["shifted"],
                                       geom["bboxes"]):
@@ -293,37 +313,61 @@ def relate_cells(geom: dict, cells) -> tuple[np.ndarray, np.ndarray]:
         pbx = np.concatenate([r[1:, 0] for r in rings])
         pby = np.concatenate([r[1:, 1] for r in rings])
 
+        counts = np.diff(off)
+        owner = np.repeat(np.arange(n), counts)
+        x0 = np.minimum.reduceat(vlng, off[:-1])
+        x1 = np.maximum.reduceat(vlng, off[:-1])
+        y0 = np.minimum.reduceat(vlat, off[:-1])
+        y1 = np.maximum.reduceat(vlat, off[:-1])
         bb = bboxes[0]
-        for idx in range(n):
-            s, e = off[idx], off[idx + 1]
-            cx = vlng[s:e]
-            cy = vlat[s:e]
-            x0, x1 = cx.min(), cx.max()
-            y0, y1 = cy.min(), cy.max()
-            if x1 < bb[0] or x0 > bb[2] or y1 < bb[1] or y0 > bb[3]:
-                continue
-            cin = v_in_poly[s:e]
-            cbx = np.roll(cx, -1)
-            cby = np.roll(cy, -1)
-            inter, proper = _segments_relate(cx, cy, cbx, cby,
-                                             pax, pay, pbx, pby)
-            # Polygon vertex strictly inside / touching the cell?
-            nearby = (pax >= x0 - 1e-9) & (pax <= x1 + 1e-9) & \
-                (pay >= y0 - 1e-9) & (pay <= y1 + 1e-9)
-            if nearby.any():
-                ring_c = np.stack([np.append(cx, cx[0]),
-                                   np.append(cy, cy[0])], axis=1)
-                p_in_c, p_on_c = _ring_coord_pos(pax[nearby], pay[nearby],
-                                                 ring_c)
-                any_p_in = bool(p_in_c.any())
-                any_p_touch = any_p_in or bool(p_on_c.any())
-            else:
-                any_p_in = False
-                any_p_touch = False
-            hit = bool(cin.any()) or inter or any_p_touch
-            intersects[idx] |= hit
-            covers[idx] |= hit and bool(cin.all()) and not proper \
-                and not any_p_in
+        active = ~((x1 < bb[0]) | (x0 > bb[2]) | (y1 < bb[1]) | (y0 > bb[3]))
+        # Edge i of a cell runs from its vertex i to vertex i+1 (cyclic).
+        nxt = np.arange(1, vlng.shape[0] + 1)
+        nxt[off[1:] - 1] = off[:-1]
+
+        edges = np.flatnonzero(active[owner])
+        inter = np.zeros(n, dtype=bool)
+        proper = np.zeros(n, dtype=bool)
+        step = max(1, 4_000_000 // max(pax.shape[0], 1))
+        for s in range(0, edges.shape[0], step):
+            e = edges[s:s + step]
+            ie, pe = _segments_relate(vlng[e], vlat[e], vlng[nxt[e]],
+                                      vlat[nxt[e]], pax, pay, pbx, pby)
+            inter |= _any_per(owner[e], ie, n)
+            proper |= _any_per(owner[e], pe, n)
+
+        # Polygon vertex strictly inside / touching the cell: winding
+        # number of each nearby (cell, polygon vertex) pair vs the cell ring.
+        act = np.flatnonzero(active)
+        pair_c, pair_v = [], []
+        for s in range(0, act.shape[0], step):
+            c = act[s:s + step]
+            near = (pax >= x0[c, None] - 1e-9) & (pax <= x1[c, None] + 1e-9) \
+                & (pay >= y0[c, None] - 1e-9) & (pay <= y1[c, None] + 1e-9)
+            ci, vi = np.nonzero(near)
+            pair_c.append(c[ci])
+            pair_v.append(vi)
+        pair_c = np.concatenate(pair_c) if pair_c else np.empty(0, np.int64)
+        pair_v = np.concatenate(pair_v) if pair_v else np.empty(0, np.int64)
+        k = counts[pair_c]
+        row = np.repeat(np.arange(pair_c.shape[0]), k)
+        a = np.repeat(off[pair_c], k) + (
+            np.arange(k.sum()) - np.repeat(np.cumsum(k) - k, k))
+        b = nxt[a]
+        on_seg, up, down = _edge_pos(pax[pair_v][row], pay[pair_v][row],
+                                     vlng[a], vlat[a], vlng[b], vlat[b])
+        npair = pair_c.shape[0]
+        wn = np.bincount(row, weights=up, minlength=npair) - \
+            np.bincount(row, weights=down, minlength=npair)
+        p_on = _any_per(row, on_seg, npair)
+        p_in = (wn != 0) & ~p_on
+        any_p_in = _any_per(pair_c, p_in, n)
+        any_p_touch = any_p_in | _any_per(pair_c, p_on, n)
+
+        n_in = np.bincount(owner, weights=v_in_poly, minlength=n)
+        hit = active & ((n_in > 0) | inter | any_p_touch)
+        intersects |= hit
+        covers |= hit & (n_in == counts) & ~proper & ~any_p_in
     return intersects, covers
 
 
@@ -331,9 +375,9 @@ def relate_cells(geom: dict, cells) -> tuple[np.ndarray, np.ndarray]:
 # Outline tracing
 # ---------------------------------------------------------------------------
 
-def _sample_ring_cells(ring: np.ndarray, res: int) -> np.ndarray:
-    """get_edge_cells (tiler.rs:597-636): sample every segment at
-    pentagon-diameter steps and encode each sample point."""
+def _ring_samples(ring: np.ndarray, res: int):
+    """get_edge_cells sample points (tiler.rs:597-636): every segment
+    sampled at pentagon-diameter steps. Returns (lat, lng) in radians."""
     ax, ay = ring[:-1, 0], ring[:-1, 1]
     bx, by = ring[1:, 0], ring[1:, 1]
     dist = haversine_rads(ay, ax, by, bx)
@@ -349,7 +393,7 @@ def _sample_ring_cells(ring: np.ndarray, res: int) -> np.ndarray:
     inv = 1.0 / cnt
     lat = ay[seg] * (cnt - fi) * inv + by[seg] * fi * inv
     lng = ax[seg] * (cnt - fi) * inv + bx[seg] * fi * inv
-    return latlng.latlng_rads_to_cell(lat, lng, res)
+    return lat, lng
 
 
 def _disk1(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -387,94 +431,174 @@ def _planar_centroid(geom: dict) -> tuple[float, float]:
     return num_y / den, lng
 
 
-def polygon_to_cells(geom: dict, res: int, mode: str = "centroid",
-                     annotated: bool = False):
-    """polygonToCells: covering cell set of a prepared geometry.
+TILING_MODES = ("centroid", "boundary", "intersects", "covers", "candidates")
 
-    Mirrors Tiler::into_annotated_coverage (tiler.rs:170-296). Returns an
-    int64 cell array, or (cells, fully_contained) when annotated=True.
+
+def _pack(pid: np.ndarray, cells: np.ndarray, res: int) -> np.ndarray:
+    """(polygon_id, res-`res` cell) -> one int64 key: the polygon id sits
+    above the 7 + 3·res base-cell and digit bits, so key order is
+    (polygon_id, cell) order and a polygon's keys form one contiguous run."""
+    width = 7 + 3 * res
+    return (pid << width) | ((cells >> (45 - 3 * res)) &
+                             ((np.int64(1) << width) - 1))
+
+
+def _unpack(keys: np.ndarray, res: int):
+    """Inverse of `_pack`: (polygon_id, cell)."""
+    width = 7 + 3 * res
+    tail = 45 - 3 * res
+    header = np.int64((1 << 59) | (res << 52) | ((1 << tail) - 1))
+    return keys >> width, header | ((keys & ((np.int64(1) << width) - 1))
+                                    << tail)
+
+
+def _disk1_keys(keys: np.ndarray, res: int) -> np.ndarray:
+    """Sorted unique keys of every cell within 1 step, same polygon."""
+    if keys.size == 0:
+        return keys
+    pid, cells = _unpack(keys, res)
+    row, nbrs = _disk1(cells)
+    return np.unique(_pack(pid[row], nbrs, res))
+
+
+def polygons_to_cells(geoms: list[dict], res: int, mode: str = "centroid",
+                      annotated: bool = False):
+    """Batched polygonToCells: one flood fill over all geometries at once.
+
+    Mirrors Tiler::into_annotated_coverage (tiler.rs:170-296) per geometry,
+    but every step runs on (polygon_id, cell) pairs packed into one int64
+    key (`_pack`), so each generation of the fill is one `_disk1` and one
+    `np.unique` for all geometries together, and the containment predicate
+    runs once per geometry per step. Geometry lists longer than the id
+    field holds (2^(56 - 3·res) ids) are tiled in chunks.
+
     Modes (ContainmentMode, tiler.rs:423-461): "centroid", "boundary"
-    (cell fully inside), "intersects", "covers".
+    (cell fully inside), "intersects", "covers". "candidates" is the
+    exact-join candidate superset: the centroid coverage plus the
+    1-ring-buffered outline the same fill traces (see `candidate_cells`).
+
+    Returns (polygon_id, cell) int64 arrays sorted by (polygon_id, cell),
+    plus the per-cell fully-contained flags when annotated=True.
     """
-    if mode not in ("centroid", "boundary", "intersects", "covers"):
+    if mode not in TILING_MODES:
         # An unknown string would silently take the intersects path.
         raise ValueError(f"unknown containment mode {mode!r}")
+    if annotated and mode == "candidates":
+        raise ValueError("candidates mode has no fully-contained flags")
     res = int(res)
+    step = 1 << (56 - 3 * res)
+    pids, cells, fully = [], [], []
+    for first in range(0, max(len(geoms), 1), step):
+        keys, flags = _flood(geoms[first:first + step], res, mode)
+        order = np.argsort(keys)
+        pid, cell = _unpack(keys[order], res)
+        pids.append(pid + first)
+        cells.append(cell)
+        fully.append(flags[order])
+    pid, cells = np.concatenate(pids), np.concatenate(cells)
+    if annotated:
+        return pid, cells, np.concatenate(fully)
+    return pid, cells
 
-    def predicate(cands: np.ndarray):
-        if mode == "centroid":
-            clat, clng = latlng.cell_to_latlng_rads(cands)
-            m = contains_points(geom, clat, clng)
-            return m, np.ones_like(m)
-        inter, cov = relate_cells(geom, cands)
-        return inter, cov
+
+def _flood(geoms: list[dict], res: int, mode: str):
+    """Unsorted (keys, fully) coverage of `polygons_to_cells` for geometries
+    whose ids fit the key's id field."""
+    width = 7 + 3 * res
+    tiling = "centroid" if mode == "candidates" else mode
+
+    def predicate(keys: np.ndarray):
+        # `keys` is sorted, so each geometry's cells form one contiguous run.
+        match = np.zeros(keys.shape[0], dtype=bool)
+        fully = np.ones(keys.shape[0], dtype=bool)
+        if keys.size == 0:
+            return match, fully
+        pid, cells = _unpack(keys, res)
+        if tiling == "centroid":
+            clat, clng = latlng.cell_to_latlng_rads(cells)
+        cuts = np.flatnonzero(np.diff(pid)) + 1
+        for s, e in zip(np.r_[0, cuts], np.r_[cuts, keys.shape[0]]):
+            geom = geoms[pid[s]]
+            if tiling == "centroid":
+                match[s:e] = contains_points(geom, clat[s:e], clng[s:e])
+            else:
+                match[s:e], fully[s:e] = relate_cells(geom, cells[s:e])
+        return match, fully
 
     # 1. Outline tracing + 1-ring buffer + predicate (tiler.rs:299-340).
-    sampled = []
-    for rings in geom["polys"]:
-        for ring in rings:
-            sampled.append(_sample_ring_cells(ring, res))
-    sampled = np.unique(np.concatenate(sampled)) if sampled else \
-        np.empty(0, np.int64)
-    if sampled.size:
-        _, buffered = _disk1(sampled)
-        buffered = np.unique(buffered)
-        is_match, fully = predicate(buffered)
-        outlines = buffered[is_match]
-        out_fully = fully[is_match]
-        seen = buffered  # all tested candidates, matching or not
+    lat, lng, owner = [], [], []
+    for pid, geom in enumerate(geoms):
+        for rings in geom["polys"]:
+            for ring in rings:
+                la, ln = _ring_samples(ring, res)
+                lat.append(la)
+                lng.append(ln)
+                owner.append(np.full(la.shape[0], pid, dtype=np.int64))
+    if lat:
+        sampled = np.unique(_pack(
+            np.concatenate(owner), latlng.latlng_rads_to_cell(
+                np.concatenate(lat), np.concatenate(lng), res), res))
     else:
-        outlines = np.empty(0, np.int64)
-        out_fully = np.empty(0, bool)
-        seen = np.empty(0, np.int64)
+        sampled = np.empty(0, np.int64)
+    buffered = _disk1_keys(sampled, res)
+    is_match, fully = predicate(buffered)
+    outlines = buffered[is_match]
+    out_fully = fully[is_match]
+    seen = buffered  # all tested candidates, matching or not
 
-    if outlines.size == 0 and mode == "covers":
-        clat, clng = _planar_centroid(geom)
-        cell = latlng.latlng_rads_to_cell(np.array([clat]), np.array([clng]),
-                                          res)
-        return (cell, np.zeros(1, bool)) if annotated else cell
+    parts = [outlines]
+    fparts = [out_fully]
+    if tiling == "covers":
+        # Geometry within one cell (tiler.rs:227-238): no outline cell
+        # matched, so the coverage is the cell holding the centroid.
+        lone = np.setdiff1d(np.arange(len(geoms)), outlines >> width)
+        if lone.size:
+            cent = np.array([_planar_centroid(geoms[p]) for p in lone])
+            parts.append(_pack(lone, latlng.latlng_rads_to_cell(
+                cent[:, 0], cent[:, 1], res), res))
+            fparts.append(np.zeros(lone.size, bool))
 
     # 2. Outermost inner layer (tiler.rs:569-594).
-    if outlines.size:
-        _, nbrs = _disk1(outlines)
-        nbrs = np.unique(nbrs)
-        fresh = nbrs[~np.isin(nbrs, seen)]
-        seen = np.union1d(seen, nbrs)
-        if fresh.size:
-            is_match, fully = predicate(fresh)
-            candidates = fresh[is_match]
-            cand_fully = fully[is_match]
-        else:
-            candidates = np.empty(0, np.int64)
-            cand_fully = np.empty(0, bool)
-    else:
-        candidates = np.empty(0, np.int64)
-        cand_fully = np.empty(0, bool)
+    nbrs = _disk1_keys(outlines, res)
+    fresh = nbrs[~np.isin(nbrs, seen, assume_unique=True)]
+    seen = np.union1d(seen, nbrs)
+    is_match, fully = predicate(fresh)
+    candidates = fresh[is_match]
+    cand_fully = fully[is_match]
 
-    if mode == "boundary":
-        outlines = outlines[out_fully]
-        out_fully = out_fully[out_fully]
+    if tiling == "boundary":
+        parts[0] = outlines[out_fully]
+        fparts[0] = out_fully[out_fully]
         candidates = candidates[cand_fully]
         cand_fully = cand_fully[cand_fully]
+    parts.append(candidates)
+    fparts.append(cand_fully)
 
     # 3. Inward generational propagation, no PIP needed (tiler.rs:254-295).
-    parts = [outlines, candidates]
-    fparts = [out_fully, cand_fully]
     gen = candidates
     while gen.size:
-        _, nbrs = _disk1(gen)
-        nbrs = np.unique(nbrs)
-        fresh = nbrs[~np.isin(nbrs, seen)]
+        nbrs = _disk1_keys(gen, res)
+        gen = nbrs[~np.isin(nbrs, seen, assume_unique=True)]
         seen = nbrs  # generational swap (tiler.rs:283-290)
-        gen = fresh
-        if fresh.size:
-            parts.append(fresh)
-            fparts.append(np.ones(fresh.size, bool))
-    cells = np.concatenate(parts)
-    fully_arr = np.concatenate(fparts) if cells.size else np.empty(0, bool)
-    if annotated:
-        return cells, fully_arr
-    return cells
+        parts.append(gen)
+        fparts.append(np.ones(gen.size, bool))
+
+    if mode == "candidates":
+        parts.append(buffered)
+        keys = np.unique(np.concatenate(parts))
+        return keys, np.ones(keys.size, bool)
+    return np.concatenate(parts), np.concatenate(fparts)
+
+
+def polygon_to_cells(geom: dict, res: int, mode: str = "centroid",
+                     annotated: bool = False):
+    """polygonToCells: covering cell set of one prepared geometry.
+
+    `polygons_to_cells` over a one-geometry list. Returns a sorted int64
+    cell array, or (cells, fully_contained) when annotated=True.
+    """
+    out = polygons_to_cells([geom], res, mode, annotated)
+    return out[1:] if annotated else out[1]
 
 
 def coverage_size_hint(geom: dict, res: int) -> int:
@@ -506,18 +630,13 @@ def candidate_cells(geom: dict, res: int) -> np.ndarray:
     cell (a fully-interior cell contains its own centroid). Used as the
     candidate set for exact point-in-polygon joins: any point inside the
     geometry lies in one of these cells.
+
+    One geometry's `polygons_to_cells(..., "candidates")`: the centroid
+    flood fill already traces and buffers the outline, so (a) comes from
+    that same pass, and a list of geometries tiles in one batched fill.
+    Returns the sorted cells.
     """
-    res = int(res)
-    sampled = []
-    for rings in geom["polys"]:
-        for ring in rings:
-            sampled.append(_sample_ring_cells(ring, res))
-    parts = [polygon_to_cells(geom, res, "centroid")]
-    if sampled:
-        outline = np.unique(np.concatenate(sampled))
-        _, buffered = _disk1(outline)
-        parts.append(buffered)
-    return np.unique(np.concatenate(parts))
+    return polygon_to_cells(geom, res, "candidates")
 
 
 def plot_linestring(coords, res: int, degrees: bool = True):

@@ -1,15 +1,20 @@
 """Point-in-polygon join: pages vs polygon coverage cell sets.
 
-The spatial-join core (SURVEY.md §2.7): polygons are tiled once with
-polygonToCells (small side — driver or a tiny Ray job), the coverage is
-compacted (minimal multi-res cell set) and broadcast via ray.put; pages
-stream through a stateless map_batches that encodes each page's point and
-probes the coverage by walking its ancestor cells — max 16 sorted-array
-lookups per page, no shuffle of the big side.
+The spatial-join core (SURVEY.md §2.7): pages stream through a stateless
+map_batches that encodes each page's point and probes the polygons'
+coverage by walking its ancestor cells — max 16 sorted-array lookups per
+page, no shuffle of the big side.
+
+The polygons are the small side and are tiled once per join, in one
+batched flood fill over all of them (region.polygons_to_cells, shared by
+build_probe and coverage_table through `_tile`). The fill runs inline on
+the driver, or as one Ray task per CPU-sized chunk of polygons when the
+cluster has more than one CPU. The coverage is compacted (minimal
+multi-res cell set) and broadcast via ray.put.
 
 `exact=True` re-checks the exact point-in-polygon predicate per candidate
-(coverage then uses "covers" mode so no true match is lost), giving exact
-join semantics rather than cell-approximation.
+(coverage then uses the "candidates" superset so no true match is lost),
+giving exact join semantics rather than cell-approximation.
 """
 
 from __future__ import annotations
@@ -38,28 +43,47 @@ def city_polygons(n: int = 10, radius_deg: float = 0.75) -> list[dict]:
     return geoms
 
 
-def coverage_table(geoms: list[dict], res: int,
-                   mode: str = "centroid") -> pa.Table:
-    """(polygon_id, cell) coverage rows for a list of prepared geometries.
+def _tile_chunk(geoms: list[dict], res: int, mode: str, compact: bool):
+    """(polygon_id, cell) coverage of one chunk of polygons: sorted unique
+    cells per polygon, each polygon's set compacted when `compact`."""
+    pid, cell = region.polygons_to_cells(geoms, res, mode)
+    keep = np.ones(pid.shape[0], dtype=bool)
+    keep[1:] = (pid[1:] != pid[:-1]) | (cell[1:] != cell[:-1])
+    pid, cell = pid[keep], cell[keep]
+    if compact and cell.size:
+        cuts = np.flatnonzero(np.diff(pid)) + 1
+        parts = [hierarchy.compact(c) for c in np.split(cell, cuts)]
+        pid = np.repeat(pid[np.r_[0, cuts]], [c.shape[0] for c in parts])
+        cell = np.concatenate(parts)
+    return pid, cell
 
-    Tiling is per-polygon independent: fans out as Ray tasks when a session
-    is up (same pattern as build_probe), serial driver loop otherwise."""
-    def one(geom):
-        return np.unique(region.polygon_to_cells(geom, res, mode))
 
+def _tile(geoms: list[dict], res: int, mode: str, compact: bool = False):
+    """Tile all polygons: `_tile_chunk` inline on the driver when the
+    cluster has one CPU (or no Ray session is up), else one Ray task per
+    chunk, min(len(geoms), cluster CPUs) chunks."""
     import ray
 
-    if ray.is_initialized() and len(geoms) > 4:
-        remote_one = ray.remote(num_cpus=1)(one)
-        covers = ray.get([remote_one.remote(g) for g in geoms])
-    else:
-        covers = [one(g) for g in geoms]
-    ids = [np.full(c.shape[0], pid, dtype=np.int64)
-           for pid, c in enumerate(covers)]
-    cells = np.concatenate(covers) if covers else np.empty(0, np.int64)
-    ids = np.concatenate(ids) if ids else np.empty(0, np.int64)
+    chunks = 1
+    if ray.is_initialized():
+        chunks = min(len(geoms), int(ray.cluster_resources().get("CPU", 1)))
+    if chunks <= 1:
+        return _tile_chunk(geoms, res, mode, compact)
+    bounds = np.linspace(0, len(geoms), chunks + 1).astype(int)
+    task = ray.remote(num_cpus=1)(_tile_chunk)
+    outs = ray.get([task.remote(geoms[a:b], res, mode, compact)
+                    for a, b in zip(bounds[:-1], bounds[1:])])
+    return (np.concatenate([p + a for (p, _), a in zip(outs, bounds)]),
+            np.concatenate([c for _, c in outs]))
+
+
+def coverage_table(geoms: list[dict], res: int,
+                   mode: str = "centroid") -> pa.Table:
+    """(polygon_id, cell) coverage rows for a list of prepared geometries,
+    sorted by (polygon_id, cell)."""
+    pid, cell = _tile(geoms, res, mode)
     return pa.Table.from_arrays(
-        [pa.array(ids), pa.array(cells.view(np.uint64))],
+        [pa.array(pid), pa.array(cell.view(np.uint64))],
         names=["polygon_id", "cell"])
 
 
@@ -72,35 +96,11 @@ def build_probe(geoms: list[dict], res: int, mode: str = "centroid",
     any ancestor (or itself) is in P's compacted coverage.
 
     mode="candidates" builds the exact-join candidate superset (centroid
-    coverage + buffered outline, region.candidate_cells) — much cheaper
+    coverage + buffered outline, see region.candidate_cells) — much cheaper
     than the prepared-relate "covers" coverage and sufficient when every
     match is re-verified per point.
     """
-    def one(geom):
-        if mode == "candidates":
-            c = region.candidate_cells(geom, res)
-        else:
-            c = np.unique(region.polygon_to_cells(geom, res, mode))
-        if compact and c.size:
-            c = hierarchy.compact(c)
-        return c
-
-    # Polygon tiling is per-polygon independent: fan out as Ray tasks when a
-    # cluster is up (driver loop otherwise).
-    import ray
-
-    if ray.is_initialized() and len(geoms) > 4:
-        remote_one = ray.remote(num_cpus=1)(one)
-        covers = ray.get([remote_one.remote(g) for g in geoms])
-    else:
-        covers = [one(g) for g in geoms]
-    pairs_cell = []
-    pairs_pid = []
-    for pid, c in enumerate(covers):
-        pairs_cell.append(c)
-        pairs_pid.append(np.full(c.shape[0], pid, dtype=np.int64))
-    cell = np.concatenate(pairs_cell) if pairs_cell else np.empty(0, np.int64)
-    pid = np.concatenate(pairs_pid) if pairs_pid else np.empty(0, np.int64)
+    pid, cell = _tile(geoms, res, mode, compact)
     probe: dict = {"res": res, "levels": []}
     rs = bits.get_resolution(cell)
     for r in np.unique(rs):
@@ -143,6 +143,33 @@ def probe_cells(probe: dict, cells: np.ndarray):
     return np.concatenate(rows_out), np.concatenate(pids_out)
 
 
+def _probe_batch(data: dict, batch: pa.Table, res: int,
+                 exact: bool) -> pa.Table:
+    """One page batch through the probe: encode, probe, and with `exact`
+    re-check each candidate with the point-in-polygon predicate. `data` is
+    the broadcast payload {"probe", "geoms"}."""
+    urls = batch["url"]
+    if isinstance(urls, pa.ChunkedArray):
+        urls = urls.combine_chunks()
+    lat, lng = pages_io.geotag(urls)
+    cells = latlng.latlng_to_cell(lat, lng, res)
+    row, pid = probe_cells(data["probe"], cells)
+    if exact and row.size:
+        keep = np.zeros(row.shape[0], dtype=bool)
+        lat_r = np.deg2rad(lat)
+        lng_r = np.deg2rad(lng)
+        for p in np.unique(pid):
+            m = pid == p
+            keep[m] = region.contains_points(
+                data["geoms"][p], lat_r[row[m]], lng_r[row[m]])
+        row = row[keep]
+        pid = pid[keep]
+    return pa.Table.from_arrays(
+        [urls.take(pa.array(row)), pa.array(pid),
+         pa.array(cells[row].view(np.uint64))],
+        names=["url", "polygon_id", "cell"])
+
+
 def pip_join(pages_ds, geoms: list[dict], *, res: int = 9,
              mode: str = "centroid", exact: bool = False,
              batch_size: int = 65536, use_actors: bool = False,
@@ -150,7 +177,7 @@ def pip_join(pages_ds, geoms: list[dict], *, res: int = 9,
     """Join pages to polygons via H3 coverage.
 
     Returns Dataset(url, polygon_id, cell). With exact=True the match is the
-    exact point-in-polygon predicate (coverage = covers mode candidates +
+    exact point-in-polygon predicate (coverage = "candidates" superset +
     per-point PIP recheck); otherwise cell-level containment per `mode`.
     use_actors=True runs the probe as a stateful actor pool
     (PolygonProbeStage) instead of stateless tasks.
@@ -170,27 +197,7 @@ def pip_join(pages_ds, geoms: list[dict], *, res: int = 9,
             concurrency=concurrency)
 
     def fn(batch: pa.Table) -> pa.Table:
-        data = ray.get(ref) if not isinstance(ref, dict) else ref
-        urls = batch["url"]
-        if isinstance(urls, pa.ChunkedArray):
-            urls = urls.combine_chunks()
-        lat, lng = pages_io.geotag(urls)
-        cells = latlng.latlng_to_cell(lat, lng, res)
-        row, pid = probe_cells(data["probe"], cells)
-        if exact and row.size:
-            keep = np.zeros(row.shape[0], dtype=bool)
-            lat_r = np.deg2rad(lat)
-            lng_r = np.deg2rad(lng)
-            for p in np.unique(pid):
-                m = pid == p
-                keep[m] = region.contains_points(
-                    data["geoms"][p], lat_r[row[m]], lng_r[row[m]])
-            row = row[keep]
-            pid = pid[keep]
-        return pa.Table.from_arrays(
-            [urls.take(pa.array(row)), pa.array(pid),
-             pa.array(cells[row].view(np.uint64))],
-            names=["url", "polygon_id", "cell"])
+        return _probe_batch(ray.get(ref), batch, res, exact)
 
     return pages_ds.select_columns(["url"]).map_batches(
         fn, batch_format="pyarrow", batch_size=batch_size)
@@ -241,31 +248,10 @@ class PolygonProbeStage:
     def __init__(self, payload_ref, res: int, exact: bool):
         import ray
 
-        data = ray.get(payload_ref) if not isinstance(payload_ref, dict) \
-            else payload_ref
-        self.probe = data["probe"]
-        self.geoms = data["geoms"]
+        self.data = ray.get(payload_ref) \
+            if not isinstance(payload_ref, dict) else payload_ref
         self.res = res
         self.exact = exact
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        urls = batch["url"]
-        if isinstance(urls, pa.ChunkedArray):
-            urls = urls.combine_chunks()
-        lat, lng = pages_io.geotag(urls)
-        cells = latlng.latlng_to_cell(lat, lng, self.res)
-        row, pid = probe_cells(self.probe, cells)
-        if self.exact and row.size:
-            keep = np.zeros(row.shape[0], dtype=bool)
-            lat_r = np.deg2rad(lat)
-            lng_r = np.deg2rad(lng)
-            for p in np.unique(pid):
-                m = pid == p
-                keep[m] = region.contains_points(
-                    self.geoms[p], lat_r[row[m]], lng_r[row[m]])
-            row = row[keep]
-            pid = pid[keep]
-        return pa.Table.from_arrays(
-            [urls.take(pa.array(row)), pa.array(pid),
-             pa.array(cells[row].view(np.uint64))],
-            names=["url", "polygon_id", "cell"])
+        return _probe_batch(self.data, batch, self.res, self.exact)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from h3ray.kernels import bits, grid, hierarchy, latlng
 from h3ray.kernels.constants import DEFAULT_CELL_INDEX, HEX_EDGE_RADS
@@ -76,3 +77,44 @@ def test_pentagon_disk_size(base_cells):
     o, c, d = grid.grid_disk_distances(pent, 1)
     # A pentagon disk-1 has 6 cells (5 neighbors + itself).
     assert (np.bincount(o, minlength=12) == 6).all()
+
+
+def _pentagon_neighborhood_cells(rng, res):
+    """Cells on and around the 12 pentagons at `res`: each pentagon's
+    2-disk plus random valid cells of the pentagon base cells whose digits
+    are mostly center (0), so moves land next to the deleted K axis."""
+    from h3ray.kernels._tables import PENTAGON_BASE_CELLS
+
+    base = bits.set_base_cell(np.full(12, DEFAULT_CELL_INDEX, dtype=np.int64),
+                              np.asarray(PENTAGON_BASE_CELLS))
+    pents = bits.cell_to_center_child(base, res) if res else base
+    _, disk, _ = grid.grid_disk_distances(pents, 2)
+    n = 400
+    cells = bits.set_resolution(bits.set_base_cell(
+        np.full(n, DEFAULT_CELL_INDEX, dtype=np.int64),
+        rng.choice(np.asarray(PENTAGON_BASE_CELLS), n)), res)
+    for r in range(1, res + 1):
+        digit = np.where(rng.random(n) < 0.7, 0, rng.integers(0, 7, n))
+        cells = bits.set_direction(cells, digit, r)
+    return np.concatenate([disk, cells[bits.is_valid_cell(cells)]])
+
+
+@pytest.mark.parametrize("res", range(16))
+@settings(max_examples=3, deadline=None)
+@given(seed=st.integers(0, 2 ** 31))
+def test_neighbor_fast_path_matches_full_walk(res, seed):
+    """neighbor_rotations (fast path + walk on the rest) equals the full
+    digit walk applied to every row: random cells and pentagon
+    neighborhoods, all 6 directions, input rotations 0-5."""
+    rng = np.random.default_rng(seed)
+    cells = np.concatenate([
+        latlng.latlng_rads_to_cell(rng.uniform(-1.57, 1.57, 200),
+                                   rng.uniform(-3.14, 3.14, 200), res),
+        _pentagon_neighborhood_cells(rng, res)])
+    direction = np.tile(np.repeat(grid.RING_DIRECTIONS, 6), cells.shape[0])
+    rotations = np.tile(np.arange(6), 6 * cells.shape[0])
+    cells = np.repeat(cells, 36)
+    got = grid.neighbor_rotations(cells, direction, rotations)
+    want = grid._neighbor_rotations_walk(cells, direction, rotations)
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w)

@@ -4,7 +4,8 @@
 Runs each `queries()` entry and its `oracle_sql()` (DuckDB) side-by-side on
 $1 (default /root/testdata/sf0.01) and compares row counts, sorted column
 names, and value hashes (columns sorted by name, rows sorted, like the
-driver). Queries without an oracle get a rows-only report.
+driver). Queries without an oracle report their row count and value hash,
+so two builds can be compared on them.
 
 Usage: python tools/check_oracles.py [sf_dir] [query ...]
 """
@@ -80,7 +81,8 @@ def main() -> int:
             failures += 1
             continue
         if name not in oracles:
-            print(f"{name}: rows={len(ray_df)} (no oracle)")
+            print(f"{name}: rows={len(ray_df)} "
+                  f"value_hash={value_hash(ray_df)} (no oracle)")
             continue
         try:
             ora_df = con.execute(oracles[name]).fetchdf()
