@@ -24,6 +24,19 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 SF0001 = "/root/testdata/sf0.001"
 
 
+def _nation_names(sf_dir: str, keys):
+    """n_name of each nation key (numpy object array; keys must exist)."""
+    import numpy as np
+    import pyarrow.parquet as pq
+
+    nation = pq.read_table(f"{sf_dir}/nation.parquet",
+                           columns=["n_nationkey", "n_name"])
+    nk = nation["n_nationkey"].to_numpy().astype(np.int64)
+    nord = np.argsort(nk)
+    names = nation["n_name"].to_numpy(zero_copy_only=False)[nord]
+    return names[np.searchsorted(nk[nord], keys)]
+
+
 def entry() -> Any:
     from h3ray.io import pages as pio
     from h3ray.pipelines import geotag
@@ -68,7 +81,7 @@ def _h3_cell_quality(sf_dir: str):
     import pyarrow.compute as pc
 
     from h3ray.io import pages as pio
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
     from h3ray.pipelines import geotag
     from h3ray.text.analysis import _STOPWORDS
 
@@ -78,7 +91,7 @@ def _h3_cell_quality(sf_dir: str):
     ds = geotag.geotag_cells(pio.pages_from_documents(sf_dir), res=7,
                              parent_res=4, keep_cols=("url", "text"))
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         cells = batch["parent_r4"].to_numpy(zero_copy_only=False) \
             .astype(np.uint64).view(np.int64)
         text = batch["text"]
@@ -88,27 +101,12 @@ def _h3_cell_quality(sf_dir: str):
             .to_numpy(zero_copy_only=False).astype(np.int64)
         ns = pc.count_substring_regex(text, stop_pat) \
             .to_numpy(zero_copy_only=False).astype(np.int64)
-        uniq, inv = np.unique(cells, return_inverse=True)
-        m = uniq.shape[0]
-        acc = np.zeros((m, 4), dtype=np.int64)
-        np.add.at(acc[:, 0], inv, 1)
-        np.add.at(acc[:, 1], inv, nc)
-        np.add.at(acc[:, 2], inv, nw)
-        np.add.at(acc[:, 3], inv, ns)
-        return pa.table({"cell": uniq, "n_pages": acc[:, 0],
-                         "sum_chars": acc[:, 1], "sum_words": acc[:, 2],
-                         "sum_stop": acc[:, 3]})
+        return pa.table({"cell": cells, "sum_chars": nc, "sum_words": nw,
+                         "sum_stop": ns})
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by("cell").aggregate(
-            [("n_pages", "sum"), ("sum_chars", "sum"),
-             ("sum_words", "sum"), ("sum_stop", "sum")])
-        return g.rename_columns(["cell", "n_pages", "sum_chars",
-                                 "sum_words", "sum_stop"])
-
-    return driver_merge(
-        ds.map_batches(partial, batch_format="pyarrow",
-                       batch_size=32768), merge,
+    return combine(
+        ds, "cell", sums=("sum_chars", "sum_words", "sum_stop"),
+        count="n_pages", prep=prep, batch_size=32768,
         schema=pa.schema([("cell", pa.int64()), ("n_pages", pa.int64()),
                           ("sum_chars", pa.int64()),
                           ("sum_words", pa.int64()),
@@ -743,7 +741,7 @@ def _lineitem_priority_counts(sf_dir: str):
     import ray.data as rd
 
     from h3ray.ops.join import hash_join
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     cutoff = pa.scalar(datetime.datetime(1997, 1, 1),
                        type=pa.timestamp("us"))
@@ -756,24 +754,16 @@ def _lineitem_priority_counts(sf_dir: str):
                              columns=["o_orderkey", "o_orderpriority"])
     joined = hash_join(line, orders, "l_orderkey", "o_orderkey")
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         hi = pc.is_in(batch["o_orderpriority"],
                       value_set=pa.array(["1-URGENT", "2-HIGH"]))
         hi_np = hi.combine_chunks().to_numpy(
             zero_copy_only=False).astype(np.int64)
-        t = pa.table({"l_returnflag": batch["l_returnflag"],
-                      "high_lines": hi_np, "low_lines": 1 - hi_np})
-        return t.group_by("l_returnflag").aggregate(
-            [("high_lines", "sum"), ("low_lines", "sum")]) \
-            .rename_columns(["l_returnflag", "high_lines", "low_lines"])
+        return pa.table({"l_returnflag": batch["l_returnflag"],
+                         "high_lines": hi_np, "low_lines": 1 - hi_np})
 
-    def merge(t: pa.Table) -> pa.Table:
-        return t.group_by("l_returnflag").aggregate(
-            [("high_lines", "sum"), ("low_lines", "sum")]) \
-            .rename_columns(["l_returnflag", "high_lines", "low_lines"])
-
-    return driver_merge(joined.map_batches(partial,
-                                           batch_format="pyarrow"), merge)
+    return combine(joined, "l_returnflag",
+                   sums=("high_lines", "low_lines"), prep=prep)
 
 
 def _events_pivot_by_hour(sf_dir: str):
@@ -834,7 +824,7 @@ def _promo_revenue_by_brand(sf_dir: str):
     import ray
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     part = pq.read_table(f"{sf_dir}/part.parquet",
                          columns=["p_partkey", "p_brand", "p_type"])
@@ -846,13 +836,12 @@ def _promo_revenue_by_brand(sf_dir: str):
     is_econ = (part["p_type"].to_numpy(zero_copy_only=False)[order]
                == "ECONOMY")
     ref = ray.put((pkeys, brand_code.astype(np.int64), is_econ))
-    n_brands = brand_list.shape[0]
 
     line = rd.read_parquet(
         f"{sf_dir}/lineitem.parquet",
         columns=["l_partkey", "l_extendedprice", "l_discount"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         keys, codes, econ = ray.get(ref)
         lp = batch["l_partkey"].to_numpy(zero_copy_only=False)
         price = batch["l_extendedprice"].to_numpy(zero_copy_only=False)
@@ -861,26 +850,17 @@ def _promo_revenue_by_brand(sf_dir: str):
         idx = np.searchsorted(keys, lp)
         idx = np.minimum(idx, keys.shape[0] - 1)
         hit = keys[idx] == lp
-        b = codes[idx[hit]]
         c = cents[hit]
-        e = econ[idx[hit]]
-        promo = np.zeros(n_brands, dtype=np.int64)
-        total = np.zeros(n_brands, dtype=np.int64)
-        np.add.at(total, b, c)
-        np.add.at(promo, b[e], c[e])
-        return pa.table({"p_brand": pa.array(brand_list),
-                         "promo_cents": pa.array(promo),
-                         "total_cents": pa.array(total)})
+        return pa.table({"p_brand": pa.array(brand_list[codes[idx[hit]]]),
+                         "promo_cents": np.where(econ[idx[hit]], c, 0),
+                         "total_cents": c})
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by("p_brand").aggregate(
-            [("promo_cents", "sum"), ("total_cents", "sum")])
-        g = g.rename_columns(["p_brand", "promo_cents", "total_cents"])
+    def finish(g: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
         return g.filter(pc.greater(g["total_cents"], 0))
 
-    return driver_merge(line.map_batches(partial,
-                                         batch_format="pyarrow"), merge)
+    return combine(line, "p_brand", sums=("promo_cents", "total_cents"),
+                   prep=prep, finish=finish)
 
 
 def _docs_normalized(sf_dir: str):
@@ -1035,21 +1015,7 @@ def _curation_oracle() -> str:
           SELECT k.doc_id, k.text, k.n_chars
           FROM kept k JOIN s20 s USING (doc_id) CROSS JOIN bench b
           WHERE len(list_intersect(s.gs, b.bg)) = 0
-        ), pairs AS (
-          WITH sh AS (
-            SELECT doc_id,
-                   CASE WHEN length(text) < 5 THEN [rpad(text, 5, ' ')]
-                        ELSE list_distinct([substring(text, i, 5)
-                                FOR i IN range(1, length(text) - 3)])
-                   END AS gs
-            FROM clean
-          )
-          SELECT a.doc_id AS key_a, b.doc_id AS key_b
-          FROM sh a JOIN sh b ON a.doc_id < b.doc_id
-          WHERE CAST(len(list_intersect(a.gs, b.gs)) AS DOUBLE)
-                / (len(a.gs) + len(b.gs)
-                   - len(list_intersect(a.gs, b.gs))) >= 0.5
-        ), edge AS (
+        ), pairs AS ({_near_dup_pairs_sql("clean")}), edge AS (
           SELECT key_a AS u, key_b AS v FROM pairs
           UNION ALL SELECT key_b, key_a FROM pairs
         ), reach(u, v) AS (
@@ -1296,33 +1262,20 @@ def _nation_supplier_customer_full(sf_dir: str):
     from h3ray.ops.join import hash_join
 
     def agg(table: str, key: str, bal: str, out: str):
-        import numpy as np
         import pyarrow.compute as pc
 
-        from h3ray.ops.reduce import driver_merge
+        from h3ray.ops.reduce import combine
 
         ds = rd.read_parquet(f"{sf_dir}/{table}.parquet",
                              columns=[key, bal],
                              filter=pc.field(bal) > 8000.0)
 
-        def partial(batch: pa.Table) -> pa.Table:
-            t = pa.table({
-                "nk": batch[key].cast(pa.int64()),
-                out: np.ones(batch.num_rows, dtype=np.int64)})
-            g = t.group_by("nk").aggregate([(out, "sum")])
-            return pa.table({"nk": g["nk"], out: g[f"{out}_sum"]})
-
-        def merge(t: pa.Table) -> pa.Table:
-            g = t.group_by("nk").aggregate([(out, "sum")])
-            return pa.table({"nk": g["nk"], out: g[f"{out}_sum"]})
-
         # Nation-bounded aggregate: driver_merge keeps a STABLE schema even
         # when the filter leaves zero rows (a Ray groupby over an empty
         # input yields a schema-less Dataset, which hash_join rejects).
-        return rd.from_arrow(driver_merge(
-            ds.map_batches(partial, batch_format="pyarrow",
-                           batch_size=131072),
-            merge,
+        return rd.from_arrow(combine(
+            ds, "nk", count=out, batch_size=131072,
+            prep=lambda b: pa.table({"nk": b[key].cast(pa.int64())}),
             schema=pa.schema([("nk", pa.int64()), (out, pa.int64())])))
 
     sup = agg("supplier", "s_nationkey", "s_acctbal", "num_suppliers")
@@ -1858,7 +1811,7 @@ def _revenue_local_suppliers(sf_dir: str):
     import ray.data as rd
 
     from h3ray.ops.join import hash_join
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     lo = pa.scalar(datetime.datetime(1996, 1, 1), type=pa.timestamp("us"))
     hi = pa.scalar(datetime.datetime(1997, 1, 1), type=pa.timestamp("us"))
@@ -1911,33 +1864,23 @@ def _revenue_local_suppliers(sf_dir: str):
                                         batch_size=131072),
                        ord_nat, "l_orderkey", "o_orderkey")
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         cn = batch["c_nationkey"].to_numpy(
             zero_copy_only=False).astype(np.int64)
         sn = batch["s_nat"].to_numpy(zero_copy_only=False)
         cents = batch["cents"].to_numpy(zero_copy_only=False)
         local = cn == sn
-        uniq, inv = np.unique(cn[local], return_inverse=True)
-        acc = np.zeros(uniq.shape[0], dtype=np.int64)
-        np.add.at(acc, inv, cents[local])
-        return pa.table({"nationkey": uniq, "revenue_cents": acc})
+        return pa.table({"nationkey": cn[local],
+                         "revenue_cents": cents[local]})
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by("nationkey").aggregate([("revenue_cents", "sum")]) \
-            .rename_columns(["nationkey", "revenue_cents"])
-        nation = pq.read_table(f"{sf_dir}/nation.parquet",
-                               columns=["n_nationkey", "n_name"])
-        nk = nation["n_nationkey"].to_numpy().astype(np.int64)
-        nord = np.argsort(nk)
-        names = nation["n_name"].to_numpy(zero_copy_only=False)[nord]
-        pos = np.searchsorted(nk[nord],
-                              g["nationkey"].to_numpy(
-                                  zero_copy_only=False))
-        return pa.table({"n_name": pa.array(names[pos]),
+    def finish(g: pa.Table) -> pa.Table:
+        names = _nation_names(sf_dir, g["nationkey"].to_numpy(
+            zero_copy_only=False))
+        return pa.table({"n_name": pa.array(names),
                          "revenue_cents": g["revenue_cents"]})
 
-    return driver_merge(joined.map_batches(partial,
-                                           batch_format="pyarrow"), merge)
+    return combine(joined, "nationkey", sums=("revenue_cents",), prep=prep,
+                   finish=finish)
 
 
 def _brand_small_qty_revenue(sf_dir: str):
@@ -2041,7 +1984,7 @@ def _orders_bloom_pruned_revenue(sf_dir: str):
 
     from h3ray.ops.bloom import bloom_build, bloom_prune
     from h3ray.ops.join import hash_join
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     lo = pa.scalar(datetime.datetime(1995, 1, 1), type=pa.timestamp("us"))
     hi = pa.scalar(datetime.datetime(1996, 1, 1), type=pa.timestamp("us"))
@@ -2069,18 +2012,9 @@ def _orders_bloom_pruned_revenue(sf_dir: str):
         .map_batches(to_cents, batch_format="pyarrow", batch_size=131072)
     joined = hash_join(pruned, orders, "l_orderkey", "o_orderkey")
 
-    def partial(batch: pa.Table) -> pa.Table:
-        return batch.group_by("o_orderpriority").aggregate(
-            [("cents", "sum")]) \
-            .rename_columns(["o_orderpriority", "revenue_cents"])
-
-    def merge(t: pa.Table) -> pa.Table:
-        return t.group_by("o_orderpriority").aggregate(
-            [("revenue_cents", "sum")]) \
-            .rename_columns(["o_orderpriority", "revenue_cents"])
-
-    return driver_merge(joined.map_batches(partial,
-                                           batch_format="pyarrow"), merge)
+    return combine(joined, "o_orderpriority", sums=("cents",),
+                   finish=lambda g: g.rename_columns(
+                       ["o_orderpriority", "revenue_cents"]))
 
 
 def _orders_cube(sf_dir: str):
@@ -2134,12 +2068,11 @@ def _order_priority_check(sf_dir: str):
     key and batch-distincted inside semi_join, so the exchange moves
     O(distinct qualifying orderkeys), not lineitem rows; the final rollup
     is a bounded per-priority combiner + driver merge."""
-    import pyarrow as pa
     import pyarrow.compute as pc
     import ray.data as rd
 
     from h3ray.ops.join import semi_join
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     big = rd.read_parquet(f"{sf_dir}/lineitem.parquet",
                           columns=["l_orderkey", "l_quantity"],
@@ -2149,18 +2082,7 @@ def _order_priority_check(sf_dir: str):
                              columns=["o_orderkey", "o_orderpriority"])
     hits = semi_join(orders, big, "o_orderkey", "l_orderkey")
 
-    def partial(batch: pa.Table) -> pa.Table:
-        return batch.group_by("o_orderpriority").aggregate(
-            [("o_orderkey", "count")]) \
-            .rename_columns(["o_orderpriority", "order_count"])
-
-    def merge(t: pa.Table) -> pa.Table:
-        return t.group_by("o_orderpriority").aggregate(
-            [("order_count", "sum")]) \
-            .rename_columns(["o_orderpriority", "order_count"])
-
-    return driver_merge(hits.map_batches(partial, batch_format="pyarrow"),
-                        merge)
+    return combine(hits, "o_orderpriority", count="order_count")
 
 
 def _nation_pair_volume(sf_dir: str):
@@ -2182,7 +2104,7 @@ def _nation_pair_volume(sf_dir: str):
     import ray.data as rd
 
     from h3ray.ops.join import hash_join
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     nat_a, nat_b = 3, 7
     sup = pq.read_table(f"{sf_dir}/supplier.parquet",
@@ -2236,39 +2158,26 @@ def _nation_pair_volume(sf_dir: str):
                    ("l_year", pa.int64()), ("cents", pa.int64())]))
     joined = hash_join(prepped, ord_nat, "l_orderkey", "o_orderkey")
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         sn = batch["s_nat"].to_numpy(zero_copy_only=False)
         cn = batch["c_nationkey"].to_numpy(
             zero_copy_only=False).astype(np.int64)
         yr = batch["l_year"].to_numpy(zero_copy_only=False)
         cents = batch["cents"].to_numpy(zero_copy_only=False)
         keep = sn != cn
-        trip = np.stack([sn[keep], cn[keep], yr[keep]], axis=1)
-        uniq, inv = np.unique(trip, axis=0, return_inverse=True)
-        acc = np.zeros(uniq.shape[0], dtype=np.int64)
-        np.add.at(acc, inv, cents[keep])
-        return pa.table({"s_nat": uniq[:, 0], "c_nat": uniq[:, 1],
-                         "l_year": uniq[:, 2], "revenue_cents": acc})
+        return pa.table({"s_nat": sn[keep], "c_nat": cn[keep],
+                         "l_year": yr[keep], "revenue_cents": cents[keep]})
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by(["s_nat", "c_nat", "l_year"]).aggregate(
-            [("revenue_cents", "sum")]) \
-            .rename_columns(["s_nat", "c_nat", "l_year", "revenue_cents"])
-        nation = pq.read_table(f"{sf_dir}/nation.parquet",
-                               columns=["n_nationkey", "n_name"])
-        nk = nation["n_nationkey"].to_numpy().astype(np.int64)
-        nord = np.argsort(nk)
-        names = nation["n_name"].to_numpy(zero_copy_only=False)[nord]
-        nks = nk[nord]
-        sp = np.searchsorted(nks, g["s_nat"].to_numpy())
-        cp = np.searchsorted(nks, g["c_nat"].to_numpy())
-        return pa.table({"supp_nation": pa.array(names[sp]),
-                         "cust_nation": pa.array(names[cp]),
-                         "l_year": g["l_year"],
-                         "revenue_cents": g["revenue_cents"]})
+    def finish(g: pa.Table) -> pa.Table:
+        return pa.table({
+            "supp_nation": pa.array(_nation_names(sf_dir,
+                                                  g["s_nat"].to_numpy())),
+            "cust_nation": pa.array(_nation_names(sf_dir,
+                                                  g["c_nat"].to_numpy())),
+            "l_year": g["l_year"], "revenue_cents": g["revenue_cents"]})
 
-    return driver_merge(joined.map_batches(partial,
-                                           batch_format="pyarrow"), merge)
+    return combine(joined, ["s_nat", "c_nat", "l_year"],
+                   sums=("revenue_cents",), prep=prep, finish=finish)
 
 
 def _customer_order_dist(sf_dir: str):
@@ -2283,7 +2192,7 @@ def _customer_order_dist(sf_dir: str):
     from ray.data.aggregate import Sum
 
     from h3ray.ops.join import hash_join
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     orders = rd.read_parquet(f"{sf_dir}/orders.parquet",
                              columns=["o_custkey"])
@@ -2307,23 +2216,14 @@ def _customer_order_dist(sf_dir: str):
     joined = hash_join(cust, per_cust, "c_custkey", "o_custkey",
                        how="left")
 
-    def dist_partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
+        return pa.table({"c_count": pc.fill_null(batch["c_count"], 0)
+                         .cast(pa.int64())})
 
-        cc = pc.fill_null(batch["c_count"], 0).to_numpy(
-            zero_copy_only=False).astype(np.int64)
-        uniq, counts = np.unique(cc, return_counts=True)
-        return pa.table({"c_count": uniq,
-                         "custdist": counts.astype(np.int64)})
-
-    def merge(t: pa.Table) -> pa.Table:
-        return t.group_by("c_count").aggregate([("custdist", "sum")]) \
-            .rename_columns(["c_count", "custdist"])
-
-    return driver_merge(joined.map_batches(dist_partial,
-                                           batch_format="pyarrow"), merge,
-                        schema=pa.schema([("c_count", pa.int64()),
-                                          ("custdist", pa.int64())]))
+    return combine(joined, "c_count", count="custdist", prep=prep,
+                   schema=pa.schema([("c_count", pa.int64()),
+                                     ("custdist", pa.int64())]))
 
 
 def _top_supplier_revenue(sf_dir: str):
@@ -2475,7 +2375,7 @@ def _idle_rich_customers(sf_dir: str):
     import ray.data as rd
 
     from h3ray.ops.join import anti_join
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine, driver_merge
 
     cust_cols = ["c_custkey", "c_acctbal", "c_mktsegment"]
     cust = rd.read_parquet(f"{sf_dir}/customer.parquet", columns=cust_cols)
@@ -2524,24 +2424,15 @@ def _idle_rich_customers(sf_dir: str):
         .select_columns(["o_custkey"])
     idle = anti_join(rich_ds, orders, "c_custkey", "o_custkey")
 
-    def partial(batch: pa.Table) -> pa.Table:
-        return batch.group_by("c_mktsegment").aggregate(
-            [("c_custkey", "count"), ("acct_cents", "sum")]) \
-            .rename_columns(["c_mktsegment", "numcust",
-                             "total_acctbal_cents"])
-
-    def merge(t: pa.Table) -> pa.Table:
-        return t.group_by("c_mktsegment").aggregate(
-            [("numcust", "sum"), ("total_acctbal_cents", "sum")]) \
-            .rename_columns(["c_mktsegment", "numcust",
-                             "total_acctbal_cents"])
-
-    return driver_merge(idle.map_batches(partial, batch_format="pyarrow"),
-                        merge,
-                        schema=pa.schema([("c_mktsegment", pa.string()),
-                                          ("numcust", pa.int64()),
-                                          ("total_acctbal_cents",
-                                           pa.int64())]))
+    return combine(
+        idle, "c_mktsegment", count="numcust",
+        sums=("total_acctbal_cents",),
+        prep=lambda b: pa.table({
+            "c_mktsegment": b["c_mktsegment"],
+            "total_acctbal_cents": b["acct_cents"]}),
+        schema=pa.schema([("c_mktsegment", pa.string()),
+                          ("numcust", pa.int64()),
+                          ("total_acctbal_cents", pa.int64())]))
 
 
 def _pages_domain_stats(sf_dir: str):
@@ -2554,34 +2445,27 @@ def _pages_domain_stats(sf_dir: str):
     import pyarrow.compute as pc
 
     from h3ray.io.pages import pages_from_documents
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     pages = pages_from_documents(sf_dir)
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         dom = pc.utf8_slice_codeunits(batch["url"], 8, 25)
-        t = pa.table({
+        return pa.table({
             "domain": dom,
             "lang": batch["lang"],
             "n_pages": pa.array([1] * batch.num_rows, pa.int64()),
             "total_chars": pc.utf8_length(batch["text"]).cast(pa.int64())})
-        return t.group_by(["domain", "lang"]).aggregate(
-            [("n_pages", "sum"), ("total_chars", "sum")]) \
-            .rename_columns(["domain", "lang", "n_pages", "total_chars"])
 
-    def merge(t: pa.Table) -> pa.Table:
-        by_pair = t.group_by(["domain", "lang"]).aggregate(
-            [("n_pages", "sum"), ("total_chars", "sum")]) \
-            .rename_columns(["domain", "lang", "n_pages", "total_chars"])
+    def finish(by_pair: pa.Table) -> pa.Table:
         return by_pair.group_by("domain").aggregate(
             [("n_pages", "sum"), ("total_chars", "sum"),
              ("lang", "count")]) \
             .rename_columns(["domain", "n_pages", "total_chars",
                              "n_langs"])
 
-    return driver_merge(pages.map_batches(partial,
-                                          batch_format="pyarrow",
-                                          batch_size=32768), merge)
+    return combine(pages, ["domain", "lang"], sums=("n_pages", "total_chars"),
+                   prep=prep, finish=finish, batch_size=32768)
 
 
 def _docs_dup_ngram_fraction(sf_dir: str):
@@ -2681,7 +2565,7 @@ def _sole_late_supplier_counts(sf_dir: str):
 
     from h3ray.io.pages import _mix64
     from h3ray.ops.join import hash_join
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
     from h3ray.ops.skew import default_num_buckets
 
     late_us = np.int64(90 * 86400 * 1_000_000)  # 90 days
@@ -2765,9 +2649,7 @@ def _sole_late_supplier_counts(sf_dir: str):
                                   batch_size=131072) \
         .groupby("_bucket").map_groups(per_order, batch_format="pyarrow")
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by("s_suppkey").aggregate([("numwait", "sum")]) \
-            .rename_columns(["s_suppkey", "numwait"])
+    def finish(g: pa.Table) -> pa.Table:
         sup = pq.read_table(f"{sf_dir}/supplier.parquet",
                             columns=["s_suppkey", "s_name"])
         sk = sup["s_suppkey"].to_numpy()
@@ -2777,9 +2659,9 @@ def _sole_late_supplier_counts(sf_dir: str):
         return pa.table({"s_name": pa.array(names[pos], type=pa.string()),
                          "numwait": g["numwait"]})
 
-    return driver_merge(partials, merge,
-                        schema=pa.schema([("s_suppkey", pa.int64()),
-                                          ("numwait", pa.int64())]))
+    return combine(partials, "s_suppkey", sums=("numwait",), finish=finish,
+                   schema=pa.schema([("s_suppkey", pa.int64()),
+                                     ("numwait", pa.int64())]))
 
 
 def _forecast_revenue_delta(sf_dir: str):
@@ -2914,7 +2796,7 @@ def _nation_market_share(sf_dir: str):
     import ray.data as rd
 
     from h3ray.ops.join import hash_join
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     target_nation = 3
     part = pq.read_table(f"{sf_dir}/part.parquet",
@@ -3019,22 +2901,10 @@ def _nation_market_share(sf_dir: str):
                    ("cents", pa.int64())]))
     joined = hash_join(li_p, ord_side, "l_orderkey", "o_orderkey")
 
-    def partial(batch: pa.Table) -> pa.Table:
-        year = batch["o_year"].to_numpy(zero_copy_only=False)
-        tgt = batch["is_tgt"].to_numpy(zero_copy_only=False)
-        cents = batch["cents"].to_numpy(zero_copy_only=False)
-        comp = year * 2 + tgt
-        uniq, inv = np.unique(comp, return_inverse=True)
-        acc = np.zeros(uniq.shape[0], dtype=np.int64)
-        np.add.at(acc, inv, cents)
-        return pa.table({"o_year": uniq // 2, "is_tgt": uniq % 2,
-                         "cents": acc})
-
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by(["o_year", "is_tgt"]).aggregate([("cents", "sum")])
+    def finish(g: pa.Table) -> pa.Table:
         year = g["o_year"].to_numpy()
         tgt = g["is_tgt"].to_numpy()
-        cents = g["cents_sum"].to_numpy()
+        cents = g["cents"].to_numpy()
         years = np.unique(year)
         target = np.zeros(years.shape[0], dtype=np.int64)
         total = np.zeros(years.shape[0], dtype=np.int64)
@@ -3047,11 +2917,11 @@ def _nation_market_share(sf_dir: str):
                          "total_cents": total,
                          "mkt_share": share})
 
-    return driver_merge(joined.map_batches(partial,
-                                           batch_format="pyarrow"), merge,
-                        schema=pa.schema([("o_year", pa.int64()),
-                                          ("is_tgt", pa.int64()),
-                                          ("cents", pa.int64())]))
+    return combine(joined, ["o_year", "is_tgt"], sums=("cents",),
+                   finish=finish,
+                   schema=pa.schema([("o_year", pa.int64()),
+                                     ("is_tgt", pa.int64()),
+                                     ("cents", pa.int64())]))
 
 
 def _product_type_profit(sf_dir: str):
@@ -3068,7 +2938,7 @@ def _product_type_profit(sf_dir: str):
     import ray.data as rd
 
     from h3ray.ops.join import hash_join
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     part = pq.read_table(f"{sf_dir}/part.parquet",
                          columns=["p_partkey", "p_name"])
@@ -3142,36 +3012,21 @@ def _product_type_profit(sf_dir: str):
         pa.schema([("o_orderkey", pa.int64()), ("o_year", pa.int64())]))
     joined = hash_join(li_p, ord_side, "l_orderkey", "o_orderkey")
 
-    def partial(batch: pa.Table) -> pa.Table:
-        nat = batch["s_nat"].to_numpy(zero_copy_only=False)
-        year = batch["o_year"].to_numpy(zero_copy_only=False)
-        cents = batch["cents"].to_numpy(zero_copy_only=False)
-        comp = year * 32 + nat
-        uniq, inv = np.unique(comp, return_inverse=True)
-        acc = np.zeros(uniq.shape[0], dtype=np.int64)
-        np.add.at(acc, inv, cents)
-        return pa.table({"o_year": uniq // 32, "s_nat": uniq % 32,
-                         "profit_cents": acc})
-
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by(["o_year", "s_nat"]) \
-            .aggregate([("profit_cents", "sum")])
-        nation = pq.read_table(f"{sf_dir}/nation.parquet",
-                               columns=["n_nationkey", "n_name"])
-        nk = nation["n_nationkey"].to_numpy().astype(np.int64)
-        nord = np.argsort(nk)
-        names = nation["n_name"].to_numpy(zero_copy_only=False)[nord]
-        pos = np.searchsorted(nk[nord],
+    def finish(g: pa.Table) -> pa.Table:
+        names = _nation_names(sf_dir,
                               g["s_nat"].to_numpy(zero_copy_only=False))
-        return pa.table({"n_name": pa.array(names[pos], type=pa.string()),
+        return pa.table({"n_name": pa.array(names, type=pa.string()),
                          "o_year": g["o_year"],
-                         "profit_cents": g["profit_cents_sum"]})
+                         "profit_cents": g["profit_cents"]})
 
-    return driver_merge(joined.map_batches(partial,
-                                           batch_format="pyarrow"), merge,
-                        schema=pa.schema([("o_year", pa.int64()),
-                                          ("s_nat", pa.int64()),
-                                          ("profit_cents", pa.int64())]))
+    return combine(joined, ["o_year", "s_nat"], sums=("profit_cents",),
+                   prep=lambda b: pa.table({"o_year": b["o_year"],
+                                            "s_nat": b["s_nat"],
+                                            "profit_cents": b["cents"]}),
+                   finish=finish,
+                   schema=pa.schema([("o_year", pa.int64()),
+                                     ("s_nat", pa.int64()),
+                                     ("profit_cents", pa.int64())]))
 
 
 def _returned_item_customers(sf_dir: str):
@@ -3187,7 +3042,6 @@ def _returned_item_customers(sf_dir: str):
     import numpy as np
     import pyarrow as pa
     import pyarrow.compute as pc
-    import pyarrow.parquet as pq
     import ray.data as rd
     from ray.data.aggregate import Sum
 
@@ -3268,12 +3122,7 @@ def _returned_item_customers(sf_dir: str):
     acct = np.floor(cust["c_acctbal"].to_numpy()[corder][pos] * 100
                     + 0.5).astype(np.int64)
     cnat = cust["c_nationkey"].to_numpy()[corder][pos].astype(np.int64)
-    nation = pq.read_table(f"{sf_dir}/nation.parquet",
-                           columns=["n_nationkey", "n_name"])
-    nk = nation["n_nationkey"].to_numpy().astype(np.int64)
-    nord = np.argsort(nk)
-    nnames = nation["n_name"].to_numpy(zero_copy_only=False)[nord][
-        np.searchsorted(nk[nord], cnat)]
+    nnames = _nation_names(sf_dir, cnat)
     return pa.table({"c_custkey": win_keys,
                      "c_name": pa.array(names, type=pa.string()),
                      "revenue_cents": top["revenue_cents"],
@@ -3298,7 +3147,7 @@ def _excess_parts_suppliers(sf_dir: str):
     import ray
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     part = pq.read_table(f"{sf_dir}/part.parquet",
                          columns=["p_partkey", "p_name"])
@@ -3315,7 +3164,7 @@ def _excess_parts_suppliers(sf_dir: str):
         filter=((pc.field("l_shipdate") >= lo)
                 & (pc.field("l_shipdate") < hi)))
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         keys = ray.get(pk_ref)
         lp = batch["l_partkey"].to_numpy(zero_copy_only=False)
         ls = batch["l_suppkey"].to_numpy(
@@ -3328,14 +3177,9 @@ def _excess_parts_suppliers(sf_dir: str):
             sel = keys[pos] == lp
         else:
             sel = np.zeros(lp.shape[0], dtype=bool)
-        uniq, inv = np.unique(ls[sel], return_inverse=True)
-        acc = np.zeros(uniq.shape[0], dtype=np.int64)
-        np.add.at(acc, inv, qty[sel])
-        return pa.table({"s_suppkey": uniq, "qty_sum": acc})
+        return pa.table({"s_suppkey": ls[sel], "qty_sum": qty[sel]})
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by("s_suppkey").aggregate([("qty_sum", "sum")]) \
-            .rename_columns(["s_suppkey", "qty_sum"])
+    def finish(g: pa.Table) -> pa.Table:
         qs = g["qty_sum"].to_numpy(zero_copy_only=False)
         n = qs.shape[0]
         total = int(qs.sum())
@@ -3353,10 +3197,10 @@ def _excess_parts_suppliers(sf_dir: str):
                          "s_name": pa.array(names[pos], type=pa.string()),
                          "qty_sum": kept["qty_sum"]})
 
-    return driver_merge(line.map_batches(partial, batch_format="pyarrow",
-                                         batch_size=131072), merge,
-                        schema=pa.schema([("s_suppkey", pa.int64()),
-                                          ("qty_sum", pa.int64())]))
+    return combine(line, "s_suppkey", sums=("qty_sum",), prep=prep,
+                   finish=finish, batch_size=131072,
+                   schema=pa.schema([("s_suppkey", pa.int64()),
+                                     ("qty_sum", pa.int64())]))
 
 
 def _best_supplier_per_part(sf_dir: str):
@@ -3454,46 +3298,38 @@ def _events_props_ksum_by_type(sf_dir: str):
     import pyarrow as pa
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
     from h3ray.text.analysis import json_int_field_stage
 
     ds = rd.read_parquet(f"{sf_dir}/events.parquet",
                          columns=["event_type", "props"])
     stage = json_int_field_stage("props", "k", "k_val")
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         t = stage(batch)
-        et = t["event_type"].to_numpy(zero_copy_only=False)
         kv = t["k_val"].to_numpy(zero_copy_only=False)
         valid = ~np.isnan(kv) if kv.dtype.kind == "f" \
             else np.ones(kv.shape[0], dtype=bool)
         ki = np.where(valid, np.nan_to_num(kv), 0).astype(np.int64)
-        uniq, inv = np.unique(et, return_inverse=True)
-        ksum = np.zeros(uniq.shape[0], dtype=np.int64)
-        nval = np.zeros(uniq.shape[0], dtype=np.int64)
-        nrow = np.bincount(inv, minlength=uniq.shape[0]).astype(np.int64)
-        np.add.at(ksum, inv, ki)
-        np.add.at(nval, inv, valid.astype(np.int64))
-        return pa.table({"event_type": pa.array(uniq, pa.string()),
-                         "k_sum": ksum, "_nval": nval, "n_rows": nrow})
+        return pa.table({"event_type": t["event_type"], "k_sum": ki,
+                         "_nval": valid.astype(np.int64)})
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by("event_type").aggregate(
-            [("k_sum", "sum"), ("_nval", "sum"), ("n_rows", "sum")])
-        ks = g["k_sum_sum"].to_numpy(zero_copy_only=False)
-        nv = g["_nval_sum"].to_numpy(zero_copy_only=False)
+    def finish(g: pa.Table) -> pa.Table:
+        ks = g["k_sum"].to_numpy(zero_copy_only=False)
+        nv = g["_nval"].to_numpy(zero_copy_only=False)
         return pa.table({
             "event_type": g["event_type"],
             "k_sum": pa.array([int(k) if n else None
                                for k, n in zip(ks, nv)], pa.int64()),
-            "n_rows": g["n_rows_sum"]})
+            "n_rows": g["n_rows"]})
 
-    return driver_merge(ds.map_batches(partial, batch_format="pyarrow",
-                                       batch_size=131072), merge,
-                        schema=pa.schema([("event_type", pa.string()),
-                                          ("k_sum", pa.int64()),
-                                          ("_nval", pa.int64()),
-                                          ("n_rows", pa.int64())]))
+    return combine(ds, "event_type", count="n_rows",
+                   sums=("k_sum", "_nval"), prep=prep, finish=finish,
+                   batch_size=131072,
+                   schema=pa.schema([("event_type", pa.string()),
+                                     ("k_sum", pa.int64()),
+                                     ("_nval", pa.int64()),
+                                     ("n_rows", pa.int64())]))
 
 
 def _docs_bigram_topk(sf_dir: str):
@@ -3667,37 +3503,21 @@ def _pages_byte_stats_by_lang(sf_dir: str):
     a fixed 26 bytes around the utf-8 text (io/pages.py to_pages) — while
     the entropy/sniff columns are pytest-verified against a per-row
     Python reference (tests/test_multimodal.py)."""
-    import numpy as np
     import pyarrow as pa
 
     from h3ray.io.pages import pages_from_documents
     from h3ray.multimodal import byte_stats
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     stats = byte_stats(pages_from_documents(sf_dir), col="html",
                        concurrency=(1, 4))
 
-    def partial(batch: pa.Table) -> pa.Table:
-        lang = batch["lang"].to_numpy(zero_copy_only=False)
-        nb = batch["n_bytes"].to_numpy(zero_copy_only=False)
-        uniq, inv = np.unique(lang, return_inverse=True)
-        tot = np.zeros(uniq.shape[0], dtype=np.int64)
-        cnt = np.bincount(inv, minlength=uniq.shape[0]).astype(np.int64)
-        np.add.at(tot, inv, nb)
-        return pa.table({"lang": pa.array(uniq, pa.string()),
-                         "n_pages": cnt, "total_bytes": tot})
-
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by("lang").aggregate(
-            [("n_pages", "sum"), ("total_bytes", "sum")])
-        return pa.table({"lang": g["lang"], "n_pages": g["n_pages_sum"],
-                         "total_bytes": g["total_bytes_sum"]})
-
-    return driver_merge(stats.map_batches(partial,
-                                          batch_format="pyarrow"), merge,
-                        schema=pa.schema([("lang", pa.string()),
-                                          ("n_pages", pa.int64()),
-                                          ("total_bytes", pa.int64())]))
+    return combine(stats, "lang", sums=("total_bytes",), count="n_pages",
+                   prep=lambda b: pa.table({"lang": b["lang"],
+                                            "total_bytes": b["n_bytes"]}),
+                   schema=pa.schema([("lang", pa.string()),
+                                     ("n_pages", pa.int64()),
+                                     ("total_bytes", pa.int64())]))
 
 
 def _events_stddev_by_type(sf_dir: str):
@@ -3724,7 +3544,7 @@ def _events_transition_counts(sf_dir: str):
     import pyarrow as pa
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
     from h3ray.ops.window import partitioned_transitions
 
     ds = rd.read_parquet(f"{sf_dir}/events.parquet",
@@ -3734,14 +3554,10 @@ def _events_transition_counts(sf_dir: str):
                                     tiebreak_col="event_id",
                                     prev_col="prev_type")
 
-    def merge(t: pa.Table) -> pa.Table:
-        return t.group_by(["prev_type", "event_type"]) \
-            .aggregate([("n", "sum")]) \
-            .rename_columns(["prev_type", "event_type", "n"])
-
-    return driver_merge(pairs, merge, schema=pa.schema(
-        [("prev_type", pa.string()), ("event_type", pa.string()),
-         ("n", pa.int64())]))
+    return combine(pairs, ["prev_type", "event_type"], sums=("n",),
+                   schema=pa.schema([("prev_type", pa.string()),
+                                     ("event_type", pa.string()),
+                                     ("n", pa.int64())]))
 
 
 def _events_session_stats(sf_dir: str):
@@ -3753,33 +3569,21 @@ def _events_session_stats(sf_dir: str):
     import pyarrow as pa
     import pyarrow.compute as pc
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
     from h3ray.pipelines import relational as rel
 
     sessions = rel.user_sessions(sf_dir)
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         span = pc.subtract(batch["end_epoch"], batch["start_epoch"])
-        t = pa.table({"num_events": batch["num_events"],
-                      "n_sessions": pa.array([1] * batch.num_rows,
-                                             pa.int64()),
-                      "total_span_s": span.cast(pa.int64())})
-        return t.group_by("num_events").aggregate(
-            [("n_sessions", "sum"), ("total_span_s", "sum")]) \
-            .rename_columns(["num_events", "n_sessions", "total_span_s"])
+        return pa.table({"num_events": batch["num_events"],
+                         "total_span_s": span.cast(pa.int64())})
 
-    def merge(t: pa.Table) -> pa.Table:
-        return t.group_by("num_events").aggregate(
-            [("n_sessions", "sum"), ("total_span_s", "sum")]) \
-            .rename_columns(["num_events", "n_sessions", "total_span_s"])
-
-    return driver_merge(
-        sessions.map_batches(partial, batch_format="pyarrow",
-                             batch_size=131072),
-        merge,
-        schema=pa.schema([("num_events", pa.int64()),
-                          ("n_sessions", pa.int64()),
-                          ("total_span_s", pa.int64())]))
+    return combine(sessions, "num_events", count="n_sessions",
+                   sums=("total_span_s",), prep=prep, batch_size=131072,
+                   schema=pa.schema([("num_events", pa.int64()),
+                                     ("n_sessions", pa.int64()),
+                                     ("total_span_s", pa.int64())]))
 
 
 def _emb_dominant_dims(sf_dir: str):
@@ -3794,18 +3598,16 @@ def _emb_dominant_dims(sf_dir: str):
     import pyarrow as pa
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     ds = rd.read_parquet(f"{sf_dir}/embeddings.parquet",
                          columns=["embedding", "label"])
 
-    def partial(batch: pa.Table) -> pa.Table:
-        empty = pa.table({
-            "label": pa.array([], batch.schema.field("label").type),
-            "dom_dim": pa.array([], pa.int64()),
-            "n_vecs": pa.array([], pa.int64())})
+    def prep(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0:
-            return empty
+            return pa.table({
+                "label": pa.array([], batch.schema.field("label").type),
+                "dom_dim": pa.array([], pa.int64())})
         col = batch["embedding"]
         if isinstance(col, pa.ChunkedArray):
             col = col.combine_chunks()
@@ -3816,24 +3618,14 @@ def _emb_dominant_dims(sf_dir: str):
             .astype(np.float64)
         q = np.floor(flat * 4096.0 + 0.5).astype(np.int64)
         dom = np.argmax(np.abs(q).reshape(-1, lens[0]), axis=1) + 1
-        t = pa.table({"label": batch["label"],
-                      "dom_dim": pa.array(dom.astype(np.int64)),
-                      "n_vecs": pa.array(
-                          np.ones(batch.num_rows, np.int64))})
-        return t.group_by(["label", "dom_dim"]).aggregate(
-            [("n_vecs", "sum")]) \
-            .rename_columns(["label", "dom_dim", "n_vecs"])
+        return pa.table({"label": batch["label"],
+                         "dom_dim": pa.array(dom.astype(np.int64))})
 
-    def merge(t: pa.Table) -> pa.Table:
-        return t.group_by(["label", "dom_dim"]).aggregate(
-            [("n_vecs", "sum")]) \
-            .rename_columns(["label", "dom_dim", "n_vecs"])
-
-    return driver_merge(ds.map_batches(partial, batch_format="pyarrow",
-                                       batch_size=32768), merge,
-                        schema=pa.schema([("label", pa.int32()),
-                                          ("dom_dim", pa.int64()),
-                                          ("n_vecs", pa.int64())]))
+    return combine(ds, ["label", "dom_dim"], count="n_vecs", prep=prep,
+                   batch_size=32768,
+                   schema=pa.schema([("label", pa.int32()),
+                                     ("dom_dim", pa.int64()),
+                                     ("n_vecs", pa.int64())]))
 
 
 def _docs_char_class_stats(sf_dir: str):
@@ -3846,44 +3638,32 @@ def _docs_char_class_stats(sf_dir: str):
     import pyarrow.compute as pc
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
                          columns=["source", "text"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         t = batch["text"]
-        tbl = pa.table({
+        return pa.table({
             "source": batch["source"],
-            "n_docs": pa.array([1] * batch.num_rows, pa.int64()),
             "n_chars": pc.utf8_length(t).cast(pa.int64()),
             "n_digits": pc.count_substring_regex(t, "[0-9]")
             .cast(pa.int64()),
             "n_upper": pc.count_substring_regex(t, "[A-Z]")
             .cast(pa.int64()),
             "n_spaces": pc.count_substring(t, " ").cast(pa.int64())})
-        return tbl.group_by("source").aggregate(
-            [("n_docs", "sum"), ("n_chars", "sum"), ("n_digits", "sum"),
-             ("n_upper", "sum"), ("n_spaces", "sum")]) \
-            .rename_columns(["source", "n_docs", "n_chars", "n_digits",
-                             "n_upper", "n_spaces"])
 
-    def merge(t: pa.Table) -> pa.Table:
-        return t.group_by("source").aggregate(
-            [("n_docs", "sum"), ("n_chars", "sum"), ("n_digits", "sum"),
-             ("n_upper", "sum"), ("n_spaces", "sum")]) \
-            .rename_columns(["source", "n_docs", "n_chars", "n_digits",
-                             "n_upper", "n_spaces"])
-
-    return driver_merge(ds.map_batches(partial, batch_format="pyarrow",
-                                       batch_size=32768), merge,
-                        schema=pa.schema(
-                            [("source", pa.string()),
-                             ("n_docs", pa.int64()),
-                             ("n_chars", pa.int64()),
-                             ("n_digits", pa.int64()),
-                             ("n_upper", pa.int64()),
-                             ("n_spaces", pa.int64())]))
+    return combine(ds, "source", count="n_docs",
+                   sums=("n_chars", "n_digits", "n_upper", "n_spaces"),
+                   prep=prep, batch_size=32768,
+                   schema=pa.schema(
+                       [("source", pa.string()),
+                        ("n_docs", pa.int64()),
+                        ("n_chars", pa.int64()),
+                        ("n_digits", pa.int64()),
+                        ("n_upper", pa.int64()),
+                        ("n_spaces", pa.int64())]))
 
 
 def _orders_cumulative_revenue(sf_dir: str):
@@ -3897,30 +3677,24 @@ def _orders_cumulative_revenue(sf_dir: str):
     import pyarrow as pa
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     ds = rd.read_parquet(f"{sf_dir}/orders.parquet",
                          columns=["o_orderpriority", "o_orderdate",
                                   "o_totalprice"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         d = batch["o_orderdate"].to_numpy(zero_copy_only=False) \
             .astype("datetime64[M]")
         month = np.datetime_as_string(d)
         cents = np.floor(
             batch["o_totalprice"].to_numpy(zero_copy_only=False)
             * 100.0 + 0.5).astype(np.int64)
-        t = pa.table({"o_orderpriority": batch["o_orderpriority"],
-                      "month": pa.array(month),
-                      "cents": pa.array(cents)})
-        return t.group_by(["o_orderpriority", "month"]).aggregate(
-            [("cents", "sum")]) \
-            .rename_columns(["o_orderpriority", "month", "cents"])
+        return pa.table({"o_orderpriority": batch["o_orderpriority"],
+                         "month": pa.array(month),
+                         "cents": pa.array(cents)})
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by(["o_orderpriority", "month"]).aggregate(
-            [("cents", "sum")]) \
-            .rename_columns(["o_orderpriority", "month", "cents"])
+    def finish(g: pa.Table) -> pa.Table:
         prio = g["o_orderpriority"].to_numpy(zero_copy_only=False)
         mon = g["month"].to_numpy(zero_copy_only=False)
         cents = g["cents"].to_numpy(zero_copy_only=False)
@@ -3939,12 +3713,12 @@ def _orders_cumulative_revenue(sf_dir: str):
                          "month": g["month"],
                          "cum_revenue_cents": pa.array(out)})
 
-    return driver_merge(ds.map_batches(partial, batch_format="pyarrow",
-                                       batch_size=65536), merge,
-                        schema=pa.schema(
-                            [("o_orderpriority", pa.string()),
-                             ("month", pa.string()),
-                             ("cents", pa.int64())]))
+    return combine(ds, ["o_orderpriority", "month"], sums=("cents",),
+                   prep=prep, finish=finish, batch_size=65536,
+                   schema=pa.schema(
+                       [("o_orderpriority", pa.string()),
+                        ("month", pa.string()),
+                        ("cents", pa.int64())]))
 
 
 def _events_quartile_stats(sf_dir: str):
@@ -3956,7 +3730,7 @@ def _events_quartile_stats(sf_dir: str):
     import pyarrow as pa
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
     from h3ray.ops.window import window_rank
 
     ds = rd.read_parquet(f"{sf_dir}/events.parquet",
@@ -3964,30 +3738,21 @@ def _events_quartile_stats(sf_dir: str):
     w = window_rank(ds, "event_type", "value", tiebreak_col="event_id",
                     ntile=4)
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         cents = np.floor(
             batch["value"].to_numpy(zero_copy_only=False)
             * 100.0 + 0.5).astype(np.int64)
-        t = pa.table({"event_type": batch["event_type"],
-                      "quartile": batch["ntile_4"],
-                      "n": pa.array(np.ones(batch.num_rows, np.int64)),
-                      "sum_cents": pa.array(cents)})
-        return t.group_by(["event_type", "quartile"]).aggregate(
-            [("n", "sum"), ("sum_cents", "sum")]) \
-            .rename_columns(["event_type", "quartile", "n", "sum_cents"])
+        return pa.table({"event_type": batch["event_type"],
+                         "quartile": batch["ntile_4"],
+                         "sum_cents": pa.array(cents)})
 
-    def merge(t: pa.Table) -> pa.Table:
-        return t.group_by(["event_type", "quartile"]).aggregate(
-            [("n", "sum"), ("sum_cents", "sum")]) \
-            .rename_columns(["event_type", "quartile", "n", "sum_cents"])
-
-    return driver_merge(w.map_batches(partial, batch_format="pyarrow",
-                                      batch_size=131072), merge,
-                        schema=pa.schema(
-                            [("event_type", pa.string()),
-                             ("quartile", pa.int64()),
-                             ("n", pa.int64()),
-                             ("sum_cents", pa.int64())]))
+    return combine(w, ["event_type", "quartile"], count="n",
+                   sums=("sum_cents",), prep=prep, batch_size=131072,
+                   schema=pa.schema(
+                       [("event_type", pa.string()),
+                        ("quartile", pa.int64()),
+                        ("n", pa.int64()),
+                        ("sum_cents", pa.int64())]))
 
 
 def _customer_order_gaps(sf_dir: str):
@@ -4001,7 +3766,7 @@ def _customer_order_gaps(sf_dir: str):
     import pyarrow.compute as pc
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
     from h3ray.ops.window import window_lag_lead
 
     ds = rd.read_parquet(f"{sf_dir}/orders.parquet",
@@ -4012,27 +3777,19 @@ def _customer_order_gaps(sf_dir: str):
 
     DAY_US = 86_400_000_000
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         valid = pc.is_valid(batch["prev_date"]).to_numpy(
             zero_copy_only=False)
         cur = batch["o_orderdate"].to_numpy(zero_copy_only=False) \
             .astype("datetime64[us]").astype(np.int64)[valid]
         prev = batch["prev_date"].to_numpy(zero_copy_only=False) \
             .astype("datetime64[us]").astype(np.int64)[valid]
-        gap = cur // DAY_US - prev // DAY_US
-        t = pa.table({"gap_days": pa.array(gap),
-                      "n": pa.array(np.ones(gap.shape[0], np.int64))})
-        return t.group_by("gap_days").aggregate([("n", "sum")]) \
-            .rename_columns(["gap_days", "n"])
+        return pa.table({"gap_days": pa.array(cur // DAY_US
+                                              - prev // DAY_US)})
 
-    def merge(t: pa.Table) -> pa.Table:
-        return t.group_by("gap_days").aggregate([("n", "sum")]) \
-            .rename_columns(["gap_days", "n"])
-
-    return driver_merge(w.map_batches(partial, batch_format="pyarrow",
-                                      batch_size=131072), merge,
-                        schema=pa.schema([("gap_days", pa.int64()),
-                                          ("n", pa.int64())]))
+    return combine(w, "gap_days", count="n", prep=prep, batch_size=131072,
+                   schema=pa.schema([("gap_days", pa.int64()),
+                                     ("n", pa.int64())]))
 
 
 def _events_dau(sf_dir: str):
@@ -4076,40 +3833,31 @@ def _events_hour_profile(sf_dir: str):
     import pyarrow as pa
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     ds = rd.read_parquet(f"{sf_dir}/events.parquet",
                          columns=["event_type", "ts", "value"])
 
     HOUR_US = 3_600_000_000
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         us = batch["ts"].to_numpy(zero_copy_only=False) \
             .astype("datetime64[us]").astype(np.int64)
         hour = (us // HOUR_US) % 24
         cents = np.floor(
             batch["value"].to_numpy(zero_copy_only=False)
             * 100.0 + 0.5).astype(np.int64)
-        t = pa.table({"event_type": batch["event_type"],
-                      "hour": pa.array(hour),
-                      "n": pa.array(np.ones(us.shape[0], np.int64)),
-                      "sum_cents": pa.array(cents)})
-        return t.group_by(["event_type", "hour"]).aggregate(
-            [("n", "sum"), ("sum_cents", "sum")]) \
-            .rename_columns(["event_type", "hour", "n", "sum_cents"])
+        return pa.table({"event_type": batch["event_type"],
+                         "hour": pa.array(hour),
+                         "sum_cents": pa.array(cents)})
 
-    def merge(t: pa.Table) -> pa.Table:
-        return t.group_by(["event_type", "hour"]).aggregate(
-            [("n", "sum"), ("sum_cents", "sum")]) \
-            .rename_columns(["event_type", "hour", "n", "sum_cents"])
-
-    return driver_merge(ds.map_batches(partial, batch_format="pyarrow",
-                                       batch_size=131072), merge,
-                        schema=pa.schema(
-                            [("event_type", pa.string()),
-                             ("hour", pa.int64()),
-                             ("n", pa.int64()),
-                             ("sum_cents", pa.int64())]))
+    return combine(ds, ["event_type", "hour"], count="n",
+                   sums=("sum_cents",), prep=prep, batch_size=131072,
+                   schema=pa.schema(
+                       [("event_type", pa.string()),
+                        ("hour", pa.int64()),
+                        ("n", pa.int64()),
+                        ("sum_cents", pa.int64())]))
 
 
 def _events_mad_by_type(sf_dir: str):
@@ -4159,33 +3907,24 @@ def _docs_len_histogram(sf_dir: str):
     import pyarrow as pa
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
                          columns=["lang", "n_chars"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         nc = batch["n_chars"].to_numpy(zero_copy_only=False)
-        t = pa.table({"lang": batch["lang"],
-                      "len_bucket": pa.array(nc // 100),
-                      "n_docs": pa.array(np.ones(nc.shape[0], np.int64)),
-                      "sum_chars": pa.array(nc.astype(np.int64))})
-        return t.group_by(["lang", "len_bucket"]).aggregate(
-            [("n_docs", "sum"), ("sum_chars", "sum")]) \
-            .rename_columns(["lang", "len_bucket", "n_docs", "sum_chars"])
+        return pa.table({"lang": batch["lang"],
+                         "len_bucket": pa.array(nc // 100),
+                         "sum_chars": pa.array(nc.astype(np.int64))})
 
-    def merge(t: pa.Table) -> pa.Table:
-        return t.group_by(["lang", "len_bucket"]).aggregate(
-            [("n_docs", "sum"), ("sum_chars", "sum")]) \
-            .rename_columns(["lang", "len_bucket", "n_docs", "sum_chars"])
-
-    return driver_merge(ds.map_batches(partial, batch_format="pyarrow",
-                                       batch_size=131072), merge,
-                        schema=pa.schema(
-                            [("lang", pa.string()),
-                             ("len_bucket", pa.int64()),
-                             ("n_docs", pa.int64()),
-                             ("sum_chars", pa.int64())]))
+    return combine(ds, ["lang", "len_bucket"], count="n_docs",
+                   sums=("sum_chars",), prep=prep, batch_size=131072,
+                   schema=pa.schema(
+                       [("lang", pa.string()),
+                        ("len_bucket", pa.int64()),
+                        ("n_docs", pa.int64()),
+                        ("sum_chars", pa.int64())]))
 
 
 def _supplier_acctbal_quartiles(sf_dir: str):
@@ -4238,7 +3977,7 @@ def _customer_mktseg_nation_matrix(sf_dir: str):
     import pyarrow.parquet as pq
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     nation = pq.read_table(f"{sf_dir}/nation.parquet",
                            columns=["n_nationkey", "n_name"])
@@ -4251,43 +3990,30 @@ def _customer_mktseg_nation_matrix(sf_dir: str):
                          columns=["c_nationkey", "c_mktsegment",
                                   "c_acctbal"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         k = batch["c_nationkey"].to_numpy(zero_copy_only=False)
         if nk.shape[0] == 0:
             return pa.table({"n_name": pa.array([], pa.string()),
                              "c_mktsegment": pa.array([], pa.string()),
-                             "n_customers": pa.array([], pa.int64()),
                              "acctbal_cents": pa.array([], pa.int64())})
         pos = np.minimum(np.searchsorted(nk, k), nk.shape[0] - 1)
         hit = nk[pos] == k
         cents = np.floor(
             batch["c_acctbal"].to_numpy(zero_copy_only=False)
             * 100.0 + 0.5).astype(np.int64)
-        t = pa.table({"n_name": pa.array(nnames[pos].astype(object),
-                                         pa.string()),
-                      "c_mktsegment": batch["c_mktsegment"],
-                      "n_customers": pa.array(
-                          np.ones(k.shape[0], np.int64)),
-                      "acctbal_cents": pa.array(cents)}) \
+        return pa.table({"n_name": pa.array(nnames[pos].astype(object),
+                                            pa.string()),
+                         "c_mktsegment": batch["c_mktsegment"],
+                         "acctbal_cents": pa.array(cents)}) \
             .filter(pa.array(hit))
-        return t.group_by(["n_name", "c_mktsegment"]).aggregate(
-            [("n_customers", "sum"), ("acctbal_cents", "sum")]) \
-            .rename_columns(["n_name", "c_mktsegment", "n_customers",
-                             "acctbal_cents"])
 
-    def merge(t: pa.Table) -> pa.Table:
-        return t.group_by(["n_name", "c_mktsegment"]).aggregate(
-            [("n_customers", "sum"), ("acctbal_cents", "sum")]) \
-            .rename_columns(["n_name", "c_mktsegment", "n_customers",
-                             "acctbal_cents"])
-
-    return driver_merge(ds.map_batches(partial, batch_format="pyarrow",
-                                       batch_size=131072), merge,
-                        schema=pa.schema(
-                            [("n_name", pa.string()),
-                             ("c_mktsegment", pa.string()),
-                             ("n_customers", pa.int64()),
-                             ("acctbal_cents", pa.int64())]))
+    return combine(ds, ["n_name", "c_mktsegment"], count="n_customers",
+                   sums=("acctbal_cents",), prep=prep, batch_size=131072,
+                   schema=pa.schema(
+                       [("n_name", pa.string()),
+                        ("c_mktsegment", pa.string()),
+                        ("n_customers", pa.int64()),
+                        ("acctbal_cents", pa.int64())]))
 
 
 def _lineitem_monthly_discount(sf_dir: str):
@@ -4298,42 +4024,33 @@ def _lineitem_monthly_discount(sf_dir: str):
     import pyarrow as pa
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     ds = rd.read_parquet(f"{sf_dir}/lineitem.parquet",
                          columns=["l_shipdate", "l_discount",
                                   "l_quantity"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         m = batch["l_shipdate"].to_numpy(zero_copy_only=False) \
             .astype("datetime64[M]")
-        month = np.datetime_as_string(m)
         disc_bp = np.floor(
             batch["l_discount"].to_numpy(zero_copy_only=False)
             * 100.0 + 0.5).astype(np.int64)
         qty = np.floor(
             batch["l_quantity"].to_numpy(zero_copy_only=False)
             * 100.0 + 0.5).astype(np.int64)
-        t = pa.table({"month": pa.array(month),
-                      "n": pa.array(np.ones(m.shape[0], np.int64)),
-                      "sum_disc_bp": pa.array(disc_bp),
-                      "sum_qty_c": pa.array(qty)})
-        return t.group_by("month").aggregate(
-            [("n", "sum"), ("sum_disc_bp", "sum"), ("sum_qty_c", "sum")]) \
-            .rename_columns(["month", "n", "sum_disc_bp", "sum_qty_c"])
+        return pa.table({"month": pa.array(np.datetime_as_string(m)),
+                         "sum_disc_bp": pa.array(disc_bp),
+                         "sum_qty_c": pa.array(qty)})
 
-    def merge(t: pa.Table) -> pa.Table:
-        return t.group_by("month").aggregate(
-            [("n", "sum"), ("sum_disc_bp", "sum"), ("sum_qty_c", "sum")]) \
-            .rename_columns(["month", "n", "sum_disc_bp", "sum_qty_c"])
-
-    return driver_merge(ds.map_batches(partial, batch_format="pyarrow",
-                                       batch_size=131072), merge,
-                        schema=pa.schema(
-                            [("month", pa.string()),
-                             ("n", pa.int64()),
-                             ("sum_disc_bp", pa.int64()),
-                             ("sum_qty_c", pa.int64())]))
+    return combine(ds, "month", count="n",
+                   sums=("sum_disc_bp", "sum_qty_c"), prep=prep,
+                   batch_size=131072,
+                   schema=pa.schema(
+                       [("month", pa.string()),
+                        ("n", pa.int64()),
+                        ("sum_disc_bp", pa.int64()),
+                        ("sum_qty_c", pa.int64())]))
 
 
 def _part_type_price_stats(sf_dir: str):
@@ -4343,42 +4060,30 @@ def _part_type_price_stats(sf_dir: str):
     import pyarrow as pa
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     ds = rd.read_parquet(f"{sf_dir}/part.parquet",
                          columns=["p_type", "p_retailprice"])
 
-    def partial(batch: pa.Table) -> pa.Table:
-        cents = np.floor(
+    def prep(batch: pa.Table) -> pa.Table:
+        cents = pa.array(np.floor(
             batch["p_retailprice"].to_numpy(zero_copy_only=False)
-            * 100.0 + 0.5).astype(np.int64)
-        t = pa.table({"p_type": batch["p_type"],
-                      "n_parts": pa.array(
-                          np.ones(cents.shape[0], np.int64)),
-                      "min_cents": pa.array(cents),
-                      "max_cents": pa.array(cents),
-                      "sum_cents": pa.array(cents)})
-        return t.group_by("p_type").aggregate(
-            [("n_parts", "sum"), ("min_cents", "min"),
-             ("max_cents", "max"), ("sum_cents", "sum")]) \
-            .rename_columns(["p_type", "n_parts", "min_cents",
-                             "max_cents", "sum_cents"])
+            * 100.0 + 0.5).astype(np.int64))
+        return pa.table({"p_type": batch["p_type"], "min_cents": cents,
+                         "max_cents": cents, "sum_cents": cents})
 
-    def merge(t: pa.Table) -> pa.Table:
-        return t.group_by("p_type").aggregate(
-            [("n_parts", "sum"), ("min_cents", "min"),
-             ("max_cents", "max"), ("sum_cents", "sum")]) \
-            .rename_columns(["p_type", "n_parts", "min_cents",
-                             "max_cents", "sum_cents"])
-
-    return driver_merge(ds.map_batches(partial, batch_format="pyarrow",
-                                       batch_size=131072), merge,
-                        schema=pa.schema(
-                            [("p_type", pa.string()),
-                             ("n_parts", pa.int64()),
-                             ("min_cents", pa.int64()),
-                             ("max_cents", pa.int64()),
-                             ("sum_cents", pa.int64())]))
+    return combine(ds, "p_type", count="n_parts", sums=("sum_cents",),
+                   mins=("min_cents",), maxs=("max_cents",), prep=prep,
+                   finish=lambda g: g.select(
+                       ["p_type", "n_parts", "min_cents", "max_cents",
+                        "sum_cents"]),
+                   batch_size=131072,
+                   schema=pa.schema(
+                       [("p_type", pa.string()),
+                        ("n_parts", pa.int64()),
+                        ("min_cents", pa.int64()),
+                        ("max_cents", pa.int64()),
+                        ("sum_cents", pa.int64())]))
 
 
 def _h3_zonal_stats(sf_dir: str):
@@ -4432,7 +4137,7 @@ def _shipping_priority_topk(sf_dir: str):
     import ray.data as rd
 
     from h3ray.ops.join import hash_join, seed_schema
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     cut_day = (np.datetime64("1998-01-01") - np.datetime64("1970-01-01")) \
         .astype(np.int64)
@@ -4498,25 +4203,9 @@ def _shipping_priority_topk(sf_dir: str):
         pa.schema([("l_orderkey", pa.int64()), ("cents", pa.int64())]))
     joined = hash_join(li_p, ord_side, "l_orderkey", "o_orderkey")
 
-    def partial(batch: pa.Table) -> pa.Table:
-        lo = batch["l_orderkey"].to_numpy(zero_copy_only=False)
-        cents = batch["cents"].to_numpy(zero_copy_only=False)
-        uniq, first, inv = np.unique(lo, return_index=True,
-                                     return_inverse=True)
-        acc = np.zeros(uniq.shape[0], dtype=np.int64)
-        np.add.at(acc, inv, cents)
-        return pa.table({
-            "l_orderkey": uniq, "cents": acc,
-            "o_date_day": batch["o_date_day"].take(
-                pa.array(first.astype(np.int64))),
-            "o_orderpriority": batch["o_orderpriority"].take(
-                pa.array(first.astype(np.int64)))})
-
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by(["l_orderkey", "o_date_day", "o_orderpriority"]) \
-            .aggregate([("cents", "sum")])
+    def finish(g: pa.Table) -> pa.Table:
         g = pa.table({"l_orderkey": g["l_orderkey"],
-                      "revenue_cents": g["cents_sum"],
+                      "revenue_cents": g["cents"],
                       "o_date_day": g["o_date_day"],
                       "o_orderpriority": g["o_orderpriority"]})
         g = g.sort_by([("revenue_cents", "descending"),
@@ -4524,8 +4213,9 @@ def _shipping_priority_topk(sf_dir: str):
                        ("l_orderkey", "ascending")])
         return g.slice(0, 10)
 
-    return driver_merge(
-        joined.map_batches(partial, batch_format="pyarrow"), merge,
+    return combine(
+        joined, ["l_orderkey", "o_date_day", "o_orderpriority"],
+        sums=("cents",), finish=finish,
         schema=pa.schema([("l_orderkey", pa.int64()),
                           ("cents", pa.int64()),
                           ("o_date_day", pa.int64()),
@@ -5831,7 +5521,7 @@ def _events_interarrival_hist(sf_dir: str):
     import ray.data as rd
 
     from h3ray.io.pages import _mix64
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
     from h3ray.ops.skew import default_num_buckets
 
     ds = rd.read_parquet(f"{sf_dir}/events.parquet",
@@ -5884,18 +5574,11 @@ def _events_interarrival_hist(sf_dir: str):
                 [int(k.split("\x1f")[1]) for k in uk], dtype=np.int64),
             "n": cnt})
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by(["event_type", "log2_bucket"]).aggregate(
-            [("n", "sum")])
-        return pa.table({"event_type": g["event_type"],
-                         "log2_bucket": g["log2_bucket"],
-                         "n": g["n_sum"]})
-
     bucketed = ds.map_batches(prep, batch_format="pyarrow",
                               batch_size=131072) \
         .groupby("_bucket").map_groups(gaps, batch_format="pyarrow")
-    return driver_merge(
-        bucketed, merge,
+    return combine(
+        bucketed, ["event_type", "log2_bucket"], sums=("n",),
         schema=pa.schema([("event_type", pa.string()),
                           ("log2_bucket", pa.int64()),
                           ("n", pa.int64())]))
@@ -6302,7 +5985,7 @@ def _orders_backlog_curve(sf_dir: str):
     from ray.data.aggregate import Max
 
     from h3ray.ops.join import hash_join
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     li = rd.read_parquet(f"{sf_dir}/lineitem.parquet",
                          columns=["l_orderkey", "l_shipdate"])
@@ -6347,15 +6030,10 @@ def _orders_backlog_curve(sf_dir: str):
                                  np.zeros(cd.shape[0], np.int64)])
         closed = np.concatenate([np.zeros(od.shape[0], np.int64),
                                  np.ones(cd.shape[0], np.int64)])
-        t = pa.table({"day": days, "n_opened": opened,
-                      "n_closed": closed})
-        return t.group_by("day").aggregate(
-            [("n_opened", "sum"), ("n_closed", "sum")]) \
-            .rename_columns(["day", "n_opened", "n_closed"])
+        return pa.table({"day": days, "n_opened": opened,
+                         "n_closed": closed})
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by("day").aggregate(
-            [("n_opened", "sum"), ("n_closed", "sum")])
+    def finish(g: pa.Table) -> pa.Table:
         d = g["day"].to_numpy(zero_copy_only=False)
         if d.shape[0] == 0:
             return pa.table({
@@ -6363,8 +6041,8 @@ def _orders_backlog_curve(sf_dir: str):
                 "n_opened": pa.array([], pa.int64()),
                 "n_closed": pa.array([], pa.int64()),
                 "backlog": pa.array([], pa.int64())})
-        op = g["n_opened_sum"].to_numpy(zero_copy_only=False)
-        cl = g["n_closed_sum"].to_numpy(zero_copy_only=False)
+        op = g["n_opened"].to_numpy(zero_copy_only=False)
+        cl = g["n_closed"].to_numpy(zero_copy_only=False)
         o = np.argsort(d)
         d, op, cl = d[o], op[o], cl[o]
         return pa.table({
@@ -6373,9 +6051,9 @@ def _orders_backlog_curve(sf_dir: str):
             "n_closed": cl.astype(np.int64),
             "backlog": np.cumsum(op - cl).astype(np.int64)})
 
-    return driver_merge(
-        joined.map_batches(deltas, batch_format="pyarrow",
-                           batch_size=131072), merge,
+    return combine(
+        joined, "day", sums=("n_opened", "n_closed"), prep=deltas,
+        finish=finish, batch_size=131072,
         schema=pa.schema([("day", pa.int64()), ("n_opened", pa.int64()),
                           ("n_closed", pa.int64())]))
 
@@ -6392,7 +6070,7 @@ def _nation_top3_suppliers_others(sf_dir: str):
     import pyarrow.parquet as pq
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     sup = pq.read_table(f"{sf_dir}/supplier.parquet",
                         columns=["s_suppkey", "s_nationkey"])
@@ -6405,20 +6083,16 @@ def _nation_top3_suppliers_others(sf_dir: str):
                          columns=["l_suppkey", "l_extendedprice",
                                   "l_discount"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         keys = batch["l_suppkey"].to_numpy(zero_copy_only=False) \
             .astype(np.int64)
         cents = np.floor(
             batch["l_extendedprice"].to_numpy(zero_copy_only=False)
             * (1.0 - batch["l_discount"].to_numpy(zero_copy_only=False))
             * 100 + 0.5).astype(np.int64)
-        uniq, inv = np.unique(keys, return_inverse=True)
-        acc = np.zeros(uniq.shape[0], dtype=np.int64)
-        np.add.at(acc, inv, cents)
-        return pa.table({"sk": uniq, "cents": acc})
+        return pa.table({"sk": keys, "cents": cents})
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by("sk").aggregate([("cents", "sum")])
+    def finish(g: pa.Table) -> pa.Table:
         s = g["sk"].to_numpy(zero_copy_only=False)
         empty = pa.table({
             "s_nationkey": pa.array([], pa.int64()),
@@ -6426,7 +6100,7 @@ def _nation_top3_suppliers_others(sf_dir: str):
             "revenue_cents": pa.array([], pa.int64())})
         if s.shape[0] == 0 or sk.shape[0] == 0:
             return empty
-        cents = g["cents_sum"].to_numpy(zero_copy_only=False)
+        cents = g["cents"].to_numpy(zero_copy_only=False)
         pos = np.minimum(np.searchsorted(sk, s), sk.shape[0] - 1)
         sel = sk[pos] == s
         s, cents, nat = s[sel], cents[sel], snk[pos[sel]]
@@ -6451,9 +6125,9 @@ def _nation_top3_suppliers_others(sf_dir: str):
             "supplier_label": pa.array(out_l, pa.string()),
             "revenue_cents": pa.array(out_c, pa.int64())})
 
-    return driver_merge(
-        li.map_batches(partial, batch_format="pyarrow",
-                       batch_size=131072), merge,
+    return combine(
+        li, "sk", sums=("cents",), prep=prep, finish=finish,
+        batch_size=131072,
         schema=pa.schema([("sk", pa.int64()), ("cents", pa.int64())]))
 
 
@@ -6468,27 +6142,21 @@ def _events_weekend_contrast(sf_dir: str):
     import pyarrow as pa
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     ds = rd.read_parquet(f"{sf_dir}/events.parquet",
                          columns=["ts", "event_type", "value"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         day = batch["ts"].to_numpy(zero_copy_only=False) \
             .astype("datetime64[D]").astype(np.int64)
         we = ((day + 3) % 7 >= 5).astype(np.int64)
         cents = np.floor(batch["value"].to_numpy(
             zero_copy_only=False) * 100 + 0.5).astype(np.int64)
-        t = pa.table({"event_type": batch["event_type"], "we": we,
-                      "n": np.ones(batch.num_rows, np.int64),
-                      "s": cents})
-        return t.group_by(["event_type", "we"]).aggregate(
-            [("n", "sum"), ("s", "sum")]) \
-            .rename_columns(["event_type", "we", "n", "s"])
+        return pa.table({"event_type": batch["event_type"], "we": we,
+                         "s": cents})
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by(["event_type", "we"]).aggregate(
-            [("n", "sum"), ("s", "sum")])
+    def finish(g: pa.Table) -> pa.Table:
         et = g["event_type"].to_numpy(zero_copy_only=False)
         if et.shape[0] == 0:
             return pa.table({
@@ -6500,8 +6168,8 @@ def _events_weekend_contrast(sf_dir: str):
                 "weekend_ratio": pa.array([], pa.float64())})
         et = et.astype(str)
         we = g["we"].to_numpy(zero_copy_only=False)
-        n = g["n_sum"].to_numpy(zero_copy_only=False)
-        s = g["s_sum"].to_numpy(zero_copy_only=False)
+        n = g["n"].to_numpy(zero_copy_only=False)
+        s = g["s"].to_numpy(zero_copy_only=False)
         agg: dict = {}
         for t_, w_, n_, s_ in zip(et.tolist(), we.tolist(),
                                   n.tolist(), s.tolist()):
@@ -6531,9 +6199,9 @@ def _events_weekend_contrast(sf_dir: str):
                                       pa.int64()),
             "weekend_ratio": pa.array(ratio, pa.float64())})
 
-    return driver_merge(
-        ds.map_batches(partial, batch_format="pyarrow",
-                       batch_size=131072), merge,
+    return combine(
+        ds, ["event_type", "we"], count="n", sums=("s",), prep=prep,
+        finish=finish, batch_size=131072,
         schema=pa.schema([("event_type", pa.string()),
                           ("we", pa.int64()), ("n", pa.int64()),
                           ("s", pa.int64())]))
@@ -6710,21 +6378,17 @@ def _events_tail_share_by_type(sf_dir: str):
     import pyarrow as pa
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     ds = rd.read_parquet(f"{sf_dir}/events.parquet",
                          columns=["event_type", "value"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         cents = np.floor(batch["value"].to_numpy(
             zero_copy_only=False) * 100 + 0.5).astype(np.int64)
-        t = pa.table({"event_type": batch["event_type"], "c": cents,
-                      "cnt": np.ones(batch.num_rows, np.int64)})
-        return t.group_by(["event_type", "c"]).aggregate(
-            [("cnt", "sum")]).rename_columns(["event_type", "c", "cnt"])
+        return pa.table({"event_type": batch["event_type"], "c": cents})
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by(["event_type", "c"]).aggregate([("cnt", "sum")])
+    def finish(g: pa.Table) -> pa.Table:
         et = g["event_type"].to_numpy(zero_copy_only=False)
         if et.shape[0] == 0:
             return pa.table({
@@ -6736,7 +6400,7 @@ def _events_tail_share_by_type(sf_dir: str):
                 "tail_share": pa.array([], pa.float64())})
         et = et.astype(str)
         c = g["c"].to_numpy(zero_copy_only=False)
-        cnt = g["cnt_sum"].to_numpy(zero_copy_only=False)
+        cnt = g["cnt"].to_numpy(zero_copy_only=False)
         o = np.lexsort((c, et))
         et, c, cnt = et[o], c[o], cnt[o]
         starts = np.flatnonzero(np.r_[True, et[1:] != et[:-1]]).tolist()
@@ -6768,11 +6432,10 @@ def _events_tail_share_by_type(sf_dir: str):
             "total_cents": pa.array(out["tot"], pa.int64()),
             "tail_share": pa.array(out["sh"], pa.float64())})
 
-    return driver_merge(
-        ds.map_batches(partial, batch_format="pyarrow",
-                       batch_size=131072), merge,
-        schema=pa.schema([("event_type", pa.string()),
-                          ("c", pa.int64()), ("cnt", pa.int64())]))
+    return combine(ds, ["event_type", "c"], count="cnt", prep=prep,
+                   finish=finish, batch_size=131072,
+                   schema=pa.schema([("event_type", pa.string()),
+                                     ("c", pa.int64()), ("cnt", pa.int64())]))
 
 
 def _events_session_median_dur(sf_dir: str):
@@ -6788,7 +6451,7 @@ def _events_session_median_dur(sf_dir: str):
     import pyarrow as pa
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
     from h3ray.ops.skew import default_num_buckets
 
     ds = rd.read_parquet(f"{sf_dir}/events.parquet",
@@ -6825,8 +6488,7 @@ def _events_session_median_dur(sf_dir: str):
             [("cnt", "sum")]).rename_columns(
             ["open_type", "dur_us", "cnt"])
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by(["open_type", "dur_us"]).aggregate([("cnt", "sum")])
+    def finish(g: pa.Table) -> pa.Table:
         ot = g["open_type"].to_numpy(zero_copy_only=False)
         if ot.shape[0] == 0:
             return pa.table({
@@ -6835,7 +6497,7 @@ def _events_session_median_dur(sf_dir: str):
                 "median_dur_us": pa.array([], pa.int64())})
         ot = ot.astype(str)
         d = g["dur_us"].to_numpy(zero_copy_only=False)
-        cnt = g["cnt_sum"].to_numpy(zero_copy_only=False)
+        cnt = g["cnt"].to_numpy(zero_copy_only=False)
         o = np.lexsort((d, ot))
         ot, d, cnt = ot[o], d[o], cnt[o]
         starts = np.flatnonzero(np.r_[True, ot[1:] != ot[:-1]]).tolist()
@@ -6857,11 +6519,10 @@ def _events_session_median_dur(sf_dir: str):
     sess = ds.map_batches(bucket, batch_format="pyarrow",
                           batch_size=131072) \
         .groupby("_bucket").map_groups(sessionize, batch_format="pyarrow")
-    return driver_merge(
-        sess, merge,
-        schema=pa.schema([("open_type", pa.string()),
-                          ("dur_us", pa.int64()),
-                          ("cnt", pa.int64())]))
+    return combine(sess, ["open_type", "dur_us"], sums=("cnt",), finish=finish,
+                   schema=pa.schema([("open_type", pa.string()),
+                                     ("dur_us", pa.int64()),
+                                     ("cnt", pa.int64())]))
 
 
 def _emb_norm2_quartiles_by_label(sf_dir: str):
@@ -6877,12 +6538,12 @@ def _emb_norm2_quartiles_by_label(sf_dir: str):
     import pyarrow as pa
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     ds = rd.read_parquet(f"{sf_dir}/embeddings.parquet",
                          columns=["label", "embedding"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         empty = pa.table({"label": pa.array([], pa.int64()),
                           "n2": pa.array([], pa.int64()),
                           "cnt": pa.array([], pa.int64())})
@@ -6904,13 +6565,10 @@ def _emb_norm2_quartiles_by_label(sf_dir: str):
         n2 = (micro * micro).sum(axis=1)
         lab = batch["label"].to_numpy(zero_copy_only=False) \
             .astype(np.int64)
-        t = pa.table({"label": lab, "n2": n2,
-                      "cnt": np.ones(lab.shape[0], np.int64)})
-        return t.group_by(["label", "n2"]).aggregate([("cnt", "sum")]) \
-            .rename_columns(["label", "n2", "cnt"])
+        return pa.table({"label": lab, "n2": n2,
+                         "cnt": np.ones(lab.shape[0], np.int64)})
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by(["label", "n2"]).aggregate([("cnt", "sum")])
+    def finish(g: pa.Table) -> pa.Table:
         lab = g["label"].to_numpy(zero_copy_only=False)
         if lab.shape[0] == 0:
             return pa.table({
@@ -6920,7 +6578,7 @@ def _emb_norm2_quartiles_by_label(sf_dir: str):
                 "q2": pa.array([], pa.int64()),
                 "q3": pa.array([], pa.int64())})
         n2 = g["n2"].to_numpy(zero_copy_only=False)
-        cnt = g["cnt_sum"].to_numpy(zero_copy_only=False)
+        cnt = g["cnt"].to_numpy(zero_copy_only=False)
         o = np.lexsort((n2, lab))
         lab, n2, cnt = lab[o], n2[o], cnt[o]
         starts = np.flatnonzero(np.r_[True, lab[1:] != lab[:-1]]).tolist()
@@ -6944,11 +6602,10 @@ def _emb_norm2_quartiles_by_label(sf_dir: str):
             "q2": pa.array(out["q2"], pa.int64()),
             "q3": pa.array(out["q3"], pa.int64())})
 
-    return driver_merge(
-        ds.map_batches(partial, batch_format="pyarrow",
-                       batch_size=32768), merge,
-        schema=pa.schema([("label", pa.int64()), ("n2", pa.int64()),
-                          ("cnt", pa.int64())]))
+    return combine(ds, ["label", "n2"], sums=("cnt",), prep=prep,
+                   finish=finish, batch_size=32768,
+                   schema=pa.schema([("label", pa.int64()), ("n2", pa.int64()),
+                                     ("cnt", pa.int64())]))
 
 
 def _events_ab_purchase_lift(sf_dir: str):
@@ -6966,23 +6623,19 @@ def _events_ab_purchase_lift(sf_dir: str):
     import ray.data as rd
 
     from h3ray.io.pages import _mix64
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     ds = rd.read_parquet(f"{sf_dir}/events.parquet",
                          columns=["user_id", "event_type"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         uid = batch["user_id"].to_numpy(zero_copy_only=False) \
             .astype(np.int64)
         p = (batch["event_type"].to_numpy(zero_copy_only=False)
              .astype(str) == "purchase").astype(np.int64)
-        uniq, inv = np.unique(uid, return_inverse=True)
-        mx = np.zeros(uniq.shape[0], dtype=np.int64)
-        np.maximum.at(mx, inv, p)
-        return pa.table({"uid": uniq, "p": mx})
+        return pa.table({"uid": uid, "p": p})
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by("uid").aggregate([("p", "max")])
+    def finish(g: pa.Table) -> pa.Table:
         uid = g["uid"].to_numpy(zero_copy_only=False)
         if uid.shape[0] == 0:
             return pa.table({
@@ -6994,7 +6647,7 @@ def _events_ab_purchase_lift(sf_dir: str):
                 "rate_treat": pa.array([], pa.float64()),
                 "lift": pa.array([], pa.float64()),
                 "z_score": pa.array([], pa.float64())})
-        p = g["p_max"].to_numpy(zero_copy_only=False)
+        p = g["p"].to_numpy(zero_copy_only=False)
         arm = (_mix64(_mix64(uid.astype(np.uint64)))
                % np.uint64(2)).astype(np.int64)
         n_c = int((arm == 0).sum())
@@ -7023,10 +6676,9 @@ def _events_ab_purchase_lift(sf_dir: str):
             "lift": pa.array([lift], pa.float64()),
             "z_score": pa.array([z], pa.float64())})
 
-    return driver_merge(
-        ds.map_batches(partial, batch_format="pyarrow",
-                       batch_size=131072), merge,
-        schema=pa.schema([("uid", pa.int64()), ("p", pa.int64())]))
+    return combine(ds, "uid", maxs=("p",), prep=prep, finish=finish,
+                   batch_size=131072,
+                   schema=pa.schema([("uid", pa.int64()), ("p", pa.int64())]))
 
 
 def _orders_priority_drift(sf_dir: str):
@@ -7040,22 +6692,18 @@ def _orders_priority_drift(sf_dir: str):
     import pyarrow as pa
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     ds = rd.read_parquet(f"{sf_dir}/orders.parquet",
                          columns=["o_orderdate", "o_orderpriority"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         mi = batch["o_orderdate"].to_numpy(zero_copy_only=False) \
             .astype("datetime64[M]").astype(np.int64)
         ym = (1970 + mi // 12) * 100 + mi % 12 + 1
-        t = pa.table({"ym": ym, "pr": batch["o_orderpriority"],
-                      "c": np.ones(batch.num_rows, np.int64)})
-        return t.group_by(["ym", "pr"]).aggregate([("c", "sum")]) \
-            .rename_columns(["ym", "pr", "c"])
+        return pa.table({"ym": ym, "pr": batch["o_orderpriority"]})
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by(["ym", "pr"]).aggregate([("c", "sum")])
+    def finish(g: pa.Table) -> pa.Table:
         ym = g["ym"].to_numpy(zero_copy_only=False)
         if ym.shape[0] == 0:
             return pa.table({
@@ -7063,7 +6711,7 @@ def _orders_priority_drift(sf_dir: str):
                 "n_orders": pa.array([], pa.int64()),
                 "tvd": pa.array([], pa.float64())})
         pr = g["pr"].to_numpy(zero_copy_only=False).astype(str)
-        c = g["c_sum"].to_numpy(zero_copy_only=False)
+        c = g["c"].to_numpy(zero_copy_only=False)
         cells = {(int(m), p): int(v)
                  for m, p, v in zip(ym.tolist(), pr.tolist(), c.tolist())}
         months = sorted({int(m) for m in ym.tolist()})
@@ -7084,11 +6732,10 @@ def _orders_priority_drift(sf_dir: str):
             "n_orders": pa.array([nm[m] for m in months], pa.int64()),
             "tvd": pa.array(tvd, pa.float64())})
 
-    return driver_merge(
-        ds.map_batches(partial, batch_format="pyarrow",
-                       batch_size=131072), merge,
-        schema=pa.schema([("ym", pa.int64()), ("pr", pa.string()),
-                          ("c", pa.int64())]))
+    return combine(ds, ["ym", "pr"], count="c", prep=prep, finish=finish,
+                   batch_size=131072,
+                   schema=pa.schema([("ym", pa.int64()), ("pr", pa.string()),
+                                     ("c", pa.int64())]))
 
 
 def _orders_above_customer_avg(sf_dir: str):
@@ -7181,7 +6828,7 @@ def _brand_return_wilson(sf_dir: str):
     import pyarrow.parquet as pq
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     part = pq.read_table(f"{sf_dir}/part.parquet",
                          columns=["p_partkey", "p_brand"])
@@ -7194,7 +6841,7 @@ def _brand_return_wilson(sf_dir: str):
     li = rd.read_parquet(f"{sf_dir}/lineitem.parquet",
                          columns=["l_partkey", "l_returnflag"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         empty = pa.table({"p_brand": pa.array([], pa.string()),
                           "n_lines": pa.array([], pa.int64()),
                           "n_returned": pa.array([], pa.int64())})
@@ -7207,20 +6854,14 @@ def _brand_return_wilson(sf_dir: str):
         b = brand[pos[sel]]
         ret = (batch["l_returnflag"].to_numpy(zero_copy_only=False)
                .astype(str)[sel] == "R").astype(np.int64)
-        uniq, inv = np.unique(b, return_inverse=True)
-        n = np.bincount(inv).astype(np.int64)
-        nr = np.zeros(uniq.shape[0], dtype=np.int64)
-        np.add.at(nr, inv, ret)
-        return pa.table({"p_brand": pa.array(uniq.astype(object),
-                                             pa.string()),
-                         "n_lines": n, "n_returned": nr})
+        return pa.table({"p_brand": pa.array(b.astype(object), pa.string()),
+                         "n_lines": np.ones(b.shape[0], np.int64),
+                         "n_returned": ret})
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by("p_brand").aggregate(
-            [("n_lines", "sum"), ("n_returned", "sum")])
-        n = g["n_lines_sum"].to_numpy(zero_copy_only=False) \
+    def finish(g: pa.Table) -> pa.Table:
+        n = g["n_lines"].to_numpy(zero_copy_only=False) \
             .astype(np.int64)
-        nr = g["n_returned_sum"].to_numpy(zero_copy_only=False) \
+        nr = g["n_returned"].to_numpy(zero_copy_only=False) \
             .astype(np.int64)
         lbs, rates = [], []
         for ni, ri in zip(n.tolist(), nr.tolist()):
@@ -7238,12 +6879,11 @@ def _brand_return_wilson(sf_dir: str):
             "return_rate": pa.array(rates, pa.float64()),
             "wilson_lb": pa.array(lbs, pa.float64())})
 
-    return driver_merge(
-        li.map_batches(partial, batch_format="pyarrow",
-                       batch_size=131072), merge,
-        schema=pa.schema([("p_brand", pa.string()),
-                          ("n_lines", pa.int64()),
-                          ("n_returned", pa.int64())]))
+    return combine(li, "p_brand", sums=("n_lines", "n_returned"), prep=prep,
+                   finish=finish, batch_size=131072,
+                   schema=pa.schema([("p_brand", pa.string()),
+                                     ("n_lines", pa.int64()),
+                                     ("n_returned", pa.int64())]))
 
 
 def _nations_full_segment_coverage(sf_dir: str):
@@ -7257,20 +6897,18 @@ def _nations_full_segment_coverage(sf_dir: str):
     import pyarrow as pa
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     ds = rd.read_parquet(f"{sf_dir}/customer.parquet",
                          columns=["c_nationkey", "c_mktsegment"])
 
-    def partial(batch: pa.Table) -> pa.Table:
-        t = pa.table({
+    def prep(batch: pa.Table) -> pa.Table:
+        return pa.table({
             "nk": batch["c_nationkey"].to_numpy(zero_copy_only=False)
             .astype(np.int64),
             "seg": batch["c_mktsegment"]})
-        return t.group_by(["nk", "seg"]).aggregate([])
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by(["nk", "seg"]).aggregate([])
+    def finish(g: pa.Table) -> pa.Table:
         nk = g["nk"].to_numpy(zero_copy_only=False)
         if nk.shape[0] == 0:
             return pa.table({
@@ -7284,9 +6922,8 @@ def _nations_full_segment_coverage(sf_dir: str):
             "c_nationkey": uniq[keep].astype(np.int64),
             "n_segments": cnt[keep].astype(np.int64)})
 
-    return driver_merge(
-        ds.map_batches(partial, batch_format="pyarrow",
-                       batch_size=131072), merge,
+    return combine(
+        ds, ["nk", "seg"], prep=prep, finish=finish, batch_size=131072,
         schema=pa.schema([("nk", pa.int64()), ("seg", pa.string())]))
 
 
@@ -7302,7 +6939,7 @@ def _region_nation_revenue_tree(sf_dir: str):
     import pyarrow.parquet as pq
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     cust = pq.read_table(f"{sf_dir}/customer.parquet",
                          columns=["c_custkey", "c_nationkey"])
@@ -7321,7 +6958,7 @@ def _region_nation_revenue_tree(sf_dir: str):
     ds = rd.read_parquet(f"{sf_dir}/orders.parquet",
                          columns=["o_custkey", "o_totalprice"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         empty = pa.table({"nk": pa.array([], pa.int64()),
                           "cents": pa.array([], pa.int64())})
         if ck.shape[0] == 0:
@@ -7333,13 +6970,9 @@ def _region_nation_revenue_tree(sf_dir: str):
         nk = cnk[pos[sel]]
         cents = np.floor(batch["o_totalprice"].to_numpy(
             zero_copy_only=False) * 100 + 0.5).astype(np.int64)[sel]
-        uniq, inv = np.unique(nk, return_inverse=True)
-        acc = np.zeros(uniq.shape[0], dtype=np.int64)
-        np.add.at(acc, inv, cents)
-        return pa.table({"nk": uniq, "cents": acc})
+        return pa.table({"nk": nk, "cents": cents})
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by(["nk"]).aggregate([("cents", "sum")])
+    def finish(g: pa.Table) -> pa.Table:
         nk = g["nk"].to_numpy(zero_copy_only=False)
         empty = pa.table({
             "n_nationkey": pa.array([], pa.int64()),
@@ -7349,7 +6982,7 @@ def _region_nation_revenue_tree(sf_dir: str):
             "share_of_total": pa.array([], pa.float64())})
         if nk.shape[0] == 0 or nnk.shape[0] == 0:
             return empty
-        cents = g["cents_sum"].to_numpy(zero_copy_only=False)
+        cents = g["cents"].to_numpy(zero_copy_only=False)
         pos = np.minimum(np.searchsorted(nnk, nk), nnk.shape[0] - 1)
         sel = nnk[pos] == nk
         nk, cents, rk = nk[sel], cents[sel], nrk[pos[sel]]
@@ -7371,9 +7004,8 @@ def _region_nation_revenue_tree(sf_dir: str):
                 [float(int(c)) / float(total) if total else None
                  for c in cents.tolist()], pa.float64())})
 
-    return driver_merge(
-        ds.map_batches(partial, batch_format="pyarrow",
-                       batch_size=131072), merge,
+    return combine(
+        ds, "nk", sums=("cents",), prep=prep, finish=finish, batch_size=131072,
         schema=pa.schema([("nk", pa.int64()), ("cents", pa.int64())]))
 
 
@@ -7393,12 +7025,12 @@ def _emb_label_affinity(sf_dir: str):
     import pyarrow as pa
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     ds = rd.read_parquet(f"{sf_dir}/embeddings.parquet",
                          columns=["label", "embedding"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         empty = pa.table({"label": pa.array([], pa.int64()),
                           "dim": pa.array([], pa.int64()),
                           "s": pa.array([], pa.int64())})
@@ -7428,8 +7060,7 @@ def _emb_label_affinity(sf_dir: str):
                            uniq.shape[0]),
             "s": acc.reshape(-1)})
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by(["label", "dim"]).aggregate([("s", "sum")])
+    def finish(g: pa.Table) -> pa.Table:
         lab = g["label"].to_numpy(zero_copy_only=False)
         if lab.shape[0] == 0:
             return pa.table({
@@ -7437,7 +7068,7 @@ def _emb_label_affinity(sf_dir: str):
                 "l2": pa.array([], pa.int64()),
                 "centroid_cos": pa.array([], pa.float64())})
         dim = g["dim"].to_numpy(zero_copy_only=False)
-        s = g["s_sum"].to_numpy(zero_copy_only=False)
+        s = g["s"].to_numpy(zero_copy_only=False)
         o = np.lexsort((dim, lab))
         lab, s = lab[o], s[o]
         labels = np.unique(lab).tolist()
@@ -7462,9 +7093,9 @@ def _emb_label_affinity(sf_dir: str):
             "l2": pa.array(o2, pa.int64()),
             "centroid_cos": pa.array(oc, pa.float64())})
 
-    return driver_merge(
-        ds.map_batches(partial, batch_format="pyarrow",
-                       batch_size=32768), merge,
+    return combine(
+        ds, ["label", "dim"], sums=("s",), prep=prep, finish=finish,
+        batch_size=32768,
         schema=pa.schema([("label", pa.int64()), ("dim", pa.int64()),
                           ("s", pa.int64())]))
 
@@ -7534,7 +7165,7 @@ def _events_session_bounce(sf_dir: str):
     import pyarrow as pa
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
     from h3ray.ops.skew import default_num_buckets
 
     ds = rd.read_parquet(f"{sf_dir}/events.parquet",
@@ -7573,12 +7204,10 @@ def _events_session_bounce(sf_dir: str):
             [("n_sessions", "sum"), ("n_bounce", "sum")]) \
             .rename_columns(["open_type", "n_sessions", "n_bounce"])
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by("open_type").aggregate(
-            [("n_sessions", "sum"), ("n_bounce", "sum")])
-        ns = g["n_sessions_sum"].to_numpy(zero_copy_only=False) \
+    def finish(g: pa.Table) -> pa.Table:
+        ns = g["n_sessions"].to_numpy(zero_copy_only=False) \
             .astype(np.int64)
-        nbn = g["n_bounce_sum"].to_numpy(zero_copy_only=False) \
+        nbn = g["n_bounce"].to_numpy(zero_copy_only=False) \
             .astype(np.int64)
         rate = np.where(ns > 0, nbn.astype(np.float64)
                         / np.maximum(ns, 1).astype(np.float64), np.nan)
@@ -7590,11 +7219,11 @@ def _events_session_bounce(sf_dir: str):
     sess = ds.map_batches(bucket, batch_format="pyarrow",
                           batch_size=131072) \
         .groupby("_bucket").map_groups(sessionize, batch_format="pyarrow")
-    return driver_merge(
-        sess, merge,
-        schema=pa.schema([("open_type", pa.string()),
-                          ("n_sessions", pa.int64()),
-                          ("n_bounce", pa.int64())]))
+    return combine(sess, "open_type", sums=("n_sessions", "n_bounce"),
+                   finish=finish,
+                   schema=pa.schema([("open_type", pa.string()),
+                                     ("n_sessions", pa.int64()),
+                                     ("n_bounce", pa.int64())]))
 
 
 def _customer_spend_quadrants(sf_dir: str):
@@ -7611,7 +7240,7 @@ def _customer_spend_quadrants(sf_dir: str):
     import pyarrow.parquet as pq
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     cust = pq.read_table(f"{sf_dir}/customer.parquet",
                          columns=["c_custkey", "c_acctbal"])
@@ -7624,24 +7253,21 @@ def _customer_spend_quadrants(sf_dir: str):
     ds = rd.read_parquet(f"{sf_dir}/orders.parquet",
                          columns=["o_custkey", "o_totalprice"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         c = batch["o_custkey"].to_numpy(zero_copy_only=False) \
             .astype(np.int64)
         cents = np.floor(batch["o_totalprice"].to_numpy(
             zero_copy_only=False) * 100 + 0.5).astype(np.int64)
-        t = pa.table({"ck": c, "cents": cents})
-        return t.group_by(["ck"]).aggregate([("cents", "sum")]) \
-            .rename_columns(["ck", "cents"])
+        return pa.table({"ck": c, "cents": cents})
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by(["ck"]).aggregate([("cents", "sum")])
+    def finish(g: pa.Table) -> pa.Table:
         c = g["ck"].to_numpy(zero_copy_only=False)
         empty = pa.table({
             "quadrant": pa.array([], pa.string()),
             "n_customers": pa.array([], pa.int64())})
         if c.shape[0] == 0 or ck.shape[0] == 0:
             return empty
-        spend = g["cents_sum"].to_numpy(zero_copy_only=False)
+        spend = g["cents"].to_numpy(zero_copy_only=False)
         pos = np.minimum(np.searchsorted(ck, c), ck.shape[0] - 1)
         sel = ck[pos] == c
         b, s = bal[pos[sel]], spend[sel]
@@ -7661,9 +7287,8 @@ def _customer_spend_quadrants(sf_dir: str):
                 [names[i] for i in range(4) if keep[i]], pa.string()),
             "n_customers": pa.array(cnt[keep], pa.int64())})
 
-    return driver_merge(
-        ds.map_batches(partial, batch_format="pyarrow",
-                       batch_size=131072), merge,
+    return combine(
+        ds, "ck", sums=("cents",), prep=prep, finish=finish, batch_size=131072,
         schema=pa.schema([("ck", pa.int64()), ("cents", pa.int64())]))
 
 
@@ -7680,7 +7305,7 @@ def _nation_top2_customer_share(sf_dir: str):
     import pyarrow.parquet as pq
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     cust = pq.read_table(f"{sf_dir}/customer.parquet",
                          columns=["c_custkey", "c_nationkey"])
@@ -7692,17 +7317,14 @@ def _nation_top2_customer_share(sf_dir: str):
     ds = rd.read_parquet(f"{sf_dir}/orders.parquet",
                          columns=["o_custkey", "o_totalprice"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         c = batch["o_custkey"].to_numpy(zero_copy_only=False) \
             .astype(np.int64)
         cents = np.floor(batch["o_totalprice"].to_numpy(
             zero_copy_only=False) * 100 + 0.5).astype(np.int64)
-        t = pa.table({"ck": c, "cents": cents})
-        return t.group_by(["ck"]).aggregate([("cents", "sum")]) \
-            .rename_columns(["ck", "cents"])
+        return pa.table({"ck": c, "cents": cents})
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by(["ck"]).aggregate([("cents", "sum")])
+    def finish(g: pa.Table) -> pa.Table:
         c = g["ck"].to_numpy(zero_copy_only=False)
         empty = pa.table({
             "c_nationkey": pa.array([], pa.int64()),
@@ -7711,7 +7333,7 @@ def _nation_top2_customer_share(sf_dir: str):
             "top2_share": pa.array([], pa.float64())})
         if c.shape[0] == 0 or ck.shape[0] == 0:
             return empty
-        cents = g["cents_sum"].to_numpy(zero_copy_only=False)
+        cents = g["cents"].to_numpy(zero_copy_only=False)
         pos = np.minimum(np.searchsorted(ck, c), ck.shape[0] - 1)
         sel = ck[pos] == c
         nat, cents, cust_k = nk[pos[sel]], cents[sel], c[sel]
@@ -7736,9 +7358,8 @@ def _nation_top2_customer_share(sf_dir: str):
             "top2_cents": pa.array(out_2, pa.int64()),
             "top2_share": pa.array(out_s, pa.float64())})
 
-    return driver_merge(
-        ds.map_batches(partial, batch_format="pyarrow",
-                       batch_size=131072), merge,
+    return combine(
+        ds, "ck", sums=("cents",), prep=prep, finish=finish, batch_size=131072,
         schema=pa.schema([("ck", pa.int64()), ("cents", pa.int64())]))
 
 
@@ -7752,21 +7373,19 @@ def _events_user_growth_daily(sf_dir: str):
     import pyarrow as pa
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     ds = rd.read_parquet(f"{sf_dir}/events.parquet",
                          columns=["ts", "user_id"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         day = batch["ts"].to_numpy(zero_copy_only=False) \
             .astype("datetime64[D]").astype(np.int64)
         uid = batch["user_id"].to_numpy(zero_copy_only=False) \
             .astype(np.int64)
-        t = pa.table({"day": day, "uid": uid})
-        return t.group_by(["day", "uid"]).aggregate([])
+        return pa.table({"day": day, "uid": uid})
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by(["day", "uid"]).aggregate([])
+    def finish(g: pa.Table) -> pa.Table:
         day = g["day"].to_numpy(zero_copy_only=False)
         if day.shape[0] == 0:
             return pa.table({
@@ -7783,9 +7402,8 @@ def _events_user_growth_daily(sf_dir: str):
             "n_first_seen": cnt.astype(np.int64),
             "cum_users": np.cumsum(cnt).astype(np.int64)})
 
-    return driver_merge(
-        ds.map_batches(partial, batch_format="pyarrow",
-                       batch_size=131072), merge,
+    return combine(
+        ds, ["day", "uid"], prep=prep, finish=finish, batch_size=131072,
         schema=pa.schema([("day", pa.int64()), ("uid", pa.int64())]))
 
 
@@ -7802,22 +7420,20 @@ def _events_weekly_churn(sf_dir: str):
     import pyarrow as pa
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     ds = rd.read_parquet(f"{sf_dir}/events.parquet",
                          columns=["ts", "user_id"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         wk = batch["ts"].to_numpy(zero_copy_only=False) \
             .astype("datetime64[us]").astype(np.int64) \
             // np.int64(604800000000)
         uid = batch["user_id"].to_numpy(zero_copy_only=False) \
             .astype(np.int64)
-        t = pa.table({"wk": wk, "uid": uid})
-        return t.group_by(["wk", "uid"]).aggregate([])
+        return pa.table({"wk": wk, "uid": uid})
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by(["wk", "uid"]).aggregate([])
+    def finish(g: pa.Table) -> pa.Table:
         wk = g["wk"].to_numpy(zero_copy_only=False)
         if wk.shape[0] == 0:
             return pa.table({
@@ -7867,10 +7483,9 @@ def _events_weekly_churn(sf_dir: str):
             "n_churned": pa.array(out["ch"], pa.int64()),
             "churn_rate": pa.array(out["rate"], pa.float64())})
 
-    return driver_merge(
-        ds.map_batches(partial, batch_format="pyarrow",
-                       batch_size=131072), merge,
-        schema=pa.schema([("wk", pa.int64()), ("uid", pa.int64())]))
+    return combine(ds, ["wk", "uid"], prep=prep, finish=finish,
+                   batch_size=131072,
+                   schema=pa.schema([("wk", pa.int64()), ("uid", pa.int64())]))
 
 
 def _sites_degree_assortativity(sf_dir: str):
@@ -7897,24 +7512,21 @@ def _orders_repeat_revenue_share(sf_dir: str):
     import pyarrow as pa
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     ds = rd.read_parquet(f"{sf_dir}/orders.parquet",
                          columns=["o_custkey", "o_orderdate",
                                   "o_totalprice"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         mi = batch["o_orderdate"].to_numpy(zero_copy_only=False) \
             .astype("datetime64[M]").astype(np.int64)
         ym = (1970 + mi // 12) * 100 + mi % 12 + 1
         cents = np.floor(batch["o_totalprice"].to_numpy(
             zero_copy_only=False) * 100 + 0.5).astype(np.int64)
-        t = pa.table({"ym": ym, "ck": batch["o_custkey"], "c": cents})
-        return t.group_by(["ym", "ck"]).aggregate([("c", "sum")]) \
-            .rename_columns(["ym", "ck", "c"])
+        return pa.table({"ym": ym, "ck": batch["o_custkey"], "c": cents})
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by(["ym", "ck"]).aggregate([("c", "sum")])
+    def finish(g: pa.Table) -> pa.Table:
         ym = g["ym"].to_numpy(zero_copy_only=False)
         if ym.shape[0] == 0:
             return pa.table({
@@ -7924,7 +7536,7 @@ def _orders_repeat_revenue_share(sf_dir: str):
                 "repeat_share": pa.array([], pa.float64()),
                 "n_new_customers": pa.array([], pa.int64())})
         ck = g["ck"].to_numpy(zero_copy_only=False)
-        c = g["c_sum"].to_numpy(zero_copy_only=False)
+        c = g["c"].to_numpy(zero_copy_only=False)
         first: dict = {}
         for k, m in zip(ck.tolist(), ym.tolist()):
             if k not in first or m < first[k]:
@@ -7950,11 +7562,10 @@ def _orders_repeat_revenue_share(sf_dir: str):
             "n_new_customers": pa.array([agg[m][2] for m in months],
                                         pa.int64())})
 
-    return driver_merge(
-        ds.map_batches(partial, batch_format="pyarrow",
-                       batch_size=131072), merge,
-        schema=pa.schema([("ym", pa.int64()), ("ck", pa.int64()),
-                          ("c", pa.int64())]))
+    return combine(ds, ["ym", "ck"], sums=("c",), prep=prep, finish=finish,
+                   batch_size=131072,
+                   schema=pa.schema([("ym", pa.int64()), ("ck", pa.int64()),
+                                     ("c", pa.int64())]))
 
 
 def _events_bowley_skew_by_type(sf_dir: str):
@@ -7971,21 +7582,17 @@ def _events_bowley_skew_by_type(sf_dir: str):
     import pyarrow as pa
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     ds = rd.read_parquet(f"{sf_dir}/events.parquet",
                          columns=["event_type", "value"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         cents = np.floor(batch["value"].to_numpy(
             zero_copy_only=False) * 100 + 0.5).astype(np.int64)
-        t = pa.table({"event_type": batch["event_type"], "c": cents,
-                      "cnt": np.ones(batch.num_rows, np.int64)})
-        return t.group_by(["event_type", "c"]).aggregate(
-            [("cnt", "sum")]).rename_columns(["event_type", "c", "cnt"])
+        return pa.table({"event_type": batch["event_type"], "c": cents})
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by(["event_type", "c"]).aggregate([("cnt", "sum")])
+    def finish(g: pa.Table) -> pa.Table:
         et = g["event_type"].to_numpy(zero_copy_only=False)
         if et.shape[0] == 0:
             return pa.table({
@@ -7995,7 +7602,7 @@ def _events_bowley_skew_by_type(sf_dir: str):
                 "q3": pa.array([], pa.int64()),
                 "bowley_skew": pa.array([], pa.float64())})
         c = g["c"].to_numpy(zero_copy_only=False)
-        cnt = g["cnt_sum"].to_numpy(zero_copy_only=False)
+        cnt = g["cnt"].to_numpy(zero_copy_only=False)
         o = np.lexsort((c, et))
         et, c, cnt = et[o], c[o], cnt[o]
         starts = np.flatnonzero(np.r_[True, et[1:] != et[:-1]]).tolist()
@@ -8022,11 +7629,10 @@ def _events_bowley_skew_by_type(sf_dir: str):
             "q3": pa.array(out["q3"], pa.int64()),
             "bowley_skew": pa.array(out["sk"], pa.float64())})
 
-    return driver_merge(
-        ds.map_batches(partial, batch_format="pyarrow",
-                       batch_size=131072), merge,
-        schema=pa.schema([("event_type", pa.string()),
-                          ("c", pa.int64()), ("cnt", pa.int64())]))
+    return combine(ds, ["event_type", "c"], count="cnt", prep=prep,
+                   finish=finish, batch_size=131072,
+                   schema=pa.schema([("event_type", pa.string()),
+                                     ("c", pa.int64()), ("cnt", pa.int64())]))
 
 
 def _sites_clustering_coeff(sf_dir: str):
@@ -8094,23 +7700,19 @@ def _events_wow_growth(sf_dir: str):
     import pyarrow as pa
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     ds = rd.read_parquet(f"{sf_dir}/events.parquet",
                          columns=["event_type", "ts"])
     WK = 7 * 86_400_000_000
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         us = batch["ts"].to_numpy(zero_copy_only=False) \
             .astype("datetime64[us]").astype(np.int64)
-        t = pa.table({"event_type": batch["event_type"],
-                      "week": us // WK,
-                      "n": np.ones(batch.num_rows, np.int64)})
-        return t.group_by(["event_type", "week"]).aggregate(
-            [("n", "sum")]).rename_columns(["event_type", "week", "n"])
+        return pa.table({"event_type": batch["event_type"],
+                         "week": us // WK})
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by(["event_type", "week"]).aggregate([("n", "sum")])
+    def finish(g: pa.Table) -> pa.Table:
         et = g["event_type"].to_numpy(zero_copy_only=False)
         if et.shape[0] == 0:
             return pa.table({
@@ -8119,7 +7721,7 @@ def _events_wow_growth(sf_dir: str):
                 "n_events": pa.array([], pa.int64()),
                 "wow": pa.array([], pa.float64())})
         wk = g["week"].to_numpy(zero_copy_only=False)
-        n = g["n_sum"].to_numpy(zero_copy_only=False)
+        n = g["n"].to_numpy(zero_copy_only=False)
         by = {(str(a), int(b)): int(c) for a, b, c in zip(et, wk, n)}
         o = np.lexsort((wk, et))
         out_t, out_w, out_n, out_g = [], [], [], []
@@ -8136,11 +7738,10 @@ def _events_wow_growth(sf_dir: str):
             "n_events": pa.array(out_n, pa.int64()),
             "wow": pa.array(out_g, pa.float64())})
 
-    return driver_merge(
-        ds.map_batches(partial, batch_format="pyarrow",
-                       batch_size=131072), merge,
-        schema=pa.schema([("event_type", pa.string()),
-                          ("week", pa.int64()), ("n", pa.int64())]))
+    return combine(ds, ["event_type", "week"], count="n", prep=prep,
+                   finish=finish, batch_size=131072,
+                   schema=pa.schema([("event_type", pa.string()),
+                                     ("week", pa.int64()), ("n", pa.int64())]))
 
 
 def _sites_reciprocity(sf_dir: str):
@@ -8215,26 +7816,24 @@ def _events_value_decile_means(sf_dir: str):
     import pyarrow as pa
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     ds = rd.read_parquet(f"{sf_dir}/events.parquet",
                          columns=["value"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         cents = np.floor(batch["value"].to_numpy(
             zero_copy_only=False) * 100 + 0.5).astype(np.int64)
-        u, c = np.unique(cents, return_counts=True)
-        return pa.table({"c": u, "cnt": c.astype(np.int64)})
+        return pa.table({"c": cents})
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by(["c"]).aggregate([("cnt", "sum")])
+    def finish(g: pa.Table) -> pa.Table:
         c = g["c"].to_numpy(zero_copy_only=False)
         if c.shape[0] == 0:
             return pa.table({
                 "decile": pa.array([], pa.int64()),
                 "n": pa.array([], pa.int64()),
                 "mean_cents": pa.array([], pa.float64())})
-        cnt = g["cnt_sum"].to_numpy(zero_copy_only=False)
+        cnt = g["cnt"].to_numpy(zero_copy_only=False)
         o = np.argsort(c)
         c, cnt = c[o], cnt[o]
         n = int(cnt.sum())
@@ -8263,10 +7862,9 @@ def _events_value_decile_means(sf_dir: str):
             "n": pa.array(out_n, pa.int64()),
             "mean_cents": pa.array(out_m, pa.float64())})
 
-    return driver_merge(
-        ds.map_batches(partial, batch_format="pyarrow",
-                       batch_size=131072), merge,
-        schema=pa.schema([("c", pa.int64()), ("cnt", pa.int64())]))
+    return combine(ds, "c", count="cnt", prep=prep, finish=finish,
+                   batch_size=131072,
+                   schema=pa.schema([("c", pa.int64()), ("cnt", pa.int64())]))
 
 
 def _events_fano_daily(sf_dir: str):
@@ -8280,29 +7878,25 @@ def _events_fano_daily(sf_dir: str):
     import pyarrow as pa
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     ds = rd.read_parquet(f"{sf_dir}/events.parquet",
                          columns=["event_type", "ts"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         us = batch["ts"].to_numpy(zero_copy_only=False) \
             .astype("datetime64[us]").astype(np.int64)
-        t = pa.table({"event_type": batch["event_type"],
-                      "day": us // 86_400_000_000,
-                      "x": np.ones(batch.num_rows, np.int64)})
-        return t.group_by(["event_type", "day"]).aggregate(
-            [("x", "sum")]).rename_columns(["event_type", "day", "x"])
+        return pa.table({"event_type": batch["event_type"],
+                         "day": us // 86_400_000_000})
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by(["event_type", "day"]).aggregate([("x", "sum")])
+    def finish(g: pa.Table) -> pa.Table:
         et = g["event_type"].to_numpy(zero_copy_only=False)
         if et.shape[0] == 0:
             return pa.table({
                 "event_type": pa.array([], pa.string()),
                 "num_days": pa.array([], pa.int64()),
                 "fano": pa.array([], pa.float64())})
-        x = g["x_sum"].to_numpy(zero_copy_only=False)
+        x = g["x"].to_numpy(zero_copy_only=False)
         o = np.argsort(et, kind="stable")
         et, x = et[o], x[o]
         starts = np.flatnonzero(np.r_[True, et[1:] != et[:-1]]).tolist()
@@ -8322,11 +7916,10 @@ def _events_fano_daily(sf_dir: str):
             "num_days": pa.array(out_n, pa.int64()),
             "fano": pa.array(out_f, pa.float64())})
 
-    return driver_merge(
-        ds.map_batches(partial, batch_format="pyarrow",
-                       batch_size=131072), merge,
-        schema=pa.schema([("event_type", pa.string()),
-                          ("day", pa.int64()), ("x", pa.int64())]))
+    return combine(ds, ["event_type", "day"], count="x", prep=prep,
+                   finish=finish, batch_size=131072,
+                   schema=pa.schema([("event_type", pa.string()),
+                                     ("day", pa.int64()), ("x", pa.int64())]))
 
 
 def _orders_monthly_hhi(sf_dir: str):
@@ -8341,32 +7934,29 @@ def _orders_monthly_hhi(sf_dir: str):
     import pyarrow as pa
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     ds = rd.read_parquet(f"{sf_dir}/orders.parquet",
                          columns=["o_custkey", "o_orderdate",
                                   "o_totalprice"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         mi = batch["o_orderdate"].to_numpy(zero_copy_only=False) \
             .astype("datetime64[M]").astype(np.int64)
         ym = (1970 + mi // 12) * 100 + mi % 12 + 1
         cents = np.floor(batch["o_totalprice"].to_numpy(
             zero_copy_only=False) * 100 + 0.5).astype(np.int64)
-        t = pa.table({"ym": ym, "ck": batch["o_custkey"],
-                      "c": cents})
-        return t.group_by(["ym", "ck"]).aggregate([("c", "sum")]) \
-            .rename_columns(["ym", "ck", "c"])
+        return pa.table({"ym": ym, "ck": batch["o_custkey"],
+                         "c": cents})
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by(["ym", "ck"]).aggregate([("c", "sum")])
+    def finish(g: pa.Table) -> pa.Table:
         ym = g["ym"].to_numpy(zero_copy_only=False)
         if ym.shape[0] == 0:
             return pa.table({
                 "ym": pa.array([], pa.int64()),
                 "n_customers": pa.array([], pa.int64()),
                 "hhi": pa.array([], pa.float64())})
-        c = g["c_sum"].to_numpy(zero_copy_only=False)
+        c = g["c"].to_numpy(zero_copy_only=False)
         o = np.argsort(ym, kind="stable")
         ym, c = ym[o], c[o]
         starts = np.flatnonzero(np.r_[True, ym[1:] != ym[:-1]]).tolist()
@@ -8384,11 +7974,10 @@ def _orders_monthly_hhi(sf_dir: str):
             "n_customers": pa.array(out_n, pa.int64()),
             "hhi": pa.array(out_h, pa.float64())})
 
-    return driver_merge(
-        ds.map_batches(partial, batch_format="pyarrow",
-                       batch_size=131072), merge,
-        schema=pa.schema([("ym", pa.int64()), ("ck", pa.int64()),
-                          ("c", pa.int64())]))
+    return combine(ds, ["ym", "ck"], sums=("c",), prep=prep, finish=finish,
+                   batch_size=131072,
+                   schema=pa.schema([("ym", pa.int64()), ("ck", pa.int64()),
+                                     ("c", pa.int64())]))
 
 
 def _events_reactivations_monthly(sf_dir: str):
@@ -8403,7 +7992,7 @@ def _events_reactivations_monthly(sf_dir: str):
     import ray.data as rd
 
     from h3ray.io.pages import _mix64
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
     from h3ray.ops.skew import default_num_buckets
 
     GAP = 3 * 86_400_000_000
@@ -8442,18 +8031,16 @@ def _events_reactivations_monthly(sf_dir: str):
                               batch_size=131072) \
         .groupby("_bucket").map_groups(resolve, batch_format="pyarrow")
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by(["ym"]).aggregate([("n", "sum")])
+    def finish(g: pa.Table) -> pa.Table:
         ym = g["ym"].to_numpy(zero_copy_only=False)
-        n = g["n_sum"].to_numpy(zero_copy_only=False)
+        n = g["n"].to_numpy(zero_copy_only=False)
         o = np.argsort(ym)
         return pa.table({
             "ym": pa.array(ym[o], pa.int64()),
             "n_reactivations": pa.array(n[o], pa.int64())})
 
-    return driver_merge(
-        bucketed, merge,
-        schema=pa.schema([("ym", pa.int64()), ("n", pa.int64())]))
+    return combine(bucketed, "ym", sums=("n",), finish=finish,
+                   schema=pa.schema([("ym", pa.int64()), ("n", pa.int64())]))
 
 
 def _users_lifetime_hist(sf_dir: str):
@@ -8466,35 +8053,30 @@ def _users_lifetime_hist(sf_dir: str):
     import pyarrow as pa
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     ds = rd.read_parquet(f"{sf_dir}/events.parquet",
                          columns=["user_id", "ts"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         uid = batch["user_id"].to_numpy(zero_copy_only=False) \
             .astype(np.int64)
         us = batch["ts"].to_numpy(zero_copy_only=False) \
             .astype("datetime64[us]").astype(np.int64)
-        t = pa.table({"user_id": uid, "mn": us, "mx": us})
-        return t.group_by(["user_id"]).aggregate(
-            [("mn", "min"), ("mx", "max")]) \
-            .rename_columns(["user_id", "mn", "mx"])
+        return pa.table({"user_id": uid, "mn": us, "mx": us})
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by(["user_id"]).aggregate(
-            [("mn", "min"), ("mx", "max")])
-        mn = g["mn_min"].to_numpy(zero_copy_only=False)
-        mx = g["mx_max"].to_numpy(zero_copy_only=False)
+    def finish(g: pa.Table) -> pa.Table:
+        mn = g["mn"].to_numpy(zero_copy_only=False)
+        mx = g["mx"].to_numpy(zero_copy_only=False)
         days = (mx - mn) // 86_400_000_000
         uv, cnt = np.unique(days, return_counts=True)
         return pa.table({
             "lifetime_days": pa.array(uv, pa.int64()),
             "n_users": pa.array(cnt.astype(np.int64), pa.int64())})
 
-    return driver_merge(
-        ds.map_batches(partial, batch_format="pyarrow",
-                       batch_size=131072), merge,
+    return combine(
+        ds, "user_id", mins=("mn",), maxs=("mx",), prep=prep, finish=finish,
+        batch_size=131072,
         schema=pa.schema([("user_id", pa.int64()), ("mn", pa.int64()),
                           ("mx", pa.int64())]))
 
@@ -8582,7 +8164,7 @@ def _customer_momentum_by_nation(sf_dir: str):
     import pyarrow.parquet as pq
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     cust = pq.read_table(f"{sf_dir}/customer.parquet",
                          columns=["c_custkey", "c_nationkey"])
@@ -8595,7 +8177,7 @@ def _customer_momentum_by_nation(sf_dir: str):
                          columns=["o_custkey", "o_orderdate",
                                   "o_totalprice"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         c = batch["o_custkey"].to_numpy(zero_copy_only=False) \
             .astype(np.int64)
         x = batch["o_orderdate"].to_numpy(zero_copy_only=False) \
@@ -8603,17 +8185,9 @@ def _customer_momentum_by_nation(sf_dir: str):
             // 86_400_000_000
         y = np.floor(batch["o_totalprice"].to_numpy(
             zero_copy_only=False) * 100 + 0.5).astype(np.int64)
-        t = pa.table({"ck": c, "n": np.ones(c.shape[0], np.int64),
-                      "sx": x, "sy": y, "sxy": x * y})
-        return t.group_by(["ck"]).aggregate(
-            [("n", "sum"), ("sx", "sum"), ("sy", "sum"),
-             ("sxy", "sum")]) \
-            .rename_columns(["ck", "n", "sx", "sy", "sxy"])
+        return pa.table({"ck": c, "sx": x, "sy": y, "sxy": x * y})
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by(["ck"]).aggregate(
-            [("n", "sum"), ("sx", "sum"), ("sy", "sum"),
-             ("sxy", "sum")])
+    def finish(g: pa.Table) -> pa.Table:
         c = g["ck"].to_numpy(zero_copy_only=False)
         empty = pa.table({
             "c_nationkey": pa.array([], pa.int64()),
@@ -8627,12 +8201,12 @@ def _customer_momentum_by_nation(sf_dir: str):
         sel = ck[pos] == c
         agg: dict = {}
         for i in np.flatnonzero(sel):
-            n = int(g["n_sum"][i].as_py())
+            n = int(g["n"][i].as_py())
             if n < 2:
                 continue
-            num = n * int(g["sxy_sum"][i].as_py()) \
-                - int(g["sx_sum"][i].as_py()) \
-                * int(g["sy_sum"][i].as_py())
+            num = n * int(g["sxy"][i].as_py()) \
+                - int(g["sx"][i].as_py()) \
+                * int(g["sy"][i].as_py())
             nat = int(nk[pos[i]])
             tot, up, down = agg.get(nat, (0, 0, 0))
             agg[nat] = (tot + 1, up + (num > 0), down + (num < 0))
@@ -8649,12 +8223,11 @@ def _customer_momentum_by_nation(sf_dir: str):
                 [agg[k][0] - agg[k][1] - agg[k][2] for k in nats],
                 pa.int64())})
 
-    return driver_merge(
-        ds.map_batches(partial, batch_format="pyarrow",
-                       batch_size=131072), merge,
-        schema=pa.schema([("ck", pa.int64()), ("n", pa.int64()),
-                          ("sx", pa.int64()), ("sy", pa.int64()),
-                          ("sxy", pa.int64())]))
+    return combine(ds, "ck", count="n", sums=("sx", "sy", "sxy"), prep=prep,
+                   finish=finish, batch_size=131072,
+                   schema=pa.schema([("ck", pa.int64()), ("n", pa.int64()),
+                                     ("sx", pa.int64()), ("sy", pa.int64()),
+                                     ("sxy", pa.int64())]))
 
 
 def _events_first_touch_conversion(sf_dir: str):
@@ -8671,7 +8244,7 @@ def _events_first_touch_conversion(sf_dir: str):
     import ray.data as rd
 
     from h3ray.io.pages import _mix64
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
     from h3ray.ops.skew import default_num_buckets
 
     ds = rd.read_parquet(f"{sf_dir}/events.parquet",
@@ -8712,11 +8285,9 @@ def _events_first_touch_conversion(sf_dir: str):
             [("n", "sum"), ("conv", "sum")]) \
             .rename_columns(["first_type", "n", "conv"])
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by(["first_type"]).aggregate(
-            [("n", "sum"), ("conv", "sum")])
-        n = [int(v) for v in g["n_sum"].to_pylist()]
-        c = [int(v) for v in g["conv_sum"].to_pylist()]
+    def finish(g: pa.Table) -> pa.Table:
+        n = [int(v) for v in g["n"].to_pylist()]
+        c = [int(v) for v in g["conv"].to_pylist()]
         return pa.table({
             "first_type": g["first_type"],
             "n_users": pa.array(n, pa.int64()),
@@ -8728,10 +8299,9 @@ def _events_first_touch_conversion(sf_dir: str):
     bucketed = ds.map_batches(prep, batch_format="pyarrow",
                               batch_size=131072) \
         .groupby("_bucket").map_groups(resolve, batch_format="pyarrow")
-    return driver_merge(
-        bucketed, merge,
-        schema=pa.schema([("first_type", pa.string()),
-                          ("n", pa.int64()), ("conv", pa.int64())]))
+    return combine(bucketed, "first_type", sums=("n", "conv"), finish=finish,
+                   schema=pa.schema([("first_type", pa.string()),
+                                     ("n", pa.int64()), ("conv", pa.int64())]))
 
 
 def _orders_fanout_hist(sf_dir: str):
@@ -8748,7 +8318,7 @@ def _orders_fanout_hist(sf_dir: str):
     import ray.data as rd
 
     from h3ray.io.pages import _mix64
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
     from h3ray.ops.skew import default_num_buckets
 
     ds = rd.read_parquet(f"{sf_dir}/lineitem.parquet",
@@ -8774,11 +8344,9 @@ def _orders_fanout_hist(sf_dir: str):
         return pa.table({"lines_per_order": hv,
                          "n_orders": hc.astype(np.int64)})
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by(["lines_per_order"]).aggregate(
-            [("n_orders", "sum")])
+    def finish(g: pa.Table) -> pa.Table:
         v = g["lines_per_order"].to_numpy(zero_copy_only=False)
-        n = g["n_orders_sum"].to_numpy(zero_copy_only=False)
+        n = g["n_orders"].to_numpy(zero_copy_only=False)
         o = np.argsort(v)
         return pa.table({
             "lines_per_order": pa.array(v[o], pa.int64()),
@@ -8788,10 +8356,10 @@ def _orders_fanout_hist(sf_dir: str):
                               batch_size=131072) \
         .groupby("_bucket").map_groups(local_hist,
                                        batch_format="pyarrow")
-    return driver_merge(
-        bucketed, merge,
-        schema=pa.schema([("lines_per_order", pa.int64()),
-                          ("n_orders", pa.int64())]))
+    return combine(bucketed, "lines_per_order", sums=("n_orders",),
+                   finish=finish,
+                   schema=pa.schema([("lines_per_order", pa.int64()),
+                                     ("n_orders", pa.int64())]))
 
 
 def _docs_dup_loss_by_source(sf_dir: str):
@@ -8808,7 +8376,7 @@ def _docs_dup_loss_by_source(sf_dir: str):
     import pyarrow as pa
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
     from h3ray.ops.skew import default_num_buckets
     from h3ray.text.analysis import fingerprint_stage
 
@@ -8841,22 +8409,20 @@ def _docs_dup_loss_by_source(sf_dir: str):
             [("n", "sum"), ("dropped", "sum")]) \
             .rename_columns(["source", "n", "dropped"])
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by(["source"]).aggregate(
-            [("n", "sum"), ("dropped", "sum")])
+    def finish(g: pa.Table) -> pa.Table:
         return pa.table({
             "source": g["source"],
             "n_docs": pa.array(
-                g["n_sum"].to_numpy(zero_copy_only=False), pa.int64()),
+                g["n"].to_numpy(zero_copy_only=False), pa.int64()),
             "n_dropped": pa.array(
-                g["dropped_sum"].to_numpy(zero_copy_only=False),
+                g["dropped"].to_numpy(zero_copy_only=False),
                 pa.int64())})
 
     bucketed = ds.map_batches(prep, batch_format="pyarrow",
                               batch_size=65536) \
         .groupby("_bucket").map_groups(resolve, batch_format="pyarrow")
-    return driver_merge(
-        bucketed, merge,
+    return combine(
+        bucketed, "source", sums=("n", "dropped"), finish=finish,
         schema=pa.schema([("source", pa.string()), ("n", pa.int64()),
                           ("dropped", pa.int64())]))
 
@@ -9002,21 +8568,17 @@ def _events_winsorized_mean(sf_dir: str):
     import pyarrow as pa
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     ds = rd.read_parquet(f"{sf_dir}/events.parquet",
                          columns=["event_type", "value"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         cents = np.floor(batch["value"].to_numpy(
             zero_copy_only=False) * 100 + 0.5).astype(np.int64)
-        t = pa.table({"event_type": batch["event_type"], "c": cents,
-                      "cnt": np.ones(batch.num_rows, np.int64)})
-        return t.group_by(["event_type", "c"]).aggregate(
-            [("cnt", "sum")]).rename_columns(["event_type", "c", "cnt"])
+        return pa.table({"event_type": batch["event_type"], "c": cents})
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by(["event_type", "c"]).aggregate([("cnt", "sum")])
+    def finish(g: pa.Table) -> pa.Table:
         et = g["event_type"].to_numpy(zero_copy_only=False)
         if et.shape[0] == 0:
             return pa.table({
@@ -9026,7 +8588,7 @@ def _events_winsorized_mean(sf_dir: str):
                 "hi": pa.array([], pa.int64()),
                 "winsorized_mean": pa.array([], pa.float64())})
         c = g["c"].to_numpy(zero_copy_only=False)
-        cnt = g["cnt_sum"].to_numpy(zero_copy_only=False)
+        cnt = g["cnt"].to_numpy(zero_copy_only=False)
         o = np.lexsort((c, et))
         et, c, cnt = et[o], c[o], cnt[o]
         starts = np.flatnonzero(np.r_[True, et[1:] != et[:-1]]).tolist()
@@ -9054,11 +8616,10 @@ def _events_winsorized_mean(sf_dir: str):
             "hi": pa.array(out["hi"], pa.int64()),
             "winsorized_mean": pa.array(out["wm"], pa.float64())})
 
-    return driver_merge(
-        ds.map_batches(partial, batch_format="pyarrow",
-                       batch_size=131072), merge,
-        schema=pa.schema([("event_type", pa.string()),
-                          ("c", pa.int64()), ("cnt", pa.int64())]))
+    return combine(ds, ["event_type", "c"], count="cnt", prep=prep,
+                   finish=finish, batch_size=131072,
+                   schema=pa.schema([("event_type", pa.string()),
+                                     ("c", pa.int64()), ("cnt", pa.int64())]))
 
 
 def _docs_k_anonymity(sf_dir: str):
@@ -9072,25 +8633,19 @@ def _docs_k_anonymity(sf_dir: str):
     import pyarrow as pa
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
                          columns=["lang", "source", "n_chars"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         band = batch["n_chars"].to_numpy(zero_copy_only=False) \
             .astype(np.int64) // 100
-        t = pa.table({"lang": batch["lang"], "source": batch["source"],
-                      "band": band,
-                      "cnt": np.ones(batch.num_rows, np.int64)})
-        return t.group_by(["lang", "source", "band"]).aggregate(
-            [("cnt", "sum")]) \
-            .rename_columns(["lang", "source", "band", "cnt"])
+        return pa.table({"lang": batch["lang"], "source": batch["source"],
+                         "band": band})
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by(["lang", "source", "band"]).aggregate(
-            [("cnt", "sum")])
-        cnt = g["cnt_sum"].to_numpy(zero_copy_only=False)
+    def finish(g: pa.Table) -> pa.Table:
+        cnt = g["cnt"].to_numpy(zero_copy_only=False)
         keep = cnt < 5
         return pa.table({
             "lang": g["lang"].filter(pa.array(keep)),
@@ -9100,9 +8655,9 @@ def _docs_k_anonymity(sf_dir: str):
                 pa.int64()),
             "cnt": pa.array(cnt[keep], pa.int64())})
 
-    return driver_merge(
-        ds.map_batches(partial, batch_format="pyarrow",
-                       batch_size=131072), merge,
+    return combine(
+        ds, ["lang", "source", "band"], count="cnt", prep=prep,
+        finish=finish, batch_size=131072,
         schema=pa.schema([("lang", pa.string()),
                           ("source", pa.string()),
                           ("band", pa.int64()), ("cnt", pa.int64())]))
@@ -9124,7 +8679,7 @@ def _region_part_coverage(sf_dir: str):
     import ray.data as rd
 
     from h3ray.io.pages import _mix64
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
     from h3ray.ops.skew import default_num_buckets
 
     sup = pq.read_table(f"{sf_dir}/supplier.parquet",
@@ -9183,10 +8738,9 @@ def _region_part_coverage(sf_dir: str):
         return pa.table({"regionkey": ur,
                          "n": cnt.astype(np.int64)})
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by(["regionkey"]).aggregate([("n", "sum")])
+    def finish(g: pa.Table) -> pa.Table:
         r = g["regionkey"].to_numpy(zero_copy_only=False)
-        n = g["n_sum"].to_numpy(zero_copy_only=False)
+        n = g["n"].to_numpy(zero_copy_only=False)
         if r.shape[0] == 0 or rk.shape[0] == 0:
             return pa.table({
                 "r_name": pa.array([], pa.string()),
@@ -9202,10 +8756,9 @@ def _region_part_coverage(sf_dir: str):
                               batch_size=131072) \
         .groupby("_bucket").map_groups(distinct_counts,
                                        batch_format="pyarrow")
-    return driver_merge(
-        bucketed, merge,
-        schema=pa.schema([("regionkey", pa.int64()),
-                          ("n", pa.int64())]))
+    return combine(bucketed, "regionkey", sums=("n",), finish=finish,
+                   schema=pa.schema([("regionkey", pa.int64()),
+                                     ("n", pa.int64())]))
 
 
 def _users_fifth_event_latency(sf_dir: str):
@@ -9282,24 +8835,21 @@ def _orders_revenue_drawdown(sf_dir: str):
     import pyarrow as pa
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     ds = rd.read_parquet(f"{sf_dir}/orders.parquet",
                          columns=["o_orderdate", "o_totalprice"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         us = batch["o_orderdate"].to_numpy(zero_copy_only=False) \
             .astype("datetime64[us]").astype(np.int64)
         cents = np.floor(batch["o_totalprice"].to_numpy(
             zero_copy_only=False) * 100 + 0.5).astype(np.int64)
-        t = pa.table({"day": us // 86_400_000_000, "cents": cents})
-        return t.group_by(["day"]).aggregate([("cents", "sum")]) \
-            .rename_columns(["day", "cents"])
+        return pa.table({"day": us // 86_400_000_000, "cents": cents})
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by(["day"]).aggregate([("cents", "sum")])
+    def finish(g: pa.Table) -> pa.Table:
         day = g["day"].to_numpy(zero_copy_only=False)
-        cents = g["cents_sum"].to_numpy(zero_copy_only=False)
+        cents = g["cents"].to_numpy(zero_copy_only=False)
         o = np.argsort(day)
         day, cents = day[o], cents[o]
         peak = np.maximum.accumulate(cents) if day.shape[0] else cents
@@ -9309,9 +8859,9 @@ def _orders_revenue_drawdown(sf_dir: str):
             "peak_cents": pa.array(peak, pa.int64()),
             "drawdown_cents": pa.array(peak - cents, pa.int64())})
 
-    return driver_merge(
-        ds.map_batches(partial, batch_format="pyarrow",
-                       batch_size=131072), merge,
+    return combine(
+        ds, "day", sums=("cents",), prep=prep, finish=finish,
+        batch_size=131072,
         schema=pa.schema([("day", pa.int64()), ("cents", pa.int64())]))
 
 
@@ -9329,19 +8879,16 @@ def _events_anomaly_days(sf_dir: str):
     import pyarrow as pa
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     ds = rd.read_parquet(f"{sf_dir}/events.parquet",
                          columns=["event_type", "ts"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         us = batch["ts"].to_numpy(zero_copy_only=False) \
             .astype("datetime64[us]").astype(np.int64)
-        t = pa.table({"event_type": batch["event_type"],
-                      "day": us // 86_400_000_000,
-                      "x": np.ones(batch.num_rows, np.int64)})
-        return t.group_by(["event_type", "day"]).aggregate(
-            [("x", "sum")]).rename_columns(["event_type", "day", "x"])
+        return pa.table({"event_type": batch["event_type"],
+                         "day": us // 86_400_000_000})
 
     def med2_of(v: np.ndarray) -> int:
         s = np.sort(v)
@@ -9349,8 +8896,7 @@ def _events_anomaly_days(sf_dir: str):
         return int(2 * s[n // 2]) if n % 2 \
             else int(s[n // 2 - 1] + s[n // 2])
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by(["event_type", "day"]).aggregate([("x", "sum")])
+    def finish(g: pa.Table) -> pa.Table:
         et = g["event_type"].to_numpy(zero_copy_only=False)
         if et.shape[0] == 0:
             return pa.table({
@@ -9360,7 +8906,7 @@ def _events_anomaly_days(sf_dir: str):
                 "med2": pa.array([], pa.int64()),
                 "mad4": pa.array([], pa.int64())})
         day = g["day"].to_numpy(zero_copy_only=False)
-        x = g["x_sum"].to_numpy(zero_copy_only=False)
+        x = g["x"].to_numpy(zero_copy_only=False)
         o = np.lexsort((day, et))
         et, day, x = et[o], day[o], x[o]
         starts = np.flatnonzero(np.r_[True, et[1:] != et[:-1]]).tolist()
@@ -9386,11 +8932,10 @@ def _events_anomaly_days(sf_dir: str):
             "med2": pa.array(out["med2"], pa.int64()),
             "mad4": pa.array(out["mad4"], pa.int64())})
 
-    return driver_merge(
-        ds.map_batches(partial, batch_format="pyarrow",
-                       batch_size=131072), merge,
-        schema=pa.schema([("event_type", pa.string()),
-                          ("day", pa.int64()), ("x", pa.int64())]))
+    return combine(ds, ["event_type", "day"], count="x", prep=prep,
+                   finish=finish, batch_size=131072,
+                   schema=pa.schema([("event_type", pa.string()),
+                                     ("day", pa.int64()), ("x", pa.int64())]))
 
 
 def _docs_vocab_growth(sf_dir: str):
@@ -9482,25 +9027,22 @@ def _orders_monthly_yoy(sf_dir: str):
     import pyarrow as pa
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     ds = rd.read_parquet(f"{sf_dir}/orders.parquet",
                          columns=["o_orderdate", "o_totalprice"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         mi = batch["o_orderdate"].to_numpy(zero_copy_only=False) \
             .astype("datetime64[M]").astype(np.int64)
         ym = (1970 + mi // 12) * 100 + mi % 12 + 1
         cents = np.floor(batch["o_totalprice"].to_numpy(
             zero_copy_only=False) * 100 + 0.5).astype(np.int64)
-        t = pa.table({"ym": ym, "cents": cents})
-        return t.group_by(["ym"]).aggregate([("cents", "sum")]) \
-            .rename_columns(["ym", "cents"])
+        return pa.table({"ym": ym, "cents": cents})
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by(["ym"]).aggregate([("cents", "sum")])
+    def finish(g: pa.Table) -> pa.Table:
         ym = [int(v) for v in g["ym"].to_pylist()]
-        cents = [int(v) for v in g["cents_sum"].to_pylist()]
+        cents = [int(v) for v in g["cents"].to_pylist()]
         by = dict(zip(ym, cents))
         order = sorted(range(len(ym)), key=lambda i: ym[i])
         out_m, out_c, out_y = [], [], []
@@ -9515,9 +9057,8 @@ def _orders_monthly_yoy(sf_dir: str):
             "revenue_cents": pa.array(out_c, pa.int64()),
             "yoy": pa.array(out_y, pa.float64())})
 
-    return driver_merge(
-        ds.map_batches(partial, batch_format="pyarrow",
-                       batch_size=131072), merge,
+    return combine(
+        ds, "ym", sums=("cents",), prep=prep, finish=finish, batch_size=131072,
         schema=pa.schema([("ym", pa.int64()), ("cents", pa.int64())]))
 
 
@@ -9538,7 +9079,7 @@ def _nation_balance_spend_r2(sf_dir: str):
     import pyarrow.parquet as pq
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     cust = pq.read_table(f"{sf_dir}/customer.parquet",
                          columns=["c_custkey", "c_nationkey",
@@ -9553,17 +9094,14 @@ def _nation_balance_spend_r2(sf_dir: str):
     ds = rd.read_parquet(f"{sf_dir}/orders.parquet",
                          columns=["o_custkey", "o_totalprice"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         c = batch["o_custkey"].to_numpy(zero_copy_only=False) \
             .astype(np.int64)
         cents = np.floor(batch["o_totalprice"].to_numpy(
             zero_copy_only=False) * 100 + 0.5).astype(np.int64)
-        t = pa.table({"ck": c, "cents": cents})
-        return t.group_by(["ck"]).aggregate([("cents", "sum")]) \
-            .rename_columns(["ck", "cents"])
+        return pa.table({"ck": c, "cents": cents})
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by(["ck"]).aggregate([("cents", "sum")])
+    def finish(g: pa.Table) -> pa.Table:
         c = g["ck"].to_numpy(zero_copy_only=False)
         empty = pa.table({
             "c_nationkey": pa.array([], pa.int64()),
@@ -9571,7 +9109,7 @@ def _nation_balance_spend_r2(sf_dir: str):
             "r2_signed": pa.array([], pa.float64())})
         if c.shape[0] == 0 or ck.shape[0] == 0:
             return empty
-        y = g["cents_sum"].to_numpy(zero_copy_only=False)
+        y = g["cents"].to_numpy(zero_copy_only=False)
         pos = np.minimum(np.searchsorted(ck, c), ck.shape[0] - 1)
         sel = ck[pos] == c
         nat, x, y = nk[pos[sel]], bal[pos[sel]], y[sel]
@@ -9607,9 +9145,8 @@ def _nation_balance_spend_r2(sf_dir: str):
             "n": pa.array(out_c, pa.int64()),
             "r2_signed": pa.array(out_r, pa.float64())})
 
-    return driver_merge(
-        ds.map_batches(partial, batch_format="pyarrow",
-                       batch_size=131072), merge,
+    return combine(
+        ds, "ck", sums=("cents",), prep=prep, finish=finish, batch_size=131072,
         schema=pa.schema([("ck", pa.int64()), ("cents", pa.int64())]))
 
 
@@ -9802,7 +9339,7 @@ def _nation_order_gini(sf_dir: str):
     import pyarrow.parquet as pq
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     cust = pq.read_table(f"{sf_dir}/customer.parquet",
                          columns=["c_custkey", "c_nationkey"])
@@ -9814,17 +9351,14 @@ def _nation_order_gini(sf_dir: str):
     ds = rd.read_parquet(f"{sf_dir}/orders.parquet",
                          columns=["o_custkey", "o_totalprice"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         c = batch["o_custkey"].to_numpy(zero_copy_only=False) \
             .astype(np.int64)
         cents = np.floor(batch["o_totalprice"].to_numpy(
             zero_copy_only=False) * 100 + 0.5).astype(np.int64)
-        t = pa.table({"ck": c, "cents": cents})
-        return t.group_by(["ck"]).aggregate([("cents", "sum")]) \
-            .rename_columns(["ck", "cents"])
+        return pa.table({"ck": c, "cents": cents})
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by(["ck"]).aggregate([("cents", "sum")])
+    def finish(g: pa.Table) -> pa.Table:
         c = g["ck"].to_numpy(zero_copy_only=False)
         empty = pa.table({
             "c_nationkey": pa.array([], pa.int64()),
@@ -9832,7 +9366,7 @@ def _nation_order_gini(sf_dir: str):
             "gini": pa.array([], pa.float64())})
         if c.shape[0] == 0 or ck.shape[0] == 0:
             return empty
-        cents = g["cents_sum"].to_numpy(zero_copy_only=False)
+        cents = g["cents"].to_numpy(zero_copy_only=False)
         pos = np.minimum(np.searchsorted(ck, c), ck.shape[0] - 1)
         sel = ck[pos] == c
         nat, cents = nk[pos[sel]], cents[sel]
@@ -9857,9 +9391,8 @@ def _nation_order_gini(sf_dir: str):
             "num_customers": pa.array(out_c, pa.int64()),
             "gini": pa.array(out_g, pa.float64())})
 
-    return driver_merge(
-        ds.map_batches(partial, batch_format="pyarrow",
-                       batch_size=131072), merge,
+    return combine(
+        ds, "ck", sums=("cents",), prep=prep, finish=finish, batch_size=131072,
         schema=pa.schema([("ck", pa.int64()), ("cents", pa.int64())]))
 
 
@@ -9877,22 +9410,18 @@ def _events_daily_autocorr(sf_dir: str):
     import pyarrow as pa
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     ds = rd.read_parquet(f"{sf_dir}/events.parquet",
                          columns=["event_type", "ts"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         us = batch["ts"].to_numpy(zero_copy_only=False) \
             .astype("datetime64[us]").astype(np.int64)
-        t = pa.table({"event_type": batch["event_type"],
-                      "day": us // 86_400_000_000,
-                      "x": np.ones(batch.num_rows, np.int64)})
-        return t.group_by(["event_type", "day"]).aggregate(
-            [("x", "sum")]).rename_columns(["event_type", "day", "x"])
+        return pa.table({"event_type": batch["event_type"],
+                         "day": us // 86_400_000_000})
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by(["event_type", "day"]).aggregate([("x", "sum")])
+    def finish(g: pa.Table) -> pa.Table:
         et = g["event_type"].to_numpy(zero_copy_only=False)
         if et.shape[0] == 0:
             return pa.table({
@@ -9900,7 +9429,7 @@ def _events_daily_autocorr(sf_dir: str):
                 "num_days": pa.array([], pa.int64()),
                 "autocorr_lag1": pa.array([], pa.float64())})
         day = g["day"].to_numpy(zero_copy_only=False)
-        x = g["x_sum"].to_numpy(zero_copy_only=False)
+        x = g["x"].to_numpy(zero_copy_only=False)
         o = np.lexsort((day, et))
         et, x = et[o], x[o]
         starts = np.flatnonzero(np.r_[True, et[1:] != et[:-1]]).tolist()
@@ -9920,11 +9449,10 @@ def _events_daily_autocorr(sf_dir: str):
             "num_days": pa.array(out_n, pa.int64()),
             "autocorr_lag1": pa.array(out_r, pa.float64())})
 
-    return driver_merge(
-        ds.map_batches(partial, batch_format="pyarrow",
-                       batch_size=131072), merge,
-        schema=pa.schema([("event_type", pa.string()),
-                          ("day", pa.int64()), ("x", pa.int64())]))
+    return combine(ds, ["event_type", "day"], count="x", prep=prep,
+                   finish=finish, batch_size=131072,
+                   schema=pa.schema([("event_type", pa.string()),
+                                     ("day", pa.int64()), ("x", pa.int64())]))
 
 
 def _docs_lang_source_chi2(sf_dir: str):
@@ -9935,28 +9463,21 @@ def _docs_lang_source_chi2(sf_dir: str):
     ONE IEEE division, so the HUGEINT SQL mirror hashes bit-identically
     despite the float output). Cell space is |langs| × |sources|
     bounded; one combiner pass."""
-    import numpy as np
     import pyarrow as pa
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
                          columns=["lang", "source"])
 
-    def partial(batch: pa.Table) -> pa.Table:
-        t = pa.table({"lang": batch["lang"], "source": batch["source"],
-                      "observed": np.ones(batch.num_rows, np.int64)})
-        return t.group_by(["lang", "source"]).aggregate(
-            [("observed", "sum")]) \
-            .rename_columns(["lang", "source", "observed"])
+    def prep(batch: pa.Table) -> pa.Table:
+        return pa.table({"lang": batch["lang"], "source": batch["source"]})
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by(["lang", "source"]).aggregate(
-            [("observed", "sum")])
+    def finish(g: pa.Table) -> pa.Table:
         lang = g["lang"].to_pylist()
         src = g["source"].to_pylist()
-        o = [int(x) for x in g["observed_sum"].to_pylist()]
+        o = [int(x) for x in g["observed"].to_pylist()]
         tot = sum(o)
         rr: dict = {}
         cc: dict = {}
@@ -9974,12 +9495,11 @@ def _docs_lang_source_chi2(sf_dir: str):
             "chi2_contrib": pa.array([contrib[i] for i in order],
                                      pa.float64())})
 
-    return driver_merge(
-        ds.map_batches(partial, batch_format="pyarrow",
-                       batch_size=131072), merge,
-        schema=pa.schema([("lang", pa.string()),
-                          ("source", pa.string()),
-                          ("observed", pa.int64())]))
+    return combine(ds, ["lang", "source"], count="observed", prep=prep,
+                   finish=finish, batch_size=131072,
+                   schema=pa.schema([("lang", pa.string()),
+                                     ("source", pa.string()),
+                                     ("observed", pa.int64())]))
 
 
 def _monthly_top_revenue_days(sf_dir: str):
@@ -9991,32 +9511,29 @@ def _monthly_top_revenue_days(sf_dir: str):
     import pyarrow as pa
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     ds = rd.read_parquet(f"{sf_dir}/lineitem.parquet",
                          columns=["l_shipdate", "l_extendedprice",
                                   "l_discount"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         d = batch["l_shipdate"].to_numpy(zero_copy_only=False) \
             .astype("datetime64[D]")
         cents = np.floor(
             batch["l_extendedprice"].to_numpy(zero_copy_only=False)
             * (1 - batch["l_discount"].to_numpy(zero_copy_only=False))
             * 100 + 0.5).astype(np.int64)
-        t = pa.table({"day": d.astype(np.int64), "cents": cents})
-        return t.group_by("day").aggregate([("cents", "sum")]) \
-            .rename_columns(["day", "cents"])
+        return pa.table({"day": d.astype(np.int64), "cents": cents})
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by("day").aggregate([("cents", "sum")])
+    def finish(g: pa.Table) -> pa.Table:
         day = g["day"].to_numpy(zero_copy_only=False)
         if day.shape[0] == 0:
             return pa.table({"month": pa.array([], pa.string()),
                              "day": pa.array([], pa.string()),
                              "revenue_cents": pa.array([], pa.int64()),
                              "rnk": pa.array([], pa.int64())})
-        cents = g["cents_sum"].to_numpy(zero_copy_only=False)
+        cents = g["cents"].to_numpy(zero_copy_only=False)
         d64 = day.astype("datetime64[D]")
         month = d64.astype("datetime64[M]").astype(np.int64)
         order = np.lexsort((day, -cents, month))
@@ -10037,9 +9554,9 @@ def _monthly_top_revenue_days(sf_dir: str):
                 d[keep].astype("datetime64[D]"))),
             "revenue_cents": c[keep], "rnk": rnk[keep]})
 
-    return driver_merge(
-        ds.map_batches(partial, batch_format="pyarrow",
-                       batch_size=131072), merge,
+    return combine(
+        ds, "day", sums=("cents",), prep=prep, finish=finish,
+        batch_size=131072,
         schema=pa.schema([("day", pa.int64()), ("cents", pa.int64())]))
 
 
@@ -10055,27 +9572,21 @@ def _customer_rfm_scores(sf_dir: str):
     import pyarrow as pa
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     ds = rd.read_parquet(f"{sf_dir}/orders.parquet",
                          columns=["o_custkey", "o_orderdate",
                                   "o_totalprice"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         day = batch["o_orderdate"].to_numpy(zero_copy_only=False) \
             .astype("datetime64[D]").astype(np.int64)
         cents = np.floor(batch["o_totalprice"].to_numpy(
             zero_copy_only=False) * 100 + 0.5).astype(np.int64)
-        t = pa.table({"c": batch["o_custkey"], "last_day": day,
-                      "freq": np.ones(day.shape[0], np.int64),
-                      "mon": cents})
-        return t.group_by("c").aggregate(
-            [("last_day", "max"), ("freq", "sum"), ("mon", "sum")]) \
-            .rename_columns(["c", "last_day", "freq", "mon"])
+        return pa.table({"c": batch["o_custkey"], "last_day": day,
+                         "mon": cents})
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by("c").aggregate(
-            [("last_day", "max"), ("freq", "sum"), ("mon", "sum")])
+    def finish(g: pa.Table) -> pa.Table:
         c = g["c"].to_numpy(zero_copy_only=False)
         if c.shape[0] == 0:
             return pa.table({"c_custkey": pa.array([], pa.int64()),
@@ -10083,9 +9594,9 @@ def _customer_rfm_scores(sf_dir: str):
                              "f_score": pa.array([], pa.int64()),
                              "m_score": pa.array([], pa.int64()),
                              "rfm": pa.array([], pa.int64())})
-        last = g["last_day_max"].to_numpy(zero_copy_only=False)
-        freq = g["freq_sum"].to_numpy(zero_copy_only=False)
-        mon = g["mon_sum"].to_numpy(zero_copy_only=False)
+        last = g["last_day"].to_numpy(zero_copy_only=False)
+        freq = g["freq"].to_numpy(zero_copy_only=False)
+        mon = g["mon"].to_numpy(zero_copy_only=False)
         rec = last.max() - last
         r = _ntile(rec, c, 4)
         f = _ntile(freq, c, 4)
@@ -10096,9 +9607,9 @@ def _customer_rfm_scores(sf_dir: str):
                          "m_score": m[order],
                          "rfm": (100 * r + 10 * f + m)[order]})
 
-    return driver_merge(
-        ds.map_batches(partial, batch_format="pyarrow",
-                       batch_size=131072), merge,
+    return combine(
+        ds, "c", count="freq", sums=("mon",), maxs=("last_day",), prep=prep,
+        finish=finish, batch_size=131072,
         schema=pa.schema([("c", pa.int64()), ("last_day", pa.int64()),
                           ("freq", pa.int64()), ("mon", pa.int64())]))
 
@@ -10112,32 +9623,24 @@ def _lineitem_benford(sf_dir: str):
     import pyarrow as pa
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     ds = rd.read_parquet(f"{sf_dir}/lineitem.parquet",
                          columns=["l_extendedprice"])
     pow10 = 10 ** np.arange(19, dtype=np.int64)
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         cents = np.floor(batch["l_extendedprice"].to_numpy(
             zero_copy_only=False) * 100 + 0.5).astype(np.int64)
         cents = cents[cents > 0]
         mag = np.searchsorted(pow10, cents, side="right") - 1
         digit = cents // pow10[mag]
-        t = pa.table({"digit": digit,
-                      "n_rows": np.ones(digit.shape[0], np.int64)})
-        return t.group_by("digit").aggregate([("n_rows", "sum")]) \
-            .rename_columns(["digit", "n_rows"])
+        return pa.table({"digit": digit,
+                         "n_rows": np.ones(digit.shape[0], np.int64)})
 
-    def merge(t: pa.Table) -> pa.Table:
-        return t.group_by("digit").aggregate([("n_rows", "sum")]) \
-            .rename_columns(["digit", "n_rows"])
-
-    return driver_merge(
-        ds.map_batches(partial, batch_format="pyarrow",
-                       batch_size=131072), merge,
-        schema=pa.schema([("digit", pa.int64()),
-                          ("n_rows", pa.int64())]))
+    return combine(ds, "digit", sums=("n_rows",), prep=prep, batch_size=131072,
+                   schema=pa.schema([("digit", pa.int64()),
+                                     ("n_rows", pa.int64())]))
 
 
 def _events_session_concurrency(sf_dir: str):
@@ -10215,7 +9718,7 @@ def _brand_weighted_median_price(sf_dir: str):
     import ray
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     part = pq.read_table(f"{sf_dir}/part.parquet",
                          columns=["p_partkey", "p_brand"])
@@ -10231,7 +9734,7 @@ def _brand_weighted_median_price(sf_dir: str):
                          columns=["l_partkey", "l_quantity",
                                   "l_extendedprice"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         keys, code = ray.get(side_ref)
         p = batch["l_partkey"].to_numpy(zero_copy_only=False) \
             .astype(np.int64)
@@ -10245,19 +9748,16 @@ def _brand_weighted_median_price(sf_dir: str):
             zero_copy_only=False)[sel] * 100 + 0.5).astype(np.int64)
         qty = np.floor(batch["l_quantity"].to_numpy(
             zero_copy_only=False)[sel] * 100 + 0.5).astype(np.int64)
-        t = pa.table({"b": code[pos[sel]], "cents": cents, "qty": qty})
-        return t.group_by(["b", "cents"]).aggregate([("qty", "sum")]) \
-            .rename_columns(["b", "cents", "qty"])
+        return pa.table({"b": code[pos[sel]], "cents": cents, "qty": qty})
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by(["b", "cents"]).aggregate([("qty", "sum")])
+    def finish(g: pa.Table) -> pa.Table:
         b = g["b"].to_numpy(zero_copy_only=False)
         if b.shape[0] == 0:
             return pa.table({
                 "p_brand": pa.array([], pa.string()),
                 "wmedian_cents": pa.array([], pa.int64())})
         cents = g["cents"].to_numpy(zero_copy_only=False)
-        qty = g["qty_sum"].to_numpy(zero_copy_only=False)
+        qty = g["qty"].to_numpy(zero_copy_only=False)
         order = np.lexsort((cents, b))
         b, cents, qty = b[order], cents[order], qty[order]
         starts = np.flatnonzero(np.r_[True, b[1:] != b[:-1]]).tolist()
@@ -10271,11 +9771,10 @@ def _brand_weighted_median_price(sf_dir: str):
         return pa.table({"p_brand": pa.array(out_b, pa.string()),
                          "wmedian_cents": pa.array(out_m, pa.int64())})
 
-    return driver_merge(
-        li.map_batches(partial, batch_format="pyarrow",
-                       batch_size=131072), merge,
-        schema=pa.schema([("b", pa.int64()), ("cents", pa.int64()),
-                          ("qty", pa.int64())]))
+    return combine(li, ["b", "cents"], sums=("qty",), prep=prep, finish=finish,
+                   batch_size=131072,
+                   schema=pa.schema([("b", pa.int64()), ("cents", pa.int64()),
+                                     ("qty", pa.int64())]))
 
 
 def _docs_term_dictionary(sf_dir: str):
@@ -10488,12 +9987,12 @@ def _events_ks_purchase_click(sf_dir: str):
     import pyarrow.compute as pc
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     ds = rd.read_parquet(f"{sf_dir}/events.parquet",
                          columns=["event_type", "value"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         et = batch["event_type"]
         keep = pc.is_in(et, value_set=pa.array(["purchase", "click"]))
         batch = batch.filter(keep)
@@ -10502,15 +10001,10 @@ def _events_ks_purchase_click(sf_dir: str):
             + 0.5).astype(np.int64)
         is_a = pc.equal(batch["event_type"], "purchase") \
             .to_numpy(zero_copy_only=False)
-        uniq, inv = np.unique(cents, return_inverse=True)
-        na = np.zeros(uniq.shape[0], np.int64)
-        nb = np.zeros(uniq.shape[0], np.int64)
-        np.add.at(na, inv[is_a], 1)
-        np.add.at(nb, inv[~is_a], 1)
-        return pa.table({"c": uniq, "na": na, "nb": nb})
+        return pa.table({"c": cents, "na": is_a.astype(np.int64),
+                         "nb": (~is_a).astype(np.int64)})
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by("c").aggregate([("na", "sum"), ("nb", "sum")])
+    def finish(g: pa.Table) -> pa.Table:
         c = g["c"].to_numpy(zero_copy_only=False)
         empty = pa.table({
             "n_purchase": pa.array([], pa.int64()),
@@ -10520,8 +10014,8 @@ def _events_ks_purchase_click(sf_dir: str):
         if c.shape[0] == 0:
             return empty
         o = np.argsort(c)
-        na = g["na_sum"].to_numpy(zero_copy_only=False)[o].tolist()
-        nb = g["nb_sum"].to_numpy(zero_copy_only=False)[o].tolist()
+        na = g["na"].to_numpy(zero_copy_only=False)[o].tolist()
+        nb = g["nb"].to_numpy(zero_copy_only=False)[o].tolist()
         tot_a, tot_b = sum(na), sum(nb)
         ca = cb = 0
         d_num = 0
@@ -10539,11 +10033,10 @@ def _events_ks_purchase_click(sf_dir: str):
             "d_num": pa.array([d_num], pa.int64()),
             "ks_d": pa.array([ks], pa.float64())})
 
-    return driver_merge(
-        ds.map_batches(partial, batch_format="pyarrow",
-                       batch_size=131072), merge,
-        schema=pa.schema([("c", pa.int64()), ("na", pa.int64()),
-                          ("nb", pa.int64())]))
+    return combine(ds, "c", sums=("na", "nb"), prep=prep, finish=finish,
+                   batch_size=131072,
+                   schema=pa.schema([("c", pa.int64()), ("na", pa.int64()),
+                                     ("nb", pa.int64())]))
 
 
 def _users_simpson_hist(sf_dir: str):
@@ -10559,24 +10052,18 @@ def _users_simpson_hist(sf_dir: str):
     import pyarrow as pa
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     ds = rd.read_parquet(f"{sf_dir}/events.parquet",
                          columns=["user_id", "event_type"])
 
-    def partial(batch: pa.Table) -> pa.Table:
-        t = pa.table({"user_id": batch["user_id"],
-                      "event_type": batch["event_type"],
-                      "n": np.ones(batch.num_rows, np.int64)})
-        return t.group_by(["user_id", "event_type"]).aggregate(
-            [("n", "sum")]) \
-            .rename_columns(["user_id", "event_type", "n"])
+    def prep(batch: pa.Table) -> pa.Table:
+        return pa.table({"user_id": batch["user_id"],
+                         "event_type": batch["event_type"]})
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by(["user_id", "event_type"]).aggregate(
-            [("n", "sum")])
+    def finish(g: pa.Table) -> pa.Table:
         uid = g["user_id"].to_numpy(zero_copy_only=False)
-        n = g["n_sum"].to_numpy(zero_copy_only=False).astype(np.int64)
+        n = g["n"].to_numpy(zero_copy_only=False).astype(np.int64)
         uu, inv = np.unique(uid, return_inverse=True)
         tot = np.zeros(uu.shape[0], np.int64)
         sq = np.zeros(uu.shape[0], np.int64)
@@ -10589,12 +10076,11 @@ def _users_simpson_hist(sf_dir: str):
             "simpson_x100": pa.array(uv.astype(np.int64), pa.int64()),
             "n_users": pa.array(cnt.astype(np.int64), pa.int64())})
 
-    return driver_merge(
-        ds.map_batches(partial, batch_format="pyarrow",
-                       batch_size=131072), merge,
-        schema=pa.schema([("user_id", pa.int64()),
-                          ("event_type", pa.string()),
-                          ("n", pa.int64())]))
+    return combine(ds, ["user_id", "event_type"], count="n", prep=prep,
+                   finish=finish, batch_size=131072,
+                   schema=pa.schema([("user_id", pa.int64()),
+                                     ("event_type", pa.string()),
+                                     ("n", pa.int64())]))
 
 
 def _orders_runs_test(sf_dir: str):
@@ -10611,22 +10097,19 @@ def _orders_runs_test(sf_dir: str):
     import pyarrow as pa
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     ds = rd.read_parquet(f"{sf_dir}/orders.parquet",
                          columns=["o_orderdate", "o_totalprice"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         day = batch["o_orderdate"].to_numpy(zero_copy_only=False) \
             .astype("datetime64[us]").astype(np.int64) // 86_400_000_000
         cents = np.floor(batch["o_totalprice"].to_numpy(
             zero_copy_only=False) * 100 + 0.5).astype(np.int64)
-        t = pa.table({"day": day, "cents": cents})
-        return t.group_by("day").aggregate([("cents", "sum")]) \
-            .rename_columns(["day", "cents"])
+        return pa.table({"day": day, "cents": cents})
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by("day").aggregate([("cents", "sum")])
+    def finish(g: pa.Table) -> pa.Table:
         d = g["day"].to_numpy(zero_copy_only=False)
         empty = pa.table({
             "n_days": pa.array([], pa.int64()),
@@ -10636,7 +10119,7 @@ def _orders_runs_test(sf_dir: str):
             "z_runs": pa.array([], pa.float64())})
         if d.shape[0] == 0:
             return empty
-        cents = g["cents_sum"].to_numpy(zero_copy_only=False)
+        cents = g["cents"].to_numpy(zero_copy_only=False)
         o = np.argsort(d)
         cents = cents[o]
         n = int(cents.shape[0])
@@ -10659,9 +10142,9 @@ def _orders_runs_test(sf_dir: str):
             "n_runs": pa.array([runs], pa.int64()),
             "z_runs": pa.array([z], pa.float64())})
 
-    return driver_merge(
-        ds.map_batches(partial, batch_format="pyarrow",
-                       batch_size=131072), merge,
+    return combine(
+        ds, "day", sums=("cents",), prep=prep, finish=finish,
+        batch_size=131072,
         schema=pa.schema([("day", pa.int64()), ("cents", pa.int64())]))
 
 
@@ -10679,7 +10162,7 @@ def _nation_rank_spearman(sf_dir: str):
     import pyarrow.parquet as pq
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     cust = pq.read_table(f"{sf_dir}/customer.parquet",
                          columns=["c_custkey", "c_nationkey"])
@@ -10692,7 +10175,7 @@ def _nation_rank_spearman(sf_dir: str):
                          columns=["o_custkey", "o_orderdate",
                                   "o_totalprice"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         c = batch["o_custkey"].to_numpy(zero_copy_only=False) \
             .astype(np.int64)
         out_schema = pa.table({"nk": pa.array([], pa.int64()),
@@ -10706,9 +10189,7 @@ def _nation_rank_spearman(sf_dir: str):
              .astype("datetime64[Y]").astype(np.int64) + 1970)[sel]
         cents = np.floor(batch["o_totalprice"].to_numpy(
             zero_copy_only=False) * 100 + 0.5).astype(np.int64)[sel]
-        t = pa.table({"nk": nk[pos[sel]], "y": y, "cents": cents})
-        return t.group_by(["nk", "y"]).aggregate([("cents", "sum")]) \
-            .rename_columns(["nk", "y", "cents"])
+        return pa.table({"nk": nk[pos[sel]], "y": y, "cents": cents})
 
     def _ranks(nkk, cents):
         o = np.lexsort((nkk, -cents))
@@ -10716,8 +10197,7 @@ def _nation_rank_spearman(sf_dir: str):
         rk[o] = np.arange(1, o.shape[0] + 1)
         return rk
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by(["nk", "y"]).aggregate([("cents", "sum")])
+    def finish(g: pa.Table) -> pa.Table:
         nkk = g["nk"].to_numpy(zero_copy_only=False)
         empty = pa.table({
             "year_a": pa.array([], pa.int64()),
@@ -10728,7 +10208,7 @@ def _nation_rank_spearman(sf_dir: str):
         if nkk.shape[0] == 0:
             return empty
         y = g["y"].to_numpy(zero_copy_only=False)
-        cents = g["cents_sum"].to_numpy(zero_copy_only=False)
+        cents = g["cents"].to_numpy(zero_copy_only=False)
         ya, yb = int(y.min()), int(y.max())
         ma, mb = y == ya, y == yb
         na_k, ra = nkk[ma], _ranks(nkk[ma], cents[ma])
@@ -10752,11 +10232,10 @@ def _nation_rank_spearman(sf_dir: str):
             "sum_d2": pa.array([sd2], pa.int64()),
             "spearman_rho": pa.array([rho], pa.float64())})
 
-    return driver_merge(
-        ds.map_batches(partial, batch_format="pyarrow",
-                       batch_size=131072), merge,
-        schema=pa.schema([("nk", pa.int64()), ("y", pa.int64()),
-                          ("cents", pa.int64())]))
+    return combine(ds, ["nk", "y"], sums=("cents",), prep=prep, finish=finish,
+                   batch_size=131072,
+                   schema=pa.schema([("nk", pa.int64()), ("y", pa.int64()),
+                                     ("cents", pa.int64())]))
 
 
 def _customer_gap_hazard(sf_dir: str):
@@ -10773,7 +10252,7 @@ def _customer_gap_hazard(sf_dir: str):
     import pyarrow.compute as pc
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
     from h3ray.ops.window import window_lag_lead
 
     ds = rd.read_parquet(f"{sf_dir}/orders.parquet",
@@ -10784,7 +10263,7 @@ def _customer_gap_hazard(sf_dir: str):
 
     DAY_US = 86_400_000_000
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         valid = pc.is_valid(batch["prev_date"]).to_numpy(
             zero_copy_only=False)
         cur = batch["o_orderdate"].to_numpy(zero_copy_only=False) \
@@ -10792,12 +10271,9 @@ def _customer_gap_hazard(sf_dir: str):
         prev = batch["prev_date"].to_numpy(zero_copy_only=False) \
             .astype("datetime64[us]").astype(np.int64)[valid]
         gap = cur // DAY_US - prev // DAY_US
-        uniq, cnt = np.unique(gap, return_counts=True)
-        return pa.table({"gap_days": pa.array(uniq, pa.int64()),
-                         "n": pa.array(cnt.astype(np.int64))})
+        return pa.table({"gap_days": pa.array(gap, pa.int64())})
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by("gap_days").aggregate([("n", "sum")])
+    def finish(g: pa.Table) -> pa.Table:
         gd = g["gap_days"].to_numpy(zero_copy_only=False)
         if gd.shape[0] == 0:
             return pa.table({
@@ -10805,7 +10281,7 @@ def _customer_gap_hazard(sf_dir: str):
                 "n_gaps": pa.array([], pa.int64()),
                 "n_at_risk": pa.array([], pa.int64()),
                 "hazard": pa.array([], pa.float64())})
-        n = g["n_sum"].to_numpy(zero_copy_only=False)
+        n = g["n"].to_numpy(zero_copy_only=False)
         o = np.argsort(gd)
         gd, n = gd[o], n[o]
         at_risk = np.cumsum(n[::-1])[::-1]
@@ -10816,9 +10292,8 @@ def _customer_gap_hazard(sf_dir: str):
             "hazard": pa.array(n.astype(np.float64)
                                / at_risk.astype(np.float64))})
 
-    return driver_merge(
-        w.map_batches(partial, batch_format="pyarrow",
-                      batch_size=131072), merge,
+    return combine(
+        w, "gap_days", count="n", prep=prep, finish=finish, batch_size=131072,
         schema=pa.schema([("gap_days", pa.int64()), ("n", pa.int64())]))
 
 
@@ -10836,7 +10311,7 @@ def _events_markov_stationary(sf_dir: str):
     import pyarrow as pa
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine, driver_merge
     from h3ray.ops.window import partitioned_transitions
 
     ds = rd.read_parquet(f"{sf_dir}/events.parquet",
@@ -10864,12 +10339,10 @@ def _events_markov_stationary(sf_dir: str):
                              batch_size=131072), type_merge,
         schema=pa.schema([("t", pa.string())]))["t"].to_pylist()
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by(["prev_type", "event_type"]).aggregate(
-            [("n", "sum")])
+    def finish(g: pa.Table) -> pa.Table:
         src = g["prev_type"].to_pylist()
         dst = g["event_type"].to_pylist()
-        n = [int(x) for x in g["n_sum"].to_pylist()]
+        n = [int(x) for x in g["n"].to_pylist()]
         rowsum: dict = {}
         for s, c in zip(src, n):
             rowsum[s] = rowsum.get(s, 0) + c
@@ -10886,9 +10359,10 @@ def _events_markov_stationary(sf_dir: str):
             "stationary_fp": pa.array([v[k] for k in keys],
                                       pa.int64())})
 
-    return driver_merge(pairs, merge, schema=pa.schema(
-        [("prev_type", pa.string()), ("event_type", pa.string()),
-         ("n", pa.int64())]))
+    return combine(pairs, ["prev_type", "event_type"], sums=("n",),
+                   finish=finish, schema=pa.schema(
+                       [("prev_type", pa.string()),
+                        ("event_type", pa.string()), ("n", pa.int64())]))
 
 
 def _part_size_price_kendall(sf_dir: str):
@@ -10906,25 +10380,21 @@ def _part_size_price_kendall(sf_dir: str):
     import pyarrow as pa
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     ds = rd.read_parquet(f"{sf_dir}/part.parquet",
                          columns=["p_brand", "p_size",
                                   "p_retailprice"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         cents = np.floor(batch["p_retailprice"].to_numpy(
             zero_copy_only=False) * 100 + 0.5).astype(np.int64)
-        t = pa.table({"brand": batch["p_brand"],
-                      "x": batch["p_size"].to_numpy(
-                          zero_copy_only=False).astype(np.int64),
-                      "y": cents,
-                      "n": np.ones(cents.shape[0], np.int64)})
-        return t.group_by(["brand", "x", "y"]).aggregate(
-            [("n", "sum")]).rename_columns(["brand", "x", "y", "n"])
+        return pa.table({"brand": batch["p_brand"],
+                         "x": batch["p_size"].to_numpy(
+                             zero_copy_only=False).astype(np.int64),
+                         "y": cents})
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by(["brand", "x", "y"]).aggregate([("n", "sum")])
+    def finish(g: pa.Table) -> pa.Table:
         br = g["brand"].to_numpy(zero_copy_only=False)
         empty = pa.table({
             "p_brand": pa.array([], pa.string()),
@@ -10935,7 +10405,7 @@ def _part_size_price_kendall(sf_dir: str):
             return empty
         x = g["x"].to_numpy(zero_copy_only=False)
         y = g["y"].to_numpy(zero_copy_only=False)
-        w = g["n_sum"].to_numpy(zero_copy_only=False)
+        w = g["n"].to_numpy(zero_copy_only=False)
         out_b, out_n, out_cmd, out_tau = [], [], [], []
         for b in np.unique(br):
             m = br == b
@@ -10982,11 +10452,10 @@ def _part_size_price_kendall(sf_dir: str):
             "c_minus_d": pa.array(out_cmd, pa.int64()),
             "tau_b": pa.array(out_tau, pa.float64())})
 
-    return driver_merge(
-        ds.map_batches(partial, batch_format="pyarrow",
-                       batch_size=131072), merge,
-        schema=pa.schema([("brand", pa.string()), ("x", pa.int64()),
-                          ("y", pa.int64()), ("n", pa.int64())]))
+    return combine(ds, ["brand", "x", "y"], count="n", prep=prep,
+                   finish=finish, batch_size=131072,
+                   schema=pa.schema([("brand", pa.string()), ("x", pa.int64()),
+                                     ("y", pa.int64()), ("n", pa.int64())]))
 
 
 def _lineitem_qty_anova(sf_dir: str):
@@ -11001,33 +10470,28 @@ def _lineitem_qty_anova(sf_dir: str):
     import pyarrow as pa
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     ds = rd.read_parquet(f"{sf_dir}/lineitem.parquet",
                          columns=["l_returnflag", "l_quantity"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         q = batch["l_quantity"].to_numpy(zero_copy_only=False) \
             .astype(np.int64)
-        t = pa.table({"f": batch["l_returnflag"],
-                      "n": np.ones(q.shape[0], np.int64),
-                      "s": q, "q2": q * q})
-        return t.group_by("f").aggregate(
-            [("n", "sum"), ("s", "sum"), ("q2", "sum")]) \
-            .rename_columns(["f", "n", "s", "q2"])
+        return pa.table({"f": batch["l_returnflag"],
+                         "n": np.ones(q.shape[0], np.int64),
+                         "s": q, "q2": q * q})
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by("f").aggregate(
-            [("n", "sum"), ("s", "sum"), ("q2", "sum")])
+    def finish(g: pa.Table) -> pa.Table:
         empty = pa.table({
             "n_lines": pa.array([], pa.int64()),
             "k_groups": pa.array([], pa.int64()),
             "f_stat": pa.array([], pa.float64())})
         if g.num_rows == 0:
             return empty
-        ns = [int(v) for v in g["n_sum"].to_pylist()]
-        ss = [int(v) for v in g["s_sum"].to_pylist()]
-        qs = [int(v) for v in g["q2_sum"].to_pylist()]
+        ns = [int(v) for v in g["n"].to_pylist()]
+        ss = [int(v) for v in g["s"].to_pylist()]
+        qs = [int(v) for v in g["q2"].to_pylist()]
         k = len(ns)
         big_n, big_s, big_q = sum(ns), sum(ss), sum(qs)
         pp = 1
@@ -11045,11 +10509,10 @@ def _lineitem_qty_anova(sf_dir: str):
             "k_groups": pa.array([k], pa.int64()),
             "f_stat": pa.array([f], pa.float64())})
 
-    return driver_merge(
-        ds.map_batches(partial, batch_format="pyarrow",
-                       batch_size=131072), merge,
-        schema=pa.schema([("f", pa.string()), ("n", pa.int64()),
-                          ("s", pa.int64()), ("q2", pa.int64())]))
+    return combine(ds, "f", sums=("n", "s", "q2"), prep=prep, finish=finish,
+                   batch_size=131072,
+                   schema=pa.schema([("f", pa.string()), ("n", pa.int64()),
+                                     ("s", pa.int64()), ("q2", pa.int64())]))
 
 
 def _docs_ari_by_lang(sf_dir: str):
@@ -11065,12 +10528,12 @@ def _docs_ari_by_lang(sf_dir: str):
     import pyarrow.compute as pc
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
                          columns=["lang", "text"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         txt = batch["text"]
         chars = pc.subtract(
             pc.utf8_length(txt),
@@ -11080,23 +10543,16 @@ def _docs_ari_by_lang(sf_dir: str):
             zero_copy_only=False).astype(np.int64)
         sents = pc.count_substring_regex(txt, r"[.!?]+").to_numpy(
             zero_copy_only=False).astype(np.int64)
-        t = pa.table({"lang": batch["lang"],
-                      "n_docs": np.ones(words.shape[0], np.int64),
-                      "c": chars, "w": words, "s": sents})
-        return t.group_by("lang").aggregate(
-            [("n_docs", "sum"), ("c", "sum"), ("w", "sum"),
-             ("s", "sum")]) \
-            .rename_columns(["lang", "n_docs", "c", "w", "s"])
+        return pa.table({"lang": batch["lang"],
+                         "n_docs": np.ones(words.shape[0], np.int64),
+                         "c": chars, "w": words, "s": sents})
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by("lang").aggregate(
-            [("n_docs", "sum"), ("c", "sum"), ("w", "sum"),
-             ("s", "sum")])
+    def finish(g: pa.Table) -> pa.Table:
         langs = g["lang"].to_pylist()
-        nd = [int(v) for v in g["n_docs_sum"].to_pylist()]
-        c = [int(v) for v in g["c_sum"].to_pylist()]
-        w = [int(v) for v in g["w_sum"].to_pylist()]
-        s = [int(v) for v in g["s_sum"].to_pylist()]
+        nd = [int(v) for v in g["n_docs"].to_pylist()]
+        c = [int(v) for v in g["c"].to_pylist()]
+        w = [int(v) for v in g["w"].to_pylist()]
+        s = [int(v) for v in g["s"].to_pylist()]
         ari = [None if wi == 0 or si == 0
                else 4.71 * (float(ci) / float(wi))
                + 0.5 * (float(wi) / float(si)) - 21.43
@@ -11109,9 +10565,9 @@ def _docs_ari_by_lang(sf_dir: str):
             "n_sentences": pa.array(s, pa.int64()),
             "ari": pa.array(ari, pa.float64())})
 
-    return driver_merge(
-        ds.map_batches(partial, batch_format="pyarrow",
-                       batch_size=32768), merge,
+    return combine(
+        ds, "lang", sums=("n_docs", "c", "w", "s"), prep=prep, finish=finish,
+        batch_size=32768,
         schema=pa.schema([("lang", pa.string()), ("n_docs", pa.int64()),
                           ("c", pa.int64()), ("w", pa.int64()),
                           ("s", pa.int64())]))
@@ -11129,7 +10585,7 @@ def _docs_jaccard_threshold_curve(sf_dir: str):
     import pyarrow as pa
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
     from h3ray.text.dedup import ngram_jaccard_pairs
 
     ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
@@ -11138,28 +10594,26 @@ def _docs_jaccard_threshold_curve(sf_dir: str):
 
     THRESH = np.arange(5, 10, dtype=np.int64)
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         j = batch["jaccard"].to_numpy(zero_copy_only=False)
         n = np.array([int((j >= np.float64(tx) / 10.0).sum())
                       for tx in THRESH], np.int64)
         return pa.table({"threshold_x10": THRESH, "n": n})
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by("threshold_x10").aggregate([("n", "sum")])
+    def finish(g: pa.Table) -> pa.Table:
         have = {int(k): int(v) for k, v in
                 zip(g["threshold_x10"].to_pylist(),
-                    g["n_sum"].to_pylist())}
+                    g["n"].to_pylist())}
         return pa.table({
             "threshold_x10": pa.array([int(tx) for tx in THRESH],
                                       pa.int64()),
             "n_pairs": pa.array([have.get(int(tx), 0)
                                  for tx in THRESH], pa.int64())})
 
-    return driver_merge(
-        pairs.map_batches(partial, batch_format="pyarrow",
-                          batch_size=131072), merge,
-        schema=pa.schema([("threshold_x10", pa.int64()),
-                          ("n", pa.int64())]))
+    return combine(pairs, "threshold_x10", sums=("n",), prep=prep,
+                   finish=finish, batch_size=131072,
+                   schema=pa.schema([("threshold_x10", pa.int64()),
+                                     ("n", pa.int64())]))
 
 
 def _orders_mann_kendall(sf_dir: str):
@@ -11175,23 +10629,20 @@ def _orders_mann_kendall(sf_dir: str):
     import pyarrow as pa
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     ds = rd.read_parquet(f"{sf_dir}/orders.parquet",
                          columns=["o_orderdate", "o_totalprice"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         dt = batch["o_orderdate"].to_numpy(zero_copy_only=False)
         ym = dt.astype("datetime64[M]").astype(np.int64)
         mk = (ym // 12 + 1970) * 100 + (ym % 12 + 1)
         cents = np.floor(batch["o_totalprice"].to_numpy(
             zero_copy_only=False) * 100 + 0.5).astype(np.int64)
-        t = pa.table({"mk": mk, "cents": cents})
-        return t.group_by("mk").aggregate([("cents", "sum")]) \
-            .rename_columns(["mk", "cents"])
+        return pa.table({"mk": mk, "cents": cents})
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by("mk").aggregate([("cents", "sum")])
+    def finish(g: pa.Table) -> pa.Table:
         mk = g["mk"].to_numpy(zero_copy_only=False)
         empty = pa.table({
             "n_months": pa.array([], pa.int64()),
@@ -11200,7 +10651,7 @@ def _orders_mann_kendall(sf_dir: str):
             "z_mk": pa.array([], pa.float64())})
         if mk.shape[0] == 0:
             return empty
-        cents = g["cents_sum"].to_numpy(zero_copy_only=False)
+        cents = g["cents"].to_numpy(zero_copy_only=False)
         cc = cents[np.argsort(mk)]
         n = int(cc.shape[0])
         iu, iv = np.triu_indices(n, k=1)
@@ -11223,9 +10674,8 @@ def _orders_mann_kendall(sf_dir: str):
             "var_num": pa.array([vnum], pa.int64()),
             "z_mk": pa.array([z], pa.float64())})
 
-    return driver_merge(
-        ds.map_batches(partial, batch_format="pyarrow",
-                       batch_size=131072), merge,
+    return combine(
+        ds, "mk", sums=("cents",), prep=prep, finish=finish, batch_size=131072,
         schema=pa.schema([("mk", pa.int64()), ("cents", pa.int64())]))
 
 
@@ -11253,13 +10703,13 @@ def _emb_dim_covariance(sf_dir: str):
     import pyarrow as pa
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
     from h3ray.pipelines.ann import _embedding_matrix
 
     ds = rd.read_parquet(f"{sf_dir}/embeddings.parquet",
                          columns=["embedding"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         x = _embedding_matrix(batch, "embedding", dtype=np.float64)
         micro = np.floor(x * 1_000_000 + 0.5).astype(np.int64)
         d = micro.shape[1]
@@ -11274,8 +10724,7 @@ def _emb_dim_covariance(sf_dir: str):
                          "dj": dj.astype(np.int64),
                          "v": val.astype(np.int64)})
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by(["di", "dj"]).aggregate([("v", "sum")])
+    def finish(g: pa.Table) -> pa.Table:
         di = g["di"].to_numpy(zero_copy_only=False)
         empty = pa.table({
             "dim_i": pa.array([], pa.int64()),
@@ -11286,7 +10735,7 @@ def _emb_dim_covariance(sf_dir: str):
         if di.shape[0] == 0:
             return empty
         dj = g["dj"].to_numpy(zero_copy_only=False)
-        v = g["v_sum"].to_numpy(zero_copy_only=False)
+        v = g["v"].to_numpy(zero_copy_only=False)
         n = int(v[(di == 0) & (dj == 0)][0])
         sums = {int(a): int(x) for a, b, x in zip(di, dj, v) if b == -1}
         out_i, out_j, out_num, out_cov = [], [], [], []
@@ -11307,11 +10756,10 @@ def _emb_dim_covariance(sf_dir: str):
             "cov_num": pa.array(out_num, pa.float64()),
             "cov": pa.array(out_cov, pa.float64())})
 
-    return driver_merge(
-        ds.map_batches(partial, batch_format="pyarrow",
-                       batch_size=32768), merge,
-        schema=pa.schema([("di", pa.int64()), ("dj", pa.int64()),
-                          ("v", pa.int64())]))
+    return combine(ds, ["di", "dj"], sums=("v",), prep=prep, finish=finish,
+                   batch_size=32768,
+                   schema=pa.schema([("di", pa.int64()), ("dj", pa.int64()),
+                                     ("v", pa.int64())]))
 
 
 def _events_type_trigrams_topk(sf_dir: str):
@@ -11324,7 +10772,7 @@ def _events_type_trigrams_topk(sf_dir: str):
     import pyarrow as pa
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
     from h3ray.ops.window import partitioned_trigrams
 
     ds = rd.read_parquet(f"{sf_dir}/events.parquet",
@@ -11333,8 +10781,7 @@ def _events_type_trigrams_topk(sf_dir: str):
     tri = partitioned_trigrams(ds, "user_id", "ts", "event_type",
                                tiebreak_col="event_id")
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by(["t1", "t2", "t3"]).aggregate([("n", "sum")])
+    def finish(g: pa.Table) -> pa.Table:
         if g.num_rows == 0:
             return pa.table({
                 "t1": pa.array([], pa.string()),
@@ -11343,7 +10790,7 @@ def _events_type_trigrams_topk(sf_dir: str):
                 "n_seqs": pa.array([], pa.int64())})
         rows = sorted(zip(g["t1"].to_pylist(), g["t2"].to_pylist(),
                           g["t3"].to_pylist(),
-                          [int(x) for x in g["n_sum"].to_pylist()]),
+                          [int(x) for x in g["n"].to_pylist()]),
                       key=lambda r: (-r[3], r[0], r[1], r[2]))[:15]
         return pa.table({
             "t1": pa.array([r[0] for r in rows], pa.string()),
@@ -11351,9 +10798,10 @@ def _events_type_trigrams_topk(sf_dir: str):
             "t3": pa.array([r[2] for r in rows], pa.string()),
             "n_seqs": pa.array([r[3] for r in rows], pa.int64())})
 
-    return driver_merge(tri, merge, schema=pa.schema(
-        [("t1", pa.string()), ("t2", pa.string()),
-         ("t3", pa.string()), ("n", pa.int64())]))
+    return combine(tri, ["t1", "t2", "t3"], sums=("n",), finish=finish,
+                   schema=pa.schema(
+                       [("t1", pa.string()), ("t2", pa.string()),
+                        ("t3", pa.string()), ("n", pa.int64())]))
 
 
 def _docs_simhash_bit_bias(sf_dir: str):
@@ -11367,7 +10815,7 @@ def _docs_simhash_bit_bias(sf_dir: str):
     import pyarrow as pa
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
     from h3ray.text.dedup import simhash_stage
 
     ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
@@ -11377,7 +10825,7 @@ def _docs_simhash_bit_bias(sf_dir: str):
 
     BITS = np.arange(64, dtype=np.uint64)
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         fp = batch["simhash"].to_numpy(zero_copy_only=False) \
             .astype(np.int64).view(np.uint64)
         ones = ((fp[:, None] >> BITS[None, :])
@@ -11387,9 +10835,7 @@ def _docs_simhash_bit_bias(sf_dir: str):
             "n_ones": ones,
             "n_docs": np.full(64, fp.shape[0], np.int64)})
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by("bit").aggregate(
-            [("n_ones", "sum"), ("n_docs", "sum")])
+    def finish(g: pa.Table) -> pa.Table:
         b = g["bit"].to_numpy(zero_copy_only=False)
         if b.shape[0] == 0:
             return pa.table({
@@ -11398,8 +10844,8 @@ def _docs_simhash_bit_bias(sf_dir: str):
                 "n_docs": pa.array([], pa.int64()),
                 "bias": pa.array([], pa.float64())})
         o = np.argsort(b)
-        ones = g["n_ones_sum"].to_numpy(zero_copy_only=False)[o]
-        nd = g["n_docs_sum"].to_numpy(zero_copy_only=False)[o]
+        ones = g["n_ones"].to_numpy(zero_copy_only=False)[o]
+        nd = g["n_docs"].to_numpy(zero_copy_only=False)[o]
         return pa.table({
             "bit": pa.array(b[o].astype(np.int64)),
             "n_ones": pa.array(ones.astype(np.int64)),
@@ -11407,9 +10853,9 @@ def _docs_simhash_bit_bias(sf_dir: str):
             "bias": pa.array(ones.astype(np.float64)
                              / nd.astype(np.float64))})
 
-    return driver_merge(
-        sh.map_batches(partial, batch_format="pyarrow",
-                       batch_size=131072), merge,
+    return combine(
+        sh, "bit", sums=("n_ones", "n_docs"), prep=prep, finish=finish,
+        batch_size=131072,
         schema=pa.schema([("bit", pa.int64()), ("n_ones", pa.int64()),
                           ("n_docs", pa.int64())]))
 
@@ -11520,22 +10966,19 @@ def _orders_cusum_changepoint(sf_dir: str):
     import pyarrow as pa
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     ds = rd.read_parquet(f"{sf_dir}/orders.parquet",
                          columns=["o_orderdate", "o_totalprice"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         day = batch["o_orderdate"].to_numpy(zero_copy_only=False) \
             .astype("datetime64[us]").astype(np.int64) // 86_400_000_000
         cents = np.floor(batch["o_totalprice"].to_numpy(
             zero_copy_only=False) * 100 + 0.5).astype(np.int64)
-        t = pa.table({"day": day, "cents": cents})
-        return t.group_by("day").aggregate([("cents", "sum")]) \
-            .rename_columns(["day", "cents"])
+        return pa.table({"day": day, "cents": cents})
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by("day").aggregate([("cents", "sum")])
+    def finish(g: pa.Table) -> pa.Table:
         d = g["day"].to_numpy(zero_copy_only=False)
         if d.shape[0] == 0:
             return pa.table({
@@ -11545,7 +10988,7 @@ def _orders_cusum_changepoint(sf_dir: str):
         o = np.argsort(d)
         days = d[o].tolist()
         cents = [int(x) for x in
-                 g["cents_sum"].to_numpy(zero_copy_only=False)[o]]
+                 g["cents"].to_numpy(zero_copy_only=False)[o]]
         n = len(days)
         sn = sum(cents)
         best_day, best_d = None, -1
@@ -11560,9 +11003,9 @@ def _orders_cusum_changepoint(sf_dir: str):
             "change_day": pa.array([best_day], pa.int64()),
             "d_abs_max": pa.array([float(best_d)], pa.float64())})
 
-    return driver_merge(
-        ds.map_batches(partial, batch_format="pyarrow",
-                       batch_size=131072), merge,
+    return combine(
+        ds, "day", sums=("cents",), prep=prep, finish=finish,
+        batch_size=131072,
         schema=pa.schema([("day", pa.int64()), ("cents", pa.int64())]))
 
 
@@ -11626,22 +11069,19 @@ def _orders_theil_sen(sf_dir: str):
     import pyarrow as pa
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     ds = rd.read_parquet(f"{sf_dir}/orders.parquet",
                          columns=["o_orderdate", "o_totalprice"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         day = batch["o_orderdate"].to_numpy(zero_copy_only=False) \
             .astype("datetime64[us]").astype(np.int64) // 86_400_000_000
         cents = np.floor(batch["o_totalprice"].to_numpy(
             zero_copy_only=False) * 100 + 0.5).astype(np.int64)
-        t = pa.table({"day": day, "cents": cents})
-        return t.group_by("day").aggregate([("cents", "sum")]) \
-            .rename_columns(["day", "cents"])
+        return pa.table({"day": day, "cents": cents})
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by("day").aggregate([("cents", "sum")])
+    def finish(g: pa.Table) -> pa.Table:
         d = g["day"].to_numpy(zero_copy_only=False)
         if d.shape[0] == 0:
             return pa.table({
@@ -11650,7 +11090,7 @@ def _orders_theil_sen(sf_dir: str):
                 "ts_slope": pa.array([], pa.float64())})
         o = np.argsort(d)
         days = d[o].astype(np.int64)
-        cents = g["cents_sum"].to_numpy(zero_copy_only=False)[o] \
+        cents = g["cents"].to_numpy(zero_copy_only=False)[o] \
             .astype(np.int64)
         n = int(days.shape[0])
         iu, iv = np.triu_indices(n, k=1)
@@ -11666,9 +11106,9 @@ def _orders_theil_sen(sf_dir: str):
             "n_pairs": pa.array([m], pa.int64()),
             "ts_slope": pa.array([slope], pa.float64())})
 
-    return driver_merge(
-        ds.map_batches(partial, batch_format="pyarrow",
-                       batch_size=131072), merge,
+    return combine(
+        ds, "day", sums=("cents",), prep=prep, finish=finish,
+        batch_size=131072,
         schema=pa.schema([("day", pa.int64()), ("cents", pa.int64())]))
 
 
@@ -11703,7 +11143,7 @@ def _lineitem_simpson_paradox(sf_dir: str):
     import pyarrow.parquet as pq
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     part = pq.read_table(f"{sf_dir}/part.parquet",
                          columns=["p_partkey", "p_brand"])
@@ -11717,7 +11157,7 @@ def _lineitem_simpson_paradox(sf_dir: str):
                          columns=["l_partkey", "l_discount",
                                   "l_quantity"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         empty = pa.table({
             "brand": pa.array([], pa.string()),
             "n": pa.array([], pa.int64()),
@@ -11734,18 +11174,11 @@ def _lineitem_simpson_paradox(sf_dir: str):
             zero_copy_only=False) * 10000 + 0.5).astype(np.int64)[sel]
         y = np.floor(batch["l_quantity"].to_numpy(
             zero_copy_only=False) + 0.5).astype(np.int64)[sel]
-        t = pa.table({"brand": pa.array(brand[pos[sel]], pa.string()),
-                      "n": np.ones(x.shape[0], np.int64),
-                      "sx": x, "sy": y, "sxy": x * y})
-        return t.group_by("brand").aggregate(
-            [("n", "sum"), ("sx", "sum"), ("sy", "sum"),
-             ("sxy", "sum")]) \
-            .rename_columns(["brand", "n", "sx", "sy", "sxy"])
+        return pa.table({"brand": pa.array(brand[pos[sel]], pa.string()),
+                         "n": np.ones(x.shape[0], np.int64),
+                         "sx": x, "sy": y, "sxy": x * y})
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by("brand").aggregate(
-            [("n", "sum"), ("sx", "sum"), ("sy", "sum"),
-             ("sxy", "sum")])
+    def finish(g: pa.Table) -> pa.Table:
         if g.num_rows == 0:
             return pa.table({
                 "overall_sign": pa.array([], pa.int64()),
@@ -11753,10 +11186,10 @@ def _lineitem_simpson_paradox(sf_dir: str):
                 "n_brands_neg": pa.array([], pa.int64()),
                 "n_brands_zero": pa.array([], pa.int64()),
                 "n_reversed": pa.array([], pa.int64())})
-        ns = [int(v) for v in g["n_sum"].to_pylist()]
-        sx = [int(v) for v in g["sx_sum"].to_pylist()]
-        sy = [int(v) for v in g["sy_sum"].to_pylist()]
-        sxy = [int(v) for v in g["sxy_sum"].to_pylist()]
+        ns = [int(v) for v in g["n"].to_pylist()]
+        sx = [int(v) for v in g["sx"].to_pylist()]
+        sy = [int(v) for v in g["sy"].to_pylist()]
+        sxy = [int(v) for v in g["sxy"].to_pylist()]
 
         def sign(v: int) -> int:
             return 1 if v > 0 else (-1 if v < 0 else 0)
@@ -11778,12 +11211,11 @@ def _lineitem_simpson_paradox(sf_dir: str):
             "n_brands_zero": pa.array([zero], pa.int64()),
             "n_reversed": pa.array([rev], pa.int64())})
 
-    return driver_merge(
-        li.map_batches(partial, batch_format="pyarrow",
-                       batch_size=131072), merge,
-        schema=pa.schema([("brand", pa.string()), ("n", pa.int64()),
-                          ("sx", pa.int64()), ("sy", pa.int64()),
-                          ("sxy", pa.int64())]))
+    return combine(li, "brand", sums=("n", "sx", "sy", "sxy"), prep=prep,
+                   finish=finish, batch_size=131072,
+                   schema=pa.schema([("brand", pa.string()), ("n", pa.int64()),
+                                     ("sx", pa.int64()), ("sy", pa.int64()),
+                                     ("sxy", pa.int64())]))
 
 
 def _docs_dedup_method_agreement(sf_dir: str):
@@ -11843,31 +11275,27 @@ def _docs_dup_cluster_size_hist(sf_dir: str):
     import numpy as np
     import pyarrow as pa
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     clusters = _docs_dup_clusters(sf_dir)
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         cid = batch["cluster_id"].to_numpy(zero_copy_only=False) \
             .astype(np.int64)
-        uniq, cnt = np.unique(cid, return_counts=True)
-        return pa.table({"cluster_id": uniq,
-                         "n": cnt.astype(np.int64)})
+        return pa.table({"cluster_id": cid})
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by("cluster_id").aggregate([("n", "sum")])
-        sz = g["n_sum"].to_numpy(zero_copy_only=False)
+    def finish(g: pa.Table) -> pa.Table:
+        sz = g["n"].to_numpy(zero_copy_only=False)
         sz = sz[sz >= 2]
         uniq, cnt = np.unique(sz, return_counts=True)
         return pa.table({
             "cluster_size": pa.array(uniq.astype(np.int64)),
             "n_clusters": pa.array(cnt.astype(np.int64))})
 
-    return driver_merge(
-        clusters.map_batches(partial, batch_format="pyarrow",
-                             batch_size=131072), merge,
-        schema=pa.schema([("cluster_id", pa.int64()),
-                          ("n", pa.int64())]))
+    return combine(clusters, "cluster_id", count="n", prep=prep, finish=finish,
+                   batch_size=131072,
+                   schema=pa.schema([("cluster_id", pa.int64()),
+                                     ("n", pa.int64())]))
 
 
 def _events_dominant_period(sf_dir: str):
@@ -11882,18 +11310,16 @@ def _events_dominant_period(sf_dir: str):
     import pyarrow as pa
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     ds = rd.read_parquet(f"{sf_dir}/events.parquet", columns=["ts"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         day = batch["ts"].to_numpy(zero_copy_only=False) \
             .astype("datetime64[us]").astype(np.int64) // 86_400_000_000
-        uniq, cnt = np.unique(day, return_counts=True)
-        return pa.table({"day": uniq, "n": cnt.astype(np.int64)})
+        return pa.table({"day": day})
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by("day").aggregate([("n", "sum")])
+    def finish(g: pa.Table) -> pa.Table:
         d = g["day"].to_numpy(zero_copy_only=False)
         empty = pa.table({
             "n_days": pa.array([], pa.int64()),
@@ -11902,7 +11328,7 @@ def _events_dominant_period(sf_dir: str):
             "acf_best": pa.array([], pa.float64())})
         if d.shape[0] == 0:
             return empty
-        cnt = g["n_sum"].to_numpy(zero_copy_only=False)
+        cnt = g["n"].to_numpy(zero_copy_only=False)
         lo, hi = int(d.min()), int(d.max())
         x = [0] * (hi - lo + 1)
         for dy, c in zip(d.tolist(), cnt.tolist()):
@@ -11927,10 +11353,9 @@ def _events_dominant_period(sf_dir: str):
             "acf_num": pa.array([float(best_num)], pa.float64()),
             "acf_best": pa.array([acf], pa.float64())})
 
-    return driver_merge(
-        ds.map_batches(partial, batch_format="pyarrow",
-                       batch_size=131072), merge,
-        schema=pa.schema([("day", pa.int64()), ("n", pa.int64())]))
+    return combine(ds, "day", count="n", prep=prep, finish=finish,
+                   batch_size=131072,
+                   schema=pa.schema([("day", pa.int64()), ("n", pa.int64())]))
 
 
 def _docs_jsonl_roundtrip(sf_dir: str):
@@ -11947,7 +11372,7 @@ def _docs_jsonl_roundtrip(sf_dir: str):
     import pyarrow as pa
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
                          columns=["doc_id", "lang", "n_chars"])
@@ -11963,24 +11388,15 @@ def _docs_jsonl_roundtrip(sf_dir: str):
                 "sum_chars": pa.array([], pa.int64())})
         back = rd.read_json(tmp)
 
-        def partial(batch: pa.Table) -> pa.Table:
-            t = pa.table({
+        def prep(batch: pa.Table) -> pa.Table:
+            return pa.table({
                 "lang": batch["lang"],
-                "n_docs": np.ones(batch.num_rows, np.int64),
                 "sum_chars": batch["n_chars"].to_numpy(
                     zero_copy_only=False).astype(np.int64)})
-            return t.group_by("lang").aggregate(
-                [("n_docs", "sum"), ("sum_chars", "sum")]) \
-                .rename_columns(["lang", "n_docs", "sum_chars"])
 
-        def merge(t: pa.Table) -> pa.Table:
-            return t.group_by("lang").aggregate(
-                [("n_docs", "sum"), ("sum_chars", "sum")]) \
-                .rename_columns(["lang", "n_docs", "sum_chars"])
-
-        return driver_merge(
-            back.map_batches(partial, batch_format="pyarrow",
-                             batch_size=131072), merge,
+        return combine(
+            back, "lang", count="n_docs", sums=("sum_chars",), prep=prep,
+            batch_size=131072,
             schema=pa.schema([("lang", pa.string()),
                               ("n_docs", pa.int64()),
                               ("sum_chars", pa.int64())]))
@@ -12070,7 +11486,7 @@ def _events_csv_roundtrip(sf_dir: str):
     import pyarrow as pa
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     ds = rd.read_parquet(f"{sf_dir}/events.parquet",
                          columns=["event_type", "value"])
@@ -12092,24 +11508,15 @@ def _events_csv_roundtrip(sf_dir: str):
                 "sum_cents": pa.array([], pa.int64())})
         back = rd.read_csv(tmp)
 
-        def partial(batch: pa.Table) -> pa.Table:
-            t = pa.table({
+        def prep(batch: pa.Table) -> pa.Table:
+            return pa.table({
                 "event_type": batch["event_type"],
-                "n_events": np.ones(batch.num_rows, np.int64),
                 "sum_cents": batch["cents"].to_numpy(
                     zero_copy_only=False).astype(np.int64)})
-            return t.group_by("event_type").aggregate(
-                [("n_events", "sum"), ("sum_cents", "sum")]) \
-                .rename_columns(["event_type", "n_events", "sum_cents"])
 
-        def merge(t: pa.Table) -> pa.Table:
-            return t.group_by("event_type").aggregate(
-                [("n_events", "sum"), ("sum_cents", "sum")]) \
-                .rename_columns(["event_type", "n_events", "sum_cents"])
-
-        return driver_merge(
-            back.map_batches(partial, batch_format="pyarrow",
-                             batch_size=131072), merge,
+        return combine(
+            back, "event_type", count="n_events", sums=("sum_cents",),
+            prep=prep, batch_size=131072,
             schema=pa.schema([("event_type", pa.string()),
                               ("n_events", pa.int64()),
                               ("sum_cents", pa.int64())]))
@@ -12129,27 +11536,22 @@ def _docs_vocab_coverage_curve(sf_dir: str):
     import pyarrow.compute as pc
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
                          columns=["text"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         toks = pc.list_flatten(pc.split_pattern_regex(
             batch["text"], r"\s+"))
         if isinstance(toks, pa.ChunkedArray):
             toks = toks.combine_chunks()
         toks = toks.filter(pc.not_equal(toks, ""))
-        uniq, cnt = np.unique(
-            toks.to_numpy(zero_copy_only=False).astype(str),
-            return_counts=True)
-        return pa.table({"term": pa.array(uniq, pa.string()),
-                         "n": cnt.astype(np.int64)})
+        return pa.table({"term": toks})
 
     KS = (10, 100, 1000)
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by("term").aggregate([("n", "sum")])
+    def finish(g: pa.Table) -> pa.Table:
         empty = pa.table({
             "k": pa.array([], pa.int64()),
             "n_terms_used": pa.array([], pa.int64()),
@@ -12159,7 +11561,7 @@ def _docs_vocab_coverage_curve(sf_dir: str):
         if g.num_rows == 0:
             return empty
         terms = g["term"].to_numpy(zero_copy_only=False)
-        n = g["n_sum"].to_numpy(zero_copy_only=False)
+        n = g["n"].to_numpy(zero_copy_only=False)
         order = np.lexsort((terms, -n))
         cum = np.cumsum(n[order])
         total = int(cum[-1])
@@ -12180,9 +11582,8 @@ def _docs_vocab_coverage_curve(sf_dir: str):
             "total_tokens": pa.array([total] * len(KS), pa.int64()),
             "coverage": pa.array(rows_cov, pa.float64())})
 
-    return driver_merge(
-        ds.map_batches(partial, batch_format="pyarrow",
-                       batch_size=32768), merge,
+    return combine(
+        ds, "term", count="n", prep=prep, finish=finish, batch_size=32768,
         schema=pa.schema([("term", pa.string()), ("n", pa.int64())]))
 
 
@@ -12245,21 +11646,17 @@ def _events_type_synchrony(sf_dir: str):
     import pyarrow as pa
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     ds = rd.read_parquet(f"{sf_dir}/events.parquet",
                          columns=["event_type", "ts"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         day = batch["ts"].to_numpy(zero_copy_only=False) \
             .astype("datetime64[us]").astype(np.int64) // 86_400_000_000
-        t = pa.table({"t": batch["event_type"], "day": day,
-                      "n": np.ones(day.shape[0], np.int64)})
-        return t.group_by(["t", "day"]).aggregate([("n", "sum")]) \
-            .rename_columns(["t", "day", "n"])
+        return pa.table({"t": batch["event_type"], "day": day})
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by(["t", "day"]).aggregate([("n", "sum")])
+    def finish(g: pa.Table) -> pa.Table:
         empty = pa.table({
             "type_a": pa.array([], pa.string()),
             "type_b": pa.array([], pa.string()),
@@ -12269,7 +11666,7 @@ def _events_type_synchrony(sf_dir: str):
             return empty
         ty = g["t"].to_pylist()
         dy = [int(v) for v in g["day"].to_pylist()]
-        nn = [int(v) for v in g["n_sum"].to_pylist()]
+        nn = [int(v) for v in g["n"].to_pylist()]
         lo, hi = min(dy), max(dy)
         n_days = hi - lo + 1
         types = sorted(set(ty))
@@ -12299,11 +11696,10 @@ def _events_type_synchrony(sf_dir: str):
             "n_days": pa.array([n_days] * len(out_a), pa.int64()),
             "corr_daily": pa.array(out_r, pa.float64())})
 
-    return driver_merge(
-        ds.map_batches(partial, batch_format="pyarrow",
-                       batch_size=131072), merge,
-        schema=pa.schema([("t", pa.string()), ("day", pa.int64()),
-                          ("n", pa.int64())]))
+    return combine(ds, ["t", "day"], count="n", prep=prep, finish=finish,
+                   batch_size=131072,
+                   schema=pa.schema([("t", pa.string()), ("day", pa.int64()),
+                                     ("n", pa.int64())]))
 
 
 def _orders_gumbel_maxima(sf_dir: str):
@@ -12319,22 +11715,19 @@ def _orders_gumbel_maxima(sf_dir: str):
     import pyarrow as pa
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     ds = rd.read_parquet(f"{sf_dir}/orders.parquet",
                          columns=["o_orderdate", "o_totalprice"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         day = batch["o_orderdate"].to_numpy(zero_copy_only=False) \
             .astype("datetime64[us]").astype(np.int64) // 86_400_000_000
         cents = np.floor(batch["o_totalprice"].to_numpy(
             zero_copy_only=False) * 100 + 0.5).astype(np.int64)
-        t = pa.table({"day": day, "cents": cents})
-        return t.group_by("day").aggregate([("cents", "sum")]) \
-            .rename_columns(["day", "cents"])
+        return pa.table({"day": day, "cents": cents})
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by("day").aggregate([("cents", "sum")])
+    def finish(g: pa.Table) -> pa.Table:
         d = g["day"].to_numpy(zero_copy_only=False)
         empty = pa.table({
             "n_blocks": pa.array([], pa.int64()),
@@ -12343,7 +11736,7 @@ def _orders_gumbel_maxima(sf_dir: str):
             "gumbel_loc": pa.array([], pa.float64())})
         if d.shape[0] == 0:
             return empty
-        cents = g["cents_sum"].to_numpy(zero_copy_only=False)
+        cents = g["cents"].to_numpy(zero_copy_only=False)
         month = (np.asarray(d, np.int64) * 86_400_000_000) \
             .astype("datetime64[us]").astype("datetime64[M]") \
             .astype(np.int64)
@@ -12366,9 +11759,9 @@ def _orders_gumbel_maxima(sf_dir: str):
             "gumbel_scale": pa.array([scale], pa.float64()),
             "gumbel_loc": pa.array([loc], pa.float64())})
 
-    return driver_merge(
-        ds.map_batches(partial, batch_format="pyarrow",
-                       batch_size=131072), merge,
+    return combine(
+        ds, "day", sums=("cents",), prep=prep, finish=finish,
+        batch_size=131072,
         schema=pa.schema([("day", pa.int64()), ("cents", pa.int64())]))
 
 
@@ -12522,25 +11915,23 @@ def _events_record_days(sf_dir: str):
     import pyarrow as pa
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     ds = rd.read_parquet(f"{sf_dir}/events.parquet", columns=["ts"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         day = batch["ts"].to_numpy(zero_copy_only=False) \
             .astype("datetime64[us]").astype(np.int64) // 86_400_000_000
-        uniq, cnt = np.unique(day, return_counts=True)
-        return pa.table({"day": uniq, "n": cnt.astype(np.int64)})
+        return pa.table({"day": day})
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by("day").aggregate([("n", "sum")])
+    def finish(g: pa.Table) -> pa.Table:
         d = g["day"].to_numpy(zero_copy_only=False)
         if d.shape[0] == 0:
             return pa.table({
                 "n_days": pa.array([], pa.int64()),
                 "n_records": pa.array([], pa.int64()),
                 "last_record_day": pa.array([], pa.int64())})
-        n = g["n_sum"].to_numpy(zero_copy_only=False)
+        n = g["n"].to_numpy(zero_copy_only=False)
         o = np.argsort(d)
         d, n = d[o], n[o]
         run = np.maximum.accumulate(n)
@@ -12551,10 +11942,9 @@ def _events_record_days(sf_dir: str):
             "last_record_day": pa.array(
                 [int(d[np.flatnonzero(rec)[-1]])], pa.int64())})
 
-    return driver_merge(
-        ds.map_batches(partial, batch_format="pyarrow",
-                       batch_size=131072), merge,
-        schema=pa.schema([("day", pa.int64()), ("n", pa.int64())]))
+    return combine(ds, "day", count="n", prep=prep, finish=finish,
+                   batch_size=131072,
+                   schema=pa.schema([("day", pa.int64()), ("n", pa.int64())]))
 
 
 def _brand_supplier_n50(sf_dir: str):
@@ -12570,7 +11960,7 @@ def _brand_supplier_n50(sf_dir: str):
     import pyarrow.parquet as pq
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     part = pq.read_table(f"{sf_dir}/part.parquet",
                          columns=["p_partkey", "p_brand"])
@@ -12584,7 +11974,7 @@ def _brand_supplier_n50(sf_dir: str):
                          columns=["l_partkey", "l_suppkey",
                                   "l_extendedprice", "l_discount"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         empty = pa.table({
             "brand": pa.array([], pa.string()),
             "sk": pa.array([], pa.int64()),
@@ -12602,13 +11992,10 @@ def _brand_supplier_n50(sf_dir: str):
             .astype(np.int64)[sel]
         sk = batch["l_suppkey"].to_numpy(zero_copy_only=False) \
             .astype(np.int64)[sel]
-        t = pa.table({"brand": pa.array(brand[pos[sel]], pa.string()),
-                      "sk": sk, "cents": cents})
-        return t.group_by(["brand", "sk"]).aggregate(
-            [("cents", "sum")]).rename_columns(["brand", "sk", "cents"])
+        return pa.table({"brand": pa.array(brand[pos[sel]], pa.string()),
+                         "sk": sk, "cents": cents})
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by(["brand", "sk"]).aggregate([("cents", "sum")])
+    def finish(g: pa.Table) -> pa.Table:
         empty = pa.table({
             "p_brand": pa.array([], pa.string()),
             "n_suppliers": pa.array([], pa.int64()),
@@ -12617,7 +12004,7 @@ def _brand_supplier_n50(sf_dir: str):
             return empty
         br = np.asarray(g["brand"].to_pylist(), dtype=object)
         sk = g["sk"].to_numpy(zero_copy_only=False)
-        cents = g["cents_sum"].to_numpy(zero_copy_only=False)
+        cents = g["cents"].to_numpy(zero_copy_only=False)
         out_b, out_n, out_n50 = [], [], []
         for b in sorted(set(br.tolist())):
             m = br == b
@@ -12635,9 +12022,9 @@ def _brand_supplier_n50(sf_dir: str):
             "n_suppliers": pa.array(out_n, pa.int64()),
             "n50": pa.array(out_n50, pa.int64())})
 
-    return driver_merge(
-        li.map_batches(partial, batch_format="pyarrow",
-                       batch_size=131072), merge,
+    return combine(
+        li, ["brand", "sk"], sums=("cents",), prep=prep, finish=finish,
+        batch_size=131072,
         schema=pa.schema([("brand", pa.string()), ("sk", pa.int64()),
                           ("cents", pa.int64())]))
 
@@ -12921,12 +12308,12 @@ def _events_mood_median_test(sf_dir: str):
     import pyarrow.compute as pc
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     ds = rd.read_parquet(f"{sf_dir}/events.parquet",
                          columns=["event_type", "value"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         et = batch["event_type"]
         keep = pc.is_in(et, value_set=pa.array(["purchase", "click"]))
         batch = batch.filter(keep)
@@ -12934,15 +12321,10 @@ def _events_mood_median_test(sf_dir: str):
             zero_copy_only=False) * 100 + 0.5).astype(np.int64)
         is_a = pc.equal(batch["event_type"], "purchase") \
             .to_numpy(zero_copy_only=False)
-        uniq, inv = np.unique(cents, return_inverse=True)
-        na = np.zeros(uniq.shape[0], np.int64)
-        nb = np.zeros(uniq.shape[0], np.int64)
-        np.add.at(na, inv[is_a], 1)
-        np.add.at(nb, inv[~is_a], 1)
-        return pa.table({"c": uniq, "na": na, "nb": nb})
+        return pa.table({"c": cents, "na": is_a.astype(np.int64),
+                         "nb": (~is_a).astype(np.int64)})
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by("c").aggregate([("na", "sum"), ("nb", "sum")])
+    def finish(g: pa.Table) -> pa.Table:
         c = g["c"].to_numpy(zero_copy_only=False)
         empty = pa.table({
             "n_purchase": pa.array([], pa.int64()),
@@ -12953,8 +12335,8 @@ def _events_mood_median_test(sf_dir: str):
             return empty
         o = np.argsort(c)
         cc = c[o].tolist()
-        na = g["na_sum"].to_numpy(zero_copy_only=False)[o].tolist()
-        nb = g["nb_sum"].to_numpy(zero_copy_only=False)[o].tolist()
+        na = g["na"].to_numpy(zero_copy_only=False)[o].tolist()
+        nb = g["nb"].to_numpy(zero_copy_only=False)[o].tolist()
         tot = sum(na) + sum(nb)
         # PERCENTILE_DISC(0.5) over the pooled multiset
         target = (tot - 1) // 2 + 1
@@ -12978,11 +12360,10 @@ def _events_mood_median_test(sf_dir: str):
             "pooled_median_cents": pa.array([med], pa.int64()),
             "chi2_mood": pa.array([chi2], pa.float64())})
 
-    return driver_merge(
-        ds.map_batches(partial, batch_format="pyarrow",
-                       batch_size=131072), merge,
-        schema=pa.schema([("c", pa.int64()), ("na", pa.int64()),
-                          ("nb", pa.int64())]))
+    return combine(ds, "c", sums=("na", "nb"), prep=prep, finish=finish,
+                   batch_size=131072,
+                   schema=pa.schema([("c", pa.int64()), ("na", pa.int64()),
+                                     ("nb", pa.int64())]))
 
 
 def _customer_quartile_migration(sf_dir: str):
@@ -12997,24 +12378,21 @@ def _customer_quartile_migration(sf_dir: str):
     import pyarrow as pa
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     ds = rd.read_parquet(f"{sf_dir}/orders.parquet",
                          columns=["o_custkey", "o_orderdate",
                                   "o_totalprice"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         day = batch["o_orderdate"].to_numpy(zero_copy_only=False) \
             .astype("datetime64[us]").astype(np.int64) // 86_400_000_000
         cents = np.floor(batch["o_totalprice"].to_numpy(
             zero_copy_only=False) * 100 + 0.5).astype(np.int64)
         ck = batch["o_custkey"].to_numpy(zero_copy_only=False) \
             .astype(np.int64)
-        t = pa.table({"ck": ck, "day": day, "cents": cents,
-                      "n": np.ones(ck.shape[0], np.int64)})
-        return t.group_by(["ck", "day"]).aggregate(
-            [("cents", "sum"), ("n", "sum")]) \
-            .rename_columns(["ck", "day", "cents", "n"])
+        return pa.table({"ck": ck, "day": day, "cents": cents,
+                         "n": np.ones(ck.shape[0], np.int64)})
 
     def _brackets(vals):
         """Quartile bracket per positive-spend value: rank-ceil cuts
@@ -13028,9 +12406,7 @@ def _customer_quartile_migration(sf_dir: str):
             b += vals > c
         return b
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by(["ck", "day"]).aggregate(
-            [("cents", "sum"), ("n", "sum")])
+    def finish(g: pa.Table) -> pa.Table:
         empty = pa.table({
             "bracket_h1": pa.array([], pa.int64()),
             "bracket_h2": pa.array([], pa.int64()),
@@ -13039,8 +12415,8 @@ def _customer_quartile_migration(sf_dir: str):
             return empty
         ck = g["ck"].to_numpy(zero_copy_only=False)
         day = g["day"].to_numpy(zero_copy_only=False)
-        cents = g["cents_sum"].to_numpy(zero_copy_only=False)
-        cnt = g["n_sum"].to_numpy(zero_copy_only=False)
+        cents = g["cents"].to_numpy(zero_copy_only=False)
+        cnt = g["n"].to_numpy(zero_copy_only=False)
         # pooled PERCENTILE_DISC(0.5) over ORDER days (with counts)
         o = np.argsort(day)
         cum = np.cumsum(cnt[o])
@@ -13065,9 +12441,9 @@ def _customer_quartile_migration(sf_dir: str):
             "bracket_h2": pa.array((uk % 5).astype(np.int64)),
             "n_customers": pa.array(kc.astype(np.int64))})
 
-    return driver_merge(
-        ds.map_batches(partial, batch_format="pyarrow",
-                       batch_size=131072), merge,
+    return combine(
+        ds, ["ck", "day"], sums=("cents", "n"), prep=prep, finish=finish,
+        batch_size=131072,
         schema=pa.schema([("ck", pa.int64()), ("day", pa.int64()),
                           ("cents", pa.int64()), ("n", pa.int64())]))
 
@@ -13081,20 +12457,17 @@ def _part_price_endings(sf_dir: str):
     import pyarrow as pa
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     ds = rd.read_parquet(f"{sf_dir}/part.parquet",
                          columns=["p_retailprice"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         cents = np.floor(batch["p_retailprice"].to_numpy(
             zero_copy_only=False) * 100 + 0.5).astype(np.int64)
-        uniq, cnt = np.unique(cents % 100, return_counts=True)
-        return pa.table({"ending": uniq,
-                         "n": cnt.astype(np.int64)})
+        return pa.table({"ending": cents % 100})
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by("ending").aggregate([("n", "sum")])
+    def finish(g: pa.Table) -> pa.Table:
         e = g["ending"].to_numpy(zero_copy_only=False)
         if e.shape[0] == 0:
             return pa.table({
@@ -13102,16 +12475,15 @@ def _part_price_endings(sf_dir: str):
                 "n_parts": pa.array([], pa.int64()),
                 "share": pa.array([], pa.float64())})
         o = np.argsort(e)
-        n = g["n_sum"].to_numpy(zero_copy_only=False)[o]
+        n = g["n"].to_numpy(zero_copy_only=False)[o]
         tot = int(n.sum())
         return pa.table({
             "ending_cents": pa.array(e[o].astype(np.int64)),
             "n_parts": pa.array(n.astype(np.int64)),
             "share": pa.array(n.astype(np.float64) / float(tot))})
 
-    return driver_merge(
-        ds.map_batches(partial, batch_format="pyarrow",
-                       batch_size=131072), merge,
+    return combine(
+        ds, "ending", count="n", prep=prep, finish=finish, batch_size=131072,
         schema=pa.schema([("ending", pa.int64()), ("n", pa.int64())]))
 
 
@@ -13126,18 +12498,16 @@ def _events_pacf_lag2(sf_dir: str):
     import pyarrow as pa
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     ds = rd.read_parquet(f"{sf_dir}/events.parquet", columns=["ts"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         day = batch["ts"].to_numpy(zero_copy_only=False) \
             .astype("datetime64[us]").astype(np.int64) // 86_400_000_000
-        uniq, cnt = np.unique(day, return_counts=True)
-        return pa.table({"day": uniq, "n": cnt.astype(np.int64)})
+        return pa.table({"day": day})
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by("day").aggregate([("n", "sum")])
+    def finish(g: pa.Table) -> pa.Table:
         d = g["day"].to_numpy(zero_copy_only=False)
         empty = pa.table({
             "n_days": pa.array([], pa.int64()),
@@ -13146,7 +12516,7 @@ def _events_pacf_lag2(sf_dir: str):
             "pacf2": pa.array([], pa.float64())})
         if d.shape[0] == 0:
             return empty
-        cnt = g["n_sum"].to_numpy(zero_copy_only=False)
+        cnt = g["n"].to_numpy(zero_copy_only=False)
         lo, hi = int(d.min()), int(d.max())
         x = [0] * (hi - lo + 1)
         for dy, c in zip(d.tolist(), cnt.tolist()):
@@ -13172,10 +12542,9 @@ def _events_pacf_lag2(sf_dir: str):
             "r2": pa.array([r2], pa.float64()),
             "pacf2": pa.array([p2], pa.float64())})
 
-    return driver_merge(
-        ds.map_batches(partial, batch_format="pyarrow",
-                       batch_size=131072), merge,
-        schema=pa.schema([("day", pa.int64()), ("n", pa.int64())]))
+    return combine(ds, "day", count="n", prep=prep, finish=finish,
+                   batch_size=131072,
+                   schema=pa.schema([("day", pa.int64()), ("n", pa.int64())]))
 
 
 def _nation_rank_volatility(sf_dir: str):
@@ -13190,7 +12559,7 @@ def _nation_rank_volatility(sf_dir: str):
     import pyarrow.parquet as pq
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     cust = pq.read_table(f"{sf_dir}/customer.parquet",
                          columns=["c_custkey", "c_nationkey"])
@@ -13203,7 +12572,7 @@ def _nation_rank_volatility(sf_dir: str):
                          columns=["o_custkey", "o_orderdate",
                                   "o_totalprice"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         empty = pa.table({"nk": pa.array([], pa.int64()),
                           "y": pa.array([], pa.int64()),
                           "cents": pa.array([], pa.int64())})
@@ -13217,9 +12586,7 @@ def _nation_rank_volatility(sf_dir: str):
              .astype("datetime64[Y]").astype(np.int64) + 1970)[sel]
         cents = np.floor(batch["o_totalprice"].to_numpy(
             zero_copy_only=False) * 100 + 0.5).astype(np.int64)[sel]
-        t = pa.table({"nk": nk[pos[sel]], "y": y, "cents": cents})
-        return t.group_by(["nk", "y"]).aggregate([("cents", "sum")]) \
-            .rename_columns(["nk", "y", "cents"])
+        return pa.table({"nk": nk[pos[sel]], "y": y, "cents": cents})
 
     def _ranks(nkk, cents):
         o = np.lexsort((nkk, -cents))
@@ -13227,8 +12594,7 @@ def _nation_rank_volatility(sf_dir: str):
         rk[o] = np.arange(1, o.shape[0] + 1)
         return rk
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by(["nk", "y"]).aggregate([("cents", "sum")])
+    def finish(g: pa.Table) -> pa.Table:
         empty = pa.table({
             "year_a": pa.array([], pa.int64()),
             "year_b": pa.array([], pa.int64()),
@@ -13239,7 +12605,7 @@ def _nation_rank_volatility(sf_dir: str):
             return empty
         nkk = g["nk"].to_numpy(zero_copy_only=False)
         y = g["y"].to_numpy(zero_copy_only=False)
-        cents = g["cents_sum"].to_numpy(zero_copy_only=False)
+        cents = g["cents"].to_numpy(zero_copy_only=False)
         years = np.unique(y)
         out = {k: [] for k in ("ya", "yb", "n", "sd", "md")}
         for ya, yb in zip(years[:-1], years[1:]):
@@ -13264,11 +12630,10 @@ def _nation_rank_volatility(sf_dir: str):
             "sum_abs_d": pa.array(out["sd"], pa.int64()),
             "mean_abs_d": pa.array(out["md"], pa.float64())})
 
-    return driver_merge(
-        ds.map_batches(partial, batch_format="pyarrow",
-                       batch_size=131072), merge,
-        schema=pa.schema([("nk", pa.int64()), ("y", pa.int64()),
-                          ("cents", pa.int64())]))
+    return combine(ds, ["nk", "y"], sums=("cents",), prep=prep, finish=finish,
+                   batch_size=131072,
+                   schema=pa.schema([("nk", pa.int64()), ("y", pa.int64()),
+                                     ("cents", pa.int64())]))
 
 
 def _orders_weekday_kruskal(sf_dir: str):
@@ -13283,22 +12648,19 @@ def _orders_weekday_kruskal(sf_dir: str):
     import pyarrow as pa
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     ds = rd.read_parquet(f"{sf_dir}/orders.parquet",
                          columns=["o_orderdate", "o_totalprice"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         day = batch["o_orderdate"].to_numpy(zero_copy_only=False) \
             .astype("datetime64[us]").astype(np.int64) // 86_400_000_000
         cents = np.floor(batch["o_totalprice"].to_numpy(
             zero_copy_only=False) * 100 + 0.5).astype(np.int64)
-        t = pa.table({"day": day, "cents": cents})
-        return t.group_by("day").aggregate([("cents", "sum")]) \
-            .rename_columns(["day", "cents"])
+        return pa.table({"day": day, "cents": cents})
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by("day").aggregate([("cents", "sum")])
+    def finish(g: pa.Table) -> pa.Table:
         d = g["day"].to_numpy(zero_copy_only=False)
         empty = pa.table({
             "n_days": pa.array([], pa.int64()),
@@ -13306,7 +12668,7 @@ def _orders_weekday_kruskal(sf_dir: str):
             "h_adj": pa.array([], pa.float64())})
         if d.shape[0] == 0:
             return empty
-        cents = g["cents_sum"].to_numpy(zero_copy_only=False)
+        cents = g["cents"].to_numpy(zero_copy_only=False)
         wd = (d + 3) % 7
         o = np.argsort(cents, kind="stable")
         cs = cents[o]
@@ -13340,9 +12702,9 @@ def _orders_weekday_kruskal(sf_dir: str):
             "h_stat": pa.array([h], pa.float64()),
             "h_adj": pa.array([ha], pa.float64())})
 
-    return driver_merge(
-        ds.map_batches(partial, batch_format="pyarrow",
-                       batch_size=131072), merge,
+    return combine(
+        ds, "day", sums=("cents",), prep=prep, finish=finish,
+        batch_size=131072,
         schema=pa.schema([("day", pa.int64()), ("cents", pa.int64())]))
 
 
@@ -13413,12 +12775,12 @@ def _events_mann_whitney(sf_dir: str):
     import pyarrow.compute as pc
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     ds = rd.read_parquet(f"{sf_dir}/events.parquet",
                          columns=["event_type", "value"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         et = batch["event_type"]
         keep = pc.is_in(et, value_set=pa.array(["purchase", "click"]))
         batch = batch.filter(keep)
@@ -13426,15 +12788,10 @@ def _events_mann_whitney(sf_dir: str):
             zero_copy_only=False) * 100 + 0.5).astype(np.int64)
         is_a = pc.equal(batch["event_type"], "purchase") \
             .to_numpy(zero_copy_only=False)
-        uniq, inv = np.unique(cents, return_inverse=True)
-        na = np.zeros(uniq.shape[0], np.int64)
-        nb = np.zeros(uniq.shape[0], np.int64)
-        np.add.at(na, inv[is_a], 1)
-        np.add.at(nb, inv[~is_a], 1)
-        return pa.table({"c": uniq, "na": na, "nb": nb})
+        return pa.table({"c": cents, "na": is_a.astype(np.int64),
+                         "nb": (~is_a).astype(np.int64)})
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by("c").aggregate([("na", "sum"), ("nb", "sum")])
+    def finish(g: pa.Table) -> pa.Table:
         c = g["c"].to_numpy(zero_copy_only=False)
         empty = pa.table({
             "n_purchase": pa.array([], pa.int64()),
@@ -13445,9 +12802,9 @@ def _events_mann_whitney(sf_dir: str):
             return empty
         o = np.argsort(c)
         na = [int(v) for v in
-              g["na_sum"].to_numpy(zero_copy_only=False)[o]]
+              g["na"].to_numpy(zero_copy_only=False)[o]]
         nb = [int(v) for v in
-              g["nb_sum"].to_numpy(zero_copy_only=False)[o]]
+              g["nb"].to_numpy(zero_copy_only=False)[o]]
         n1, n2 = sum(na), sum(nb)
         nn = n1 + n2
         run = 0
@@ -13473,11 +12830,10 @@ def _events_mann_whitney(sf_dir: str):
             "u2_purchase": pa.array([u2], pa.int64()),
             "z_mwu": pa.array([z], pa.float64())})
 
-    return driver_merge(
-        ds.map_batches(partial, batch_format="pyarrow",
-                       batch_size=131072), merge,
-        schema=pa.schema([("c", pa.int64()), ("na", pa.int64()),
-                          ("nb", pa.int64())]))
+    return combine(ds, "c", sums=("na", "nb"), prep=prep, finish=finish,
+                   batch_size=131072,
+                   schema=pa.schema([("c", pa.int64()), ("na", pa.int64()),
+                                     ("nb", pa.int64())]))
 
 
 def _events_qq_decile_slope(sf_dir: str):
@@ -13492,12 +12848,12 @@ def _events_qq_decile_slope(sf_dir: str):
     import pyarrow.compute as pc
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     ds = rd.read_parquet(f"{sf_dir}/events.parquet",
                          columns=["event_type", "value"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         et = batch["event_type"]
         keep = pc.is_in(et, value_set=pa.array(["purchase", "click"]))
         batch = batch.filter(keep)
@@ -13505,12 +12861,8 @@ def _events_qq_decile_slope(sf_dir: str):
             zero_copy_only=False) * 100 + 0.5).astype(np.int64)
         is_a = pc.equal(batch["event_type"], "purchase") \
             .to_numpy(zero_copy_only=False)
-        uniq, inv = np.unique(cents, return_inverse=True)
-        na = np.zeros(uniq.shape[0], np.int64)
-        nb = np.zeros(uniq.shape[0], np.int64)
-        np.add.at(na, inv[is_a], 1)
-        np.add.at(nb, inv[~is_a], 1)
-        return pa.table({"c": uniq, "na": na, "nb": nb})
+        return pa.table({"c": cents, "na": is_a.astype(np.int64),
+                         "nb": (~is_a).astype(np.int64)})
 
     def _disc(cs, counts, p):
         tot = sum(counts)
@@ -13522,8 +12874,7 @@ def _events_qq_decile_slope(sf_dir: str):
                 return int(v)
         return int(cs[-1])
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by("c").aggregate([("na", "sum"), ("nb", "sum")])
+    def finish(g: pa.Table) -> pa.Table:
         c = g["c"].to_numpy(zero_copy_only=False)
         empty = pa.table({
             "decile": pa.array([], pa.int64()),
@@ -13535,9 +12886,9 @@ def _events_qq_decile_slope(sf_dir: str):
         o = np.argsort(c)
         cs = c[o].tolist()
         na = [int(v) for v in
-              g["na_sum"].to_numpy(zero_copy_only=False)[o]]
+              g["na"].to_numpy(zero_copy_only=False)[o]]
         nb = [int(v) for v in
-              g["nb_sum"].to_numpy(zero_copy_only=False)[o]]
+              g["nb"].to_numpy(zero_copy_only=False)[o]]
         if sum(na) == 0 or sum(nb) == 0:
             return empty
         qa = [_disc(cs, na, 10 * d) for d in range(1, 10)]
@@ -13555,11 +12906,10 @@ def _events_qq_decile_slope(sf_dir: str):
             "q_click": pa.array(qb, pa.int64()),
             "qq_slope": pa.array([slope] * 9, pa.float64())})
 
-    return driver_merge(
-        ds.map_batches(partial, batch_format="pyarrow",
-                       batch_size=131072), merge,
-        schema=pa.schema([("c", pa.int64()), ("na", pa.int64()),
-                          ("nb", pa.int64())]))
+    return combine(ds, "c", sums=("na", "nb"), prep=prep, finish=finish,
+                   batch_size=131072,
+                   schema=pa.schema([("c", pa.int64()), ("na", pa.int64()),
+                                     ("nb", pa.int64())]))
 
 
 def _events_lateness_hist(sf_dir: str):
@@ -13581,7 +12931,7 @@ def _events_lateness_hist(sf_dir: str):
 
     from h3ray.io.pages import _mix64
     from h3ray.ops.join import seed_schema
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
     from h3ray.ops.scan import global_exclusive_cummax
 
     ds = rd.read_parquet(f"{sf_dir}/events.parquet",
@@ -13604,7 +12954,7 @@ def _events_lateness_hist(sf_dir: str):
 
     POWS = (2 ** np.arange(1, 63, dtype=np.int64))
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
 
         valid = pc.is_valid(batch["pm"]).to_numpy(zero_copy_only=False)
@@ -13615,25 +12965,21 @@ def _events_lateness_hist(sf_dir: str):
         if late.any():
             ls = (pm[late] - u[late]) // 1_000_000
             b[late] = np.digitize(ls + 1, POWS, right=False)
-        uniq, cnt = np.unique(b, return_counts=True)
-        return pa.table({"log2_lateness_s": uniq,
-                         "n": cnt.astype(np.int64)})
+        return pa.table({"log2_lateness_s": b})
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by("log2_lateness_s").aggregate([("n", "sum")])
+    def finish(g: pa.Table) -> pa.Table:
         b = g["log2_lateness_s"].to_numpy(zero_copy_only=False)
         o = np.argsort(b)
         return pa.table({
             "log2_lateness_s": pa.array(b[o].astype(np.int64)),
             "n_events": pa.array(
-                g["n_sum"].to_numpy(zero_copy_only=False)[o]
+                g["n"].to_numpy(zero_copy_only=False)[o]
                 .astype(np.int64))})
 
-    return driver_merge(
-        wm.map_batches(partial, batch_format="pyarrow",
-                       batch_size=131072), merge,
-        schema=pa.schema([("log2_lateness_s", pa.int64()),
-                          ("n", pa.int64())]))
+    return combine(wm, "log2_lateness_s", count="n", prep=prep, finish=finish,
+                   batch_size=131072,
+                   schema=pa.schema([("log2_lateness_s", pa.int64()),
+                                     ("n", pa.int64())]))
 
 
 def _events_shuffle_balance(sf_dir: str):
@@ -13647,20 +12993,18 @@ def _events_shuffle_balance(sf_dir: str):
     import ray.data as rd
 
     from h3ray.io.pages import _mix64
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     ds = rd.read_parquet(f"{sf_dir}/events.parquet",
                          columns=["user_id"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         uid = batch["user_id"].to_numpy(zero_copy_only=False) \
             .astype(np.uint64)
         b = (_mix64(uid) % np.uint64(64)).astype(np.int64)
-        uniq, cnt = np.unique(b, return_counts=True)
-        return pa.table({"bucket": uniq, "n": cnt.astype(np.int64)})
+        return pa.table({"bucket": b})
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by("bucket").aggregate([("n", "sum")])
+    def finish(g: pa.Table) -> pa.Table:
         b = g["bucket"].to_numpy(zero_copy_only=False)
         if b.shape[0] == 0:
             return pa.table({
@@ -13668,16 +13012,15 @@ def _events_shuffle_balance(sf_dir: str):
                 "n_rows": pa.array([], pa.int64()),
                 "share": pa.array([], pa.float64())})
         o = np.argsort(b)
-        n = g["n_sum"].to_numpy(zero_copy_only=False)[o]
+        n = g["n"].to_numpy(zero_copy_only=False)[o]
         tot = int(n.sum())
         return pa.table({
             "bucket": pa.array(b[o].astype(np.int64)),
             "n_rows": pa.array(n.astype(np.int64)),
             "share": pa.array(n.astype(np.float64) / float(tot))})
 
-    return driver_merge(
-        ds.map_batches(partial, batch_format="pyarrow",
-                       batch_size=131072), merge,
+    return combine(
+        ds, "bucket", count="n", prep=prep, finish=finish, batch_size=131072,
         schema=pa.schema([("bucket", pa.int64()), ("n", pa.int64())]))
 
 
@@ -13925,33 +13268,28 @@ def _docs_lang_len_eta2(sf_dir: str):
     import pyarrow as pa
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
                          columns=["lang", "n_chars"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         c = batch["n_chars"].to_numpy(zero_copy_only=False) \
             .astype(np.int64)
-        t = pa.table({"lang": batch["lang"],
-                      "n": np.ones(c.shape[0], np.int64),
-                      "s": c, "q": c * c})
-        return t.group_by("lang").aggregate(
-            [("n", "sum"), ("s", "sum"), ("q", "sum")]) \
-            .rename_columns(["lang", "n", "s", "q"])
+        return pa.table({"lang": batch["lang"],
+                         "n": np.ones(c.shape[0], np.int64),
+                         "s": c, "q": c * c})
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by("lang").aggregate(
-            [("n", "sum"), ("s", "sum"), ("q", "sum")])
+    def finish(g: pa.Table) -> pa.Table:
         empty = pa.table({
             "n_docs": pa.array([], pa.int64()),
             "k_langs": pa.array([], pa.int64()),
             "eta2": pa.array([], pa.float64())})
         if g.num_rows == 0:
             return empty
-        ns = [int(v) for v in g["n_sum"].to_pylist()]
-        ss = [int(v) for v in g["s_sum"].to_pylist()]
-        qs = [int(v) for v in g["q_sum"].to_pylist()]
+        ns = [int(v) for v in g["n"].to_pylist()]
+        ss = [int(v) for v in g["s"].to_pylist()]
+        qs = [int(v) for v in g["q"].to_pylist()]
         k = len(ns)
         big_n, big_s, big_q = sum(ns), sum(ss), sum(qs)
         pp = 1
@@ -13966,11 +13304,10 @@ def _docs_lang_len_eta2(sf_dir: str):
             "k_langs": pa.array([k], pa.int64()),
             "eta2": pa.array([eta2], pa.float64())})
 
-    return driver_merge(
-        ds.map_batches(partial, batch_format="pyarrow",
-                       batch_size=131072), merge,
-        schema=pa.schema([("lang", pa.string()), ("n", pa.int64()),
-                          ("s", pa.int64()), ("q", pa.int64())]))
+    return combine(ds, "lang", sums=("n", "s", "q"), prep=prep, finish=finish,
+                   batch_size=131072,
+                   schema=pa.schema([("lang", pa.string()), ("n", pa.int64()),
+                                     ("s", pa.int64()), ("q", pa.int64())]))
 
 
 def _lineitem_abc_analysis(sf_dir: str):
@@ -13985,26 +13322,22 @@ def _lineitem_abc_analysis(sf_dir: str):
     import pyarrow as pa
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     ds = rd.read_parquet(f"{sf_dir}/lineitem.parquet",
                          columns=["l_partkey", "l_extendedprice",
                                   "l_discount"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         k = batch["l_partkey"].to_numpy(zero_copy_only=False) \
             .astype(np.int64)
         cents = np.floor(
             batch["l_extendedprice"].to_numpy(zero_copy_only=False)
             * (1.0 - batch["l_discount"].to_numpy(
                 zero_copy_only=False)) * 100 + 0.5).astype(np.int64)
-        uniq, inv = np.unique(k, return_inverse=True)
-        acc = np.zeros(uniq.shape[0], np.int64)
-        np.add.at(acc, inv, cents)
-        return pa.table({"pk": uniq, "cents": acc})
+        return pa.table({"pk": k, "cents": cents})
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by("pk").aggregate([("cents", "sum")])
+    def finish(g: pa.Table) -> pa.Table:
         empty = pa.table({
             "abc_class": pa.array([], pa.string()),
             "n_parts": pa.array([], pa.int64()),
@@ -14013,7 +13346,7 @@ def _lineitem_abc_analysis(sf_dir: str):
         if g.num_rows == 0:
             return empty
         pk = g["pk"].to_numpy(zero_copy_only=False)
-        cents = g["cents_sum"].to_numpy(zero_copy_only=False)
+        cents = g["cents"].to_numpy(zero_copy_only=False)
         o = np.lexsort((pk, -cents))
         cs = [int(v) for v in cents[o]]
         tot = sum(cs)
@@ -14036,9 +13369,8 @@ def _lineitem_abc_analysis(sf_dir: str):
                 [None if tot == 0 else float(agg[k][1]) / float(tot)
                  for k in keys], pa.float64())})
 
-    return driver_merge(
-        ds.map_batches(partial, batch_format="pyarrow",
-                       batch_size=131072), merge,
+    return combine(
+        ds, "pk", sums=("cents",), prep=prep, finish=finish, batch_size=131072,
         schema=pa.schema([("pk", pa.int64()), ("cents", pa.int64())]))
 
 
@@ -14050,30 +13382,24 @@ def _docs_chao1_vocab(sf_dir: str):
     Vocabulary-bounded term-frequency combiner; S_obs, f1, f2 are
     exact integers; the bias-corrected chao1 =
     S + f1(f1-1)/(2(f2+1)) is ONE division."""
-    import numpy as np
     import pyarrow as pa
     import pyarrow.compute as pc
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
                          columns=["text"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         toks = pc.list_flatten(pc.split_pattern_regex(
             batch["text"], r"\s+"))
         if isinstance(toks, pa.ChunkedArray):
             toks = toks.combine_chunks()
         toks = toks.filter(pc.not_equal(toks, ""))
-        uniq, cnt = np.unique(
-            toks.to_numpy(zero_copy_only=False).astype(str),
-            return_counts=True)
-        return pa.table({"term": pa.array(uniq, pa.string()),
-                         "n": cnt.astype(np.int64)})
+        return pa.table({"term": toks})
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by("term").aggregate([("n", "sum")])
+    def finish(g: pa.Table) -> pa.Table:
         empty = pa.table({
             "n_terms_obs": pa.array([], pa.int64()),
             "f1": pa.array([], pa.int64()),
@@ -14081,7 +13407,7 @@ def _docs_chao1_vocab(sf_dir: str):
             "chao1": pa.array([], pa.float64())})
         if g.num_rows == 0:
             return empty
-        n = g["n_sum"].to_numpy(zero_copy_only=False)
+        n = g["n"].to_numpy(zero_copy_only=False)
         s = int(n.shape[0])
         f1 = int((n == 1).sum())
         f2 = int((n == 2).sum())
@@ -14092,9 +13418,8 @@ def _docs_chao1_vocab(sf_dir: str):
             "f2": pa.array([f2], pa.int64()),
             "chao1": pa.array([chao1], pa.float64())})
 
-    return driver_merge(
-        ds.map_batches(partial, batch_format="pyarrow",
-                       batch_size=32768), merge,
+    return combine(
+        ds, "term", count="n", prep=prep, finish=finish, batch_size=32768,
         schema=pa.schema([("term", pa.string()), ("n", pa.int64())]))
 
 
@@ -14106,30 +13431,24 @@ def _docs_good_turing(sf_dir: str):
     smoothing statistic. Vocabulary-bounded term-frequency combiner;
     the freq-of-freq fold and the two divisions per row run at the
     root."""
-    import numpy as np
     import pyarrow as pa
     import pyarrow.compute as pc
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
                          columns=["text"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         toks = pc.list_flatten(pc.split_pattern_regex(
             batch["text"], r"\s+"))
         if isinstance(toks, pa.ChunkedArray):
             toks = toks.combine_chunks()
         toks = toks.filter(pc.not_equal(toks, ""))
-        uniq, cnt = np.unique(
-            toks.to_numpy(zero_copy_only=False).astype(str),
-            return_counts=True)
-        return pa.table({"term": pa.array(uniq, pa.string()),
-                         "n": cnt.astype(np.int64)})
+        return pa.table({"term": toks})
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by("term").aggregate([("n", "sum")])
+    def finish(g: pa.Table) -> pa.Table:
         empty = pa.table({
             "r": pa.array([], pa.int64()),
             "f_r": pa.array([], pa.int64()),
@@ -14138,7 +13457,7 @@ def _docs_good_turing(sf_dir: str):
             "p0_unseen": pa.array([], pa.float64())})
         if g.num_rows == 0:
             return empty
-        n = g["n_sum"].to_numpy(zero_copy_only=False)
+        n = g["n"].to_numpy(zero_copy_only=False)
         big_n = int(n.sum())
         fr = {int(r): int((n == r).sum()) for r in range(1, 7)}
         p0 = None if big_n == 0 else float(fr[1]) / float(big_n)
@@ -14157,9 +13476,8 @@ def _docs_good_turing(sf_dir: str):
             "r_star": pa.array(rows_rs, pa.float64()),
             "p0_unseen": pa.array([p0] * 5, pa.float64())})
 
-    return driver_merge(
-        ds.map_batches(partial, batch_format="pyarrow",
-                       batch_size=32768), merge,
+    return combine(
+        ds, "term", count="n", prep=prep, finish=finish, batch_size=32768,
         schema=pa.schema([("term", pa.string()), ("n", pa.int64())]))
 
 
@@ -14175,13 +13493,13 @@ def _emb_centroid_shift(sf_dir: str):
     import pyarrow as pa
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
     from h3ray.pipelines.ann import _embedding_matrix
 
     ds = rd.read_parquet(f"{sf_dir}/embeddings.parquet",
                          columns=["vec_id", "embedding"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         vid = batch["vec_id"].to_numpy(zero_copy_only=False) \
             .astype(np.int64)
         micro = np.floor(_embedding_matrix(batch, "embedding",
@@ -14200,8 +13518,7 @@ def _emb_centroid_shift(sf_dir: str):
                                  [int(even.sum()),
                                   int((~even).sum())]])})
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by(["dim", "par"]).aggregate([("v", "sum")])
+    def finish(g: pa.Table) -> pa.Table:
         empty = pa.table({
             "n_even": pa.array([], pa.int64()),
             "n_odd": pa.array([], pa.int64()),
@@ -14210,7 +13527,7 @@ def _emb_centroid_shift(sf_dir: str):
             return empty
         dim = g["dim"].to_numpy(zero_copy_only=False)
         par = g["par"].to_numpy(zero_copy_only=False)
-        v = g["v_sum"].to_numpy(zero_copy_only=False)
+        v = g["v"].to_numpy(zero_copy_only=False)
         ne = int(v[(dim == 0) & (par == 0)][0])
         no = int(v[(dim == 0) & (par == 1)][0])
         if ne == 0 or no == 0:
@@ -14231,11 +13548,10 @@ def _emb_centroid_shift(sf_dir: str):
             "dist2_micro": pa.array([float(num) / float(den)],
                                     pa.float64())})
 
-    return driver_merge(
-        ds.map_batches(partial, batch_format="pyarrow",
-                       batch_size=32768), merge,
-        schema=pa.schema([("dim", pa.int64()), ("par", pa.int64()),
-                          ("v", pa.int64())]))
+    return combine(ds, ["dim", "par"], sums=("v",), prep=prep, finish=finish,
+                   batch_size=32768,
+                   schema=pa.schema([("dim", pa.int64()), ("par", pa.int64()),
+                                     ("v", pa.int64())]))
 
 
 def _events_gap_burstiness(sf_dir: str):
@@ -14252,7 +13568,7 @@ def _events_gap_burstiness(sf_dir: str):
     import pyarrow.compute as pc
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
     from h3ray.ops.window import window_lag_lead
 
     ds = rd.read_parquet(f"{sf_dir}/events.parquet",
@@ -14261,7 +13577,7 @@ def _events_gap_burstiness(sf_dir: str):
     w = window_lag_lead(ds, "user_id", "ts", "ts",
                         tiebreak_col="event_id", lag_col="prev_ts")
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         valid = pc.is_valid(batch["prev_ts"]).to_numpy(
             zero_copy_only=False)
         cur = batch["ts"].to_numpy(zero_copy_only=False) \
@@ -14272,16 +13588,11 @@ def _events_gap_burstiness(sf_dir: str):
             // 1_000_000
         gap = cur - prev
         et = batch["event_type"].filter(pa.array(valid))
-        t = pa.table({"t": et,
-                      "n": np.ones(gap.shape[0], np.int64),
-                      "s": gap, "q": gap * gap})
-        return t.group_by("t").aggregate(
-            [("n", "sum"), ("s", "sum"), ("q", "sum")]) \
-            .rename_columns(["t", "n", "s", "q"])
+        return pa.table({"t": et,
+                         "n": np.ones(gap.shape[0], np.int64),
+                         "s": gap, "q": gap * gap})
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by("t").aggregate(
-            [("n", "sum"), ("s", "sum"), ("q", "sum")])
+    def finish(g: pa.Table) -> pa.Table:
         empty = pa.table({
             "event_type": pa.array([], pa.string()),
             "n_gaps": pa.array([], pa.int64()),
@@ -14289,9 +13600,9 @@ def _events_gap_burstiness(sf_dir: str):
         if g.num_rows == 0:
             return empty
         types = g["t"].to_pylist()
-        ns = [int(v) for v in g["n_sum"].to_pylist()]
-        ss = [int(v) for v in g["s_sum"].to_pylist()]
-        qs = [int(v) for v in g["q_sum"].to_pylist()]
+        ns = [int(v) for v in g["n"].to_pylist()]
+        ss = [int(v) for v in g["s"].to_pylist()]
+        qs = [int(v) for v in g["q"].to_pylist()]
         out_t, out_n, out_b = [], [], []
         for ty, n, s, q in sorted(zip(types, ns, ss, qs)):
             if n < 2 or n * q - s * s < 0:
@@ -14310,11 +13621,10 @@ def _events_gap_burstiness(sf_dir: str):
             "n_gaps": pa.array(out_n, pa.int64()),
             "burstiness": pa.array(out_b, pa.float64())})
 
-    return driver_merge(
-        w.map_batches(partial, batch_format="pyarrow",
-                      batch_size=131072), merge,
-        schema=pa.schema([("t", pa.string()), ("n", pa.int64()),
-                          ("s", pa.int64()), ("q", pa.int64())]))
+    return combine(w, "t", sums=("n", "s", "q"), prep=prep, finish=finish,
+                   batch_size=131072,
+                   schema=pa.schema([("t", pa.string()), ("n", pa.int64()),
+                                     ("s", pa.int64()), ("q", pa.int64())]))
 
 
 def _sites_rich_club(sf_dir: str):
@@ -14369,19 +13679,17 @@ def _users_event_count_nbfit(sf_dir: str):
     import pyarrow as pa
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     ds = rd.read_parquet(f"{sf_dir}/events.parquet",
                          columns=["user_id"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         uid = batch["user_id"].to_numpy(zero_copy_only=False) \
             .astype(np.int64)
-        uniq, cnt = np.unique(uid, return_counts=True)
-        return pa.table({"uid": uniq, "n": cnt.astype(np.int64)})
+        return pa.table({"uid": uid})
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by("uid").aggregate([("n", "sum")])
+    def finish(g: pa.Table) -> pa.Table:
         empty = pa.table({
             "n_users": pa.array([], pa.int64()),
             "mean_events": pa.array([], pa.float64()),
@@ -14389,7 +13697,7 @@ def _users_event_count_nbfit(sf_dir: str):
             "nb_p": pa.array([], pa.float64())})
         if g.num_rows == 0:
             return empty
-        c = [int(v) for v in g["n_sum"].to_pylist()]
+        c = [int(v) for v in g["n"].to_pylist()]
         n = len(c)
         s = sum(c)
         q = sum(v * v for v in c)
@@ -14409,10 +13717,9 @@ def _users_event_count_nbfit(sf_dir: str):
             "nb_r": pa.array([r], pa.float64()),
             "nb_p": pa.array([p], pa.float64())})
 
-    return driver_merge(
-        ds.map_batches(partial, batch_format="pyarrow",
-                       batch_size=131072), merge,
-        schema=pa.schema([("uid", pa.int64()), ("n", pa.int64())]))
+    return combine(ds, "uid", count="n", prep=prep, finish=finish,
+                   batch_size=131072,
+                   schema=pa.schema([("uid", pa.int64()), ("n", pa.int64())]))
 
 
 def _nation_trade_balance(sf_dir: str):
@@ -14430,7 +13737,7 @@ def _nation_trade_balance(sf_dir: str):
     import ray.data as rd
 
     from h3ray.ops.join import hash_join, seed_schema
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     sup = pq.read_table(f"{sf_dir}/supplier.parquet",
                         columns=["s_suppkey", "s_nationkey"])
@@ -14477,19 +13784,15 @@ def _nation_trade_balance(sf_dir: str):
                    ("cents", pa.int64())]))
     joined = hash_join(prepped, ord_nat, "l_orderkey", "o_orderkey")
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         sn = batch["s_nat"].to_numpy(zero_copy_only=False)
         cn = batch["c_nationkey"].to_numpy(
             zero_copy_only=False).astype(np.int64)
         cents = batch["cents"].to_numpy(zero_copy_only=False)
         key = sn * 1000 + cn
-        uniq, inv = np.unique(key, return_inverse=True)
-        acc = np.zeros(uniq.shape[0], np.int64)
-        np.add.at(acc, inv, cents)
-        return pa.table({"k": uniq, "cents": acc})
+        return pa.table({"k": key, "cents": cents})
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by("k").aggregate([("cents", "sum")])
+    def finish(g: pa.Table) -> pa.Table:
         empty = pa.table({
             "nation_a": pa.array([], pa.int64()),
             "nation_b": pa.array([], pa.int64()),
@@ -14499,7 +13802,7 @@ def _nation_trade_balance(sf_dir: str):
         if g.num_rows == 0:
             return empty
         flows = {int(k): int(c) for k, c in
-                 zip(g["k"].to_pylist(), g["cents_sum"].to_pylist())}
+                 zip(g["k"].to_pylist(), g["cents"].to_pylist())}
         nations = sorted({k // 1000 for k in flows}
                          | {k % 1000 for k in flows})
         out = {c: [] for c in ("a", "b", "ab", "ba", "net")}
@@ -14521,9 +13824,9 @@ def _nation_trade_balance(sf_dir: str):
             "rev_ba_cents": pa.array(out["ba"], pa.int64()),
             "net_cents": pa.array(out["net"], pa.int64())})
 
-    return driver_merge(
-        joined.map_batches(partial, batch_format="pyarrow",
-                           batch_size=131072), merge,
+    return combine(
+        joined, "k", sums=("cents",), prep=prep, finish=finish,
+        batch_size=131072,
         schema=pa.schema([("k", pa.int64()), ("cents", pa.int64())]))
 
 
@@ -14542,24 +13845,19 @@ def _lineitem_ca_trend(sf_dir: str):
     import pyarrow.compute as pc
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     ds = rd.read_parquet(f"{sf_dir}/lineitem.parquet",
                          columns=["l_discount", "l_returnflag"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         s = np.floor(batch["l_discount"].to_numpy(
             zero_copy_only=False) * 10000 + 0.5).astype(np.int64)
         r = pc.equal(batch["l_returnflag"], "R").to_numpy(
             zero_copy_only=False).astype(np.int64)
-        uniq, inv = np.unique(s, return_inverse=True)
-        n = np.bincount(inv, minlength=uniq.shape[0]).astype(np.int64)
-        rr = np.zeros(uniq.shape[0], np.int64)
-        np.add.at(rr, inv, r)
-        return pa.table({"s": uniq, "n": n, "r": rr})
+        return pa.table({"s": s, "r": r})
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by("s").aggregate([("n", "sum"), ("r", "sum")])
+    def finish(g: pa.Table) -> pa.Table:
         empty = pa.table({
             "n_lines": pa.array([], pa.int64()),
             "n_returns": pa.array([], pa.int64()),
@@ -14567,8 +13865,8 @@ def _lineitem_ca_trend(sf_dir: str):
         if g.num_rows == 0:
             return empty
         s = [int(v) for v in g["s"].to_pylist()]
-        n = [int(v) for v in g["n_sum"].to_pylist()]
-        r = [int(v) for v in g["r_sum"].to_pylist()]
+        n = [int(v) for v in g["n"].to_pylist()]
+        r = [int(v) for v in g["r"].to_pylist()]
         big_n, big_r = sum(n), sum(r)
         tt = sum(si * ri for si, ri in zip(s, r))
         w1 = sum(si * ni for si, ni in zip(s, n))
@@ -14583,11 +13881,10 @@ def _lineitem_ca_trend(sf_dir: str):
             "n_returns": pa.array([big_r], pa.int64()),
             "z_ca_trend": pa.array([z], pa.float64())})
 
-    return driver_merge(
-        ds.map_batches(partial, batch_format="pyarrow",
-                       batch_size=131072), merge,
-        schema=pa.schema([("s", pa.int64()), ("n", pa.int64()),
-                          ("r", pa.int64())]))
+    return combine(ds, "s", count="n", sums=("r",), prep=prep, finish=finish,
+                   batch_size=131072,
+                   schema=pa.schema([("s", pa.int64()), ("n", pa.int64()),
+                                     ("r", pa.int64())]))
 
 
 def _docs_lexical_density_by_source(sf_dir: str):
@@ -14601,7 +13898,7 @@ def _docs_lexical_density_by_source(sf_dir: str):
     import pyarrow.compute as pc
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
     from h3ray.text.analysis import _STOPWORDS
 
     stop_all = set().union(*_STOPWORDS.values())
@@ -14610,20 +13907,15 @@ def _docs_lexical_density_by_source(sf_dir: str):
     ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
                          columns=["source", "text"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         words = pc.count_substring_regex(batch["text"], r"\S+") \
             .to_numpy(zero_copy_only=False).astype(np.int64)
         stops = pc.count_substring_regex(batch["text"], stop_pat) \
             .to_numpy(zero_copy_only=False).astype(np.int64)
-        t = pa.table({"source": batch["source"],
-                      "w": words, "st": stops})
-        return t.group_by("source").aggregate(
-            [("w", "sum"), ("st", "sum")]) \
-            .rename_columns(["source", "w", "st"])
+        return pa.table({"source": batch["source"],
+                         "w": words, "st": stops})
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by("source").aggregate(
-            [("w", "sum"), ("st", "sum")])
+    def finish(g: pa.Table) -> pa.Table:
         src = g["source"].to_pylist()
         if not src:
             return pa.table({
@@ -14631,8 +13923,8 @@ def _docs_lexical_density_by_source(sf_dir: str):
                 "n_tokens": pa.array([], pa.int64()),
                 "n_stopword_hits": pa.array([], pa.int64()),
                 "lexical_density": pa.array([], pa.float64())})
-        w = [int(v) for v in g["w_sum"].to_pylist()]
-        st = [int(v) for v in g["st_sum"].to_pylist()]
+        w = [int(v) for v in g["w"].to_pylist()]
+        st = [int(v) for v in g["st"].to_pylist()]
         dens = [None if wi == 0 else float(wi - si) / float(wi)
                 for wi, si in zip(w, st)]
         return pa.table({
@@ -14641,9 +13933,9 @@ def _docs_lexical_density_by_source(sf_dir: str):
             "n_stopword_hits": pa.array(st, pa.int64()),
             "lexical_density": pa.array(dens, pa.float64())})
 
-    return driver_merge(
-        ds.map_batches(partial, batch_format="pyarrow",
-                       batch_size=32768), merge,
+    return combine(
+        ds, "source", sums=("w", "st"), prep=prep, finish=finish,
+        batch_size=32768,
         schema=pa.schema([("source", pa.string()), ("w", pa.int64()),
                           ("st", pa.int64())]))
 
@@ -14661,24 +13953,21 @@ def _orders_seasonal_mann_kendall(sf_dir: str):
     import pyarrow as pa
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     ds = rd.read_parquet(f"{sf_dir}/orders.parquet",
                          columns=["o_orderdate", "o_totalprice"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         dt = batch["o_orderdate"].to_numpy(zero_copy_only=False)
         ym = dt.astype("datetime64[M]").astype(np.int64)
         y = ym // 12 + 1970
         m = ym % 12 + 1
         cents = np.floor(batch["o_totalprice"].to_numpy(
             zero_copy_only=False) * 100 + 0.5).astype(np.int64)
-        t = pa.table({"m": m, "y": y, "cents": cents})
-        return t.group_by(["m", "y"]).aggregate([("cents", "sum")]) \
-            .rename_columns(["m", "y", "cents"])
+        return pa.table({"m": m, "y": y, "cents": cents})
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by(["m", "y"]).aggregate([("cents", "sum")])
+    def finish(g: pa.Table) -> pa.Table:
         empty = pa.table({
             "n_cells": pa.array([], pa.int64()),
             "s_seasonal": pa.array([], pa.int64()),
@@ -14688,7 +13977,7 @@ def _orders_seasonal_mann_kendall(sf_dir: str):
             return empty
         mm = g["m"].to_numpy(zero_copy_only=False)
         yy = g["y"].to_numpy(zero_copy_only=False)
-        cc = g["cents_sum"].to_numpy(zero_copy_only=False)
+        cc = g["cents"].to_numpy(zero_copy_only=False)
         s_tot = 0
         vnum = 0
         n_cells = int(mm.shape[0])
@@ -14719,11 +14008,10 @@ def _orders_seasonal_mann_kendall(sf_dir: str):
             "var_num": pa.array([vnum], pa.int64()),
             "z_smk": pa.array([z], pa.float64())})
 
-    return driver_merge(
-        ds.map_batches(partial, batch_format="pyarrow",
-                       batch_size=131072), merge,
-        schema=pa.schema([("m", pa.int64()), ("y", pa.int64()),
-                          ("cents", pa.int64())]))
+    return combine(ds, ["m", "y"], sums=("cents",), prep=prep, finish=finish,
+                   batch_size=131072,
+                   schema=pa.schema([("m", pa.int64()), ("y", pa.int64()),
+                                     ("cents", pa.int64())]))
 
 
 def _sites_edge_support_hist(sf_dir: str):
@@ -14768,7 +14056,7 @@ def _events_shapley_attribution(sf_dir: str):
     import pyarrow as pa
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     CODES = {"click": 1, "view": 2, "signup": 4, "error": 8,
              "purchase": 16}
@@ -14779,7 +14067,7 @@ def _events_shapley_attribution(sf_dir: str):
     ds = rd.read_parquet(f"{sf_dir}/events.parquet",
                          columns=["user_id", "ts", "event_type"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         uid = batch["user_id"].to_numpy(zero_copy_only=False) \
             .astype(np.int64)
         ts = batch["ts"].to_numpy(zero_copy_only=False) \
@@ -14787,16 +14075,13 @@ def _events_shapley_attribution(sf_dir: str):
         et = batch["event_type"].to_pylist()
         code = np.array([CODES.get(t, 0) for t in et], np.int64)
         keep = code > 0
-        t = pa.table({"uid": uid[keep], "code": code[keep],
-                      "mn": ts[keep]})
-        return t.group_by(["uid", "code"]).aggregate([("mn", "min")]) \
-            .rename_columns(["uid", "code", "mn"])
+        return pa.table({"uid": uid[keep], "code": code[keep],
+                         "mn": ts[keep]})
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by(["uid", "code"]).aggregate([("mn", "min")])
+    def finish(g: pa.Table) -> pa.Table:
         uid = g["uid"].to_numpy(zero_copy_only=False)
         code = g["code"].to_numpy(zero_copy_only=False)
-        mn = g["mn_min"].to_numpy(zero_copy_only=False)
+        mn = g["mn"].to_numpy(zero_copy_only=False)
         # first-purchase ts per user
         pts: dict = {}
         for u, c, m in zip(uid.tolist(), code.tolist(), mn.tolist()):
@@ -14826,11 +14111,11 @@ def _events_shapley_attribution(sf_dir: str):
             "shapley_x24": pa.array(out_x, pa.int64()),
             "shapley": pa.array(out_s, pa.float64())})
 
-    return driver_merge(
-        ds.map_batches(partial, batch_format="pyarrow",
-                       batch_size=131072), merge,
-        schema=pa.schema([("uid", pa.int64()), ("code", pa.int64()),
-                          ("mn", pa.int64())]))
+    return combine(ds, ["uid", "code"], mins=("mn",), prep=prep,
+                   finish=finish, batch_size=131072,
+                   schema=pa.schema([("uid", pa.int64()),
+                                     ("code", pa.int64()),
+                                     ("mn", pa.int64())]))
 
 
 def _customer_balance_sign_test(sf_dir: str):
@@ -14899,14 +14184,14 @@ def _orders_bootstrap_resamples(sf_dir: str):
     import ray.data as rd
 
     from h3ray.io.pages import _mix64
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     ds = rd.read_parquet(f"{sf_dir}/orders.parquet",
                          columns=["o_orderkey", "o_totalprice"])
     B = 16
     CDF = np.array(_POIS1_CDF, np.float64)
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         key = batch["o_orderkey"].to_numpy(zero_copy_only=False) \
             .astype(np.uint64)
         cents = np.floor(batch["o_totalprice"].to_numpy(
@@ -14923,8 +14208,7 @@ def _orders_bootstrap_resamples(sf_dir: str):
                          "n": pa.array(out_n, pa.int64()),
                          "s": pa.array(out_s, pa.int64())})
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by("b").aggregate([("n", "sum"), ("s", "sum")])
+    def finish(g: pa.Table) -> pa.Table:
         if g.num_rows == 0:
             return pa.table({
                 "resample_id": pa.array([], pa.int64()),
@@ -14933,8 +14217,8 @@ def _orders_bootstrap_resamples(sf_dir: str):
                 "mean_cents": pa.array([], pa.float64())})
         b = g["b"].to_numpy(zero_copy_only=False)
         o = np.argsort(b)
-        n = g["n_sum"].to_numpy(zero_copy_only=False)[o]
-        s = g["s_sum"].to_numpy(zero_copy_only=False)[o]
+        n = g["n"].to_numpy(zero_copy_only=False)[o]
+        s = g["s"].to_numpy(zero_copy_only=False)[o]
         mean = [None if ni == 0 else float(si) / float(ni)
                 for ni, si in zip(n.tolist(), s.tolist())]
         return pa.table({
@@ -14943,11 +14227,10 @@ def _orders_bootstrap_resamples(sf_dir: str):
             "sum_cents": pa.array(s.astype(np.int64)),
             "mean_cents": pa.array(mean, pa.float64())})
 
-    return driver_merge(
-        ds.map_batches(partial, batch_format="pyarrow",
-                       batch_size=131072), merge,
-        schema=pa.schema([("b", pa.int64()), ("n", pa.int64()),
-                          ("s", pa.int64())]))
+    return combine(ds, "b", sums=("n", "s"), prep=prep, finish=finish,
+                   batch_size=131072,
+                   schema=pa.schema([("b", pa.int64()), ("n", pa.int64()),
+                                     ("s", pa.int64())]))
 
 
 def _nation_export_concentration(sf_dir: str):
@@ -14964,7 +14247,7 @@ def _nation_export_concentration(sf_dir: str):
     import ray.data as rd
 
     from h3ray.ops.join import hash_join, seed_schema
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     sup = pq.read_table(f"{sf_dir}/supplier.parquet",
                         columns=["s_suppkey", "s_nationkey"])
@@ -15011,19 +14294,15 @@ def _nation_export_concentration(sf_dir: str):
                    ("cents", pa.int64())]))
     joined = hash_join(prepped, ord_nat, "l_orderkey", "o_orderkey")
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         sn = batch["s_nat"].to_numpy(zero_copy_only=False)
         cn = batch["c_nationkey"].to_numpy(
             zero_copy_only=False).astype(np.int64)
         cents = batch["cents"].to_numpy(zero_copy_only=False)
         key = sn * 1000 + cn
-        uniq, inv = np.unique(key, return_inverse=True)
-        acc = np.zeros(uniq.shape[0], np.int64)
-        np.add.at(acc, inv, cents)
-        return pa.table({"k": uniq, "cents": acc})
+        return pa.table({"k": key, "cents": cents})
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by("k").aggregate([("cents", "sum")])
+    def finish(g: pa.Table) -> pa.Table:
         empty = pa.table({
             "s_nation": pa.array([], pa.int64()),
             "total_cents": pa.array([], pa.int64()),
@@ -15033,7 +14312,7 @@ def _nation_export_concentration(sf_dir: str):
         if g.num_rows == 0:
             return empty
         k = g["k"].to_numpy(zero_copy_only=False)
-        c = g["cents_sum"].to_numpy(zero_copy_only=False)
+        c = g["cents"].to_numpy(zero_copy_only=False)
         sn = k // 1000
         cn = k % 1000
         out = {x: [] for x in ("s", "t", "p", "tc", "sh")}
@@ -15055,9 +14334,9 @@ def _nation_export_concentration(sf_dir: str):
             "top_cents": pa.array(out["tc"], pa.int64()),
             "top_share": pa.array(out["sh"], pa.float64())})
 
-    return driver_merge(
-        joined.map_batches(partial, batch_format="pyarrow",
-                           batch_size=131072), merge,
+    return combine(
+        joined, "k", sums=("cents",), prep=prep, finish=finish,
+        batch_size=131072,
         schema=pa.schema([("k", pa.int64()), ("cents", pa.int64())]))
 
 
@@ -15074,19 +14353,17 @@ def _orders_control_chart(sf_dir: str):
     import pyarrow as pa
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     ds = rd.read_parquet(f"{sf_dir}/orders.parquet",
                          columns=["o_orderdate"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         day = batch["o_orderdate"].to_numpy(zero_copy_only=False) \
             .astype("datetime64[us]").astype(np.int64) // 86_400_000_000
-        uniq, cnt = np.unique(day, return_counts=True)
-        return pa.table({"day": uniq, "n": cnt.astype(np.int64)})
+        return pa.table({"day": day})
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by("day").aggregate([("n", "sum")])
+    def finish(g: pa.Table) -> pa.Table:
         empty = pa.table({
             "n_days": pa.array([], pa.int64()),
             "center": pa.array([], pa.float64()),
@@ -15096,7 +14373,7 @@ def _orders_control_chart(sf_dir: str):
             "n_below_lcl": pa.array([], pa.int64())})
         if g.num_rows == 0:
             return empty
-        n = g["n_sum"].to_numpy(zero_copy_only=False).astype(np.int64)
+        n = g["n"].to_numpy(zero_copy_only=False).astype(np.int64)
         days = int(n.shape[0])
         lam = float(int(n.sum())) / float(days)
         ucl = lam + 3.0 * math.sqrt(lam)
@@ -15111,10 +14388,9 @@ def _orders_control_chart(sf_dir: str):
             "n_above_ucl": pa.array([above], pa.int64()),
             "n_below_lcl": pa.array([below], pa.int64())})
 
-    return driver_merge(
-        ds.map_batches(partial, batch_format="pyarrow",
-                       batch_size=131072), merge,
-        schema=pa.schema([("day", pa.int64()), ("n", pa.int64())]))
+    return combine(ds, "day", count="n", prep=prep, finish=finish,
+                   batch_size=131072,
+                   schema=pa.schema([("day", pa.int64()), ("n", pa.int64())]))
 
 
 def _emb_quant_error_curve(sf_dir: str):
@@ -15129,7 +14405,7 @@ def _emb_quant_error_curve(sf_dir: str):
     import pyarrow as pa
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
     from h3ray.pipelines.ann import _embedding_matrix
 
     BITS = (2, 4, 8)
@@ -15137,7 +14413,7 @@ def _emb_quant_error_curve(sf_dir: str):
     ds = rd.read_parquet(f"{sf_dir}/embeddings.parquet",
                          columns=["embedding"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         micro = np.floor(_embedding_matrix(batch, "embedding",
                                            dtype=np.float64)
                          * 1_000_000 + 0.5).astype(np.int64).ravel()
@@ -15154,8 +14430,7 @@ def _emb_quant_error_curve(sf_dir: str):
                          "n": pa.array(out_n, pa.int64()),
                          "sse": pa.array(out_s, pa.int64())})
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by("b").aggregate([("n", "sum"), ("sse", "sum")])
+    def finish(g: pa.Table) -> pa.Table:
         if g.num_rows == 0:
             return pa.table({
                 "bits": pa.array([], pa.int64()),
@@ -15165,9 +14440,9 @@ def _emb_quant_error_curve(sf_dir: str):
         b = g["b"].to_numpy(zero_copy_only=False)
         o = np.argsort(b)
         n = [int(v) for v in
-             g["n_sum"].to_numpy(zero_copy_only=False)[o]]
+             g["n"].to_numpy(zero_copy_only=False)[o]]
         s = [int(v) for v in
-             g["sse_sum"].to_numpy(zero_copy_only=False)[o]]
+             g["sse"].to_numpy(zero_copy_only=False)[o]]
         return pa.table({
             "bits": pa.array(b[o].astype(np.int64)),
             "n_values": pa.array(n, pa.int64()),
@@ -15177,11 +14452,10 @@ def _emb_quant_error_curve(sf_dir: str):
                 [None if ni == 0 else float(si) / float(ni)
                  for ni, si in zip(n, s)], pa.float64())})
 
-    return driver_merge(
-        ds.map_batches(partial, batch_format="pyarrow",
-                       batch_size=32768), merge,
-        schema=pa.schema([("b", pa.int64()), ("n", pa.int64()),
-                          ("sse", pa.int64())]))
+    return combine(ds, "b", sums=("n", "sse"), prep=prep, finish=finish,
+                   batch_size=32768,
+                   schema=pa.schema([("b", pa.int64()), ("n", pa.int64()),
+                                     ("sse", pa.int64())]))
 
 
 def _sites_bowtie(sf_dir: str):
@@ -15234,7 +14508,7 @@ def _users_episode_hist(sf_dir: str):
     import pyarrow.compute as pc
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
     from h3ray.ops.window import window_lag_lead
 
     ds = rd.read_parquet(f"{sf_dir}/events.parquet",
@@ -15243,7 +14517,7 @@ def _users_episode_hist(sf_dir: str):
                         tiebreak_col="event_id", lag_col="prev_ts")
     GAP_US = 7 * 86_400_000_000
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         uid = batch["user_id"].to_numpy(zero_copy_only=False) \
             .astype(np.int64)
         valid = pc.is_valid(batch["prev_ts"]).to_numpy(
@@ -15259,24 +14533,21 @@ def _users_episode_hist(sf_dir: str):
         seen = np.ones(uniq.shape[0], np.int64)
         return pa.table({"uid": uniq, "gaps": gaps, "seen": seen})
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by("uid").aggregate(
-            [("gaps", "sum"), ("seen", "sum")])
+    def finish(g: pa.Table) -> pa.Table:
         if g.num_rows == 0:
             return pa.table({
                 "n_episodes": pa.array([], pa.int64()),
                 "n_users": pa.array([], pa.int64())})
-        ep = g["gaps_sum"].to_numpy(zero_copy_only=False) + 1
+        ep = g["gaps"].to_numpy(zero_copy_only=False) + 1
         uniq, cnt = np.unique(ep, return_counts=True)
         return pa.table({
             "n_episodes": pa.array(uniq.astype(np.int64)),
             "n_users": pa.array(cnt.astype(np.int64))})
 
-    return driver_merge(
-        w.map_batches(partial, batch_format="pyarrow",
-                      batch_size=131072), merge,
-        schema=pa.schema([("uid", pa.int64()), ("gaps", pa.int64()),
-                          ("seen", pa.int64())]))
+    return combine(w, "uid", sums=("gaps", "seen"), prep=prep, finish=finish,
+                   batch_size=131072,
+                   schema=pa.schema([("uid", pa.int64()), ("gaps", pa.int64()),
+                                     ("seen", pa.int64())]))
 
 
 _MARKOV_K = 6
@@ -15422,27 +14693,24 @@ def _events_hour_uniformity_chi2(sf_dir: str):
     import pyarrow as pa
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     ds = rd.read_parquet(f"{sf_dir}/events.parquet", columns=["ts"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         hour = (batch["ts"].to_numpy(zero_copy_only=False)
                 .astype("datetime64[us]").astype(np.int64)
                 // 3_600_000_000) % 24
-        uniq, cnt = np.unique(hour, return_counts=True)
-        return pa.table({"h": uniq.astype(np.int64),
-                         "n": cnt.astype(np.int64)})
+        return pa.table({"h": hour.astype(np.int64)})
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by("h").aggregate([("n", "sum")])
+    def finish(g: pa.Table) -> pa.Table:
         empty = pa.table({
             "n_events": pa.array([], pa.int64()),
             "n_hours_seen": pa.array([], pa.int64()),
             "chi2_uniform": pa.array([], pa.float64())})
         if g.num_rows == 0:
             return empty
-        n = [int(v) for v in g["n_sum"].to_pylist()]
+        n = [int(v) for v in g["n"].to_pylist()]
         big_n = sum(n)
         q = sum(v * v for v in n)
         chi2 = None if big_n == 0 \
@@ -15452,10 +14720,9 @@ def _events_hour_uniformity_chi2(sf_dir: str):
             "n_hours_seen": pa.array([len(n)], pa.int64()),
             "chi2_uniform": pa.array([chi2], pa.float64())})
 
-    return driver_merge(
-        ds.map_batches(partial, batch_format="pyarrow",
-                       batch_size=131072), merge,
-        schema=pa.schema([("h", pa.int64()), ("n", pa.int64())]))
+    return combine(ds, "h", count="n", prep=prep, finish=finish,
+                   batch_size=131072,
+                   schema=pa.schema([("h", pa.int64()), ("n", pa.int64())]))
 
 
 def _docs_source_vocab_overlap(sf_dir: str):
@@ -15578,7 +14845,7 @@ def _events_rapid_repeat_share(sf_dir: str):
     import pyarrow.compute as pc
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
     from h3ray.ops.window import window_lag_lead
 
     ds = rd.read_parquet(f"{sf_dir}/events.parquet",
@@ -15597,7 +14864,7 @@ def _events_rapid_repeat_share(sf_dir: str):
         "uk", "ts", "ts", tiebreak_col="event_id",
         lag_col="prev_ts")
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         valid = pc.is_valid(batch["prev_ts"]).to_numpy(
             zero_copy_only=False)
         cur = batch["ts"].to_numpy(zero_copy_only=False) \
@@ -15605,16 +14872,11 @@ def _events_rapid_repeat_share(sf_dir: str):
         prev = batch["prev_ts"].to_numpy(zero_copy_only=False) \
             .astype("datetime64[us]").astype(np.int64)
         rapid = (valid & (cur - prev < 60_000_000)).astype(np.int64)
-        t = pa.table({"t": batch["event_type"],
-                      "n_gaps": valid.astype(np.int64),
-                      "n_rapid": rapid})
-        return t.group_by("t").aggregate(
-            [("n_gaps", "sum"), ("n_rapid", "sum")]) \
-            .rename_columns(["t", "n_gaps", "n_rapid"])
+        return pa.table({"t": batch["event_type"],
+                         "n_gaps": valid.astype(np.int64),
+                         "n_rapid": rapid})
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by("t").aggregate(
-            [("n_gaps", "sum"), ("n_rapid", "sum")])
+    def finish(g: pa.Table) -> pa.Table:
         tt = g["t"].to_pylist()
         if not tt:
             return pa.table({
@@ -15623,9 +14885,9 @@ def _events_rapid_repeat_share(sf_dir: str):
                 "n_rapid": pa.array([], pa.int64()),
                 "rapid_share": pa.array([], pa.float64())})
         rows = sorted(zip(tt,
-                          [int(v) for v in g["n_gaps_sum"].to_pylist()],
+                          [int(v) for v in g["n_gaps"].to_pylist()],
                           [int(v) for v in
-                           g["n_rapid_sum"].to_pylist()]))
+                           g["n_rapid"].to_pylist()]))
         return pa.table({
             "event_type": pa.array([r[0] for r in rows], pa.string()),
             "n_gaps": pa.array([r[1] for r in rows], pa.int64()),
@@ -15634,9 +14896,9 @@ def _events_rapid_repeat_share(sf_dir: str):
                 [None if r[1] == 0 else float(r[2]) / float(r[1])
                  for r in rows], pa.float64())})
 
-    return driver_merge(
-        w.map_batches(partial, batch_format="pyarrow",
-                      batch_size=131072), merge,
+    return combine(
+        w, "t", sums=("n_gaps", "n_rapid"), prep=prep, finish=finish,
+        batch_size=131072,
         schema=pa.schema([("t", pa.string()), ("n_gaps", pa.int64()),
                           ("n_rapid", pa.int64())]))
 
@@ -17049,24 +16311,39 @@ def _multimodal_oracle() -> str:
     """
 
 
-# Shared by docs_dup_clusters (verbatim) and docs_near_dedup (as a CTE):
-# ngram-jaccard pair graph -> recursive transitive closure -> min-label
-# component id per doc (itself when unique).
-_DUP_CLUSTERS_SQL = """
-            WITH RECURSIVE pairs AS (
-              WITH shingles AS (
+def _near_dup_pairs_sql(src: str) -> str:
+    """Doc pairs of `src` (doc_id, text) whose distinct 5-shingle sets have
+    Jaccard >= 0.5: columns key_a < key_b and the Jaccard j. An exact
+    candidate join — shingles unnest and equi-join, so only pairs that
+    share a shingle are counted (any pair at j >= 0.5 shares one); texts
+    under 5 chars are one space-padded shingle, NULL text has none."""
+    return f"""
+              WITH sh AS (
                 SELECT doc_id,
                        CASE WHEN length(text) < 5 THEN [rpad(text, 5, ' ')]
                             ELSE list_distinct([substring(text, i, 5)
                                     FOR i IN range(1, length(text) - 3)])
                        END AS gs
-                FROM documents
+                FROM {src}
+              ), g AS (
+                SELECT doc_id, len(gs) AS n, unnest(gs) AS g FROM sh
+              ), inter AS (
+                SELECT a.doc_id AS key_a, b.doc_id AS key_b, a.n AS na,
+                       b.n AS nb, COUNT(*) AS k
+                FROM g a JOIN g b ON a.g = b.g AND a.doc_id < b.doc_id
+                GROUP BY a.doc_id, b.doc_id, a.n, b.n
               )
-              SELECT a.doc_id AS key_a, b.doc_id AS key_b
-              FROM shingles a JOIN shingles b ON a.doc_id < b.doc_id
-              WHERE CAST(len(list_intersect(a.gs, b.gs)) AS DOUBLE)
-                    / (len(a.gs) + len(b.gs)
-                       - len(list_intersect(a.gs, b.gs))) >= 0.5
+              SELECT key_a, key_b, CAST(k AS DOUBLE) / (na + nb - k) AS j
+              FROM inter
+              WHERE CAST(k AS DOUBLE) / (na + nb - k) >= 0.5
+            """
+
+
+# Shared by docs_dup_clusters (verbatim) and docs_near_dedup (as a CTE):
+# ngram-jaccard pair graph -> recursive transitive closure -> min-label
+# component id per doc (itself when unique).
+_DUP_CLUSTERS_SQL = f"""
+            WITH RECURSIVE pairs AS ({_near_dup_pairs_sql("documents")}
             ), edge AS (
               SELECT key_a AS u, key_b AS v FROM pairs
               UNION ALL SELECT key_b, key_a FROM pairs
@@ -18993,21 +18270,8 @@ def oracle_sql() -> dict[str, str]:
         """,
         # Dup-graph transitivity: wedge vs triangle census over the
         # exact pair CTE; one division.
-        "docs_dup_transitivity": """
-            WITH shingles AS (
-              SELECT doc_id,
-                     CASE WHEN length(text) < 5 THEN [rpad(text, 5, ' ')]
-                          ELSE list_distinct([substring(text, i, 5)
-                                  FOR i IN range(1, length(text) - 3)])
-                     END AS gs
-              FROM documents
-            ), prs AS (
-              SELECT a.doc_id AS u, b.doc_id AS v
-              FROM shingles a JOIN shingles b ON a.doc_id < b.doc_id
-              WHERE CAST(len(list_intersect(a.gs, b.gs)) AS DOUBLE)
-                    / (len(a.gs) + len(b.gs)
-                       - len(list_intersect(a.gs, b.gs))) >= 0.5
-            ), nb AS (
+        "docs_dup_transitivity": f"""
+            WITH prs(u, v, j) AS ({_near_dup_pairs_sql("documents")}), nb AS (
               SELECT u AS x, v AS w FROM prs
               UNION ALL SELECT v, u FROM prs
             ), deg AS (
@@ -19269,20 +18533,8 @@ def oracle_sql() -> dict[str, str]:
         # Dedup method agreement: both exact pair CTEs, intersection
         # join, one division.
         "docs_dedup_method_agreement": f"""
-            WITH shingles AS (
-              SELECT doc_id,
-                     CASE WHEN length(text) < 5 THEN [rpad(text, 5, ' ')]
-                          ELSE list_distinct([substring(text, i, 5)
-                                  FOR i IN range(1, length(text) - 3)])
-                     END AS gs
-              FROM documents
-            ), ja AS (
-              SELECT a.doc_id AS ka, b.doc_id AS kb
-              FROM shingles a JOIN shingles b ON a.doc_id < b.doc_id
-              WHERE CAST(len(list_intersect(a.gs, b.gs)) AS DOUBLE)
-                    / (len(a.gs) + len(b.gs)
-                       - len(list_intersect(a.gs, b.gs))) >= 0.5
-            ), sims AS ({_simhash_oracle()}), sh AS (
+            WITH ja(ka, kb, j) AS ({_near_dup_pairs_sql("documents")}),
+            sims AS ({_simhash_oracle()}), sh AS (
               SELECT a.doc_id AS ka, b.doc_id AS kb
               FROM sims a JOIN sims b ON a.doc_id < b.doc_id
               WHERE bit_count(xor(a.simhash, b.simhash)) <= 3
@@ -19407,20 +18659,8 @@ def oracle_sql() -> dict[str, str]:
         # Quality x dup 2x2: exact counts, odds ratio as one division
         # of integer cross-products.
         "docs_quality_dup_contingency": f"""
-            WITH shingles AS (
-              SELECT doc_id,
-                     CASE WHEN length(text) < 5 THEN [rpad(text, 5, ' ')]
-                          ELSE list_distinct([substring(text, i, 5)
-                                  FOR i IN range(1, length(text) - 3)])
-                     END AS gs
-              FROM documents
-            ), prs AS (
-              SELECT a.doc_id AS ka, b.doc_id AS kb
-              FROM shingles a JOIN shingles b ON a.doc_id < b.doc_id
-              WHERE CAST(len(list_intersect(a.gs, b.gs)) AS DOUBLE)
-                    / (len(a.gs) + len(b.gs)
-                       - len(list_intersect(a.gs, b.gs))) >= 0.5
-            ), dup AS (
+            WITH prs(ka, kb, j) AS ({_near_dup_pairs_sql("documents")}),
+            dup AS (
               SELECT ka AS doc_id FROM prs
               UNION SELECT kb FROM prs
             ), q AS ({_quality_filter_oracle()}), f AS (
@@ -19594,23 +18834,8 @@ def oracle_sql() -> dict[str, str]:
         """,
         # Threshold curve over the exact shingle-Jaccard pair graph;
         # IEEE t/10 literals match the engine's comparisons.
-        "docs_jaccard_threshold_curve": """
-            WITH shingles AS (
-              SELECT doc_id,
-                     CASE WHEN length(text) < 5 THEN [rpad(text, 5, ' ')]
-                          ELSE list_distinct([substring(text, i, 5)
-                                  FOR i IN range(1, length(text) - 3)])
-                     END AS gs
-              FROM documents
-            ), jac AS (
-              SELECT CAST(len(list_intersect(a.gs, b.gs)) AS DOUBLE)
-                     / (len(a.gs) + len(b.gs)
-                        - len(list_intersect(a.gs, b.gs))) AS j
-              FROM shingles a JOIN shingles b ON a.doc_id < b.doc_id
-              WHERE CAST(len(list_intersect(a.gs, b.gs)) AS DOUBLE)
-                    / (len(a.gs) + len(b.gs)
-                       - len(list_intersect(a.gs, b.gs))) >= 0.5
-            )
+        "docs_jaccard_threshold_curve": f"""
+            WITH jac AS ({_near_dup_pairs_sql("documents")})
             SELECT CAST(th.t AS BIGINT) AS threshold_x10,
                    CAST(COALESCE(SUM(CASE WHEN jac.j >=
                                      CAST(th.t AS DOUBLE) / 10.0
@@ -20007,21 +19232,8 @@ def oracle_sql() -> dict[str, str]:
         """,
         # Cross-source duplication matrix over the exact ngram-Jaccard
         # pair graph; LEAST/GREATEST canonical source pairs.
-        "docs_dup_source_matrix": """
-            WITH shingles AS (
-              SELECT doc_id,
-                     CASE WHEN length(text) < 5 THEN [rpad(text, 5, ' ')]
-                          ELSE list_distinct([substring(text, i, 5)
-                                  FOR i IN range(1, length(text) - 3)])
-                     END AS gs
-              FROM documents
-            ), p AS (
-              SELECT a.doc_id AS key_a, b.doc_id AS key_b
-              FROM shingles a JOIN shingles b ON a.doc_id < b.doc_id
-              WHERE CAST(len(list_intersect(a.gs, b.gs)) AS DOUBLE)
-                    / (len(a.gs) + len(b.gs)
-                       - len(list_intersect(a.gs, b.gs))) >= 0.5
-            )
+        "docs_dup_source_matrix": f"""
+            WITH p AS ({_near_dup_pairs_sql("documents")})
             SELECT LEAST(da.source, db.source) AS s1,
                    GREATEST(da.source, db.source) AS s2,
                    CAST(COUNT(*) AS BIGINT) AS n_pairs
@@ -22888,20 +22100,9 @@ def oracle_sql() -> dict[str, str]:
             FROM sims a JOIN sims b ON a.doc_id < b.doc_id
             WHERE bit_count(xor(a.simhash, b.simhash)) <= 3
         """,
-        "ngram_jaccard_pairs": """
-            WITH shingles AS (
-              SELECT doc_id,
-                     CASE WHEN length(text) < 5 THEN [rpad(text, 5, ' ')]
-                          ELSE list_distinct([substring(text, i, 5)
-                                  FOR i IN range(1, length(text) - 3)])
-                     END AS gs
-              FROM documents
-            )
-            SELECT a.doc_id AS key_a, b.doc_id AS key_b
-            FROM shingles a JOIN shingles b ON a.doc_id < b.doc_id
-            WHERE CAST(len(list_intersect(a.gs, b.gs)) AS DOUBLE)
-                  / (len(a.gs) + len(b.gs)
-                     - len(list_intersect(a.gs, b.gs))) >= 0.5
+        "ngram_jaccard_pairs": f"""
+            SELECT key_a, key_b
+            FROM ({_near_dup_pairs_sql("documents")})
         """,
         "ann_topk_ivf": """
             SELECT query_id, vec_id FROM (

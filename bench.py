@@ -1,36 +1,13 @@
-#!/usr/bin/env python3
-"""Benchmark harness: headline pipelines over $GRAFT_SF_DIR.
+"""Tenancy probe: one single-core NumPy timing that says how busy the host is.
 
-Prints ONE JSON line:
-  {"metric": "...", "value": <headline seconds>, "unit": "sec",
-   "queries": {...}, "sf": ..., "num_cpus": N}
-
-`--scaling` runs the same suite at two CPU levels (GRAFT_SCALING_CPUS,
-default 8,32) in fresh subprocesses on a 4x input and reports both
-throughputs plus efficiency = thr(hi) / ((hi/lo) * thr(lo)) — the sandbox
-stand-in for the N vs 4N cluster-size criterion (BASELINE.md).
-
-The headline workload is the north-star one: geotag-encode synthetic pages
-(res 9) + per-cell counts + kNN join — all streaming, no full
-materialization. Headline queries take min-of-GRAFT_BENCH_REPS (default 2)
-because the sandbox shares tenancy and single runs swing 2-3x.
+`perfbench/harness.py` runs `bench.tenancy_probe()` in a child interpreter
+before and after each benchmark run and records the figures with it. The
+benchmark itself is `perfbench/run.py`.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import subprocess
-import sys
 import time
-from pathlib import Path
-
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-
-SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
-NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
-N_PAGES = int(os.environ.get("GRAFT_BENCH_PAGES", "8000000"))
-PAGES_DIR = os.environ.get("GRAFT_PAGES_DIR", f"/tmp/h3ray_bench_pages_{N_PAGES}")
 
 
 #: Single-core probe wall above which the tenancy window is "dirty"
@@ -55,420 +32,3 @@ def tenancy_probe() -> float:
     t0 = time.time()
     np.sqrt(a) * np.sin(a)
     return round(time.time() - t0, 3)
-
-
-def ensure_pages_parquet():
-    """Materialize the synthetic pages input once (shared across runs)."""
-    if not Path(PAGES_DIR).exists() or not any(Path(PAGES_DIR).glob("*.parquet")):
-        from h3ray.io import pages as pio
-
-        pio.write_pages_parquet(N_PAGES, PAGES_DIR, parallelism=64)
-
-
-def run_benchmarks() -> dict:
-    import logging
-
-    import ray
-    import ray.data as rd
-    from ray.data import DataContext
-
-    probe_before = tenancy_probe()
-    ray.init(address="local", num_cpus=NUM_CPUS, include_dashboard=False,
-             ignore_reinit_error=True, logging_level="ERROR")
-    ctx = DataContext.get_current()
-    ctx.enable_progress_bars = False
-    logging.getLogger("ray.data").setLevel(logging.ERROR)
-
-    from h3ray.io import pages as pio
-    from h3ray.pipelines import geotag, knn, relational, tiles
-
-    ensure_pages_parquet()
-    timings: dict[str, float] = {}
-
-    only = os.environ.get("GRAFT_BENCH_QUERIES")
-    only_set = set(only.split(",")) if only else None
-
-    def want(name: str) -> bool:
-        return only_set is None or name in only_set
-
-    # Block count tracks parallelism by default; scaling runs pin it
-    # (GRAFT_BENCH_BLOCKS) so every CPU level processes IDENTICAL block
-    # sizes — otherwise the low-cpu level gets bigger blocks (bigger
-    # lexsorts, more spill) and the efficiency ratio is confounded.
-    n_blocks = int(os.environ.get("GRAFT_BENCH_BLOCKS", 4 * NUM_CPUS))
-
-    def read_pages():
-        return rd.read_parquet(PAGES_DIR, columns=["url"],
-                               override_num_blocks=n_blocks)
-
-    # Warm-up (untimed): page cache + worker processes + imports, so the
-    # timed runs measure steady-state throughput, not cold-start.
-    if want("encode_cell_counts") or want("knn_join"):
-        geotag.cell_counts(read_pages(), res=9, parent_res=3).count()
-
-    reps = int(os.environ.get("GRAFT_BENCH_REPS", "2"))
-
-    # 1. Headline: geotag + encode res 9 + per-parent-cell counts.
-    # Headline queries take min-of-reps: the sandbox shares tenancy and
-    # single runs swing 2-3x.
-    if want("encode_cell_counts"):
-        best = float("inf")
-        for _ in range(reps):
-            t0 = time.time()
-            n_cells = geotag.cell_counts(read_pages(), res=9,
-                                         parent_res=3).count()
-            best = min(best, time.time() - t0)
-        timings["encode_cell_counts"] = best
-
-    # 2. kNN join against 100 query points.
-    if want("knn_join"):
-        best = float("inf")
-        for _ in range(reps):
-            t0 = time.time()
-            out = knn.knn_join(read_pages(), pio.CITY_LAT[:50],
-                               pio.CITY_LNG[:50], res=7, k_ring=2,
-                               k_nearest=10)
-            n_knn = out.count()
-            best = min(best, time.time() - t0)
-        timings["knn_join"] = best
-
-    # 2b. Point-in-polygon join: 32 city polygons, exact per-point recheck.
-    # Min-of-reps: a single shot on this shared box swings 2-3x and reads
-    # as a phantom regression (BENCH_r02 vs r01 taught this the hard way).
-    from h3ray.pipelines import pip
-
-    if want("pip_join"):
-        best = float("inf")
-        geoms = pip.city_polygons(32)
-        for _ in range(reps):
-            t0 = time.time()
-            n_pip = pip.pip_join(read_pages(), geoms, res=8,
-                                 exact=True).count()
-            best = min(best, time.time() - t0)
-        timings["pip_join"] = best
-
-    # 3. Tile assignment (encode + parent) streamed to parquet sink.
-    if want("tile_assign_sink"):
-        t0 = time.time()
-        sink = f"/tmp/h3ray_bench_tiles_{NUM_CPUS}"
-        import shutil
-
-        shutil.rmtree(sink, ignore_errors=True)
-        tiles.tile_assign(read_pages(), res=9, tile_res=4).write_parquet(sink)
-        timings["tile_assign_sink"] = time.time() - t0
-
-    # 4. Distributed compact of the res-7 cell set (dedup inside): both the
-    # small-set driver-merge path and the 100-TB two-round shuffle path.
-    for name, shuffle in (("compact_cells", False),
-                          ("compact_cells_shuffle", True)):
-        if not want(name):
-            continue
-        t0 = time.time()
-        cells = geotag.geotag_cells(
-            read_pages(), res=7, parent_res=2,
-            keep_cols=("url",)).select_columns(["cell_r7"])
-        n_compact = tiles.compact_cells_dataset(
-            cells, "cell_r7", group_res=2, shuffle=shuffle).count()
-        timings[name] = time.time() - t0
-
-    # 5. Relational oracle queries over $GRAFT_SF_DIR.
-    for name, fn in (("lineitem_agg", relational.lineitem_agg),
-                     ("docs_exact_dedup", relational.docs_exact_dedup)):
-        if not want(name):
-            continue
-        t0 = time.time()
-        fn(SF_DIR).count()
-        timings[name] = time.time() - t0
-
-    # 5a. Round-3 relational shapes: the Q3-style 3-way join (scan pruning +
-    # broadcast probe + combiner-first + global top-k) and the per-user
-    # rolling window (bucketed lexsort + segmented prefix sums).
-    if want("orders_revenue_topk"):
-        best = float("inf")
-        for _ in range(reps):
-            t0 = time.time()
-            relational.orders_revenue_topk(SF_DIR)
-            best = min(best, time.time() - t0)
-        timings["orders_revenue_topk"] = best
-
-    if want("events_rolling"):
-        best = float("inf")
-        for _ in range(reps):
-            t0 = time.time()
-            relational.events_rolling_by_user(SF_DIR).count()
-            best = min(best, time.time() - t0)
-        timings["events_rolling"] = best
-
-    # 5b. Dedup family over $GRAFT_SF_DIR documents — the keys-only band
-    # shuffles, distributed pair-distinct, pairverify routing and the
-    # iterative connected-components loop. Min-of-reps like the headline.
-    from h3ray.text import dedup as text_dedup
-
-    def read_docs(columns=("doc_id", "text")):
-        return rd.read_parquet(f"{SF_DIR}/documents.parquet",
-                               columns=list(columns))
-
-    if want("minhash_dup_pairs"):
-        best = float("inf")
-        for _ in range(reps):
-            t0 = time.time()
-            text_dedup.minhash_duplicate_pairs(
-                read_docs(), key_col="doc_id").count()
-            best = min(best, time.time() - t0)
-        timings["minhash_dup_pairs"] = best
-
-    if want("docs_dup_clusters"):
-        best = float("inf")
-        for _ in range(reps):
-            t0 = time.time()
-            pairs = text_dedup.ngram_jaccard_pairs(
-                read_docs(), key_col="doc_id", threshold=0.5)
-            text_dedup.duplicate_clusters(
-                read_docs(columns=("doc_id",)), pairs,
-                key_col="doc_id").count()
-            best = min(best, time.time() - t0)
-        timings["docs_dup_clusters"] = best
-
-    # 5c. Round-4 chained-join shapes over $GRAFT_SF_DIR: the two-nation
-    # volume (Q7: broadcast-filter + two big-big joins) and the
-    # sole-late-supplier (Q21: join + distinct-triple combiner + bucketed
-    # segmented runs). Min-of-reps like every row on this noisy box.
-    if want("nation_pair_volume") or want("sole_late_supplier_counts"):
-        import __ray_entry__ as _entry
-
-        if want("nation_pair_volume"):
-            best = float("inf")
-            for _ in range(reps):
-                t0 = time.time()
-                _entry._nation_pair_volume(SF_DIR)
-                best = min(best, time.time() - t0)
-            timings["nation_pair_volume"] = best
-        if want("sole_late_supplier_counts"):
-            best = float("inf")
-            for _ in range(reps):
-                t0 = time.time()
-                _entry._sole_late_supplier_counts(SF_DIR)
-                best = min(best, time.time() - t0)
-            timings["sole_late_supplier_counts"] = best
-
-    # 5d. Web-pipeline shapes over $GRAFT_SF_DIR documents: cross-doc
-    # duplicated n-grams (keys-only shingle exchange) and the crawl
-    # snapshot diff (FULL OUTER fingerprint join).
-    if want("docs_dup_ngram_fraction"):
-        import __ray_entry__ as _entry2
-
-        best = float("inf")
-        for _ in range(reps):
-            t0 = time.time()
-            _entry2._docs_dup_ngram_fraction(SF_DIR).count()
-            best = min(best, time.time() - t0)
-        timings["docs_dup_ngram_fraction"] = best
-    if want("pages_snapshot_diff"):
-        import __ray_entry__ as _entry3
-
-        best = float("inf")
-        for _ in range(reps):
-            t0 = time.time()
-            _entry3._pages_snapshot_diff(SF_DIR).count()
-            best = min(best, time.time() - t0)
-        timings["pages_snapshot_diff"] = best
-
-    # 5e. Round-5 wave representative: Q9 shape (two broadcast small
-    # sides + one orderkey exchange of pre-aggregated partials).
-    if want("product_type_profit"):
-        import __ray_entry__ as _entry4
-
-        best = float("inf")
-        for _ in range(reps):
-            t0 = time.time()
-            _entry4._product_type_profit(SF_DIR)
-            best = min(best, time.time() - t0)
-        timings["product_type_profit"] = best
-
-    # 5f. Round-5 wave-8 representative: the big-big interval self-join
-    # (one user-hash exchange + packed-key searchsorted per bucket) —
-    # the repo's range-join primitive. Min-of-reps per convention.
-    if want("purchase_followups"):
-        import __ray_entry__ as _entry5
-
-        best = float("inf")
-        for _ in range(reps):
-            t0 = time.time()
-            _entry5._events_purchase_followups(SF_DIR).count()
-            best = min(best, time.time() - t0)
-        timings["purchase_followups"] = best
-
-    # 5g. Round-5 session representatives: the heaviest new data movers —
-    # the largest-remainder proration (600k-row big-big join + bucketed
-    # grouped lexsort, consumed to completion) and the session-concurrency
-    # sweep (sessionize -> boundary net -> distributed prefix scan).
-    # Min-of-reps per convention.
-    if want("order_alloc"):
-        import __ray_entry__ as _entry6
-
-        best = float("inf")
-        for _ in range(reps):
-            t0 = time.time()
-            _entry6._order_alloc_by_qty(SF_DIR).count()
-            best = min(best, time.time() - t0)
-        timings["order_alloc"] = best
-
-    if want("session_concurrency"):
-        import __ray_entry__ as _entry7
-
-        best = float("inf")
-        for _ in range(reps):
-            t0 = time.time()
-            _entry7._events_session_concurrency(SF_DIR).count()
-            best = min(best, time.time() - t0)
-        timings["session_concurrency"] = best
-
-    curation_stages: dict[str, float] = {}
-    if want("curation_pipeline"):
-        # The flagship composed pipeline (quality filter -> decontaminate
-        # -> near-dedup -> pack) through its DURABLE checkpoint (fresh dir
-        # each run: the write is part of the measured work). Single rep:
-        # it dominates its own noise (near-dedup on the filtered corpus is
-        # the bulk). timings= forces stage boundaries so the JSON carries
-        # continuous per-stage cost attribution (filter+decontam+ckpt /
-        # near-dedup / pack) instead of a one-off hand profile.
-        import shutil
-
-        from h3ray.pipelines.curation import curation_pipeline
-
-        ckpt = f"/tmp/h3ray_bench_curation_ckpt_{NUM_CPUS}"
-        shutil.rmtree(ckpt, ignore_errors=True)
-        t0 = time.time()
-        curation_pipeline(SF_DIR, checkpoint_dir=ckpt,
-                          timings=curation_stages).count()
-        timings["curation_pipeline"] = time.time() - t0
-
-    if os.environ.get("GRAFT_BENCH_STATS"):
-        # Per-stage execution stats for the headline ENCODE pipeline
-        # (stderr only; stdout stays one JSON line for the driver).
-        # cell_counts itself ends in a driver merge whose upstream lineage
-        # isn't visible from the returned from_arrow dataset, so
-        # materialize the geotag/encode chain directly.
-        m = geotag.geotag_cells(read_pages(), res=9, parent_res=3,
-                                keep_cols=("url",)).materialize()
-        print(m.stats(), file=sys.stderr)
-
-    headline = sum(timings.get(q, 0.0)
-                   for q in ("encode_cell_counts", "knn_join"))
-    result = {
-        "metric": "h3ray geotag-encode + spatial-join wall time "
-                  f"({N_PAGES} pages, res 9)",
-        "value": round(headline, 3),
-        "unit": "sec",
-        "queries": {k: round(v, 3) for k, v in timings.items()},
-        "sf": SF_DIR,
-        "num_cpus": NUM_CPUS,
-        "n_pages": N_PAGES,
-        "rows_per_sec_encode": (
-            round(N_PAGES / timings["encode_cell_counts"])
-            if timings.get("encode_cell_counts") else None),
-    }
-    if curation_stages:
-        result["curation_pipeline_stages"] = {
-            k: round(v, 3) for k, v in curation_stages.items()}
-    ray.shutdown()
-    probe_after = tenancy_probe()
-    result["probe_s_before"] = probe_before
-    result["probe_s_after"] = probe_after
-    result["window_clean"] = bool(max(probe_before, probe_after)
-                                  <= PROBE_CLEAN_S)
-    return result
-
-
-def run_scaling():
-    """Same job at 8 and 32 CPUs in fresh processes; report efficiency.
-
-    Uses a 4x-larger input than the plain bench (override with
-    GRAFT_SCALING_PAGES) so per-query wall times at 32 CPUs are dominated by
-    compute, not by fixed per-stage scheduling overhead — the sandbox
-    stand-in for the N vs 4N cluster-size criterion.
-    """
-    n_pages = int(os.environ.get("GRAFT_SCALING_PAGES", str(4 * N_PAGES)))
-    pages_dir = os.environ.get("GRAFT_PAGES_DIR",
-                               f"/tmp/h3ray_bench_pages_{n_pages}")
-    cpus = tuple(int(v) for v in os.environ.get(
-        "GRAFT_SCALING_CPUS", "8,32").split(","))
-    if len(cpus) != 2 or cpus[0] >= cpus[1]:
-        raise SystemExit(
-            f"GRAFT_SCALING_CPUS must be 'lo,hi' with lo < hi, got {cpus!r}")
-    ensure_pages_parquet_subproc(n_pages, pages_dir)
-    passes = int(os.environ.get("GRAFT_SCALING_PASSES", "2"))
-    # Scaling measures the HEADLINE metric only by default; the other bench
-    # queries would triple the wall time of every pass without entering the
-    # efficiency number (override with GRAFT_BENCH_QUERIES).
-    q_filter = os.environ.get("GRAFT_BENCH_QUERIES",
-                              "encode_cell_counts,knn_join")
-    results = {}
-    per_pass = []
-    # Interleaved passes: per-level min for the summary, plus the per-pass
-    # PAIRED efficiencies (adjacent-in-time windows) so shared-tenancy drift
-    # between levels is visible instead of silently folded into the ratio.
-    for _ in range(passes):
-        pass_res = {}
-        for ncpu in cpus:
-            env = dict(os.environ, RAY_GRAFT_CPUS=str(ncpu),
-                       GRAFT_PAGES_DIR=pages_dir,
-                       GRAFT_BENCH_PAGES=str(n_pages),
-                       GRAFT_BENCH_QUERIES=q_filter,
-                       GRAFT_BENCH_BLOCKS=os.environ.get(
-                           "GRAFT_BENCH_BLOCKS", "128"))
-            out = subprocess.run(
-                [sys.executable, __file__], env=env,
-                capture_output=True, text=True, check=True).stdout
-            r = json.loads(out.strip().splitlines()[-1])
-            pass_res[ncpu] = r
-            if ncpu not in results or r["value"] < results[ncpu]["value"]:
-                results[ncpu] = r
-        lo, hi = cpus
-        p_eff = pass_res[lo]["value"] / ((hi / lo) * pass_res[hi]["value"])
-        per_pass.append({f"sec_{lo}": pass_res[lo]["value"],
-                         f"sec_{hi}": pass_res[hi]["value"],
-                         "eff": round(p_eff, 3),
-                         "probes": [pass_res[lo].get("probe_s_before"),
-                                    pass_res[lo].get("probe_s_after"),
-                                    pass_res[hi].get("probe_s_before"),
-                                    pass_res[hi].get("probe_s_after")],
-                         "window_clean": bool(
-                             pass_res[lo].get("window_clean")
-                             and pass_res[hi].get("window_clean"))})
-    lo, hi = cpus
-    thr_lo = results[lo]["n_pages"] / results[lo]["value"]
-    thr_hi = results[hi]["n_pages"] / results[hi]["value"]
-    eff = thr_hi / ((hi / lo) * thr_lo)
-    print(json.dumps({
-        f"headline_sec_{lo}cpu": results[lo]["value"],
-        f"headline_sec_{hi}cpu": results[hi]["value"],
-        f"rows_per_sec_{lo}cpu": round(thr_lo),
-        f"rows_per_sec_{hi}cpu": round(thr_hi),
-        f"scaling_efficiency_{lo}_to_{hi}": round(eff, 3),
-        "per_pass": per_pass,
-        "best_pass_efficiency": max(p["eff"] for p in per_pass),
-        "n_pages": n_pages,
-        f"queries_{lo}": results[lo]["queries"],
-        f"queries_{hi}": results[hi]["queries"],
-    }))
-
-
-def ensure_pages_parquet_subproc(n_pages=None, pages_dir=None):
-    env = dict(os.environ, RAY_GRAFT_CPUS="32",
-               GRAFT_PAGES_DIR=pages_dir or PAGES_DIR,
-               GRAFT_BENCH_PAGES=str(n_pages or N_PAGES))
-    subprocess.run(
-        [sys.executable, "-c",
-         f"import sys; sys.path.insert(0, '{Path(__file__).parent}'); "
-         "import ray; ray.init(address='local', num_cpus=32, "
-         "include_dashboard=False, logging_level='ERROR'); "
-         "import bench; bench.ensure_pages_parquet(); ray.shutdown()"],
-        env=env, check=True, capture_output=True)
-
-
-if __name__ == "__main__":
-    if "--scaling" in sys.argv:
-        run_scaling()
-    else:
-        print(json.dumps(run_benchmarks()))

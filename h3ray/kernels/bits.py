@@ -218,12 +218,6 @@ _LO_MAGIC = np.int64(0o111111111111111)  # 0b001 repeated over 15 triplets
 _HI_MAGIC = np.int64(0o444444444444444)  # 0b100 repeated over 15 triplets
 
 
-def _has_unused_direction(dirs):
-    """SWAR search for a 0b111 triplet (src/index/cell.rs:2104-2158)."""
-    inv = (~as_i64(dirs)) & np.int64(0o777777777777777)
-    return ((inv - _LO_MAGIC) & (dirs & _HI_MAGIC)) != 0
-
-
 def _has_unused_direction_limited(dirs, res):
     """SWAR null-triplet detection limited to `res` digits."""
     width = res * 3
@@ -285,20 +279,6 @@ def children_count(cells, child_res):
                       HEXAGON_CHILDREN_COUNTS[np.clip(n, 0, 15)])
     counts = np.where(n < 0, 0, counts)
     return counts
-
-
-def compute_last_sibling(cells, parent_res):
-    """Last index of the 7-sibling run ending a complete parent at parent_res.
-
-    Reference: src/index/cell.rs:2164-2183.
-    """
-    bits = as_i64(cells)
-    res = get_resolution(bits)
-    diff = res - np.asarray(parent_res, dtype=np.int64)
-    mask = (np.int64(1) << (diff * 3)) - 1
-    offset = direction_offset(res)
-    new_dirs = (np.int64(0x0000_1B6D_B6DB_6DB6) & mask) << offset
-    return (bits & ~(mask << offset)) | new_dirs
 
 
 # ---------------------------------------------------------------------------

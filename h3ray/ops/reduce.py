@@ -40,6 +40,42 @@ def driver_merge(ds, merge_fn, schema: pa.Schema | None = None) -> pa.Table:
     return merge_fn(pa.concat_tables(non_empty).combine_chunks())
 
 
+def combine(ds, keys, *, sums=(), mins=(), maxs=(), count=None, prep=None,
+            finish=None, schema: pa.Schema | None = None,
+            batch_size=None) -> pa.Table:
+    """Declarative combiner: GROUP BY `keys` with SUM / MIN / MAX / COUNT(*).
+
+    One `map_batches` runs `prep(batch)` (the rows to group, or a table
+    the batch already reduced; default the batch itself) and a
+    batch-local `group_by` on it, so each block shrinks to its distinct
+    keys. The bounded partials then meet at the `driver_merge` root,
+    which groups again (SUM for `sums` and the `count` column, MIN for
+    `mins`, MAX for `maxs`), renames every column back to its input name
+    (`count` names the COUNT(*) column) and applies `finish(table)` for
+    the last per-group arithmetic. Output columns: keys, count, sums,
+    mins, maxs. `schema` is the partial schema used when the input has
+    no rows at all; `finish` still runs on the resulting empty table."""
+    keys = [keys] if isinstance(keys, str) else list(keys)
+    aggs = ([(c, "sum") for c in sums] + [(c, "min") for c in mins]
+            + [(c, "max") for c in maxs])
+    names = keys + ([count] if count else []) + [c for c, _ in aggs]
+    local = ([([], "count_all")] if count else []) + aggs
+    final = ([(count, "sum")] if count else []) + aggs
+
+    def partial(batch: pa.Table) -> pa.Table:
+        if prep is not None:
+            batch = prep(batch)
+        return batch.group_by(keys).aggregate(local).rename_columns(names)
+
+    def merge(t: pa.Table) -> pa.Table:
+        g = t.group_by(keys).aggregate(final).rename_columns(names)
+        return finish(g) if finish is not None else g
+
+    return driver_merge(ds.map_batches(partial, batch_format="pyarrow",
+                                       batch_size=batch_size), merge,
+                        schema=schema)
+
+
 def grouped_mode(ds, key_col: str, value_col: str,
                  out_col: str = "mode_value") -> pa.Table:
     """Per-key MODE (most frequent value), ties broken by smallest value —
@@ -52,16 +88,10 @@ def grouped_mode(ds, key_col: str, value_col: str,
     value spaces should pre-bucket instead (see ops.skew)."""
     import numpy as np
 
-    def partial(batch: pa.Table) -> pa.Table:
-        t = pa.table({key_col: batch[key_col], value_col: batch[value_col]})
-        g = t.group_by([key_col, value_col]).aggregate([([], "count_all")])
-        return g.rename_columns([key_col, value_col, "_n"])
-
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by([key_col, value_col]).aggregate([("_n", "sum")])
+    def finish(g: pa.Table) -> pa.Table:
         keys = g[key_col].to_numpy(zero_copy_only=False)
         vals = g[value_col].to_numpy(zero_copy_only=False)
-        cnt = g["_n_sum"].to_numpy(zero_copy_only=False)
+        cnt = g["_n"].to_numpy(zero_copy_only=False)
         order = np.lexsort((vals, -cnt, keys))
         ks = keys[order]
         first = np.ones(ks.shape[0], dtype=bool)
@@ -73,8 +103,7 @@ def grouped_mode(ds, key_col: str, value_col: str,
              pa.array(cnt[win])],
             names=[key_col, out_col, "mode_count"])
 
-    return driver_merge(ds.map_batches(partial, batch_format="pyarrow"),
-                        merge)
+    return combine(ds, [key_col, value_col], count="_n", finish=finish)
 
 
 def pivot_counts(ds, row_col: str, col_col: str, col_values: list,
@@ -86,16 +115,10 @@ def pivot_counts(ds, row_col: str, col_col: str, col_values: list,
     |rows| x |cols| matrix. Values outside col_values are dropped."""
     import numpy as np
 
-    def partial(batch: pa.Table) -> pa.Table:
-        t = pa.table({row_col: batch[row_col], col_col: batch[col_col]})
-        g = t.group_by([row_col, col_col]).aggregate([([], "count_all")])
-        return g.rename_columns([row_col, col_col, "_n"])
-
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by([row_col, col_col]).aggregate([("_n", "sum")])
+    def finish(g: pa.Table) -> pa.Table:
         rows = g[row_col].to_numpy(zero_copy_only=False)
         cols = g[col_col].to_numpy(zero_copy_only=False)
-        cnt = g["_n_sum"].to_numpy(zero_copy_only=False).astype(np.int64)
+        cnt = g["_n"].to_numpy(zero_copy_only=False).astype(np.int64)
         urows = np.unique(rows)
         ri = np.searchsorted(urows, rows)
         lookup = {v: j for j, v in enumerate(col_values)}
@@ -108,8 +131,7 @@ def pivot_counts(ds, row_col: str, col_col: str, col_values: list,
             + [pa.array(mat[:, j]) for j in range(len(col_values))],
             names=[row_col] + [f"{prefix}{v}" for v in col_values])
 
-    return driver_merge(ds.map_batches(partial, batch_format="pyarrow"),
-                        merge)
+    return combine(ds, [row_col, col_col], count="_n", finish=finish)
 
 
 def profile_numeric(ds, cols: list) -> pa.Table:
@@ -143,15 +165,11 @@ def profile_numeric(ds, cols: list) -> pa.Table:
             "max_micro": pa.array(rows["max_micro"], type=pa.int64()),
             "sum_micro": pa.array(rows["sum_micro"], type=pa.int64())})
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by("column").aggregate(
-            [("n_rows", "sum"), ("n_null", "sum"), ("min_micro", "min"),
-             ("max_micro", "max"), ("sum_micro", "sum")])
-        return g.rename_columns(["column", "n_rows", "n_null",
-                                 "min_micro", "max_micro", "sum_micro"])
-
-    return driver_merge(ds.map_batches(partial, batch_format="pyarrow"),
-                        merge)
+    return combine(ds, "column", sums=("n_rows", "n_null", "sum_micro"),
+                   mins=("min_micro",), maxs=("max_micro",), prep=partial,
+                   finish=lambda g: g.select(
+                       ["column", "n_rows", "n_null", "min_micro",
+                        "max_micro", "sum_micro"]))
 
 
 def grouped_string_agg_distinct(ds, key_col: str, value_col: str,
@@ -164,13 +182,7 @@ def grouped_string_agg_distinct(ds, key_col: str, value_col: str,
     output is pair-space-sized by construction)."""
     import numpy as np
 
-    def partial(batch: pa.Table) -> pa.Table:
-        t = pa.table({key_col: batch[key_col], value_col: batch[value_col]})
-        g = t.group_by([key_col, value_col]).aggregate([])
-        return g
-
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by([key_col, value_col]).aggregate([])
+    def finish(g: pa.Table) -> pa.Table:
         keys = g[key_col].to_numpy(zero_copy_only=False)
         vals = g[value_col].to_numpy(zero_copy_only=False)
         order = np.lexsort((vals, keys))
@@ -186,8 +198,7 @@ def grouped_string_agg_distinct(ds, key_col: str, value_col: str,
              pa.array(out_vals, type=pa.string())],
             names=[key_col, out_col])
 
-    return driver_merge(ds.map_batches(partial, batch_format="pyarrow"),
-                        merge)
+    return combine(ds, [key_col, value_col], finish=finish)
 
 
 def unpivot(ds, id_col: str, value_cols: list,
@@ -432,6 +443,15 @@ def _lattice_partial_schema(ds, col_a: str, col_b: str) -> pa.Schema:
                       pa.field("_s", pa.int64())])
 
 
+def _lattice_prep(col_a: str, col_b: str, value_col: str):
+    """Per-row (a, b, int64 value) columns of the rollup/cube combiner."""
+    import pyarrow.compute as pc
+
+    return lambda batch: pa.table({
+        col_a: batch[col_a], col_b: batch[col_b],
+        "_s": pc.cast(batch[value_col], pa.int64())})
+
+
 def rollup_counts(ds, col_a: str, col_b: str, value_col: str,
                   count_col: str = "num_rows",
                   sum_col: str = "sum_value") -> pa.Table:
@@ -446,23 +466,11 @@ def rollup_counts(ds, col_a: str, col_b: str, value_col: str,
     would be conflated with the lattice's NULL marker rows — group columns
     must be non-null (true for every caller here); an empty input yields
     the single ()-grouping row with COUNT 0 / SUM NULL, like SQL."""
-    import numpy as np
-    import pyarrow.compute as pc
-
-    def partial(batch: pa.Table) -> pa.Table:
-        t = pa.table({col_a: batch[col_a], col_b: batch[col_b],
-                      "_v": pc.cast(batch[value_col], pa.int64())})
-        g = t.group_by([col_a, col_b]).aggregate(
-            [([], "count_all"), ("_v", "sum")])
-        return g.rename_columns([col_a, col_b, "_n", "_s"])
-
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by([col_a, col_b]).aggregate(
-            [("_n", "sum"), ("_s", "sum")])
+    def merge(g: pa.Table) -> pa.Table:
         a = g[col_a].to_pylist()
         b = g[col_b].to_pylist()
-        n = g["_n_sum"].to_numpy(zero_copy_only=False)
-        s = g["_s_sum"].to_numpy(zero_copy_only=False)
+        n = g["_n"].to_numpy(zero_copy_only=False)
+        s = g["_s"].to_numpy(zero_copy_only=False)
         rows_a: dict = {}
         for i, ka in enumerate(a):
             acc = rows_a.setdefault(ka, [0, 0])
@@ -480,9 +488,10 @@ def rollup_counts(ds, col_a: str, col_b: str, value_col: str,
                          count_col: pa.array(out_n, type=pa.int64()),
                          sum_col: pa.array(out_s, type=pa.int64())})
 
-    return driver_merge(ds.map_batches(partial, batch_format="pyarrow",
-                                       batch_size=131072), merge,
-                        schema=_lattice_partial_schema(ds, col_a, col_b))
+    return combine(ds, [col_a, col_b], sums=("_s",), count="_n",
+                   prep=_lattice_prep(col_a, col_b, value_col),
+                   finish=merge, batch_size=131072,
+                   schema=_lattice_partial_schema(ds, col_a, col_b))
 
 
 def cube_counts(ds, col_a: str, col_b: str, value_col: str,
@@ -495,22 +504,11 @@ def cube_counts(ds, col_a: str, col_b: str, value_col: str,
     algebraic over the finest level, so raw rows are seen once).
     Same caveats as rollup_counts: non-null group columns only; empty
     input yields the ()-grouping row with COUNT 0 / SUM NULL."""
-    import pyarrow.compute as pc
-
-    def partial(batch: pa.Table) -> pa.Table:
-        t = pa.table({col_a: batch[col_a], col_b: batch[col_b],
-                      "_v": pc.cast(batch[value_col], pa.int64())})
-        g = t.group_by([col_a, col_b]).aggregate(
-            [([], "count_all"), ("_v", "sum")])
-        return g.rename_columns([col_a, col_b, "_n", "_s"])
-
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by([col_a, col_b]).aggregate(
-            [("_n", "sum"), ("_s", "sum")])
+    def merge(g: pa.Table) -> pa.Table:
         a = g[col_a].to_pylist()
         b = g[col_b].to_pylist()
-        n = g["_n_sum"].to_numpy(zero_copy_only=False)
-        s = g["_s_sum"].to_numpy(zero_copy_only=False)
+        n = g["_n"].to_numpy(zero_copy_only=False)
+        s = g["_s"].to_numpy(zero_copy_only=False)
         marg_a: dict = {}
         marg_b: dict = {}
         for i, (ka, kb) in enumerate(zip(a, b)):
@@ -534,9 +532,10 @@ def cube_counts(ds, col_a: str, col_b: str, value_col: str,
                          count_col: pa.array(out_n, type=pa.int64()),
                          sum_col: pa.array(out_s, type=pa.int64())})
 
-    return driver_merge(ds.map_batches(partial, batch_format="pyarrow",
-                                       batch_size=131072), merge,
-                        schema=_lattice_partial_schema(ds, col_a, col_b))
+    return combine(ds, [col_a, col_b], sums=("_s",), count="_n",
+                   prep=_lattice_prep(col_a, col_b, value_col),
+                   finish=merge, batch_size=131072,
+                   schema=_lattice_partial_schema(ds, col_a, col_b))
 
 
 def grouping_sets_counts(ds, cols: list[str], sets: list[tuple],
@@ -560,15 +559,11 @@ def grouping_sets_counts(ds, cols: list[str], sets: list[tuple],
         if unknown:
             raise ValueError(f"set {s} names unknown columns {unknown}")
 
-    def partial(batch: pa.Table) -> pa.Table:
-        t = pa.table({**{c: batch[c] for c in cols},
-                      "_v": pc.cast(batch[value_col], pa.int64())})
-        g = t.group_by(cols).aggregate([([], "count_all"), ("_v", "sum")])
-        return g.rename_columns(cols + ["_n", "_s"])
+    def prep(batch: pa.Table) -> pa.Table:
+        return pa.table({**{c: batch[c] for c in cols},
+                         "_s": pc.cast(batch[value_col], pa.int64())})
 
-    def merge(t: pa.Table) -> pa.Table:
-        fine = t.group_by(cols).aggregate([("_n", "sum"), ("_s", "sum")]) \
-            .rename_columns(cols + ["_n", "_s"])
+    def merge(fine: pa.Table) -> pa.Table:
         types = {c: fine[c].type for c in cols}
         pieces = []
         for s in sets:
@@ -606,9 +601,8 @@ def grouping_sets_counts(ds, cols: list[str], sets: list[tuple],
     pschema = pa.schema([pa.field(c, base.field(c).type) for c in cols]
                         + [pa.field("_n", pa.int64()),
                            pa.field("_s", pa.int64())])
-    return driver_merge(ds.map_batches(partial, batch_format="pyarrow",
-                                       batch_size=131072), merge,
-                        schema=pschema)
+    return combine(ds, cols, sums=("_s",), count="_n", prep=prep,
+                   finish=merge, batch_size=131072, schema=pschema)
 
 
 def _skyline_mask(lo, hi):

@@ -77,22 +77,15 @@ def hll_distinct(ds, key_col: str, value_col: str,
     path: per-batch register maxima -> driver tree-root max-merge ->
     per-key estimate; bytes moved are O(|keys| x m) per batch, independent
     of row count."""
-    from .reduce import driver_merge
+    from .reduce import combine
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         idx, rho = _rho_of(
             batch[value_col].to_numpy(zero_copy_only=False))
-        t = pa.table({key_col: batch[key_col], "_idx": idx, "_rho": rho})
-        g = t.group_by([key_col, "_idx"]).aggregate([("_rho", "max")])
-        return pa.table({key_col: g[key_col], "_idx": g["_idx"],
-                         "_rho": g["_rho_max"]})
+        return pa.table({key_col: batch[key_col], "_idx": idx, "_rho": rho})
 
-    partials = ds.map_batches(partial, batch_format="pyarrow",
-                              batch_size=131072)
-    merged = driver_merge(
-        partials,
-        lambda t: t.group_by([key_col, "_idx"]).aggregate([("_rho", "max")])
-        if t.num_rows else t)
+    merged = combine(ds, [key_col, "_idx"], maxs=("_rho",), prep=prep,
+                     batch_size=131072)
     if merged.num_rows == 0:
         # Schema-stable empty result: key type comes from the (empty but
         # schema-carrying) merged partials, not a hardcoded string.
@@ -102,8 +95,7 @@ def hll_distinct(ds, key_col: str, value_col: str,
                          out_col: pa.array([], type=pa.int64())})
     key_np = merged.column(key_col).to_numpy(zero_copy_only=False)
     idx_np = merged.column("_idx").to_numpy(zero_copy_only=False)
-    rho_col = [c for c in merged.column_names if c.startswith("_rho")][0]
-    rho_np = merged.column(rho_col).to_numpy(zero_copy_only=False)
+    rho_np = merged.column("_rho").to_numpy(zero_copy_only=False)
     keys, inv = np.unique(key_np, return_inverse=True)
     ests = []
     for i in range(keys.shape[0]):
@@ -155,7 +147,7 @@ def cm_topk(ds, value_col: str, k: int = 20,
     mirror reproduces exactly. Returns pa.Table (value_col, out_count_col),
     est desc / value asc, <= k rows.
     """
-    from .reduce import driver_merge
+    from .reduce import combine, driver_merge
     from .skew import _desc_sort_key
 
     def build(batch: pa.Table) -> pa.Table:
@@ -171,18 +163,13 @@ def cm_topk(ds, value_col: str, k: int = 20,
                          "_b": np.concatenate(buckets),
                          "_c": np.concatenate(counts)})
 
-    partials = ds.map_batches(build, batch_format="pyarrow",
-                              batch_size=131072)
-    merged = driver_merge(
-        partials,
-        lambda t: t.group_by(["_r", "_b"]).aggregate([("_c", "sum")])
-        if t.num_rows else t)
+    merged = combine(ds, ["_r", "_b"], sums=("_c",), prep=build,
+                     batch_size=131072)
     sketch = np.zeros((CM_D, CM_W), dtype=np.int64)
     if merged.num_rows:
-        c_col = [c for c in merged.column_names if c.startswith("_c")][0]
         sketch[merged.column("_r").to_numpy(zero_copy_only=False),
                merged.column("_b").to_numpy(zero_copy_only=False)] = \
-            merged.column(c_col).to_numpy(zero_copy_only=False)
+            merged.column("_c").to_numpy(zero_copy_only=False)
 
     def estimate(batch: pa.Table) -> pa.Table:
         vals = np.unique(

@@ -59,18 +59,6 @@ def parent_stage(parent_res: int, cell_col: str, out_col: str | None = None):
     return fn
 
 
-def decode_stage(cell_col: str, lat_col: str = "cell_lat",
-                 lng_col: str = "cell_lng"):
-    """cellToLatLng -> center-point columns."""
-
-    def fn(batch: pa.Table) -> pa.Table:
-        lat, lng = latlng.cell_to_latlng(_col(batch, cell_col))
-        batch = batch.append_column(lat_col, pa.array(lat))
-        return batch.append_column(lng_col, pa.array(lng))
-
-    return fn
-
-
 def disk_expand_stage(k: int, cell_col: str, keep_cols: list[str],
                       out_cell: str = "disk_cell", out_k: str = "disk_k"):
     """gridDiskDistances flat-map: one output row per (input row, disk cell).

@@ -119,20 +119,6 @@ def lsh_planes(dim: int, n_bits: int = 12, seed: int = 7) -> np.ndarray:
     return rng.standard_normal((n_bits, dim)).astype(np.float32)
 
 
-def lsh_bucket_stage(planes: np.ndarray, emb_col: str = "embedding",
-                     out_col: str = "lsh_bucket"):
-    """Random-hyperplane signature -> integer bucket id per row."""
-    weights = (1 << np.arange(planes.shape[0], dtype=np.int64))
-
-    def fn(batch: pa.Table) -> pa.Table:
-        x = _embedding_matrix(batch, emb_col)
-        sig = (x @ planes.T) > 0  # (n, n_bits)
-        bucket = (sig.astype(np.int64) * weights[None, :]).sum(axis=1)
-        return batch.append_column(out_col, pa.array(bucket))
-
-    return fn
-
-
 def lsh_topk(ds, queries: np.ndarray, *, id_col: str = "vec_id",
              emb_col: str = "embedding", k: int = 10, n_bits: int = 8,
              n_tables: int = 4, multiprobe: int = 1,

@@ -1,7 +1,7 @@
-"""Flagship pipeline: geotag pages -> H3 cells -> per-cell aggregates / sink.
+"""Flagship pipeline: geotag pages -> H3 cells -> per-cell aggregates.
 
 read_parquet(pages) -> map_batches(geotag) -> map_batches(encode res R)
- -> map_batches(parent res P) -> { per-cell counts | partitioned sink }.
+ -> map_batches(parent res P) -> per-cell counts.
 
 Counts use the partial-aggregate pattern: each batch pre-reduces to unique
 (parent_cell, count) rows before the groupby shuffle, so the all-to-all moves
@@ -84,27 +84,6 @@ def cell_counts(pages_ds, res: int = 9, parent_res: int = 3,
     from ..ops.reduce import driver_merge
 
     return rd.from_arrow(driver_merge(partials, merge_count_partials(col)))
-
-
-def write_geotagged(pages_ds, out_dir: str, res: int = 9, parent_res: int = 3):
-    """Sink: full pages + cells, parquet partitioned by coarse parent cell.
-
-    Partitioning by `parent_r{parent_res}` gives a resumable layout: each
-    partition directory is an independent unit of work.
-    """
-    ds = pages_ds.map_batches(stages.geotag_stage(), batch_format="pyarrow",
-                              batch_size=16384)
-    ds = ds.map_batches(stages.encode_stage(res), batch_format="pyarrow",
-                        batch_size=16384)
-    ds = ds.map_batches(
-        stages.parent_stage(parent_res, cell_col=f"cell_r{res}"),
-        batch_format="pyarrow", batch_size=16384)
-    from ..io import sink
-
-    job = sink.write_partitioned(
-        ds, out_dir, f"parent_r{parent_res}",
-        input_signature=f"geotag:res={res}:parent={parent_res}")
-    return job
 
 
 def ring_smoothed_counts(pages_ds, res: int = 5, k: int = 1,

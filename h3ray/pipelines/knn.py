@@ -114,6 +114,48 @@ def _resolve_merge(merge: str, n_queries: int, k: int) -> str:
             else "driver")
 
 
+def _top_k(batch: pa.Table, k: int) -> pa.Table:
+    """Keep each query's k nearest rows of `batch`, in input order.
+
+    Sort keys are all numeric (np.lexsort): distance, then the url hash as
+    a deterministic tiebreak (string sorts are ~10x slower)."""
+    qid = batch["query_id"].to_numpy(zero_copy_only=False)
+    if qid.shape[0] == 0:
+        return batch
+    dist = batch["distance_km"].to_numpy(zero_copy_only=False)
+    urls = batch["url"]
+    if isinstance(urls, pa.ChunkedArray):
+        urls = urls.combine_chunks()
+    uh = pages_io.url_hash64(urls)
+    order = np.lexsort((uh, dist, qid))
+    q_sorted = qid[order]
+    # Rank within each query run; keep rank < k.
+    new_q = np.empty(q_sorted.shape[0], dtype=bool)
+    new_q[0] = True
+    np.not_equal(q_sorted[1:], q_sorted[:-1], out=new_q[1:])
+    run_start = np.maximum.accumulate(
+        np.where(new_q, np.arange(q_sorted.shape[0]), 0))
+    rank = np.arange(q_sorted.shape[0]) - run_start
+    keep = order[rank < k]
+    keep.sort()  # preserve input order within the batch
+    return batch.take(pa.array(keep))
+
+
+def _add_grid_dist(batch: pa.Table, qcells) -> pa.Table:
+    """Replace `cell` by the hex-grid distance to the row's query cell.
+
+    The rank key (cell.rs:1294-1299) only decorates the winners — compute
+    it on the <= n_queries * k final rows, not on every candidate. -1 where
+    undefined (pentagon distortion); defined values are always <= k_ring
+    since candidates come from gridDisk(k_ring)."""
+    cells = bits.as_i64(batch["cell"].to_numpy(zero_copy_only=False))
+    qids = batch["query_id"].to_numpy(zero_copy_only=False)
+    gd, gok = localij.grid_distance(qcells[qids], cells)
+    gd = np.where(gok, gd, -1)
+    return batch.drop_columns(["cell"]).append_column(
+        "grid_dist", pa.array(gd))
+
+
 def _distributed_topk(partial, top_k_fn, num_buckets: int | None = None):
     """Per-query top-k merge as a bucketed shuffle: partials hash-bucket by
     query_id (every row of a query lands in one reducer; reducer count =
@@ -166,45 +208,14 @@ def knn_join(pages_ds, query_lat, query_lng, *, res: int = 7, k_ring: int = 2,
 
     # Partial top-k per batch, then one tiny final merge — avoids the
     # sort-based groupby shuffle (each partial emits <= n_queries * k rows).
-    # Sort keys are all numeric (np.lexsort): distance, then the url hash as
-    # a deterministic tiebreak (string sorts are ~10x slower).
     def top_k(batch: pa.Table) -> pa.Table:
-        qid = batch["query_id"].to_numpy(zero_copy_only=False)
-        if qid.shape[0] == 0:
-            return batch
-        dist = batch["distance_km"].to_numpy(zero_copy_only=False)
-        urls = batch["url"]
-        if isinstance(urls, pa.ChunkedArray):
-            urls = urls.combine_chunks()
-        uh = pages_io.url_hash64(urls)
-        order = np.lexsort((uh, dist, qid))
-        q_sorted = qid[order]
-        # Rank within each query run; keep rank < k.
-        new_q = np.empty(q_sorted.shape[0], dtype=bool)
-        new_q[0] = True
-        np.not_equal(q_sorted[1:], q_sorted[:-1], out=new_q[1:])
-        run_start = np.maximum.accumulate(
-            np.where(new_q, np.arange(q_sorted.shape[0]), 0))
-        rank = np.arange(q_sorted.shape[0]) - run_start
-        keep = order[rank < k_nearest]
-        keep.sort()  # preserve input order within the batch
-        return batch.take(pa.array(keep))
+        return _top_k(batch, k_nearest)
 
-    # Hex-grid distance rank key (cell.rs:1294-1299) only decorates the
-    # winners — compute it on the <= n_queries * k final rows, not on every
-    # candidate. -1 where undefined (pentagon distortion); defined values
-    # are always <= k_ring since candidates come from gridDisk(k_ring).
     def add_grid_dist(batch: pa.Table) -> pa.Table:
-        cells = bits.as_i64(batch["cell"].to_numpy(zero_copy_only=False))
-        qids = batch["query_id"].to_numpy(zero_copy_only=False)
         # Fetch qcells via the broadcast ref (zero-copy plasma read): the
         # distributed merge path runs this in tasks, and the closure must
         # not ship the whole query index per serialization.
-        qcells = _resolve_index(index_ref)["qcells"]
-        gd, gok = localij.grid_distance(qcells[qids], cells)
-        gd = np.where(gok, gd, -1)
-        return batch.drop_columns(["cell"]).append_column(
-            "grid_dist", pa.array(gd))
+        return _add_grid_dist(batch, _resolve_index(index_ref)["qcells"])
 
     partial = candidates.map_batches(top_k, batch_format="pyarrow",
                                      batch_size=None)
@@ -279,25 +290,10 @@ def knn_join_shuffle(pages_ds, query_lat, query_lng, *, res: int = 7,
             names=["query_id", "url", "distance_km", "cell"])
 
     def top_k(batch: pa.Table) -> pa.Table:
-        qid = batch["query_id"].to_numpy(zero_copy_only=False)
-        if qid.shape[0] == 0:
-            return batch
-        dist = batch["distance_km"].to_numpy(zero_copy_only=False)
-        urls = batch["url"]
-        if isinstance(urls, pa.ChunkedArray):
-            urls = urls.combine_chunks()
-        uh = pages_io.url_hash64(urls)
-        order = np.lexsort((uh, dist, qid))
-        q_sorted = qid[order]
-        new_q = np.empty(q_sorted.shape[0], dtype=bool)
-        new_q[0] = True
-        np.not_equal(q_sorted[1:], q_sorted[:-1], out=new_q[1:])
-        run_start = np.maximum.accumulate(
-            np.where(new_q, np.arange(q_sorted.shape[0]), 0))
-        rank = np.arange(q_sorted.shape[0]) - run_start
-        keep = order[rank < k_nearest]
-        keep.sort()
-        return batch.take(pa.array(keep))
+        return _top_k(batch, k_nearest)
+
+    def add_grid_dist(batch: pa.Table) -> pa.Table:
+        return _add_grid_dist(batch, qcells)
 
     import ray.data as rd2
 
@@ -310,6 +306,8 @@ def knn_join_shuffle(pages_ds, query_lat, query_lng, *, res: int = 7,
         .map_batches(top_k, batch_format="pyarrow", batch_size=None)
     if _resolve_merge(merge, query_lat.shape[0],
                       k_nearest) == "distributed":
-        return _distributed_topk(partial, top_k).drop_columns(["cell"])
-    final = driver_merge(partial, top_k, schema=cand_schema)
-    return rd2.from_arrow(final.drop_columns(["cell"]))
+        ranked = _distributed_topk(partial, top_k)
+        return ranked.map_batches(add_grid_dist, batch_format="pyarrow")
+    final = driver_merge(partial, lambda t: add_grid_dist(top_k(t)),
+                         schema=cand_schema)
+    return rd2.from_arrow(final)

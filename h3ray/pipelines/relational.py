@@ -622,7 +622,7 @@ def events_weekly_retention(sf_dir: str,
     the distinct (user, week) pairs are np.unique / minimum.at segment
     reductions, and the bucket emits bounded (cohort, offset, count)
     partials — integer counts, blocking-independent."""
-    from ..ops.reduce import driver_merge
+    from ..ops.reduce import combine
 
     nb = num_buckets or _default_buckets()
     week_us = 604800_000_000
@@ -664,15 +664,11 @@ def events_weekly_retention(sf_dir: str,
                               batch_size=131072) \
         .groupby("_bucket").map_groups(retention, batch_format="pyarrow")
 
-    def merge(t: pa.Table) -> pa.Table:
-        return t.group_by(["cohort_week", "week_offset"]).aggregate(
-            [("n_users", "sum")]) \
-            .rename_columns(["cohort_week", "week_offset", "n_users"])
-
-    return driver_merge(partials, merge,
-                        schema=pa.schema([("cohort_week", pa.int64()),
-                                          ("week_offset", pa.int64()),
-                                          ("n_users", pa.int64())]))
+    return combine(partials, ["cohort_week", "week_offset"],
+                   sums=("n_users",),
+                   schema=pa.schema([("cohort_week", pa.int64()),
+                                     ("week_offset", pa.int64()),
+                                     ("n_users", pa.int64())]))
 
 
 def session_concurrency(sf_dir: str, gap_s: int = 1800,
@@ -698,7 +694,7 @@ def session_concurrency(sf_dir: str, gap_s: int = 1800,
     import ray.data as rd
 
     from ..ops.join import seed_schema
-    from ..ops.reduce import driver_merge
+    from ..ops.reduce import combine
 
     sessions = user_sessions(sf_dir, gap_s=gap_s,
                              num_buckets=num_buckets)
@@ -725,14 +721,10 @@ def session_concurrency(sf_dir: str, gap_s: int = 1800,
                              batch_size=131072),
         bschema).materialize()
 
-    def tot_partial(batch: pa.Table) -> pa.Table:
+    def tot_prep(batch: pa.Table) -> pa.Table:
         t = batch["epoch_s"].to_numpy(zero_copy_only=False)
-        d = batch["net_delta"].to_numpy(zero_copy_only=False)
-        b = t // bucket_width
-        ub, inv = np.unique(b, return_inverse=True)
-        acc = np.zeros(ub.shape[0], dtype=np.int64)
-        np.add.at(acc, inv, d)
-        return pa.table({"_b": ub, "_s": acc})
+        return pa.table({"_b": t // bucket_width,
+                         "_s": batch["net_delta"]})
 
     def tot_merge(t: pa.Table) -> pa.Table:
         b = t["_b"].to_numpy(zero_copy_only=False)
@@ -744,10 +736,9 @@ def session_concurrency(sf_dir: str, gap_s: int = 1800,
             if ub.size else np.empty(0, np.int64)
         return pa.table({"_b": ub, "_carry": carry.astype(np.int64)})
 
-    totals = driver_merge(
-        bounds.map_batches(tot_partial, batch_format="pyarrow",
-                           batch_size=131072),
-        tot_merge,
+    totals = combine(
+        bounds, "_b", sums=("_s",), prep=tot_prep, finish=tot_merge,
+        batch_size=131072,
         schema=pa.schema([("_b", pa.int64()), ("_s", pa.int64())]))
     carry_ref = ray.put((totals["_b"].to_numpy(),
                          totals["_carry"].to_numpy()))

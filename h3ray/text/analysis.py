@@ -358,28 +358,21 @@ def document_frequency(ds, id_col: str = "doc_id",
     distinct (doc, term) dedup is globally correct), then the tiny
     per-batch partials driver-merge — the exchange moves vocabulary-sized
     rows, never tokens. Returns pa.Table (term, df)."""
-    from ..ops.reduce import driver_merge
+    from ..ops.reduce import combine
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def distinct_pairs(batch: pa.Table) -> pa.Table:
         ids, toks = _doc_terms(batch, id_col, text_col)
         if ids.shape[0] == 0:
-            return pa.table({"term": pa.array([], pa.string()),
-                             "df": pa.array([], pa.int64())})
+            return pa.table({"term": pa.array([], pa.string())})
         terms, code = np.unique(toks, return_inverse=True)
         pair = ids.astype(np.int64) * np.int64(terms.shape[0]) + code
         upair = np.unique(pair)
         t_of_pair = (upair % terms.shape[0]).astype(np.int64)
-        df = np.bincount(t_of_pair,
-                         minlength=terms.shape[0]).astype(np.int64)
-        return pa.table({"term": pa.array(terms, type=pa.string()),
-                         "df": df})
+        return pa.table({"term": pa.array(terms[t_of_pair],
+                                          type=pa.string())})
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by(["term"]).aggregate([("df", "sum")])
-        return g.rename_columns(["term", "df"])
-
-    return driver_merge(ds.map_batches(partial, batch_format="pyarrow",
-                                       batch_size=8192), merge)
+    return combine(ds, "term", count="df", prep=distinct_pairs,
+                   batch_size=8192)
 
 
 def tfidf_top_terms(ds, *, id_col: str = "doc_id", text_col: str = "text",

@@ -49,8 +49,9 @@ def test_empty_text_stages(ray_session):
 
 
 def test_empty_driver_merged_aggregates(ray_session):
-    from h3ray.ops.reduce import (grouped_mode, grouped_string_agg_distinct,
-                                  pivot_counts, profile_numeric)
+    from h3ray.ops.reduce import (combine, grouped_mode,
+                                  grouped_string_agg_distinct, pivot_counts,
+                                  profile_numeric)
 
     e = _empty_docs()
     assert grouped_mode(e, "lang", "text").num_rows == 0
@@ -58,6 +59,18 @@ def test_empty_driver_merged_aggregates(ray_session):
     assert pivot_counts(e, "lang", "doc_id", [0, 1]).num_rows == 0
     prof = profile_numeric(e, ["doc_id", "n_chars"])
     assert prof.num_rows in (0, 2)  # no batches -> no combiner rows
+    # combine: the explicit partial schema drives the empty result, and
+    # finish still runs on it.
+    out = combine(
+        e, "lang", count="n", sums=("n_chars",), maxs=("doc_id",),
+        finish=lambda g: g.append_column(
+            "mean_chars", pa.array([None] * g.num_rows, pa.float64())),
+        schema=pa.schema([("lang", pa.string()), ("n", pa.int64()),
+                          ("n_chars", pa.int64()), ("doc_id", pa.int64())]))
+    assert out.num_rows == 0
+    assert out.schema == pa.schema(
+        [("lang", pa.string()), ("n", pa.int64()), ("n_chars", pa.int64()),
+         ("doc_id", pa.int64()), ("mean_chars", pa.float64())])
 
 
 def test_empty_tables_wave34_queries(ray_session, tmp_path):

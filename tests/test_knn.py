@@ -1,6 +1,7 @@
 """kNN join pipeline vs brute-force oracle."""
 
 import numpy as np
+import pandas as pd
 import pyarrow as pa
 import pytest
 
@@ -71,4 +72,7 @@ def test_knn_join_shuffle_equals_broadcast(ray_session):
     b = knn.knn_join_shuffle(pages_io.pages_from_documents(SF), qlat, qlng,
                              res=res, k_ring=k_ring, k_nearest=k,
                              num_partitions=4).to_pandas()
-    assert set(zip(a.query_id, a.url)) == set(zip(b.query_id, b.url))
+    key = ["query_id", "url", "distance_km", "grid_dist"]
+    a = a[key].sort_values(key).reset_index(drop=True)
+    b = b[key].sort_values(key).reset_index(drop=True)
+    pd.testing.assert_frame_equal(a, b)
