@@ -2025,6 +2025,7 @@ def _orders_cube(sf_dir: str):
     import pyarrow as pa
     import ray.data as rd
 
+    from h3ray.ops.join import seed_schema
     from h3ray.ops.reduce import cube_counts
 
     orders = rd.read_parquet(f"{sf_dir}/orders.parquet",
@@ -2038,11 +2039,15 @@ def _orders_cube(sf_dir: str):
             "o_orderpriority": batch["o_orderpriority"],
             "price_cents": np.floor(p * 100 + 0.5).astype(np.int64)})
 
-    return cube_counts(orders.map_batches(to_cents,
-                                          batch_format="pyarrow",
-                                          batch_size=131072),
-                       "o_orderstatus", "o_orderpriority", "price_cents",
-                       count_col="num_rows", sum_col="sum_cents")
+    cents = seed_schema(
+        orders.map_batches(to_cents, batch_format="pyarrow",
+                           batch_size=131072),
+        pa.schema([("o_orderstatus", pa.string()),
+                   ("o_orderpriority", pa.string()),
+                   ("price_cents", pa.int64())]))
+    return cube_counts(cents, "o_orderstatus", "o_orderpriority",
+                       "price_cents", count_col="num_rows",
+                       sum_col="sum_cents")
 
 
 def _events_rank_dist(sf_dir: str):

@@ -48,51 +48,71 @@ _P_POWERS = np.array([pow(_POLY_P, _i, 1 << 64) for _i in range(_MAX_URL)],
 def url_hash64(urls) -> np.ndarray:
     """Vectorized 64-bit polynomial hash over UTF-8 bytes of each string.
 
-    Accepts a pyarrow StringArray/ChunkedArray or a numpy object array.
-    Deterministic across runs/processes (unlike Python's hash()).
+    sum_p byte[p] * P^min(p, 95) (mod 2^64) per string, then a splitmix64
+    finalizer; an empty string hashes its seed instead of an empty sum.
+    Accepts a pyarrow (large) string/binary Array or ChunkedArray, or a
+    sequence of values (hashed as `str`). Deterministic across runs and
+    processes (unlike Python's hash()).
     """
     if isinstance(urls, pa.ChunkedArray):
         urls = urls.combine_chunks()
     if not isinstance(urls, (pa.StringArray, pa.LargeStringArray,
                              pa.BinaryArray, pa.LargeBinaryArray)):
         urls = pa.array([str(u) for u in urls], type=pa.string())
-    buffers = urls.buffers()
+    n = len(urls)
+    if n == 0:
+        return np.empty(0, dtype=np.uint64)
+    _, off_buf, data_buf = urls.buffers()
     # Large string/binary arrays carry int64 offsets; plain ones int32.
     off_dtype = np.int64 if isinstance(
         urls, (pa.LargeStringArray, pa.LargeBinaryArray)) else np.int32
-    offsets = np.frombuffer(buffers[1], dtype=off_dtype,
-                            count=len(urls) + 1 + urls.offset)[urls.offset:]
-    data = np.frombuffer(buffers[2], dtype=np.uint8)
-    starts = offsets[:-1].astype(np.int64)
-    ends = offsets[1:].astype(np.int64)
-    lengths = ends - starts
-    if lengths.size == 0:
-        return np.empty(0, dtype=np.uint64)
-    # Byte payload is contiguous for a StringArray: seg[k] belongs to the
-    # string covering absolute offset starts[0] + k.
-    total = int(ends[-1] - starts[0])
-    seg = data[starts[0]:ends[-1]].astype(np.uint64)
-    bounds = np.concatenate([[0], np.cumsum(lengths)[:-1]])
-    pos = np.arange(total, dtype=np.int64) - np.repeat(bounds, lengths)
-    terms = seg * _P_POWERS[np.minimum(pos, _MAX_URL - 1)]
-    # reduceat bounds must cover NON-EMPTY strings only: an empty trailing
-    # string puts its bound at len(terms) (IndexError), and empty strings
-    # anywhere make duplicate bounds (reduceat returns a neighbor's term).
-    sums = np.full(lengths.shape[0], np.uint64(0x9E3779B97F4A7C15))
-    nonempty = lengths > 0
-    if total:
-        ne_lengths = lengths[nonempty]
-        ne_bounds = np.cumsum(ne_lengths) - ne_lengths
-        sums[nonempty] = np.add.reduceat(terms, ne_bounds)
+    offsets = np.frombuffer(off_buf, dtype=off_dtype, count=n + 1 +
+                            urls.offset)[urls.offset:].astype(np.int64)
+    lengths = np.diff(offsets)
+    sums = np.zeros(n, dtype=np.uint64)
+    # Column-wise over the first _MAX_URL - 1 byte positions: rows sorted
+    # by length, longest first, so the rows still longer than position p
+    # are a prefix of that order. Each step adds one byte per such row
+    # (uint64 sums wrap, so order is free).
+    order = np.argsort(-lengths, kind="stable")
+    head = min(int(lengths[order[0]]), _MAX_URL - 1)
+    if head:
+        data = np.frombuffer(data_buf, dtype=np.uint8)
+        pos = offsets[:-1][order]
+        n_longer = np.searchsorted(-lengths[order], -np.arange(head))
+        acc = np.zeros(n, dtype=np.uint64)
+        term = np.empty(n, dtype=np.uint64)
+        for p in range(head):
+            c = int(n_longer[p])
+            np.multiply(data[pos[:c]], _P_POWERS[p], out=term[:c],
+                        dtype=np.uint64)
+            acc[:c] += term[:c]
+            pos[:c] += 1
+        sums[order] = acc
+        # Every byte from position _MAX_URL - 1 on shares the top power:
+        # one segment sum per longer row. Segments in row order end at
+        # increasing offsets; reduceat sums [start, end) at the even slots
+        # and runs its last slot to the end of data[:last end].
+        tail = np.flatnonzero(lengths > head)
+        if tail.size:
+            bounds = np.stack([offsets[tail] + head, offsets[tail + 1]],
+                              axis=1).ravel()
+            sums[tail] += np.add.reduceat(
+                data[:bounds[-1]], bounds[:-1], dtype=np.uint64)[::2] \
+                * _P_POWERS[-1]
+    sums[lengths == 0] = 0x9E3779B97F4A7C15
     # Final avalanche (splitmix64 finalizer).
     return _mix64(sums)
 
 
 def _mix64(x: np.ndarray) -> np.ndarray:
     x = x.astype(np.uint64)
-    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return x ^ (x >> np.uint64(31))
+    x ^= x >> np.uint64(30)
+    x *= np.uint64(0xBF58476D1CE4E5B9)
+    x ^= x >> np.uint64(27)
+    x *= np.uint64(0x94D049BB133111EB)
+    x ^= x >> np.uint64(31)
+    return x
 
 
 def _unit(h: np.ndarray, salt: int) -> np.ndarray:
@@ -106,38 +126,60 @@ def geotag(urls) -> tuple[np.ndarray, np.ndarray]:
     return geotag_from_hash(h)
 
 
+def geotag_encode(urls, res: int):
+    """Geotag a url column and encode the points at `res`.
+
+    Returns (urls as one Array, lat_deg, lng_deg, int64 cells)."""
+    if isinstance(urls, pa.ChunkedArray):
+        urls = urls.combine_chunks()
+    lat, lng = geotag(urls)
+    return urls, lat, lng, _latlng.latlng_to_cell(lat, lng, res)
+
+
 def geotag_from_hash(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lat_deg, lng_deg) of each hash. `_unit(h, 1)` picks the mixture
+    branch and each branch runs on its own rows only."""
+    h = np.asarray(h)
     u_sel = _unit(h, 1)
-    u_city = (_mix64(h + np.uint64(2)) % np.uint64(N_CITIES)).astype(np.int64)
-    # Box-Muller for the Gaussian jitter.
-    u1 = np.clip(_unit(h, 3), 1e-12, 1.0)
-    u2 = _unit(h, 4)
+    lat = np.empty(h.shape[0])
+    lng = np.empty(h.shape[0])
+
+    # City clusters (80%): Box-Muller Gaussian jitter around the center.
+    rows = np.flatnonzero((u_sel >= 0.001) & (u_sel < 0.801))
+    hc = h[rows]
+    u_city = (_mix64(hc + np.uint64(2)) % np.uint64(N_CITIES)).astype(np.int64)
+    u1 = np.clip(_unit(hc, 3), 1e-12, 1.0)
+    u2 = _unit(hc, 4)
     r = np.sqrt(-2.0 * np.log(u1)) * CITY_SIGMA
-    g1 = r * np.cos(2 * np.pi * u2)
-    g2 = r * np.sin(2 * np.pi * u2)
-    lat_city = np.clip(CITY_LAT[u_city] + g1, -89.9, 89.9)
-    lng_city = CITY_LNG[u_city] + g2
+    lat[rows] = np.clip(CITY_LAT[u_city] + r * np.cos(2 * np.pi * u2),
+                        -89.9, 89.9)
+    lng[rows] = CITY_LNG[u_city] + r * np.sin(2 * np.pi * u2)
 
-    # Uniform-on-sphere branch.
-    lat_uni = np.rad2deg(np.arcsin(2.0 * _unit(h, 5) - 1.0))
-    lng_uni = 360.0 * _unit(h, 6) - 180.0
+    # Uniform on the sphere (20%).
+    rows = np.flatnonzero(u_sel >= 0.801)
+    hu = h[rows]
+    lat[rows] = np.rad2deg(np.arcsin(2.0 * _unit(hu, 5) - 1.0))
+    lng[rows] = 360.0 * _unit(hu, 6) - 180.0
 
-    # Distortion slice: 0.1% near pentagon centers + antimeridian.
-    u_d = (_mix64(h + np.uint64(7)) % np.uint64(13)).astype(np.int64)
-    jit1 = (_unit(h, 8) - 0.5) * 0.2
-    jit2 = (_unit(h, 9) - 0.5) * 0.2
-    lat_pent = np.where(u_d < 12, PENT_LAT[np.minimum(u_d, 11)] + jit1,
-                        (_unit(h, 10) - 0.5) * 160.0)
-    lng_pent = np.where(u_d < 12, PENT_LNG[np.minimum(u_d, 11)] + jit2,
-                        np.where(_unit(h, 11) < 0.5, -180.0 + np.abs(jit2),
-                                 180.0 - np.abs(jit2)))
-
-    lat = np.where(u_sel < 0.001, lat_pent,
-                   np.where(u_sel < 0.801, lat_city, lat_uni))
-    lng = np.where(u_sel < 0.001, lng_pent,
-                   np.where(u_sel < 0.801, lng_city, lng_uni))
+    # Distortion slice (0.1%): near the 12 pentagon centers, or the
+    # antimeridian (u_d == 12).
+    rows = np.flatnonzero(u_sel < 0.001)
+    if rows.size:
+        hd = h[rows]
+        u_d = (_mix64(hd + np.uint64(7)) % np.uint64(13)).astype(np.int64)
+        jit1 = (_unit(hd, 8) - 0.5) * 0.2
+        jit2 = (_unit(hd, 9) - 0.5) * 0.2
+        near = u_d < 12
+        lat[rows] = np.where(near, PENT_LAT[np.minimum(u_d, 11)] + jit1,
+                             (_unit(hd, 10) - 0.5) * 160.0)
+        lng[rows] = np.where(near, PENT_LNG[np.minimum(u_d, 11)] + jit2,
+                             np.where(_unit(hd, 11) < 0.5,
+                                      -180.0 + np.abs(jit2),
+                                      180.0 - np.abs(jit2)))
     # Normalize lng to [-180, 180).
-    lng = ((lng + 180.0) % 360.0) - 180.0
+    lng += 180.0
+    lng %= 360.0
+    lng -= 180.0
     return lat, lng
 
 
@@ -147,6 +189,7 @@ _WORDS = np.array([
     "market", "news", "report", "science", "energy", "travel", "music",
     "health", "sport", "code", "cloud", "graph", "model", "query",
 ])
+_WORDS_ARROW = pa.array(_WORDS, type=pa.string())
 
 
 def make_pages_batch(ids: np.ndarray) -> pa.Table:
@@ -174,9 +217,12 @@ def make_pages_batch(ids: np.ndarray) -> pa.Table:
     intra = np.arange(total, dtype=np.uint64) - np.repeat(
         bounds[:-1].astype(np.uint64), n_words)
     hh = _mix64(np.repeat(h, n_words) + intra)
-    flat_words = pa.array(_WORDS[(hh % np.uint64(len(_WORDS))).astype(np.int64)])
-    if isinstance(flat_words, pa.ChunkedArray):
-        flat_words = flat_words.combine_chunks()
+    # Arrow `take` from the vocabulary, not a NumPy unicode gather: the
+    # latter is a ~21 MB temporary per 32K pages, and freeing it raises
+    # glibc's mmap threshold so far that every later kernel temporary is
+    # carved from (and kept resident in) the heap.
+    flat_words = _WORDS_ARROW.take(
+        (hh % np.uint64(len(_WORDS))).astype(np.int64))
     word_lists = pa.ListArray.from_arrays(bounds.astype(np.int32), flat_words)
     text = pc.binary_join(word_lists, " ")
     html = pc.binary_join_element_wise(

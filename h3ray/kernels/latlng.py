@@ -11,7 +11,12 @@ algorithm as realized in the reference:
   - decode: src/index/cell.rs:1876-1945, faceijk.rs:128-160, vec3d.rs:51-109
 
 Everything operates on whole NumPy arrays; per-resolution loops are <= 15
-iterations of array arithmetic; pentagon fixups are boolean-masked.
+iterations of array arithmetic. The encode digit loop is integer-only on
+int32 axial coords and keeps its direction digits as a (res, n) uint8
+scratch array; the pentagon fix-ups run on the pentagon rows only (~2% of
+uniform points) and the base-cell rotations on the rows with rot > 0, and
+the digits pack straight into the 64-bit index. Non-finite input raises
+`InvalidLatLng` before any table lookup.
 """
 
 from __future__ import annotations
@@ -34,13 +39,17 @@ from ._tables import (
 )
 from .constants import (
     AP7_ROT_RADS,
+    BASE_OFFSET,
     DEFAULT_CELL_INDEX,
+    DIRECTIONS_MASK,
     EPSILON,
     INV_RES0_U_GNOMONIC,
     INV_SQRT7_POWERS,
     MAX_DIM_BY_CII_RES,
+    MAX_RESOLUTION,
     ONE_SEVENTH,
     RES0_U_GNOMONIC,
+    RES_OFFSET,
     RSIN60,
     SQRT3_2,
     SQRT7_POWERS,
@@ -127,55 +136,44 @@ def _rotate60_ijk(i, j, k, ccw: bool):
     return _normalize_ijk(ni, nj, nk)
 
 
-def _hex2d_to_ijk(x, y):
-    """DGGRID hex rounding with axis folding (src/coord/vec2d.rs:138-198)."""
+def _hex2d_to_axial(x, y):
+    """DGGRID hex rounding with axis folding (src/coord/vec2d.rs:138-198).
+
+    Returns the rounded cell as int32 axial coords (a, b) = (i - k, j - k):
+    the reference's final IJK normalization only shifts all three by the
+    same amount, so the axial pair is the folded (i, j) before it. int32
+    holds every res: |a|, |b| < 2^24 at res 15.
+    """
     a1 = np.abs(x)
     a2 = np.abs(y)
 
     x2 = a2 * RSIN60
     x1 = a1 + x2 / 2.0
 
-    m1 = x1.astype(np.int64)
-    m2 = x2.astype(np.int64)
+    m1 = x1.astype(np.int32)
+    m2 = x2.astype(np.int32)
 
     r1 = x1 - m1
     r2 = x2 - m2
 
-    # Branch tree from the reference, flattened into masks.
-    c_lt_half = r1 < 0.5
-    c_lt_third = r1 < (1.0 / 3.0)
-    c_lt_2thirds = r1 < (2.0 / 3.0)
+    # The reference's branch tree on r1 (< 1/3, < 1/2, < 2/3, else) as 0/1
+    # increments of the floored coords; same comparisons, flattened.
+    ge = r2 >= (1.0 - r1)
+    inc_i = np.where(r1 < 0.5, (r1 >= (1.0 / 3.0)) & ge & (r2 < (2.0 * r1)),
+                     (r1 >= (2.0 / 3.0)) | ((2.0 * r1 - 1.0) >= r2) | ge)
+    inc_j = np.where(r1 < (1.0 / 3.0), r2 >= (1.0 + r1) / 2.0,
+                     np.where(r1 < (2.0 / 3.0), ge, r2 >= (r1 / 2.0)))
+    i = m1 + inc_i
+    j = m2 + inc_j
 
-    # r1 < 1/3
-    i_a = m1
-    j_a = m2 + (r2 >= (1.0 + r1) / 2.0)
-    # 1/3 <= r1 < 1/2
-    i_b = m1 + (((1.0 - r1) <= r2) & (r2 < (2.0 * r1)))
-    j_b = m2 + (r2 >= (1.0 - r1))
-    # 1/2 <= r1 < 2/3
-    j_c = m2 + (r2 >= (1.0 - r1))
-    i_c = m1 + (((2.0 * r1 - 1.0) >= r2) | (r2 >= (1.0 - r1)))
-    # r1 >= 2/3
-    i_d = m1 + 1
-    j_d = m2 + (r2 >= (r1 / 2.0))
-
-    i = np.where(c_lt_half, np.where(c_lt_third, i_a, i_b),
-                 np.where(c_lt_2thirds, i_c, i_d)).astype(np.int64)
-    j = np.where(c_lt_half, np.where(c_lt_third, j_a, j_b),
-                 np.where(c_lt_2thirds, j_c, j_d)).astype(np.int64)
-
-    # Fold across the axes if necessary.
-    neg_x = x < 0.0
-    offset = np.where(neg_x, j % 2, 0)
-    axis_i = (j + offset) >> 1  # i32::midpoint for non-negative j
-    diff = i - axis_i
-    i = np.where(neg_x, i - 2 * diff - offset, i)
-
+    # Fold across the axes if necessary. For -x the reference mirrors i
+    # about the axis at ceil(j / 2), which reduces to j - i; for -y it
+    # subtracts (2j + 1) // 2 == j from i and negates j.
+    i = np.where(x < 0.0, j - i, i)
     neg_y = y < 0.0
-    i = np.where(neg_y, i - (2 * j + 1) // 2, i)
+    i = np.where(neg_y, i - j, i)
     j = np.where(neg_y, -j, j)
-
-    return _normalize_ijk(i, j, np.zeros_like(i))
+    return i, j
 
 
 def _ijk_to_hex2d(i, j, k):
@@ -183,14 +181,6 @@ def _ijk_to_hex2d(i, j, k):
     ii = (i - k).astype(np.float64)
     jj = (j - k).astype(np.float64)
     return ii - 0.5 * jj, jj * SQRT3_2
-
-
-# 2D axial (a, b) = (i-k, j-k) unit diff -> direction digit:
-# center(0,0) K(-1,-1) J(0,1) JK(-1,0) I(1,0) IK(0,-1) IJ(1,1).
-_DIGIT_2D = np.zeros((3, 3), dtype=np.int64)
-for _d in range(7):
-    _di, _dj, _dk = (_d >> 2) & 1, (_d >> 1) & 1, _d & 1
-    _DIGIT_2D[_di - _dk + 1, _dj - _dk + 1] = _d
 
 
 def _to_positive_angle(a):
@@ -202,144 +192,192 @@ def _to_positive_angle(a):
 # Encode: lat/lng -> cell
 # ---------------------------------------------------------------------------
 
-def _geo_to_hex2d(lat_rad, lng_rad, res):
+class InvalidLatLng(ValueError):
+    """A latitude or longitude is NaN or infinite (h3o's `LatLng::new`).
+
+    `row` is the first bad row, `count` the number of bad rows."""
+
+    def __init__(self, row: int, count: int, lat: float, lng: float):
+        super().__init__(
+            f"{count} non-finite lat/lng row(s); first at row {row}: "
+            f"({lat}, {lng})")
+        self.row = row
+        self.count = count
+
+
+def _check_finite(lat, lng) -> None:
+    bad = ~(np.isfinite(lat) & np.isfinite(lng))
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise InvalidLatLng(row, int(bad.sum()), float(lat[row]),
+                            float(lng[row]))
+
+
+def _geo_to_hex2d(lat_rad, lng_rad, res: int):
     """Project points to (face, x, y) hex2d coords at `res`."""
     cos_lat = np.cos(lat_rad)
-    vx = np.cos(lng_rad) * cos_lat
-    vy = np.sin(lng_rad) * cos_lat
-    vz = np.sin(lat_rad)
+    v = np.empty((cos_lat.shape[0], 3))
+    np.multiply(np.cos(lng_rad), cos_lat, out=v[:, 0])
+    np.multiply(np.sin(lng_rad), cos_lat, out=v[:, 1])
+    np.sin(lat_rad, out=v[:, 2])
 
     # Closest face. For unit vectors |v - c|^2 = 2 - 2 v.c, so the argmin
     # over squared distances is the argmax over dot products — one (n, 20)
     # GEMM instead of an (n, 20, 3) difference tensor.
-    v = np.stack([vx, vy, vz], axis=1)  # (n, 3)
     dots = v @ FACE_CENTER.T  # (n, 20)
     face = np.argmax(dots, axis=1)
     best = np.take_along_axis(dots, face[:, None], axis=1)[:, 0]
+    del dots
     # Clamp: rounding can push the dot a ulp past 1 (arccos domain).
-    best = np.minimum(best, 1.0)
+    np.minimum(best, 1.0, out=best)
 
     # Gnomonic radius scaled for the resolution (vec2d.rs:65-104):
     # tan(acos(v)) == sqrt(1 - v^2) / v for v in (0, 1] (closest-face dot is
     # always > 0.9), eliminating both transcendentals; the small-radius cut
     # r < EPSILON becomes v > cos(EPSILON).
     small = best > _COS_EPSILON
-    r_scaled = (np.sqrt(np.maximum(1.0 - best * best, 0.0)) / best) \
-        * (INV_RES0_U_GNOMONIC * SQRT7_POWERS[res])
+    r = best * best
+    np.subtract(1.0, r, out=r)
+    np.maximum(r, 0.0, out=r)
+    np.sqrt(r, out=r)
+    r /= best
+    r *= INV_RES0_U_GNOMONIC * SQRT7_POWERS[res]
 
     # Azimuth from face center to the point (vec3d.rs:123-133): atan2 of the
     # tangent-plane projection against the face basis. atan2 is
     # scale-invariant, so the projection needs no normalization, and
     # proj.east == v.east / proj.north == v.north (basis _|_ center).
+    # (einsum, not a GEMM: a BLAS dot rounds differently in ~16% of rows.)
     az = np.arctan2(np.einsum("nc,nc->n", v, FACE_EAST[face]),
                     np.einsum("nc,nc->n", v, FACE_NORTH[face]))
+    theta = FACE_AXES_AZ_RADS_CII[face]
+    theta -= az
+    if res % 2 == 1:
+        theta -= AP7_ROT_RADS
 
-    theta = FACE_AXES_AZ_RADS_CII[face] - az
-    if isinstance(res, np.ndarray):
-        class3 = (res % 2) == 1
-        theta = np.where(class3, theta - AP7_ROT_RADS, theta)
-    elif res % 2 == 1:
-        theta = theta - AP7_ROT_RADS
-
-    x = np.where(small, 0.0, r_scaled * np.cos(theta))
-    y = np.where(small, 0.0, r_scaled * np.sin(theta))
+    x = np.cos(theta)
+    x *= r
+    y = np.sin(theta, out=theta)
+    y *= r
+    if small.any():
+        x[small] = 0.0
+        y[small] = 0.0
     return face, x, y
 
 
 def latlng_to_cell(lat_deg, lng_deg, res: int) -> np.ndarray:
-    """Vectorized latLngToCell. Inputs in degrees; returns int64 cell bits."""
+    """Vectorized latLngToCell. Inputs in degrees; returns int64 cell bits.
+
+    Raises `InvalidLatLng` when a coordinate is NaN or infinite."""
     lat = np.deg2rad(np.asarray(lat_deg, dtype=np.float64))
     lng = np.deg2rad(np.asarray(lng_deg, dtype=np.float64))
     return latlng_rads_to_cell(lat, lng, res)
 
 
+# Direction digit of a unit axial diff (da, db), at 3 * da + db + 4:
+# center (0,0) K (-1,-1) J (0,1) JK (-1,0) I (1,0) IK (0,-1) IJ (1,1).
+_DIGIT_BY_DIFF = np.zeros(9, dtype=np.uint8)
+for _d in range(7):
+    _di, _dj, _dk = (_d >> 2) & 1, (_d >> 1) & 1, _d & 1
+    _DIGIT_BY_DIFF[3 * (_di - _dk) + (_dj - _dk) + 4] = _d
+_ROT_CCW_N = bits.ROTATE60_CCW_N.astype(np.uint8)
+_ROT_CW = bits.ROTATE60_CW.astype(np.uint8)
+
+
+def _first_axe(digits):
+    """First non-center digit of each column of a (res, m) array; 0 if none."""
+    nz = digits != 0
+    return digits[np.argmax(nz, axis=0), np.arange(digits.shape[1])]
+
+
+def _fix_pentagons(digits, face, bc, rot):
+    """Pentagon canonical rotations (faceijk.rs:104-125) on pentagon rows.
+
+    Rotates a leading K digit off the deleted subsequence, then applies
+    the base cell's `rot` 60° steps, each one a double step when it would
+    land on the leading JK axe (bits.rs:181-218)."""
+    cw_off = (BC_CW_OFFSET[bc, 0] == face) | (BC_CW_OFFSET[bc, 1] == face)
+    lead_k = _first_axe(digits) == 1
+    m = lead_k & cw_off
+    if m.any():
+        digits[:, m] = _ROT_CW[digits[:, m]]
+    m = lead_k & ~cw_off
+    if m.any():
+        digits[:, m] = _ROT_CCW_N[1][digits[:, m]]
+    todo = rot.copy()
+    while (todo > 0).any():
+        m = todo > 0
+        steps = np.where(m, np.where(_first_axe(digits) == 3, 2, 1), 0)
+        digits[:] = _ROT_CCW_N[steps[None, :], digits]
+        todo -= m
+
+
 def latlng_rads_to_cell(lat_rad, lng_rad, res: int) -> np.ndarray:
     res = int(res)
+    lat_rad = np.asarray(lat_rad, dtype=np.float64)
+    lng_rad = np.asarray(lng_rad, dtype=np.float64)
+    _check_finite(lat_rad, lng_rad)
     face, x, y = _geo_to_hex2d(lat_rad, lng_rad, res)
-    i, j, k = _hex2d_to_ijk(x, y)
-    n = i.shape[0]
+    a, b = _hex2d_to_axial(x, y)
+    del x, y
+    n = a.shape[0]
 
     # Digit extraction, finest -> coarsest (faceijk.rs:558-582), carried in
-    # 2D axial coords (a, b) = (i - k, j - k): every IJK op is linear so the
-    # aperture-7 up/down and the unit-diff digit are exact integer 2D ops —
-    # half the array passes of the 3D form, bit-identical results.
-    digits = np.full((n, 15), 7, dtype=np.int64)
-    a = i - k
-    b = j - k
+    # 2D axial coords (a, b) = (i - k, j - k): every IJK op is linear, so
+    # the aperture-7 parent is an exact integer op. Its rounding
+    # round(x / 7) is (x + 3) // 7: x / 7 is never a half-integer. The
+    # digit is the diff to the parent's center child, which folds into
+    # 3a + b - (5 ua + 6 ub) (CCW) or 3a + b - (10 ua - ub) (CW).
+    # Digits are uint8 scratch, one row per res.
+    digits = np.empty((res, n), dtype=np.uint8)
     for r in range(res, 0, -1):
-        ccw = (r % 2) == 1  # class III -> CCW
-        la, lb = a, b
-        if ccw:
-            ua = _round_half_away((3 * a - b) * ONE_SEVENTH)
-            ub = _round_half_away((a + 2 * b) * ONE_SEVENTH)
+        d = 3 * a + b + 4
+        if r % 2 == 1:  # class III -> CCW
+            ua = 3 * a - b + 3
+            ub = a + 2 * b + 3
+            ua //= 7
+            ub //= 7
+            d -= 5 * ua + 6 * ub
         else:
-            ua = _round_half_away((2 * a + b) * ONE_SEVENTH)
-            ub = _round_half_away((3 * b - a) * ONE_SEVENTH)
-        a = ua.astype(np.int64)
-        b = ub.astype(np.int64)
-        # Center child in 2D: CCW (2a+b, 3b-a); CW (3a-b, a+2b).
-        if ccw:
-            ca = 2 * a + b
-            cb = 3 * b - a
-        else:
-            ca = 3 * a - b
-            cb = a + 2 * b
-        digits[:, r - 1] = _DIGIT_2D[la - ca + 1, lb - cb + 1]
-    i, j, k = _normalize_ijk(a, b, np.zeros_like(a))
+            ua = 2 * a + b + 3
+            ub = 3 * b - a + 3
+            ua //= 7
+            ub //= 7
+            d -= 10 * ua - ub
+        np.take(_DIGIT_BY_DIFF, d, out=digits[r - 1])
+        a, b = ua, ub
 
     # Base cell lookup at res-0 coordinates (faceijk.rs:60-79).
-    ii = np.clip(i, 0, 2)
-    jj = np.clip(j, 0, 2)
-    kk = np.clip(k, 0, 2)
-    bc = FACEIJK_BASE_CELL[face, ii, jj, kk]
-    rot = FACEIJK_BASE_ROT[face, ii, jj, kk]
+    m = np.minimum(np.minimum(a, b), 0)
+    i = np.clip(a - m, 0, 2)
+    j = np.clip(b - m, 0, 2)
+    k = np.clip(-m, 0, 2)
+    bc = FACEIJK_BASE_CELL[face, i, j, k]
+    rot = FACEIJK_BASE_ROT[face, i, j, k]
 
-    # Canonical rotations (faceijk.rs:104-125), applied in digit space
-    # (digits[:, :res]) to avoid repeated unpack/pack of the bit field.
-    valid = digits[:, :res] if res > 0 else digits[:, :0]
-    pent = BC_IS_PENTAGON[bc]
+    # Canonical rotations (faceijk.rs:104-125), in digit space, each on its
+    # own rows only: pentagon fix-ups on the ~2% pentagon rows, plain
+    # `rot`-fold rotations on the hexagon rows with rot > 0.
+    if res > 0:
+        pent = BC_IS_PENTAGON[bc]
+        rows = np.flatnonzero(pent)
+        if rows.size:
+            sub = digits[:, rows]
+            _fix_pentagons(sub, face[rows], bc[rows], rot[rows])
+            digits[:, rows] = sub
+        rows = np.flatnonzero((rot > 0) & ~pent)
+        if rows.size:
+            digits[:, rows] = _ROT_CCW_N[rot[rows][None, :], digits[:, rows]]
 
-    def _first_axe_digits(v):
-        if v.shape[1] == 0:
-            return np.zeros(v.shape[0], dtype=np.int64)
-        nz = v != 0
-        idx = np.argmax(nz, axis=1)
-        out = v[np.arange(v.shape[0]), idx]
-        return np.where(nz.any(axis=1), out, 0)
-
-    if pent.any() and res > 0:
-        leads_k = _first_axe_digits(valid) == 1
-        fix = pent & leads_k
-        if fix.any():
-            cw_off = (BC_CW_OFFSET[bc, 0] == face) | (BC_CW_OFFSET[bc, 1] == face)
-            m_cw = fix & cw_off
-            m_ccw = fix & ~cw_off
-            if m_cw.any():
-                valid[m_cw] = bits.ROTATE60_CW[valid[m_cw]]
-            if m_ccw.any():
-                valid[m_ccw] = bits.ROTATE60_CCW[valid[m_ccw]]
-        # Pentagon rotations applied `rot` times (each step depends on the
-        # current leading axe -> masked sequential loop, max 5 iterations).
-        todo = np.where(pent, rot, 0)
-        while (todo > 0).any():
-            m = todo > 0
-            axe = _first_axe_digits(valid)
-            dbl = m & (axe == 3)  # JK -> rotate twice (bits.rs:181-218)
-            sgl = m & ~dbl
-            if sgl.any():
-                valid[sgl] = bits.ROTATE60_CCW[valid[sgl]]
-            if dbl.any():
-                valid[dbl] = bits.ROTATE60_CCW_N[2][valid[dbl]]
-            todo -= m
-    hex_rot = np.where(pent, 0, rot)
-    if (hex_rot > 0).any() and res > 0:
-        # Single fancy-indexed lookup: table[count, digit] per row.
-        valid[:] = bits.ROTATE60_CCW_N[hex_rot[:, None], valid]
-
-    cells = bits.pack_digits(
-        np.full(n, DEFAULT_CELL_INDEX & ~0x1FFFFFFFFFFF, dtype=np.int64), digits)
-    cells = bits.set_resolution(cells, res)
-    cells = bits.set_base_cell(cells, bc)
+    # Pack straight into the bit field: mode/res header, unused-digit tail,
+    # base cell, then one 3-bit digit per res (res 1 at bits 42-44).
+    tail = (1 << (3 * (MAX_RESOLUTION - res))) - 1
+    cells = bc.astype(np.int64)
+    cells <<= BASE_OFFSET
+    cells |= (DEFAULT_CELL_INDEX & ~DIRECTIONS_MASK) | (res << RES_OFFSET) \
+        | tail
+    for r in range(1, res + 1):
+        cells |= digits[r - 1].astype(np.int64) << (3 * (MAX_RESOLUTION - r))
     return cells
 
 

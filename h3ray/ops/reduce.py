@@ -428,19 +428,24 @@ def grouped_var_exact(ds, key_col: str, x_col: str, scale: int = 100,
     return driver_merge(partials, merge)
 
 
-def _lattice_partial_schema(ds, col_a: str, col_b: str) -> pa.Schema:
-    """Explicit schema of the rollup/cube combiner output, taken from the
-    INPUT dataset's column types — so driver_merge can call merge on an
-    empty table (emitting the SQL ()-grouping row) even when the mapped
-    dataset is fully empty and Ray cannot infer the partial schema."""
+def _lattice_partial_schema(ds, cols: list[str]) -> pa.Schema:
+    """Explicit schema of the rollup/cube/grouping-sets combiner output,
+    taken from the INPUT dataset's column types — so driver_merge can call
+    merge on an empty table (emitting the SQL ()-grouping row) even when
+    the mapped dataset is fully empty and Ray cannot infer the partial
+    schema. A UDF-mapped empty input has no block and so no schema: seed
+    it with ops.join.seed_schema first."""
     sch = ds.schema(fetch_if_missing=True)
+    if sch is None:
+        raise ValueError("rollup/cube/grouping-sets counts need an input "
+                         "with a known schema; seed an empty mapped input "
+                         "with ops.join.seed_schema first")
     base = getattr(sch, "base_schema", None)
     if base is None:
         base = pa.schema(list(zip(sch.names, sch.types)))
-    return pa.schema([pa.field(col_a, base.field(col_a).type),
-                      pa.field(col_b, base.field(col_b).type),
-                      pa.field("_n", pa.int64()),
-                      pa.field("_s", pa.int64())])
+    return pa.schema([pa.field(c, base.field(c).type) for c in cols]
+                     + [pa.field("_n", pa.int64()),
+                        pa.field("_s", pa.int64())])
 
 
 def _lattice_prep(col_a: str, col_b: str, value_col: str):
@@ -491,7 +496,7 @@ def rollup_counts(ds, col_a: str, col_b: str, value_col: str,
     return combine(ds, [col_a, col_b], sums=("_s",), count="_n",
                    prep=_lattice_prep(col_a, col_b, value_col),
                    finish=merge, batch_size=131072,
-                   schema=_lattice_partial_schema(ds, col_a, col_b))
+                   schema=_lattice_partial_schema(ds, [col_a, col_b]))
 
 
 def cube_counts(ds, col_a: str, col_b: str, value_col: str,
@@ -535,7 +540,7 @@ def cube_counts(ds, col_a: str, col_b: str, value_col: str,
     return combine(ds, [col_a, col_b], sums=("_s",), count="_n",
                    prep=_lattice_prep(col_a, col_b, value_col),
                    finish=merge, batch_size=131072,
-                   schema=_lattice_partial_schema(ds, col_a, col_b))
+                   schema=_lattice_partial_schema(ds, [col_a, col_b]))
 
 
 def grouping_sets_counts(ds, cols: list[str], sets: list[tuple],
@@ -590,19 +595,9 @@ def grouping_sets_counts(ds, cols: list[str], sets: list[tuple],
             pieces.append(pa.table(dict(zip(names, arrays))))
         return pa.concat_tables(pieces)
 
-    sch = ds.schema(fetch_if_missing=True)
-    if sch is None:
-        raise ValueError("grouping_sets_counts needs an input with a known "
-                         "schema; seed an empty mapped input with "
-                         "ops.join.seed_schema first")
-    base = getattr(sch, "base_schema", None)
-    if base is None:
-        base = pa.schema(list(zip(sch.names, sch.types)))
-    pschema = pa.schema([pa.field(c, base.field(c).type) for c in cols]
-                        + [pa.field("_n", pa.int64()),
-                           pa.field("_s", pa.int64())])
     return combine(ds, cols, sums=("_s",), count="_n", prep=prep,
-                   finish=merge, batch_size=131072, schema=pschema)
+                   finish=merge, batch_size=131072,
+                   schema=_lattice_partial_schema(ds, cols))
 
 
 def _skyline_mask(lo, hi):

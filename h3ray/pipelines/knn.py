@@ -62,11 +62,7 @@ def _resolve_index(index_ref):
 
 
 def knn_candidates(batch: pa.Table, index, res: int) -> pa.Table:
-        urls = batch["url"]
-        if isinstance(urls, pa.ChunkedArray):
-            urls = urls.combine_chunks()
-        lat, lng = pages_io.geotag(urls)
-        cells = latlng.latlng_to_cell(lat, lng, res)
+        urls, lat, lng, cells = pages_io.geotag_encode(batch["url"], res)
 
         idx = index
         pos = np.searchsorted(idx["uniq_cells"], cells)
@@ -261,11 +257,7 @@ def knn_join_shuffle(pages_ds, query_lat, query_lng, *, res: int = 7,
     queries = rd.from_arrow(qtable)
 
     def encode(batch: pa.Table) -> pa.Table:
-        urls = batch["url"]
-        if isinstance(urls, pa.ChunkedArray):
-            urls = urls.combine_chunks()
-        lat, lng = pages_io.geotag(urls)
-        cells = latlng.latlng_to_cell(lat, lng, res)
+        urls, lat, lng, cells = pages_io.geotag_encode(batch["url"], res)
         return pa.Table.from_arrays(
             [urls, pa.array(cells.view(np.uint64)), pa.array(lat),
              pa.array(lng)], names=["url", "cell", "lat", "lng"])

@@ -23,7 +23,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..io import pages as pages_io
-from ..kernels import bits, hierarchy, latlng, region
+from ..kernels import bits, hierarchy, region
 
 
 def city_polygons(n: int = 10, radius_deg: float = 0.75) -> list[dict]:
@@ -148,11 +148,7 @@ def _probe_batch(data: dict, batch: pa.Table, res: int,
     """One page batch through the probe: encode, probe, and with `exact`
     re-check each candidate with the point-in-polygon predicate. `data` is
     the broadcast payload {"probe", "geoms"}."""
-    urls = batch["url"]
-    if isinstance(urls, pa.ChunkedArray):
-        urls = urls.combine_chunks()
-    lat, lng = pages_io.geotag(urls)
-    cells = latlng.latlng_to_cell(lat, lng, res)
+    urls, lat, lng, cells = pages_io.geotag_encode(batch["url"], res)
     row, pid = probe_cells(data["probe"], cells)
     if exact and row.size:
         keep = np.zeros(row.shape[0], dtype=bool)
@@ -220,11 +216,7 @@ def pip_join_shuffle(pages_ds, geoms: list[dict], *, res: int = 9,
     cov = rd.from_arrow(coverage_table(geoms, res, mode))
 
     def encode(batch: pa.Table) -> pa.Table:
-        urls = batch["url"]
-        if isinstance(urls, pa.ChunkedArray):
-            urls = urls.combine_chunks()
-        lat, lng = pages_io.geotag(urls)
-        cells = latlng.latlng_to_cell(lat, lng, res)
+        urls, _, _, cells = pages_io.geotag_encode(batch["url"], res)
         return pa.Table.from_arrays(
             [urls, pa.array(cells.view(np.uint64))], names=["url", "cell"])
 

@@ -372,7 +372,9 @@ def document_frequency(ds, id_col: str = "doc_id",
                                           type=pa.string())})
 
     return combine(ds, "term", count="df", prep=distinct_pairs,
-                   batch_size=8192)
+                   batch_size=8192,
+                   schema=pa.schema([("term", pa.string()),
+                                     ("df", pa.int64())]))
 
 
 def tfidf_top_terms(ds, *, id_col: str = "doc_id", text_col: str = "text",

@@ -150,3 +150,25 @@ def test_great_circle_distance_doctest_goldens():
     # Radian<->degree pins (src/coord/latlng.rs:128,143).
     assert abs(np.radians(48.864716) - 0.8528501822519535) < 1e-16
     assert abs(np.radians(2.349014) - 0.04099802847544208) < 1e-17
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("column", ["lat", "lng"])
+def test_non_finite_input_raises_typed_error(bad, column):
+    """NaN or +-inf raises InvalidLatLng (a ValueError) naming the first
+    bad row and the count, before any table lookup; no RuntimeWarning."""
+    import warnings
+
+    lat = np.array([10.0, 20.0, 30.0, 40.0, 50.0])
+    lng = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
+    (lat if column == "lat" else lng)[[1, 3]] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(latlng.InvalidLatLng) as err:
+            latlng.latlng_to_cell(lat, lng, 9)
+    assert isinstance(err.value, ValueError)
+    assert (err.value.row, err.value.count) == (1, 2)
+    assert "first at row 1" in str(err.value)
+    # Finite rows alone still encode.
+    ok = np.isfinite(lat) & np.isfinite(lng)
+    assert latlng.latlng_to_cell(lat[ok], lng[ok], 9).shape == (3,)
