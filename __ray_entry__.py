@@ -24,6 +24,16 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 SF0001 = "/root/testdata/sf0.001"
 
 
+def _hugeint(values):
+    """int64 values as an exact decimal128(38, 0) column — Arrow's
+    HUGEINT: a combine can SUM it where an int64 SUM would wrap."""
+    import numpy as np
+    import pyarrow as pa
+
+    return pa.array(np.asarray(values, np.int64)).cast(
+        pa.decimal128(38, 0))
+
+
 def _nation_names(sf_dir: str, keys):
     """n_name of each nation key (numpy object array; keys must exist)."""
     import numpy as np
@@ -740,16 +750,18 @@ def _lineitem_priority_counts(sf_dir: str):
     import pyarrow.compute as pc
     import ray.data as rd
 
-    from h3ray.ops.join import hash_join
+    from h3ray.ops.join import hash_join, seed_schema
     from h3ray.ops.reduce import combine
 
     cutoff = pa.scalar(datetime.datetime(1997, 1, 1),
                        type=pa.timestamp("us"))
-    line = rd.read_parquet(
+    line = seed_schema(rd.read_parquet(
         f"{sf_dir}/lineitem.parquet",
         columns=["l_orderkey", "l_returnflag", "l_shipdate"],
         filter=(pc.field("l_shipdate") < cutoff))
-    line = line.select_columns(["l_orderkey", "l_returnflag"])
+        .select_columns(["l_orderkey", "l_returnflag"]),
+        pa.schema([("l_orderkey", pa.int64()),
+                   ("l_returnflag", pa.string())]))
     orders = rd.read_parquet(f"{sf_dir}/orders.parquet",
                              columns=["o_orderkey", "o_orderpriority"])
     joined = hash_join(line, orders, "l_orderkey", "o_orderkey")
@@ -763,7 +775,10 @@ def _lineitem_priority_counts(sf_dir: str):
                          "high_lines": hi_np, "low_lines": 1 - hi_np})
 
     return combine(joined, "l_returnflag",
-                   sums=("high_lines", "low_lines"), prep=prep)
+                   sums=("high_lines", "low_lines"), prep=prep,
+                   schema=pa.schema([("l_returnflag", pa.string()),
+                                     ("high_lines", pa.int64()),
+                                     ("low_lines", pa.int64())]))
 
 
 def _events_pivot_by_hour(sf_dir: str):
@@ -1259,7 +1274,7 @@ def _nation_supplier_customer_full(sf_dir: str):
     import pyarrow as pa
     import ray.data as rd
 
-    from h3ray.ops.join import hash_join
+    from h3ray.ops.join import hash_join, seed_schema
 
     def agg(table: str, key: str, bal: str, out: str):
         import pyarrow.compute as pc
@@ -1270,7 +1285,7 @@ def _nation_supplier_customer_full(sf_dir: str):
                              columns=[key, bal],
                              filter=pc.field(bal) > 8000.0)
 
-        # Nation-bounded aggregate: driver_merge keeps a STABLE schema even
+        # Nation-bounded aggregate: combine keeps a STABLE schema even
         # when the filter leaves zero rows (a Ray groupby over an empty
         # input yields a schema-less Dataset, which hash_join rejects).
         return rd.from_arrow(combine(
@@ -1284,16 +1299,19 @@ def _nation_supplier_customer_full(sf_dir: str):
     def rename(batch: pa.Table) -> pa.Table:
         return batch.rename_columns(["c_nk", "num_customers"])
 
-    joined = hash_join(sup, cust.map_batches(rename,
-                                             batch_format="pyarrow"),
-                       "nk", "c_nk", how="full")
+    counts = [("num_suppliers", pa.int64()), ("num_customers", pa.int64())]
+    joined = hash_join(sup, seed_schema(
+        cust.map_batches(rename, batch_format="pyarrow"),
+        pa.schema([("c_nk", pa.int64()), counts[1]])),
+        "nk", "c_nk", how="full")
 
     def project(batch: pa.Table) -> pa.Table:
         return pa.table({"n_nationkey": batch["nk"],
                          "num_suppliers": batch["num_suppliers"],
                          "num_customers": batch["num_customers"]})
 
-    return joined.map_batches(project, batch_format="pyarrow")
+    return seed_schema(joined.map_batches(project, batch_format="pyarrow"),
+                       pa.schema([("n_nationkey", pa.int64())] + counts))
 
 
 def _customers_no_urgent_orders(sf_dir: str):
@@ -1750,13 +1768,18 @@ def _docs_tfidf_topk(sf_dir: str):
     """Per-doc top-5 terms by integer-exact TF-IDF ordering (tf DESC, df
     ASC, term ASC): vocabulary-bounded df combiner + broadcast, then a
     zero-shuffle per-batch segmented top-k (text/analysis.py)."""
+    import pyarrow as pa
     import ray.data as rd
 
+    from h3ray.ops.join import seed_schema
     from h3ray.text.analysis import tfidf_top_terms
 
     ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
                          columns=["doc_id", "text"])
-    return tfidf_top_terms(ds, id_col="doc_id", text_col="text", k=5)
+    return seed_schema(
+        tfidf_top_terms(ds, id_col="doc_id", text_col="text", k=5),
+        pa.schema([("doc_id", pa.int64()), ("term", pa.string()),
+                   ("tf", pa.int64()), ("df", pa.int64())]))
 
 
 def _h3_ring_smoothed(sf_dir: str):
@@ -1810,17 +1833,18 @@ def _revenue_local_suppliers(sf_dir: str):
     import ray
     import ray.data as rd
 
-    from h3ray.ops.join import hash_join
+    from h3ray.ops.join import hash_join, seed_schema
     from h3ray.ops.reduce import combine
 
     lo = pa.scalar(datetime.datetime(1996, 1, 1), type=pa.timestamp("us"))
     hi = pa.scalar(datetime.datetime(1997, 1, 1), type=pa.timestamp("us"))
-    orders = rd.read_parquet(
+    orders = seed_schema(rd.read_parquet(
         f"{sf_dir}/orders.parquet",
         columns=["o_orderkey", "o_custkey", "o_orderdate"],
         filter=((pc.field("o_orderdate") >= lo)
-                & (pc.field("o_orderdate") < hi))) \
-        .select_columns(["o_orderkey", "o_custkey"])
+                & (pc.field("o_orderdate") < hi)))
+        .select_columns(["o_orderkey", "o_custkey"]),
+        pa.schema([("o_orderkey", pa.int64()), ("o_custkey", pa.int64())]))
     cust = rd.read_parquet(f"{sf_dir}/customer.parquet",
                            columns=["c_custkey", "c_nationkey"])
     ord_nat = hash_join(orders, cust, "o_custkey", "c_custkey") \
@@ -1859,10 +1883,12 @@ def _revenue_local_suppliers(sf_dir: str):
                          else np.zeros(0, dtype=np.int64),
                          "cents": cents[sel]})
 
-    joined = hash_join(line.map_batches(line_prep,
-                                        batch_format="pyarrow",
-                                        batch_size=131072),
-                       ord_nat, "l_orderkey", "o_orderkey")
+    joined = hash_join(seed_schema(
+        line.map_batches(line_prep, batch_format="pyarrow",
+                         batch_size=131072),
+        pa.schema([("l_orderkey", pa.int64()), ("s_nat", pa.int64()),
+                   ("cents", pa.int64())])),
+        ord_nat, "l_orderkey", "o_orderkey")
 
     def prep(batch: pa.Table) -> pa.Table:
         cn = batch["c_nationkey"].to_numpy(
@@ -1876,29 +1902,31 @@ def _revenue_local_suppliers(sf_dir: str):
     def finish(g: pa.Table) -> pa.Table:
         names = _nation_names(sf_dir, g["nationkey"].to_numpy(
             zero_copy_only=False))
-        return pa.table({"n_name": pa.array(names),
+        return pa.table({"n_name": pa.array(names, pa.string()),
                          "revenue_cents": g["revenue_cents"]})
 
     return combine(joined, "nationkey", sums=("revenue_cents",), prep=prep,
-                   finish=finish)
+                   finish=finish,
+                   schema=pa.schema([("nationkey", pa.int64()),
+                                     ("revenue_cents", pa.int64())]))
 
 
 def _brand_small_qty_revenue(sf_dir: str):
     """TPC-H Q17 shape (correlated per-part average): revenue from
     lineitems of one brand's parts whose quantity is below 0.2x that
     part's average. The brand-filtered part set is small BY FILTER —
-    broadcast; pass 1 is a per-part (count, qty_sum) combiner + bounded
-    driver merge; pass 2 re-streams lineitem against the broadcast stats
-    with the exact-integer test 5*qty*count < qty_sum (quantities are
-    integral, so no float average is ever formed — bit-identical to the
-    algebraic SQL mirror)."""
+    broadcast; pass 1 is a per-part (count, qty_sum) combine; pass 2
+    re-streams lineitem against the broadcast stats with the
+    exact-integer test 5*qty*count < qty_sum (quantities are integral,
+    so no float average is ever formed — bit-identical to the algebraic
+    SQL mirror) into a keyless SUM (NULL over zero rows, as in SQL)."""
     import numpy as np
     import pyarrow as pa
     import pyarrow.parquet as pq
     import ray
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     part = pq.read_table(f"{sf_dir}/part.parquet",
                          columns=["p_partkey", "p_brand"])
@@ -1910,61 +1938,43 @@ def _brand_small_qty_revenue(sf_dir: str):
                            columns=["l_partkey", "l_quantity",
                                     "l_extendedprice"])
 
-    def stats_partial(batch: pa.Table) -> pa.Table:
+    def qty(batch: pa.Table):
+        return np.floor(batch["l_quantity"].to_numpy(zero_copy_only=False)
+                        + 0.5).astype(np.int64)
+
+    def stats_prep(batch: pa.Table) -> pa.Table:
         keys = ray.get(pk_ref)
         lp = batch["l_partkey"].to_numpy(zero_copy_only=False)
-        q = np.floor(batch["l_quantity"]
-                     .to_numpy(zero_copy_only=False) + 0.5) \
-            .astype(np.int64)
-        pos = np.searchsorted(keys, lp)
-        pos_c = np.minimum(pos, keys.shape[0] - 1)
-        hit = keys.shape[0] > 0
-        sel = (keys[pos_c] == lp) if hit else np.zeros(lp.shape[0], bool)
-        uniq, inv = np.unique(lp[sel], return_inverse=True)
-        cnt = np.zeros(uniq.shape[0], dtype=np.int64)
-        qs = np.zeros(uniq.shape[0], dtype=np.int64)
-        np.add.at(cnt, inv, 1)
-        np.add.at(qs, inv, q[sel])
-        return pa.table({"l_partkey": uniq, "cnt": cnt, "qty_sum": qs})
+        pos_c = np.minimum(np.searchsorted(keys, lp), keys.shape[0] - 1)
+        sel = (keys[pos_c] == lp) if keys.shape[0] \
+            else np.zeros(lp.shape[0], bool)
+        return pa.table({"l_partkey": lp[sel], "qty_sum": qty(batch)[sel]})
 
-    stats = driver_merge(
-        line.map_batches(stats_partial, batch_format="pyarrow",
-                         batch_size=131072),
-        lambda t: t.group_by("l_partkey").aggregate(
-            [("cnt", "sum"), ("qty_sum", "sum")])
-        .rename_columns(["l_partkey", "cnt", "qty_sum"]))
+    stats = combine(line, "l_partkey", count="cnt", sums=("qty_sum",),
+                    prep=stats_prep, batch_size=131072,
+                    schema=pa.schema([("l_partkey", pa.int64()),
+                                      ("cnt", pa.int64()),
+                                      ("qty_sum", pa.int64())]))
     sk = stats["l_partkey"].to_numpy()
     sorder = np.argsort(sk)
     stats_ref = ray.put((sk[sorder],
                          stats["cnt"].to_numpy()[sorder],
                          stats["qty_sum"].to_numpy()[sorder]))
 
-    def rev_partial(batch: pa.Table) -> pa.Table:
+    def rev_prep(batch: pa.Table) -> pa.Table:
         keys, cnt, qsum = ray.get(stats_ref)
         lp = batch["l_partkey"].to_numpy(zero_copy_only=False)
-        q = np.floor(batch["l_quantity"]
-                     .to_numpy(zero_copy_only=False) + 0.5) \
-            .astype(np.int64)
         price = batch["l_extendedprice"].to_numpy(zero_copy_only=False)
         if keys.shape[0] == 0:
-            return pa.table({"revenue_cents": pa.array([], pa.int64()),
-                             "n_rows": pa.array([], pa.int64())})
+            return pa.table({"revenue_cents": pa.array([], pa.int64())})
         pos = np.minimum(np.searchsorted(keys, lp), keys.shape[0] - 1)
-        sel = (keys[pos] == lp) & (5 * q * cnt[pos] < qsum[pos])
-        cents = np.floor(price[sel] * 100 + 0.5).astype(np.int64)
-        return pa.table({"revenue_cents": pa.array([int(cents.sum())]),
-                         "n_rows": pa.array([int(sel.sum())])})
+        sel = (keys[pos] == lp) & (5 * qty(batch) * cnt[pos] < qsum[pos])
+        return pa.table({"revenue_cents": np.floor(
+            price[sel] * 100 + 0.5).astype(np.int64)})
 
-    def merge(t: pa.Table) -> pa.Table:
-        n = int(pa.compute.sum(t["n_rows"]).as_py() or 0)
-        total = pa.compute.sum(t["revenue_cents"]).as_py()
-        # SQL SUM over zero rows is NULL, not 0.
-        return pa.table({"revenue_cents": pa.array(
-            [total if n else None], type=pa.int64())})
-
-    return driver_merge(line.map_batches(rev_partial,
-                                         batch_format="pyarrow",
-                                         batch_size=131072), merge)
+    return combine(line, [], sums=("revenue_cents",), prep=rev_prep,
+                   batch_size=131072,
+                   schema=pa.schema([("revenue_cents", pa.int64())]))
 
 
 def _orders_bloom_pruned_revenue(sf_dir: str):
@@ -1983,17 +1993,19 @@ def _orders_bloom_pruned_revenue(sf_dir: str):
     import ray.data as rd
 
     from h3ray.ops.bloom import bloom_build, bloom_prune
-    from h3ray.ops.join import hash_join
+    from h3ray.ops.join import hash_join, seed_schema
     from h3ray.ops.reduce import combine
 
     lo = pa.scalar(datetime.datetime(1995, 1, 1), type=pa.timestamp("us"))
     hi = pa.scalar(datetime.datetime(1996, 1, 1), type=pa.timestamp("us"))
-    orders = rd.read_parquet(
+    orders = seed_schema(rd.read_parquet(
         f"{sf_dir}/orders.parquet",
         columns=["o_orderkey", "o_orderpriority", "o_orderdate"],
         filter=((pc.field("o_orderdate") >= lo)
-                & (pc.field("o_orderdate") < hi))) \
-        .select_columns(["o_orderkey", "o_orderpriority"])
+                & (pc.field("o_orderdate") < hi)))
+        .select_columns(["o_orderkey", "o_orderpriority"]),
+        pa.schema([("o_orderkey", pa.int64()),
+                   ("o_orderpriority", pa.string())]))
     bloom = ray.put(bloom_build(orders, "o_orderkey"))
 
     line = rd.read_parquet(f"{sf_dir}/lineitem.parquet",
@@ -2008,13 +2020,17 @@ def _orders_bloom_pruned_revenue(sf_dir: str):
             "cents": np.floor(price * (1 - disc) * 100 + 0.5)
             .astype(np.int64)})
 
-    pruned = bloom_prune(line, "l_orderkey", bloom) \
-        .map_batches(to_cents, batch_format="pyarrow", batch_size=131072)
+    pruned = seed_schema(
+        bloom_prune(line, "l_orderkey", bloom)
+        .map_batches(to_cents, batch_format="pyarrow", batch_size=131072),
+        pa.schema([("l_orderkey", pa.int64()), ("cents", pa.int64())]))
     joined = hash_join(pruned, orders, "l_orderkey", "o_orderkey")
 
     return combine(joined, "o_orderpriority", sums=("cents",),
                    finish=lambda g: g.rename_columns(
-                       ["o_orderpriority", "revenue_cents"]))
+                       ["o_orderpriority", "revenue_cents"]),
+                   schema=pa.schema([("o_orderpriority", pa.string()),
+                                     ("cents", pa.int64())]))
 
 
 def _orders_cube(sf_dir: str):
@@ -2233,19 +2249,20 @@ def _customer_order_dist(sf_dir: str):
 
 def _top_supplier_revenue(sf_dir: str):
     """TPC-H Q15 shape (top supplier by quarterly revenue): per-supplier
-    revenue is combiner-first; the global max is a per-batch max partial +
-    driver scalar (never the full per-supplier table on the driver); the
-    tiny winner set then prunes the supplier scan at the read — the
-    supplier table itself never shuffles."""
+    revenue is combiner-first; the global max is a keyless MAX combine
+    (never the full per-supplier table on the driver); the tiny winner
+    set then prunes the supplier read — the supplier table itself never
+    shuffles."""
     import datetime
 
     import numpy as np
     import pyarrow as pa
     import pyarrow.compute as pc
+    import pyarrow.parquet as pq
     import ray.data as rd
     from ray.data.aggregate import Sum
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     lo = pa.scalar(datetime.datetime(1996, 1, 1), type=pa.timestamp("us"))
     hi = pa.scalar(datetime.datetime(1996, 4, 1), type=pa.timestamp("us"))
@@ -2271,29 +2288,20 @@ def _top_supplier_revenue(sf_dir: str):
         .groupby("l_suppkey").aggregate(
             Sum("cents", alias_name="total_revenue_cents"))
 
-    def max_partial(batch: pa.Table) -> pa.Table:
-        m = pc.max(batch["total_revenue_cents"]).as_py()
-        return pa.table({"m": pa.array([m], type=pa.int64())})
-
-    max_tbl = driver_merge(
-        rev.map_batches(max_partial, batch_format="pyarrow"),
-        lambda t: pa.table({"m": pa.array(
-            [pc.max(t["m"]).as_py()], type=pa.int64())}),
-        schema=pa.schema([("m", pa.int64())]))
-    maxv = max_tbl["m"][0].as_py()
+    maxv = combine(rev, [], maxs=("total_revenue_cents",),
+                   schema=pa.schema([("total_revenue_cents", pa.int64())])
+                   )["total_revenue_cents"][0].as_py()
     if maxv is None:
         return pa.table({"s_suppkey": pa.array([], pa.int64()),
                          "s_name": pa.array([], pa.string()),
                          "total_revenue_cents": pa.array([], pa.int64())})
 
-    winners = driver_merge(
-        rev.filter(expr=f"total_revenue_cents == {maxv}"), lambda t: t)
+    winners = combine(rev.filter(expr=f"total_revenue_cents == {maxv}"),
+                      "l_suppkey")
     wkeys = np.sort(winners["l_suppkey"].to_numpy())
-    sup = rd.read_parquet(f"{sf_dir}/supplier.parquet",
-                          columns=["s_suppkey", "s_name"],
-                          filter=pc.field("s_suppkey").isin(wkeys))
-    sup_tbl = driver_merge(sup, lambda t: t)
-    pos = np.searchsorted(wkeys, sup_tbl["s_suppkey"].to_numpy())
+    sup_tbl = pq.read_table(f"{sf_dir}/supplier.parquet",
+                            columns=["s_suppkey", "s_name"],
+                            filters=[("s_suppkey", "in", wkeys.tolist())])
     return pa.table({
         "s_suppkey": sup_tbl["s_suppkey"],
         "s_name": sup_tbl["s_name"],
@@ -2305,8 +2313,8 @@ def _disjunct_brand_revenue(sf_dir: str):
     """TPC-H Q19 shape (disjunctive OR-of-ANDs predicate): the 3-brand
     part slice is small BY FILTER -> broadcast (sorted keys + brand code +
     size); lineitem streams through one vectorized boolean expression —
-    no join, no shuffle; the scalar revenue is a single-row driver merge
-    (SUM over zero rows stays NULL, SQL semantics)."""
+    no join, no shuffle; the scalar revenue is a keyless combine (SUM
+    over zero rows stays NULL, SQL semantics)."""
     import numpy as np
     import pyarrow as pa
     import pyarrow.compute as pc
@@ -2314,7 +2322,7 @@ def _disjunct_brand_revenue(sf_dir: str):
     import ray
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     brands = ["Brand#12", "Brand#23", "Brand#34"]
     part = pq.read_table(f"{sf_dir}/part.parquet",
@@ -2333,12 +2341,11 @@ def _disjunct_brand_revenue(sf_dir: str):
                            columns=["l_partkey", "l_quantity",
                                     "l_extendedprice", "l_discount"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         keys, bc, sz = ray.get(part_ref)
         lp = batch["l_partkey"].to_numpy(zero_copy_only=False)
         if keys.shape[0] == 0:
-            return pa.table({"revenue_cents": pa.array([], pa.int64()),
-                             "n_rows": pa.array([], pa.int64())})
+            return pa.table({"revenue_cents": pa.array([], pa.int64())})
         pos = np.minimum(np.searchsorted(keys, lp), keys.shape[0] - 1)
         hit = keys[pos] == lp
         q = np.floor(batch["l_quantity"].to_numpy(zero_copy_only=False)
@@ -2350,24 +2357,17 @@ def _disjunct_brand_revenue(sf_dir: str):
             | ((b == 2) & (s >= 1) & (s <= 15) & (q >= 20) & (q <= 30)))
         price = batch["l_extendedprice"].to_numpy(zero_copy_only=False)
         disc = batch["l_discount"].to_numpy(zero_copy_only=False)
-        cents = np.floor(price[cond] * (1 - disc[cond]) * 100
-                         + 0.5).astype(np.int64)
-        return pa.table({"revenue_cents": pa.array([int(cents.sum())]),
-                         "n_rows": pa.array([int(cond.sum())])})
+        return pa.table({"revenue_cents": np.floor(
+            price[cond] * (1 - disc[cond]) * 100 + 0.5).astype(np.int64)})
 
-    def merge(t: pa.Table) -> pa.Table:
-        n = int(pc.sum(t["n_rows"]).as_py() or 0)
-        total = pc.sum(t["revenue_cents"]).as_py()
-        return pa.table({"revenue_cents": pa.array(
-            [total if n else None], type=pa.int64())})
-
-    return driver_merge(line.map_batches(partial, batch_format="pyarrow",
-                                         batch_size=131072), merge)
+    return combine(line, [], sums=("revenue_cents",), prep=prep,
+                   batch_size=131072,
+                   schema=pa.schema([("revenue_cents", pa.int64())]))
 
 
 def _idle_rich_customers(sf_dir: str):
     """TPC-H Q22 shape (global scalar + anti join): the positive-balance
-    average is a two-phase (sum, count) scalar; the above-average test is
+    average is a keyless (sum, count) combine; the above-average test is
     EXACT integer arithmetic (cents * n > sum_cents — no float average is
     ever formed); customers with early orders are removed by a
     distributed anti join whose right side collapses to distinct custkeys
@@ -2379,42 +2379,35 @@ def _idle_rich_customers(sf_dir: str):
     import pyarrow.compute as pc
     import ray.data as rd
 
-    from h3ray.ops.join import anti_join
-    from h3ray.ops.reduce import combine, driver_merge
+    from h3ray.ops.join import anti_join, seed_schema
+    from h3ray.ops.reduce import combine
 
     cust_cols = ["c_custkey", "c_acctbal", "c_mktsegment"]
     cust = rd.read_parquet(f"{sf_dir}/customer.parquet", columns=cust_cols)
 
-    def avg_partial(batch: pa.Table) -> pa.Table:
+    def cents_of(batch: pa.Table):
         bal = batch["c_acctbal"].to_numpy(zero_copy_only=False)
-        pos = bal > 0
-        cents = np.floor(bal[pos] * 100 + 0.5).astype(np.int64)
-        return pa.table({"sum_cents": pa.array([int(cents.sum())]),
-                         "n": pa.array([int(pos.sum())])})
+        return np.floor(bal * 100 + 0.5).astype(np.int64)
 
-    scal = driver_merge(
-        cust.map_batches(avg_partial, batch_format="pyarrow",
-                         batch_size=131072),
-        lambda t: pa.table({
-            "sum_cents": pa.array([pc.sum(t["sum_cents"]).as_py() or 0],
-                                  type=pa.int64()),
-            "n": pa.array([pc.sum(t["n"]).as_py() or 0],
-                          type=pa.int64())}),
-        schema=pa.schema([("sum_cents", pa.int64()), ("n", pa.int64())]))
-    sum_cents = scal["sum_cents"][0].as_py()
+    def pos_prep(batch: pa.Table) -> pa.Table:
+        pos = batch["c_acctbal"].to_numpy(zero_copy_only=False) > 0
+        return pa.table({"sum_cents": cents_of(batch)[pos]})
+
+    scal = combine(cust, [], count="n", sums=("sum_cents",), prep=pos_prep,
+                   batch_size=131072,
+                   schema=pa.schema([("n", pa.int64()),
+                                     ("sum_cents", pa.int64())]))
+    sum_cents = scal["sum_cents"][0].as_py() or 0
     n_pos = scal["n"][0].as_py()
 
     def rich(batch: pa.Table) -> pa.Table:
-        bal = batch["c_acctbal"].to_numpy(zero_copy_only=False)
-        cents = np.floor(bal * 100 + 0.5).astype(np.int64)
+        cents = cents_of(batch)
         keep = cents * n_pos > sum_cents
         return pa.Table.from_arrays(
             [batch["c_custkey"].filter(pa.array(keep)),
              pa.array(cents[keep]),
              batch["c_mktsegment"].filter(pa.array(keep))],
             names=["c_custkey", "acct_cents", "c_mktsegment"])
-
-    from h3ray.ops.join import seed_schema
 
     rich_ds = seed_schema(
         cust.map_batches(rich, batch_format="pyarrow",
@@ -2673,8 +2666,8 @@ def _forecast_revenue_delta(sf_dir: str):
     """TPC-H Q6 shape: pure predicate scan — the what-if revenue delta of
     dropping small discounts on small quantities for one shipping year.
     Zero shuffle: the date range is a read-time row-group filter, the
-    discount/quantity band is one vectorized mask per batch, and each
-    block emits a single partial-sum row (combiner-first discipline)."""
+    discount/quantity band is one vectorized mask per batch, and a
+    keyless combine sums it (NULL over zero rows, as in SQL)."""
     import datetime
 
     import numpy as np
@@ -2682,7 +2675,7 @@ def _forecast_revenue_delta(sf_dir: str):
     import pyarrow.compute as pc
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     lo = pa.scalar(datetime.datetime(1996, 1, 1), type=pa.timestamp("us"))
     hi = pa.scalar(datetime.datetime(1997, 1, 1), type=pa.timestamp("us"))
@@ -2692,36 +2685,26 @@ def _forecast_revenue_delta(sf_dir: str):
         filter=((pc.field("l_shipdate") >= lo)
                 & (pc.field("l_shipdate") < hi)))
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         disc = batch["l_discount"].to_numpy(zero_copy_only=False)
         qty = batch["l_quantity"].to_numpy(zero_copy_only=False)
         price = batch["l_extendedprice"].to_numpy(zero_copy_only=False)
         sel = (disc >= 0.05) & (disc <= 0.07) & (qty < 24)
-        cents = np.floor(price[sel] * disc[sel] * 100 + 0.5) \
-            .astype(np.int64)
-        return pa.table({"revenue_cents": pa.array([int(cents.sum())]),
-                         "n_rows": pa.array([int(sel.sum())])})
+        return pa.table({"revenue_cents": np.floor(
+            price[sel] * disc[sel] * 100 + 0.5).astype(np.int64)})
 
-    def merge(t: pa.Table) -> pa.Table:
-        n = int(pa.compute.sum(t["n_rows"]).as_py() or 0)
-        total = pa.compute.sum(t["revenue_cents"]).as_py()
-        # SQL SUM over zero rows is NULL, not 0.
-        return pa.table({"revenue_cents": pa.array(
-            [total if n else None], type=pa.int64())})
-
-    return driver_merge(line.map_batches(partial, batch_format="pyarrow",
-                                         batch_size=131072), merge,
-                        schema=pa.schema([("revenue_cents", pa.int64()),
-                                          ("n_rows", pa.int64())]))
+    return combine(line, [], sums=("revenue_cents",), prep=prep,
+                   batch_size=131072,
+                   schema=pa.schema([("revenue_cents", pa.int64())]))
 
 
 def _promo_revenue_pct(sf_dir: str):
     """TPC-H Q14 shape: promo-type share of one month's revenue. The part
     side collapses to a broadcast sorted key array (PROMO partkeys via
-    ray.put, searchsorted per batch — no join shuffle); each lineitem
-    block emits one (promo, total, n) partial row, and the percentage is
-    a driver-side division of the two exact int64 sums, so the float
-    matches SQL's 100.0 * x / y bit-for-bit."""
+    ray.put, searchsorted per batch — no join shuffle); a keyless combine
+    sums (promo, total) cents, and the percentage is a driver-side
+    division of the two exact int64 sums, so the float matches SQL's
+    100.0 * x / y bit-for-bit."""
     import datetime
 
     import numpy as np
@@ -2731,7 +2714,7 @@ def _promo_revenue_pct(sf_dir: str):
     import ray
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     part = pq.read_table(f"{sf_dir}/part.parquet",
                          columns=["p_partkey", "p_type"])
@@ -2748,7 +2731,7 @@ def _promo_revenue_pct(sf_dir: str):
         filter=((pc.field("l_shipdate") >= lo)
                 & (pc.field("l_shipdate") < hi)))
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         keys = ray.get(pk_ref)
         lp = batch["l_partkey"].to_numpy(zero_copy_only=False)
         price = batch["l_extendedprice"].to_numpy(zero_copy_only=False)
@@ -2759,28 +2742,19 @@ def _promo_revenue_pct(sf_dir: str):
             promo = keys[pos] == lp
         else:
             promo = np.zeros(lp.shape[0], dtype=bool)
-        return pa.table({"promo_cents": pa.array([int(cents[promo].sum())]),
-                         "total_cents": pa.array([int(cents.sum())]),
-                         "n_rows": pa.array([batch.num_rows])})
+        return pa.table({"promo_cents": np.where(promo, cents, 0),
+                         "total_cents": cents})
 
-    def merge(t: pa.Table) -> pa.Table:
-        n = int(pa.compute.sum(t["n_rows"]).as_py() or 0)
-        if not n:
-            return pa.table({"promo_cents": pa.array([None], pa.int64()),
-                             "total_cents": pa.array([None], pa.int64()),
-                             "promo_pct": pa.array([None], pa.float64())})
-        promo = int(pa.compute.sum(t["promo_cents"]).as_py())
-        total = int(pa.compute.sum(t["total_cents"]).as_py())
+    def finish(g: pa.Table) -> pa.Table:
+        promo = g["promo_cents"][0].as_py()
+        total = g["total_cents"][0].as_py()
         pct = (100.0 * promo) / total if total else None
-        return pa.table({"promo_cents": pa.array([promo], pa.int64()),
-                         "total_cents": pa.array([total], pa.int64()),
-                         "promo_pct": pa.array([pct], pa.float64())})
+        return g.append_column("promo_pct", pa.array([pct], pa.float64()))
 
-    return driver_merge(line.map_batches(partial, batch_format="pyarrow",
-                                         batch_size=131072), merge,
-                        schema=pa.schema([("promo_cents", pa.int64()),
-                                          ("total_cents", pa.int64()),
-                                          ("n_rows", pa.int64())]))
+    return combine(line, [], sums=("promo_cents", "total_cents"),
+                   prep=prep, finish=finish, batch_size=131072,
+                   schema=pa.schema([("promo_cents", pa.int64()),
+                                     ("total_cents", pa.int64())]))
 
 
 def _nation_market_share(sf_dir: str):
@@ -3038,20 +3012,20 @@ def _returned_item_customers(sf_dir: str):
     """TPC-H Q10 shape: top-20 customers by returned-lineitem revenue for
     one order quarter. Return-flag and date predicates push to the reads;
     lineitem revenue pre-aggregates by orderkey inside batches before the
-    one orderkey exchange; the global top-k runs as per-block partials
-    (k rows per block, never the full customer list on the driver), and
-    only the 20 winners' rows are fetched from customer (filtered read),
-    so no full decoration join. Ties break on c_custkey ascending."""
+    one orderkey exchange; the per-customer revenue is a combine whose
+    finish keeps the top k, and only the 20 winners' rows are read from
+    customer (filtered read), so no full decoration join. Ties break on
+    c_custkey ascending."""
     import datetime
 
     import numpy as np
     import pyarrow as pa
     import pyarrow.compute as pc
+    import pyarrow.parquet as pq
     import ray.data as rd
-    from ray.data.aggregate import Sum
 
     from h3ray.ops.join import hash_join, seed_schema
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
     from h3ray.ops.skew import _desc_sort_key
 
     k = 20
@@ -3089,22 +3063,17 @@ def _returned_item_customers(sf_dir: str):
         pa.schema([("l_orderkey", pa.int64()),
                    ("revenue_cents", pa.int64())]))
     joined = hash_join(li_p, orders, "l_orderkey", "o_orderkey")
-    per_cust = joined.groupby("o_custkey").aggregate(
-        Sum("revenue_cents", alias_name="revenue_cents"))
 
-    def block_topk(batch: pa.Table) -> pa.Table:
-        rev = batch["revenue_cents"].to_numpy(zero_copy_only=False)
-        ck = batch["o_custkey"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((ck, _desc_sort_key(rev)))[:k]
-        kept = batch.take(pa.array(order))
-        return pa.table({"o_custkey": kept["o_custkey"],
-                         "revenue_cents": kept["revenue_cents"]})
+    def topk(g: pa.Table) -> pa.Table:
+        rev = g["revenue_cents"].to_numpy(zero_copy_only=False)
+        ck = g["o_custkey"].to_numpy(zero_copy_only=False)
+        return g.take(pa.array(np.lexsort((ck, _desc_sort_key(rev)))[:k]))
 
-    top = driver_merge(per_cust.map_batches(block_topk,
-                                            batch_format="pyarrow"),
-                       block_topk,
-                       schema=pa.schema([("o_custkey", pa.int64()),
-                                         ("revenue_cents", pa.int64())]))
+    top = combine(joined, "o_custkey", sums=("revenue_cents",),
+                  prep=lambda b: b.select(["o_custkey", "revenue_cents"]),
+                  finish=topk,
+                  schema=pa.schema([("o_custkey", pa.int64()),
+                                    ("revenue_cents", pa.int64())]))
     if top.num_rows == 0:
         return pa.table({"c_custkey": pa.array([], pa.int64()),
                          "c_name": pa.array([], pa.string()),
@@ -3113,13 +3082,11 @@ def _returned_item_customers(sf_dir: str):
                          "n_name": pa.array([], pa.string())})
 
     win_keys = top["o_custkey"].to_numpy(zero_copy_only=False)
-    cust = driver_merge(
-        rd.read_parquet(f"{sf_dir}/customer.parquet",
-                        columns=["c_custkey", "c_name", "c_acctbal",
-                                 "c_nationkey"],
-                        filter=pc.field("c_custkey").isin(
-                            [int(x) for x in win_keys])),
-        lambda t: t)
+    cust = pq.read_table(f"{sf_dir}/customer.parquet",
+                         columns=["c_custkey", "c_name", "c_acctbal",
+                                  "c_nationkey"],
+                         filters=[("c_custkey", "in",
+                                   [int(x) for x in win_keys])])
     ck = cust["c_custkey"].to_numpy().astype(np.int64)
     corder = np.argsort(ck)
     pos = np.searchsorted(ck[corder], win_keys)
@@ -3213,18 +3180,16 @@ def _best_supplier_per_part(sf_dir: str):
     account balance among suppliers who actually shipped the part'): for
     each size-5 STANDARD part, the shipping supplier with the highest
     account balance, ties broken on the lower suppkey. The lineitem scan
-    reduces to batch-local DISTINCT (partkey, suppkey) pairs (packed into
-    one uint64 in-batch, decomposed back to int64 columns before
-    anything crosses a block boundary); the surviving pair set is bounded
-    by |filtered parts| x suppliers-per-part, so the argmax runs on the
-    driver."""
+    reduces to a DISTINCT (partkey, suppkey) combine; the surviving pair
+    set is bounded by |filtered parts| x suppliers-per-part, so the
+    argmax runs in its finish on the driver."""
     import numpy as np
     import pyarrow as pa
     import pyarrow.parquet as pq
     import ray
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
     from h3ray.ops.skew import _desc_sort_key
 
     part = pq.read_table(f"{sf_dir}/part.parquet",
@@ -3238,7 +3203,7 @@ def _best_supplier_per_part(sf_dir: str):
     line = rd.read_parquet(f"{sf_dir}/lineitem.parquet",
                            columns=["l_partkey", "l_suppkey"])
 
-    def pairs_partial(batch: pa.Table) -> pa.Table:
+    def pairs(batch: pa.Table) -> pa.Table:
         keys = ray.get(pk_ref)
         lp = batch["l_partkey"].to_numpy(
             zero_copy_only=False).astype(np.int64)
@@ -3249,21 +3214,11 @@ def _best_supplier_per_part(sf_dir: str):
             sel = keys[pos] == lp
         else:
             sel = np.zeros(lp.shape[0], dtype=bool)
-        packed = (lp[sel].astype(np.uint64) << np.uint64(32)) \
-            | ls[sel].astype(np.uint64)
-        uniq = np.unique(packed)
-        return pa.table({
-            "p_partkey": (uniq >> np.uint64(32)).astype(np.int64),
-            "s_suppkey": (uniq & np.uint64(0xFFFFFFFF)).astype(np.int64)})
+        return pa.table({"p_partkey": lp[sel], "s_suppkey": ls[sel]})
 
-    def merge(t: pa.Table) -> pa.Table:
-        lp = t["p_partkey"].to_numpy(zero_copy_only=False)
-        ls = t["s_suppkey"].to_numpy(zero_copy_only=False)
-        packed = (lp.astype(np.uint64) << np.uint64(32)) \
-            | ls.astype(np.uint64)
-        uniq = np.unique(packed)
-        pk = (uniq >> np.uint64(32)).astype(np.int64)
-        sk = (uniq & np.uint64(0xFFFFFFFF)).astype(np.int64)
+    def finish(g: pa.Table) -> pa.Table:
+        pk = g["p_partkey"].to_numpy(zero_copy_only=False)
+        sk = g["s_suppkey"].to_numpy(zero_copy_only=False)
         sup = pq.read_table(f"{sf_dir}/supplier.parquet",
                             columns=["s_suppkey", "s_name", "s_acctbal"])
         skeys = sup["s_suppkey"].to_numpy().astype(np.int64)
@@ -3287,11 +3242,10 @@ def _best_supplier_per_part(sf_dir: str):
                                             type=pa.string()),
                          "acctbal_cents": a[win]})
 
-    return driver_merge(line.map_batches(pairs_partial,
-                                         batch_format="pyarrow",
-                                         batch_size=131072), merge,
-                        schema=pa.schema([("p_partkey", pa.int64()),
-                                          ("s_suppkey", pa.int64())]))
+    return combine(line, ["p_partkey", "s_suppkey"], prep=pairs,
+                   finish=finish, batch_size=131072,
+                   schema=pa.schema([("p_partkey", pa.int64()),
+                                     ("s_suppkey", pa.int64())]))
 
 
 def _events_props_ksum_by_type(sf_dir: str):
@@ -4233,13 +4187,13 @@ def _late_priority_lines(sf_dir: str):
     order was placed, split by URGENT/HIGH vs lower order priority.
     Lineitem rows carry only (orderkey, status code, ship day) into the
     one orderkey exchange; priority lives on the orders side; the joined
-    batches reduce to a 2x2 integer count table."""
+    late lines reduce to a 2x2 (status, priority) count combine."""
     import numpy as np
     import pyarrow as pa
     import ray.data as rd
 
     from h3ray.ops.join import hash_join, seed_schema
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     lo_day = (np.datetime64("1997-01-01") - np.datetime64("1970-01-01")) \
         .astype(np.int64)
@@ -4288,20 +4242,16 @@ def _late_priority_lines(sf_dir: str):
                    ("is_high", pa.int64())]))
     joined = hash_join(li_p, ord_side, "l_orderkey", "o_orderkey")
 
-    def partial(batch: pa.Table) -> pa.Table:
-        late = (batch["ship_day"].to_numpy(zero_copy_only=False)
-                - batch["o_day"].to_numpy(zero_copy_only=False)) > 90
-        st = batch["st_code"].to_numpy(zero_copy_only=False)[late]
-        hi = batch["is_high"].to_numpy(zero_copy_only=False)[late]
-        acc = np.zeros(4, dtype=np.int64)
-        np.add.at(acc, st * 2 + hi, 1)
-        return pa.table({"slot": np.arange(4, dtype=np.int64),
-                         "cnt": acc})
+    def late(batch: pa.Table) -> pa.Table:
+        gap = (batch["ship_day"].to_numpy(zero_copy_only=False)
+               - batch["o_day"].to_numpy(zero_copy_only=False))
+        return batch.select(["st_code", "is_high"]).filter(
+            pa.array(gap > 90))
 
-    def merge(t: pa.Table) -> pa.Table:
+    def finish(g: pa.Table) -> pa.Table:
         acc = np.zeros(4, dtype=np.int64)
-        np.add.at(acc, t["slot"].to_numpy(zero_copy_only=False),
-                  t["cnt"].to_numpy(zero_copy_only=False))
+        acc[g["st_code"].to_numpy() * 2 + g["is_high"].to_numpy()] = \
+            g["cnt"].to_numpy()
         # SQL's GROUP BY emits no row for a status with zero late lines.
         keep = np.flatnonzero(acc[1::2] + acc[0::2])
         return pa.table({
@@ -4310,9 +4260,11 @@ def _late_priority_lines(sf_dir: str):
             "high_late_count": pa.array(acc[1::2][keep], pa.int64()),
             "low_late_count": pa.array(acc[0::2][keep], pa.int64())})
 
-    return driver_merge(
-        joined.map_batches(partial, batch_format="pyarrow"), merge,
-        schema=pa.schema([("slot", pa.int64()), ("cnt", pa.int64())]))
+    return combine(joined, ["st_code", "is_high"], count="cnt", prep=late,
+                   finish=finish,
+                   schema=pa.schema([("st_code", pa.int64()),
+                                     ("is_high", pa.int64()),
+                                     ("cnt", pa.int64())]))
 
 
 def _events_mg_heavy_users(sf_dir: str):
@@ -4382,50 +4334,42 @@ def _part_value_concentration(sf_dir: str):
     """TPC-H Q11 shape (no partsupp table; lineitem revenue stands in for
     supply value): parts whose total revenue exceeds the all-parts
     average, i.e. revenue * n_parts > total_revenue — the
-    scalar-subquery-in-HAVING pattern. One combiner pass produces exact
-    per-partkey cents partials; the part key space is dimension-bounded,
-    so a single driver root merges, derives the global scalar (total and
-    distinct-part count) from the merged table itself, and filters —
-    no second pass over the fact table, no shuffle."""
+    scalar-subquery-in-HAVING pattern. One per-partkey cents combine;
+    the part key space is dimension-bounded, so its finish derives the
+    global scalar (total and distinct-part count) from the merged table
+    itself and filters — no second pass over the fact table, no
+    shuffle."""
     import numpy as np
     import pyarrow as pa
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     li = rd.read_parquet(f"{sf_dir}/lineitem.parquet",
                          columns=["l_partkey", "l_extendedprice",
                                   "l_discount"])
 
-    def partial(batch: pa.Table) -> pa.Table:
-        p = batch["l_partkey"].to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
+    def prep(batch: pa.Table) -> pa.Table:
         price = batch["l_extendedprice"].to_numpy(zero_copy_only=False)
         disc = batch["l_discount"].to_numpy(zero_copy_only=False)
-        cents = np.floor(price * (1 - disc) * 100 + 0.5).astype(np.int64)
-        uniq, inv = np.unique(p, return_inverse=True)
-        acc = np.zeros(uniq.shape[0], dtype=np.int64)
-        np.add.at(acc, inv, cents)
-        return pa.table({"l_partkey": uniq, "revenue_cents": acc})
+        return pa.table({
+            "l_partkey": batch["l_partkey"].to_numpy(
+                zero_copy_only=False).astype(np.int64),
+            "revenue_cents": np.floor(price * (1 - disc) * 100 + 0.5)
+            .astype(np.int64)})
 
-    def merge(t: pa.Table) -> pa.Table:
-        p = t["l_partkey"].to_numpy(zero_copy_only=False)
-        c = t["revenue_cents"].to_numpy(zero_copy_only=False)
-        uniq, inv = np.unique(p, return_inverse=True)
-        acc = np.zeros(uniq.shape[0], dtype=np.int64)
-        np.add.at(acc, inv, c)
+    def finish(g: pa.Table) -> pa.Table:
+        acc = g["revenue_cents"].to_numpy()
         # Python ints: n_parts * total_cents could pass 2^63 at scale.
         total = int(acc.sum())
-        n = int(uniq.shape[0])
-        hot = np.array([int(v) * n > total for v in acc], dtype=bool)
-        return pa.table({"l_partkey": uniq[hot],
-                         "revenue_cents": acc[hot]})
+        n = g.num_rows
+        return g.filter(pa.array([int(v) * n > total for v in acc],
+                                 pa.bool_()))
 
-    return driver_merge(
-        li.map_batches(partial, batch_format="pyarrow",
-                       batch_size=131072), merge,
-        schema=pa.schema([("l_partkey", pa.int64()),
-                          ("revenue_cents", pa.int64())]))
+    return combine(li, "l_partkey", sums=("revenue_cents",), prep=prep,
+                   finish=finish, batch_size=131072,
+                   schema=pa.schema([("l_partkey", pa.int64()),
+                                     ("revenue_cents", pa.int64())]))
 
 
 def _brand_type_supplier_counts(sf_dir: str):
@@ -4433,10 +4377,10 @@ def _brand_type_supplier_counts(sf_dir: str):
     part-supplier relation and negative account balance stands in for
     the complaints blocklist): COUNT(DISTINCT supplier) per (brand,
     type), excluding blocklisted suppliers. Both small sides broadcast
-    via ray.put (sorted-searchsorted membership / gather); per-batch
-    distinct-(combo, suppkey) combiner collapses the fact stream to
-    dimension-bounded pairs before the single driver-root merge — no
-    shuffle, and the anti-join never materializes."""
+    via ray.put (sorted-searchsorted membership / gather); a DISTINCT
+    (combo, suppkey) combine collapses the fact stream to
+    dimension-bounded pairs before its finish counts them — no shuffle,
+    and the anti-join never materializes."""
     import numpy as np
     import pyarrow as pa
     import pyarrow.compute as pc
@@ -4444,7 +4388,7 @@ def _brand_type_supplier_counts(sf_dir: str):
     import ray
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     sup = pq.read_table(f"{sf_dir}/supplier.parquet",
                         columns=["s_suppkey", "s_acctbal"])
@@ -4483,42 +4427,37 @@ def _brand_type_supplier_counts(sf_dir: str):
         if bad_k.shape[0]:
             bp = np.minimum(np.searchsorted(bad_k, s), bad_k.shape[0] - 1)
             sel &= bad_k[bp] != s
-        u = np.unique(np.stack([comb[pos[sel]], s[sel]], axis=1), axis=0)
-        return pa.table({"combo": u[:, 0], "suppkey": u[:, 1]})
+        return pa.table({"combo": comb[pos[sel]], "suppkey": s[sel]})
 
-    def merge(t: pa.Table) -> pa.Table:
-        c = t["combo"].to_numpy(zero_copy_only=False)
-        s = t["suppkey"].to_numpy(zero_copy_only=False)
-        u = np.unique(np.stack([c, s], axis=1), axis=0)
-        uniq, counts = np.unique(u[:, 0], return_counts=True)
+    def finish(g: pa.Table) -> pa.Table:
+        uniq, counts = np.unique(g["combo"].to_numpy(), return_counts=True)
         return pa.table({
             "p_brand": pa.array(brands[uniq // n_types], pa.string()),
             "p_type": pa.array(types[uniq % n_types], pa.string()),
             "supplier_cnt": counts.astype(np.int64)})
 
-    return driver_merge(
-        li.map_batches(pairs, batch_format="pyarrow",
-                       batch_size=131072), merge,
-        schema=pa.schema([("combo", pa.int64()),
-                          ("suppkey", pa.int64())]))
+    return combine(li, ["combo", "suppkey"], prep=pairs, finish=finish,
+                   batch_size=131072,
+                   schema=pa.schema([("combo", pa.int64()),
+                                     ("suppkey", pa.int64())]))
 
 
 def _docs_bigram_pmi(sf_dir: str):
     """Top-100 bigram collocations by a PMI-style lift ratio
     (c_xy * n_tokens) / (c_x * c_y), min count 5 — tokenizer/phrase
     mining shape. One pass emits BOTH unigram and bigram batch-local
-    partials in a single vocabulary-bounded table (bigram keys joined
-    with \\x1f, below any \\S char); the driver root merges counts,
-    joins each bigram to its endpoint unigram counts with two
-    searchsorted gathers, and ranks. The ratio is one float64 division
-    of exactly-representable int64 products (documented < 2^53 at this
-    corpus scale), so the SQL mirror is bit-identical."""
+    counts in a single vocabulary-bounded table (bigram keys joined
+    with \\x1f, below any \\S char) that a (key, is_bigram) combine
+    sums; its finish joins each bigram to its endpoint unigram counts
+    with two searchsorted gathers, and ranks. The ratio is one float64
+    division of exactly-representable int64 products (documented < 2^53
+    at this corpus scale), so the SQL mirror is bit-identical."""
     import numpy as np
     import pyarrow as pa
     import pyarrow.compute as pc
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
     from h3ray.ops.skew import _desc_sort_key
     from h3ray.text.analysis import _doc_bigrams
 
@@ -4542,83 +4481,59 @@ def _docs_bigram_pmi(sf_dir: str):
                  np.ones(bu.shape[0], np.int64)]),
             "cnt": np.concatenate([tc, bc]).astype(np.int64)})
 
-    def merge(t: pa.Table) -> pa.Table:
-        key = t["key"].to_numpy(zero_copy_only=False)
-        isb = t["is_bigram"].to_numpy(zero_copy_only=False).astype(bool)
-        cnt = t["cnt"].to_numpy(zero_copy_only=False)
-        uk, inv = np.unique(
-            np.char.add(np.where(isb, "b\x1f", "u\x1f"), key.astype(str)),
-            return_inverse=True)
-        acc = np.zeros(uk.shape[0], dtype=np.int64)
-        np.add.at(acc, inv, cnt)
-        is_bi = np.char.startswith(uk.astype(str), "b\x1f")
-        toks = np.array([k[2:] for k in uk[~is_bi]], dtype=object)
-        tcnt = acc[~is_bi]
+    def finish(g: pa.Table) -> pa.Table:
+        key = g["key"].to_numpy(zero_copy_only=False).astype(str)
+        isb = g["is_bigram"].to_numpy(zero_copy_only=False).astype(bool)
+        cnt = g["cnt"].to_numpy(zero_copy_only=False)
+        torder = np.argsort(key[~isb])
+        toks, tcnt = key[~isb][torder], cnt[~isb][torder]
         n_tokens = int(tcnt.sum())
-        bigs = uk[is_bi]
-        bcnt = acc[is_bi]
-        keep = bcnt >= 5
-        bigs, bcnt = bigs[keep], bcnt[keep]
+        keep = isb & (cnt >= 5)
+        bigs, bcnt = key[keep], cnt[keep]
         if bigs.shape[0] == 0:
             return pa.table({"w1": pa.array([], pa.string()),
                              "w2": pa.array([], pa.string()),
                              "c_xy": pa.array([], pa.int64()),
                              "ratio": pa.array([], pa.float64())})
-        w1 = np.array([b[2:].split("\x1f")[0] for b in bigs], dtype=object)
-        w2 = np.array([b[2:].split("\x1f")[1] for b in bigs], dtype=object)
-        toks_s = toks.astype(str)
-        c_x = tcnt[np.searchsorted(toks_s, w1.astype(str))]
-        c_y = tcnt[np.searchsorted(toks_s, w2.astype(str))]
+        w1 = np.array([b.split("\x1f")[0] for b in bigs], dtype=str)
+        w2 = np.array([b.split("\x1f")[1] for b in bigs], dtype=str)
+        c_x = tcnt[np.searchsorted(toks, w1)]
+        c_y = tcnt[np.searchsorted(toks, w2)]
         ratio = (bcnt * np.int64(n_tokens)).astype(np.float64) \
             / (c_x * c_y).astype(np.float64)
-        order = np.lexsort((w2.astype(str), w1.astype(str),
-                            _desc_sort_key(ratio)))[:100]
+        order = np.lexsort((w2, w1, _desc_sort_key(ratio)))[:100]
         return pa.table({"w1": pa.array(w1[order], pa.string()),
                          "w2": pa.array(w2[order], pa.string()),
                          "c_xy": pa.array(bcnt[order], pa.int64()),
                          "ratio": pa.array(ratio[order], pa.float64())})
 
-    return driver_merge(
-        ds.map_batches(partial, batch_format="pyarrow",
-                       batch_size=32768), merge,
-        schema=pa.schema([("key", pa.string()),
-                          ("is_bigram", pa.int64()),
-                          ("cnt", pa.int64())]))
+    return combine(ds, ["key", "is_bigram"], sums=("cnt",), prep=partial,
+                   finish=finish, batch_size=32768,
+                   schema=pa.schema([("key", pa.string()),
+                                     ("is_bigram", pa.int64()),
+                                     ("cnt", pa.int64())]))
 
 
 def _docs_source_lang_simpson(sf_dir: str):
     """Per-source language diversity: Gini-Simpson index
     1 - sum_l(c_l^2)/n^2 over the source's lang histogram — corpus-mix
-    monitoring shape. (source, lang) is dimension-bounded, so a
-    per-batch count combiner plus one driver root suffices; the index
-    is one float64 division of exact Python-int products (n^2 can pass
-    2^63 on a web corpus), mirrored verbatim in the SQL oracle."""
+    monitoring shape. (source, lang) is dimension-bounded, so one count
+    combine suffices; the index is one float64 division of exact
+    Python-int products (n^2 can pass 2^63 on a web corpus), mirrored
+    verbatim in the SQL oracle."""
     import numpy as np
     import pyarrow as pa
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
                          columns=["source", "lang"])
 
-    def partial(batch: pa.Table) -> pa.Table:
-        s = batch["source"].to_numpy(zero_copy_only=False).astype(str)
-        l = batch["lang"].to_numpy(zero_copy_only=False).astype(str)
-        uk, inv = np.unique(np.char.add(np.char.add(s, "\x1f"), l),
-                            return_inverse=True)
-        acc = np.zeros(uk.shape[0], dtype=np.int64)
-        np.add.at(acc, inv, 1)
-        return pa.table({"sl": pa.array(uk, pa.string()), "cnt": acc})
-
-    def merge(t: pa.Table) -> pa.Table:
-        sl = t["sl"].to_numpy(zero_copy_only=False).astype(str)
-        c = t["cnt"].to_numpy(zero_copy_only=False)
-        uk, inv = np.unique(sl, return_inverse=True)
-        acc = np.zeros(uk.shape[0], dtype=np.int64)
-        np.add.at(acc, inv, c)
-        src = np.array([k.split("\x1f")[0] for k in uk], dtype=object)
-        us, sinv = np.unique(src.astype(str), return_inverse=True)
+    def finish(g: pa.Table) -> pa.Table:
+        src = g["source"].to_numpy(zero_copy_only=False).astype(str)
+        acc = g["cnt"].to_numpy()
+        us, sinv = np.unique(src, return_inverse=True)
         out_n, out_simp = [], []
         for i in range(us.shape[0]):
             cs = acc[sinv == i]
@@ -4630,10 +4545,11 @@ def _docs_source_lang_simpson(sf_dir: str):
                          "n_docs": pa.array(out_n, pa.int64()),
                          "simpson": pa.array(out_simp, pa.float64())})
 
-    return driver_merge(
-        ds.map_batches(partial, batch_format="pyarrow",
-                       batch_size=131072), merge,
-        schema=pa.schema([("sl", pa.string()), ("cnt", pa.int64())]))
+    return combine(ds, ["source", "lang"], count="cnt", finish=finish,
+                   batch_size=131072,
+                   schema=pa.schema([("source", pa.string()),
+                                     ("lang", pa.string()),
+                                     ("cnt", pa.int64())]))
 
 
 def _events_purchase_followups(sf_dir: str):
@@ -4692,44 +4608,33 @@ def _sites_degree_hist(sf_dir: str):
     return degree_histogram(_sites_edges_ds(sf_dir), 997)
 
 
-def _events_type_cooccurrence(sf_dir: str):
-    """Unordered event-type co-occurrence matrix: for every type pair
-    t1 < t2, how many users emitted both (market-basket / feature
-    co-activation shape). Batch-local distinct (user, typecode) pairs
-    are the only thing that crosses the one user-hash exchange; each
-    bucket ORs its users' codes into bitmasks and emits ≤ 2^|types|
-    (mask, count) partials, so the driver root sees a few dozen rows
-    regardless of event volume. Type codes come from a first
-    vocab-bounded pass; a loud guard refuses > 20 distinct types (the
-    bitmask lattice is the design's boundedness assumption)."""
+def _user_type_masks(sf_dir: str, query: str):
+    """(sorted event types, per-mask user counts) for the user-level
+    event-type pair queries: one vocab-bounded DISTINCT combine names
+    the types; batch-local distinct (user, typecode) pairs cross one
+    user-hash exchange; each bucket ORs its users' codes into bitmasks
+    and emits ≤ 2^|types| (mask, count) partials, so the per-mask
+    combine at the root sees a few dozen rows regardless of event
+    volume. A loud guard refuses > 20 distinct types (the bitmask
+    lattice is the design's boundedness assumption)."""
     import numpy as np
     import pyarrow as pa
     import ray
     import ray.data as rd
 
     from h3ray.io.pages import _mix64
-    from h3ray.ops.reduce import driver_merge
-    from h3ray.ops.sample import _key_hash
+    from h3ray.ops.reduce import combine
     from h3ray.ops.skew import default_num_buckets
 
     ds = rd.read_parquet(f"{sf_dir}/events.parquet",
                          columns=["user_id", "event_type"])
 
-    def type_partial(batch: pa.Table) -> pa.Table:
-        u = np.unique(batch["event_type"].to_numpy(zero_copy_only=False))
-        return pa.table({"t": pa.array(u.astype(object), pa.string())})
-
-    types_t = driver_merge(
-        ds.map_batches(type_partial, batch_format="pyarrow",
-                       batch_size=131072),
-        lambda t: pa.table({"t": pa.array(np.unique(
-            t["t"].to_numpy(zero_copy_only=False)).astype(object),
-            pa.string())}),
-        schema=pa.schema([("t", pa.string())]))
-    types = np.sort(types_t["t"].to_numpy(zero_copy_only=False)
+    types_t = combine(ds, "event_type", batch_size=131072,
+                      schema=pa.schema([("event_type", pa.string())]))
+    types = np.sort(types_t["event_type"].to_numpy(zero_copy_only=False)
                     .astype(str))
     if types.shape[0] > 20:
-        raise ValueError("type_cooccurrence: bitmask design needs "
+        raise ValueError(f"{query}: bitmask design needs "
                          f"<= 20 distinct types, saw {types.shape[0]}")
     types_ref = ray.put(types)
     nb = default_num_buckets()
@@ -4757,30 +4662,38 @@ def _events_type_cooccurrence(sf_dir: str):
         mu, mc = np.unique(nmask, return_counts=True)
         return pa.table({"mask": mu, "n": mc.astype(np.int64)})
 
-    def merge(t: pa.Table) -> pa.Table:
-        m = t["mask"].to_numpy(zero_copy_only=False)
-        n = t["n"].to_numpy(zero_copy_only=False)
-        k = types.shape[0]
-        t1o, t2o, cnt = [], [], []
-        for i in range(k):
-            for j in range(i + 1, k):
-                both = (m & (1 << i)).astype(bool) \
-                    & (m & (1 << j)).astype(bool)
-                c = int(n[both].sum())
-                if c:
-                    t1o.append(types[i])
-                    t2o.append(types[j])
-                    cnt.append(c)
-        return pa.table({"t1": pa.array(t1o, pa.string()),
-                         "t2": pa.array(t2o, pa.string()),
-                         "n_users": pa.array(cnt, pa.int64())})
-
     bucketed = ds.map_batches(pair_partial, batch_format="pyarrow",
                               batch_size=131072) \
         .groupby("_bucket").map_groups(masks, batch_format="pyarrow")
-    return driver_merge(
-        bucketed, merge,
-        schema=pa.schema([("mask", pa.int64()), ("n", pa.int64())]))
+    return types, combine(bucketed, "mask", sums=("n",),
+                          schema=pa.schema([("mask", pa.int64()),
+                                            ("n", pa.int64())]))
+
+
+def _events_type_cooccurrence(sf_dir: str):
+    """Unordered event-type co-occurrence matrix: for every type pair
+    t1 < t2, how many users emitted both (market-basket / feature
+    co-activation shape), counted from the per-mask user counts of
+    _user_type_masks."""
+    import pyarrow as pa
+
+    types, g = _user_type_masks(sf_dir, "type_cooccurrence")
+    m = g["mask"].to_numpy(zero_copy_only=False)
+    n = g["n"].to_numpy(zero_copy_only=False)
+    k = types.shape[0]
+    t1o, t2o, cnt = [], [], []
+    for i in range(k):
+        for j in range(i + 1, k):
+            both = (m & (1 << i)).astype(bool) \
+                & (m & (1 << j)).astype(bool)
+            c = int(n[both].sum())
+            if c:
+                t1o.append(types[i])
+                t2o.append(types[j])
+                cnt.append(c)
+    return pa.table({"t1": pa.array(t1o, pa.string()),
+                     "t2": pa.array(t2o, pa.string()),
+                     "n_users": pa.array(cnt, pa.int64())})
 
 
 def _signup_purchase_gap(sf_dir: str):
@@ -4840,50 +4753,53 @@ def _signup_purchase_gap(sf_dir: str):
         .groupby("_bucket").map_groups(resolve, batch_format="pyarrow")
 
 
+def _text_tokens(batch):
+    """Non-empty whitespace tokens of a batch's `text` column (one flat
+    Arrow string array) and the batch row each token came from."""
+    import numpy as np
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    la = pc.split_pattern_regex(
+        pc.utf8_trim_whitespace(pc.cast(batch["text"], pa.string())),
+        r"\s+")
+    if isinstance(la, pa.ChunkedArray):
+        la = la.combine_chunks()
+    row_of = np.repeat(np.arange(len(la), dtype=np.int64),
+                       np.diff(la.offsets.to_numpy().astype(np.int64)))
+    ok = pc.not_equal(la.values, "")
+    return la.values.filter(ok), row_of[ok.to_numpy(zero_copy_only=False)]
+
+
 def _docs_hapax_stats(sf_dir: str):
     """Per-language vocabulary statistics: total tokens, distinct types,
     hapax legomena count (corpus frequency exactly 1 within the lang)
     and the hapax rate — OOV-risk / corpus-health signal for tokenizer
-    training. (lang, token) is vocabulary-bounded, so batch count
-    partials + one driver root suffice; the rate is a single float64
-    division of exact int64 sums, mirrored verbatim in SQL."""
+    training. (lang, token) is vocabulary-bounded, so one count combine
+    suffices; the rate is a single float64 division of exact int64
+    sums, mirrored verbatim in SQL."""
     import numpy as np
     import pyarrow as pa
-    import pyarrow.compute as pc
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
                          columns=["lang", "text"])
 
-    def partial(batch: pa.Table) -> pa.Table:
-        la = pc.split_pattern_regex(
-            pc.utf8_trim_whitespace(pc.cast(batch["text"], pa.string())),
-            r"\s+")
-        if isinstance(la, pa.ChunkedArray):
-            la = la.combine_chunks()
-        flat = la.values
-        row_of = np.repeat(
-            np.arange(len(la), dtype=np.int64),
-            np.diff(la.offsets.to_numpy().astype(np.int64)))
-        ok = pc.not_equal(flat, "").to_numpy(zero_copy_only=False)
-        toks = flat.to_numpy(zero_copy_only=False)[ok].astype(str)
+    def prep(batch: pa.Table) -> pa.Table:
+        toks, row_of = _text_tokens(batch)
         langs = batch["lang"].to_numpy(zero_copy_only=False) \
-            .astype(str)[row_of[ok]]
-        key = np.char.add(np.char.add(langs, "\x1f"), toks)
-        uk, cnt = np.unique(key, return_counts=True)
-        return pa.table({"lt": pa.array(uk.astype(object), pa.string()),
-                         "cnt": cnt.astype(np.int64)})
+            .astype(str)[row_of]
+        return pa.table({"lang": pa.array(langs, pa.string()),
+                         "tok": pa.array(toks.to_numpy(
+                             zero_copy_only=False).astype(str),
+                             pa.string())})
 
-    def merge(t: pa.Table) -> pa.Table:
-        lt = t["lt"].to_numpy(zero_copy_only=False).astype(str)
-        c = t["cnt"].to_numpy(zero_copy_only=False)
-        uk, inv = np.unique(lt, return_inverse=True)
-        acc = np.zeros(uk.shape[0], dtype=np.int64)
-        np.add.at(acc, inv, c)
-        lang = np.array([k.split("\x1f")[0] for k in uk], dtype=object)
-        ul, linv = np.unique(lang.astype(str), return_inverse=True)
+    def finish(g: pa.Table) -> pa.Table:
+        acc = g["cnt"].to_numpy()
+        ul, linv = np.unique(g["lang"].to_numpy(zero_copy_only=False)
+                             .astype(str), return_inverse=True)
         n_tok = np.zeros(ul.shape[0], dtype=np.int64)
         np.add.at(n_tok, linv, acc)
         n_typ = np.bincount(linv, minlength=ul.shape[0]).astype(np.int64)
@@ -4895,10 +4811,11 @@ def _docs_hapax_stats(sf_dir: str):
             "hapax_rate": n_hap.astype(np.float64)
             / n_tok.astype(np.float64)})
 
-    return driver_merge(
-        ds.map_batches(partial, batch_format="pyarrow",
-                       batch_size=32768), merge,
-        schema=pa.schema([("lt", pa.string()), ("cnt", pa.int64())]))
+    return combine(ds, ["lang", "tok"], count="cnt", prep=prep,
+                   finish=finish, batch_size=32768,
+                   schema=pa.schema([("lang", pa.string()),
+                                     ("tok", pa.string()),
+                                     ("cnt", pa.int64())]))
 
 
 def _docs_global_rank(sf_dir: str):
@@ -4950,48 +4867,41 @@ def _docs_global_rank(sf_dir: str):
 def _orders_pareto_share(sf_dir: str):
     """Revenue concentration (Pareto) curve: per-customer revenue plus
     the running cumulative total in (revenue DESC, custkey) order — the
-    "top x% of customers hold y% of revenue" table. Exact per-custkey
-    cent combiners; the customer key space is dimension-bounded, so the
-    merged root sorts once and takes one exact int64 cumsum (an
-    unbounded ranking would ride global_exclusive_cumsum instead, as
-    docs_global_rank does)."""
+    "top x% of customers hold y% of revenue" table. One exact
+    per-custkey cents combine; the customer key space is
+    dimension-bounded, so its finish sorts once and takes one exact
+    int64 cumsum (an unbounded ranking would ride
+    global_exclusive_cumsum instead, as docs_global_rank does)."""
     import numpy as np
     import pyarrow as pa
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
     from h3ray.ops.skew import _desc_sort_key
 
     ds = rd.read_parquet(f"{sf_dir}/orders.parquet",
                          columns=["o_custkey", "o_totalprice"])
 
-    def partial(batch: pa.Table) -> pa.Table:
-        ck = batch["o_custkey"].to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
-        cents = np.floor(batch["o_totalprice"].to_numpy(
-            zero_copy_only=False) * 100 + 0.5).astype(np.int64)
-        uniq, inv = np.unique(ck, return_inverse=True)
-        acc = np.zeros(uniq.shape[0], dtype=np.int64)
-        np.add.at(acc, inv, cents)
-        return pa.table({"o_custkey": uniq, "revenue_cents": acc})
+    def prep(batch: pa.Table) -> pa.Table:
+        return pa.table({
+            "o_custkey": batch["o_custkey"].to_numpy(
+                zero_copy_only=False).astype(np.int64),
+            "revenue_cents": np.floor(batch["o_totalprice"].to_numpy(
+                zero_copy_only=False) * 100 + 0.5).astype(np.int64)})
 
-    def merge(t: pa.Table) -> pa.Table:
-        ck = t["o_custkey"].to_numpy(zero_copy_only=False)
-        c = t["revenue_cents"].to_numpy(zero_copy_only=False)
-        uniq, inv = np.unique(ck, return_inverse=True)
-        acc = np.zeros(uniq.shape[0], dtype=np.int64)
-        np.add.at(acc, inv, c)
-        order = np.lexsort((uniq, _desc_sort_key(acc)))
-        return pa.table({"o_custkey": uniq[order],
+    def finish(g: pa.Table) -> pa.Table:
+        ck = g["o_custkey"].to_numpy()
+        acc = g["revenue_cents"].to_numpy()
+        order = np.lexsort((ck, _desc_sort_key(acc)))
+        return pa.table({"o_custkey": ck[order],
                          "revenue_cents": acc[order],
                          "cum_cents": np.cumsum(acc[order])
                          .astype(np.int64)})
 
-    return driver_merge(
-        ds.map_batches(partial, batch_format="pyarrow",
-                       batch_size=131072), merge,
-        schema=pa.schema([("o_custkey", pa.int64()),
-                          ("revenue_cents", pa.int64())]))
+    return combine(ds, "o_custkey", sums=("revenue_cents",), prep=prep,
+                   finish=finish, batch_size=131072,
+                   schema=pa.schema([("o_custkey", pa.int64()),
+                                     ("revenue_cents", pa.int64())]))
 
 
 def _events_value_trend_by_type(sf_dir: str):
@@ -5086,39 +4996,30 @@ def _events_top_outliers(sf_dir: str):
     surfacing with EXACT ranking: since the type's (n, sum) are
     constants, ranking by |v − s/n| equals ranking by the exact integer
     |n·v_cents − s|, so no float mean/σ ever forms and the top-k cut is
-    bit-portable. Pass 1: (n, s) per type via bounded combiners; pass 2:
+    bit-portable. Pass 1: (n, s) per type via a bounded combine; pass 2:
     broadcast (n, s), per-block segmented top-5 partials (≤ 5·|types|
-    rows per block), driver-root re-rank. Tie-break (dev DESC, event_id
-    ASC) mirrors the SQL window exactly."""
+    rows per block, distinct by event_id), re-ranked in the finish of a
+    DISTINCT combine. Tie-break (dev DESC, event_id ASC) mirrors the SQL
+    window exactly."""
     import numpy as np
     import pyarrow as pa
     import ray
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
     from h3ray.ops.skew import _desc_sort_key
 
     ds = rd.read_parquet(f"{sf_dir}/events.parquet",
                          columns=["event_id", "event_type", "value"])
 
-    def stat_partial(batch: pa.Table) -> pa.Table:
-        et = batch["event_type"].to_numpy(zero_copy_only=False)
-        v = np.floor(batch["value"].to_numpy(zero_copy_only=False)
-                     * 100 + 0.5).astype(np.int64)
-        u, inv = np.unique(et, return_inverse=True)
-        n = np.bincount(inv, minlength=u.shape[0]).astype(np.int64)
-        s = np.zeros(u.shape[0], dtype=np.int64)
-        np.add.at(s, inv, v)
-        return pa.table({"event_type": pa.array(u.astype(object),
-                                                pa.string()),
-                         "_n": n, "_s": s})
+    def cents_of(batch: pa.Table):
+        return np.floor(batch["value"].to_numpy(zero_copy_only=False)
+                        * 100 + 0.5).astype(np.int64)
 
-    stats = driver_merge(
-        ds.map_batches(stat_partial, batch_format="pyarrow",
-                       batch_size=131072),
-        lambda t: t.group_by("event_type").aggregate(
-            [("_n", "sum"), ("_s", "sum")])
-        .rename_columns(["event_type", "_n", "_s"]),
+    stats = combine(
+        ds, "event_type", count="_n", sums=("_s",), batch_size=131072,
+        prep=lambda b: pa.table({"event_type": b["event_type"],
+                                 "_s": cents_of(b)}),
         schema=pa.schema([("event_type", pa.string()),
                           ("_n", pa.int64()), ("_s", pa.int64())]))
     types = stats["event_type"].to_numpy(zero_copy_only=False).astype(str)
@@ -5128,86 +5029,66 @@ def _events_top_outliers(sf_dir: str):
             stats["_s"].to_numpy(zero_copy_only=False)[order])
     side_ref = ray.put(side)
 
+    def top5(et, dev, eid):
+        """Order by (type, dev DESC, event_id) and the rank-< 5 mask."""
+        o = np.lexsort((eid, _desc_sort_key(dev), et))
+        new = np.ones(o.shape[0], dtype=bool)
+        new[1:] = et[o][1:] != et[o][:-1]
+        rank = np.arange(o.shape[0]) \
+            - np.maximum.accumulate(np.where(
+                new, np.arange(o.shape[0]), 0))
+        return o, rank < 5
+
     def topk(batch: pa.Table) -> pa.Table:
         tl, n, s = ray.get(side_ref)
-        et = batch["event_type"].to_numpy(zero_copy_only=False) \
-            .astype(str)
-        code = np.searchsorted(tl, et)
-        v = np.floor(batch["value"].to_numpy(zero_copy_only=False)
-                     * 100 + 0.5).astype(np.int64)
+        code = np.searchsorted(tl, batch["event_type"].to_numpy(
+            zero_copy_only=False).astype(str))
+        v = cents_of(batch)
         eid = batch["event_id"].to_numpy(zero_copy_only=False) \
             .astype(np.int64)
         dev = np.abs(n[code] * v - s[code])
-        o = np.lexsort((eid, _desc_sort_key(dev), code))
-        code, dev, eid, v = code[o], dev[o], eid[o], v[o]
-        new = np.ones(code.shape[0], dtype=bool)
-        new[1:] = code[1:] != code[:-1]
-        rank = np.arange(code.shape[0]) \
-            - np.maximum.accumulate(np.where(
-                new, np.arange(code.shape[0]), 0))
-        keep = rank < 5
+        o, keep = top5(code, dev, eid)
         return pa.table({
-            "event_id": eid[keep],
-            "event_type": pa.array(tl[code[keep]], pa.string()),
-            "value_cents": v[keep], "dev": dev[keep]})
+            "event_id": eid[o][keep],
+            "event_type": pa.array(tl[code[o][keep]], pa.string()),
+            "value_cents": v[o][keep], "dev": dev[o][keep]})
 
-    def merge(t: pa.Table) -> pa.Table:
-        et = t["event_type"].to_numpy(zero_copy_only=False).astype(str)
-        dev = t["dev"].to_numpy(zero_copy_only=False)
-        eid = t["event_id"].to_numpy(zero_copy_only=False)
-        o = np.lexsort((eid, _desc_sort_key(dev), et))
-        et, dev, eid = et[o], dev[o], eid[o]
-        vc = t["value_cents"].to_numpy(zero_copy_only=False)[o]
-        new = np.ones(et.shape[0], dtype=bool)
-        new[1:] = et[1:] != et[:-1]
-        rank = np.arange(et.shape[0]) \
-            - np.maximum.accumulate(np.where(
-                new, np.arange(et.shape[0]), 0))
-        keep = rank < 5
-        return pa.table({"event_id": eid[keep],
-                         "event_type": pa.array(et[keep].astype(object),
-                                                pa.string()),
-                         "value_cents": vc[keep], "dev": dev[keep]})
+    def finish(g: pa.Table) -> pa.Table:
+        o, keep = top5(
+            g["event_type"].to_numpy(zero_copy_only=False).astype(str),
+            g["dev"].to_numpy(), g["event_id"].to_numpy())
+        return g.take(pa.array(o[keep]))
 
-    return driver_merge(
-        ds.map_batches(topk, batch_format="pyarrow",
-                       batch_size=131072), merge,
-        schema=pa.schema([("event_id", pa.int64()),
-                          ("event_type", pa.string()),
-                          ("value_cents", pa.int64()),
-                          ("dev", pa.int64())]))
+    cols = ["event_id", "event_type", "value_cents", "dev"]
+    return combine(ds, cols, prep=topk, finish=finish, batch_size=131072,
+                   schema=pa.schema([("event_id", pa.int64()),
+                                     ("event_type", pa.string()),
+                                     ("value_cents", pa.int64()),
+                                     ("dev", pa.int64())]))
 
 
 def _lang_source_jaccard(sf_dir: str):
     """Pairwise Jaccard similarity between languages over their source
     sets (corpus-composition comparison): J = |A∩B| / |A∪B| per lang
     pair, exact. Distinct (lang, source) pairs — dimension-bounded —
-    come from batch combiners; the root builds per-lang source bitsets
-    and computes all pairs with integer popcounts + ONE IEEE division
-    each. SQL mirror: distinct-pair self-join + the same exact-int
-    division."""
+    come from one DISTINCT combine; its finish builds per-lang source
+    sets and computes all pairs with integer set sizes + ONE IEEE
+    division each. SQL mirror: distinct-pair self-join + the same
+    exact-int division."""
     import numpy as np
     import pyarrow as pa
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
                          columns=["lang", "source"])
 
-    def partial(batch: pa.Table) -> pa.Table:
-        l = batch["lang"].to_numpy(zero_copy_only=False).astype(str)
-        s = batch["source"].to_numpy(zero_copy_only=False).astype(str)
-        uk = np.unique(np.char.add(np.char.add(l, "\x1f"), s))
-        return pa.table({"ls": pa.array(uk.astype(object), pa.string())})
-
-    def merge(t: pa.Table) -> pa.Table:
-        ls = np.unique(t["ls"].to_numpy(zero_copy_only=False)
-                       .astype(str))
-        langs = np.array([k.split("\x1f")[0] for k in ls], dtype=object)
-        srcs = np.array([k.split("\x1f")[1] for k in ls], dtype=object)
-        ul, linv = np.unique(langs.astype(str), return_inverse=True)
-        us, sinv = np.unique(srcs.astype(str), return_inverse=True)
+    def finish(g: pa.Table) -> pa.Table:
+        ul, linv = np.unique(g["lang"].to_numpy(zero_copy_only=False)
+                             .astype(str), return_inverse=True)
+        _, sinv = np.unique(g["source"].to_numpy(zero_copy_only=False)
+                            .astype(str), return_inverse=True)
         sets = [set(sinv[linv == i].tolist())
                 for i in range(ul.shape[0])]
         l1o, l2o, inter, union, jac = [], [], [], [], []
@@ -5227,10 +5108,10 @@ def _lang_source_jaccard(sf_dir: str):
             "n_union": pa.array(union, pa.int64()),
             "jaccard": pa.array(jac, pa.float64())})
 
-    return driver_merge(
-        ds.map_batches(partial, batch_format="pyarrow",
-                       batch_size=131072), merge,
-        schema=pa.schema([("ls", pa.string())]))
+    return combine(ds, ["lang", "source"], finish=finish,
+                   batch_size=131072,
+                   schema=pa.schema([("lang", pa.string()),
+                                     ("source", pa.string())]))
 
 
 def _part_brand_price_iqr_outliers(sf_dir: str):
@@ -5292,16 +5173,17 @@ def _part_brand_price_iqr_outliers(sf_dir: str):
 def _supplier_nation_herfindahl(sf_dir: str):
     """Per-nation Herfindahl-Hirschman revenue-concentration index over
     suppliers: HHI = Σᵢ shareᵢ² = Σcᵢ² / (Σcᵢ)² on exact supplier
-    revenue cents. Per-suppkey cent combiners (supplier is a dimension);
-    the root maps suppliers to nations with one sorted gather and forms
-    the index from Python bigints (cᵢ² passes 2⁶³ on a real corpus) with
-    ONE IEEE division — bit-identical to SQL on HUGEINT sums."""
+    revenue cents. One per-suppkey cents combine (supplier is a
+    dimension); its finish maps suppliers to nations with one sorted
+    gather and forms the index from Python bigints (cᵢ² passes 2⁶³ on a
+    real corpus) with ONE IEEE division — bit-identical to SQL on
+    HUGEINT sums."""
     import numpy as np
     import pyarrow as pa
     import pyarrow.parquet as pq
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     sup = pq.read_table(f"{sf_dir}/supplier.parquet",
                         columns=["s_suppkey", "s_nationkey"])
@@ -5320,23 +5202,18 @@ def _supplier_nation_herfindahl(sf_dir: str):
                          columns=["l_suppkey", "l_extendedprice",
                                   "l_discount"])
 
-    def partial(batch: pa.Table) -> pa.Table:
-        sk = batch["l_suppkey"].to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
+    def prep(batch: pa.Table) -> pa.Table:
         price = batch["l_extendedprice"].to_numpy(zero_copy_only=False)
         disc = batch["l_discount"].to_numpy(zero_copy_only=False)
-        cents = np.floor(price * (1 - disc) * 100 + 0.5).astype(np.int64)
-        uniq, inv = np.unique(sk, return_inverse=True)
-        acc = np.zeros(uniq.shape[0], dtype=np.int64)
-        np.add.at(acc, inv, cents)
-        return pa.table({"l_suppkey": uniq, "c": acc})
+        return pa.table({
+            "l_suppkey": batch["l_suppkey"].to_numpy(
+                zero_copy_only=False).astype(np.int64),
+            "c": np.floor(price * (1 - disc) * 100 + 0.5)
+            .astype(np.int64)})
 
-    def merge(t: pa.Table) -> pa.Table:
-        sk = t["l_suppkey"].to_numpy(zero_copy_only=False)
-        c = t["c"].to_numpy(zero_copy_only=False)
-        uniq, inv = np.unique(sk, return_inverse=True)
-        acc = np.zeros(uniq.shape[0], dtype=np.int64)
-        np.add.at(acc, inv, c)
+    def finish(g: pa.Table) -> pa.Table:
+        uniq = g["l_suppkey"].to_numpy()
+        acc = g["c"].to_numpy()
         if skeys.shape[0] == 0 or uniq.shape[0] == 0:
             return pa.table({"n_name": pa.array([], pa.string()),
                              "n_suppliers": pa.array([], pa.int64()),
@@ -5359,11 +5236,35 @@ def _supplier_nation_herfindahl(sf_dir: str):
                          "n_suppliers": pa.array(counts, pa.int64()),
                          "hhi": pa.array(hhi, pa.float64())})
 
-    return driver_merge(
-        li.map_batches(partial, batch_format="pyarrow",
-                       batch_size=131072), merge,
-        schema=pa.schema([("l_suppkey", pa.int64()),
-                          ("c", pa.int64())]))
+    return combine(li, "l_suppkey", sums=("c",), prep=prep, finish=finish,
+                   batch_size=131072,
+                   schema=pa.schema([("l_suppkey", pa.int64()),
+                                     ("c", pa.int64())]))
+
+
+def _user_bucket_prep(keep: list):
+    """Per-batch prep of a user-hash exchange over events: int64
+    user_id, ts as int64 microseconds (ts_us), the `keep` columns as
+    they are, and the `_bucket` the user hashes to."""
+    import numpy as np
+    import pyarrow as pa
+
+    from h3ray.io.pages import _mix64
+    from h3ray.ops.skew import default_num_buckets
+
+    nb = default_num_buckets()
+
+    def prep(batch: pa.Table) -> pa.Table:
+        uid = batch["user_id"].to_numpy(zero_copy_only=False) \
+            .astype(np.int64)
+        us = batch["ts"].to_numpy(zero_copy_only=False) \
+            .astype("datetime64[us]").astype(np.int64)
+        return pa.table({
+            "user_id": uid, "ts_us": us, **{c: batch[c] for c in keep},
+            "_bucket": (_mix64(uid.astype(np.uint64))
+                        % np.uint64(nb)).astype(np.int32)})
+
+    return prep
 
 
 def _events_session_paths(sf_dir: str):
@@ -5373,34 +5274,21 @@ def _events_session_paths(sf_dir: str):
     exchange; each bucket sessionizes with the LAG/SUM-identical gap
     rule, builds every session's path with three vectorized string
     gathers (no per-session Python), and emits |types|^<=3-bounded
-    (path, count) partials; the root sums and takes the top-20 with the
-    SQL mirror's (count DESC, path ASC) tie-break. Event order inside a
-    session is (ts, event_id) in BOTH engines, so ties are
-    deterministic."""
+    (path, count) partials; a per-path combine sums them and its finish
+    takes the top-20 with the SQL mirror's (count DESC, path ASC)
+    tie-break. Event order inside a session is (ts, event_id) in BOTH
+    engines, so ties are deterministic."""
     import numpy as np
     import pyarrow as pa
     import ray.data as rd
 
-    from h3ray.io.pages import _mix64
-    from h3ray.ops.reduce import driver_merge
-    from h3ray.ops.skew import _desc_sort_key, default_num_buckets
+    from h3ray.ops.reduce import combine
+    from h3ray.ops.skew import _desc_sort_key
 
     ds = rd.read_parquet(f"{sf_dir}/events.parquet",
                          columns=["event_id", "user_id", "ts",
                                   "event_type"])
-    nb = default_num_buckets()
 
-    def prep(batch: pa.Table) -> pa.Table:
-        uid = batch["user_id"].to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
-        us = batch["ts"].to_numpy(zero_copy_only=False) \
-            .astype("datetime64[us]").astype(np.int64)
-        return pa.table({
-            "user_id": uid, "ts_us": us,
-            "event_id": batch["event_id"],
-            "event_type": batch["event_type"],
-            "_bucket": (_mix64(uid.astype(np.uint64))
-                        % np.uint64(nb)).astype(np.int32)})
 
     def paths(group: pa.Table) -> pa.Table:
         uid = group["user_id"].to_numpy(zero_copy_only=False)
@@ -5429,88 +5317,47 @@ def _events_session_paths(sf_dir: str):
                                           pa.string()),
                          "n_sessions": cnt.astype(np.int64)})
 
-    def merge(t: pa.Table) -> pa.Table:
-        p = t["path"].to_numpy(zero_copy_only=False).astype(str)
-        c = t["n_sessions"].to_numpy(zero_copy_only=False)
-        up, inv = np.unique(p, return_inverse=True)
-        acc = np.zeros(up.shape[0], dtype=np.int64)
-        np.add.at(acc, inv, c)
-        order = np.lexsort((up, _desc_sort_key(acc)))[:20]
-        return pa.table({"path": pa.array(up[order].astype(object),
-                                          pa.string()),
-                         "n_sessions": acc[order]})
+    def finish(g: pa.Table) -> pa.Table:
+        up = g["path"].to_numpy(zero_copy_only=False).astype(str)
+        acc = g["n_sessions"].to_numpy()
+        return g.take(pa.array(np.lexsort((up, _desc_sort_key(acc)))[:20]))
 
-    bucketed = ds.map_batches(prep, batch_format="pyarrow",
+    bucketed = ds.map_batches(_user_bucket_prep(["event_id", "event_type"]),
+                              batch_format="pyarrow",
                               batch_size=131072) \
         .groupby("_bucket").map_groups(paths, batch_format="pyarrow")
-    return driver_merge(
-        bucketed, merge,
-        schema=pa.schema([("path", pa.string()),
-                          ("n_sessions", pa.int64())]))
+    return combine(bucketed, "path", sums=("n_sessions",), finish=finish,
+                   schema=pa.schema([("path", pa.string()),
+                                     ("n_sessions", pa.int64())]))
 
 
 def _docs_token_len_hist(sf_dir: str):
     """Corpus token-length histogram per language (tokenizer length
     statistics): one Arrow split + utf8_length per batch over the FLAT
-    token values, lang repeated by list offsets — (lang, length)-bounded
-    count combiner, one driver root, no Python over tokens."""
-    import numpy as np
+    token values, lang repeated by list offsets — one (lang, length)
+    count combine, no Python over tokens."""
     import pyarrow as pa
     import pyarrow.compute as pc
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
                          columns=["lang", "text"])
 
-    def partial(batch: pa.Table) -> pa.Table:
-        la = pc.split_pattern_regex(
-            pc.utf8_trim_whitespace(pc.cast(batch["text"], pa.string())),
-            r"\s+")
-        if isinstance(la, pa.ChunkedArray):
-            la = la.combine_chunks()
-        flat = la.values
-        lens = pc.utf8_length(flat).to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
-        row_of = np.repeat(
-            np.arange(len(la), dtype=np.int64),
-            np.diff(la.offsets.to_numpy().astype(np.int64)))
-        ok = lens > 0
+    def prep(batch: pa.Table) -> pa.Table:
+        toks, row_of = _text_tokens(batch)
         langs = batch["lang"].to_numpy(zero_copy_only=False) \
-            .astype(str)[row_of[ok]]
-        lens = lens[ok]
-        ul, linv = np.unique(langs, return_inverse=True)
-        # composite (lang, len) bincount: lens are tiny (< 2^20 guard)
-        if lens.shape[0] and int(lens.max()) >= (1 << 20):
-            raise ValueError("token length >= 2^20?")
-        key = linv.astype(np.int64) * (1 << 20) + lens
-        uk, cnt = np.unique(key, return_counts=True)
-        return pa.table({
-            "lang": pa.array(ul[(uk >> 20)].astype(object), pa.string()),
-            "tok_len": uk & ((1 << 20) - 1),
-            "n": cnt.astype(np.int64)})
+            .astype(str)[row_of]
+        return pa.table({"lang": pa.array(langs, pa.string()),
+                         "tok_len": pc.cast(pc.utf8_length(toks),
+                                            pa.int64())})
 
-    def merge(t: pa.Table) -> pa.Table:
-        lang = t["lang"].to_numpy(zero_copy_only=False).astype(str)
-        ln = t["tok_len"].to_numpy(zero_copy_only=False)
-        c = t["n"].to_numpy(zero_copy_only=False)
-        key = np.char.add(np.char.add(lang, "\x1f"),
-                          ln.astype(np.int64).astype(str))
-        uk, inv = np.unique(key, return_inverse=True)
-        acc = np.zeros(uk.shape[0], dtype=np.int64)
-        np.add.at(acc, inv, c)
-        out_l = np.array([k.split("\x1f")[0] for k in uk], dtype=object)
-        out_n = np.array([int(k.split("\x1f")[1]) for k in uk],
-                         dtype=np.int64)
-        return pa.table({"lang": pa.array(out_l, pa.string()),
-                         "tok_len": out_n, "n": acc})
-
-    return driver_merge(
-        ds.map_batches(partial, batch_format="pyarrow",
-                       batch_size=32768), merge,
-        schema=pa.schema([("lang", pa.string()),
-                          ("tok_len", pa.int64()), ("n", pa.int64())]))
+    return combine(ds, ["lang", "tok_len"], count="n", prep=prep,
+                   batch_size=32768,
+                   schema=pa.schema([("lang", pa.string()),
+                                     ("tok_len", pa.int64()),
+                                     ("n", pa.int64())]))
 
 
 def _events_interarrival_hist(sf_dir: str):
@@ -5525,27 +5372,13 @@ def _events_interarrival_hist(sf_dir: str):
     import pyarrow as pa
     import ray.data as rd
 
-    from h3ray.io.pages import _mix64
     from h3ray.ops.reduce import combine
-    from h3ray.ops.skew import default_num_buckets
 
     ds = rd.read_parquet(f"{sf_dir}/events.parquet",
                          columns=["event_id", "user_id", "ts",
                                   "event_type"])
-    nb = default_num_buckets()
     powers = 2 ** np.arange(63, dtype=np.int64)
 
-    def prep(batch: pa.Table) -> pa.Table:
-        uid = batch["user_id"].to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
-        us = batch["ts"].to_numpy(zero_copy_only=False) \
-            .astype("datetime64[us]").astype(np.int64)
-        return pa.table({
-            "user_id": uid, "ts_us": us,
-            "event_id": batch["event_id"],
-            "event_type": batch["event_type"],
-            "_bucket": (_mix64(uid.astype(np.uint64))
-                        % np.uint64(nb)).astype(np.int32)})
 
     def gaps(group: pa.Table) -> pa.Table:
         uid = group["user_id"].to_numpy(zero_copy_only=False)
@@ -5579,7 +5412,8 @@ def _events_interarrival_hist(sf_dir: str):
                 [int(k.split("\x1f")[1]) for k in uk], dtype=np.int64),
             "n": cnt})
 
-    bucketed = ds.map_batches(prep, batch_format="pyarrow",
+    bucketed = ds.map_batches(_user_bucket_prep(["event_id", "event_type"]),
+                              batch_format="pyarrow",
                               batch_size=131072) \
         .groupby("_bucket").map_groups(gaps, batch_format="pyarrow")
     return combine(
@@ -5595,16 +5429,17 @@ def _parts_bought_together(sf_dir: str):
     sizes are bounded), fully vectorized (repeat + run-offset
     arithmetic, no Python over orders); pairs pack into one int64
     (a·2³² + b, a < b, loud 2³¹ guard) so the one pair-key groupby
-    shuffles integers; per-block top-k partials bound the driver root at
-    k rows per block. The orderkey exchange itself moves only (order,
-    part) distinct pairs."""
+    shuffles integers; per-block top-k rows (distinct by pair) feed a
+    DISTINCT combine whose finish takes the top-k again, so the driver
+    root holds k rows per block. The orderkey exchange itself moves only
+    (order, part) distinct pairs."""
     import numpy as np
     import pyarrow as pa
     import ray.data as rd
     from ray.data.aggregate import Sum
 
     from h3ray.io.pages import _mix64
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
     from h3ray.ops.skew import _desc_sort_key, default_num_buckets
 
     li = rd.read_parquet(f"{sf_dir}/lineitem.parquet",
@@ -5658,16 +5493,15 @@ def _parts_bought_together(sf_dir: str):
         .groupby("_bucket").map_groups(pairs, batch_format="pyarrow") \
         .groupby("pair").aggregate(Sum("cnt", alias_name="cnt"))
 
-    def block_topk(batch: pa.Table) -> pa.Table:
+    def topk(batch: pa.Table) -> pa.Table:
         cnt = batch["cnt"].to_numpy(zero_copy_only=False)
         pr = batch["pair"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((pr, _desc_sort_key(cnt)))[:20]
-        return batch.take(pa.array(order))
+        return batch.take(pa.array(
+            np.lexsort((pr, _desc_sort_key(cnt)))[:20]))
 
-    top = driver_merge(
-        summed.map_batches(block_topk, batch_format="pyarrow"),
-        block_topk,
-        schema=pa.schema([("pair", pa.int64()), ("cnt", pa.int64())]))
+    top = combine(summed, ["pair", "cnt"], prep=topk, finish=topk,
+                  schema=pa.schema([("pair", pa.int64()),
+                                    ("cnt", pa.int64())]))
     pr = top["pair"].to_numpy(zero_copy_only=False)
     return pa.table({"p1": pr >> 32, "p2": pr & ((1 << 32) - 1),
                      "n_orders": top["cnt"]})
@@ -5680,16 +5514,16 @@ def _events_sliding_distinct_users(sf_dir: str):
     interval algebra instead of a 24-way union: each user's active
     hours merge into maximal covered windows (next_h <= prev_h + 23
     extends), contributing +1/−1 boundary deltas; deltas are
-    time-range-bounded, so one driver cumsum reconstructs every
-    window's exact distinct count — users never shuffle twice, nothing
-    is recounted per window. SQL mirror: BETWEEN self-join + COUNT
-    DISTINCT."""
+    time-range-bounded, so one per-hour combine plus a cumsum in its
+    finish reconstructs every window's exact distinct count — users
+    never shuffle twice, nothing is recounted per window. SQL mirror:
+    BETWEEN self-join + COUNT DISTINCT."""
     import numpy as np
     import pyarrow as pa
     import ray.data as rd
 
     from h3ray.io.pages import _mix64
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
     from h3ray.ops.skew import default_num_buckets
 
     ds = rd.read_parquet(f"{sf_dir}/events.parquet",
@@ -5743,26 +5577,19 @@ def _events_sliding_distinct_users(sf_dir: str):
             "present": np.concatenate([np.zeros(ub.shape[0], np.int64),
                                        np.ones(ph.shape[0], np.int64)])})
 
-    def merge(t: pa.Table) -> pa.Table:
-        h = t["h"].to_numpy(zero_copy_only=False)
-        d = t["delta"].to_numpy(zero_copy_only=False)
-        pr = t["present"].to_numpy(zero_copy_only=False)
-        uh, inv = np.unique(h, return_inverse=True)
-        acc = np.zeros(uh.shape[0], dtype=np.int64)
-        np.add.at(acc, inv, d)
-        pres = np.zeros(uh.shape[0], dtype=np.int64)
-        np.add.at(pres, inv, pr)
-        run = np.cumsum(acc)
-        sel = pres > 0
-        return pa.table({"h": uh[sel], "n_users": run[sel]})
+    def finish(g: pa.Table) -> pa.Table:
+        g = g.sort_by("h")
+        run = np.cumsum(g["delta"].to_numpy())
+        sel = g["present"].to_numpy() > 0
+        return pa.table({"h": g["h"].to_numpy()[sel], "n_users": run[sel]})
 
     bucketed = ds.map_batches(prep, batch_format="pyarrow",
                               batch_size=131072) \
         .groupby("_bucket").map_groups(deltas, batch_format="pyarrow")
-    return driver_merge(
-        bucketed, merge,
-        schema=pa.schema([("h", pa.int64()), ("delta", pa.int64()),
-                          ("present", pa.int64())]))
+    return combine(bucketed, "h", sums=("delta", "present"), finish=finish,
+                   schema=pa.schema([("h", pa.int64()),
+                                     ("delta", pa.int64()),
+                                     ("present", pa.int64())]))
 
 
 def _events_p50_disc_by_type(sf_dir: str):
@@ -5783,18 +5610,20 @@ def _events_p50_disc_by_type(sf_dir: str):
 
 def _brand_qty_weighted_price(sf_dir: str):
     """Quantity-weighted average extended price per brand: the exact
-    weighted mean SUM(qty·price_cents)/SUM(qty) — both sums are int64
-    combiner partials (part→brand broadcast, never a shuffle), merged as
-    Python bigints at the root, ONE IEEE division; bit-identical to SQL
-    on HUGEINT sums (SQL's own AVG/weighted-AVG float accumulation is
-    order-dependent and NOT mirrorable)."""
+    weighted mean SUM(qty·price_cents)/SUM(qty). Quantities are small
+    integers, so one (brand, qty) combine of (count, cents) int64 sums
+    (part→brand broadcast, never a shuffle) carries everything; its
+    finish forms Σqty·cents and Σqty as Python bigints (Σqty·cents
+    passes 2^63 on a real corpus) and does ONE IEEE division;
+    bit-identical to SQL on HUGEINT sums (SQL's own AVG/weighted-AVG
+    float accumulation is order-dependent and NOT mirrorable)."""
     import numpy as np
     import pyarrow as pa
     import pyarrow.parquet as pq
     import ray
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     part = pq.read_table(f"{sf_dir}/part.parquet",
                          columns=["p_partkey", "p_brand"])
@@ -5810,54 +5639,44 @@ def _brand_qty_weighted_price(sf_dir: str):
                          columns=["l_partkey", "l_quantity",
                                   "l_extendedprice"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         keys, code = ray.get(side_ref)
         p = batch["l_partkey"].to_numpy(zero_copy_only=False) \
             .astype(np.int64)
         if keys.shape[0] == 0:
             return pa.table({"b": pa.array([], pa.int64()),
-                             "wv": pa.array([], pa.int64()),
-                             "w": pa.array([], pa.int64())})
+                             "qty": pa.array([], pa.int64()),
+                             "cents": pa.array([], pa.int64())})
         pos = np.minimum(np.searchsorted(keys, p), keys.shape[0] - 1)
         sel = keys[pos] == p
-        qty = batch["l_quantity"].to_numpy(zero_copy_only=False) \
-            .astype(np.int64)[sel]
-        cents = np.floor(batch["l_extendedprice"].to_numpy(
-            zero_copy_only=False)[sel] * 100 + 0.5).astype(np.int64)
-        b = code[pos[sel]]
-        nb = brands.shape[0]
-        wv = np.zeros(nb, dtype=np.int64)
-        w = np.zeros(nb, dtype=np.int64)
-        np.add.at(wv, b, qty * cents)
-        np.add.at(w, b, qty)
-        nz = np.flatnonzero(w)
-        return pa.table({"b": nz.astype(np.int64), "wv": wv[nz],
-                         "w": w[nz]})
+        return pa.table({
+            "b": code[pos[sel]],
+            "qty": batch["l_quantity"].to_numpy(zero_copy_only=False)
+            .astype(np.int64)[sel],
+            "cents": np.floor(batch["l_extendedprice"].to_numpy(
+                zero_copy_only=False)[sel] * 100 + 0.5).astype(np.int64)})
 
-    def merge(t: pa.Table) -> pa.Table:
-        b = t["b"].to_numpy(zero_copy_only=False)
-        uniq, inv = np.unique(b, return_inverse=True)
-        # Python ints: Σ(qty·cents) passes 2^63 on a real corpus
+    def finish(g: pa.Table) -> pa.Table:
+        uniq, inv = np.unique(g["b"].to_numpy(), return_inverse=True)
         wv = [0] * uniq.shape[0]
         w = [0] * uniq.shape[0]
-        tv = t["wv"].to_numpy(zero_copy_only=False)
-        tw = t["w"].to_numpy(zero_copy_only=False)
-        for i, g in enumerate(inv):
-            wv[g] += int(tv[i])
-            w[g] += int(tw[i])
+        for i, q, n, c in zip(inv.tolist(), g["qty"].to_pylist(),
+                              g["n"].to_pylist(), g["cents"].to_pylist()):
+            wv[i] += q * c
+            w[i] += q * n
+        keep = [i for i in range(uniq.shape[0]) if w[i]]
         return pa.table({
-            "p_brand": pa.array([str(brands[u]) for u in uniq],
+            "p_brand": pa.array([str(brands[uniq[i]]) for i in keep],
                                 pa.string()),
-            "sum_qty": pa.array(w, pa.int64()),
+            "sum_qty": pa.array([w[i] for i in keep], pa.int64()),
             "wavg_price_cents": pa.array(
-                [float(a) / float(q) if q else None
-                 for a, q in zip(wv, w)], pa.float64())})
+                [float(wv[i]) / float(w[i]) for i in keep], pa.float64())})
 
-    return driver_merge(
-        li.map_batches(partial, batch_format="pyarrow",
-                       batch_size=131072), merge,
-        schema=pa.schema([("b", pa.int64()), ("wv", pa.int64()),
-                          ("w", pa.int64())]))
+    return combine(li, ["b", "qty"], count="n", sums=("cents",), prep=prep,
+                   finish=finish, batch_size=131072,
+                   schema=pa.schema([("b", pa.int64()), ("qty", pa.int64()),
+                                     ("n", pa.int64()),
+                                     ("cents", pa.int64())]))
 
 
 def _sites_edges_ds(sf_dir: str):
@@ -6217,87 +6036,59 @@ def _docs_langid_confusion(sf_dir: str):
     langid prediction, counted per (lang, lang_pred) cell — the model
     quality diagnostic over the whole corpus. The langid stage is the
     existing Arrow regex kernel; the |langs|^2-bounded cell counts
-    merge at the root."""
+    are one combine."""
     import pyarrow as pa
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
     from h3ray.text.analysis import langid_stage
 
     ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
                          columns=["doc_id", "text", "lang"])
     pred = ds.map_batches(langid_stage(), batch_format="pyarrow")
-
-    def partial(batch: pa.Table) -> pa.Table:
-        import numpy as np
-
-        t = pa.table({"lang": batch["lang"],
-                      "lang_pred": batch["lang_pred"],
-                      "n_docs": np.ones(batch.num_rows, np.int64)})
-        return t.group_by(["lang", "lang_pred"]).aggregate(
-            [("n_docs", "sum")]) \
-            .rename_columns(["lang", "lang_pred", "n_docs"])
-
-    return driver_merge(
-        pred.map_batches(partial, batch_format="pyarrow",
-                         batch_size=131072),
-        lambda t: t.group_by(["lang", "lang_pred"]).aggregate(
-            [("n_docs", "sum")])
-        .rename_columns(["lang", "lang_pred", "n_docs"]),
-        schema=pa.schema([("lang", pa.string()),
-                          ("lang_pred", pa.string()),
-                          ("n_docs", pa.int64())]))
+    return combine(pred, ["lang", "lang_pred"], count="n_docs",
+                   batch_size=131072,
+                   schema=pa.schema([("lang", pa.string()),
+                                     ("lang_pred", pa.string()),
+                                     ("n_docs", pa.int64())]))
 
 
 def _orders_seasonality(sf_dir: str):
     """Month-of-year seasonal revenue index: per calendar month (1-12)
     the exact cents and the index 12 * month_cents / total_cents — 1.0
-    means a perfectly average month. 12-row bounded combiner; ONE
-    division per row at the root."""
+    means a perfectly average month; months summing to zero cents emit
+    no row. 12-row bounded combine; ONE division per row in its
+    finish."""
     import numpy as np
     import pyarrow as pa
+    import pyarrow.compute as pc
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     ds = rd.read_parquet(f"{sf_dir}/orders.parquet",
                          columns=["o_orderdate", "o_totalprice"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         mi = batch["o_orderdate"].to_numpy(zero_copy_only=False) \
             .astype("datetime64[M]").astype(np.int64)
-        moy = mi % 12 + 1
-        cents = np.floor(batch["o_totalprice"].to_numpy(
-            zero_copy_only=False) * 100 + 0.5).astype(np.int64)
-        acc = np.zeros(12, dtype=np.int64)
-        np.add.at(acc, moy - 1, cents)
-        nz = np.flatnonzero(acc)
-        return pa.table({"month": (nz + 1).astype(np.int64),
-                         "cents": acc[nz]})
-
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by("month").aggregate([("cents", "sum")])
-        m = g["month"].to_numpy(zero_copy_only=False)
-        if m.shape[0] == 0:
-            return pa.table({
-                "month": pa.array([], pa.int64()),
-                "month_cents": pa.array([], pa.int64()),
-                "seasonal_index": pa.array([], pa.float64())})
-        c = g["cents_sum"].to_numpy(zero_copy_only=False)
-        o = np.argsort(m)
-        m, c = m[o], c[o]
-        total = int(c.sum())
-        idx = [float(12 * int(x)) / float(total) if total else None
-               for x in c.tolist()]
         return pa.table({
-            "month": m.astype(np.int64),
-            "month_cents": c.astype(np.int64),
-            "seasonal_index": pa.array(idx, pa.float64())})
+            "month": mi % 12 + 1,
+            "month_cents": np.floor(batch["o_totalprice"].to_numpy(
+                zero_copy_only=False) * 100 + 0.5).astype(np.int64)})
 
-    return driver_merge(
-        ds.map_batches(partial, batch_format="pyarrow",
-                       batch_size=131072), merge,
-        schema=pa.schema([("month", pa.int64()), ("cents", pa.int64())]))
+    def finish(g: pa.Table) -> pa.Table:
+        g = g.filter(pc.not_equal(g["month_cents"], 0)).sort_by("month")
+        c = g["month_cents"].to_pylist()
+        total = sum(c)
+        return g.append_column("seasonal_index", pa.array(
+            [float(12 * x) / float(total) if total else None for x in c],
+            pa.float64()))
+
+    return combine(ds, "month", sums=("month_cents",), prep=prep,
+                   finish=finish, batch_size=131072,
+                   schema=pa.schema([("month", pa.int64()),
+                                     ("month_cents", pa.int64())]))
 
 
 def _docs_dup_source_matrix(sf_dir: str):
@@ -6306,13 +6097,13 @@ def _docs_dup_source_matrix(sf_dir: str):
     'who copies whom' diagnostic over the ngram-Jaccard pair graph.
     Pairs come from the existing keys-only LSH + exact-verify pipeline;
     the doc -> source dimension broadcasts as a sorted gather and the
-    |sources|^2-bounded counts merge at the root."""
+    |sources|^2-bounded counts are one combine."""
     import numpy as np
     import pyarrow as pa
     import pyarrow.parquet as pq
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
     from h3ray.text.dedup import ngram_jaccard_pairs
 
     doc = pq.read_table(f"{sf_dir}/documents.parquet",
@@ -6326,12 +6117,10 @@ def _docs_dup_source_matrix(sf_dir: str):
                            columns=["doc_id", "text"])
     pairs = ngram_jaccard_pairs(docs, key_col="doc_id", threshold=0.5)
 
-    def partial(batch: pa.Table) -> pa.Table:
-        empty = pa.table({"s1": pa.array([], pa.string()),
-                          "s2": pa.array([], pa.string()),
-                          "n_pairs": pa.array([], pa.int64())})
+    def prep(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0 or dk.shape[0] == 0:
-            return empty
+            return pa.table({"s1": pa.array([], pa.string()),
+                             "s2": pa.array([], pa.string())})
         a = batch["key_a"].to_numpy(zero_copy_only=False).astype(np.int64)
         b = batch["key_b"].to_numpy(zero_copy_only=False).astype(np.int64)
         pa_ = np.minimum(np.searchsorted(dk, a), dk.shape[0] - 1)
@@ -6339,21 +6128,17 @@ def _docs_dup_source_matrix(sf_dir: str):
         sel = (dk[pa_] == a) & (dk[pb_] == b)
         sa, sb = src[pa_[sel]], src[pb_[sel]]
         lo = sa <= sb
-        s1 = np.where(lo, sa, sb)
-        s2 = np.where(lo, sb, sa)
-        t = pa.table({"s1": pa.array(s1.astype(object), pa.string()),
-                      "s2": pa.array(s2.astype(object), pa.string()),
-                      "n_pairs": np.ones(s1.shape[0], np.int64)})
-        return t.group_by(["s1", "s2"]).aggregate([("n_pairs", "sum")]) \
-            .rename_columns(["s1", "s2", "n_pairs"])
+        return pa.table({
+            "s1": pa.array(np.where(lo, sa, sb).astype(object),
+                           pa.string()),
+            "s2": pa.array(np.where(lo, sb, sa).astype(object),
+                           pa.string())})
 
-    return driver_merge(
-        pairs.map_batches(partial, batch_format="pyarrow",
-                          batch_size=131072),
-        lambda t: t.group_by(["s1", "s2"]).aggregate([("n_pairs", "sum")])
-        .rename_columns(["s1", "s2", "n_pairs"]),
-        schema=pa.schema([("s1", pa.string()), ("s2", pa.string()),
-                          ("n_pairs", pa.int64())]))
+    return combine(pairs, ["s1", "s2"], count="n_pairs", prep=prep,
+                   batch_size=131072,
+                   schema=pa.schema([("s1", pa.string()),
+                                     ("s2", pa.string()),
+                                     ("n_pairs", pa.int64())]))
 
 
 def _docs_shingle_novelty(sf_dir: str):
@@ -6749,73 +6534,53 @@ def _orders_above_customer_avg(sf_dir: str):
     comparison is the exact integer cross-multiplication
     cents * n > total_cents (never a float average), so the result is
     bit-identical to SQL's HAVING-style correlated subquery. Two
-    passes: a per-customer (n, sum) combiner merges at the bounded
-    root and broadcasts via ray.put; pass 2 streams orders once more
-    and counts per customer — customer-bounded partials, no join
-    shuffle."""
+    passes: a per-customer (n, sum) combine broadcasts via ray.put;
+    pass 2 streams orders once more into a per-customer count combine
+    — customer-bounded partials, no join shuffle."""
     import numpy as np
     import pyarrow as pa
     import ray
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     ds = rd.read_parquet(f"{sf_dir}/orders.parquet",
                          columns=["o_custkey", "o_totalprice"])
 
-    def stats_partial(batch: pa.Table) -> pa.Table:
+    def rows(batch: pa.Table):
         c = batch["o_custkey"].to_numpy(zero_copy_only=False) \
             .astype(np.int64)
         cents = np.floor(batch["o_totalprice"].to_numpy(
             zero_copy_only=False) * 100 + 0.5).astype(np.int64)
-        uniq, inv = np.unique(c, return_inverse=True)
-        n = np.bincount(inv).astype(np.int64)
-        s = np.zeros(uniq.shape[0], dtype=np.int64)
-        np.add.at(s, inv, cents)
-        return pa.table({"ck": uniq, "n": n, "s": s})
+        return c, cents
 
-    stats = driver_merge(
-        ds.map_batches(stats_partial, batch_format="pyarrow",
-                       batch_size=131072),
-        lambda t: t.group_by("ck").aggregate([("n", "sum"), ("s", "sum")])
-        .rename_columns(["ck", "n", "s"]),
-        schema=pa.schema([("ck", pa.int64()), ("n", pa.int64()),
-                          ("s", pa.int64())]))
+    stats = combine(ds, "ck", count="n", sums=("s",), batch_size=131072,
+                    prep=lambda b: pa.table(dict(zip(["ck", "s"],
+                                                     rows(b)))),
+                    schema=pa.schema([("ck", pa.int64()),
+                                      ("n", pa.int64()),
+                                      ("s", pa.int64())]))
     sk = stats["ck"].to_numpy(zero_copy_only=False)
     so = np.argsort(sk)
     stats_ref = ray.put((sk[so],
                          stats["n"].to_numpy(zero_copy_only=False)[so],
                          stats["s"].to_numpy(zero_copy_only=False)[so]))
 
-    def count_partial(batch: pa.Table) -> pa.Table:
+    def above(batch: pa.Table) -> pa.Table:
         keys, ns, ss = ray.get(stats_ref)
-        empty = pa.table({"o_custkey": pa.array([], pa.int64()),
-                          "n_orders": pa.array([], pa.int64()),
-                          "n_above_avg": pa.array([], pa.int64())})
         if keys.shape[0] == 0:
-            return empty
-        c = batch["o_custkey"].to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
-        cents = np.floor(batch["o_totalprice"].to_numpy(
-            zero_copy_only=False) * 100 + 0.5).astype(np.int64)
+            return pa.table({"o_custkey": pa.array([], pa.int64()),
+                             "n_above_avg": pa.array([], pa.int64())})
+        c, cents = rows(batch)
         pos = np.minimum(np.searchsorted(keys, c), keys.shape[0] - 1)
-        above = (cents * ns[pos] > ss[pos]).astype(np.int64)
-        uniq, inv = np.unique(c, return_inverse=True)
-        na = np.zeros(uniq.shape[0], dtype=np.int64)
-        np.add.at(na, inv, above)
-        nn = np.bincount(inv).astype(np.int64)
-        return pa.table({"o_custkey": uniq, "n_orders": nn,
-                         "n_above_avg": na})
+        return pa.table({"o_custkey": c, "n_above_avg": (
+            cents * ns[pos] > ss[pos]).astype(np.int64)})
 
-    return driver_merge(
-        ds.map_batches(count_partial, batch_format="pyarrow",
-                       batch_size=131072),
-        lambda t: t.group_by("o_custkey").aggregate(
-            [("n_orders", "sum"), ("n_above_avg", "sum")])
-        .rename_columns(["o_custkey", "n_orders", "n_above_avg"]),
-        schema=pa.schema([("o_custkey", pa.int64()),
-                          ("n_orders", pa.int64()),
-                          ("n_above_avg", pa.int64())]))
+    return combine(ds, "o_custkey", count="n_orders",
+                   sums=("n_above_avg",), prep=above, batch_size=131072,
+                   schema=pa.schema([("o_custkey", pa.int64()),
+                                     ("n_orders", pa.int64()),
+                                     ("n_above_avg", pa.int64())]))
 
 
 def _brand_return_wilson(sf_dir: str):
@@ -7645,27 +7410,25 @@ def _sites_clustering_coeff(sf_dir: str):
     link graph: 3 * triangles / wedges, with wedges = sum over nodes of
     d*(d-1)/2 — the one-number cohesion summary next to the wave-8
     triangle count. The distinct undirected edge set is node^2-bounded
-    (997 sites), so a distinct-edge combiner feeds a driver root that
-    builds adjacency once, counts triangles by sorted-intersection per
-    edge and wedges from degrees — exact integers, ONE IEEE division.
-    Mirrors the SQL triangle/degree CTEs bit-for-bit."""
+    (997 sites), so a DISTINCT-edge combine's finish builds adjacency
+    once, counts triangles by sorted-intersection per edge and wedges
+    from degrees — exact integers, ONE IEEE division. Mirrors the SQL
+    triangle/degree CTEs bit-for-bit."""
     import numpy as np
     import pyarrow as pa
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     edges = _sites_edges_ds(sf_dir)
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         src = batch["src"].to_numpy(zero_copy_only=False)
         dst = batch["dst"].to_numpy(zero_copy_only=False)
-        lo = np.minimum(src, dst)
-        hi = np.maximum(src, dst)
-        key = np.unique(lo * np.int64(997) + hi)
-        return pa.table({"key": key})
+        return pa.table({"key": np.minimum(src, dst) * np.int64(997)
+                         + np.maximum(src, dst)})
 
-    def merge(t: pa.Table) -> pa.Table:
-        k = np.unique(t["key"].to_numpy(zero_copy_only=False))
+    def finish(g: pa.Table) -> pa.Table:
+        k = g["key"].to_numpy()
         if k.shape[0] == 0:
             return pa.table({
                 "n_triangles": pa.array([0], pa.int64()),
@@ -7688,10 +7451,9 @@ def _sites_clustering_coeff(sf_dir: str):
                 [float(3 * tri) / float(wedges) if wedges else None],
                 pa.float64())})
 
-    return driver_merge(
-        edges.map_batches(partial, batch_format="pyarrow",
-                          batch_size=131072), merge,
-        schema=pa.schema([("key", pa.int64())]))
+    return combine(edges, "key", prep=prep, finish=finish,
+                   batch_size=131072,
+                   schema=pa.schema([("key", pa.int64())]))
 
 
 def _events_wow_growth(sf_dir: str):
@@ -7756,14 +7518,14 @@ def _sites_reciprocity(sf_dir: str):
     distinct packed (src*997+dst) keys cross ONE exchange bucketed by
     the UNORDERED pair hash (so both directions land together); each
     bucket counts its edges and its reciprocated edges with one sorted
-    membership probe, and the root sums and divides ONCE. Exact
-    integers; mirrors the SQL self-join bit-for-bit."""
+    membership probe, and a keyless combine sums them; its finish
+    divides ONCE. Exact integers; mirrors the SQL self-join
+    bit-for-bit."""
     import numpy as np
     import pyarrow as pa
-    import ray.data as rd
 
     from h3ray.io.pages import _mix64
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
     from h3ray.ops.skew import default_num_buckets
 
     nb = default_num_buckets()
@@ -7791,9 +7553,10 @@ def _sites_reciprocity(sf_dir: str):
             "n_edges": pa.array([int(k.shape[0])], pa.int64()),
             "n_recip": pa.array([int(hit.sum())], pa.int64())})
 
-    def merge(t: pa.Table) -> pa.Table:
-        n = sum(int(v) for v in t["n_edges"].to_pylist())
-        r = sum(int(v) for v in t["n_recip"].to_pylist())
+    def finish(g: pa.Table) -> pa.Table:
+        # SUM over zero buckets is NULL; the counts here are 0.
+        n = g["n_edges"][0].as_py() or 0
+        r = g["n_recip"][0].as_py() or 0
         return pa.table({
             "n_edges": pa.array([n], pa.int64()),
             "n_reciprocal": pa.array([r], pa.int64()),
@@ -7803,10 +7566,10 @@ def _sites_reciprocity(sf_dir: str):
     bucketed = edges.map_batches(prep, batch_format="pyarrow",
                                  batch_size=131072) \
         .groupby("_bucket").map_groups(count, batch_format="pyarrow")
-    return driver_merge(
-        bucketed, merge,
-        schema=pa.schema([("n_edges", pa.int64()),
-                          ("n_recip", pa.int64())]))
+    return combine(bucketed, [], sums=("n_edges", "n_recip"),
+                   finish=finish,
+                   schema=pa.schema([("n_edges", pa.int64()),
+                                     ("n_recip", pa.int64())]))
 
 
 def _events_value_decile_means(sf_dir: str):
@@ -7996,26 +7759,13 @@ def _events_reactivations_monthly(sf_dir: str):
     import pyarrow as pa
     import ray.data as rd
 
-    from h3ray.io.pages import _mix64
     from h3ray.ops.reduce import combine
-    from h3ray.ops.skew import default_num_buckets
 
     GAP = 3 * 86_400_000_000
 
     ds = rd.read_parquet(f"{sf_dir}/events.parquet",
                          columns=["user_id", "ts", "event_id"])
-    nb = default_num_buckets()
 
-    def prep(batch: pa.Table) -> pa.Table:
-        uid = batch["user_id"].to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
-        us = batch["ts"].to_numpy(zero_copy_only=False) \
-            .astype("datetime64[us]").astype(np.int64)
-        return pa.table({
-            "user_id": uid, "ts_us": us,
-            "event_id": batch["event_id"],
-            "_bucket": (_mix64(uid.astype(np.uint64))
-                        % np.uint64(nb)).astype(np.int32)})
 
     def resolve(group: pa.Table) -> pa.Table:
         uid = group["user_id"].to_numpy(zero_copy_only=False)
@@ -8032,7 +7782,8 @@ def _events_reactivations_monthly(sf_dir: str):
         uy, cnt = np.unique(ym, return_counts=True)
         return pa.table({"ym": uy, "n": cnt.astype(np.int64)})
 
-    bucketed = ds.map_batches(prep, batch_format="pyarrow",
+    bucketed = ds.map_batches(_user_bucket_prep(["event_id"]),
+                              batch_format="pyarrow",
                               batch_size=131072) \
         .groupby("_bucket").map_groups(resolve, batch_format="pyarrow")
 
@@ -8094,14 +7845,16 @@ def _docs_common_prefix_groups(sf_dir: str):
     joined with null-skip — no per-row Python), counted per batch, and
     finished inside ONE prefix-hash exchange whose buckets emit only
     qualifying (prefix, n_docs) rows; prefix strings stay out of the
-    exchange payload beyond the bounded survivor set. ALL-INTEGER."""
+    exchange payload beyond the bounded survivor set, and each prefix
+    leaves exactly one bucket, so the per-prefix combine at the root
+    only gathers them. ALL-INTEGER."""
     import numpy as np
     import pyarrow as pa
     import pyarrow.compute as pc
     import ray.data as rd
 
     from h3ray.io.pages import url_hash64
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
     from h3ray.ops.skew import default_num_buckets
 
     ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
@@ -8150,10 +7903,9 @@ def _docs_common_prefix_groups(sf_dir: str):
     bucketed = ds.map_batches(partial, batch_format="pyarrow",
                               batch_size=65536) \
         .groupby("_bucket").map_groups(finish, batch_format="pyarrow")
-    return driver_merge(
-        bucketed, lambda t: t,
-        schema=pa.schema([("prefix", pa.string()),
-                          ("n_docs", pa.int64())]))
+    return combine(bucketed, "prefix", sums=("n_docs",),
+                   schema=pa.schema([("prefix", pa.string()),
+                                     ("n_docs", pa.int64())]))
 
 
 def _customer_momentum_by_nation(sf_dir: str):
@@ -8248,26 +8000,12 @@ def _events_first_touch_conversion(sf_dir: str):
     import pyarrow as pa
     import ray.data as rd
 
-    from h3ray.io.pages import _mix64
     from h3ray.ops.reduce import combine
-    from h3ray.ops.skew import default_num_buckets
 
     ds = rd.read_parquet(f"{sf_dir}/events.parquet",
                          columns=["user_id", "ts", "event_id",
                                   "event_type"])
-    nb = default_num_buckets()
 
-    def prep(batch: pa.Table) -> pa.Table:
-        uid = batch["user_id"].to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
-        us = batch["ts"].to_numpy(zero_copy_only=False) \
-            .astype("datetime64[us]").astype(np.int64)
-        return pa.table({
-            "user_id": uid, "ts_us": us,
-            "event_id": batch["event_id"],
-            "event_type": batch["event_type"],
-            "_bucket": (_mix64(uid.astype(np.uint64))
-                        % np.uint64(nb)).astype(np.int32)})
 
     def resolve(group: pa.Table) -> pa.Table:
         uid = group["user_id"].to_numpy(zero_copy_only=False)
@@ -8301,7 +8039,8 @@ def _events_first_touch_conversion(sf_dir: str):
                 [float(ci) / float(ni) for ci, ni in zip(c, n)],
                 pa.float64())})
 
-    bucketed = ds.map_batches(prep, batch_format="pyarrow",
+    bucketed = ds.map_batches(_user_bucket_prep(["event_id", "event_type"]),
+                              batch_format="pyarrow",
                               batch_size=131072) \
         .groupby("_bucket").map_groups(resolve, batch_format="pyarrow")
     return combine(bucketed, "first_type", sums=("n", "conv"), finish=finish,
@@ -8434,51 +8173,37 @@ def _docs_dup_loss_by_source(sf_dir: str):
 
 def _events_stickiness_daily(sf_dir: str):
     """Daily stickiness (DAU / trailing-7-day WAU) — the canonical
-    product-engagement ratio. Batch-local distinct (user, day) pairs
-    are the only exchange payload (bounded by users x date domain); the
-    root dedups once, then answers every day with two searchsorted
-    range counts over the (day, user)-sorted pairs — DAU exact, WAU as
+    product-engagement ratio. A DISTINCT (day, user) combine is the
+    only exchange (bounded by users x date domain); its finish sorts
+    the pairs once, then answers every day with two searchsorted range
+    counts over the (day, user)-sorted pairs — DAU exact, WAU as
     distinct users in [d-6, d] — and ONE IEEE division per day,
     mirroring the SQL range-join bit-for-bit."""
     import numpy as np
     import pyarrow as pa
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     ds = rd.read_parquet(f"{sf_dir}/events.parquet",
                          columns=["user_id", "ts"])
 
-    def partial(batch: pa.Table) -> pa.Table:
-        uid = batch["user_id"].to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
-        day = batch["ts"].to_numpy(zero_copy_only=False) \
-            .astype("datetime64[us]").astype(np.int64) \
-            // 86_400_000_000
-        k = np.unique(day * (np.int64(1) << 32) + uid) \
-            if uid.shape[0] else np.empty(0, np.int64)
-        return pa.table({"day": k >> np.int64(32),
-                         "user_id": k & ((np.int64(1) << 32) - 1)})
+    def prep(batch: pa.Table) -> pa.Table:
+        return pa.table({
+            "day": batch["ts"].to_numpy(zero_copy_only=False)
+            .astype("datetime64[us]").astype(np.int64) // 86_400_000_000,
+            "user_id": batch["user_id"].to_numpy(zero_copy_only=False)
+            .astype(np.int64)})
 
-    def merge(t: pa.Table) -> pa.Table:
-        day = t["day"].to_numpy(zero_copy_only=False)
-        uid = t["user_id"].to_numpy(zero_copy_only=False)
-        if day.shape[0] == 0:
-            return pa.table({
-                "day": pa.array([], pa.int64()),
-                "dau": pa.array([], pa.int64()),
-                "wau": pa.array([], pa.int64()),
-                "stickiness": pa.array([], pa.float64())})
-        k = np.unique(day * (np.int64(1) << 32) + uid)
-        day = k >> np.int64(32)
-        uid = k & ((np.int64(1) << 32) - 1)
-        days = np.unique(day)
+    def finish(g: pa.Table) -> pa.Table:
+        g = g.sort_by([("day", "ascending"), ("user_id", "ascending")])
+        day = g["day"].to_numpy()
+        uid = g["user_id"].to_numpy()
         out_d, out_a, out_w, out_s = [], [], [], []
-        for d in days:
+        for d in np.unique(day):
             lo = np.searchsorted(day, d - 6, side="left")
             hi = np.searchsorted(day, d, side="right")
-            dau = int(np.searchsorted(day, d, side="right")
-                      - np.searchsorted(day, d, side="left"))
+            dau = int(hi - np.searchsorted(day, d, side="left"))
             wau = int(np.unique(uid[lo:hi]).shape[0])
             out_d.append(int(d))
             out_a.append(dau)
@@ -8490,11 +8215,10 @@ def _events_stickiness_daily(sf_dir: str):
             "wau": pa.array(out_w, pa.int64()),
             "stickiness": pa.array(out_s, pa.float64())})
 
-    return driver_merge(
-        ds.map_batches(partial, batch_format="pyarrow",
-                       batch_size=131072), merge,
-        schema=pa.schema([("day", pa.int64()),
-                          ("user_id", pa.int64())]))
+    return combine(ds, ["day", "user_id"], prep=prep, finish=finish,
+                   batch_size=131072,
+                   schema=pa.schema([("day", pa.int64()),
+                                     ("user_id", pa.int64())]))
 
 
 def _events_burst_users(sf_dir: str):
@@ -8509,24 +8233,12 @@ def _events_burst_users(sf_dir: str):
     import pyarrow as pa
     import ray.data as rd
 
-    from h3ray.io.pages import _mix64
-    from h3ray.ops.skew import default_num_buckets
 
     H = 3_600_000_000
 
     ds = rd.read_parquet(f"{sf_dir}/events.parquet",
                          columns=["user_id", "ts"])
-    nb = default_num_buckets()
 
-    def prep(batch: pa.Table) -> pa.Table:
-        uid = batch["user_id"].to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
-        us = batch["ts"].to_numpy(zero_copy_only=False) \
-            .astype("datetime64[us]").astype(np.int64)
-        return pa.table({
-            "user_id": uid, "ts_us": us,
-            "_bucket": (_mix64(uid.astype(np.uint64))
-                        % np.uint64(nb)).astype(np.int32)})
 
     def resolve(group: pa.Table) -> pa.Table:
         uid = group["user_id"].to_numpy(zero_copy_only=False)
@@ -8550,7 +8262,7 @@ def _events_burst_users(sf_dir: str):
 
     from h3ray.ops.join import seed_schema
     return seed_schema(
-        ds.map_batches(prep, batch_format="pyarrow",
+        ds.map_batches(_user_bucket_prep([]), batch_format="pyarrow",
                        batch_size=131072)
         .groupby("_bucket").map_groups(resolve,
                                        batch_format="pyarrow"),
@@ -8772,32 +8484,20 @@ def _users_fifth_event_latency(sf_dir: str):
     deterministic tiebreak), in microseconds — the activation-speed
     metric growth teams watch. One user-hash exchange of (user, ts,
     event_id) int columns; each bucket lexsorts once, finds per-user
-    runs, and emits a (sum_gap, n_users) partial, so the driver root
-    sees one row per bucket and answers with exact BIGINT sums and ONE
-    IEEE division — bit-identical to the SQL ROW_NUMBER mirror. Empty
-    input emits the SQL scalar-aggregate single row (0, NULL)."""
+    runs, and emits a (sum_gap, n_users) partial, so the keyless
+    combine at the root sees one row per bucket and answers with exact
+    BIGINT sums and ONE IEEE division — bit-identical to the SQL
+    ROW_NUMBER mirror. Empty input emits the SQL scalar-aggregate
+    single row (0, NULL)."""
     import numpy as np
     import pyarrow as pa
     import ray.data as rd
 
-    from h3ray.io.pages import _mix64
-    from h3ray.ops.reduce import driver_merge
-    from h3ray.ops.skew import default_num_buckets
+    from h3ray.ops.reduce import combine
 
     ds = rd.read_parquet(f"{sf_dir}/events.parquet",
                          columns=["user_id", "ts", "event_id"])
-    nb = default_num_buckets()
 
-    def prep(batch: pa.Table) -> pa.Table:
-        uid = batch["user_id"].to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
-        us = batch["ts"].to_numpy(zero_copy_only=False) \
-            .astype("datetime64[us]").astype(np.int64)
-        return pa.table({
-            "user_id": uid, "ts_us": us,
-            "event_id": batch["event_id"],
-            "_bucket": (_mix64(uid.astype(np.uint64))
-                        % np.uint64(nb)).astype(np.int32)})
 
     def resolve(group: pa.Table) -> pa.Table:
         uid = group["user_id"].to_numpy(zero_copy_only=False)
@@ -8813,20 +8513,22 @@ def _users_fifth_event_latency(sf_dir: str):
             "sum_gap": pa.array([int(gaps.sum())], pa.int64()),
             "n": pa.array([int(ok.sum())], pa.int64())})
 
-    def merge(t: pa.Table) -> pa.Table:
-        sg = sum(int(v) for v in t["sum_gap"].to_pylist())
-        n = sum(int(v) for v in t["n"].to_pylist())
+    def finish(g: pa.Table) -> pa.Table:
+        # SUM over zero buckets is NULL; the user count here is 0.
+        sg = g["sum_gap"][0].as_py()
+        n = g["n"][0].as_py() or 0
         return pa.table({
             "n_users": pa.array([n], pa.int64()),
             "avg_gap_us": pa.array(
                 [float(sg) / float(n) if n else None], pa.float64())})
 
-    bucketed = ds.map_batches(prep, batch_format="pyarrow",
+    bucketed = ds.map_batches(_user_bucket_prep(["event_id"]),
+                              batch_format="pyarrow",
                               batch_size=131072) \
         .groupby("_bucket").map_groups(resolve, batch_format="pyarrow")
-    return driver_merge(
-        bucketed, merge,
-        schema=pa.schema([("sum_gap", pa.int64()), ("n", pa.int64())]))
+    return combine(bucketed, [], sums=("sum_gap", "n"), finish=finish,
+                   schema=pa.schema([("sum_gap", pa.int64()),
+                                     ("n", pa.int64())]))
 
 
 def _orders_revenue_drawdown(sf_dir: str):
@@ -8947,63 +8649,43 @@ def _docs_vocab_growth(sf_dir: str):
     """Heaps'-law vocabulary growth curve: distinct whitespace-token
     vocabulary size after the first 1, 2, 4, ... 2^k, N documents (by
     doc_id order) — the corpus-scaling diagnostic behind tokenizer
-    budget planning. The combiner emits per-batch (token, min doc_id)
-    partials (vocabulary-bounded, like docs_term_dictionary) plus an
-    empty-string SENTINEL row carrying the batch's max doc_id ('' can
-    never be a \\S+ token), so ONE pass yields both the first-occurrence
-    map and the N needed for the checkpoint set; the root counts
-    first_doc < checkpoint. All-integer — bit-exact vs the SQL
-    generate_series mirror."""
+    budget planning. One per-token combine keeps each token's MIN
+    doc_id (its first occurrence; vocabulary-bounded, like
+    docs_term_dictionary) plus an empty-string SENTINEL key whose MAX
+    is the corpus max doc_id ('' can never be a \\S+ token), so ONE
+    pass yields both the first-occurrence map and the N needed for the
+    checkpoint set; the finish counts first_doc < checkpoint.
+    All-integer — bit-exact vs the SQL generate_series mirror."""
     import numpy as np
     import pyarrow as pa
-    import pyarrow.compute as pc
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
                          columns=["doc_id", "text"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0:
             return pa.table({"tok": pa.array([], pa.string()),
-                             "md": pa.array([], pa.int64())})
-        la = pc.split_pattern_regex(
-            pc.utf8_trim_whitespace(pc.cast(batch["text"], pa.string())),
-            r"\s+")
-        if isinstance(la, pa.ChunkedArray):
-            la = la.combine_chunks()
-        flat = la.values
+                             "md": pa.array([], pa.int64()),
+                             "mx": pa.array([], pa.int64())})
+        toks, row_of = _text_tokens(batch)
+        toks = toks.to_numpy(zero_copy_only=False).astype(str)
         doc = batch["doc_id"].to_numpy(zero_copy_only=False) \
             .astype(np.int64)
-        row_of = np.repeat(
-            np.arange(len(la), dtype=np.int64),
-            np.diff(la.offsets.to_numpy().astype(np.int64)))
-        ok = pc.not_equal(flat, "").to_numpy(zero_copy_only=False)
-        toks = flat.to_numpy(zero_copy_only=False)[ok].astype(str)
-        docs = doc[row_of[ok]]
-        o = np.lexsort((docs, toks))
-        toks, docs = toks[o], docs[o]
-        first = np.flatnonzero(np.r_[True, toks[1:] != toks[:-1]])
-        return pa.table({
-            "tok": pa.array(
-                np.r_[toks[first], [""]].astype(object), pa.string()),
-            "md": np.r_[docs[first], [int(doc.max())]]})
+        docs = np.r_[doc[row_of], [int(doc.max())]]
+        return pa.table({"tok": pa.array(np.r_[toks, [""]], pa.string()),
+                         "md": docs, "mx": docs})
 
-    def merge(t: pa.Table) -> pa.Table:
-        tok = t["tok"].to_numpy(zero_copy_only=False).astype(str)
-        md = t["md"].to_numpy(zero_copy_only=False)
-        sent = tok == ""
+    def finish(g: pa.Table) -> pa.Table:
+        sent = (g["tok"].to_numpy(zero_copy_only=False).astype(str) == "")
         if not sent.any():
             return pa.table({
                 "n_docs": pa.array([], pa.int64()),
                 "vocab_size": pa.array([], pa.int64())})
-        n = int(md[sent].max()) + 1
-        tok, md = tok[~sent], md[~sent]
-        o = np.lexsort((md, tok))
-        tok, md = tok[o], md[o]
-        first = np.flatnonzero(np.r_[True, tok[1:] != tok[:-1]])
-        fd = np.sort(md[first])
+        n = int(g["mx"].to_numpy()[sent][0]) + 1
+        fd = np.sort(g["md"].to_numpy()[~sent])
         cps = sorted({1 << k for k in range(0, 41) if 1 << k <= n}
                      | {n})
         return pa.table({
@@ -9012,10 +8694,11 @@ def _docs_vocab_growth(sf_dir: str):
                 [int(np.searchsorted(fd, cp, side="left"))
                  for cp in cps], pa.int64())})
 
-    return driver_merge(
-        ds.map_batches(partial, batch_format="pyarrow",
-                       batch_size=131072), merge,
-        schema=pa.schema([("tok", pa.string()), ("md", pa.int64())]))
+    return combine(ds, "tok", mins=("md",), maxs=("mx",), prep=prep,
+                   finish=finish, batch_size=131072,
+                   schema=pa.schema([("tok", pa.string()),
+                                     ("md", pa.int64()),
+                                     ("mx", pa.int64())]))
 
 
 def _orders_monthly_yoy(sf_dir: str):
@@ -9160,110 +8843,47 @@ def _events_type_lift(sf_dir: str):
     lift(a,b) = n_ab * U / (n_a * n_b) over DISTINCT users (U = users
     with any event, n_a = users with type a, n_ab = users with both) —
     the market-basket interestingness measure on top of the wave-9
-    co-occurrence partitioning. Batch-local distinct (user, typecode)
-    pairs cross one user-hash exchange; each bucket ORs its users into
-    type bitmasks and emits <= 2^|types| (mask, count) partials, so the
-    root computes every marginal and pair count from a few dozen rows —
-    exact PYTHON BIGINTS, two casts, ONE IEEE division per pair, so the
-    HUGEINT SQL self-join mirror hashes bit-identically. Loud guard
-    refuses > 20 distinct types (the bitmask boundedness assumption)."""
-    import numpy as np
+    co-occurrence partitioning (_user_type_masks). Every marginal and
+    pair count comes from a few dozen (mask, count) rows — exact
+    PYTHON BIGINTS, two casts, ONE IEEE division per pair, so the
+    HUGEINT SQL self-join mirror hashes bit-identically."""
     import pyarrow as pa
-    import ray
-    import ray.data as rd
 
-    from h3ray.io.pages import _mix64
-    from h3ray.ops.reduce import driver_merge
-    from h3ray.ops.skew import default_num_buckets
-
-    ds = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["user_id", "event_type"])
-
-    def type_partial(batch: pa.Table) -> pa.Table:
-        u = np.unique(batch["event_type"].to_numpy(zero_copy_only=False))
-        return pa.table({"t": pa.array(u.astype(object), pa.string())})
-
-    types_t = driver_merge(
-        ds.map_batches(type_partial, batch_format="pyarrow",
-                       batch_size=131072),
-        lambda t: pa.table({"t": pa.array(np.unique(
-            t["t"].to_numpy(zero_copy_only=False)).astype(object),
-            pa.string())}),
-        schema=pa.schema([("t", pa.string())]))
-    types = np.sort(types_t["t"].to_numpy(zero_copy_only=False)
-                    .astype(str))
-    if types.shape[0] > 20:
-        raise ValueError("type_lift: bitmask design needs <= 20 "
-                         f"distinct types, saw {types.shape[0]}")
-    types_ref = ray.put(types)
-    nb = default_num_buckets()
-
-    def pair_partial(batch: pa.Table) -> pa.Table:
-        tl = ray.get(types_ref)
-        uid = batch["user_id"].to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
-        code = np.searchsorted(
-            tl, batch["event_type"].to_numpy(zero_copy_only=False)
-            .astype(str)).astype(np.int64)
-        u = np.unique(uid * np.int64(len(tl)) + code)
-        return pa.table({
-            "user_id": u // len(tl), "code": u % len(tl),
-            "_bucket": (_mix64((u // len(tl)).astype(np.uint64))
-                        % np.uint64(nb)).astype(np.int32)})
-
-    def masks(group: pa.Table) -> pa.Table:
-        uid = group["user_id"].to_numpy(zero_copy_only=False)
-        code = group["code"].to_numpy(zero_copy_only=False)
-        _, inv = np.unique(uid, return_inverse=True)
-        nmask = np.zeros(inv.max() + 1 if inv.shape[0] else 0,
-                         dtype=np.int64)
-        np.bitwise_or.at(nmask, inv, np.int64(1) << code)
-        mu, mc = np.unique(nmask, return_counts=True)
-        return pa.table({"mask": mu, "n": mc.astype(np.int64)})
-
-    def merge(t: pa.Table) -> pa.Table:
-        m = [int(x) for x in t["mask"].to_pylist()]
-        n = [int(x) for x in t["n"].to_pylist()]
-        k = types.shape[0]
-        uu = sum(n)
-        n1 = [sum(c for mk, c in zip(m, n) if mk & (1 << i))
-              for i in range(k)]
-        ta, tb, nab_o, na_o, nb_o, lift = [], [], [], [], [], []
-        for i in range(k):
-            for j in range(i + 1, k):
-                nab = sum(c for mk, c in zip(m, n)
-                          if mk & (1 << i) and mk & (1 << j))
-                if nab:
-                    ta.append(types[i])
-                    tb.append(types[j])
-                    nab_o.append(nab)
-                    na_o.append(n1[i])
-                    nb_o.append(n1[j])
-                    lift.append(float(nab * uu)
-                                / float(n1[i] * n1[j]))
-        return pa.table({
-            "type_a": pa.array(ta, pa.string()),
-            "type_b": pa.array(tb, pa.string()),
-            "n_both": pa.array(nab_o, pa.int64()),
-            "n_a": pa.array(na_o, pa.int64()),
-            "n_b": pa.array(nb_o, pa.int64()),
-            "lift": pa.array(lift, pa.float64())})
-
-    bucketed = ds.map_batches(pair_partial, batch_format="pyarrow",
-                              batch_size=131072) \
-        .groupby("_bucket").map_groups(masks, batch_format="pyarrow")
-    return driver_merge(
-        bucketed, merge,
-        schema=pa.schema([("mask", pa.int64()), ("n", pa.int64())]))
+    types, g = _user_type_masks(sf_dir, "type_lift")
+    m = g["mask"].to_pylist()
+    n = g["n"].to_pylist()
+    k = types.shape[0]
+    uu = sum(n)
+    n1 = [sum(c for mk, c in zip(m, n) if mk & (1 << i))
+          for i in range(k)]
+    ta, tb, nab_o, na_o, nb_o, lift = [], [], [], [], [], []
+    for i in range(k):
+        for j in range(i + 1, k):
+            nab = sum(c for mk, c in zip(m, n)
+                      if mk & (1 << i) and mk & (1 << j))
+            if nab:
+                ta.append(types[i])
+                tb.append(types[j])
+                nab_o.append(nab)
+                na_o.append(n1[i])
+                nb_o.append(n1[j])
+                lift.append(float(nab * uu)
+                            / float(n1[i] * n1[j]))
+    return pa.table({
+        "type_a": pa.array(ta, pa.string()),
+        "type_b": pa.array(tb, pa.string()),
+        "n_both": pa.array(nab_o, pa.int64()),
+        "n_a": pa.array(na_o, pa.int64()),
+        "n_b": pa.array(nb_o, pa.int64()),
+        "lift": pa.array(lift, pa.float64())})
 
 
 def _lineitem_moment_matrix(sf_dir: str):
     """Exact pairwise sample covariance matrix of (quantity, price,
     discount) — the feature-correlation profile every downstream model
-    pass starts from. One combiner emits the ten raw moments
-    (n, Sx, Sxx, Sxy per pair) in fixed-point ints — batch_size 32768
-    keeps the worst per-batch int64 product sum (price-cents² ~ 1e14 a
-    row) inside int64 with 2.8x headroom — and the root evaluates
+    pass starts from. One keyless combine sums the ten raw moments
+    (n, Sx, Sxx, Sxy per pair) of fixed-point ints as HUGEINT
+    (decimal128) columns, so no sum can wrap, and the finish evaluates
     cov(x,y) = (n*Sxy - Sx*Sy) / (n*(n-1)) with PYTHON BIGINTS, two
     correctly-rounded casts, ONE IEEE division per cell, so the HUGEINT
     SQL mirror hashes bit-identically. Emits the 6-cell upper triangle;
@@ -9272,58 +8892,51 @@ def _lineitem_moment_matrix(sf_dir: str):
     import pyarrow as pa
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     ds = rd.read_parquet(f"{sf_dir}/lineitem.parquet",
                          columns=["l_quantity", "l_extendedprice",
                                   "l_discount"])
-    moments = ["n", "sq", "sp", "sd", "sqq", "spp", "sdd",
-               "sqp", "sqd", "spd"]
+    moments = ["sq", "sp", "sd", "sqq", "spp", "sdd", "sqp", "sqd", "spd"]
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         q = np.floor(batch["l_quantity"].to_numpy(
             zero_copy_only=False) * 100 + 0.5).astype(np.int64)
         p = np.floor(batch["l_extendedprice"].to_numpy(
             zero_copy_only=False) * 100 + 0.5).astype(np.int64)
         d = np.floor(batch["l_discount"].to_numpy(
             zero_copy_only=False) * 10000 + 0.5).astype(np.int64)
-        vals = [q.shape[0], q.sum(), p.sum(), d.sum(),
-                (q * q).sum(), (p * p).sum(), (d * d).sum(),
-                (q * p).sum(), (q * d).sum(), (p * d).sum()]
-        return pa.table({c: pa.array([int(v)], pa.int64())
-                         for c, v in zip(moments, vals)})
+        return pa.table({c: _hugeint(v) for c, v in zip(
+            moments, [q, p, d, q * q, p * p, d * d, q * p, q * d, p * d])})
 
-    def merge(t: pa.Table) -> pa.Table:
-        s = {c: sum(int(v) for v in t[c].to_pylist()) for c in moments}
-        labels = [("qty", "qty", "sqq", "sq", "sq"),
-                  ("qty", "price", "sqp", "sq", "sp"),
-                  ("qty", "disc", "sqd", "sq", "sd"),
-                  ("price", "price", "spp", "sp", "sp"),
-                  ("price", "disc", "spd", "sp", "sd"),
-                  ("disc", "disc", "sdd", "sd", "sd")]
-        n = s["n"]
+    def finish(g: pa.Table) -> pa.Table:
+        n = g["n"][0].as_py()
         if n <= 1:
             return pa.table({
                 "var_x": pa.array([], pa.string()),
                 "var_y": pa.array([], pa.string()),
                 "n": pa.array([], pa.int64()),
                 "cov": pa.array([], pa.float64())})
-        xs, ys, cov = [], [], []
-        for vx, vy, sxy, sx, sy in labels:
-            xs.append(vx)
-            ys.append(vy)
-            cov.append(float(n * s[sxy] - s[sx] * s[sy])
-                       / float(n * (n - 1)))
+        s = {c: int(g[c][0].as_py()) for c in moments}
+        labels = [("qty", "qty", "sqq", "sq", "sq"),
+                  ("qty", "price", "sqp", "sq", "sp"),
+                  ("qty", "disc", "sqd", "sq", "sd"),
+                  ("price", "price", "spp", "sp", "sp"),
+                  ("price", "disc", "spd", "sp", "sd"),
+                  ("disc", "disc", "sdd", "sd", "sd")]
         return pa.table({
-            "var_x": pa.array(xs, pa.string()),
-            "var_y": pa.array(ys, pa.string()),
+            "var_x": pa.array([lb[0] for lb in labels], pa.string()),
+            "var_y": pa.array([lb[1] for lb in labels], pa.string()),
             "n": pa.array([n] * 6, pa.int64()),
-            "cov": pa.array(cov, pa.float64())})
+            "cov": pa.array([float(n * s[sxy] - s[sx] * s[sy])
+                             / float(n * (n - 1))
+                             for _, _, sxy, sx, sy in labels],
+                            pa.float64())})
 
-    return driver_merge(
-        ds.map_batches(partial, batch_format="pyarrow",
-                       batch_size=32768), merge,
-        schema=pa.schema([(c, pa.int64()) for c in moments]))
+    return combine(ds, [], count="n", sums=moments, prep=prep,
+                   finish=finish, batch_size=32768,
+                   schema=pa.schema([("n", pa.int64())] + [
+                       (c, pa.decimal128(38, 0)) for c in moments]))
 
 
 def _nation_order_gini(sf_dir: str):
@@ -9786,14 +9399,13 @@ def _docs_term_dictionary(sf_dir: str):
     """Deterministic term dictionary: dense 1-based ids over the sorted
     corpus vocabulary with document frequencies — the string-interning
     dimension-table build every downstream int-keyed stage relies on.
-    Vocabulary-bounded df combiner (one pass), ids assigned by ONE sort
-    at the root, so two runs always agree. ROW_NUMBER SQL mirror."""
+    Vocabulary-bounded df combine (one pass), ids assigned by ONE sort
+    in its finish, so two runs always agree. ROW_NUMBER SQL mirror."""
     import numpy as np
     import pyarrow as pa
     import ray.data as rd
-    from ray.data.aggregate import Sum
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
     from h3ray.text.analysis import _term_doc_pairs
 
     ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
@@ -9807,20 +9419,17 @@ def _docs_term_dictionary(sf_dir: str):
 
     def finish(t: pa.Table) -> pa.Table:
         terms = t["term"].to_numpy(zero_copy_only=False)
-        df = t["df"].to_numpy(zero_copy_only=False)
         order = np.argsort(terms.astype(np.str_), kind="stable")
         return pa.table({
             "term_id": np.arange(1, terms.shape[0] + 1,
                                  dtype=np.int64),
             "term": pa.array(terms[order], pa.string()),
-            "df": df[order]})
+            "df": t["df"].to_numpy()[order]})
 
-    return driver_merge(
-        ds.map_batches(df_partial, batch_format="pyarrow",
-                       batch_size=32768)
-        .groupby("term").aggregate(Sum("df", alias_name="df")),
-        finish,
-        schema=pa.schema([("term", pa.string()), ("df", pa.int64())]))
+    return combine(ds, "term", sums=("df",), prep=df_partial,
+                   finish=finish, batch_size=32768,
+                   schema=pa.schema([("term", pa.string()),
+                                     ("df", pa.int64())]))
 
 
 def _pages_fuzzy_url_pairs(sf_dir: str):
@@ -10312,11 +9921,10 @@ def _events_markov_stationary(sf_dir: str):
     ops.window.partitioned_transitions); iterations run on Python
     bigints at the root. The iterative-linear-algebra shape (PageRank
     power method) with an EXACT differential oracle."""
-    import numpy as np
     import pyarrow as pa
     import ray.data as rd
 
-    from h3ray.ops.reduce import combine, driver_merge
+    from h3ray.ops.reduce import combine
     from h3ray.ops.window import partitioned_transitions
 
     ds = rd.read_parquet(f"{sf_dir}/events.parquet",
@@ -10326,23 +9934,12 @@ def _events_markov_stationary(sf_dir: str):
                                     tiebreak_col="event_id",
                                     prev_col="prev_type")
 
-    types_ds = rd.read_parquet(f"{sf_dir}/events.parquet",
-                               columns=["event_type"])
-
-    def type_partial(batch: pa.Table) -> pa.Table:
-        u = np.unique(batch["event_type"].to_numpy(
-            zero_copy_only=False).astype(str))
-        return pa.table({"t": pa.array(u, pa.string())})
-
-    def type_merge(t: pa.Table) -> pa.Table:
-        return pa.table({"t": pa.array(
-            np.unique(t["t"].to_numpy(zero_copy_only=False)
-                      .astype(str)), pa.string())})
-
-    all_types = driver_merge(
-        types_ds.map_batches(type_partial, batch_format="pyarrow",
-                             batch_size=131072), type_merge,
-        schema=pa.schema([("t", pa.string())]))["t"].to_pylist()
+    all_types = combine(
+        rd.read_parquet(f"{sf_dir}/events.parquet",
+                        columns=["event_type"]),
+        "event_type", batch_size=131072,
+        schema=pa.schema([("event_type", pa.string())])
+    )["event_type"].to_pylist()
 
     def finish(g: pa.Table) -> pa.Table:
         src = g["prev_type"].to_pylist()
@@ -10870,16 +10467,17 @@ def _docs_quality_dup_contingency(sf_dir: str):
     between the C4-style quality gate and ngram-Jaccard dup membership,
     finished as exact counts plus the odds ratio (dup odds among fails
     vs passes) — ONE division of exact integer cross-products. The dup
-    id set gathers once at the root (bounded by the duplicate subset,
-    the near-dedup survivor-semi-join assumption) and rides back into a
-    flagging pass; quality thresholds are the stage's integer counts
+    id set gathers once through a DISTINCT combine (bounded by the
+    duplicate subset, the near-dedup survivor-semi-join assumption) and
+    rides back into a flagging pass whose keyless combine counts the
+    cells; quality thresholds are the stage's integer counts
     (h3ray/text/analysis.py quality_filter_stage)."""
     import numpy as np
     import pyarrow as pa
     import pyarrow.compute as pc
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
     from h3ray.text.analysis import _STOPWORDS
     from h3ray.text.dedup import ngram_jaccard_pairs
 
@@ -10887,22 +10485,17 @@ def _docs_quality_dup_contingency(sf_dir: str):
                            columns=["doc_id", "text"])
     pairs = ngram_jaccard_pairs(docs, key_col="doc_id", threshold=0.5)
 
-    def id_partial(batch: pa.Table) -> pa.Table:
-        ids = np.concatenate([
-            batch["key_a"].to_numpy(zero_copy_only=False),
-            batch["key_b"].to_numpy(zero_copy_only=False)])
-        return pa.table({"doc_id": np.unique(ids).astype(np.int64)})
-
-    dup_sorted = np.unique(driver_merge(
-        pairs.map_batches(id_partial, batch_format="pyarrow",
-                          batch_size=131072),
-        lambda t: t, schema=pa.schema([("doc_id", pa.int64())])
-    )["doc_id"].to_numpy(zero_copy_only=False)).astype(np.int64)
+    dup_sorted = np.sort(combine(
+        pairs, "doc_id", batch_size=131072,
+        prep=lambda b: pa.table({"doc_id": pa.concat_arrays(
+            [b["key_a"].combine_chunks(), b["key_b"].combine_chunks()])}),
+        schema=pa.schema([("doc_id", pa.int64())])
+    )["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64))
 
     stop_all = set().union(*_STOPWORDS.values())
     stop_pat = r"(?i)\b(?:" + "|".join(sorted(stop_all)) + r")\b"
 
-    def flag_partial(batch: pa.Table) -> pa.Table:
+    def flags(batch: pa.Table) -> pa.Table:
         text = batch["text"]
         n_chars = pc.utf8_length(text).to_numpy(zero_copy_only=False)
         n_words = pc.count_substring_regex(text, r"\S+").to_numpy(
@@ -10919,45 +10512,27 @@ def _docs_quality_dup_contingency(sf_dir: str):
             m = (dup_sorted[pos] == ids).astype(np.int64)
         else:
             m = np.zeros(ids.shape[0], np.int64)
-        return pa.table({
-            "n_docs": pa.array([ids.shape[0]], pa.int64()),
-            "n_pass": pa.array([int(p.sum())], pa.int64()),
-            "n_dup": pa.array([int(m.sum())], pa.int64()),
-            "n_pass_dup": pa.array([int((p & m).sum())], pa.int64())})
+        return pa.table({"n_pass": p, "n_dup": m, "n_pass_dup": p & m})
 
-    def merge(t: pa.Table) -> pa.Table:
-        empty = pa.table({
-            "n_docs": pa.array([], pa.int64()),
-            "n_pass": pa.array([], pa.int64()),
-            "n_dup": pa.array([], pa.int64()),
-            "n_pass_dup": pa.array([], pa.int64()),
-            "odds_ratio": pa.array([], pa.float64())})
-        if t.num_rows == 0:
-            return empty
-        nd = int(pa.compute.sum(t["n_docs"]).as_py() or 0)
-        if nd == 0:
-            return empty
-        np_ = int(pa.compute.sum(t["n_pass"]).as_py())
-        nm = int(pa.compute.sum(t["n_dup"]).as_py())
-        pd_ = int(pa.compute.sum(t["n_pass_dup"]).as_py())
+    def finish(g: pa.Table) -> pa.Table:
+        nd, np_, nm, pd_ = (g[c][0].as_py() for c in g.column_names)
+        if not nd:
+            return g.slice(0, 0).append_column(
+                "odds_ratio", pa.array([], pa.float64()))
         fd = nm - pd_
         pc_ = np_ - pd_
         fc = nd - np_ - fd
         orr = None if fc * pd_ == 0 \
             else float(fd * pc_) / float(fc * pd_)
-        return pa.table({
-            "n_docs": pa.array([nd], pa.int64()),
-            "n_pass": pa.array([np_], pa.int64()),
-            "n_dup": pa.array([nm], pa.int64()),
-            "n_pass_dup": pa.array([pd_], pa.int64()),
-            "odds_ratio": pa.array([orr], pa.float64())})
+        return g.append_column("odds_ratio", pa.array([orr], pa.float64()))
 
-    return driver_merge(
-        docs.map_batches(flag_partial, batch_format="pyarrow",
-                         batch_size=32768), merge,
-        schema=pa.schema([("n_docs", pa.int64()), ("n_pass", pa.int64()),
-                          ("n_dup", pa.int64()),
-                          ("n_pass_dup", pa.int64())]))
+    return combine(docs, [], count="n_docs",
+                   sums=("n_pass", "n_dup", "n_pass_dup"), prep=flags,
+                   finish=finish, batch_size=32768,
+                   schema=pa.schema([("n_docs", pa.int64()),
+                                     ("n_pass", pa.int64()),
+                                     ("n_dup", pa.int64()),
+                                     ("n_pass_dup", pa.int64())]))
 
 
 def _orders_cusum_changepoint(sf_dir: str):
@@ -11228,12 +10803,12 @@ def _docs_dedup_method_agreement(sf_dir: str):
     and SimHash (hamming <= 3) pair sets, their intersection, and the
     pair-set Jaccard — the evidence for picking one detector over the
     other. Both pipelines keep their pigeonhole-exact recall; the
-    bounded pair sets fold at the root (the near-dedup survivor
-    assumption) and the agreement ratio is ONE division."""
+    bounded pair sets fold through DISTINCT combines (the near-dedup
+    survivor assumption) and the agreement ratio is ONE division."""
     import pyarrow as pa
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
     from h3ray.text.dedup import (ngram_jaccard_pairs,
                                   simhash_duplicate_pairs)
 
@@ -11241,23 +10816,13 @@ def _docs_dedup_method_agreement(sf_dir: str):
                            columns=["doc_id", "text"])
 
     def pair_set(pairs_ds) -> set:
-        def partial(batch: pa.Table) -> pa.Table:
-            return pa.table({
-                "key_a": batch["key_a"],
-                "key_b": batch["key_b"]})
-
-        t = driver_merge(
-            pairs_ds.map_batches(partial, batch_format="pyarrow",
-                                 batch_size=131072),
-            lambda t: t,
-            schema=pa.schema([("key_a", pa.int64()),
-                              ("key_b", pa.int64())]))
-        return set(zip([int(v) for v in t["key_a"].to_pylist()],
-                       [int(v) for v in t["key_b"].to_pylist()]))
+        t = combine(pairs_ds, ["key_a", "key_b"], batch_size=131072,
+                    schema=pa.schema([("key_a", pa.int64()),
+                                      ("key_b", pa.int64())]))
+        return set(zip(t["key_a"].to_pylist(), t["key_b"].to_pylist()))
 
     ja = pair_set(ngram_jaccard_pairs(docs, key_col="doc_id",
-                                      threshold=0.5)
-                  .select_columns(["key_a", "key_b"]))
+                                      threshold=0.5))
     sh = pair_set(simhash_duplicate_pairs(docs, key_col="doc_id",
                                           max_hamming=3))
     both = len(ja & sh)
@@ -11414,15 +10979,15 @@ def _events_inspection_paradox(sf_dir: str):
     mean inter-event gap vs the length-biased mean sum(g^2)/sum(g) a
     random-instant probe experiences, and their ratio
     n*sum(g^2)/sum(g)^2 — whole-second gaps off the per-user LAG
-    exchange, EXACT integer moments (one (n, s, s2) int64 row per
-    batch, Python-bigint root), three mirrored terminal divisions.
+    exchange, EXACT integer moments (one keyless combine of HUGEINT
+    sums, Python-bigint finish), three mirrored terminal divisions.
     The burstiness diagnostic for arrival processes."""
     import numpy as np
     import pyarrow as pa
     import pyarrow.compute as pc
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
     from h3ray.ops.window import window_lag_lead
 
     ds = rd.read_parquet(f"{sf_dir}/events.parquet",
@@ -11430,7 +10995,7 @@ def _events_inspection_paradox(sf_dir: str):
     w = window_lag_lead(ds, "user_id", "ts", "ts",
                         tiebreak_col="event_id", lag_col="prev_ts")
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         valid = pc.is_valid(batch["prev_ts"]).to_numpy(
             zero_copy_only=False)
         cur = batch["ts"].to_numpy(zero_copy_only=False) \
@@ -11440,25 +11005,19 @@ def _events_inspection_paradox(sf_dir: str):
             .astype("datetime64[us]").astype(np.int64)[valid] \
             // 1_000_000
         gap = cur - prev
-        return pa.table({
-            "n": pa.array([gap.shape[0]], pa.int64()),
-            "s": pa.array([int(gap.sum())], pa.int64()),
-            "s2": pa.array([int(np.dot(gap, gap))], pa.int64())})
+        return pa.table({"s": _hugeint(gap), "s2": _hugeint(gap * gap)})
 
-    def merge(t: pa.Table) -> pa.Table:
-        empty = pa.table({
-            "n_gaps": pa.array([], pa.int64()),
-            "sum_gap_s": pa.array([], pa.int64()),
-            "mean_gap_s": pa.array([], pa.float64()),
-            "biased_mean_s": pa.array([], pa.float64()),
-            "inspection_ratio": pa.array([], pa.float64())})
-        if t.num_rows == 0:
-            return empty
-        n = sum(int(v) for v in t["n"].to_pylist())
+    def finish(g: pa.Table) -> pa.Table:
+        n = g["n"][0].as_py()
         if n == 0:
-            return empty
-        s = sum(int(v) for v in t["s"].to_pylist())
-        s2 = sum(int(v) for v in t["s2"].to_pylist())
+            return pa.table({
+                "n_gaps": pa.array([], pa.int64()),
+                "sum_gap_s": pa.array([], pa.int64()),
+                "mean_gap_s": pa.array([], pa.float64()),
+                "biased_mean_s": pa.array([], pa.float64()),
+                "inspection_ratio": pa.array([], pa.float64())})
+        s = int(g["s"][0].as_py())
+        s2 = int(g["s2"][0].as_py())
         mean = float(s) / float(n)
         biased = None if s == 0 else float(s2) / float(s)
         ratio = None if s == 0 \
@@ -11470,11 +11029,11 @@ def _events_inspection_paradox(sf_dir: str):
             "biased_mean_s": pa.array([biased], pa.float64()),
             "inspection_ratio": pa.array([ratio], pa.float64())})
 
-    return driver_merge(
-        w.map_batches(partial, batch_format="pyarrow",
-                      batch_size=131072), merge,
-        schema=pa.schema([("n", pa.int64()), ("s", pa.int64()),
-                          ("s2", pa.int64())]))
+    return combine(w, [], count="n", sums=("s", "s2"), prep=prep,
+                   finish=finish, batch_size=131072,
+                   schema=pa.schema([("n", pa.int64()),
+                                     ("s", pa.decimal128(38, 0)),
+                                     ("s2", pa.decimal128(38, 0))]))
 
 
 def _events_csv_roundtrip(sf_dir: str):
@@ -11774,93 +11333,69 @@ def _docs_dup_transitivity(sf_dir: str):
     """Is near-duplication transitive in practice? Wedge vs triangle
     census of the exact ngram-Jaccard pair graph: open wedges (a~b,
     b~c, not a~c) are where single-link clustering over-merges. The
-    bounded pair set gathers once; the census is one remapped boolean
+    bounded (already distinct) pair set gathers through one DISTINCT
+    combine whose finish runs the census as one remapped boolean
     adjacency at the dup-subset root; transitivity = 3*triangles /
     wedges is ONE division."""
     import numpy as np
     import pyarrow as pa
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
     from h3ray.text.dedup import ngram_jaccard_pairs
 
     docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
                            columns=["doc_id", "text"])
     pairs = ngram_jaccard_pairs(docs, key_col="doc_id", threshold=0.5)
 
-    def partial(batch: pa.Table) -> pa.Table:
-        return pa.table({"key_a": batch["key_a"],
-                         "key_b": batch["key_b"]})
+    def census(g: pa.Table) -> pa.Table:
+        a = g["key_a"].to_numpy()
+        b = g["key_b"].to_numpy()
+        if a.shape[0] == 0:
+            return pa.table({
+                "n_pairs": pa.array([0], pa.int64()),
+                "n_wedges": pa.array([0], pa.int64()),
+                "n_triangles": pa.array([0], pa.int64()),
+                "transitivity": pa.array([None], pa.float64())})
+        nodes, idx = np.unique(np.concatenate([a, b]),
+                               return_inverse=True)
+        nn = nodes.shape[0]
+        ia, ib = idx[:a.shape[0]], idx[a.shape[0]:]
+        adj = np.zeros((nn, nn), np.int64)
+        adj[ia, ib] = 1
+        adj[ib, ia] = 1
+        deg = adj.sum(axis=1)
+        wedges = int((deg * (deg - 1) // 2).sum())
+        tri = int(np.trace(adj @ adj @ adj)) // 6
+        trans = None if wedges == 0 else float(3 * tri) / float(wedges)
+        return pa.table({
+            "n_pairs": pa.array([int(a.shape[0])], pa.int64()),
+            "n_wedges": pa.array([wedges], pa.int64()),
+            "n_triangles": pa.array([tri], pa.int64()),
+            "transitivity": pa.array([trans], pa.float64())})
 
-    t = driver_merge(
-        pairs.map_batches(partial, batch_format="pyarrow",
-                          batch_size=131072),
-        lambda t: t,
-        schema=pa.schema([("key_a", pa.int64()),
-                          ("key_b", pa.int64())]))
-    a = t["key_a"].to_numpy(zero_copy_only=False)
-    b = t["key_b"].to_numpy(zero_copy_only=False)
-    empty_row = pa.table({
-        "n_pairs": pa.array([0], pa.int64()),
-        "n_wedges": pa.array([0], pa.int64()),
-        "n_triangles": pa.array([0], pa.int64()),
-        "transitivity": pa.array([None], pa.float64())})
-    if a.shape[0] == 0:
-        return empty_row
-    nodes, idx = np.unique(np.concatenate([a, b]),
-                           return_inverse=True)
-    nn = nodes.shape[0]
-    ia, ib = idx[:a.shape[0]], idx[a.shape[0]:]
-    adj = np.zeros((nn, nn), np.int64)
-    adj[ia, ib] = 1
-    adj[ib, ia] = 1
-    deg = adj.sum(axis=1)
-    wedges = int((deg * (deg - 1) // 2).sum())
-    tri = int(np.trace(adj @ adj @ adj)) // 6
-    trans = None if wedges == 0 else float(3 * tri) / float(wedges)
-    return pa.table({
-        "n_pairs": pa.array([int(a.shape[0])], pa.int64()),
-        "n_wedges": pa.array([wedges], pa.int64()),
-        "n_triangles": pa.array([tri], pa.int64()),
-        "transitivity": pa.array([trans], pa.float64())})
+    return combine(pairs, ["key_a", "key_b"], finish=census,
+                   batch_size=131072,
+                   schema=pa.schema([("key_a", pa.int64()),
+                                     ("key_b", pa.int64())]))
 
 
-def _emb_hubness_hist(sf_dir: str):
-    """Hubness diagnostics of the embedding space: over a
-    deterministic 200-query panel (vec_id < 200), how often each
-    vector appears in a query's EXACT top-10 by micro-int inner
-    product, histogrammed — hubs inflate k-occurrence far above k, the
-    classic high-dim ANN pathology. The query matrix broadcasts once;
-    per-batch partials are one float64 matmul (bit-exact below 2^53,
-    the top_dot_pairs contract) keeping 10 rows per query; ranks,
-    occurrence counts and the histogram fold at the bounded root with
-    total (dot DESC, vec_id) order."""
+def _knn_panel(qt, k: int):
+    """Per-batch partial of the embedding kNN panel (the query rows of
+    `qt`): one float64 matmul of micro-int vectors (bit-exact below
+    2^53, the top_dot_pairs contract), self-matches excluded, keeping
+    each query's k best (qid, vid, dot) rows of the batch."""
     import numpy as np
     import pyarrow as pa
-    import pyarrow.compute as pc
-    import pyarrow.parquet as pq
-    import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
     from h3ray.pipelines.ann import _embedding_matrix
 
-    qt = pq.read_table(f"{sf_dir}/embeddings.parquet",
-                       columns=["vec_id", "embedding"],
-                       filters=[("vec_id", "<", 200)])
-    empty = pa.table({"k_occurrences": pa.array([], pa.int64()),
-                      "n_vecs": pa.array([], pa.int64())})
-    if qt.num_rows == 0:
-        return empty
     qid = qt["vec_id"].to_numpy().astype(np.int64)
     qo = np.argsort(qid)
     qid = qid[qo]
     qm = np.floor(_embedding_matrix(qt, "embedding",
                                     dtype=np.float64) * 1_000_000
                   + 0.5)[qo]
-
-    ds = rd.read_parquet(f"{sf_dir}/embeddings.parquet",
-                         columns=["vec_id", "embedding"])
-    K = 10
 
     def partial(batch: pa.Table) -> pa.Table:
         vid = batch["vec_id"].to_numpy(zero_copy_only=False) \
@@ -11870,12 +11405,12 @@ def _emb_hubness_hist(sf_dir: str):
                      + 0.5)
         dots = qm @ m.T                       # (nq, nb) exact ints
         dots[qid[:, None] == vid[None, :]] = -np.inf   # exclude self
-        k = min(K, vid.shape[0])
+        kb = min(k, vid.shape[0])
         out_q, out_v, out_d = [], [], []
         for i in range(qid.shape[0]):
             row = dots[i]
-            top = np.argpartition(-row, k - 1)[:k] if k < row.shape[0] \
-                else np.arange(row.shape[0])
+            top = np.argpartition(-row, kb - 1)[:kb] \
+                if kb < row.shape[0] else np.arange(row.shape[0])
             for j in top:
                 if row[j] != -np.inf:
                     out_q.append(int(qid[i]))
@@ -11885,29 +11420,70 @@ def _emb_hubness_hist(sf_dir: str):
                          "vid": pa.array(out_v, pa.int64()),
                          "dot": pa.array(out_d, pa.int64())})
 
-    def merge(t: pa.Table) -> pa.Table:
+    return partial
+
+
+def _knn_panel_topk(t, k: int):
+    """(query ids, vector ids) of every query's top-k rows of the merged
+    panel partials, in total (qid, dot DESC, vid) order."""
+    import numpy as np
+
+    q = t["qid"].to_numpy()
+    v = t["vid"].to_numpy()
+    order = np.lexsort((v, -t["dot"].to_numpy(), q))
+    q, v = q[order], v[order]
+    seg = np.flatnonzero(np.r_[True, q[1:] != q[:-1]])
+    rank = np.arange(q.shape[0]) - np.repeat(
+        seg, np.diff(np.r_[seg, q.shape[0]]))
+    keep = rank < k
+    return q[keep], v[keep]
+
+
+def _emb_hubness_hist(sf_dir: str):
+    """Hubness diagnostics of the embedding space: over a
+    deterministic 200-query panel (vec_id < 200), how often each
+    vector appears in a query's EXACT top-10 by micro-int inner
+    product, histogrammed — hubs inflate k-occurrence far above k, the
+    classic high-dim ANN pathology. The query matrix broadcasts once;
+    per-batch partials are one float64 matmul (bit-exact below 2^53,
+    the top_dot_pairs contract) keeping 10 rows per query, one row per
+    (query, vector) pair; ranks, occurrence counts and the histogram
+    fold in the finish of a DISTINCT combine with total (dot DESC,
+    vec_id) order."""
+    import numpy as np
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    from h3ray.ops.reduce import combine
+
+    qt = pq.read_table(f"{sf_dir}/embeddings.parquet",
+                       columns=["vec_id", "embedding"],
+                       filters=[("vec_id", "<", 200)])
+    empty = pa.table({"k_occurrences": pa.array([], pa.int64()),
+                      "n_vecs": pa.array([], pa.int64())})
+    if qt.num_rows == 0:
+        return empty
+    K = 10
+    panel = _knn_panel(qt, K)
+
+    def finish(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
             return empty
-        q = t["qid"].to_numpy(zero_copy_only=False)
-        v = t["vid"].to_numpy(zero_copy_only=False)
-        dd = t["dot"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((v, -dd, q))
-        q, v = q[order], v[order]
-        seg = np.flatnonzero(np.r_[True, q[1:] != q[:-1]])
-        rank = np.arange(q.shape[0]) - np.repeat(
-            seg, np.diff(np.r_[seg, q.shape[0]]))
-        win = v[rank < K]
-        uniq, occ = np.unique(win, return_counts=True)
+        _, v = _knn_panel_topk(t, K)
+        _, occ = np.unique(v, return_counts=True)
         ov, cnt = np.unique(occ, return_counts=True)
         return pa.table({
             "k_occurrences": pa.array(ov.astype(np.int64)),
             "n_vecs": pa.array(cnt.astype(np.int64))})
 
-    return driver_merge(
-        ds.map_batches(partial, batch_format="pyarrow",
-                       batch_size=4096), merge,
-        schema=pa.schema([("qid", pa.int64()), ("vid", pa.int64()),
-                          ("dot", pa.int64())]))
+    return combine(rd.read_parquet(f"{sf_dir}/embeddings.parquet",
+                                   columns=["vec_id", "embedding"]),
+                   ["qid", "vid", "dot"], prep=panel, finish=finish,
+                   batch_size=4096,
+                   schema=pa.schema([("qid", pa.int64()),
+                                     ("vid", pa.int64()),
+                                     ("dot", pa.int64())]))
 
 
 def _events_record_days(sf_dir: str):
@@ -12103,44 +11679,36 @@ def _docs_len_jarque_bera(sf_dir: str):
     C = n^3*s4 - 4n^2*s1*s3 + 6n*s1^2*s2 - 3*s1^4 (Python bigints /
     HUGEINT — the n-power scalings cancel to S = B/A^1.5 and
     K = C/A^2 - 3), then JB = n/6*(S^2 + K^2/4) as one mirrored float
-    tree. Raw power sums are the only exchange."""
+    tree. Raw power sums (one keyless HUGEINT combine) are the only
+    exchange."""
     import math
 
     import numpy as np
     import pyarrow as pa
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
                          columns=["n_chars"])
+    powers = ["s1", "s2", "s3", "s4"]
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         c = batch["n_chars"].to_numpy(zero_copy_only=False) \
             .astype(np.int64)
         c2 = c * c
-        return pa.table({
-            "n": pa.array([c.shape[0]], pa.int64()),
-            "s1": pa.array([int(c.sum())], pa.int64()),
-            "s2": pa.array([int(c2.sum())], pa.int64()),
-            "s3": pa.array([int((c2 * c).sum())], pa.int64()),
-            "s4": pa.array([int((c2 * c2).sum())], pa.int64())})
+        return pa.table({k: _hugeint(v) for k, v in zip(
+            powers, [c, c2, c2 * c, c2 * c2])})
 
-    def merge(t: pa.Table) -> pa.Table:
-        empty = pa.table({
-            "n_docs": pa.array([], pa.int64()),
-            "skewness": pa.array([], pa.float64()),
-            "kurtosis_excess": pa.array([], pa.float64()),
-            "jarque_bera": pa.array([], pa.float64())})
-        if t.num_rows == 0:
-            return empty
-        n = sum(int(v) for v in t["n"].to_pylist())
+    def finish(g: pa.Table) -> pa.Table:
+        n = g["n"][0].as_py()
         if n == 0:
-            return empty
-        s1 = sum(int(v) for v in t["s1"].to_pylist())
-        s2 = sum(int(v) for v in t["s2"].to_pylist())
-        s3 = sum(int(v) for v in t["s3"].to_pylist())
-        s4 = sum(int(v) for v in t["s4"].to_pylist())
+            return pa.table({
+                "n_docs": pa.array([], pa.int64()),
+                "skewness": pa.array([], pa.float64()),
+                "kurtosis_excess": pa.array([], pa.float64()),
+                "jarque_bera": pa.array([], pa.float64())})
+        s1, s2, s3, s4 = (int(g[k][0].as_py()) for k in powers)
         a = n * s2 - s1 * s1
         b = n * n * s3 - 3 * n * s1 * s2 + 2 * s1 ** 3
         c = (n ** 3 * s4 - 4 * n * n * s1 * s3
@@ -12157,12 +11725,10 @@ def _docs_len_jarque_bera(sf_dir: str):
             "kurtosis_excess": pa.array([ku], pa.float64()),
             "jarque_bera": pa.array([jb], pa.float64())})
 
-    return driver_merge(
-        ds.map_batches(partial, batch_format="pyarrow",
-                       batch_size=131072), merge,
-        schema=pa.schema([("n", pa.int64()), ("s1", pa.int64()),
-                          ("s2", pa.int64()), ("s3", pa.int64()),
-                          ("s4", pa.int64())]))
+    return combine(ds, [], count="n", sums=powers, prep=prep,
+                   finish=finish, batch_size=131072,
+                   schema=pa.schema([("n", pa.int64())] + [
+                       (k, pa.decimal128(38, 0)) for k in powers]))
 
 
 def _sites_pagerank_degree_corr(sf_dir: str):
@@ -12214,8 +11780,8 @@ def _lineitem_partial_corr(sf_dir: str):
     """Partial correlation of (quantity, price cents) CONTROLLING for
     discount — does the qty-price relation survive once the discount
     channel is removed? The three pairwise Pearson r's form from exact
-    integer moments (one 10-sum combiner row per batch, Python-bigint
-    root) and compose through the textbook
+    integer moments (one keyless combine of nine HUGEINT sums,
+    Python-bigint finish) and compose through the textbook
     (rxy - rxz*ryz)/sqrt((1-rxz^2)(1-ryz^2)) tree, mirrored verbatim
     in SQL."""
     import math
@@ -12224,43 +11790,31 @@ def _lineitem_partial_corr(sf_dir: str):
     import pyarrow as pa
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     ds = rd.read_parquet(f"{sf_dir}/lineitem.parquet",
                          columns=["l_quantity", "l_extendedprice",
                                   "l_discount"])
+    moments = ["sx", "sy", "sz", "sxx", "syy", "szz", "sxy", "sxz", "syz"]
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         x = np.floor(batch["l_quantity"].to_numpy(
             zero_copy_only=False) + 0.5).astype(np.int64)
         y = np.floor(batch["l_extendedprice"].to_numpy(
             zero_copy_only=False) * 100 + 0.5).astype(np.int64)
         z = np.floor(batch["l_discount"].to_numpy(
             zero_copy_only=False) * 10000 + 0.5).astype(np.int64)
-        return pa.table({
-            "n": pa.array([x.shape[0]], pa.int64()),
-            "sx": pa.array([int(x.sum())], pa.int64()),
-            "sy": pa.array([int(y.sum())], pa.int64()),
-            "sz": pa.array([int(z.sum())], pa.int64()),
-            "sxx": pa.array([int((x * x).sum())], pa.int64()),
-            "syy": pa.array([int(np.dot(y, y))], pa.int64()),
-            "szz": pa.array([int((z * z).sum())], pa.int64()),
-            "sxy": pa.array([int(np.dot(x, y))], pa.int64()),
-            "sxz": pa.array([int((x * z).sum())], pa.int64()),
-            "syz": pa.array([int(np.dot(y, z))], pa.int64())})
+        return pa.table({c: _hugeint(v) for c, v in zip(
+            moments, [x, y, z, x * x, y * y, z * z, x * y, x * z, y * z])})
 
-    def merge(t: pa.Table) -> pa.Table:
-        empty = pa.table({
-            "n_lines": pa.array([], pa.int64()),
-            "r_xy": pa.array([], pa.float64()),
-            "r_xy_given_z": pa.array([], pa.float64())})
-        if t.num_rows == 0:
-            return empty
-        tot = {c: sum(int(v) for v in t[c].to_pylist())
-               for c in t.column_names}
-        n = tot["n"]
+    def finish(g: pa.Table) -> pa.Table:
+        n = g["n"][0].as_py()
         if n == 0:
-            return empty
+            return pa.table({
+                "n_lines": pa.array([], pa.int64()),
+                "r_xy": pa.array([], pa.float64()),
+                "r_xy_given_z": pa.array([], pa.float64())})
+        tot = {c: int(g[c][0].as_py()) for c in moments}
 
         def r(sa, sb, saa, sbb, sab):
             num = n * sab - sa * sb
@@ -12288,16 +11842,10 @@ def _lineitem_partial_corr(sf_dir: str):
             "r_xy": pa.array([rxy], pa.float64()),
             "r_xy_given_z": pa.array([part], pa.float64())})
 
-    # 32K batches keep each syy partial (price-cents^2 sums, <= ~1.2e14
-    # per row) safely under 2^63; the root then sums on Python bigints
-    return driver_merge(
-        ds.map_batches(partial, batch_format="pyarrow",
-                       batch_size=32768), merge,
-        schema=pa.schema([("n", pa.int64()), ("sx", pa.int64()),
-                          ("sy", pa.int64()), ("sz", pa.int64()),
-                          ("sxx", pa.int64()), ("syy", pa.int64()),
-                          ("szz", pa.int64()), ("sxy", pa.int64()),
-                          ("sxz", pa.int64()), ("syz", pa.int64())]))
+    return combine(ds, [], count="n", sums=moments, prep=prep,
+                   finish=finish, batch_size=32768,
+                   schema=pa.schema([("n", pa.int64())] + [
+                       (c, pa.decimal128(38, 0)) for c in moments]))
 
 
 def _events_mood_median_test(sf_dir: str):
@@ -12717,31 +12265,24 @@ def _docs_dedup_token_savings(sf_dir: str):
     """Curation ROI report: document and whitespace-token counts
     before vs after near-dup removal, and the token savings ratio —
     what the dedup pass actually buys in training-token terms.
-    Composes the survivor semi-join with two token-count combiners;
-    the ratio is ONE division of exact integers."""
+    Composes the survivor semi-join with two keyless token-count
+    combines; the ratio is ONE division of exact integers."""
     import numpy as np
     import pyarrow as pa
     import pyarrow.compute as pc
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
     from h3ray.text.dedup import near_dedup
 
     def counts(ds) -> tuple:
-        def partial(batch: pa.Table) -> pa.Table:
-            toks = pc.count_substring_regex(batch["text"], r"\S+") \
-                .to_numpy(zero_copy_only=False).astype(np.int64)
-            return pa.table({
-                "n": pa.array([toks.shape[0]], pa.int64()),
-                "tok": pa.array([int(toks.sum())], pa.int64())})
-
-        t = driver_merge(
-            ds.map_batches(partial, batch_format="pyarrow",
-                           batch_size=32768),
-            lambda t: t,
+        t = combine(
+            ds, [], count="n", sums=("tok",), batch_size=32768,
+            prep=lambda b: pa.table({"tok": pc.count_substring_regex(
+                b["text"], r"\S+").to_numpy(zero_copy_only=False)
+                .astype(np.int64)}),
             schema=pa.schema([("n", pa.int64()), ("tok", pa.int64())]))
-        return (sum(int(v) for v in t["n"].to_pylist()),
-                sum(int(v) for v in t["tok"].to_pylist()))
+        return t["n"][0].as_py(), t["tok"][0].as_py() or 0
 
     docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
                            columns=["doc_id", "text"])
@@ -13034,16 +12575,15 @@ def _emb_knn_label_purity(sf_dir: str):
     For the 200-query panel, the fraction of each query's EXACT
     micro-int top-10 neighbors sharing its label, rolled up per label:
     the retrieval-quality sanity check a training pipeline runs on new
-    embeddings. Same bit-exact matmul partials as the hubness probe
-    (labels ride the broadcast); hits/total is ONE division per
-    label."""
+    embeddings. Same bit-exact matmul partials and DISTINCT combine as
+    the hubness probe (labels ride the broadcast); hits/total is ONE
+    division per label."""
     import numpy as np
     import pyarrow as pa
     import pyarrow.parquet as pq
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
-    from h3ray.pipelines.ann import _embedding_matrix
+    from h3ray.ops.reduce import combine
 
     full = pq.read_table(f"{sf_dir}/embeddings.parquet",
                          columns=["vec_id", "label"])
@@ -13066,57 +12606,19 @@ def _emb_knn_label_purity(sf_dir: str):
     qo = np.argsort(qid)
     qid = qid[qo]
     qlab = qt["label"].to_numpy().astype(np.int64)[qo]
-    qm = np.floor(_embedding_matrix(qt, "embedding",
-                                    dtype=np.float64) * 1_000_000
-                  + 0.5)[qo]
-
-    ds = rd.read_parquet(f"{sf_dir}/embeddings.parquet",
-                         columns=["vec_id", "embedding"])
     K = 10
+    panel = _knn_panel(qt, K)
 
-    def partial(batch: pa.Table) -> pa.Table:
-        vid = batch["vec_id"].to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
-        m = np.floor(_embedding_matrix(batch, "embedding",
-                                       dtype=np.float64) * 1_000_000
-                     + 0.5)
-        dots = qm @ m.T
-        dots[qid[:, None] == vid[None, :]] = -np.inf
-        k = min(K, vid.shape[0])
-        out_q, out_v, out_d = [], [], []
-        for i in range(qid.shape[0]):
-            row = dots[i]
-            top = np.argpartition(-row, k - 1)[:k] if k < row.shape[0] \
-                else np.arange(row.shape[0])
-            for j in top:
-                if row[j] != -np.inf:
-                    out_q.append(int(qid[i]))
-                    out_v.append(int(vid[j]))
-                    out_d.append(int(row[j]))
-        return pa.table({"qid": pa.array(out_q, pa.int64()),
-                         "vid": pa.array(out_v, pa.int64()),
-                         "dot": pa.array(out_d, pa.int64())})
-
-    def merge(t: pa.Table) -> pa.Table:
+    def finish(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
             return empty
-        q = t["qid"].to_numpy(zero_copy_only=False)
-        v = t["vid"].to_numpy(zero_copy_only=False)
-        dd = t["dot"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((v, -dd, q))
-        q, v = q[order], v[order]
-        seg = np.flatnonzero(np.r_[True, q[1:] != q[:-1]])
-        rank = np.arange(q.shape[0]) - np.repeat(
-            seg, np.diff(np.r_[seg, q.shape[0]]))
-        keep = rank < K
-        q, v = q[keep], v[keep]
+        q, v = _knn_panel_topk(t, K)
         qpos = np.searchsorted(qid, q)
         vpos = np.searchsorted(all_id, v)
         hit = (qlab[qpos] == all_lab[vpos]).astype(np.int64)
         labs = qlab[qpos]
-        ul = np.unique(qlab)
         out_l, out_nq, out_h, out_nn, out_p = [], [], [], [], []
-        for lb in ul:
+        for lb in np.unique(qlab):
             m2 = labs == lb
             nn = int(m2.sum())
             if nn == 0:
@@ -13134,19 +12636,21 @@ def _emb_knn_label_purity(sf_dir: str):
             "n_neighbors": pa.array(out_nn, pa.int64()),
             "purity": pa.array(out_p, pa.float64())})
 
-    return driver_merge(
-        ds.map_batches(partial, batch_format="pyarrow",
-                       batch_size=4096), merge,
-        schema=pa.schema([("qid", pa.int64()), ("vid", pa.int64()),
-                          ("dot", pa.int64())]))
+    return combine(rd.read_parquet(f"{sf_dir}/embeddings.parquet",
+                                   columns=["vec_id", "embedding"]),
+                   ["qid", "vid", "dot"], prep=panel, finish=finish,
+                   batch_size=4096,
+                   schema=pa.schema([("qid", pa.int64()),
+                                     ("vid", pa.int64()),
+                                     ("dot", pa.int64())]))
 
 
 def _docs_len_welch_t(sf_dir: str):
     """Welch's unequal-variance t between the two largest language
     populations (en vs zh) on document length — the parametric
-    complement to the rank tests. Exact integer moments per side (one
-    combiner row per batch); t = (m1-m2)/sqrt(v1/n1 + v2/n2) and the
-    Welch-Satterthwaite df are mirrored float trees."""
+    complement to the rank tests. Exact integer moments (n, s, sum of
+    squares) per side from one per-lang combine; t = (m1-m2)/sqrt(v1/n1
+    + v2/n2) and the Welch-Satterthwaite df are mirrored float trees."""
     import math
 
     import numpy as np
@@ -13154,54 +12658,40 @@ def _docs_len_welch_t(sf_dir: str):
     import pyarrow.compute as pc
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
                          columns=["lang", "n_chars"])
 
-    def partial(batch: pa.Table) -> pa.Table:
-        keep = pc.is_in(batch["lang"], value_set=pa.array(["en", "zh"]))
-        batch = batch.filter(keep)
+    def prep(batch: pa.Table) -> pa.Table:
+        batch = batch.filter(pc.is_in(batch["lang"],
+                                      value_set=pa.array(["en", "zh"])))
         c = batch["n_chars"].to_numpy(zero_copy_only=False) \
             .astype(np.int64)
-        is_a = pc.equal(batch["lang"], "en").to_numpy(
-            zero_copy_only=False)
-        return pa.table({
-            "na": pa.array([int(is_a.sum())], pa.int64()),
-            "sa": pa.array([int(c[is_a].sum())], pa.int64()),
-            "qa": pa.array([int((c[is_a] * c[is_a]).sum())],
-                           pa.int64()),
-            "nb": pa.array([int((~is_a).sum())], pa.int64()),
-            "sb": pa.array([int(c[~is_a].sum())], pa.int64()),
-            "qb": pa.array([int((c[~is_a] * c[~is_a]).sum())],
-                           pa.int64())})
+        return pa.table({"lang": batch["lang"], "s": c, "q": c * c})
 
-    def merge(t: pa.Table) -> pa.Table:
-        empty = pa.table({
-            "n_en": pa.array([], pa.int64()),
-            "n_zh": pa.array([], pa.int64()),
-            "welch_t": pa.array([], pa.float64()),
-            "welch_df": pa.array([], pa.float64())})
-        if t.num_rows == 0:
-            return empty
-        g = {c: sum(int(v) for v in t[c].to_pylist())
-             for c in t.column_names}
-        na, nb = g["na"], g["nb"]
+    def finish(t: pa.Table) -> pa.Table:
+        g = {lang: (n, s, q) for lang, n, s, q in zip(
+            *(t[c].to_pylist() for c in ("lang", "n", "s", "q")))}
+        (na, sa, qa), (nb, sb, qb) = (g.get(lang, (0, 0, 0))
+                                      for lang in ("en", "zh"))
         if na + nb == 0:
-            return empty
+            return pa.table({
+                "n_en": pa.array([], pa.int64()),
+                "n_zh": pa.array([], pa.int64()),
+                "welch_t": pa.array([], pa.float64()),
+                "welch_df": pa.array([], pa.float64())})
         if na < 2 or nb < 2:
             tt = df = None
         else:
-            va = float(na * g["qa"] - g["sa"] ** 2) \
-                / float(na * na * (na - 1))
-            vb = float(nb * g["qb"] - g["sb"] ** 2) \
-                / float(nb * nb * (nb - 1))
+            va = float(na * qa - sa ** 2) / float(na * na * (na - 1))
+            vb = float(nb * qb - sb ** 2) / float(nb * nb * (nb - 1))
             se2 = va / float(na) + vb / float(nb)
             if se2 <= 0.0:
                 tt = df = None
             else:
-                ma = float(g["sa"]) / float(na)
-                mb = float(g["sb"]) / float(nb)
+                ma = float(sa) / float(na)
+                mb = float(sb) / float(nb)
                 tt = (ma - mb) / math.sqrt(se2)
                 df = se2 * se2 / (
                     (va / float(na)) ** 2 / float(na - 1)
@@ -13212,12 +12702,11 @@ def _docs_len_welch_t(sf_dir: str):
             "welch_t": pa.array([tt], pa.float64()),
             "welch_df": pa.array([df], pa.float64())})
 
-    return driver_merge(
-        ds.map_batches(partial, batch_format="pyarrow",
-                       batch_size=131072), merge,
-        schema=pa.schema([("na", pa.int64()), ("sa", pa.int64()),
-                          ("qa", pa.int64()), ("nb", pa.int64()),
-                          ("sb", pa.int64()), ("qb", pa.int64())]))
+    return combine(ds, "lang", count="n", sums=("s", "q"), prep=prep,
+                   finish=finish, batch_size=131072,
+                   schema=pa.schema([("lang", pa.string()),
+                                     ("n", pa.int64()), ("s", pa.int64()),
+                                     ("q", pa.int64())]))
 
 
 def _docs_langid_kappa(sf_dir: str):
@@ -14126,49 +13615,39 @@ def _events_shapley_attribution(sf_dir: str):
 def _customer_balance_sign_test(sf_dir: str):
     """Sign test on customer account balances: are positive and
     negative balances equally likely? Exact counts (zeros excluded)
-    and the normal-approximation z = (2k - n)/sqrt(n) as one mirrored
-    expression. The simplest member of the test family, kept for
-    completeness."""
+    from one keyless combine and the normal-approximation
+    z = (2k - n)/sqrt(n) as one mirrored expression. The simplest
+    member of the test family, kept for completeness."""
     import math
 
     import numpy as np
     import pyarrow as pa
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     ds = rd.read_parquet(f"{sf_dir}/customer.parquet",
                          columns=["c_acctbal"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         cents = np.floor(batch["c_acctbal"].to_numpy(
             zero_copy_only=False) * 100 + 0.5).astype(np.int64)
-        return pa.table({
-            "pos": pa.array([int((cents > 0).sum())], pa.int64()),
-            "neg": pa.array([int((cents < 0).sum())], pa.int64())})
+        return pa.table({"n_pos": (cents > 0).astype(np.int64),
+                         "n_neg": (cents < 0).astype(np.int64)})
 
-    def merge(t: pa.Table) -> pa.Table:
-        empty = pa.table({
-            "n_pos": pa.array([], pa.int64()),
-            "n_neg": pa.array([], pa.int64()),
-            "z_sign": pa.array([], pa.float64())})
-        if t.num_rows == 0:
-            return empty
-        pos = sum(int(v) for v in t["pos"].to_pylist())
-        neg = sum(int(v) for v in t["neg"].to_pylist())
-        n = pos + neg
+    def finish(g: pa.Table) -> pa.Table:
+        pos = g["n_pos"][0].as_py() or 0
+        n = pos + (g["n_neg"][0].as_py() or 0)
         if n == 0:
-            return empty
+            return g.slice(0, 0).append_column(
+                "z_sign", pa.array([], pa.float64()))
         z = float(2 * pos - n) / math.sqrt(float(n))
-        return pa.table({
-            "n_pos": pa.array([pos], pa.int64()),
-            "n_neg": pa.array([neg], pa.int64()),
-            "z_sign": pa.array([z], pa.float64())})
+        return g.append_column("z_sign", pa.array([z], pa.float64()))
 
-    return driver_merge(
-        ds.map_batches(partial, batch_format="pyarrow",
-                       batch_size=131072), merge,
-        schema=pa.schema([("pos", pa.int64()), ("neg", pa.int64())]))
+    return combine(ds, [], sums=("n_pos", "n_neg"), prep=prep,
+                   finish=finish, batch_size=131072,
+                   schema=pa.schema([("n_pos", pa.int64()),
+                                     ("n_neg", pa.int64())]))
 
 
 _POIS1_CDF = (0.36787944117144233, 0.7357588823428847,
@@ -14571,12 +14050,13 @@ def _events_markov_removal(sf_dir: str):
     integer, so all five scenario runs hash-match the generated
     chained-CTE oracle; only the final effect ratio is float. One
     window exchange (transitions) + one user-bounded first-event
-    combiner."""
+    combine (batch-local first events, distinct by event_id, re-picked
+    per user in its finish)."""
     import numpy as np
     import pyarrow as pa
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
     from h3ray.ops.window import partitioned_transitions
 
     ds = rd.read_parquet(f"{sf_dir}/events.parquet",
@@ -14586,16 +14066,22 @@ def _events_markov_removal(sf_dir: str):
                                     tiebreak_col="event_id",
                                     prev_col="prev_type")
 
-    trans = driver_merge(pairs, lambda t: t.group_by(
-        ["prev_type", "event_type"]).aggregate([("n", "sum")])
-        .rename_columns(["prev_type", "event_type", "n"]),
-        schema=pa.schema([("prev_type", pa.string()),
-                          ("event_type", pa.string()),
-                          ("n", pa.int64())]))
+    trans = combine(pairs, ["prev_type", "event_type"], sums=("n",),
+                    schema=pa.schema([("prev_type", pa.string()),
+                                      ("event_type", pa.string()),
+                                      ("n", pa.int64())]))
 
     first_ds = rd.read_parquet(f"{sf_dir}/events.parquet",
                                columns=["event_id", "user_id", "ts",
                                         "event_type"])
+
+    def first_rows(uid, ts, eid):
+        """Positions of each user's first (ts, eid) row."""
+        order = np.lexsort((eid, ts, uid))
+        u = uid[order]
+        first = np.ones(u.shape[0], dtype=bool)
+        first[1:] = u[1:] != u[:-1]
+        return order[first]
 
     def first_partial(batch: pa.Table) -> pa.Table:
         uid = batch["user_id"].to_numpy(zero_copy_only=False) \
@@ -14604,40 +14090,21 @@ def _events_markov_removal(sf_dir: str):
             .astype("datetime64[us]").astype(np.int64)
         eid = batch["event_id"].to_numpy(zero_copy_only=False) \
             .astype(np.int64)
-        et = batch["event_type"]
-        order = np.lexsort((eid, ts, uid))
-        u = uid[order]
-        keep = np.r_[True, u[1:] != u[:-1]]
-        idx = np.flatnonzero(keep)
-        return pa.table({
-            "uid": u[idx],
-            "ts": ts[order][idx],
-            "eid": eid[order][idx],
-            "t": et.take(pa.array(order[idx]))})
+        idx = first_rows(uid, ts, eid)
+        return pa.table({"uid": uid[idx], "ts": ts[idx], "eid": eid[idx],
+                         "t": batch["event_type"].take(pa.array(idx))})
 
-    def first_merge(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return pa.table({"t": pa.array([], pa.string()),
-                             "n": pa.array([], pa.int64())})
-        uid = t["uid"].to_numpy(zero_copy_only=False)
-        ts = t["ts"].to_numpy(zero_copy_only=False)
-        eid = t["eid"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((eid, ts, uid))
-        u = uid[order]
-        keep = np.r_[True, u[1:] != u[:-1]]
-        idx = np.flatnonzero(keep)
-        tt = t["t"].take(pa.array(order[idx])).to_pylist()
+    def first_finish(t: pa.Table) -> pa.Table:
+        idx = first_rows(*(t[c].to_numpy() for c in ("uid", "ts", "eid")))
         starts: dict = {}
-        for ty in tt:
+        for ty in t["t"].take(pa.array(idx)).to_pylist():
             starts[ty] = starts.get(ty, 0) + 1
-        ks = sorted(starts)
-        return pa.table({"t": pa.array(ks, pa.string()),
-                         "n": pa.array([starts[k] for k in ks],
-                                       pa.int64())})
+        return pa.table({"t": pa.array(list(starts), pa.string()),
+                         "n": pa.array(list(starts.values()), pa.int64())})
 
-    starts_t = driver_merge(
-        first_ds.map_batches(first_partial, batch_format="pyarrow",
-                             batch_size=131072), first_merge,
+    starts_t = combine(
+        first_ds, ["uid", "ts", "eid", "t"], prep=first_partial,
+        finish=first_finish, batch_size=131072,
         schema=pa.schema([("uid", pa.int64()), ("ts", pa.int64()),
                           ("eid", pa.int64()), ("t", pa.string())]))
 
@@ -14733,33 +14200,26 @@ def _events_hour_uniformity_chi2(sf_dir: str):
 def _docs_source_vocab_overlap(sf_dir: str):
     """Vocabulary-overlap matrix between sources: for every source
     pair the distinct-term intersection, union and Jaccard — do two
-    providers speak the same language? Per-(term, source) distinct
-    pairs collapse to ONE vocabulary-bounded bitmask combiner; pair
-    counts fold from the DISTINCT observed co-occurrence patterns at
-    the root (never the full 2^k lattice), one division per pair. A
-    loud guard refuses > 60 sources (the int64 bitmask assumption)."""
+    providers speak the same language? One DISTINCT (term, source bit)
+    combine collapses the corpus to vocabulary-bounded pairs; its
+    finish sums each term's distinct bits into its source bitmask and
+    folds pair counts from the DISTINCT observed co-occurrence patterns
+    (never the full 2^k lattice), one division per pair. A loud guard
+    refuses > 60 sources (the int64 bitmask assumption)."""
     import numpy as np
     import pyarrow as pa
     import pyarrow.compute as pc
     import ray.data as rd
 
-    from h3ray.ops.reduce import driver_merge
+    from h3ray.ops.reduce import combine
 
     ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
                          columns=["source", "text"])
 
-    def src_partial(batch: pa.Table) -> pa.Table:
-        u = np.unique(batch["source"].to_numpy(
-            zero_copy_only=False).astype(str))
-        return pa.table({"s": pa.array(u, pa.string())})
-
-    sources = sorted(driver_merge(
-        ds.map_batches(src_partial, batch_format="pyarrow",
-                       batch_size=131072),
-        lambda t: pa.table({"s": pa.array(
-            np.unique(t["s"].to_numpy(zero_copy_only=False)
-                      .astype(str)), pa.string())}),
-        schema=pa.schema([("s", pa.string())]))["s"].to_pylist())
+    sources = sorted(np.unique(combine(
+        ds, "source", batch_size=131072,
+        schema=pa.schema([("source", pa.string())])
+    )["source"].to_numpy(zero_copy_only=False).astype(str)).tolist())
     if len(sources) > 60:
         raise RuntimeError("vocab-overlap bitmask assumes <= 60 "
                            f"sources, got {len(sources)}")
@@ -14768,7 +14228,7 @@ def _docs_source_vocab_overlap(sf_dir: str):
     ds2 = rd.read_parquet(f"{sf_dir}/documents.parquet",
                           columns=["source", "text"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         lists = pc.split_pattern_regex(batch["text"], r"\s+")
         flat = pc.list_flatten(lists)
         if isinstance(flat, pa.ChunkedArray):
@@ -14780,30 +14240,22 @@ def _docs_source_vocab_overlap(sf_dir: str):
             np.int64), lens)
         toks = flat.to_numpy(zero_copy_only=False).astype(str)
         keep = toks != ""
-        toks, src = toks[keep], src[keep]
-        uniq, inv = np.unique(toks, return_inverse=True)
-        mask = np.zeros(uniq.shape[0], np.int64)
-        np.bitwise_or.at(mask, inv, src)
-        return pa.table({"term": pa.array(uniq, pa.string()),
-                         "mask": mask})
+        return pa.table({"term": pa.array(toks[keep], pa.string()),
+                         "bit": src[keep]})
 
-    def merge(t: pa.Table) -> pa.Table:
-        empty = pa.table({
-            "source_a": pa.array([], pa.string()),
-            "source_b": pa.array([], pa.string()),
-            "n_common": pa.array([], pa.int64()),
-            "n_union": pa.array([], pa.int64()),
-            "vocab_jaccard": pa.array([], pa.float64())})
+    def finish(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
-            return empty
-        # exact OR-fold across partials (bounded vocab)
-        m: dict = {}
-        for term, mk in zip(t["term"].to_pylist(),
-                            t["mask"].to_pylist()):
-            m[term] = m.get(term, 0) | int(mk)
+            return pa.table({
+                "source_a": pa.array([], pa.string()),
+                "source_b": pa.array([], pa.string()),
+                "n_common": pa.array([], pa.int64()),
+                "n_union": pa.array([], pa.int64()),
+                "vocab_jaccard": pa.array([], pa.float64())})
+        # distinct bits sum to the term's OR-mask
+        masks = t.group_by("term").aggregate([("bit", "sum")])
         # distinct observed co-occurrence patterns, not 2^k
         patt: dict = {}
-        for mk in m.values():
+        for mk in masks["bit_sum"].to_pylist():
             patt[mk] = patt.get(mk, 0) + 1
         k = len(sources)
         na = [0] * k
@@ -14833,10 +14285,10 @@ def _docs_source_vocab_overlap(sf_dir: str):
             "n_union": pa.array(out["u"], pa.int64()),
             "vocab_jaccard": pa.array(out["j"], pa.float64())})
 
-    return driver_merge(
-        ds2.map_batches(partial, batch_format="pyarrow",
-                        batch_size=32768), merge,
-        schema=pa.schema([("term", pa.string()), ("mask", pa.int64())]))
+    return combine(ds2, ["term", "bit"], prep=prep, finish=finish,
+                   batch_size=32768,
+                   schema=pa.schema([("term", pa.string()),
+                                     ("bit", pa.int64())]))
 
 
 def _events_rapid_repeat_share(sf_dir: str):

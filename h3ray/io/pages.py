@@ -245,11 +245,6 @@ def generate_pages(n_rows: int, *, parallelism: int = -1):
         batch_format="numpy", batch_size=32768)
 
 
-def write_pages_parquet(n_rows: int, out_dir: str, *, parallelism: int = 64):
-    """Materialize a pages table to parquet (bench input)."""
-    generate_pages(n_rows, parallelism=parallelism).write_parquet(out_dir)
-
-
 def pages_from_documents(sf_dir: str):
     """Derive a deterministic pages table from the driver's documents table.
 

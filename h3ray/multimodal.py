@@ -1,15 +1,14 @@
 """Multimodal (image/audio/video) processing stages over opaque binary columns.
 
 Design (SURVEY/engine brief): media payloads travel as `binary` columns with
-typed metadata columns beside them; decode / feature-extract / resize /
-frame-sample are STATEFUL actor-pool stages — the codec/model handle is
-built once per actor in `__init__`, batches flow through `__call__` as
-zero-copy Arrow tables. Media codecs (PIL/ffmpeg/torchaudio) are not in this
+typed metadata columns beside them; decode is a STATEFUL actor-pool stage —
+the codec handle is built once per actor in `__init__`, batches flow
+through `__call__` as zero-copy Arrow tables. Media codecs are not in this
 environment, so the decode core is STUBBED: `codec="fake"` (default) is a
-deterministic byte-hash pseudo-decoder that produces stable shapes/features
-for tests and benchmarks; `codec="pil"`/`codec="ffmpeg"` raise
-NotImplementedError unless the library is importable. The Ray-side plumbing
-(schemas, batch sizing, actor signatures, output layout) is real.
+deterministic byte-hash pseudo-decoder that produces stable shapes for
+tests and benchmarks; `codec="pil"` raises NotImplementedError unless PIL
+is importable. The Ray-side plumbing (schemas, batch sizing, actor
+signatures, output layout) is real.
 
 Large payloads need small batches: size `batch_size` so
 batch_size x avg_payload x concurrency fits the worker heap (e.g. 256 rows
@@ -98,125 +97,6 @@ class ImageDecodeStage:
             "img_h", pa.array(height)).append_column(
             "img_c", pa.array(chans)).append_column(
             "decode_ok", pa.array(ok))
-
-
-class FeatureExtractStage:
-    """binary -> fixed-dim float32 embedding column (`feat`).
-
-    Stands in for batched model inference: the "model" (a seeded random
-    projection) is built once per actor; per batch the payload hash seeds a
-    deterministic feature vector, then the projection is applied vectorized.
-    """
-
-    def __init__(self, col: str = "html", dim: int = 16, seed: int = 7):
-        rng = np.random.default_rng(seed)
-        self.col = col
-        self.dim = dim
-        self.proj = rng.standard_normal((dim, dim)).astype(np.float32)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        col = batch[self.col]
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        h = _hash_bytes_batch(col)
-        # Expand each hash into `dim` deterministic floats in [-1, 1).
-        idx = np.arange(self.dim, dtype=np.uint64)
-        mixed = (h[:, None] * np.uint64(0x9E3779B97F4A7C15)
-                 + idx[None, :] * np.uint64(0xBF58476D1CE4E5B9))
-        mixed ^= mixed >> np.uint64(31)
-        raw = (mixed >> np.uint64(11)).astype(np.float64) / float(1 << 52)
-        feats = ((raw - 1.0).astype(np.float32) @ self.proj)
-        norm = np.linalg.norm(feats, axis=1, keepdims=True)
-        feats = feats / np.maximum(norm, 1e-12)
-        return batch.append_column(
-            "feat", pa.FixedSizeListArray.from_arrays(
-                pa.array(feats.reshape(-1)), self.dim))
-
-
-class FrameSampleStage:
-    """video binary -> one row per sampled frame (flat map).
-
-    Real ffmpeg decode is stubbed; the fake path emits `num_frames`
-    deterministic frame rows with (frame_idx, frame_ts_ms) metadata, which
-    exercises the row-expansion plumbing (block growth, ragged output).
-    """
-
-    def __init__(self, col: str = "html", num_frames: int = 4,
-                 codec: str = "fake"):
-        if codec == "ffmpeg":
-            import shutil as _shutil
-
-            if not (_shutil.which("ffprobe") and _shutil.which("ffmpeg")):
-                raise NotImplementedError(
-                    "ffmpeg/ffprobe not available in this environment; "
-                    "use codec='fake'")
-        elif codec != "fake":
-            raise NotImplementedError(f"codec {codec!r} not supported")
-        self.col = col
-        self.num_frames = num_frames
-        self.codec = codec
-
-    def _probe_durations_ms(self, col: pa.Array) -> np.ndarray:
-        """Real path: per-payload ffprobe duration (container probe only —
-        no frame decode; per-item subprocess is inherent to the codec)."""
-        import json as _json
-        import subprocess as _sp
-
-        out = np.zeros(len(col), dtype=np.int64)
-        for idx in range(len(col)):
-            payload = col[idx].as_py()
-            if not payload:
-                continue
-            try:
-                r = _sp.run(
-                    ["ffprobe", "-v", "quiet", "-print_format", "json",
-                     "-show_format", "-i", "pipe:0"],
-                    input=payload, capture_output=True, timeout=30)
-                meta = _json.loads(r.stdout or b"{}")
-                out[idx] = int(
-                    float(meta.get("format", {}).get("duration", 0)) * 1000)
-            except Exception:  # unprobeable payload -> duration 0
-                pass
-        return out
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        col = batch[self.col]
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        if self.codec == "ffmpeg":
-            duration_real = self._probe_durations_ms(col)
-            n = len(col)
-            k = self.num_frames
-            rows = np.repeat(np.arange(n), k)
-            frame_idx = np.tile(np.arange(k), n)
-            ts = (duration_real[rows] * frame_idx) // max(k, 1)
-            cols = {name: batch[name].take(pa.array(rows))
-                    for name in batch.column_names if name != self.col}
-            cols["frame_idx"] = pa.array(frame_idx.astype(np.int32))
-            cols["frame_ts_ms"] = pa.array(ts)
-            return pa.Table.from_pydict(cols)
-        h = _hash_bytes_batch(col)
-        n = len(col)
-        k = self.num_frames
-        rows = np.repeat(np.arange(n), k)
-        frame_idx = np.tile(np.arange(k), n)
-        duration = (1000 + (h % np.uint64(59000))).astype(np.int64)
-        ts = (duration[rows] * frame_idx) // max(k, 1)
-        cols = {name: batch[name].take(pa.array(rows))
-                for name in batch.column_names if name != self.col}
-        cols["frame_idx"] = pa.array(frame_idx.astype(np.int32))
-        cols["frame_ts_ms"] = pa.array(ts)
-        return pa.Table.from_pydict(cols)
-
-
-def image_features(ds, col: str = "html", dim: int = 16,
-                   concurrency: int = 4, batch_size: int = 256):
-    """Actor-pool feature extraction pipeline over a binary column."""
-    return ds.map_batches(
-        FeatureExtractStage,
-        fn_constructor_kwargs={"col": col, "dim": dim},
-        batch_format="pyarrow", batch_size=batch_size,
-        concurrency=concurrency)
 
 
 def decode_metadata(ds, col: str = "html", concurrency: int = 4,

@@ -16,6 +16,7 @@ For genuinely unbounded key spaces, use the groupby/shuffle paths instead
 from __future__ import annotations
 
 import pyarrow as pa
+import pyarrow.compute as pc
 
 
 def driver_merge(ds, merge_fn, schema: pa.Schema | None = None) -> pa.Table:
@@ -54,7 +55,12 @@ def combine(ds, keys, *, sums=(), mins=(), maxs=(), count=None, prep=None,
     (`count` names the COUNT(*) column) and applies `finish(table)` for
     the last per-group arithmetic. Output columns: keys, count, sums,
     mins, maxs. `schema` is the partial schema used when the input has
-    no rows at all; `finish` still runs on the resulting empty table."""
+    no rows at all; `finish` still runs on the resulting empty table.
+
+    Keyless (`keys=[]`) is a scalar root: its merge always yields ONE
+    row, also over zero input rows, where that row holds COUNT 0 and
+    NULL SUM / MIN / MAX (SQL's scalar-aggregate row). `finish` decides
+    whether a zero count means one NULL row or no rows at all."""
     keys = [keys] if isinstance(keys, str) else list(keys)
     aggs = ([(c, "sum") for c in sums] + [(c, "min") for c in mins]
             + [(c, "max") for c in maxs])
@@ -69,6 +75,9 @@ def combine(ds, keys, *, sums=(), mins=(), maxs=(), count=None, prep=None,
 
     def merge(t: pa.Table) -> pa.Table:
         g = t.group_by(keys).aggregate(final).rename_columns(names)
+        if count:
+            # A keyless merge with no partials at all sums no counts.
+            g = g.set_column(len(keys), count, pc.fill_null(g[count], 0))
         return finish(g) if finish is not None else g
 
     return driver_merge(ds.map_batches(partial, batch_format="pyarrow",

@@ -45,23 +45,6 @@ def add_salt(batch: pa.Table, key_col: str, salt_mod: int,
         out_col, pa.array((h % np.uint64(salt_mod)).astype(np.int32)))
 
 
-def salted_group_count(ds, key_col: str, salt_mod: int = 16,
-                       out_col: str = "num_rows"):
-    """Count rows per key with bounded reducer fan-in.
-
-    Round 1 reduces (key, salt) groups — each at most ~1/salt_mod of a hot
-    key; round 2 merges salt_mod tiny partials per key.
-    """
-    from ray.data.aggregate import Count, Sum
-
-    salted = ds.map_batches(lambda b: add_salt(b, key_col, salt_mod),
-                            batch_format="pyarrow")
-    partial = salted.groupby([key_col, "_salt"]).aggregate(
-        Count(alias_name="_partial"))
-    return partial.groupby(key_col).aggregate(
-        Sum("_partial", alias_name=out_col))
-
-
 def _key_hash(col) -> np.ndarray:
     """uint64 hash of a key column (shared with ops.sample)."""
     from .sample import _key_hash as impl

@@ -186,51 +186,3 @@ def dissolve_groups(ds, group_col: str, cell_col: str = "cell",
     return ds.groupby(group_col).map_groups(local_dissolve,
                                             batch_format="pyarrow")
 
-
-def dissolve_cells_distributed(cells_ds, cell_col: str = "cell",
-                               partition_res: int = 2):
-    """Exact distributed dissolve: per-partition edge cancellation, then a
-    boundary-only global merge (SURVEY.md §2.4 distributed variant).
-
-    Stage 1 (the heavy, fully parallel part): hash-partition cells by their
-    parent at `partition_res`; within each partition every directed edge
-    whose twin is also in the partition cancels locally. Only surviving
-    edges — the true boundary plus the partition-cut edges, O(perimeter)
-    rather than O(area) — leave the partition.
-
-    Stage 2 (tiny): cancel opposite pairs across partitions, then stitch the
-    remaining true-boundary edges into rings with the hop-over walk
-    (solvent.dissolve_boundary_edges). Returns the polygon list (driver
-    side, boundary-proportional memory).
-    """
-    from ..kernels import edgevertex as ev
-    from ..kernels import solvent
-    from ..ops.reduce import driver_merge
-
-    keyed = cells_ds.map_batches(
-        stages.parent_stage(partition_res, cell_col=cell_col,
-                            out_col="_pkey"),
-        batch_format="pyarrow", batch_size=65536)
-
-    def local_cancel(group: pa.Table) -> pa.Table:
-        cells = np.unique(bits.as_i64(
-            group[cell_col].to_numpy(zero_copy_only=False)))
-        _, edges = ev.origin_to_directed_edges(cells)
-        rev = ev.edge_reverse(edges)
-        surv = edges[~np.isin(rev, edges)]
-        return pa.Table.from_arrays([pa.array(bits.as_u64(surv))],
-                                    names=["edge"])
-
-    survivors = keyed.groupby("_pkey").map_groups(local_cancel,
-                                                  batch_format="pyarrow")
-
-    def global_cancel(batch: pa.Table) -> pa.Table:
-        edges = bits.as_i64(batch["edge"].to_numpy(zero_copy_only=False))
-        rev = ev.edge_reverse(edges)
-        alive = edges[~np.isin(rev, edges)]
-        return pa.Table.from_arrays([pa.array(bits.as_u64(alive))],
-                                    names=["edge"])
-
-    merged = driver_merge(survivors, global_cancel)
-    edges = bits.as_i64(merged["edge"].to_numpy(zero_copy_only=False))
-    return solvent.dissolve_boundary_edges(edges)

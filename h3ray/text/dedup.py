@@ -229,15 +229,6 @@ def simhash_stage(text_col: str = "text", out_col: str = "simhash"):
     return fn
 
 
-def ngram_jaccard(a: str, b: str, k: int = 5) -> float:
-    """Exact character-k-gram Jaccard similarity (verification step)."""
-    sa = set(_shingle_hashes(a, k).tolist())
-    sb = set(_shingle_hashes(b, k).tolist())
-    if not sa and not sb:
-        return 1.0
-    return len(sa & sb) / len(sa | sb)
-
-
 def winnow_stats_stage(key_col: str = "doc_id", text_col: str = "text",
                        k: int = 5, w: int = 4):
     """Winnowing (MOSS) fingerprint statistics per document: the number

@@ -76,10 +76,11 @@ def test_empty_driver_merged_aggregates(ray_session):
 def test_empty_tables_wave34_queries(ray_session, tmp_path):
     """Every round-4 wave-3/4 driver query returns a schema-stable empty
     result over fully-empty input tables (join outputs keep their schema
-    via the typed empty seed in ops.join). orders_cube and
-    docs_tfidf_topk feed a combiner from a UDF-mapped empty dataset, which
-    has no block and so no Ray schema; both declare it. orders_cube's
-    ()-grouping row keeps the string group columns of a non-empty run."""
+    via the typed empty seed in ops.join). A projected or UDF-mapped
+    empty dataset has no block and so no Ray schema; orders_cube,
+    docs_tfidf_topk and the four join queries after it declare theirs
+    with ops.join.seed_schema. orders_cube's ()-grouping row keeps the
+    string group columns of a non-empty run."""
     import pyarrow.parquet as pq
 
     import __ray_entry__ as entry
@@ -90,20 +91,33 @@ def test_empty_tables_wave34_queries(ray_session, tmp_path):
         pq.write_table(s.empty_table(), tmp_path / f"{t}.parquet")
 
     q = entry.queries()
+    typed = {"orders_cube", "docs_tfidf_topk", "revenue_local_suppliers",
+             "orders_bloom_pruned_revenue", "lineitem_priority_counts",
+             "nation_supplier_customer_full"}
     for name in ["order_priority_check", "nation_pair_volume",
                  "customer_order_dist", "top_supplier_revenue",
                  "disjunct_brand_revenue", "idle_rich_customers",
                  "pages_domain_stats", "docs_dup_ngram_fraction",
                  "pages_snapshot_diff", "sole_late_supplier_counts",
-                 "orders_cube", "docs_tfidf_topk"]:
+                 "orders_cube", "docs_tfidf_topk",
+                 "revenue_local_suppliers", "orders_bloom_pruned_revenue",
+                 "lineitem_priority_counts",
+                 "nation_supplier_customer_full"]:
         out = q[name](str(tmp_path))
         n = out.num_rows if isinstance(out, pa.Table) else out.count()
         # disjunct_brand_revenue mirrors SQL SUM() over zero rows: one
         # NULL row is also a legal empty result.
         assert n <= 1, name
+        schema = out.schema if isinstance(out, pa.Table) \
+            else getattr(out.schema(), "base_schema", None)
+        if name in typed:
+            assert schema is not None, name
         if name == "orders_cube":
-            assert out.schema.field("o_orderstatus").type == pa.string()
-            assert out.schema.field("o_orderpriority").type == pa.string()
+            assert schema.field("o_orderstatus").type == pa.string()
+            assert schema.field("o_orderpriority").type == pa.string()
+        if name == "docs_tfidf_topk":
+            assert schema.field("doc_id").type == pa.int64()
+            assert schema.field("term").type == pa.string()
 
 
 def test_empty_rollup_cube_sql_semantics(ray_session):

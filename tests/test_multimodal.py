@@ -18,32 +18,6 @@ def test_decode_metadata_actor_pool(ray_session):
     assert (df.img_w >= 64).all() and (df.img_h >= 64).all()
 
 
-def test_feature_extract_deterministic(ray_session):
-    ds = pages_io.pages_from_documents(SF).limit(300)
-    df1 = multimodal.image_features(ds, dim=16, concurrency=2) \
-        .to_pandas().sort_values("url").reset_index(drop=True)
-    ds2 = pages_io.pages_from_documents(SF).limit(300)
-    df2 = multimodal.image_features(ds2, dim=16, concurrency=2) \
-        .to_pandas().sort_values("url").reset_index(drop=True)
-    f1 = np.stack(df1["feat"].to_numpy())
-    f2 = np.stack(df2["feat"].to_numpy())
-    assert np.array_equal(f1, f2)  # deterministic across runs/actors
-    assert np.allclose(np.linalg.norm(f1, axis=1), 1.0, atol=1e-5)
-
-
-def test_frame_sample_expansion(ray_session):
-    ds = pages_io.pages_from_documents(SF).limit(100)
-    out = ds.map_batches(
-        multimodal.FrameSampleStage,
-        fn_constructor_kwargs={"num_frames": 3},
-        batch_format="pyarrow", batch_size=64, concurrency=2)
-    df = out.to_pandas()
-    assert len(df) == 300
-    assert set(df.frame_idx.unique()) == {0, 1, 2}
-    assert (df.groupby("url").size() == 3).all()
-    assert (df.frame_ts_ms >= 0).all()
-
-
 def test_real_codecs_raise_not_implemented():
     try:
         import PIL  # noqa: F401
@@ -52,37 +26,6 @@ def test_real_codecs_raise_not_implemented():
         pass
     with pytest.raises(NotImplementedError):
         multimodal.ImageDecodeStage(codec="pil")
-    import shutil
-
-    if not shutil.which("ffmpeg"):
-        with pytest.raises(NotImplementedError):
-            multimodal.FrameSampleStage(codec="ffmpeg")
-
-
-def test_ffmpeg_frame_sample_real():
-    """Real-codec seam: runs wherever ffmpeg/ffprobe exist (skipped here)."""
-    import shutil
-
-    if not (shutil.which("ffmpeg") and shutil.which("ffprobe")):
-        pytest.skip("ffmpeg not available in this container")
-    import subprocess
-
-    import pyarrow as pa
-
-    # Generate a 2-second test clip with ffmpeg itself.
-    r = subprocess.run(
-        ["ffmpeg", "-v", "quiet", "-f", "lavfi", "-i",
-         "testsrc=duration=2:size=64x64:rate=10", "-f", "mp4",
-         "-movflags", "frag_keyframe+empty_moov", "pipe:1"],
-        capture_output=True, timeout=60)
-    batch = pa.Table.from_arrays(
-        [pa.array(["clip"]), pa.array([r.stdout], type=pa.binary())],
-        names=["url", "html"])
-    stage = multimodal.FrameSampleStage(num_frames=4, codec="ffmpeg")
-    out = stage(batch)
-    assert out.num_rows == 4
-    ts = out["frame_ts_ms"].to_pylist()
-    assert ts[0] == 0 and ts[-1] > 0  # real (probed) duration spread
 
 
 def test_pil_decode_real():

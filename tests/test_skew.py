@@ -7,22 +7,6 @@ import ray.data as rd
 from h3ray.ops import skew
 
 
-def test_salted_count_equals_direct(ray_session):
-    rng = np.random.default_rng(5)
-    # Heavily skewed keys: key 1 holds ~80% of rows.
-    keys = np.where(rng.random(20000) < 0.8, 1,
-                    rng.integers(2, 50, 20000)).astype(np.int64)
-    ds = rd.from_arrow(pa.Table.from_arrays([pa.array(keys)], names=["k"]))
-
-    salted = skew.salted_group_count(ds, "k", salt_mod=8).to_pandas() \
-        .sort_values("k").reset_index(drop=True)
-    direct = {int(k): int(c) for k, c in
-              zip(*np.unique(keys, return_counts=True))}
-    assert len(salted) == len(direct)
-    for k, c in zip(salted["k"], salted["num_rows"]):
-        assert direct[int(k)] == int(c)
-
-
 def test_salted_top_k_equals_direct(ray_session):
     rng = np.random.default_rng(7)
     n = 30000

@@ -196,45 +196,6 @@ def test_boundary_edge_dissolve_equals_local():
     assert poly_structure(local) == poly_structure(from_edges)
 
 
-def test_distributed_dissolve_equals_local(ray_session, reference_dataset):
-    """Two-stage distributed dissolve == local dissolve on the Paris corpus
-    (cells span multiple res-2 partitions via a coarse partition key)."""
-    import pyarrow as pa
-    import ray.data as rd
-
-    from h3ray.pipelines import tiles
-
-    with open(reference_dataset / "Paris" / "cells-res9.txt") as f:
-        cells = np.sort(np.array([int(l, 16) for l in f.read().split()],
-                                 dtype=np.int64))
-    local = solvent.dissolve(cells)
-
-    ds = rd.from_arrow(pa.Table.from_arrays(
-        [pa.array(bits.as_u64(cells))], names=["cell"]))
-    # Fine partition key so the set genuinely crosses partitions.
-    dist = tiles.dissolve_cells_distributed(ds, "cell", partition_res=6)
-    assert ring_vertex_set(local) == ring_vertex_set(dist)
-    assert poly_structure(local) == poly_structure(dist)
-
-
-def test_distributed_dissolve_hole(ray_session):
-    import pyarrow as pa
-    import ray.data as rd
-
-    from h3ray.pipelines import tiles
-
-    s = np.sort(np.array([
-        0x892830828c7ffff, 0x892830828d7ffff, 0x8928308289bffff,
-        0x89283082813ffff, 0x8928308288fffff, 0x89283082883ffff,
-    ], dtype=np.int64))
-    ds = rd.from_arrow(pa.Table.from_arrays(
-        [pa.array(bits.as_u64(s))], names=["cell"]))
-    polys = tiles.dissolve_cells_distributed(ds, "cell", partition_res=8)
-    assert len(polys) == 1 and len(polys[0]) == 2
-    assert polys[0][0].shape[0] - 1 == 18
-    assert polys[0][1].shape[0] - 1 == 6
-
-
 def test_dissolve_compact_equals_uncompact():
     """O(perimeter) compact-set dissolve == uncompact + dissolve."""
     c = latlng.latlng_to_cell(np.array([48.0]), np.array([2.0]), 5)

@@ -19,6 +19,7 @@ from pathlib import Path
 
 import duckdb
 import pandas as pd
+import pyarrow.parquet as pq
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
@@ -67,8 +68,10 @@ def main() -> int:
                     f"FROM '{sf_dir}/{t}.parquet'")
     qs = entry.queries()
     # Data-dependent oracles (emb_kmeans_assign's centroid fit) must read
-    # the same dir the views point at, not the driver's sf0.01 default.
-    os.environ["GRAFT_ORACLE_SF"] = sf_dir
+    # the same dir the views point at, not the driver's sf0.01 default —
+    # unless it has no embeddings to fit (an empty-table parity check).
+    if pq.ParquetFile(f"{sf_dir}/embeddings.parquet").metadata.num_rows:
+        os.environ["GRAFT_ORACLE_SF"] = sf_dir
     oracles = entry.oracle_sql()
     failures = 0
     for name, fn in qs.items():
