@@ -2470,12 +2470,19 @@ def _docs_dup_ngram_fraction(sf_dir: str):
     """Cross-document duplicated-k-gram counts (CCNet line-dedup shape):
     per doc, how many of its distinct 5-grams occur in >= 2 documents.
     Keys-only exchange; see text/dedup.dup_ngram_stats."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
     import ray.data as rd
 
     from h3ray.text.dedup import dup_ngram_stats
 
-    ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                         columns=["doc_id", "text"])
+    path = f"{sf_dir}/documents.parquet"
+    if pq.read_metadata(path).num_rows == 0:
+        # The map_groups chain below yields no block, so no schema.
+        return rd.from_arrow(pa.schema([
+            ("doc_id", pa.int64()), ("n_shingles", pa.int64()),
+            ("n_dup", pa.int64())]).empty_table())
+    ds = rd.read_parquet(path, columns=["doc_id", "text"])
     return dup_ngram_stats(ds, key_col="doc_id", text_col="text", k=5)
 
 
@@ -2491,13 +2498,18 @@ def _pages_snapshot_diff(sf_dir: str):
     import numpy as np
     import pyarrow as pa
     import pyarrow.compute as pc
+    import pyarrow.parquet as pq
     import ray.data as rd
 
     from h3ray.io.pages import _mix64, url_hash64
     from h3ray.ops.join import hash_join
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                           columns=["doc_id", "text"])
+    path = f"{sf_dir}/documents.parquet"
+    if pq.read_metadata(path).num_rows == 0:
+        # The full join's status map yields no block, so no schema.
+        return rd.from_arrow(pa.schema([
+            ("doc_id", pa.int64()), ("status", pa.string())]).empty_table())
+    docs = rd.read_parquet(path, columns=["doc_id", "text"])
 
     def _salted(did: np.ndarray, salt: int) -> np.ndarray:
         return _mix64(_mix64(did.astype(np.uint64)) + np.uint64(salt))

@@ -91,6 +91,7 @@ from .kernels.region import (  # noqa: F401
     plot_linestring,
     polygon_to_cells,
     polygons_to_cells,
+    polygons_to_compact_cells,
     prepare_geometry,
 )
 from .kernels.solvent import cell_to_multipolygon, dissolve  # noqa: F401

@@ -151,6 +151,22 @@ def hexagon_edge_length_avg(res, unit: str = "km"):
     return table[np.asarray(res, dtype=np.int64)]
 
 
+# Descendant reach per res: an upper bound on the great-circle distance
+# from a res-r cell's centre to any point of any of its descendants, at any
+# finer res. Descendants are not nested in their parent, so this exceeds the
+# cell's own circumradius. Derived by tools/derive_cell_reach.py (1024
+# stratified cells per res plus all 12 pentagons, descendants 3 levels
+# down, deeper levels bounded by recursion) and padded by 10%; it is about
+# 1.26x the average edge length at every res. Frozen here rather than
+# derived at run time, so tiling allocates nothing to compute it.
+CELL_REACH_RADS = np.array([
+    0.24902, 0.095304, 0.036087, 0.013642,
+    0.0051562, 0.0019489, 0.00073667, 0.0002784,
+    0.00010522, 3.9759e-05, 1.5024e-05, 5.67e-06,
+    2.133e-06, 8.0284e-07, 2.9456e-07, 1.1134e-07,
+])
+
+
 def degs_to_rads(x):
     return np.deg2rad(np.asarray(x, dtype=np.float64))
 

@@ -1,13 +1,29 @@
 """Polygon-to-cells tiling (polygonToCells) and point-in-polygon predicates.
 
-From-scratch NumPy implementation of the reference tiler algorithm
-(src/geom/tiler.rs): trace ring outlines by sampling segments at
-pentagon-diameter steps, buffer with 1-ring neighbors, apply the containment
-predicate, seed the outermost inner layer, then propagate inward
-generation-by-generation with no further point-in-polygon checks.
-`polygons_to_cells` runs that fill for a whole list of geometries at once,
-on (polygon_id, cell) pairs packed into one int64 key, so each generation is
-one whole-batch step; `polygon_to_cells` is its one-geometry case.
+A top-down hierarchical tiler in NumPy whose cost follows the coverage's
+compacted size, i.e. the polygon's perimeter, not its area (the shape of
+H3 v4.2's polygonToCellsExperimental). Per batch of geometries:
+
+1. Outline cells B, as the reference tiler traces them (src/geom/
+   tiler.rs:299-340): every ring sampled at pentagon-diameter steps, the
+   sampled cells buffered by one ring, and the containment predicate run
+   on B alone.
+2. A descent from the 122 base cells. A res-r cell whose descendants
+   cannot reach a ring, by the committed bound
+   `measures.CELL_REACH_RADS[r]`, is wholly inside (kept whole) or wholly
+   outside (dropped), decided by its centre; the others split into their
+   children. At the target res, a cell outside B meets no ring either, so
+   its centroid decides it in every mode.
+3. The union, compacted per geometry.
+
+Every step runs on (polygon_id, cell) pairs packed into one int64 key, and
+the inside/outside and straddle tests run over one flattened edge table of
+all the geometries' rings, so each level of the descent is one whole-batch
+step. `contains_points` and `relate_cells` are the one-geometry case of
+the same edge table and winding predicate. `polygons_to_compact_cells`
+returns the compacted coverage, the tiler's native output;
+`polygons_to_cells` returns it uncompacted, and `polygon_to_cells` is its
+one-geometry case.
 
 Containment modes mirror ContainmentMode (tiler.rs:420-461):
   - "centroid"  (ContainsCentroid): cell centroid inside the polygon.
@@ -32,10 +48,14 @@ import math
 
 import numpy as np
 
-from . import bits, grid, latlng
+from . import bits, grid, hierarchy, latlng
 from .boundary import cell_to_boundary_rads
+from .measures import CELL_REACH_RADS
 
 TWO_PI = 2.0 * math.pi
+
+# (row x segment) pairs evaluated per step, bounding the pair arrays.
+_PAIRS_PER_STEP = 1_000_000
 
 # Pentagon diameter / area per resolution — the maximally-distorted cell size,
 # used for segment-sampling density and size estimates (tiler.rs:597-730).
@@ -144,32 +164,6 @@ def _shift_lng(lng, shifted: bool):
 # Point-in-ring (winding number with boundary detection)
 # ---------------------------------------------------------------------------
 
-def _ring_coord_pos(px, py, ring: np.ndarray):
-    """Winding-number position of points vs a closed ring.
-
-    Returns (inside, on_boundary) bool arrays. Mirrors geo's
-    coord_pos_relative_to_ring used by ring_contains_centroid
-    (tiler.rs:881-908): nonzero winding rule + exact on-segment detection.
-    """
-    px = np.asarray(px, dtype=np.float64)
-    py = np.asarray(py, dtype=np.float64)
-    ax, ay = ring[:-1, 0], ring[:-1, 1]
-    bx, by = ring[1:, 0], ring[1:, 1]
-    n = px.shape[0]
-    m = ax.shape[0]
-    wn = np.zeros(n, dtype=np.int64)
-    on = np.zeros(n, dtype=bool)
-    # Chunk the (points x segments) broadcast to bound memory.
-    step = max(1, int(4_000_000 // max(m, 1)))
-    for s in range(0, n, step):
-        e = min(n, s + step)
-        on_seg, up, down = _edge_pos(px[s:e, None], py[s:e, None],
-                                     ax, ay, bx, by)
-        wn[s:e] = (up.sum(axis=1) - down.sum(axis=1))
-        on[s:e] = on_seg.any(axis=1)
-    return (wn != 0) & ~on, on
-
-
 def _edge_pos(qx, qy, ax, ay, bx, by):
     """Winding terms of points (qx, qy) vs edges a->b, elementwise with
     broadcasting: (on the edge, upward crossing, downward crossing)."""
@@ -182,25 +176,9 @@ def _edge_pos(qx, qy, ax, ay, bx, by):
     return on_seg, up, down
 
 
-def _ring_contains(px, py, ring, bbox):
-    """ring_contains_centroid (tiler.rs:881-908): bbox prefilter, winding
-    test, northward nudge when exactly on the boundary."""
-    x0, y0, x1, y1 = bbox
-    cand = (px >= x0) & (px <= x1) & (py >= y0) & (py <= y1)
-    out = np.zeros(px.shape[0], dtype=bool)
-    if not cand.any():
-        return out
-    inside, on = _ring_coord_pos(px[cand], py[cand], ring)
-    if on.any():
-        nudged, non = _ring_coord_pos(px[cand][on], py[cand][on] +
-                                      np.finfo(np.float64).eps, ring)
-        inside[on] = nudged & ~non
-    out[cand] = inside
-    return out
-
-
 def contains_points(geom: dict, lat, lng, degrees: bool = False):
-    """Vectorized ContainsCentroid predicate over (lat, lng) points.
+    """Vectorized ContainsCentroid predicate over (lat, lng) points: the
+    one-geometry case of `_contains`.
 
     Point is contained when inside some polygon's exterior and none of that
     polygon's holes (tiler.rs:524-545).
@@ -210,15 +188,16 @@ def contains_points(geom: dict, lat, lng, degrees: bool = False):
     if degrees:
         lat = np.deg2rad(lat)
         lng = np.deg2rad(lng)
+    edges = _edge_table([geom])
+    # Only a point in some polygon's bbox can be inside it.
+    near = np.zeros(lat.shape[0], dtype=bool)
+    for (x0, y0, x1, y1), shifted in zip(edges["p_bbox"], edges["p_shift"]):
+        x = _shift_lng(lng, shifted)
+        near |= (x >= x0) & (x <= x1) & (lat >= y0) & (lat <= y1)
+    near = np.flatnonzero(near)
     out = np.zeros(lat.shape[0], dtype=bool)
-    for rings, shifted, bboxes in zip(geom["polys"], geom["shifted"],
-                                      geom["bboxes"]):
-        px = _shift_lng(lng, shifted)
-        hit = _ring_contains(px, lat, rings[0], bboxes[0])
-        for hole, hb in zip(rings[1:], bboxes[1:]):
-            if hit.any():
-                hit &= ~_ring_contains(px, lat, hole, hb)
-        out |= hit
+    out[near] = _contains(edges, np.zeros(near.shape[0], np.int64),
+                          lat[near], lng[near])
     return out
 
 
@@ -276,7 +255,9 @@ def _cell_vertices_in_frame(cells, geom_center_lng):
 
 def _any_per(group: np.ndarray, flags: np.ndarray, n: int) -> np.ndarray:
     """Per-group OR of `flags` over rows labelled by `group` (0..n-1)."""
-    return np.bincount(group, weights=flags, minlength=n) > 0
+    out = np.zeros(n, dtype=bool)
+    out[group[flags]] = True
+    return out
 
 
 def relate_cells(geom: dict, cells) -> tuple[np.ndarray, np.ndarray]:
@@ -294,24 +275,26 @@ def relate_cells(geom: dict, cells) -> tuple[np.ndarray, np.ndarray]:
     if n == 0:
         return intersects, covers
 
-    for rings, shifted, bboxes in zip(geom["polys"], geom["shifted"],
-                                      geom["bboxes"]):
-        center = 0.5 * (bboxes[0][0] + bboxes[0][2])
-        off, vlat, vlng = _cell_vertices_in_frame(cells, center)
-        # Vertex-in-polygon tests for all cell vertices at once.
-        v_in_ext = _ring_contains(vlng, vlat, rings[0], bboxes[0])
-        _, v_on = _ring_coord_pos(vlng, vlat, rings[0])
-        v_in_hole = np.zeros_like(v_in_ext)
-        for hole, hb in zip(rings[1:], bboxes[1:]):
-            v_in_hole |= _ring_contains(vlng, vlat, hole, hb)
-            _, hon = _ring_coord_pos(vlng, vlat, hole)
-            v_on |= hon
-        v_in_poly = (v_in_ext & ~v_in_hole) | v_on
+    edges = _edge_table([geom])
+    p_ring, r_seg = edges["p_ring"], edges["r_seg"]
+    for p in range(p_ring.shape[0] - 1):
+        bb = edges["r_bbox"][p_ring[p]]
+        off, vlat, vlng = _cell_vertices_in_frame(cells,
+                                                  0.5 * (bb[0] + bb[2]))
+        # Every cell vertex against every ring of the polygon at once: in
+        # the exterior and no hole, or on some ring.
+        nv = vlng.shape[0]
+        nr = p_ring[p + 1] - p_ring[p]
+        vi, ring = np.divmod(np.arange(nv * nr), nr)
+        ring += p_ring[p]
+        hit, on = _ring_contains(edges, ring, vlng[vi], vlat[vi])
+        hole = edges["r_hole"][ring]
+        v_in_poly = (_any_per(vi, hit & ~hole, nv) &
+                     ~_any_per(vi, hit & hole, nv)) | _any_per(vi, on, nv)
 
-        pax = np.concatenate([r[:-1, 0] for r in rings])
-        pay = np.concatenate([r[:-1, 1] for r in rings])
-        pbx = np.concatenate([r[1:, 0] for r in rings])
-        pby = np.concatenate([r[1:, 1] for r in rings])
+        seg = slice(r_seg[p_ring[p]], r_seg[p_ring[p + 1]])
+        pax, pay = edges["ax"][seg], edges["ay"][seg]
+        pbx, pby = edges["bx"][seg], edges["by"][seg]
 
         counts = np.diff(off)
         owner = np.repeat(np.arange(n), counts)
@@ -319,18 +302,17 @@ def relate_cells(geom: dict, cells) -> tuple[np.ndarray, np.ndarray]:
         x1 = np.maximum.reduceat(vlng, off[:-1])
         y0 = np.minimum.reduceat(vlat, off[:-1])
         y1 = np.maximum.reduceat(vlat, off[:-1])
-        bb = bboxes[0]
         active = ~((x1 < bb[0]) | (x0 > bb[2]) | (y1 < bb[1]) | (y0 > bb[3]))
         # Edge i of a cell runs from its vertex i to vertex i+1 (cyclic).
         nxt = np.arange(1, vlng.shape[0] + 1)
         nxt[off[1:] - 1] = off[:-1]
 
-        edges = np.flatnonzero(active[owner])
+        live = np.flatnonzero(active[owner])
         inter = np.zeros(n, dtype=bool)
         proper = np.zeros(n, dtype=bool)
-        step = max(1, 4_000_000 // max(pax.shape[0], 1))
-        for s in range(0, edges.shape[0], step):
-            e = edges[s:s + step]
+        step = max(1, _PAIRS_PER_STEP // max(pax.shape[0], 1))
+        for s in range(0, live.shape[0], step):
+            e = live[s:s + step]
             ie, pe = _segments_relate(vlng[e], vlat[e], vlng[nxt[e]],
                                       vlat[nxt[e]], pax, pay, pbx, pby)
             inter |= _any_per(owner[e], ie, n)
@@ -437,7 +419,8 @@ TILING_MODES = ("centroid", "boundary", "intersects", "covers", "candidates")
 def _pack(pid: np.ndarray, cells: np.ndarray, res: int) -> np.ndarray:
     """(polygon_id, res-`res` cell) -> one int64 key: the polygon id sits
     above the 7 + 3·res base-cell and digit bits, so key order is
-    (polygon_id, cell) order and a polygon's keys form one contiguous run."""
+    (polygon_id, cell) order, a polygon's keys form one contiguous run, and
+    a key's parent key (same polygon, res - 1) is the key >> 3."""
     width = 7 + 3 * res
     return (pid << width) | ((cells >> (45 - 3 * res)) &
                              ((np.int64(1) << width) - 1))
@@ -461,71 +444,238 @@ def _disk1_keys(keys: np.ndarray, res: int) -> np.ndarray:
     return np.unique(_pack(pid[row], nbrs, res))
 
 
-def polygons_to_cells(geoms: list[dict], res: int, mode: str = "centroid",
-                      annotated: bool = False):
-    """Batched polygonToCells: one flood fill over all geometries at once.
-
-    Mirrors Tiler::into_annotated_coverage (tiler.rs:170-296) per geometry,
-    but every step runs on (polygon_id, cell) pairs packed into one int64
-    key (`_pack`), so each generation of the fill is one `_disk1` and one
-    `np.unique` for all geometries together, and the containment predicate
-    runs once per geometry per step. Geometry lists longer than the id
-    field holds (2^(56 - 3·res) ids) are tiled in chunks.
-
-    Modes (ContainmentMode, tiler.rs:423-461): "centroid", "boundary"
-    (cell fully inside), "intersects", "covers". "candidates" is the
-    exact-join candidate superset: the centroid coverage plus the
-    1-ring-buffered outline the same fill traces (see `candidate_cells`).
-
-    Returns (polygon_id, cell) int64 arrays sorted by (polygon_id, cell),
-    plus the per-cell fully-contained flags when annotated=True.
-    """
-    if mode not in TILING_MODES:
-        # An unknown string would silently take the intersects path.
-        raise ValueError(f"unknown containment mode {mode!r}")
-    if annotated and mode == "candidates":
-        raise ValueError("candidates mode has no fully-contained flags")
-    res = int(res)
-    step = 1 << (56 - 3 * res)
-    pids, cells, fully = [], [], []
-    for first in range(0, max(len(geoms), 1), step):
-        keys, flags = _flood(geoms[first:first + step], res, mode)
-        order = np.argsort(keys)
-        pid, cell = _unpack(keys[order], res)
-        pids.append(pid + first)
-        cells.append(cell)
-        fully.append(flags[order])
-    pid, cells = np.concatenate(pids), np.concatenate(cells)
-    if annotated:
-        return pid, cells, np.concatenate(fully)
-    return pid, cells
+def _ragged(starts: np.ndarray, counts: np.ndarray):
+    """(owner, index): index runs starts[i] .. starts[i] + counts[i] - 1,
+    owner is i, for every i in order."""
+    if (counts == 1).all():
+        return np.arange(counts.shape[0]), starts
+    owner = np.repeat(np.arange(counts.shape[0]), counts)
+    base = np.cumsum(counts) - counts
+    return owner, np.arange(owner.shape[0]) - base[owner] + starts[owner]
 
 
-def _flood(geoms: list[dict], res: int, mode: str):
-    """Unsorted (keys, fully) coverage of `polygons_to_cells` for geometries
-    whose ids fit the key's id field."""
-    width = 7 + 3 * res
-    tiling = "centroid" if mode == "candidates" else mode
+# ---------------------------------------------------------------------------
+# Whole-batch predicates: every ring of every geometry in one edge table
+# ---------------------------------------------------------------------------
 
-    def predicate(keys: np.ndarray):
-        # `keys` is sorted, so each geometry's cells form one contiguous run.
-        match = np.zeros(keys.shape[0], dtype=bool)
-        fully = np.ones(keys.shape[0], dtype=bool)
-        if keys.size == 0:
-            return match, fully
-        pid, cells = _unpack(keys, res)
-        if tiling == "centroid":
-            clat, clng = latlng.cell_to_latlng_rads(cells)
-        cuts = np.flatnonzero(np.diff(pid)) + 1
-        for s, e in zip(np.r_[0, cuts], np.r_[cuts, keys.shape[0]]):
-            geom = geoms[pid[s]]
-            if tiling == "centroid":
-                match[s:e] = contains_points(geom, clat[s:e], clng[s:e])
+def _edge_table(geoms: list[dict]) -> dict:
+    """Every ring of every geometry, flattened: per geometry its polygon
+    range, per polygon its frame (shifted or not), bbox and ring range,
+    per ring its bbox, hole flag and segment range, and the segments."""
+    g_poly, p_shift, p_ring, r_hole, r_bbox, rings = [0], [], [0], [], [], []
+    for geom in geoms:
+        for poly, shifted, bboxes in zip(geom["polys"], geom["shifted"],
+                                         geom["bboxes"]):
+            p_shift.append(shifted)
+            rings.extend(poly)
+            r_bbox.extend(bboxes)
+            r_hole.extend([False] + [True] * (len(poly) - 1))
+            p_ring.append(len(rings))
+        g_poly.append(len(p_shift))
+    r_seg = np.cumsum([0] + [r.shape[0] - 1 for r in rings])
+    p_ring = np.asarray(p_ring, dtype=np.int64)
+    bb = np.asarray(r_bbox, dtype=np.float64).reshape(-1, 4)
+    a = np.concatenate([r[:-1] for r in rings] or [np.empty((0, 2))])
+    b = np.concatenate([r[1:] for r in rings] or [np.empty((0, 2))])
+    # A polygon's bbox spans all its rings, holes included.
+    p_bbox = np.empty((p_ring.shape[0] - 1, 4))
+    if rings:
+        p_bbox[:, :2] = np.minimum.reduceat(bb[:, :2], p_ring[:-1])
+        p_bbox[:, 2:] = np.maximum.reduceat(bb[:, 2:], p_ring[:-1])
+    return {"g_poly": np.asarray(g_poly, dtype=np.int64),
+            "p_shift": np.asarray(p_shift, dtype=bool), "p_bbox": p_bbox,
+            "p_ring": p_ring, "r_seg": r_seg, "r_bbox": bb,
+            "r_hole": np.asarray(r_hole, dtype=bool),
+            "ax": a[:, 0], "ay": a[:, 1], "bx": b[:, 0], "by": b[:, 1]}
+
+
+def _polygon_pairs(edges: dict, gid: np.ndarray, lng: np.ndarray):
+    """(row, polygon, x): one pair per row and polygon of the row's
+    geometry, x being the row's longitude in that polygon's frame."""
+    g = edges["g_poly"]
+    row, poly = _ragged(g[gid], g[gid + 1] - g[gid])
+    x = lng[row]
+    return row, poly, np.where(edges["p_shift"][poly] & (x < 0),
+                               x + TWO_PI, x)
+
+
+def _steps(weight: np.ndarray):
+    """Row ranges [s, e) whose summed `weight` stays near
+    `_PAIRS_PER_STEP`, covering all rows."""
+    cum = np.cumsum(weight)
+    cuts = np.searchsorted(cum, np.arange(_PAIRS_PER_STEP, cum[-1] if
+                                          cum.size else 0, _PAIRS_PER_STEP))
+    bounds = np.unique(np.r_[0, cuts, weight.shape[0]])
+    return zip(bounds[:-1], bounds[1:])
+
+
+def _rings_contain(edges: dict, ring: np.ndarray, x: np.ndarray,
+                   y: np.ndarray):
+    """Winding-number position of points vs rings, one (point, ring) pair
+    per row: (inside, on_boundary). Mirrors geo's
+    coord_pos_relative_to_ring used by ring_contains_centroid
+    (tiler.rs:881-908): nonzero winding rule + exact on-segment detection.
+
+    Rows run in (rows, segments) blocks of one segment count each, at most
+    `_PAIRS_PER_STEP` pairs a block; a block whose rows share one ring
+    broadcasts that ring's segments instead of gathering them per row."""
+    first = edges["r_seg"][ring]
+    count = edges["r_seg"][ring + 1] - first
+    inside = np.zeros(ring.shape[0], dtype=bool)
+    on = np.zeros(ring.shape[0], dtype=bool)
+    for m in np.unique(count):
+        rows = np.flatnonzero(count == m)
+        step = max(1, _PAIRS_PER_STEP // m)
+        for s in range(0, rows.shape[0], step):
+            q = rows[s:s + step]
+            if (first[q] == first[q[0]]).all():
+                k = first[q[0]] + np.arange(m)
             else:
-                match[s:e], fully[s:e] = relate_cells(geom, cells[s:e])
-        return match, fully
+                k = first[q, None] + np.arange(m)
+            on_seg, up, down = _edge_pos(
+                x[q, None], y[q, None], edges["ax"][k], edges["ay"][k],
+                edges["bx"][k], edges["by"][k])
+            on[q] = on_seg.any(axis=1)
+            inside[q] = (up.sum(axis=1) != down.sum(axis=1)) & ~on[q]
+    return inside, on
 
-    # 1. Outline tracing + 1-ring buffer + predicate (tiler.rs:299-340).
+
+def _ring_contains(edges: dict, ring: np.ndarray, x: np.ndarray,
+                   y: np.ndarray):
+    """ring_contains_centroid (tiler.rs:881-908) for (point, ring) pairs:
+    bbox prefilter, winding test, northward nudge when exactly on the
+    boundary. Returns (contained, on_boundary), the latter before the
+    nudge."""
+    bb = edges["r_bbox"]
+    cand = np.flatnonzero((x >= bb[ring, 0]) & (x <= bb[ring, 2]) &
+                          (y >= bb[ring, 1]) & (y <= bb[ring, 3]))
+    inside, on = _rings_contain(edges, ring[cand], x[cand], y[cand])
+    hit = np.zeros(ring.shape[0], dtype=bool)
+    at = np.zeros(ring.shape[0], dtype=bool)
+    hit[cand] = inside
+    at[cand] = on
+    if on.any():
+        c = cand[on]
+        nudged, non = _rings_contain(edges, ring[c], x[c],
+                                     y[c] + np.finfo(np.float64).eps)
+        hit[c] = nudged & ~non
+    return hit, at
+
+
+def _contains(edges: dict, gid: np.ndarray, lat: np.ndarray,
+              lng: np.ndarray) -> np.ndarray:
+    """`contains_points` for points that each name their own geometry
+    (`gid` indexes the geometries of `edges`), in one pass over the
+    (point, ring) pairs of every polygon of the point's geometry: inside
+    some polygon's exterior and none of its holes."""
+    n = gid.shape[0]
+    prow, poly, px = _polygon_pairs(edges, gid, lng)
+    pair, ring = _ragged(edges["p_ring"][poly], np.diff(edges["p_ring"])[poly])
+    hit, _ = _ring_contains(edges, ring, px[pair], lat[prow[pair]])
+    hole = edges["r_hole"][ring]
+    in_poly = _any_per(pair, hit & ~hole, poly.shape[0]) & \
+        ~_any_per(pair, hit & hole, poly.shape[0])
+    return _any_per(prow, in_poly, n)
+
+
+def _segments_meet_boxes(ax, ay, bx, by, x0, y0, x1, y1):
+    """Whether each segment a->b meets its axis-aligned box: their bboxes
+    overlap and the box corners are not all strictly on one side of the
+    segment's line."""
+    dx = bx - ax
+    dy = by - ay
+    c = [dx * (y - ay) - dy * (x - ax)
+         for x, y in ((x0, y0), (x0, y1), (x1, y0), (x1, y1))]
+    return (np.maximum(ax, bx) >= x0) & (np.minimum(ax, bx) <= x1) & \
+        (np.maximum(ay, by) >= y0) & (np.minimum(ay, by) <= y1) & \
+        (np.minimum.reduce(c) <= 0.0) & (np.maximum.reduce(c) >= 0.0)
+
+
+def _meets_ring(edges: dict, gid: np.ndarray, lat: np.ndarray,
+                lng: np.ndarray, reach: float) -> np.ndarray:
+    """Whether the disk of great-circle radius `reach` around each point may
+    meet a ring of its geometry. A disk that meets no ring lies wholly
+    inside or wholly outside the geometry.
+
+    Per polygon of the geometry, the test runs on the lat/lng box, in the
+    polygon's frame, that holds the disk (every longitude when the disk
+    holds a pole): the disk may meet a ring when the box meets one of the
+    polygon's segments, or crosses the frame's seam while one of its
+    wrapped halves overlaps the polygon's bbox."""
+    row, poly, x = _polygon_pairs(edges, gid, lng)
+    y = lat[row]
+    cap = np.abs(y) + reach < 0.5 * math.pi
+    ratio = np.sin(reach) / np.where(cap, np.cos(y), 1.0)
+    half = np.where(cap, np.arcsin(np.minimum(ratio, 1.0)), math.pi)
+    x0, y0, x1, y1 = x - half, y - reach, x + half, y + reach
+    lo = np.where(edges["p_shift"][poly], 0.0, -math.pi)
+    seam = (x0 < lo) | (x1 > lo + TWO_PI)
+    bb = edges["p_bbox"][poly]
+
+    def overlap(shift):
+        return (x1 + shift >= bb[:, 0]) & (x0 + shift <= bb[:, 2]) & \
+            (y1 >= bb[:, 1]) & (y0 <= bb[:, 3])
+
+    near = seam & (overlap(0.0) | overlap(TWO_PI) | overlap(-TWO_PI))
+    test = np.flatnonzero(~seam & overlap(0.0))
+    first = edges["r_seg"][edges["p_ring"][poly[test]]]
+    count = edges["r_seg"][edges["p_ring"][poly[test] + 1]] - first
+    for a, b in _steps(count):
+        r, k = _ragged(first[a:b], count[a:b])
+        t = test[a:b][r]
+        near[test[a:b]] = _any_per(r, _segments_meet_boxes(
+            edges["ax"][k], edges["ay"][k], edges["bx"][k], edges["by"][k],
+            x0[t], y0[t], x1[t], y1[t]), b - a)
+    return _any_per(row, near, gid.shape[0])
+
+
+# ---------------------------------------------------------------------------
+# Top-down tiling
+# ---------------------------------------------------------------------------
+
+# A res-0 cell with base cell 0: mode 1, res 0, every digit unused.
+_BASE_HEADER = np.int64((1 << 59) | ((1 << 45) - 1))
+
+
+def _compact_keys(levels: dict, res: int) -> dict:
+    """Bottom-up compaction of non-overlapping (geometry, cell) keys given
+    per res: wherever all 7 children of a cell (6 of a pentagon) are
+    present for one geometry, the parent replaces them."""
+    out = {}
+    carry = np.empty(0, dtype=np.int64)
+    for r in range(res, -1, -1):
+        cur = np.sort(np.concatenate([levels.get(r, carry[:0]), carry]))
+        if r == 0 or cur.size == 0:
+            out[r], carry = cur, cur[:0]
+            continue
+        parent, counts = np.unique(cur >> 3, return_counts=True)
+        full = counts == 7
+        six = np.flatnonzero(counts == 6)
+        full[six] = bits.is_pentagon(_unpack(parent[six], r - 1)[1])
+        out[r] = cur[~np.repeat(full, counts)]
+        carry = parent[full]
+    return out
+
+
+def _tile(geoms: list[dict], res: int, mode: str) -> dict:
+    """Compacted coverage of geometries whose ids fit the key's id field,
+    as {res: sorted (geometry, cell) keys}.
+
+    1. Outline cells B (tiler.rs:299-340): every ring sampled at
+       pentagon-diameter steps, buffered by one ring, and the mode's
+       predicate run on B.
+    2. Descent from the base cells: each res-r cell whose
+       `CELL_REACH_RADS[r]` disk meets no ring is wholly inside (kept
+       whole) or wholly outside (dropped), decided by its centre; the rest
+       split into their children. At the target res a cell outside B
+       meets no ring either, so its centroid decides it in every mode.
+    3. The union, less the outline cells an inside cell already holds,
+       compacted.
+    """
+    edges = _edge_table(geoms)
+    width = 7 + 3 * res
+
+    # 1. Outline tracing + 1-ring buffer + predicate.
     lat, lng, owner = [], [], []
     for pid, geom in enumerate(geoms):
         for rings in geom["polys"]:
@@ -541,64 +691,119 @@ def _flood(geoms: list[dict], res: int, mode: str):
     else:
         sampled = np.empty(0, np.int64)
     buffered = _disk1_keys(sampled, res)
-    is_match, fully = predicate(buffered)
-    outlines = buffered[is_match]
-    out_fully = fully[is_match]
-    seen = buffered  # all tested candidates, matching or not
-
-    parts = [outlines]
-    fparts = [out_fully]
-    if tiling == "covers":
+    pid, cells = _unpack(buffered, res)
+    if mode == "candidates":
+        match = np.ones(buffered.shape[0], dtype=bool)
+    elif mode == "centroid":
+        match = _contains(edges, pid, *latlng.cell_to_latlng_rads(cells))
+    else:
+        # `buffered` is sorted: each geometry's cells are one run.
+        match = np.zeros(buffered.shape[0], dtype=bool)
+        starts = np.flatnonzero(np.diff(pid, prepend=-1))
+        for s, e in zip(starts, np.r_[starts[1:], pid.shape[0]]):
+            hit, fully = relate_cells(geoms[pid[s]], cells[s:e])
+            match[s:e] = fully if mode == "boundary" else hit
+    parts = [buffered[match]]
+    if mode == "covers":
         # Geometry within one cell (tiler.rs:227-238): no outline cell
-        # matched, so the coverage is the cell holding the centroid.
-        lone = np.setdiff1d(np.arange(len(geoms)), outlines >> width)
+        # intersects, so the coverage is the cell holding the centroid.
+        lone = np.setdiff1d(np.flatnonzero(np.diff(edges["g_poly"])),
+                            parts[0] >> width)
         if lone.size:
             cent = np.array([_planar_centroid(geoms[p]) for p in lone])
             parts.append(_pack(lone, latlng.latlng_rads_to_cell(
                 cent[:, 0], cent[:, 1], res), res))
-            fparts.append(np.zeros(lone.size, bool))
 
-    # 2. Outermost inner layer (tiler.rs:569-594).
-    nbrs = _disk1_keys(outlines, res)
-    fresh = nbrs[~np.isin(nbrs, seen, assume_unique=True)]
-    seen = np.union1d(seen, nbrs)
-    is_match, fully = predicate(fresh)
-    candidates = fresh[is_match]
-    cand_fully = fully[is_match]
+    # 2. Descent from the 122 base cells of every geometry with a polygon.
+    has = np.flatnonzero(np.diff(edges["g_poly"]))
+    keys = _pack(np.repeat(has, 122), np.tile(np.arange(122, dtype=np.int64)
+                                              << 45 | _BASE_HEADER, has.size),
+                 0)
+    inside: dict = {}
+    for r in range(res):
+        gid, cells = _unpack(keys, r)
+        lat, lng = latlng.cell_to_latlng_rads(cells)
+        near = _meets_ring(edges, gid, lat, lng, CELL_REACH_RADS[r])
+        far = np.flatnonzero(~near)
+        inside[r] = keys[far[_contains(edges, gid[far], lat[far], lng[far])]]
+        split = np.flatnonzero(near)
+        row, kids = hierarchy.cell_to_children(cells[split], r + 1)
+        keys = _pack(gid[split][row], kids, r + 1)
+    keys = keys[~np.isin(keys, buffered)]
+    gid, cells = _unpack(keys, res)
+    parts.append(keys[_contains(edges, gid,
+                                *latlng.cell_to_latlng_rads(cells))])
 
-    if tiling == "boundary":
-        parts[0] = outlines[out_fully]
-        fparts[0] = out_fully[out_fully]
-        candidates = candidates[cand_fully]
-        cand_fully = cand_fully[cand_fully]
-    parts.append(candidates)
-    fparts.append(cand_fully)
-
-    # 3. Inward generational propagation, no PIP needed (tiler.rs:254-295).
-    gen = candidates
-    while gen.size:
-        nbrs = _disk1_keys(gen, res)
-        gen = nbrs[~np.isin(nbrs, seen, assume_unique=True)]
-        seen = nbrs  # generational swap (tiler.rs:283-290)
-        parts.append(gen)
-        fparts.append(np.ones(gen.size, bool))
-
-    if mode == "candidates":
-        parts.append(buffered)
-        keys = np.unique(np.concatenate(parts))
-        return keys, np.ones(keys.size, bool)
-    return np.concatenate(parts), np.concatenate(fparts)
+    # 3. Union, minus outline cells under an inside cell, compacted.
+    flat = np.unique(np.concatenate(parts))
+    for r, k in inside.items():
+        flat = flat[~np.isin(flat >> 3 * (res - r), k)]
+    inside[res] = flat
+    return _compact_keys(inside, res)
 
 
-def polygon_to_cells(geom: dict, res: int, mode: str = "centroid",
-                     annotated: bool = False):
-    """polygonToCells: covering cell set of one prepared geometry.
+def _chunks(geoms: list[dict], res: int, mode: str):
+    """(first polygon id, `_tile` output) per chunk of geometries whose ids
+    fit the key's id field (2^(56 - 3·res) ids)."""
+    if mode not in TILING_MODES:
+        # An unknown string would silently take the intersects path.
+        raise ValueError(f"unknown containment mode {mode!r}")
+    res = int(res)
+    step = 1 << (56 - 3 * res)
+    for first in range(0, max(len(geoms), 1), step):
+        yield first, _tile(geoms[first:first + step], res, mode)
 
-    `polygons_to_cells` over a one-geometry list. Returns a sorted int64
-    cell array, or (cells, fully_contained) when annotated=True.
+
+def polygons_to_compact_cells(geoms: list[dict], res: int,
+                              mode: str = "centroid"):
+    """Batched polygonToCells, compacted: each geometry's coverage as its
+    minimal multi-res cell set, exactly `hierarchy.compact` of what
+    `polygons_to_cells` returns for it. This is the tiler's native output,
+    so it costs what the compacted set holds, not the polygon's area.
+
+    Returns (polygon_id, cell) int64 arrays sorted by (polygon_id, cell).
     """
-    out = polygons_to_cells([geom], res, mode, annotated)
-    return out[1:] if annotated else out[1]
+    pids, cells = [], []
+    for first, levels in _chunks(geoms, res, mode):
+        for r, keys in levels.items():
+            pid, cell = _unpack(keys, r)
+            pids.append(pid + first)
+            cells.append(cell)
+    pid = np.concatenate(pids)
+    cell = np.concatenate(cells)
+    order = np.lexsort((cell, pid))
+    return pid[order], cell[order]
+
+
+def polygons_to_cells(geoms: list[dict], res: int, mode: str = "centroid"):
+    """Batched polygonToCells over a list of geometries: the uncompacted
+    `polygons_to_compact_cells` at `res`.
+
+    Modes (ContainmentMode, tiler.rs:423-461): "centroid", "boundary"
+    (cell fully inside), "intersects", "covers". "candidates" is the
+    exact-join candidate superset: the centroid coverage plus the
+    1-ring-buffered outline (see `candidate_cells`).
+
+    Returns (polygon_id, cell) int64 arrays sorted by (polygon_id, cell).
+    """
+    pids, cells = [], []
+    res = int(res)
+    for first, levels in _chunks(geoms, res, mode):
+        parts = [levels.pop(res)]
+        for r, keys in levels.items():
+            gid, cell = _unpack(keys, r)
+            row, kids = hierarchy.cell_to_children(cell, res)
+            parts.append(_pack(gid[row], kids, res))
+        pid, cell = _unpack(np.sort(np.concatenate(parts)), res)
+        pids.append(pid + first)
+        cells.append(cell)
+    return np.concatenate(pids), np.concatenate(cells)
+
+
+def polygon_to_cells(geom: dict, res: int, mode: str = "centroid"):
+    """polygonToCells: the sorted int64 covering cell set of one prepared
+    geometry (`polygons_to_cells` over a one-geometry list)."""
+    return polygons_to_cells([geom], res, mode)[1]
 
 
 def coverage_size_hint(geom: dict, res: int) -> int:
@@ -631,9 +836,9 @@ def candidate_cells(geom: dict, res: int) -> np.ndarray:
     candidate set for exact point-in-polygon joins: any point inside the
     geometry lies in one of these cells.
 
-    One geometry's `polygons_to_cells(..., "candidates")`: the centroid
-    flood fill already traces and buffers the outline, so (a) comes from
-    that same pass, and a list of geometries tiles in one batched fill.
+    One geometry's `polygons_to_cells(..., "candidates")`: the tiler
+    already traces and buffers the outline, so (a) comes from that same
+    pass, and a list of geometries tiles in one batched pass.
     Returns the sorted cells.
     """
     return polygon_to_cells(geom, res, "candidates")

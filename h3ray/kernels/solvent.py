@@ -304,12 +304,10 @@ def dissolve_boundary_edges(edges):
         # Smallest enclosing outer ring (scan ascending area).
         target = None
         for idx in range(len(outers) - 1, -1, -1):
-            oring = outers[idx][2]
-            bbox = (oring[:, 0].min(), oring[:, 1].min(),
-                    oring[:, 0].max(), oring[:, 1].max())
-            inside = _region._ring_contains(
-                np.array([hx]), np.array([hy]), oring, bbox)
-            if inside[0]:
+            outer = _region.prepare_geometry(
+                [[outers[idx][2]]], degrees=False,
+                transmeridian_heuristic=False)
+            if _region.contains_points(outer, [hy], [hx])[0]:
                 target = idx
                 break
         if target is None:

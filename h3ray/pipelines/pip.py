@@ -6,11 +6,14 @@ coverage by walking its ancestor cells — max 16 sorted-array lookups per
 page, no shuffle of the big side.
 
 The polygons are the small side and are tiled once per join, in one
-batched flood fill over all of them (region.polygons_to_cells, shared by
-build_probe and coverage_table through `_tile`). The fill runs inline on
-the driver, or as one Ray task per CPU-sized chunk of polygons when the
-cluster has more than one CPU. The coverage is compacted (minimal
-multi-res cell set) and broadcast via ray.put.
+batched top-down pass over all of them (shared by build_probe and
+coverage_table through `_tile`). build_probe takes the tiler's native
+compacted coverage (minimal multi-res cell set,
+region.polygons_to_compact_cells), so tiling costs what the probe holds,
+not the polygons' area; coverage_table takes its flat res-`res` form
+(region.polygons_to_cells). Tiling runs inline on the driver, or as one
+Ray task per CPU-sized chunk of polygons when the cluster has more than
+one CPU. The probe is broadcast via ray.put.
 
 `exact=True` re-checks the exact point-in-polygon predicate per candidate
 (coverage then uses the "candidates" superset so no true match is lost),
@@ -23,7 +26,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..io import pages as pages_io
-from ..kernels import bits, hierarchy, region
+from ..kernels import bits, region
 
 
 def city_polygons(n: int = 10, radius_deg: float = 0.75) -> list[dict]:
@@ -44,18 +47,12 @@ def city_polygons(n: int = 10, radius_deg: float = 0.75) -> list[dict]:
 
 
 def _tile_chunk(geoms: list[dict], res: int, mode: str, compact: bool):
-    """(polygon_id, cell) coverage of one chunk of polygons: sorted unique
-    cells per polygon, each polygon's set compacted when `compact`."""
-    pid, cell = region.polygons_to_cells(geoms, res, mode)
-    keep = np.ones(pid.shape[0], dtype=bool)
-    keep[1:] = (pid[1:] != pid[:-1]) | (cell[1:] != cell[:-1])
-    pid, cell = pid[keep], cell[keep]
-    if compact and cell.size:
-        cuts = np.flatnonzero(np.diff(pid)) + 1
-        parts = [hierarchy.compact(c) for c in np.split(cell, cuts)]
-        pid = np.repeat(pid[np.r_[0, cuts]], [c.shape[0] for c in parts])
-        cell = np.concatenate(parts)
-    return pid, cell
+    """(polygon_id, cell) coverage of one chunk of polygons, sorted by
+    (polygon_id, cell): each polygon's compacted set when `compact`, else
+    its flat res-`res` cells."""
+    if compact:
+        return region.polygons_to_compact_cells(geoms, res, mode)
+    return region.polygons_to_cells(geoms, res, mode)
 
 
 def _tile(geoms: list[dict], res: int, mode: str, compact: bool = False):

@@ -79,7 +79,9 @@ def test_empty_tables_wave34_queries(ray_session, tmp_path):
     via the typed empty seed in ops.join). A projected or UDF-mapped
     empty dataset has no block and so no Ray schema; orders_cube,
     docs_tfidf_topk and the four join queries after it declare theirs
-    with ops.join.seed_schema. orders_cube's ()-grouping row keeps the
+    with ops.join.seed_schema, and docs_dup_ngram_fraction and
+    pages_snapshot_diff return a typed empty table when the documents
+    table has no rows. orders_cube's ()-grouping row keeps the
     string group columns of a non-empty run."""
     import pyarrow.parquet as pq
 
@@ -93,7 +95,8 @@ def test_empty_tables_wave34_queries(ray_session, tmp_path):
     q = entry.queries()
     typed = {"orders_cube", "docs_tfidf_topk", "revenue_local_suppliers",
              "orders_bloom_pruned_revenue", "lineitem_priority_counts",
-             "nation_supplier_customer_full"}
+             "nation_supplier_customer_full", "docs_dup_ngram_fraction",
+             "pages_snapshot_diff"}
     for name in ["order_priority_check", "nation_pair_volume",
                  "customer_order_dist", "top_supplier_revenue",
                  "disjunct_brand_revenue", "idle_rich_customers",
@@ -118,6 +121,11 @@ def test_empty_tables_wave34_queries(ray_session, tmp_path):
         if name == "docs_tfidf_topk":
             assert schema.field("doc_id").type == pa.int64()
             assert schema.field("term").type == pa.string()
+        if name == "docs_dup_ngram_fraction":
+            assert schema.names == ["doc_id", "n_shingles", "n_dup"]
+            assert set(schema.types) == {pa.int64()}
+        if name == "pages_snapshot_diff":
+            assert schema.field("status").type == pa.string()
 
 
 def test_empty_rollup_cube_sql_semantics(ray_session):

@@ -145,13 +145,9 @@ def test_parent_child_positions(seed, res, child_res):
     assert ok.all() and (pos == 0).all()  # center child is rank 0
 
 
-@settings(max_examples=20, deadline=None)
-@given(st.integers(0, 2 ** 31), st.integers(3, 9), st.integers(4, 9))
-def test_polygon_to_cells_fuzz(seed, n_verts, res):
-    """fuzz: polygon_to_cells target — random star-shaped polygons: size
-    hint bounds the coverage, outputs are valid cells at the target res,
-    and the containment modes nest (boundary <= centroid <= intersects <=
-    covers + 1)."""
+def star_geometry(seed: int, n_verts: int) -> dict:
+    """A random star-shaped polygon: `n_verts` vertices at random angles
+    and radii (0.05 to 1.5 degrees) around a random centre."""
     from h3ray.kernels import region
 
     rng = np.random.default_rng(seed)
@@ -162,7 +158,19 @@ def test_polygon_to_cells_fuzz(seed, n_verts, res):
     lat = lat0 + rad * np.sin(ang)
     lng = lng0 + rad * np.cos(ang)
     ring = np.stack([np.append(lng, lng[0]), np.append(lat, lat[0])], axis=1)
-    g = region.prepare_geometry([[ring]])
+    return region.prepare_geometry([[ring]])
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2 ** 31), st.integers(3, 9), st.integers(4, 9))
+def test_polygon_to_cells_fuzz(seed, n_verts, res):
+    """fuzz: polygon_to_cells target — random star-shaped polygons: size
+    hint bounds the coverage, outputs are valid cells at the target res,
+    and the containment modes nest (boundary <= centroid <= intersects <=
+    covers + 1)."""
+    from h3ray.kernels import region
+
+    g = star_geometry(seed, n_verts)
 
     hint = region.coverage_size_hint(g, res)
     out = {m: set(np.unique(region.polygon_to_cells(g, res, m)).tolist())

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from h3ray.kernels import region
+from h3ray.kernels import hierarchy, region
 from h3ray.pipelines import pip
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "tiler_golden.json"
@@ -102,3 +102,20 @@ def test_single_geometry_tiling_matches_golden(golden, name):
             (name, res, mode)
     assert digest(region.candidate_cells(geoms[0], 6)) == digest(
         region.polygons_to_cells(geoms, 6, "candidates")[1])
+
+
+@pytest.mark.parametrize("set_name", [c[0] for c in golden_cases()])
+def test_compact_coverage_is_compacted_flat(set_name):
+    """The tiler's native compacted output is, per geometry, exactly
+    `hierarchy.compact` of its flat coverage, sorted by cell."""
+    _, geoms, settings = next(c for c in golden_cases() if c[0] == set_name)
+    for res, mode in settings:
+        pid, cells = region.polygons_to_cells(geoms, res, mode)
+        cpid, ccells = region.polygons_to_compact_cells(geoms, res, mode)
+        assert (np.diff(cpid) >= 0).all()
+        for idx in range(len(geoms)):
+            flat = cells[pid == idx]
+            want = hierarchy.compact(flat) if flat.size else flat
+            np.testing.assert_array_equal(ccells[cpid == idx], want,
+                                          err_msg=str((set_name, idx, res,
+                                                       mode)))
