@@ -23,15 +23,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 SF0001 = "/root/testdata/sf0.001"
 
-
-def _hugeint(values):
-    """int64 values as an exact decimal128(38, 0) column — Arrow's
-    HUGEINT: a combine can SUM it where an int64 SUM would wrap."""
-    import numpy as np
-    import pyarrow as pa
-
-    return pa.array(np.asarray(values, np.int64)).cast(
-        pa.decimal128(38, 0))
+from h3ray.ops.reduce import _hugeint  # noqa: E402
 
 
 def _nation_names(sf_dir: str, keys):
@@ -1658,8 +1650,8 @@ def _lineitem_rollup(sf_dir: str):
 
 def _lineitem_corr_by_flag(sf_dir: str):
     """Exact per-returnflag Pearson correlation of (quantity,
-    extendedprice): integer-moment combiners (cents quantization), Python
-    bigint tree-root merge, one float64 formula at the end — bit-identical
+    extendedprice): HUGEINT integer-moment sums (cents quantization),
+    Python-bigint finish, one float64 formula at the end — bit-identical
     to DuckDB's HUGEINT-sum mirror."""
     import pyarrow as pa
     import pyarrow.compute as pc
@@ -4919,8 +4911,8 @@ def _orders_pareto_share(sf_dir: str):
 def _events_value_trend_by_type(sf_dir: str):
     """Per-type least-squares trend of event value over time (drift
     monitoring shape): slope of value-cents on seconds-since-2024-01-01,
-    via ops.reduce.grouped_regr_slope_exact — exact int64 moment
-    combiners (the 2024 offset keeps x*x chunk sums inside int64),
+    via ops.reduce.grouped_regr_slope_exact — exact HUGEINT moment
+    sums (the 2024 offset keeps each row's x*x inside int64),
     Python-bigint root, ONE final IEEE division. The SQL mirror computes
     the identical expression from HUGEINT sums (not REGR_SLOPE, whose
     float accumulation is order-dependent)."""

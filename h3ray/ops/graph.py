@@ -33,6 +33,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from .reduce import combine
+
 
 def pagerank_fixed(edges_ds, num_nodes: int, *, src_col: str = "src",
                    dst_col: str = "dst", iters: int = 3,
@@ -41,7 +43,16 @@ def pagerank_fixed(edges_ds, num_nodes: int, *, src_col: str = "src",
     damped power iterations at 85/100 damping, uniform start."""
     import ray
 
-    from .reduce import driver_merge
+    def site_sums(prep, col: str) -> np.ndarray:
+        """Per-site int64 SUM of the `col` partials `prep` emits, scattered
+        into a dense num_nodes vector."""
+        t = combine(edges_ds, "site", sums=[col], prep=prep,
+                    batch_size=131072,
+                    schema=pa.schema([("site", pa.int64()),
+                                      (col, pa.int64())]))
+        out = np.zeros(num_nodes, dtype=np.int64)
+        out[t["site"].to_numpy()] = t[col].to_numpy()
+        return out
 
     def degree_partial(batch: pa.Table) -> pa.Table:
         src = batch[src_col].to_numpy(zero_copy_only=False)
@@ -49,14 +60,7 @@ def pagerank_fixed(edges_ds, num_nodes: int, *, src_col: str = "src",
         nz = np.flatnonzero(deg)
         return pa.table({"site": nz, "outdeg": deg[nz]})
 
-    degt = driver_merge(
-        edges_ds.map_batches(degree_partial, batch_format="pyarrow",
-                             batch_size=131072),
-        lambda t: t.group_by("site").aggregate([("outdeg", "sum")])
-        .rename_columns(["site", "outdeg"]),
-        schema=pa.schema([("site", pa.int64()), ("outdeg", pa.int64())]))
-    outdeg = np.zeros(num_nodes, dtype=np.int64)
-    outdeg[degt["site"].to_numpy()] = degt["outdeg"].to_numpy()
+    outdeg = site_sums(degree_partial, "outdeg")
     # avoid div-by-zero for dangling nodes; their rank ships nowhere
     # either way because no edge has them as src
     safe_deg = np.maximum(outdeg, 1)
@@ -75,15 +79,7 @@ def pagerank_fixed(edges_ds, num_nodes: int, *, src_col: str = "src",
             nz = np.flatnonzero(acc)
             return pa.table({"site": nz, "incoming": acc[nz]})
 
-        inct = driver_merge(
-            edges_ds.map_batches(contrib_partial, batch_format="pyarrow",
-                                 batch_size=131072),
-            lambda t: t.group_by("site").aggregate([("incoming", "sum")])
-            .rename_columns(["site", "incoming"]),
-            schema=pa.schema([("site", pa.int64()),
-                              ("incoming", pa.int64())]))
-        incoming = np.zeros(num_nodes, dtype=np.int64)
-        incoming[inct["site"].to_numpy()] = inct["incoming"].to_numpy()
+        incoming = site_sums(contrib_partial, "incoming")
         rank = (15 * base) // 100 + (85 * incoming) // 100
 
     return pa.table({"site": np.arange(num_nodes, dtype=np.int64),
@@ -98,24 +94,17 @@ def _distinct_undirected(edges_ds, num_nodes: int, src_col: str,
     driver root; the result is graph-order bounded (same contract as
     pagerank_fixed's rank vector — site/domain graphs, not social
     graphs)."""
-    from .reduce import driver_merge
-
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         s = batch[src_col].to_numpy(zero_copy_only=False).astype(np.int64)
         d = batch[dst_col].to_numpy(zero_copy_only=False).astype(np.int64)
         keep = s != d
         s, d = s[keep], d[keep]
-        u = np.minimum(s, d)
-        v = np.maximum(s, d)
-        return pa.table({"e": np.unique(u * num_nodes + v)})
+        return pa.table({"e": np.minimum(s, d) * num_nodes
+                         + np.maximum(s, d)})
 
-    t = driver_merge(
-        edges_ds.map_batches(partial, batch_format="pyarrow",
-                             batch_size=131072),
-        lambda t: pa.table({"e": np.unique(
-            t["e"].to_numpy(zero_copy_only=False))}),
-        schema=pa.schema([("e", pa.int64())]))
-    return t["e"].to_numpy(zero_copy_only=False)
+    t = combine(edges_ds, "e", prep=prep, batch_size=131072,
+                schema=pa.schema([("e", pa.int64())]))
+    return np.sort(t["e"].to_numpy(zero_copy_only=False))
 
 
 def triangle_count(edges_ds, num_nodes: int, *, src_col: str = "src",
@@ -232,8 +221,6 @@ def bfs_hops(edges_ds, num_nodes: int, seeds, *, src_col: str = "src",
     """
     import ray
 
-    from .reduce import driver_merge
-
     seeds = np.unique(np.asarray(list(seeds), dtype=np.int64))
     if seeds.size and (seeds.min() < 0 or seeds.max() >= num_nodes):
         raise ValueError("bfs_hops: seed outside [0, num_nodes)")
@@ -249,18 +236,14 @@ def bfs_hops(edges_ds, num_nodes: int, seeds, *, src_col: str = "src",
         mask[frontier] = True
         ref = ray.put(mask)
 
-        def reached_partial(batch: pa.Table) -> pa.Table:
+        def reached(batch: pa.Table) -> pa.Table:
             m = ray.get(ref)
             src = batch[src_col].to_numpy(zero_copy_only=False)
             dst = batch[dst_col].to_numpy(zero_copy_only=False)
-            return pa.table({"site": np.unique(dst[m[src]])})
+            return pa.table({"site": dst[m[src]]})
 
-        t = driver_merge(
-            edges_ds.map_batches(reached_partial, batch_format="pyarrow",
-                                 batch_size=131072),
-            lambda t: pa.table({"site": np.unique(
-                t["site"].to_numpy(zero_copy_only=False))}),
-            schema=schema)
+        t = combine(edges_ds, "site", prep=reached, batch_size=131072,
+                    schema=schema)
         cand = t["site"].to_numpy(zero_copy_only=False)
         frontier = cand[dist[cand] == INF]
         dist[frontier] = rnd

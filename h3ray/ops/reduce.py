@@ -1,4 +1,4 @@
-"""Small-result reduction helpers.
+"""Small-result reduction: the combiner and its driver root.
 
 Ray Data's `repartition(1)` is an all-to-all operator: at low parallelism it
 stalls the streaming executor far beyond the data volume involved (measured
@@ -8,6 +8,17 @@ tree-reduce root is the driver: stream the partial blocks with
 `iter_batches` (backpressured, no materialization of anything big) and merge
 with one vectorized numpy/arrow pass. The result re-enters Ray Data via
 `from_arrow` when a Dataset is needed downstream.
+
+`combine` is the one rule by which a bounded grouping reaches the driver:
+a batch-local Arrow `group_by` (SUM / MIN / MAX / COUNT(*), or DISTINCT
+when only keys are given), a regroup at the `driver_merge` root, and an
+explicit partial schema for input with no rows, then a `finish` for the
+last per-group arithmetic. Exact integer sums that may pass 2^63 ride as
+HUGEINT (decimal128) columns (`_hugeint`), as the exact-moment reducers
+do. `driver_merge` itself is left to roots that are not a grouping: bit
+folds (bloom OR, fingerprint XOR), the skyline, the OHLC tie rule, top-k
+and bottom-k, Misra-Gries compression, plain collectors and the tile
+compaction (tests/test_combine.py keeps that list).
 
 For genuinely unbounded key spaces, use the groupby/shuffle paths instead
 (e.g. compact_cells_dataset(shuffle=True)).
@@ -54,8 +65,9 @@ def combine(ds, keys, *, sums=(), mins=(), maxs=(), count=None, prep=None,
     `mins`, MAX for `maxs`), renames every column back to its input name
     (`count` names the COUNT(*) column) and applies `finish(table)` for
     the last per-group arithmetic. Output columns: keys, count, sums,
-    mins, maxs. `schema` is the partial schema used when the input has
-    no rows at all; `finish` still runs on the resulting empty table.
+    mins, maxs. With no aggregate at all it is a DISTINCT over `keys`.
+    `schema` is the partial schema used when the input has no rows at
+    all; `finish` still runs on the resulting empty table.
 
     Keyless (`keys=[]`) is a scalar root: its merge always yields ONE
     row, also over zero input rows, where that row holds COUNT 0 and
@@ -229,99 +241,83 @@ def unpivot(ds, id_col: str, value_cols: list,
     return ds.map_batches(fn, batch_format="pyarrow")
 
 
-def _moment_partial_fn(key_col: str, x_col: str, y_col: str,
-                       chunk_rows: int):
-    """Per-batch chunked int64 bivariate moment combiner — emits exact
-    (n, sx, sy, sxx, syy, sxy) partials per key over <= chunk_rows row
-    slices (4096 keeps x*x sums under int64 at 1e7-magnitude inputs).
-    Shared by grouped_corr_exact and grouped_regr_slope_exact."""
+def _hugeint(values) -> pa.Array:
+    """int64 values as an exact decimal128(38, 0) column — Arrow's
+    HUGEINT: a combine can SUM it where an int64 SUM would wrap."""
     import numpy as np
 
-    def partial(batch: pa.Table) -> pa.Table:
-        keys = batch[key_col]
-        x = batch[x_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        y = batch[y_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        out_k, sums = [], []
-        for s in range(0, x.shape[0], chunk_rows):
-            e = min(s + chunk_rows, x.shape[0])
-            karr = keys.slice(s, e - s).to_numpy(zero_copy_only=False)
-            uniq, inv = np.unique(karr, return_inverse=True)
-            m = uniq.shape[0]
-            acc = np.zeros((m, 6), dtype=np.int64)
-            np.add.at(acc[:, 0], inv, 1)
-            np.add.at(acc[:, 1], inv, x[s:e])
-            np.add.at(acc[:, 2], inv, y[s:e])
-            np.add.at(acc[:, 3], inv, x[s:e] * x[s:e])
-            np.add.at(acc[:, 4], inv, y[s:e] * y[s:e])
-            np.add.at(acc[:, 5], inv, x[s:e] * y[s:e])
-            out_k.append(uniq)
-            sums.append(acc)
-        if not out_k:
-            return pa.table({key_col: pa.array([], keys.type),
-                             "_n": pa.array([], pa.int64()),
-                             "_sx": pa.array([], pa.int64()),
-                             "_sy": pa.array([], pa.int64()),
-                             "_sxx": pa.array([], pa.int64()),
-                             "_syy": pa.array([], pa.int64()),
-                             "_sxy": pa.array([], pa.int64())})
-        ks = np.concatenate(out_k)
-        a = np.concatenate(sums, axis=0)
-        return pa.table({key_col: pa.array(ks, type=keys.type),
-                         "_n": a[:, 0], "_sx": a[:, 1], "_sy": a[:, 2],
-                         "_sxx": a[:, 3], "_syy": a[:, 4],
-                         "_sxy": a[:, 5]})
+    return pa.array(np.asarray(values, np.int64)).cast(
+        pa.decimal128(38, 0))
 
-    return partial
+
+def _exact_moments(ds, key_col: str, names: list, products, out: list,
+                   row) -> pa.Table:
+    """Per-key exact integer moments through one `combine`: COUNT(*) as
+    `_n` plus the SUM of each per-row int64 product `products(batch)`
+    returns (one array per entry of `names`), every product a HUGEINT
+    column so no sum can wrap. `row(n, *sums)` maps one key's Python-int
+    moments to its output values, named and typed by `out` (pa fields
+    after the key). Rows come out sorted by key."""
+    def prep(batch: pa.Table) -> pa.Table:
+        return pa.table({key_col: batch[key_col],
+                         **{c: _hugeint(v)
+                            for c, v in zip(names, products(batch))}})
+
+    def finish(g: pa.Table) -> pa.Table:
+        g = g.sort_by(key_col)
+        vals = [row(n, *map(int, sums)) for n, *sums in zip(
+            g["_n"].to_pylist(), *(g[c].to_pylist() for c in names))]
+        cols = [list(c) for c in zip(*vals)] or [[] for _ in out]
+        return pa.table([g[key_col]] + [pa.array(v, f.type)
+                                       for v, f in zip(cols, out)],
+                        names=[key_col] + [f.name for f in out])
+
+    return combine(ds, key_col, count="_n", sums=names, prep=prep,
+                   finish=finish, batch_size=131072)
+
+
+def _ints(batch: pa.Table, *cols: str) -> list:
+    """Each of `cols` as an int64 numpy array."""
+    import numpy as np
+
+    return [batch[c].to_numpy(zero_copy_only=False).astype(np.int64)
+            for c in cols]
 
 
 def grouped_regr_slope_exact(ds, key_col: str, x_col: str, y_col: str,
-                             out_col: str = "slope",
-                             chunk_rows: int = 4096) -> pa.Table:
+                             out_col: str = "slope") -> pa.Table:
     """Exact per-key least-squares slope of INTEGER y on INTEGER x:
         slope = (n*sxy - sx*sy) / (n*sxx - sx^2)
     Same exact-integer-moments design as grouped_corr_exact (shared
-    combiner); numerator and denominator are arbitrary-precision Python
-    ints at the root, so the ONLY float op is one IEEE division of two
-    exactly-rounded operands — bit-identical to a SQL engine computing
-    the same expression from HUGEINT sums (NOT to REGR_SLOPE, whose
-    internal accumulation is float). Keys with zero x-variance emit
-    NULL. Returns pa.Table (key_col, out_col)."""
-    partials = ds.map_batches(
-        _moment_partial_fn(key_col, x_col, y_col, chunk_rows),
-        batch_format="pyarrow", batch_size=131072)
+    `_exact_moments` combine); numerator and denominator are
+    arbitrary-precision Python ints at the root, so the ONLY float op
+    is one IEEE division of two exactly-rounded operands — bit-identical
+    to a SQL engine computing the same expression from HUGEINT sums
+    (NOT to REGR_SLOPE, whose internal accumulation is float). Keys with
+    zero x-variance emit NULL. Returns pa.Table (key_col, out_col)."""
+    def row(n, sx, sy, sxx, sxy):
+        den = n * sxx - sx * sx
+        return (None if den <= 0 else float(n * sxy - sx * sy)
+                / float(den),)
 
-    def merge(t: pa.Table) -> pa.Table:
-        df = t.to_pandas()
-        if len(df) == 0:
-            return pa.table({key_col: pa.array([], pa.string()),
-                             out_col: pa.array([], pa.float64())})
-        for c in ("_n", "_sx", "_sy", "_sxx", "_syy", "_sxy"):
-            df[c] = df[c].astype(object)
-        g = df.groupby(key_col, sort=True, as_index=False).sum()
-        vals = []
-        for _, r in g.iterrows():
-            n, sx, sy = int(r["_n"]), int(r["_sx"]), int(r["_sy"])
-            num = n * int(r["_sxy"]) - sx * sy
-            den = n * int(r["_sxx"]) - sx * sx
-            vals.append(None if den <= 0 else float(num) / float(den))
-        return pa.table({key_col: pa.array(g[key_col].tolist()),
-                         out_col: pa.array(vals, type=pa.float64())})
+    def products(batch: pa.Table) -> tuple:
+        x, y = _ints(batch, x_col, y_col)
+        return x, y, x * x, x * y
 
-    return driver_merge(partials, merge)
+    return _exact_moments(ds, key_col, ["_sx", "_sy", "_sxx", "_sxy"],
+                          products, [pa.field(out_col, pa.float64())], row)
 
 
 def grouped_corr_exact(ds, key_col: str, x_col: str, y_col: str,
-                       out_col: str = "corr",
-                       chunk_rows: int = 4096) -> pa.Table:
+                       out_col: str = "corr") -> pa.Table:
     """Exact per-key Pearson correlation of two INTEGER columns.
 
     Float summation is grouping-dependent (numpy pairwise vs SQL
     sequential differ in the last bits), so the moments are accumulated as
-    EXACT integers instead: per-batch combiners emit int64 partial sums
-    (n, sx, sy, sxx, syy, sxy) over <= chunk_rows row slices (4096 rows
-    keeps x*x sums under int64 even at 1e7-magnitude inputs), the driver
-    tree-root merges them in arbitrary-precision Python ints, and the only
-    float ops are the FINAL formula
+    EXACT integers instead: `prep` emits each row's int64 products
+    (x, y, x*x, y*y, x*y) as HUGEINT (decimal128) columns, `combine` sums
+    them per key with COUNT(*), and the only float ops are the FINAL
+    formula, evaluated from Python ints
         corr = (n*sxy - sx*sy) / (sqrt(n*sxx - sx^2) * sqrt(n*syy - sy^2))
     on exact-integer operands — one rounding per operand, then IEEE
     mul/div/sqrt, bit-identical to a SQL engine computing the same
@@ -329,46 +325,32 @@ def grouped_corr_exact(ds, key_col: str, x_col: str, y_col: str,
     Returns pa.Table (key_col, out_col)."""
     import math
 
-    partials = ds.map_batches(
-        _moment_partial_fn(key_col, x_col, y_col, chunk_rows),
-        batch_format="pyarrow", batch_size=131072)
+    def row(n, sx, sy, sxx, syy, sxy):
+        cov = n * sxy - sx * sy
+        vx = n * sxx - sx * sx
+        vy = n * syy - sy * sy
+        if vx <= 0 or vy <= 0:
+            return (None,)
+        return (float(cov) / (math.sqrt(float(vx)) * math.sqrt(float(vy))),)
 
-    def merge(t: pa.Table) -> pa.Table:
-        df = t.to_pandas()
-        if len(df) == 0:
-            return pa.table({key_col: pa.array([], pa.string()),
-                             out_col: pa.array([], pa.float64())})
-        # object dtype => Python ints => no int64 overflow in the merge.
-        for c in ("_n", "_sx", "_sy", "_sxx", "_syy", "_sxy"):
-            df[c] = df[c].astype(object)
-        g = df.groupby(key_col, sort=True, as_index=False).sum()
-        vals = []
-        for _, r in g.iterrows():
-            n, sx, sy = int(r["_n"]), int(r["_sx"]), int(r["_sy"])
-            cov = n * int(r["_sxy"]) - sx * sy
-            vx = n * int(r["_sxx"]) - sx * sx
-            vy = n * int(r["_syy"]) - sy * sy
-            if vx <= 0 or vy <= 0:
-                vals.append(None)
-            else:
-                vals.append(float(cov)
-                            / (math.sqrt(float(vx)) * math.sqrt(float(vy))))
-        return pa.table({key_col: pa.array(g[key_col].tolist()),
-                         out_col: pa.array(vals, type=pa.float64())})
+    def products(batch: pa.Table) -> tuple:
+        x, y = _ints(batch, x_col, y_col)
+        return x, y, x * x, y * y, x * y
 
-    return driver_merge(partials, merge)
+    return _exact_moments(ds, key_col,
+                          ["_sx", "_sy", "_sxx", "_syy", "_sxy"],
+                          products, [pa.field(out_col, pa.float64())], row)
 
 
-def grouped_var_exact(ds, key_col: str, x_col: str, scale: int = 100,
-                      chunk_rows: int = 4096) -> pa.Table:
+def grouped_var_exact(ds, key_col: str, x_col: str,
+                      scale: int = 100) -> pa.Table:
     """Exact per-key sample variance + stddev of a fixed-point column.
 
-    Same design as grouped_corr_exact: `x_col` is micro-scaled to int64
+    Same design as grouped_corr_exact: `x_col` is scaled to int64
     (FLOOR(x*scale + 0.5) — pick `scale` so the data is exactly
-    representable, e.g. 100 for 2-decimal values), per-batch combiners
-    emit chunked int64 (n, s, ss) partials, the driver root merges them
-    as arbitrary-precision Python ints, and the only float ops are the
-    FINAL mirrored formula
+    representable, e.g. 100 for 2-decimal values), its (x, x*x) moments
+    sum per key as HUGEINT columns, and the only float ops are the FINAL
+    mirrored formula, evaluated from Python ints
         var  = (n*ss - s^2) / (n*(n-1)) / scale^2
         std  = sqrt(var)
     — one rounding per exact-integer operand then IEEE div/sqrt, so a SQL
@@ -379,62 +361,23 @@ def grouped_var_exact(ds, key_col: str, x_col: str, scale: int = 100,
 
     import numpy as np
 
-    def partial(batch: pa.Table) -> pa.Table:
-        keys = batch[key_col]
+    sq = float(scale) * float(scale)
+
+    def products(batch: pa.Table) -> tuple:
         xf = batch[x_col].to_numpy(zero_copy_only=False)
         x = np.floor(xf * scale + 0.5).astype(np.int64)
-        out_k, sums = [], []
-        for s in range(0, x.shape[0], chunk_rows):
-            e = min(s + chunk_rows, x.shape[0])
-            karr = keys.slice(s, e - s).to_numpy(zero_copy_only=False)
-            uniq, inv = np.unique(karr, return_inverse=True)
-            acc = np.zeros((uniq.shape[0], 3), dtype=np.int64)
-            np.add.at(acc[:, 0], inv, 1)
-            np.add.at(acc[:, 1], inv, x[s:e])
-            np.add.at(acc[:, 2], inv, x[s:e] * x[s:e])
-            out_k.append(uniq)
-            sums.append(acc)
-        if not out_k:
-            return pa.table({key_col: pa.array([], keys.type),
-                             "_n": pa.array([], pa.int64()),
-                             "_s": pa.array([], pa.int64()),
-                             "_ss": pa.array([], pa.int64())})
-        ks = np.concatenate(out_k)
-        a = np.concatenate(sums, axis=0)
-        return pa.table({key_col: pa.array(ks, type=keys.type),
-                         "_n": a[:, 0], "_s": a[:, 1], "_ss": a[:, 2]})
+        return x, x * x
 
-    partials = ds.map_batches(partial, batch_format="pyarrow",
-                              batch_size=131072)
+    def row(n, s, ss):
+        if n < 2:
+            return n, None, None
+        v = float(n * ss - s * s) / float(n * (n - 1)) / sq
+        return n, v, math.sqrt(v)
 
-    def merge(t: pa.Table) -> pa.Table:
-        df = t.to_pandas()
-        if len(df) == 0:
-            return pa.table({key_col: pa.array([], pa.string()),
-                             "n_rows": pa.array([], pa.int64()),
-                             "var_value": pa.array([], pa.float64()),
-                             "stddev_value": pa.array([], pa.float64())})
-        for c in ("_n", "_s", "_ss"):
-            df[c] = df[c].astype(object)
-        g = df.groupby(key_col, sort=True, as_index=False).sum()
-        ns, variances, stds = [], [], []
-        sq = float(scale) * float(scale)
-        for _, r in g.iterrows():
-            n, s, ss = int(r["_n"]), int(r["_s"]), int(r["_ss"])
-            ns.append(n)
-            if n < 2:
-                variances.append(None)
-                stds.append(None)
-                continue
-            v = float(n * ss - s * s) / float(n * (n - 1)) / sq
-            variances.append(v)
-            stds.append(math.sqrt(v))
-        return pa.table({key_col: pa.array(g[key_col].tolist()),
-                         "n_rows": pa.array(ns, type=pa.int64()),
-                         "var_value": pa.array(variances, pa.float64()),
-                         "stddev_value": pa.array(stds, pa.float64())})
-
-    return driver_merge(partials, merge)
+    return _exact_moments(
+        ds, key_col, ["_s", "_ss"], products,
+        [pa.field("n_rows", pa.int64()), pa.field("var_value", pa.float64()),
+         pa.field("stddev_value", pa.float64())], row)
 
 
 def _lattice_partial_schema(ds, cols: list[str]) -> pa.Schema:
@@ -686,27 +629,25 @@ def cohort_counts(ds, user_col: str, month_col: str) -> pa.Table:
     column; returns (cohort_month str 'YYYY-MM', month_k int64,
     n_customers int64).
 
-    Batch-local DISTINCT (user, month) pairs packed into one int64
-    (user * 2^16 + months-since-1970) are the only exchange; the root
-    deduplicates the bounded |users| x |months| pair space, derives each
+    A DISTINCT combine over (user, month) pairs packed into one int64
+    (user * 2^16 + months-since-1970) is the only exchange; the root
+    gets the bounded |users| x |months| pair space, derives each
     user's cohort with one run-detection pass over the pack-sorted
     array (monotone packing => sorted by (user, month)), and bincounts
     (cohort, k). No shuffle, no per-user groups."""
     import numpy as np
 
-    pair_schema = pa.schema([("k", pa.int64())])
-
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         u = batch[user_col].to_numpy(zero_copy_only=False) \
             .astype(np.int64)
         m = batch[month_col].to_numpy(zero_copy_only=False) \
             .astype("datetime64[M]").astype(np.int64)
         if (m < 0).any() or (m >= 65536).any():
             raise ValueError("cohort_counts: month outside 1970..7432")
-        return pa.table({"k": np.unique(u * 65536 + m)})
+        return pa.table({"k": u * 65536 + m})
 
-    def merge(t: pa.Table) -> pa.Table:
-        k = np.unique(t["k"].to_numpy(zero_copy_only=False))
+    def finish(g: pa.Table) -> pa.Table:
+        k = np.sort(g["k"].to_numpy(zero_copy_only=False))
         if k.shape[0] == 0:
             return pa.table({"cohort_month": pa.array([], pa.string()),
                              "month_k": pa.array([], pa.int64()),
@@ -723,9 +664,8 @@ def cohort_counts(ds, user_col: str, month_col: str) -> pa.Table:
             "month_k": (ck & 65535).astype(np.int64),
             "n_customers": counts.astype(np.int64)})
 
-    return driver_merge(ds.map_batches(partial, batch_format="pyarrow",
-                                       batch_size=131072), merge,
-                        schema=pair_schema)
+    return combine(ds, "k", prep=prep, finish=finish, batch_size=131072,
+                   schema=pa.schema([("k", pa.int64())]))
 
 
 def ohlc_daily(ds, key_col: str, ts_col: str, value_col: str) -> pa.Table:

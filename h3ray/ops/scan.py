@@ -27,7 +27,30 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from .reduce import driver_merge
+from .reduce import combine
+
+
+def _bucket_carries(ds, order_col: str, value_col: str, bucket_width: int,
+                    agg: str, carry):
+    """Pass 1 of the scan: one combine takes the SUM or MAX (`agg` is
+    "sums" or "maxs") of the int64 values per key-range bucket
+    (`key // bucket_width`), and its finish maps the bucket-ordered
+    totals to each bucket's exclusive carry with `carry(totals)`.
+    Returns (sorted buckets, carries), the arrays pass 2 broadcasts."""
+    def prep(batch: pa.Table) -> pa.Table:
+        k = batch[order_col].to_numpy(zero_copy_only=False).astype(np.int64)
+        v = batch[value_col].to_numpy(zero_copy_only=False).astype(np.int64)
+        return pa.table({"_bucket": k // bucket_width, "_v": v})
+
+    def finish(g: pa.Table) -> pa.Table:
+        g = g.sort_by("_bucket")
+        return pa.table({"_bucket": g["_bucket"],
+                         "_carry": carry(g["_v"].to_numpy())})
+
+    t = combine(ds, "_bucket", **{agg: ["_v"]}, prep=prep, finish=finish,
+                schema=pa.schema([("_bucket", pa.int64()),
+                                  ("_v", pa.int64())]))
+    return t["_bucket"].to_numpy(), t["_carry"].to_numpy()
 
 
 def global_exclusive_cumsum(ds, order_col: str, value_col: str,
@@ -42,34 +65,9 @@ def global_exclusive_cumsum(ds, order_col: str, value_col: str,
     if bucket_width < 1:
         raise ValueError(f"bucket_width must be >= 1, got {bucket_width}")
 
-    def partial(batch: pa.Table) -> pa.Table:
-        k = batch[order_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        v = batch[value_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        b = k // bucket_width
-        ub, inv = np.unique(b, return_inverse=True)
-        sums = np.zeros(ub.shape[0], dtype=np.int64)
-        np.add.at(sums, inv, v)
-        return pa.Table.from_arrays(
-            [pa.array(ub), pa.array(sums)], names=["_bucket", "_sum"])
-
-    def merge(t: pa.Table) -> pa.Table:
-        b = t["_bucket"].to_numpy(zero_copy_only=False)
-        s = t["_sum"].to_numpy(zero_copy_only=False)
-        ub, inv = np.unique(b, return_inverse=True)
-        tot = np.zeros(ub.shape[0], dtype=np.int64)
-        np.add.at(tot, inv, s)
-        carry = (np.concatenate([[0], np.cumsum(tot)[:-1]])
-                 if ub.size else np.empty(0, np.int64))
-        return pa.Table.from_arrays(
-            [pa.array(ub), pa.array(carry.astype(np.int64))],
-            names=["_bucket", "_carry"])
-
-    totals = driver_merge(
-        ds.map_batches(partial, batch_format="pyarrow"), merge,
-        schema=pa.schema([pa.field("_bucket", pa.int64()),
-                          pa.field("_sum", pa.int64())]))
-    carry_ref = ray.put((totals["_bucket"].to_numpy(),
-                         totals["_carry"].to_numpy()))
+    carry_ref = ray.put(_bucket_carries(
+        ds, order_col, value_col, bucket_width, "sums",
+        lambda tot: np.cumsum(tot) - tot))
 
     def bucketize(batch: pa.Table) -> pa.Table:
         k = batch[order_col].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -109,35 +107,9 @@ def global_exclusive_cummax(ds, order_col: str, value_col: str,
         raise ValueError(f"bucket_width must be >= 1, got {bucket_width}")
     NEG = np.iinfo(np.int64).min
 
-    def partial(batch: pa.Table) -> pa.Table:
-        k = batch[order_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        v = batch[value_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        b = k // bucket_width
-        ub, inv = np.unique(b, return_inverse=True)
-        mx = np.full(ub.shape[0], NEG, dtype=np.int64)
-        np.maximum.at(mx, inv, v)
-        return pa.Table.from_arrays(
-            [pa.array(ub), pa.array(mx)], names=["_bucket", "_max"])
-
-    def merge(t: pa.Table) -> pa.Table:
-        b = t["_bucket"].to_numpy(zero_copy_only=False)
-        s = t["_max"].to_numpy(zero_copy_only=False)
-        ub, inv = np.unique(b, return_inverse=True)
-        tot = np.full(ub.shape[0], NEG, dtype=np.int64)
-        np.maximum.at(tot, inv, s)
-        carry = (np.concatenate(
-            [[NEG], np.maximum.accumulate(tot)[:-1]])
-            if ub.size else np.empty(0, np.int64))
-        return pa.Table.from_arrays(
-            [pa.array(ub), pa.array(carry.astype(np.int64))],
-            names=["_bucket", "_carry"])
-
-    totals = driver_merge(
-        ds.map_batches(partial, batch_format="pyarrow"), merge,
-        schema=pa.schema([pa.field("_bucket", pa.int64()),
-                          pa.field("_max", pa.int64())]))
-    carry_ref = ray.put((totals["_bucket"].to_numpy(),
-                         totals["_carry"].to_numpy()))
+    carry_ref = ray.put(_bucket_carries(
+        ds, order_col, value_col, bucket_width, "maxs",
+        lambda tot: np.r_[NEG, np.maximum.accumulate(tot)][:-1]))
 
     def bucketize(batch: pa.Table) -> pa.Table:
         k = batch[order_col].to_numpy(zero_copy_only=False).astype(np.int64)

@@ -323,7 +323,7 @@ def mg_heavy_hitters(ds_factory, value_col: str, *, k: int,
     """
     import ray
 
-    from .reduce import driver_merge
+    from .reduce import combine, driver_merge
 
     if k + 1 < threshold_den:
         raise ValueError("MG superset guarantee needs k+1 >= threshold_den")
@@ -357,28 +357,19 @@ def mg_heavy_hitters(ds_factory, value_col: str, *, k: int,
     def verify(batch: pa.Table) -> pa.Table:
         ck = ray.get(cand_ref)
         v = batch[value_col].to_numpy(zero_copy_only=False)
-        if ck.shape[0] == 0 or v.shape[0] == 0:
-            return pa.table({"_idx": pa.array([], pa.int64()),
-                             "_cnt": pa.array([], pa.int64())})
+        if ck.shape[0] == 0:
+            return pa.table({"_idx": pa.array([], pa.int64())})
         pos = np.minimum(np.searchsorted(ck, v), ck.shape[0] - 1)
-        sel = ck[pos] == v
-        acc = np.zeros(ck.shape[0], dtype=np.int64)
-        np.add.at(acc, pos[sel], 1)
-        nz = np.flatnonzero(acc)
-        return pa.table({"_idx": pa.array(nz.astype(np.int64)),
-                         "_cnt": pa.array(acc[nz])})
+        return pa.table({"_idx": pos[ck[pos] == v].astype(np.int64)})
 
-    def vmerge(t: pa.Table) -> pa.Table:
-        idx = t["_idx"].to_numpy(zero_copy_only=False)
-        c = t["_cnt"].to_numpy(zero_copy_only=False)
+    def vmerge(g: pa.Table) -> pa.Table:
         acc = np.zeros(cand_keys.shape[0], dtype=np.int64)
-        np.add.at(acc, idx, c)
+        acc[g["_idx"].to_numpy()] = g["_cnt"].to_numpy()
         hot = acc * threshold_den > total_rows
         return pa.table({value_col: pa.array(cand_keys[hot]),
                          "n_rows": pa.array(acc[hot])})
 
-    return driver_merge(
-        ds_factory().map_batches(verify, batch_format="pyarrow",
-                                 batch_size=131072),
-        vmerge,
+    return combine(
+        ds_factory(), "_idx", count="_cnt", prep=verify, finish=vmerge,
+        batch_size=131072,
         schema=pa.schema([("_idx", pa.int64()), ("_cnt", pa.int64())]))

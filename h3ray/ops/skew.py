@@ -34,17 +34,6 @@ def default_num_buckets() -> int:
     return 128
 
 
-def add_salt(batch: pa.Table, key_col: str, salt_mod: int,
-             out_col: str = "_salt") -> pa.Table:
-    """Deterministic per-row salt derived from a secondary hash of the key
-    plus the row position, splitting each hot key across `salt_mod` groups."""
-    keys = batch[key_col].to_numpy(zero_copy_only=False)
-    pos = np.arange(keys.shape[0], dtype=np.uint64)
-    h = _mix64(keys.astype(np.uint64) ^ _mix64(pos))
-    return batch.append_column(
-        out_col, pa.array((h % np.uint64(salt_mod)).astype(np.int32)))
-
-
 def _key_hash(col) -> np.ndarray:
     """uint64 hash of a key column (shared with ops.sample)."""
     from .sample import _key_hash as impl
@@ -96,32 +85,12 @@ def detect_hot_keys(ds, key_col: str, row_key_col: str, *,
     counts per key with the combiner pattern, and returns the keys whose
     sampled share exceeds `hot_share` — the only keys worth salting.
     Returns (hot_keys sorted int64 array, their estimated row shares)."""
-    from .reduce import driver_merge
+    from .reduce import combine
     from .sample import hash_sample
 
     sampled = hash_sample(ds.select_columns([row_key_col, key_col]),
                           row_key_col, rate_bp)
-
-    def partial(batch: pa.Table) -> pa.Table:
-        keys = batch[key_col].to_numpy(zero_copy_only=False)
-        uniq, counts = np.unique(keys, return_counts=True)
-        return pa.Table.from_arrays(
-            [pa.array(uniq), pa.array(counts.astype(np.int64))],
-            names=[key_col, "_n"])
-
-    partials = sampled.map_batches(partial, batch_format="pyarrow",
-                                   batch_size=131072)
-
-    def merge(tbl: pa.Table) -> pa.Table:
-        keys = tbl[key_col].to_numpy(zero_copy_only=False)
-        n = tbl["_n"].to_numpy(zero_copy_only=False)
-        uniq, inv = np.unique(keys, return_inverse=True)
-        summed = np.zeros(uniq.shape[0], dtype=np.int64)
-        np.add.at(summed, inv, n)
-        return pa.Table.from_arrays(
-            [pa.array(uniq), pa.array(summed)], names=[key_col, "_n"])
-
-    hist = driver_merge(partials, merge)
+    hist = combine(sampled, key_col, count="_n", batch_size=131072)
     keys = hist[key_col].to_numpy(zero_copy_only=False)
     counts = hist["_n"].to_numpy(zero_copy_only=False)
     total = max(int(counts.sum()), 1)

@@ -13,7 +13,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..io import pages as pages_io
-from ..kernels import bits, grid, hierarchy, latlng
+from ..kernels import bits, hierarchy, latlng
 
 
 def _col(batch: pa.Table, name: str) -> np.ndarray:
@@ -59,43 +59,6 @@ def parent_stage(parent_res: int, cell_col: str, out_col: str | None = None):
     return fn
 
 
-def disk_expand_stage(k: int, cell_col: str, keep_cols: list[str],
-                      out_cell: str = "disk_cell", out_k: str = "disk_k"):
-    """gridDiskDistances flat-map: one output row per (input row, disk cell).
-
-    Expansion factor is 3k(k+1)+1 — keep `keep_cols` narrow (project before
-    this stage) so the shuffle that usually follows moves only keys.
-    """
-
-    def fn(batch: pa.Table) -> pa.Table:
-        cells = _col(batch, cell_col)
-        rows, disk_cells, dist = grid.grid_disk_distances(cells, k)
-        arrays = [batch[c].take(pa.array(rows)) for c in keep_cols]
-        arrays.append(pa.array(bits.as_u64(cells[rows])))
-        arrays.append(pa.array(bits.as_u64(disk_cells)))
-        arrays.append(pa.array(dist.astype(np.int32)))
-        return pa.Table.from_arrays(
-            arrays, names=list(keep_cols) + [cell_col, out_cell, out_k])
-
-    return fn
-
-
-def ring_expand_stage(k: int, cell_col: str, keep_cols: list[str],
-                      out_cell: str = "ring_cell"):
-    """gridRing flat-map: 6k output rows per input row."""
-
-    def fn(batch: pa.Table) -> pa.Table:
-        cells = _col(batch, cell_col)
-        rows, ring_cells = grid.grid_ring(cells, k)
-        arrays = [batch[c].take(pa.array(rows)) for c in keep_cols]
-        arrays.append(pa.array(bits.as_u64(cells[rows])))
-        arrays.append(pa.array(bits.as_u64(ring_cells)))
-        return pa.Table.from_arrays(
-            arrays, names=list(keep_cols) + [cell_col, out_cell])
-
-    return fn
-
-
 def children_expand_stage(child_res: int, cell_col: str, keep_cols: list[str],
                           out_col: str = "child_cell"):
     """uncompact / cellToChildren flat-map."""
@@ -108,49 +71,6 @@ def children_expand_stage(child_res: int, cell_col: str, keep_cols: list[str],
         arrays.append(pa.array(bits.as_u64(children)))
         return pa.Table.from_arrays(
             arrays, names=list(keep_cols) + [cell_col, out_col])
-
-    return fn
-
-
-def validity_stage(cell_col: str, out_col: str = "is_valid"):
-    def fn(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            out_col, pa.array(bits.is_valid_cell(_col(batch, cell_col))))
-
-    return fn
-
-
-def haversine_stage(lat_a: str, lng_a: str, lat_b: str, lng_b: str,
-                    out_col: str = "distance_km", degrees: bool = True):
-    """Vectorized great-circle distance (haversine, latlng.rs:170-214)."""
-    from ..kernels.constants import EARTH_RADIUS_KM
-
-    def fn(batch: pa.Table) -> pa.Table:
-        a_lat, a_lng = _col(batch, lat_a), _col(batch, lng_a)
-        b_lat, b_lng = _col(batch, lat_b), _col(batch, lng_b)
-        if degrees:
-            a_lat, a_lng = np.deg2rad(a_lat), np.deg2rad(a_lng)
-            b_lat, b_lng = np.deg2rad(b_lat), np.deg2rad(b_lng)
-        sl = np.sin((b_lat - a_lat) * 0.5)
-        sg = np.sin((b_lng - a_lng) * 0.5)
-        h = sl * sl + np.cos(a_lat) * np.cos(b_lat) * sg * sg
-        d = 2.0 * np.arctan2(np.sqrt(h), np.sqrt(1.0 - h)) * EARTH_RADIUS_KM
-        return batch.append_column(out_col, pa.array(d))
-
-    return fn
-
-
-def salt_stage(key_col: str, salt_mod: int, out_col: str = "salt"):
-    """Add a deterministic salt column for hot-key splitting.
-
-    Key pattern for skewed shuffles: groupby([key, salt]) -> partial
-    aggregate -> groupby(key) final merge.
-    """
-
-    def fn(batch: pa.Table) -> pa.Table:
-        h = pages_io._mix64(_col(batch, key_col).astype(np.uint64))
-        return batch.append_column(
-            out_col, pa.array((h % np.uint64(salt_mod)).astype(np.int32)))
 
     return fn
 
@@ -278,19 +198,5 @@ def local_ij_stage(origin_col: str, cell_col: str, i_col: str = "local_i",
         batch = batch.append_column(i_col, pa.array(np.where(ok, i, 0)))
         batch = batch.append_column(j_col, pa.array(np.where(ok, j, 0)))
         return batch.append_column(ok_col, pa.array(ok))
-
-    return fn
-
-
-def grid_distance_stage(origin_col: str, cell_col: str,
-                        out_col: str = "grid_dist"):
-    """Pairwise hex-grid distance; -1 where undefined (pentagon/unfold)."""
-    from ..kernels import localij
-
-    def fn(batch: pa.Table) -> pa.Table:
-        d, ok = localij.grid_distance(_col(batch, origin_col),
-                                      _col(batch, cell_col))
-        return batch.append_column(out_col,
-                                   pa.array(np.where(ok, d, -1)))
 
     return fn

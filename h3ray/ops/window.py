@@ -28,6 +28,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..io.pages import _mix64
+from .reduce import combine
 from .sample import _key_hash
 from .skew import _desc_sort_key, default_num_buckets
 
@@ -398,6 +399,45 @@ def interval_followup_count(ds, part_col: str, ts_col: str,
         .groupby("_bucket").map_groups(fn, batch_format="pyarrow")
 
 
+def _day_cents(ds, key_col: str, ts_col: str, value_col: str,
+               finish) -> pa.Table:
+    """The bounded (key, day, cents) combine shared by the day-series
+    windows: per (key, calendar day) the exact-cent SUM of value
+    (FLOOR(v*100 + 0.5) int64, days as int64 since the epoch), then
+    `finish(key, day, cents)` over the root's rows sorted by (key, day)."""
+    def prep(batch: pa.Table) -> pa.Table:
+        day = batch[ts_col].to_numpy(zero_copy_only=False) \
+            .astype("datetime64[D]").astype(np.int64)
+        cents = np.floor(
+            batch[value_col].to_numpy(zero_copy_only=False)
+            * 100.0 + 0.5).astype(np.int64)
+        return pa.table({"key": batch[key_col], "day": day, "cents": cents})
+
+    def root(g: pa.Table) -> pa.Table:
+        key = g["key"].to_numpy(zero_copy_only=False)
+        day = g["day"].to_numpy(zero_copy_only=False)
+        cents = g["cents"].to_numpy(zero_copy_only=False)
+        order = np.lexsort((day, key.astype(np.str_)))
+        return finish(key[order], day[order], cents[order])
+
+    return combine(ds, ["key", "day"], sums=["cents"], prep=prep,
+                   finish=root, batch_size=131072,
+                   schema=pa.schema([("key", pa.string()),
+                                     ("day", pa.int64()),
+                                     ("cents", pa.int64())]))
+
+
+def _key_runs(key: np.ndarray):
+    """[start, end) of each run of equal keys in a key-sorted array."""
+    starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]]).tolist()
+    return zip(starts, starts[1:] + [key.shape[0]])
+
+
+def _day_strings(day: np.ndarray) -> pa.Array:
+    """int64 epoch days as 'YYYY-MM-DD' strings."""
+    return pa.array(np.datetime_as_string(day.astype("datetime64[D]")))
+
+
 def trailing_day_sum(ds, key_col: str, ts_col: str, value_col: str,
                      *, days: int = 7) -> pa.Table:
     """Time-RANGE-framed trailing sum: per (key, day), the exact-cent
@@ -407,57 +447,28 @@ def trailing_day_sum(ds, key_col: str, ts_col: str, value_col: str,
     'YYYY-MM-DD', day_cents int64, trail_cents int64).
 
     Two-level: batches collapse to |keys| x |days|-bounded (key, day,
-    cents) partials (pure Arrow group_by, zero shuffle), the root
-    prefix-sums each key's day series once and answers every window
-    with two searchsorted lookups — O(rows) at the root, no per-window
-    rescan, no float arithmetic anywhere."""
-    import numpy as np
-
-    pschema = pa.schema([("key", pa.string()), ("day", pa.int64()),
-                         ("cents", pa.int64())])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        day = batch[ts_col].to_numpy(zero_copy_only=False) \
-            .astype("datetime64[D]").astype(np.int64)
-        cents = np.floor(
-            batch[value_col].to_numpy(zero_copy_only=False)
-            * 100.0 + 0.5).astype(np.int64)
-        t = pa.table({"key": batch[key_col], "day": day, "cents": cents})
-        return t.group_by(["key", "day"]).aggregate([("cents", "sum")]) \
-            .rename_columns(["key", "day", "cents"])
-
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by(["key", "day"]).aggregate([("cents", "sum")])
-        key = g["key"].to_numpy(zero_copy_only=False)
-        day = g["day"].to_numpy(zero_copy_only=False)
-        cents = g["cents_sum"].to_numpy(zero_copy_only=False)
+    cents) partials (`_day_cents`, zero shuffle), the root prefix-sums
+    each key's day series once and answers every window with two
+    searchsorted lookups — O(rows) at the root, no per-window rescan,
+    no float arithmetic anywhere."""
+    def finish(key, day, cents) -> pa.Table:
         if key.shape[0] == 0:
             return pa.table({"key": pa.array([], pa.string()),
                              "day": pa.array([], pa.string()),
                              "day_cents": pa.array([], pa.int64()),
                              "trail_cents": pa.array([], pa.int64())})
-        order = np.lexsort((day, key.astype(np.str_)))
-        key, day, cents = key[order], day[order], cents[order]
         trail = np.empty(cents.shape[0], dtype=np.int64)
-        starts = np.flatnonzero(
-            np.r_[True, key[1:] != key[:-1]]).tolist()
-        ends = starts[1:] + [key.shape[0]]
-        for s, e in zip(starts, ends):
+        for s, e in _key_runs(key):
             d = day[s:e]
             pref = np.r_[0, np.cumsum(cents[s:e])]
             lo = np.searchsorted(d, d - (days - 1), side="left")
             trail[s:e] = pref[np.arange(1, e - s + 1)] - pref[lo]
         return pa.table({
             "key": pa.array(key.tolist(), pa.string()),
-            "day": pa.array(np.datetime_as_string(
-                day.astype("datetime64[D]"))),
+            "day": _day_strings(day),
             "day_cents": cents, "trail_cents": trail})
 
-    from .reduce import driver_merge
-
-    return driver_merge(ds.map_batches(partial, batch_format="pyarrow",
-                                       batch_size=131072), merge,
-                        schema=pschema)
+    return _day_cents(ds, key_col, ts_col, value_col, finish)
 
 
 def gap_fill_daily(ds, key_col: str, ts_col: str,
@@ -469,62 +480,32 @@ def gap_fill_daily(ds, key_col: str, ts_col: str,
     generate_series + ASOF JOIN). Returns (key str, day 'YYYY-MM-DD',
     cents int64, was_gap int64).
 
-    Same bounded (key, day, cents) combiner as trailing_day_sum; the
+    Same bounded (key, day, cents) combine as trailing_day_sum; the
     root emits each key's dense range with one searchsorted gather —
     the output is |keys| x |span-days| bounded, never row-count
     bounded."""
-    import numpy as np
-
-    pschema = pa.schema([("key", pa.string()), ("day", pa.int64()),
-                         ("cents", pa.int64())])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        day = batch[ts_col].to_numpy(zero_copy_only=False) \
-            .astype("datetime64[D]").astype(np.int64)
-        cents = np.floor(
-            batch[value_col].to_numpy(zero_copy_only=False)
-            * 100.0 + 0.5).astype(np.int64)
-        t = pa.table({"key": batch[key_col], "day": day, "cents": cents})
-        return t.group_by(["key", "day"]).aggregate([("cents", "sum")]) \
-            .rename_columns(["key", "day", "cents"])
-
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by(["key", "day"]).aggregate([("cents", "sum")])
-        key = g["key"].to_numpy(zero_copy_only=False)
-        day = g["day"].to_numpy(zero_copy_only=False)
-        cents = g["cents_sum"].to_numpy(zero_copy_only=False)
-        out_k, out_d, out_c, out_gap = [], [], [], []
-        if key.shape[0]:
-            order = np.lexsort((day, key.astype(np.str_)))
-            key, day, cents = key[order], day[order], cents[order]
-            starts = np.flatnonzero(
-                np.r_[True, key[1:] != key[:-1]]).tolist()
-            ends = starts[1:] + [key.shape[0]]
-            for s, e in zip(starts, ends):
-                d, c = day[s:e], cents[s:e]
-                rng = np.arange(d[0], d[-1] + 1, dtype=np.int64)
-                pos = np.searchsorted(d, rng, side="right") - 1
-                out_k.append(np.repeat(key[s], rng.shape[0]))
-                out_d.append(rng)
-                out_c.append(c[pos])
-                out_gap.append((d[pos] != rng).astype(np.int64))
-        if not out_k:
+    def finish(key, day, cents) -> pa.Table:
+        if key.shape[0] == 0:
             return pa.table({"key": pa.array([], pa.string()),
                              "day": pa.array([], pa.string()),
                              "cents": pa.array([], pa.int64()),
                              "was_gap": pa.array([], pa.int64())})
+        out_k, out_d, out_c, out_gap = [], [], [], []
+        for s, e in _key_runs(key):
+            d, c = day[s:e], cents[s:e]
+            rng = np.arange(d[0], d[-1] + 1, dtype=np.int64)
+            pos = np.searchsorted(d, rng, side="right") - 1
+            out_k.append(np.repeat(key[s], rng.shape[0]))
+            out_d.append(rng)
+            out_c.append(c[pos])
+            out_gap.append((d[pos] != rng).astype(np.int64))
         return pa.table({
             "key": pa.array(np.concatenate(out_k).tolist(), pa.string()),
-            "day": pa.array(np.datetime_as_string(
-                np.concatenate(out_d).astype("datetime64[D]"))),
+            "day": _day_strings(np.concatenate(out_d)),
             "cents": np.concatenate(out_c),
             "was_gap": np.concatenate(out_gap)})
 
-    from .reduce import driver_merge
-
-    return driver_merge(ds.map_batches(partial, batch_format="pyarrow",
-                                       batch_size=131072), merge,
-                        schema=pschema)
+    return _day_cents(ds, key_col, ts_col, value_col, finish)
 
 
 def moving_day_median(ds, key_col: str, ts_col: str, value_col: str,
@@ -535,41 +516,18 @@ def moving_day_median(ds, key_col: str, ts_col: str, value_col: str,
     day_cents, med_cents int64) — the quantile_disc(0.5) OVER (RANGE
     INTERVAL) SQL shape.
 
-    Same bounded (key, day, cents) combiner as trailing_day_sum; the
+    Same bounded (key, day, cents) combine as trailing_day_sum; the
     root answers each window with one np.partition over its
     searchsorted slice — windows are <= `days` wide, so root cost is
     O(|keys| x |days-present| x days), independent of row count."""
-    import numpy as np
-
-    pschema = pa.schema([("key", pa.string()), ("day", pa.int64()),
-                         ("cents", pa.int64())])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        day = batch[ts_col].to_numpy(zero_copy_only=False) \
-            .astype("datetime64[D]").astype(np.int64)
-        cents = np.floor(
-            batch[value_col].to_numpy(zero_copy_only=False)
-            * 100.0 + 0.5).astype(np.int64)
-        t = pa.table({"key": batch[key_col], "day": day, "cents": cents})
-        return t.group_by(["key", "day"]).aggregate([("cents", "sum")]) \
-            .rename_columns(["key", "day", "cents"])
-
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by(["key", "day"]).aggregate([("cents", "sum")])
-        key = g["key"].to_numpy(zero_copy_only=False)
-        day = g["day"].to_numpy(zero_copy_only=False)
-        cents = g["cents_sum"].to_numpy(zero_copy_only=False)
+    def finish(key, day, cents) -> pa.Table:
         if key.shape[0] == 0:
             return pa.table({"key": pa.array([], pa.string()),
                              "day": pa.array([], pa.string()),
                              "day_cents": pa.array([], pa.int64()),
                              "med_cents": pa.array([], pa.int64())})
-        order = np.lexsort((day, key.astype(np.str_)))
-        key, day, cents = key[order], day[order], cents[order]
         med = np.empty(cents.shape[0], dtype=np.int64)
-        starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]]).tolist()
-        ends = starts[1:] + [key.shape[0]]
-        for s, e in zip(starts, ends):
+        for s, e in _key_runs(key):
             d = day[s:e]
             c = cents[s:e]
             lo = np.searchsorted(d, d - (days - 1), side="left")
@@ -580,15 +538,10 @@ def moving_day_median(ds, key_col: str, ts_col: str, value_col: str,
                     (win.shape[0] - 1) // 2]
         return pa.table({
             "key": pa.array(key.tolist(), pa.string()),
-            "day": pa.array(np.datetime_as_string(
-                day.astype("datetime64[D]"))),
+            "day": _day_strings(day),
             "day_cents": cents, "med_cents": med})
 
-    from .reduce import driver_merge
-
-    return driver_merge(ds.map_batches(partial, batch_format="pyarrow",
-                                       batch_size=131072), merge,
-                        schema=pschema)
+    return _day_cents(ds, key_col, ts_col, value_col, finish)
 
 
 def partitioned_allocate(ds, part_col: str, weight_col: str,

@@ -463,7 +463,7 @@ def centroids_by_label(ds, *, label_col: str = "label",
     division here would pin a floor-vs-truncate convention the caller may
     not want (and SQL dialects disagree on).
     """
-    from ..ops.reduce import driver_merge
+    from ..ops.reduce import combine
 
     def partial(batch: pa.Table) -> pa.Table:
         x = _embedding_matrix(batch, emb_col, dtype=np.float64)
@@ -482,19 +482,8 @@ def centroids_by_label(ds, *, label_col: str = "label",
             "sum_micro": acc.reshape(-1),
             "n_vecs": np.repeat(counts, d)})
 
-    partials = ds.map_batches(partial, batch_format="pyarrow",
-                              batch_size=65536)
-
-    def merge(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return t
-        g = t.group_by(["label", "dim"]).aggregate(
-            [("sum_micro", "sum"), ("n_vecs", "sum")])
-        return pa.table({"label": g["label"], "dim": g["dim"],
-                         "sum_micro": g["sum_micro_sum"],
-                         "n_vecs": g["n_vecs_sum"]})
-
-    return driver_merge(partials, merge)
+    return combine(ds, ["label", "dim"], sums=["sum_micro", "n_vecs"],
+                   prep=partial, batch_size=65536)
 
 
 def quantize_int8(ds, *, id_col: str = "vec_id",
@@ -577,7 +566,7 @@ def _sample_matrix(ds, emb_col: str, sample_rows: int) -> np.ndarray:
 def _kmeans_step(ds, emb_col: str, cent: np.ndarray) -> np.ndarray:
     import ray
 
-    from ..ops.reduce import driver_merge
+    from ..ops.reduce import combine
 
     cref = ray.put(cent)
 
@@ -598,13 +587,8 @@ def _kmeans_step(ds, emb_col: str, cent: np.ndarray) -> np.ndarray:
             "sum_micro": acc.reshape(-1),
             "n_vecs": np.repeat(counts, d)})
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by(["cluster", "dim"]).aggregate(
-            [("sum_micro", "sum"), ("n_vecs", "sum")])
-        return g.rename_columns(["cluster", "dim", "sum_micro", "n_vecs"])
-
-    m = driver_merge(ds.select_columns([emb_col]).map_batches(
-        partial, batch_format="pyarrow", batch_size=8192), merge)
+    m = combine(ds.select_columns([emb_col]), ["cluster", "dim"],
+                sums=["sum_micro", "n_vecs"], prep=partial, batch_size=8192)
     if m.num_rows == 0:
         return cent
     cl = m["cluster"].to_numpy(zero_copy_only=False)
@@ -663,7 +647,7 @@ def label_cohesion(ds, *, label_col: str = "label",
     the bounded root squares the per-dim sums as PYTHON BIGINTS (a
     5000-vector label's S_d^2 passes 2^63) and performs ONE IEEE
     division by n(n-1)*10^12 — bit-identical to a HUGEINT SQL mirror."""
-    from ..ops.reduce import driver_merge
+    from ..ops.reduce import combine
 
     def partial(batch: pa.Table) -> pa.Table:
         x = _embedding_matrix(batch, emb_col, dtype=np.float64)
@@ -688,22 +672,19 @@ def label_cohesion(ds, *, label_col: str = "label",
             "sum_sq": np.repeat(sq, d),
             "n_vecs": np.repeat(counts, d)})
 
-    def merge(t: pa.Table) -> pa.Table:
+    def finish(g: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
 
-        if t.num_rows == 0:
+        if g.num_rows == 0:
             return pa.table({"label": pa.array([], pa.int64()),
                              "n_vecs": pa.array([], pa.int64()),
                              "mean_pair_dot": pa.array([], pa.float64())})
-        g = t.group_by(["label", "dim"]).aggregate([("sum_micro", "sum")])
         lab = g["label"].to_numpy(zero_copy_only=False)
-        s = g["sum_micro_sum"].to_numpy(zero_copy_only=False)
-        first = t.filter(pc.equal(t["dim"], 1)) \
-            .group_by("label").aggregate([("sum_sq", "sum"),
-                                          ("n_vecs", "sum")])
+        s = g["sum_micro"].to_numpy(zero_copy_only=False)
+        first = g.filter(pc.equal(g["dim"], 1))
         labs = first["label"].to_numpy(zero_copy_only=False)
-        sq = first["sum_sq_sum"].to_numpy(zero_copy_only=False)
-        n = first["n_vecs_sum"].to_numpy(zero_copy_only=False)
+        sq = first["sum_sq"].to_numpy(zero_copy_only=False)
+        n = first["n_vecs"].to_numpy(zero_copy_only=False)
         order = np.argsort(labs, kind="stable")
         labs, sq, n = labs[order], sq[order], n[order]
         norm2 = {int(k): 0 for k in labs}
@@ -721,9 +702,9 @@ def label_cohesion(ds, *, label_col: str = "label",
                          "n_vecs": pa.array(n.tolist(), pa.int64()),
                          "mean_pair_dot": pa.array(out, pa.float64())})
 
-    return driver_merge(
-        ds.map_batches(partial, batch_format="pyarrow",
-                       batch_size=65536), merge,
+    return combine(
+        ds, ["label", "dim"], sums=["sum_micro", "sum_sq", "n_vecs"],
+        prep=partial, finish=finish, batch_size=65536,
         schema=pa.schema([("label", pa.int64()), ("dim", pa.int64()),
                           ("sum_micro", pa.int64()),
                           ("sum_sq", pa.int64()),

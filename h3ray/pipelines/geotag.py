@@ -137,8 +137,9 @@ def count_pyramid(pages_ds, res: int = 7,
     (zoom pyramid) without re-scanning the corpus per level. Cells ship
     as int64 bit-views (uint64 shuffle keys degrade Ray's sort path);
     every level's key space is bounded by the coarsest data extent, so
-    one driver root merges the whole pyramid."""
+    one (res, cell) COUNT combine merges the whole pyramid."""
     from ..kernels import bits
+    from ..ops.reduce import combine
 
     ds = geotag_cells(pages_ds, res=res, parent_res=min(levels),
                       keep_cols=("url",), batch_size=batch_size)
@@ -147,44 +148,17 @@ def count_pyramid(pages_ds, res: int = 7,
     if lvls and lvls[-1] >= res:
         raise ValueError(f"levels must be coarser than res={res}")
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         cells = batch[col].to_numpy(zero_copy_only=False) \
             .astype(np.uint64)
-        out_r, out_c, out_n = [], [], []
-        for lv in lvls:
-            par = bits.cell_to_parent(cells, lv)
-            uniq, cnt = np.unique(par, return_counts=True)
-            out_r.append(np.full(uniq.shape[0], lv, dtype=np.int64))
-            out_c.append(uniq.view(np.int64))
-            out_n.append(cnt.astype(np.int64))
         return pa.table({
-            "res": np.concatenate(out_r) if out_r
-            else np.array([], np.int64),
-            "cell": np.concatenate(out_c) if out_c
-            else np.array([], np.int64),
-            "num_pages": np.concatenate(out_n) if out_n
-            else np.array([], np.int64)})
+            "res": np.repeat(np.asarray(lvls, np.int64), cells.shape[0]),
+            "cell": np.concatenate([bits.cell_to_parent(cells, lv)
+                                    for lv in lvls]).view(np.int64)})
 
-    def merge(t: pa.Table) -> pa.Table:
-        r = t["res"].to_numpy(zero_copy_only=False)
-        c = t["cell"].to_numpy(zero_copy_only=False)
-        n = t["num_pages"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((c, r))
-        rs, cs, ns = r[order], c[order], n[order]
-        new = np.ones(rs.shape[0], dtype=bool)
-        if rs.shape[0]:
-            new[1:] = (rs[1:] != rs[:-1]) | (cs[1:] != cs[:-1])
-        seg = np.cumsum(new) - 1 if rs.shape[0] else np.array([], np.int64)
-        acc = np.bincount(seg, weights=ns).astype(np.int64) \
-            if rs.shape[0] else np.array([], np.int64)
-        keep = np.flatnonzero(new)
-        return pa.table({"res": rs[keep], "cell": cs[keep],
-                         "num_pages": acc})
-
-    from ..ops.reduce import driver_merge
-
-    return driver_merge(
-        ds.map_batches(partial, batch_format="pyarrow",
-                       batch_size=131072), merge,
-        schema=pa.schema([("res", pa.int64()), ("cell", pa.int64()),
-                          ("num_pages", pa.int64())]))
+    return combine(ds, ["res", "cell"], count="num_pages", prep=prep,
+                   finish=lambda g: g.sort_by([("res", "ascending"),
+                                               ("cell", "ascending")]),
+                   batch_size=131072,
+                   schema=pa.schema([("res", pa.int64()), ("cell", pa.int64()),
+                                     ("num_pages", pa.int64())]))

@@ -143,18 +143,15 @@ def probe_cells(probe: dict, cells: np.ndarray):
 def _probe_batch(data: dict, batch: pa.Table, res: int,
                  exact: bool) -> pa.Table:
     """One page batch through the probe: encode, probe, and with `exact`
-    re-check each candidate with the point-in-polygon predicate. `data` is
-    the broadcast payload {"probe", "geoms"}."""
+    re-check every candidate with the point-in-polygon predicate in one
+    `region._contains` call over (candidate, polygon_id). `data` is the
+    broadcast payload {"probe", "edges"}, `edges` the polygons'
+    `region._edge_table`."""
     urls, lat, lng, cells = pages_io.geotag_encode(batch["url"], res)
     row, pid = probe_cells(data["probe"], cells)
     if exact and row.size:
-        keep = np.zeros(row.shape[0], dtype=bool)
-        lat_r = np.deg2rad(lat)
-        lng_r = np.deg2rad(lng)
-        for p in np.unique(pid):
-            m = pid == p
-            keep[m] = region.contains_points(
-                data["geoms"][p], lat_r[row[m]], lng_r[row[m]])
+        keep = region._contains(data["edges"], pid, np.deg2rad(lat[row]),
+                                np.deg2rad(lng[row]))
         row = row[keep]
         pid = pid[keep]
     return pa.Table.from_arrays(
@@ -178,7 +175,8 @@ def pip_join(pages_ds, geoms: list[dict], *, res: int = 9,
     import ray
 
     probe = build_probe(geoms, res, "candidates" if exact else mode)
-    payload = {"probe": probe, "geoms": geoms if exact else None}
+    payload = {"probe": probe,
+               "edges": region._edge_table(geoms) if exact else None}
     ref = ray.put(payload)
 
     if use_actors:
@@ -227,8 +225,9 @@ class PolygonProbeStage:
     """Stateful actor-pool stage for the PIP join (north-star architecture:
     'actor pools for stateful polygon-index stages').
 
-    __init__ runs once per actor: fetches the broadcast probe + geometries
-    from the object store and keeps them resident; __call__ streams batches.
+    __init__ runs once per actor: fetches the broadcast probe + polygon
+    edge table from the object store and keeps them resident; __call__
+    streams batches.
     Use via pip_join(use_actors=True) when the probe is expensive enough to
     amortize (very large coverage) or when per-batch object-store fetches
     contend; the stateless-task path is equivalent for small probes.

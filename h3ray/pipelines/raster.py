@@ -76,39 +76,24 @@ def zonal_stats(raster_ds, res: int, width: int, height: int,
     """Raster -> H3 zonal statistics: per cell at `res`, the pixel count,
     value sum and value max. Returns pa.Table (cell, n_pixels, sum_value,
     max_value) sorted by cell."""
-    from ..ops.reduce import driver_merge
+    from ..ops.reduce import combine
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         pix = batch["pix"].to_numpy(zero_copy_only=False)
         val = batch[value_col].to_numpy(zero_copy_only=False) \
             .astype(np.int64)
         lat, lng = pixel_centers(pix, width, height, bbox)
         cells = bits.as_u64(latlng.latlng_to_cell(lat, lng, res))
-        uniq, inv = np.unique(cells, return_inverse=True)
-        n = np.bincount(inv, minlength=uniq.shape[0]).astype(np.int64)
-        s = np.zeros(uniq.shape[0], dtype=np.int64)
-        np.add.at(s, inv, val)
-        mx = np.full(uniq.shape[0], np.iinfo(np.int64).min)
-        np.maximum.at(mx, inv, val)
-        return pa.table({"cell": pa.array(uniq),
-                         "n_pixels": pa.array(n),
-                         "sum_value": pa.array(s),
-                         "max_value": pa.array(mx)})
+        return pa.table({"cell": cells, "sum_value": val, "max_value": val})
 
-    def merge(t: pa.Table) -> pa.Table:
-        g = t.group_by("cell").aggregate(
-            [("n_pixels", "sum"), ("sum_value", "sum"),
-             ("max_value", "max")]) \
-            .rename_columns(["cell", "n_pixels", "sum_value", "max_value"])
-        return g.sort_by("cell")
-
-    return driver_merge(
-        raster_ds.map_batches(partial, batch_format="pyarrow",
-                              batch_size=batch_size),
-        merge,
-        schema=pa.schema([("cell", pa.uint64()), ("n_pixels", pa.int64()),
-                          ("sum_value", pa.int64()),
-                          ("max_value", pa.int64())]))
+    return combine(raster_ds, "cell", count="n_pixels", sums=["sum_value"],
+                   maxs=["max_value"], prep=prep,
+                   finish=lambda g: g.sort_by("cell"),
+                   batch_size=batch_size,
+                   schema=pa.schema([("cell", pa.uint64()),
+                                     ("n_pixels", pa.int64()),
+                                     ("sum_value", pa.int64()),
+                                     ("max_value", pa.int64())]))
 
 
 def cells_to_raster(cell_table: pa.Table, res: int, width: int,

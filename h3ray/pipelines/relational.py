@@ -563,7 +563,7 @@ def events_funnel(sf_dir: str, steps=("view", "click", "purchase"),
     integers, so the result is blocking-independent and SQL-exact."""
     import ray.data as rd  # noqa: F401  (Dataset comes from _read)
 
-    from ..ops.reduce import driver_merge
+    from ..ops.reduce import combine
 
     steps = list(steps)
     if len(steps) < 2:
@@ -578,6 +578,7 @@ def events_funnel(sf_dir: str, steps=("view", "click", "purchase"),
             "_bucket", pa.array((uid % nb).astype(np.int32)))
 
     imax = np.iinfo(np.int64).max
+    cols = [f"n_step{i + 1}" for i in range(len(steps))]
 
     def funnel(group: pa.Table) -> pa.Table:
         u = group["user_id"].to_numpy(zero_copy_only=False)
@@ -594,21 +595,17 @@ def events_funnel(sf_dir: str, steps=("view", "click", "purchase"),
             np.minimum.at(t, inv[sel], ts[sel])
             counts.append(int((t < imax).sum()))
             prev = t
-        return pa.table({f"n_step{i + 1}": pa.array([c], pa.int64())
-                         for i, c in enumerate(counts)})
+        return pa.table({c: pa.array([n], pa.int64())
+                         for c, n in zip(cols, counts)})
 
     partials = ds.map_batches(bucket, batch_format="pyarrow",
                               batch_size=131072) \
         .groupby("_bucket").map_groups(funnel, batch_format="pyarrow")
 
-    def merge(t: pa.Table) -> pa.Table:
-        return pa.table({c: pa.array(
-            [int(pc.sum(t[c]).as_py() or 0)], pa.int64())
-            for c in t.column_names})
-
-    return driver_merge(partials, merge,
-                        schema=pa.schema([(f"n_step{i + 1}", pa.int64())
-                                          for i in range(len(steps))]))
+    return combine(partials, [], sums=cols,
+                   finish=lambda g: pa.table({c: pc.fill_null(g[c], 0)
+                                              for c in cols}),
+                   schema=pa.schema([(c, pa.int64()) for c in cols]))
 
 
 def events_weekly_retention(sf_dir: str,

@@ -1,4 +1,7 @@
 """ops.reduce.combine: the declarative combiner + driver-merge root."""
+import ast
+from pathlib import Path
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -71,3 +74,95 @@ def test_brand_small_qty_revenue_matches_oracle(ray_session):
     assert list(out.columns) == ["revenue_cents"]
     assert out["revenue_cents"].tolist() == exp["revenue_cents"].tolist()
     assert out["revenue_cents"][0] > 0
+
+
+def test_exact_moments_survive_int64_overflow(ray_session):
+    """grouped_var_exact / grouped_corr_exact / grouped_regr_slope_exact
+    per key over inputs whose sums of products pass 2^63 (values near
+    1e7 at scale 100, ints near 2e9): the decimal128 (HUGEINT) sums must
+    equal a Python-int reference bit for bit."""
+    import math
+
+    from h3ray.ops.reduce import (grouped_corr_exact,
+                                  grouped_regr_slope_exact,
+                                  grouped_var_exact)
+
+    rng = np.random.default_rng(23)
+    n = 240
+    keys = np.array(["a", "b", "c"])[rng.integers(0, 3, n)]
+    v = rng.integers(990_000_000, 1_000_000_000, n) / 100.0
+    x = rng.integers(1_900_000_000, 2_000_000_000, n)
+    y = rng.integers(-2_000_000_000, 2_000_000_000, n)
+    ds = rd.from_arrow(pa.table({"k": keys, "v": v, "x": x, "y": y})) \
+        .repartition(3)
+
+    def groups():
+        for k in ("a", "b", "c"):
+            m = keys == k
+            xs = [int(t) for t in np.floor(v[m] * 100 + 0.5)]
+            yield k, xs, [int(t) for t in x[m]], [int(t) for t in y[m]]
+
+    for _, xs, xi, _ in groups():  # every key's sum of squares wraps int64
+        assert min(sum(t * t for t in xs), sum(a * a for a in xi)) >= 2 ** 63
+
+    var = grouped_var_exact(ds, "k", "v", scale=100).to_pylist()
+    corr = grouped_corr_exact(ds, "k", "x", "y").to_pylist()
+    slope = grouped_regr_slope_exact(ds, "k", "x", "y").to_pylist()
+    assert [r["k"] for r in var] == ["a", "b", "c"]
+    for (k, xs, xi, yi), rv, rc, rs in zip(groups(), var, corr, slope):
+        cnt, s, ss = len(xs), sum(xs), sum(t * t for t in xs)
+        exp_var = float(cnt * ss - s * s) / float(cnt * (cnt - 1)) / 1e4
+        assert rv == {"k": k, "n_rows": cnt, "var_value": exp_var,
+                      "stddev_value": math.sqrt(exp_var)}
+        sx, sy = sum(xi), sum(yi)
+        sxx = sum(a * a for a in xi)
+        syy = sum(b * b for b in yi)
+        sxy = sum(a * b for a, b in zip(xi, yi))
+        assert rc["corr"] == float(cnt * sxy - sx * sy) / (
+            math.sqrt(float(cnt * sxx - sx * sx))
+            * math.sqrt(float(cnt * syy - sy * sy)))
+        assert rs["slope"] == float(cnt * sxy - sx * sy) / float(
+            cnt * sxx - sx * sx)
+
+
+# Library roots that stay on a hand-written driver_merge: every bounded
+# SUM / MIN / MAX / COUNT / DISTINCT grouping goes through combine, so a
+# new grouping root fails here. (module, enclosing top-level function)
+DRIVER_MERGE_ALLOWLIST = sorted([
+    ("ops/reduce.py", "combine"),               # the one combine root
+    ("ops/bloom.py", "bloom_build"),            # bitwise OR of words
+    ("ops/reduce.py", "table_fingerprint"),     # XOR fold
+    ("ops/reduce.py", "skyline_2d"),            # dominance filter
+    ("ops/reduce.py", "ohlc_daily"),            # open/close tie rule
+    ("ops/sketch.py", "cm_topk"),               # top-k
+    ("ops/sketch.py", "bottomk_quantiles"),     # bottom-k sample
+    ("ops/sketch.py", "mg_heavy_hitters"),      # Misra-Gries compression
+    ("text/analysis.py", "top_terms"),          # top-k
+    ("text/analysis.py", "bigram_topk"),        # top-k
+    ("text/analysis.py", "bigram_familiarity"),  # lambda t: t collector
+    ("text/analysis.py", "inverted_postings"),  # lambda t: t collector
+    ("pipelines/relational.py", "orders_by_segment"),    # collector
+    ("pipelines/relational.py", "orders_revenue_topk"),  # collector
+    ("pipelines/relational.py", "orders_revenue_topk"),  # top-k
+    ("pipelines/ann.py", "_rank_topk"),         # top-k
+    ("pipelines/ann.py", "top_dot_pairs"),      # top-k
+    ("pipelines/knn.py", "knn_join"),           # top-k (gated workload)
+    ("pipelines/knn.py", "knn_join_shuffle"),   # top-k
+    ("pipelines/geotag.py", "cell_counts"),     # gated workload root
+    ("pipelines/tiles.py", "compact_cells_dataset"),  # compaction
+])
+
+
+def test_library_driver_merge_allowlist():
+    root = Path(__file__).resolve().parent.parent / "h3ray"
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        for top in tree.body:
+            for node in ast.walk(top):
+                f = getattr(node, "func", None)
+                name = getattr(f, "id", None) or getattr(f, "attr", None)
+                if isinstance(node, ast.Call) and name == "driver_merge":
+                    found.append((path.relative_to(root).as_posix(),
+                                  getattr(top, "name", "<module>")))
+    assert sorted(found) == DRIVER_MERGE_ALLOWLIST

@@ -165,3 +165,95 @@ def test_empty_supplier_local_revenue(ray_session, tmp_path):
     out = entry.queries()["revenue_local_suppliers"](str(tmp_path))
     n = out.num_rows if isinstance(out, pa.Table) else out.count()
     assert n == 0
+
+
+def _schema(*fields):
+    return pa.schema([(n, getattr(pa, t)()) for n, t in fields])
+
+
+def test_empty_combine_roots(ray_session, tmp_path):
+    """Every library root that runs on ops.reduce.combine keeps its
+    result columns and Arrow types over an empty Dataset, both one
+    empty block and a filter that drops every row. Pinned as they are:
+    the exact-moment reducers and centroids_by_label return a table
+    with no columns, and detect_hot_keys raises KeyError (no partial
+    schema reaches the root)."""
+    import pyarrow.parquet as pq
+    import pytest
+
+    import __ray_entry__ as entry
+    from h3ray.ops import graph, reduce, scan, sketch, skew, window
+    from h3ray.pipelines import ann, geotag, relational
+    from h3ray.pipelines import raster as rs
+
+    ts = pa.array(np.array(["2024-01-01"], "datetime64[us]"))
+    series = pa.table({"k": ["a"], "ts": ts, "v": [1.5], "x": [3],
+                       "y": [4], "u": [1]})
+    edges = pa.table({"src": [0], "dst": [1]})
+    emb = pa.table({"label": [0], "embedding": pa.array(
+        [[0.1, 0.2]], pa.list_(pa.float32()))})
+    day = [("key", "string"), ("day", "string")]
+    none = pa.schema([])
+    # (input, root, result schema, result rows)
+    cases = [
+        (series, lambda d: window.trailing_day_sum(d, "k", "ts", "v"),
+         _schema(*day, ("day_cents", "int64"), ("trail_cents", "int64")),
+         0),
+        (series, lambda d: window.gap_fill_daily(d, "k", "ts", "v"),
+         _schema(*day, ("cents", "int64"), ("was_gap", "int64")), 0),
+        (series, lambda d: window.moving_day_median(d, "k", "ts", "v"),
+         _schema(*day, ("day_cents", "int64"), ("med_cents", "int64")), 0),
+        (series, lambda d: reduce.grouped_var_exact(d, "k", "v"), none, 0),
+        (series, lambda d: reduce.grouped_corr_exact(d, "k", "x", "y"),
+         none, 0),
+        (series,
+         lambda d: reduce.grouped_regr_slope_exact(d, "k", "x", "y"),
+         none, 0),
+        (series, lambda d: reduce.cohort_counts(d, "u", "ts"),
+         _schema(("cohort_month", "string"), ("month_k", "int64"),
+                 ("n_customers", "int64")), 0),
+        # every node keeps its uniform start rank
+        (edges, lambda d: graph.pagerank_fixed(d, 3),
+         _schema(("site", "int64"), ("pr_fixed", "int64")), 3),
+        (edges, lambda d: graph.degree_histogram(d, 3),
+         _schema(("degree", "int64"), ("n_nodes", "int64")), 0),
+        (edges, lambda d: graph.triangle_count(d, 3),
+         _schema(("n_triangles", "int64")), 1),
+        (edges, lambda d: graph.degree_assortativity(d, 3),
+         _schema(("n_edges", "int64"), ("assortativity", "float64")), 1),
+        # the seed reaches itself at hop 0
+        (edges, lambda d: graph.bfs_hops(d, 3, [0]),
+         _schema(("site", "int64"), ("hops", "int64")), 1),
+        (series, lambda d: sketch.mg_heavy_hitters(
+            lambda: d, "x", k=9, total_rows=0, threshold_den=10),
+         _schema(("x", "int64"), ("n_rows", "int64")), 0),
+        (pa.table({"pix": [0], "value": [1]}),
+         lambda d: rs.zonal_stats(d, 1, 10, 10),
+         _schema(("cell", "uint64"), ("n_pixels", "int64"),
+                 ("sum_value", "int64"), ("max_value", "int64")), 0),
+        (emb, ann.centroids_by_label, none, 0),
+        (emb, ann.label_cohesion,
+         _schema(("label", "int64"), ("n_vecs", "int64"),
+                 ("mean_pair_dot", "float64")), 0),
+        (pa.table({"url": ["http://x/1"]}), geotag.count_pyramid,
+         _schema(("res", "int64"), ("cell", "int64"),
+                 ("num_pages", "int64")), 0),
+    ]
+    for tbl, fn, schema, rows in cases:
+        for empty in (rd.from_arrow(tbl.schema.empty_table()),
+                      rd.from_arrow(tbl).filter(lambda r: False)):
+            out = fn(empty)
+            assert (out.schema, out.num_rows) == (schema, rows), fn
+    for fn in (scan.global_exclusive_cumsum, scan.global_exclusive_cummax):
+        assert fn(rd.from_arrow(series.schema.empty_table()), "x", "y") \
+            .count() == 0
+    with pytest.raises(KeyError):
+        skew.detect_hot_keys(rd.from_arrow(series.schema.empty_table()),
+                             "k", "u")
+    pq.write_table(pq.read_schema(
+        f"{entry.SF0001}/events.parquet").empty_table(),
+        tmp_path / "events.parquet")
+    out = relational.events_funnel(str(tmp_path))
+    assert out.to_pylist() == [{"n_step1": 0, "n_step2": 0, "n_step3": 0}]
+    assert out.schema == _schema(("n_step1", "int64"),
+                                 ("n_step2", "int64"), ("n_step3", "int64"))

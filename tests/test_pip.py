@@ -100,3 +100,53 @@ def test_actor_pool_pip_equals_tasks(ray_session, page_points):
     b = pip.pip_join(ds2, geoms, res=8, exact=True, use_actors=True,
                      concurrency=2).to_pandas()
     assert set(zip(a.url, a.polygon_id)) == set(zip(b.url, b.polygon_id))
+
+
+def test_probe_batch_recheck_matches_contains_points(monkeypatch):
+    """The batched exact recheck (one `region._contains` call over every
+    (candidate, polygon_id) pair) keeps exactly what per-polygon
+    `contains_points` keeps, on the tiler's special shapes (hole,
+    multipolygon, antimeridian, pentagon) with points sampled in each
+    polygon's bbox plus every ring vertex (the on-boundary case)."""
+    import pyarrow as pa
+    from test_tiler_golden import special_geometries
+
+    geoms = list(special_geometries().values())
+    rng = np.random.default_rng(17)
+    lat, lng = [], []
+    for g in geoms:
+        edges = region._edge_table([g])
+        for x0, y0, x1, y1 in edges["p_bbox"]:
+            pad = 0.1 * max(x1 - x0, y1 - y0)
+            lat.append(rng.uniform(y0 - pad, y1 + pad, 1500))
+            lng.append(rng.uniform(x0 - pad, x1 + pad, 1500))
+        lat.append(np.r_[edges["ay"], edges["by"]])
+        lng.append(np.r_[edges["ax"], edges["bx"]])
+    lat = np.rad2deg(np.concatenate(lat))
+    lng = np.rad2deg((np.concatenate(lng) + np.pi) % (2 * np.pi) - np.pi)
+    res = 6
+    cells = latlng.latlng_to_cell(lat, lng, res)
+    urls = pa.array([f"p{i}" for i in range(lat.shape[0])])
+    monkeypatch.setattr(pip.pages_io, "geotag_encode",
+                        lambda u, r: (urls, lat, lng, cells))
+
+    data = {"probe": pip.build_probe(geoms, res, "candidates"),
+            "edges": region._edge_table(geoms)}
+    batch = pa.table({"url": urls})
+    got = pip._probe_batch(data, batch, res, exact=True)
+
+    row, pid = pip.probe_cells(data["probe"], cells)
+    keep = np.zeros(row.shape[0], dtype=bool)
+    for p in np.unique(pid):
+        m = pid == p
+        keep[m] = region.contains_points(
+            geoms[p], np.deg2rad(lat[row[m]]), np.deg2rad(lng[row[m]]))
+    exp = pa.Table.from_arrays(
+        [urls.take(pa.array(row[keep])), pa.array(pid[keep]),
+         pa.array(cells[row[keep]].view(np.uint64))],
+        names=["url", "polygon_id", "cell"])
+    assert got.equals(exp)
+    # every shape keeps some candidates and drops others
+    kept = set(pid[keep].tolist())
+    assert kept == set(range(len(geoms)))
+    assert 0 < keep.sum() < keep.shape[0]

@@ -82,12 +82,3 @@ def test_detect_hot_keys_string_keys(ray_session):
                                salt_mod=8, tiebreak_col="row_id").to_pandas()
     assert set(zip(out.key, out.row_id)) == set(zip(direct.key,
                                                     direct.row_id))
-
-
-def test_add_salt_splits_hot_key(ray_session):
-    keys = np.full(8000, 42, dtype=np.int64)
-    t = pa.Table.from_arrays([pa.array(keys)], names=["k"])
-    salted = skew.add_salt(t, "k", 16)
-    counts = np.bincount(salted["_salt"].to_numpy(), minlength=16)
-    assert (counts > 0).all()
-    assert counts.max() < 3 * counts.mean()  # roughly even split

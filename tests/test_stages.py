@@ -36,36 +36,6 @@ def test_area_stage_matches_kernel():
                        measures.cell_area_km2(cells))
 
 
-def test_grid_distance_stage_self_zero():
-    batch, cells = make_batch()
-    batch = batch.append_column("cell2", batch["cell"])
-    out = stages.grid_distance_stage("cell", "cell2")(batch)
-    assert (out["grid_dist"].to_numpy() == 0).all()
-
-
-def test_haversine_stage_symmetry():
-    batch, _ = make_batch()
-    b = batch.append_column("lat_b", batch["lat"]).append_column(
-        "lng_b", batch["lng"])
-    out = stages.haversine_stage("lat", "lng", "lat_b", "lng_b")(b)
-    assert (out["distance_km"].to_numpy() == 0).all()
-
-
-def test_disk_and_ring_expand_counts():
-    batch, cells = make_batch(n=50)
-    out = stages.disk_expand_stage(1, "cell", ["url"])(batch)
-    pent = bits.is_pentagon(cells)
-    assert out.num_rows == int(np.where(pent, 6, 7).sum())
-    out = stages.ring_expand_stage(2, "cell", ["url"])(batch)
-    assert out.num_rows >= 11 * 50  # 12 per hexagon ring-2, fallback may vary
-
-
-def test_validity_stage():
-    batch, _ = make_batch()
-    out = stages.validity_stage("cell")(batch)
-    assert out["is_valid"].to_numpy(zero_copy_only=False).all()
-
-
 def test_path_expand_stage_endpoints():
     batch, cells = make_batch(n=30, res=7)
     near = latlng.latlng_to_cell(
@@ -165,10 +135,3 @@ def test_vertexes_expand_stage():
     vlng = out["vertex_lng"].to_numpy()
     elat, elng = ev.vertex_to_latlng(verts)
     assert np.allclose(vlat, elat) and np.allclose(vlng, elng)
-
-
-def test_salt_stage_deterministic():
-    batch, _ = make_batch()
-    a = stages.salt_stage("cell", 8)(batch)["salt"].to_numpy()
-    b = stages.salt_stage("cell", 8)(batch)["salt"].to_numpy()
-    assert (a == b).all() and (a < 8).all()
