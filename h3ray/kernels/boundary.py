@@ -24,10 +24,11 @@ from .constants import MAX_DIM_BY_CII_RES, SQRT3_2, UNIT_SCALE_BY_CII_RES
 from .latlng import (
     _down_aperture3,
     _down_aperture7,
-    _hex2d_to_vec3d,
+    _hex2d_to_latlng,
     _ijk_to_hex2d,
     _rotate60_ijk,
     cell_to_faceijk,
+    check_cells,
 )
 
 # Substrate vertex offsets, CCW from the i-axis (faceijk.rs:487-516).
@@ -109,10 +110,7 @@ def _substrate_center(cells):
 
 def _project(face, i, j, k, adjusted_res):
     x, y = _ijk_to_hex2d(i, j, k)
-    v = _hex2d_to_vec3d(x, y, face, adjusted_res, is_substrate=True)
-    lat = np.arcsin(np.clip(v[:, 2], -1.0, 1.0))
-    lng = np.arctan2(v[:, 1], v[:, 0])
-    return lat, lng
+    return _hex2d_to_latlng(x, y, face, adjusted_res, is_substrate=True)
 
 
 def _intersection_2d(p0x, p0y, p1x, p1y, q0x, q0y, q1x, q1y):
@@ -229,10 +227,9 @@ def hexagon_boundary_slots(cells):
             keep = ~dup
             rows_k = rows[keep]
             edges_k = edges[keep]
-            v = _hex2d_to_vec3d(ix[keep], iy[keep], face_c[rows_k],
-                                adj_res[rows_k], is_substrate=True)
-            ilat[rows_k, edges_k] = np.arcsin(np.clip(v[:, 2], -1.0, 1.0))
-            ilng[rows_k, edges_k] = np.arctan2(v[:, 1], v[:, 0])
+            ilat[rows_k, edges_k], ilng[rows_k, edges_k] = _hex2d_to_latlng(
+                ix[keep], iy[keep], face_c[rows_k], adj_res[rows_k],
+                is_substrate=True)
             has_inter[rows_k, edges_k] = True
 
     # Slot planes: [V0, I0, V1, I1, ..., V5, I5].
@@ -315,24 +312,25 @@ def _pentagon_boundary_single(cell: int):
                 orig0x, orig0y, orig1x, orig1y,
                 np.array([q0[0]]), np.array([q0[1]]),
                 np.array([q1[0]]), np.array([q1[1]]))
-            vv = _hex2d_to_vec3d(ix, iy, np.array([nbr_face]),
-                                 adj_res, is_substrate=True)
-            out_lat.append(float(np.arcsin(np.clip(vv[0, 2], -1, 1))))
-            out_lng.append(float(np.arctan2(vv[0, 1], vv[0, 0])))
+            la, ln = _hex2d_to_latlng(ix, iy, np.array([nbr_face]),
+                                      adj_res, is_substrate=True)
+            out_lat.append(float(la[0]))
+            out_lng.append(float(ln[0]))
 
         if vert < 5:
             x, y = _ijk_to_hex2d(np.array([fv[1]]), np.array([fv[2]]),
                                  np.array([fv[3]]))
-            vv = _hex2d_to_vec3d(x, y, np.array([fv[0]]), adj_res,
-                                 is_substrate=True)
-            out_lat.append(float(np.arcsin(np.clip(vv[0, 2], -1, 1))))
-            out_lng.append(float(np.arctan2(vv[0, 1], vv[0, 0])))
+            la, ln = _hex2d_to_latlng(x, y, np.array([fv[0]]), adj_res,
+                                      is_substrate=True)
+            out_lat.append(float(la[0]))
+            out_lng.append(float(ln[0]))
         last = fv
     return out_lat, out_lng
 
 
-def cell_to_boundary_rads(cells):
-    """cellToBoundary for a cell array -> ragged (offsets, lat, lng) radians."""
+def _cell_to_boundary_rads(cells):
+    """cellToBoundary of int64 cells known to be valid -> ragged (offsets,
+    lat, lng) radians."""
     cells = bits.as_i64(np.asarray(cells))
     pent = bits.is_pentagon(cells)
     if not pent.any():
@@ -362,7 +360,14 @@ def cell_to_boundary_rads(cells):
     return offsets, np.concatenate(lats), np.concatenate(lngs)
 
 
+def cell_to_boundary_rads(cells):
+    """cellToBoundary for a cell array -> ragged (offsets, lat, lng) radians.
+
+    Raises `InvalidCell` when a row is not a valid cell index."""
+    return _cell_to_boundary_rads(check_cells(cells))
+
+
 def cell_to_boundary(cells):
-    """Degrees variant."""
+    """Degrees variant of `cell_to_boundary_rads`."""
     off, lat, lng = cell_to_boundary_rads(cells)
     return off, np.rad2deg(lat), np.rad2deg(lng)

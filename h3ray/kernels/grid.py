@@ -1,12 +1,15 @@
 """Vectorized H3 grid traversal: neighbors, disks, rings.
 
 Core primitive is `neighbor_rotations` (reference: src/grid/algo.rs:26-169),
-vectorized over arrays of origins. The k-ring spiral walk (grid disk / ring,
-reference: src/grid/iterator.rs) uses the *same* deterministic move sequence
-for every origin, so a batch of N origins expands with ~3k(k+1) whole-array
-neighbor steps; the rare pentagon-distorted origins fall back to a per-row
-BFS (safe algorithm), mirroring the reference's try-fast-then-safe pattern
-(src/index/cell.rs:1043-1050).
+vectorized over arrays of origins: one table lookup for the moves that stay
+inside their parent, and a digit walk for the rest in which each res level,
+the base-cell hop and the pentagon fix-ups run on their own rows only. The
+k-ring spiral walk (grid disk / ring, reference: src/grid/iterator.rs)
+uses the *same* deterministic move sequence for every origin, so a batch of
+N origins expands with ~3k(k+1) whole-array neighbor steps; the rare
+pentagon-distorted origins fall back to the safe BFS, all of them together
+one ring at a time (`grid_disk_safe`), mirroring the reference's
+try-fast-then-safe pattern (src/index/cell.rs:1043-1050).
 """
 
 from __future__ import annotations
@@ -14,6 +17,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import bits
+from .latlng import res_groups
+from .constants import BASE_OFFSET, MAX_RESOLUTION, RES_OFFSET
 from ._tables import (
     BC_CW_OFFSET,
     BC_HOME_FACE,
@@ -43,6 +48,16 @@ def max_grid_ring_size(k: int) -> int:
 # Digit-move tables indexed by resolution parity: [res & 1, from, direction].
 _NEW_DIRECTION = np.stack([NEW_DIRECTION_III, NEW_DIRECTION_II])
 _NEW_ADJUSTMENT = np.stack([NEW_ADJUSTMENT_III, NEW_ADJUSTMENT_II])
+# One flat lookup per digit move, [res & 1][from * 7 + direction]: the new
+# digit in bits 0-2, the carry (adjustment) direction above them.
+_MOVE = (_NEW_DIRECTION | (_NEW_ADJUSTMENT << 3)).reshape(2, 49)
+# The fast path's, [res & 1][from digit 0-7 * 7 + direction]: the new
+# finest digit where the move carries into no parent, else -1 (and for the
+# unused digit 7, which only a res-0 cell shows at res 1).
+_FAST = np.full((2, 8, 7), -1, dtype=np.int64)
+_FAST[:, :7] = np.where(_NEW_ADJUSTMENT == 0, _NEW_DIRECTION, -1)
+_FAST = _FAST.reshape(2, 56)
+_ROTATE_CCW = bits.ROTATE60_CCW_N.ravel()  # [rotations * 7 + direction]
 
 
 def neighbor_rotations(cells, direction, rotations):
@@ -67,135 +82,154 @@ def neighbor_rotations(cells, direction, rotations):
     n = cells.shape[0]
     rotations = np.broadcast_to(np.asarray(rotations, dtype=np.int64), (n,))
     direction = np.broadcast_to(np.asarray(direction, dtype=np.int64), (n,))
-    res = bits.get_resolution(cells)
-    fine = np.maximum(res, 1)  # res-0 cells have no digit; never fast
-    parity = fine & 1
-    frm = np.where(res > 0, bits.get_direction(cells, fine), 0)
-    cur_dir = bits.ROTATE60_CCW_N[rotations % 6, direction]
-    fast = (_NEW_ADJUSTMENT[parity, frm, cur_dir] == 0) & (res > 0) & \
-        ~BC_IS_PENTAGON[bits.get_base_cell(cells)]
-    current = bits.set_direction(cells, _NEW_DIRECTION[parity, frm, cur_dir],
-                                 fine)
+    res = (cells >> RES_OFFSET) & 0xF
+    off = 3 * (MAX_RESOLUTION - np.maximum(res, 1))
     new_rot = rotations % 6
+    idx = ((cells >> off) & 7) * 7 + np.take(_ROTATE_CCW, new_rot * 7
+                                             + direction)
+    odd = res & 1
+    if odd.all() or not odd.any():
+        key = np.take(_FAST[int(odd[0]) if n else 0], idx)
+    else:
+        key = np.take(_FAST.ravel(), idx + 56 * odd)
+    key[BC_IS_PENTAGON[(cells >> BASE_OFFSET) & 0x7F] | (res == 0)] = -1
+    current = (cells & ~(np.int64(7) << off)) | (key.clip(0) << off)
     valid = np.ones(n, dtype=bool)
-    slow = np.flatnonzero(~fast)
+    slow = np.flatnonzero(key < 0)
     if slow.size:
         current[slow], new_rot[slow], valid[slow] = _neighbor_rotations_walk(
             cells[slow], direction[slow], rotations[slow])
     return current, new_rot, valid
 
 
+def _carry(cells, cur_dir, res: int):
+    """Digit adjustment of a move from res-`res` cells (algo.rs:42-66),
+    finest digit to coarsest, each res on the rows still carrying into it.
+    Returns (cells, cur_dir, hop): the adjusted cells, each row's
+    direction at its last step, and the rows that carried past res 1 and
+    so hop base cells."""
+    out = cells.copy()
+    out_dir = cur_dir.copy()
+    sel = np.arange(cells.shape[0])
+    cur, cd = cells, cur_dir
+    for r in range(res, 0, -1):
+        off = 3 * (MAX_RESOLUTION - r)
+        move = np.take(_MOVE[r & 1], ((cur >> off) & 7) * 7 + cd)
+        cur = (cur & ~(np.int64(7) << off)) | ((move & 7) << off)
+        cd = move >> 3
+        carry = cd != 0
+        if carry.all():
+            continue
+        out[sel[~carry]] = cur[~carry]
+        sel, cur, cd = sel[carry], cur[carry], cd[carry]
+        if sel.size == 0:
+            return out, out_dir, sel
+    out[sel] = cur
+    out_dir[sel] = cd
+    return out, out_dir, sel
+
+
 def _neighbor_rotations_walk(cells, direction, rotations):
     """Full digit walk of `neighbor_rotations` (src/grid/algo.rs:26-169):
     finest-to-coarsest digit adjustment, base-cell hop, pentagon fixups.
-    Same arguments and returns; correct for every row."""
+    Same arguments and returns; correct for every row. Each step runs on
+    its own rows only: a res level on the rows still carrying into it, the
+    hop on the rows that carried past res 1, the fixups on the rows that
+    land on a pentagon base cell."""
     cells = bits.as_i64(np.asarray(cells))
     n = cells.shape[0]
     rotations = np.broadcast_to(np.asarray(rotations, dtype=np.int64), (n,)).copy()
     direction = np.broadcast_to(np.asarray(direction, dtype=np.int64), (n,))
 
-    current = cells.copy()
-    cur_dir = bits.ROTATE60_CCW_N[rotations % 6, direction]
+    cur_dir = np.take(_ROTATE_CCW, rotations % 6 * 7 + direction)
     res = bits.get_resolution(cells)
     valid = np.ones(n, dtype=bool)
 
-    # Adjust indexing digits from finest to coarsest.
-    adjusting = np.ones(n, dtype=bool)
-    res_var = res.copy()
-    max_res = int(res.max()) if n else 0
-    for resolution in range(max_res, 0, -1):
-        m = adjusting & (resolution <= res)
-        if not m.any():
-            continue
-        frm = np.where(m, bits.get_direction(current, resolution), 0)
-        odd = (resolution % 2) == 1
-        tbl_dir = NEW_DIRECTION_II if odd else NEW_DIRECTION_III
-        tbl_adj = NEW_ADJUSTMENT_II if odd else NEW_ADJUSTMENT_III
-        nd = tbl_dir[frm, cur_dir]
-        na = tbl_adj[frm, cur_dir]
-        current = np.where(m, bits.set_direction(current, nd, resolution), current)
-        done = m & (na == 0)
-        adjusting &= ~done
-        cont = m & ~done
-        cur_dir = np.where(cont, na, cur_dir)
-        res_var = np.where(cont, resolution - 1, res_var)
+    # Adjust indexing digits from finest to coarsest, one res at a time.
+    current = np.empty_like(cells)
+    hops = []
+    for r, rows in res_groups(res):
+        if rows is None:
+            current, cur_dir, act = _carry(cells, cur_dir, r)
+        else:
+            current[rows], cur_dir[rows], act = _carry(cells[rows],
+                                                       cur_dir[rows], r)
+            hops.append(rows[act])
+    if hops:
+        act = np.concatenate(hops)
 
     # Base-cell hop for rows that adjusted all the way down.
     old_base = bits.get_base_cell(cells)
     new_rotations = np.zeros(n, dtype=np.int64)
-    base_hop = res_var == 0
-    if base_hop.any():
-        safe_dir = np.where(base_hop, cur_dir, 1)
-        nbr = BC_NEIGHBORS[old_base, safe_dir]
-        invalid_k = base_hop & (nbr == 255)
-        nbr_ik = BC_NEIGHBORS[old_base, 5]  # IK
-        target = np.where(invalid_k, nbr_ik, nbr)
-        current = np.where(base_hop, bits.set_base_cell(current, target), current)
+    if act.size:
+        ob = old_base[act]
+        d = cur_dir[act]
+        nbr = BC_NEIGHBORS[ob, d]
+        invalid_k = nbr == 255
+        hop = bits.set_base_cell(current[act],
+                                 np.where(invalid_k, BC_NEIGHBORS[ob, 5], nbr))
         if invalid_k.any():
-            current = np.where(invalid_k, bits.rotate60(current, 1, ccw=True),
-                               current)
-            rotations += invalid_k
-        new_rotations = np.where(
-            base_hop,
-            np.where(invalid_k, BC_NEIGHBOR_60CCW_ROTS[old_base, 5],
-                     BC_NEIGHBOR_60CCW_ROTS[old_base, safe_dir]),
-            0)
+            hop = np.where(invalid_k, bits.rotate60(hop, 1, ccw=True), hop)
+            rotations[act] += invalid_k
+        current[act] = hop
+        new_rotations[act] = np.where(invalid_k,
+                                      BC_NEIGHBOR_60CCW_ROTS[ob, 5],
+                                      BC_NEIGHBOR_60CCW_ROTS[ob, d])
 
     # Pentagon fixups (algo.rs:92-160).
     new_base = bits.get_base_cell(current)
     pent = BC_IS_PENTAGON[new_base]
-    if pent.any():
-        adjusted_k = np.zeros(n, dtype=bool)
-        leading_k = bits.first_axe(current) == 1
-        m1 = pent & leading_k
-        same_base = old_base == new_base
+    rows = np.flatnonzero(pent)
+    if rows.size:
+        cur = current[rows]
+        rot = rotations[rows]
+        ob = old_base[rows]
+        nb = new_base[rows]
+        adjusted_k = np.zeros(rows.size, dtype=bool)
+        leading_k = bits.first_axe(cur) == 1
+        same_base = ob == nb
 
-        m_same = m1 & same_base
+        m_same = leading_k & same_base
         if m_same.any():
-            old_lead = bits.first_axe(cells)
-            valid &= ~(m_same & (old_lead == 0))
+            old_lead = bits.first_axe(cells[rows])
+            valid[rows] &= ~(m_same & (old_lead == 0))
             mjk = m_same & (old_lead == 3)
             if mjk.any():
-                current = np.where(mjk, bits.rotate60(current, 1, ccw=True),
-                                   current)
-                rotations += mjk
+                cur = np.where(mjk, bits.rotate60(cur, 1, ccw=True), cur)
+                rot += mjk
             mik = m_same & (old_lead == 5)
             if mik.any():
-                current = np.where(mik, bits.rotate60(current, 1, ccw=False),
-                                   current)
-                rotations += 5 * mik
+                cur = np.where(mik, bits.rotate60(cur, 1, ccw=False), cur)
+                rot += 5 * mik
 
-        m_diff = m1 & ~same_base
+        m_diff = leading_k & ~same_base
         if m_diff.any():
-            old_home = BC_HOME_FACE[old_base]
-            cw_off = (BC_CW_OFFSET[new_base, 0] == old_home) | (
-                BC_CW_OFFSET[new_base, 1] == old_home)
+            old_home = BC_HOME_FACE[ob]
+            cw_off = (BC_CW_OFFSET[nb, 0] == old_home) | (
+                BC_CW_OFFSET[nb, 1] == old_home)
             mcw = m_diff & cw_off
             if mcw.any():
-                current = np.where(mcw, bits.rotate60(current, 1, ccw=False),
-                                   current)
+                cur = np.where(mcw, bits.rotate60(cur, 1, ccw=False), cur)
             adjusted_k = m_diff
 
-        todo = np.where(pent, new_rotations, 0)
-        while (todo > 0).any():
-            m = todo > 0
-            current = np.where(m, bits.pentagon_rotate60(current, ccw=True),
-                               current)
-            todo -= m
+        todo = new_rotations[rows]
+        for step in range(1, int(todo.max()) + 1):
+            m = todo >= step
+            cur = np.where(m, bits.pentagon_rotate60(cur, ccw=True), cur)
 
-        m_o = pent & (old_base != new_base)
+        m_o = ob != nb
         if m_o.any():
-            dir_now = bits.first_axe(current)
-            polar = (new_base == 4) | (new_base == 117)
-            rotations += (m_o & polar & (old_base != 118) & (old_base != 8)
-                          & (dir_now != 3))
-            rotations += (m_o & ~polar & ~adjusted_k & (dir_now == 5))
+            dir_now = bits.first_axe(cur)
+            polar = (nb == 4) | (nb == 117)
+            rot += (m_o & polar & (ob != 118) & (ob != 8) & (dir_now != 3))
+            rot += (m_o & ~polar & ~adjusted_k & (dir_now == 5))
+        current[rows] = cur
+        rotations[rows] = rot
 
-    hex_rot = ~pent & (new_rotations != 0)
-    for count in range(1, 6):
-        m = np.flatnonzero(hex_rot & (new_rotations == count))
-        if m.size:
-            current[m] = bits.rotate60(current[m], count, ccw=True)
+    act = act[~pent[act] & (new_rotations[act] != 0)]
+    for count in np.unique(new_rotations[act]):
+        m = act[new_rotations[act] == count]
+        current[m] = bits.rotate60(current[m], count, ccw=True)
 
     return current, (rotations + new_rotations) % 6, valid
 
@@ -225,76 +259,104 @@ def grid_disk_fast_batch(cells, k: int):
 
     Returns (out, dist, failed): out is (n, 3k(k+1)+1) int64 (0-filled after
     failure), dist the matching ring distances, failed the rows that hit a
-    pentagon and need the safe fallback.
+    pentagon and need the safe fallback. Every visited cell, the ring hops
+    included, is tested for a pentagon once, after the walk.
     """
     cells = bits.as_i64(np.asarray(cells))
     n = cells.shape[0]
     size = max_grid_disk_size(k)
-    out = np.zeros((n, size), dtype=np.int64)
-    dist = np.zeros((n, size), dtype=np.int64)
-    failed = bits.is_pentagon(cells).copy()
-
-    out[:, 0] = cells
-    col = 1
-    origin = cells.copy()
+    # Columns 0..size-1 are the disk in walk order, the last k the hops.
+    seen = np.empty((size + k, n), dtype=np.int64)
+    seen[0] = cells
+    col, hop = 1, size
+    origin = cells
     rot = np.zeros(n, dtype=np.int64)
-    for direction, ring, is_hop in _spiral_moves(k):
-        origin, rot, valid = neighbor_rotations(origin, direction, rot)
-        failed |= ~valid
-        failed |= bits.is_pentagon(origin)
-        if not is_hop:
-            out[:, col] = origin
-            dist[:, col] = ring
+    valid = np.empty((size + k - 1, n), dtype=bool)
+    dist = np.empty(size, dtype=np.int64)
+    dist[0] = 0
+    for step, (direction, ring, is_hop) in enumerate(_spiral_moves(k)):
+        origin, rot, valid[step] = neighbor_rotations(origin, direction, rot)
+        if is_hop:
+            seen[hop] = origin
+            hop += 1
+        else:
+            seen[col] = origin
+            dist[col] = ring
             col += 1
     assert col == size
+    failed = ~valid.all(axis=0) | bits.is_pentagon(seen).any(axis=0)
+    out = seen[:size].T.copy()
     out[failed] = 0
-    return out, dist, failed
+    return out, np.broadcast_to(dist, (n, size)), failed
 
 
-def grid_disk_safe_single(cell: int, k: int):
-    """Per-origin BFS (safe) disk with distances (grid/iterator.rs:40-97)."""
-    from collections import deque
-    seen = {}
-    q = deque([(int(cell), 0)])
-    while q:
-        c, ring = q.popleft()
-        if ring > k or c in seen:
-            continue
-        seen[c] = ring
-        if ring < k:
-            arr = np.full(6, c, dtype=np.int64)
-            nbrs, _, valid = neighbor_rotations(arr, RING_DIRECTIONS, 0)
-            for nb, ok in zip(nbrs, valid):
-                if ok:
-                    q.append((int(nb), ring + 1))
-    cells = np.fromiter(seen.keys(), dtype=np.int64, count=len(seen))
-    dists = np.fromiter(seen.values(), dtype=np.int64, count=len(seen))
-    return cells, dists
+def grid_disk_safe(cells, k: int):
+    """Safe (BFS) grid disk with distances of every origin at once
+    (grid/iterator.rs:40-97), one ring step at a time: the next ring is
+    the valid neighbours of the current ring's cells, in ring order and
+    `RING_DIRECTIONS` order, less the cells seen before, first occurrence
+    kept. So each origin's cells come in the order of a per-origin FIFO
+    BFS, and each ring step is one `neighbor_rotations` call.
+
+    Returns (origin_row, cell, distance) flat int64 arrays, grouped by
+    origin row in input order.
+    """
+    cells = bits.as_i64(np.asarray(cells))
+    n = cells.shape[0]
+    rows = [np.arange(n, dtype=np.int64)]
+    out = [cells]
+    dist = [np.zeros(n, dtype=np.int64)]
+    seen_row, seen_cell = rows[0], cells
+    f_row, f_cell = rows[0], cells
+    for ring in range(1, k + 1):
+        if f_row.size == 0:
+            break
+        nbr, _, valid = neighbor_rotations(
+            np.repeat(f_cell, 6), np.tile(RING_DIRECTIONS, f_cell.size), 0)
+        c_row = np.repeat(f_row, 6)[valid]
+        c_cell = nbr[valid]
+        # First occurrence of each (row, cell) among the seen cells, then
+        # the candidates in order; keep the candidates that come first.
+        all_row = np.concatenate([seen_row, c_row])
+        all_cell = np.concatenate([seen_cell, c_cell])
+        order = np.lexsort((np.arange(all_row.size), all_cell, all_row))
+        first = np.ones(order.size, dtype=bool)
+        first[1:] = (all_row[order[1:]] != all_row[order[:-1]]) | \
+            (all_cell[order[1:]] != all_cell[order[:-1]])
+        keep = np.sort(order[first & (order >= seen_row.size)]) - \
+            seen_row.size
+        f_row, f_cell = c_row[keep], c_cell[keep]
+        rows.append(f_row)
+        out.append(f_cell)
+        dist.append(np.full(f_row.size, ring, dtype=np.int64))
+        seen_row = np.concatenate([seen_row, f_row])
+        seen_cell = np.concatenate([seen_cell, f_cell])
+    row = np.concatenate(rows)
+    order = np.argsort(row, kind="stable")
+    return row[order], np.concatenate(out)[order], np.concatenate(dist)[order]
 
 
 def grid_disk_distances(cells, k: int):
     """Batch grid disk with distances (fast path + safe fallback).
 
     Returns (origin_row, cell, distance) flat int64 arrays, where origin_row
-    indexes into the input array.
+    indexes into the input array: the fast-path rows first, in input order,
+    then the rows that met a pentagon, each in BFS order (`grid_disk_safe`).
     """
     cells = bits.as_i64(np.asarray(cells))
     n = cells.shape[0]
     if k == 0:
         return np.arange(n, dtype=np.int64), cells.copy(), np.zeros(n, np.int64)
     out, dist, failed = grid_disk_fast_batch(cells, k)
-    ok_rows = np.where(~failed)[0]
+    ok_rows = np.flatnonzero(~failed)
+    bad_rows = np.flatnonzero(failed)
     size = out.shape[1]
-    parts_o = [np.repeat(ok_rows, size)]
-    parts_c = [out[ok_rows].ravel()]
-    parts_d = [dist[ok_rows].ravel()]
-    for row in np.where(failed)[0]:
-        c, d = grid_disk_safe_single(cells[row], k)
-        parts_o.append(np.full(c.shape[0], row, dtype=np.int64))
-        parts_c.append(c)
-        parts_d.append(d)
-    return (np.concatenate(parts_o), np.concatenate(parts_c),
-            np.concatenate(parts_d))
+    if bad_rows.size == 0:
+        return np.repeat(ok_rows, size), out.ravel(), dist.ravel()
+    row, cell, d = grid_disk_safe(cells[bad_rows], k)
+    return (np.concatenate([np.repeat(ok_rows, size), bad_rows[row]]),
+            np.concatenate([out[ok_rows].ravel(), cell]),
+            np.concatenate([dist[ok_rows].ravel(), d]))
 
 
 def grid_ring(cells, k: int):
@@ -330,15 +392,12 @@ def grid_ring(cells, k: int):
     failed |= origin != first
     out[failed] = 0
 
-    ok_rows = np.where(~failed)[0]
-    parts_o = [np.repeat(ok_rows, size)]
-    parts_c = [out[ok_rows].ravel()]
-    for row in np.where(failed)[0]:
-        c, d = grid_disk_safe_single(cells[row], k)
-        sel = d == k
-        parts_o.append(np.full(int(sel.sum()), row, dtype=np.int64))
-        parts_c.append(c[sel])
-    return np.concatenate(parts_o), np.concatenate(parts_c)
+    ok_rows = np.flatnonzero(~failed)
+    bad_rows = np.flatnonzero(failed)
+    row, cell, d = grid_disk_safe(cells[bad_rows], k)
+    sel = d == k
+    return (np.concatenate([np.repeat(ok_rows, size), bad_rows[row[sel]]]),
+            np.concatenate([out[ok_rows].ravel(), cell[sel]]))
 
 
 def are_neighbor_cells(origins, destinations):

@@ -17,9 +17,22 @@ scratch array; the pentagon fix-ups run on the pentagon rows only (~2% of
 uniform points) and the base-cell rotations on the rows with rot > 0, and
 the digits pack straight into the 64-bit index. Non-finite input raises
 `InvalidLatLng` before any table lookup.
+
+The decode runs in the same digit space: the aperture-7 descent is linear
+in int32 axial coords, so it is one table lookup per three digits
+(`digit_walk`, shared with `localij`); a single-res input takes one pass,
+a mixed one a pass per res. The pentagon leading-digit fix runs on the
+pentagon rows and the overage adjust on the rows past their face's edge
+only. The inverse gnomonic keeps the reference's float operations in
+their order, one vector component at a time. The public decode entries
+raise `InvalidCell` on any row that `bits.is_valid_cell` rejects, before
+any table lookup; internal callers whose cells are built valid (the tiler)
+use the unchecked `_cell_to_latlng_rads`.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -184,8 +197,10 @@ def _ijk_to_hex2d(i, j, k):
 
 
 def _to_positive_angle(a):
-    a = np.where(a < 0.0, a + TWO_PI, a)
-    return np.where(a >= TWO_PI, a - TWO_PI, a)
+    """`a` wrapped into [0, 2pi), in place."""
+    np.add(a, TWO_PI, out=a, where=a < 0.0)
+    np.subtract(a, TWO_PI, out=a, where=a >= TWO_PI)
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -385,141 +400,231 @@ def latlng_rads_to_cell(lat_rad, lng_rad, res: int) -> np.ndarray:
 # Decode: cell -> FaceIJK -> lat/lng
 # ---------------------------------------------------------------------------
 
+class InvalidCell(ValueError):
+    """An input to a public decode entry is not a valid cell index (h3o's
+    `CellIndex::try_from`): see `bits.is_valid_cell`.
+
+    `row` is the first bad row, `count` the number of bad rows."""
+
+    def __init__(self, row: int, count: int, value: int):
+        super().__init__(
+            f"{count} invalid cell index(es); first at row {row}: "
+            f"{value & 0xFFFFFFFFFFFFFFFF:#x}")
+        self.row = row
+        self.count = count
+
+
+def check_cells(cells) -> np.ndarray:
+    """`cells` as int64 bits; raises `InvalidCell` unless every row is a
+    valid cell index."""
+    cells = bits.as_i64(np.asarray(cells))
+    bad = ~bits.is_valid_cell(cells)
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise InvalidCell(row, int(bad.sum()), int(cells[row]))
+    return cells
+
+
+def res_groups(res):
+    """(r, rows) per resolution present in `res`; rows is None when every
+    row has resolution r (the one-pass route)."""
+    if res.size == 0 or (res == res[0]).all():
+        yield (int(res[0]) if res.size else 0), None
+        return
+    for r in np.unique(res):
+        yield int(r), np.flatnonzero(res == r)
+
+
+# Axial (i - k, j - k) steps of the seven direction digits, the base cells'
+# home IJK, and the aperture-7 centre-child maps of the descent
+# (faceijk.rs:135-160): CCW on class III res, CW on class II.
+_DIGIT_AB = np.stack([bits.DIGIT_IJK[:, 0] - bits.DIGIT_IJK[:, 2],
+                      bits.DIGIT_IJK[:, 1] - bits.DIGIT_IJK[:, 2]], axis=1)
+_HOME_AB = np.stack([BC_HOME_IJK[:, 0] - BC_HOME_IJK[:, 2],
+                     BC_HOME_IJK[:, 1] - BC_HOME_IJK[:, 2]], axis=1)
+_DOWN7 = {1: np.array([[2, 1], [-1, 3]]), 0: np.array([[3, -1], [1, 2]])}
+
+
+@functools.lru_cache(maxsize=None)
+def _walk_tables(res: int):
+    """Lookup tables of the res-`res` descent. Each res step maps the
+    axial coords linearly (the centre child) and adds the digit's unit
+    step, so the result is the sum of one term per digit: the digit's
+    step carried through the maps of the finer res. The digits go in
+    groups of three adjacent 3-bit fields; returns (home, groups): the
+    base cells' home coords carried to `res` as (122, 2) int32, and per
+    group (shift, mask, a-table, b-table) indexed by the group's bits."""
+    carry = [None] * (res + 1)
+    acc = np.eye(2, dtype=np.int64)
+    for r in range(res, 0, -1):
+        carry[r] = acc
+        acc = acc @ _DOWN7[r & 1]
+    home = (_HOME_AB @ acc.T).astype(np.int32)
+    groups = []
+    for lo in range(1, res + 1, 3):
+        levels = range(lo, min(lo + 3, res + 1))
+        idx = np.arange(8 ** len(levels))
+        table = np.zeros((idx.size, 2), dtype=np.int64)
+        for pos, r in enumerate(levels):
+            d = (idx >> 3 * (levels[-1] - r)) & 7
+            ok = d < 7  # an unused digit never occurs at r <= res
+            table[ok] += _DIGIT_AB[d[ok]] @ carry[r].T
+        groups.append((3 * (MAX_RESOLUTION - levels[-1]), idx.size - 1,
+                       table[:, 0].astype(np.int32),
+                       table[:, 1].astype(np.int32)))
+    return home, groups
+
+
+def digit_walk(cells, res: int, base=None):
+    """Aperture-7 descent of res-`res` cells (faceijk.rs:135-160) in axial
+    coordinates (a, b) = (i - k, j - k), from the home IJK of each row's
+    `base` cell, or from the origin when `base` is None: per res, the
+    centre child plus the unit step of that res's digit. Every IJK op is
+    linear, so the walk is one table lookup per three digits, exact in
+    int32 (|a|, |b| < 2^23 at res 15)."""
+    home, groups = _walk_tables(res)
+    if base is None:
+        a = np.zeros(cells.shape[0], dtype=np.int32)
+        b = np.zeros(cells.shape[0], dtype=np.int32)
+    else:
+        a = np.take(home[:, 0], base)
+        b = np.take(home[:, 1], base)
+    for shift, mask, ta, tb in groups:
+        idx = (cells >> shift) & mask
+        a += np.take(ta, idx)
+        b += np.take(tb, idx)
+    return a, b
+
+
+def axial_to_ijk(a, b):
+    """Normalized int64 IJK of axial (a, b)."""
+    a = a.astype(np.int64)
+    b = b.astype(np.int64)
+    k = np.maximum(-np.minimum(a, b), 0)
+    return a + k, b + k, k
+
+
+def _adjust_overage(face, a, b, res2: int, pent4):
+    """Overage transform (faceijk.rs:163-238) of rows past their face's
+    edge at class II res `res2`, in int64 axial coords: the pentagon
+    leading-IK fix-up on `pent4` rows of the KI quadrant, the neighbour
+    face's CCW rotations ((a, b) -> (a - b, a) each) and its translation.
+    """
+    max_dim = MAX_DIM_BY_CII_RES[res2]
+    k = np.maximum(-np.minimum(a, b), 0)
+    on_k = k > 0
+    on_j = (b + k) > 0
+    quadrant = np.where(on_k, np.where(on_j, 3, 2), 1)
+    fix = pent4 & on_k & ~on_j
+    if fix.any():
+        # Rotate (i - max_dim, j, k) 60 deg CW, then add max_dim back to i.
+        a, b = (np.where(fix, b + max_dim, a),
+                np.where(fix, b - a + max_dim, b))
+    rot = FACE_NBR_CCWROT[face, quadrant]
+    for step in range(1, int(rot.max()) + 1):
+        m = rot >= step
+        a, b = np.where(m, a - b, a), np.where(m, a, b)
+    t = FACE_NBR_TRANSLATE[face, quadrant]
+    scale = UNIT_SCALE_BY_CII_RES[res2]
+    return (FACE_NBR_FACE[face, quadrant],
+            a + (t[:, 0] - t[:, 2]) * scale, b + (t[:, 1] - t[:, 2]) * scale)
+
+
+def _face_axial_res(cells, res: int):
+    """(face, a, b) of res-`res` cells: CellIndex -> FaceIJK
+    (src/index/cell.rs:1883-1945) with IJK kept as int32 axial coords.
+
+    The pentagon leading-digit fix and the overage adjust run on their
+    own rows only: the ~2% of rows on a pentagon base cell, and the rows
+    whose class II coords pass their face's edge."""
+    base = (cells >> BASE_OFFSET) & 0x7F
+    face = BC_HOME_FACE[base]
+    pent = np.flatnonzero(BC_IS_PENTAGON[base])
+    pent4 = pent[:0]
+    if pent.size and res > 0:
+        # Pentagon leading IK: rotate the digits 60 deg CW first.
+        sub = cells[pent]
+        fix = bits.first_axe(sub) == 5
+        if fix.any():
+            sub = np.where(fix, bits.rotate60(sub, 1, ccw=False), sub)
+            cells = cells.copy()
+            cells[pent] = sub
+        pent4 = pent[bits.first_axe(sub) == 4]
+    a, b = digit_walk(cells, res, base)
+
+    # Overage, at the class II res (class III coords go one CW aperture-7
+    # step down first, and the adjusted rows come back up).
+    res2 = res + (res & 1)
+    ca, cb = (3 * a - b, a + 2 * b) if res & 1 else (a, b)
+    dim = ca + cb + 3 * np.maximum(-np.minimum(ca, cb), 0)
+    rows = np.flatnonzero(dim > MAX_DIM_BY_CII_RES[res2])
+    if rows.size == 0:
+        return face, a, b
+    f, oa, ob = _adjust_overage(face[rows], ca[rows].astype(np.int64),
+                                cb[rows].astype(np.int64), res2,
+                                np.isin(rows, pent4) if pent4.size
+                                else np.zeros(rows.size, dtype=bool))
+    # Secondary overages of pentagon rows (at most five more passes).
+    sec = BC_IS_PENTAGON[base[rows]]
+    for _ in range(5):
+        k = np.maximum(-np.minimum(oa, ob), 0)
+        again = np.flatnonzero(sec & (oa + ob + 3 * k
+                                      > MAX_DIM_BY_CII_RES[res2]))
+        if again.size == 0:
+            break
+        f[again], oa[again], ob[again] = _adjust_overage(
+            f[again], oa[again], ob[again], res2,
+            np.zeros(again.size, dtype=bool))
+    if res & 1:
+        # Back up to res: aperture-7 CW parent, round(x / 7) exact in ints.
+        oa, ob = (2 * oa + ob + 3) // 7, (3 * ob - oa + 3) // 7
+    face[rows] = f
+    a[rows] = oa
+    b[rows] = ob
+    return face, a, b
+
+
+def _face_axial(cells):
+    """(face, a, b) of cells of any res: one pass when the input has a
+    single res, else one pass per res present."""
+    res = bits.get_resolution(cells)
+    out = None
+    for r, rows in res_groups(res):
+        if rows is None:
+            return _face_axial_res(cells, r)
+        if out is None:
+            out = (np.empty(cells.shape[0], np.int64),
+                   np.empty(cells.shape[0], np.int32),
+                   np.empty(cells.shape[0], np.int32))
+        for dst, src in zip(out, _face_axial_res(cells[rows], r)):
+            dst[rows] = src
+    return out
+
+
 def cell_to_faceijk(cells):
     """Vectorized CellIndex -> FaceIJK (src/index/cell.rs:1883-1945).
 
-    Returns (face, i, j, k) int64 arrays.
+    Returns (face, i, j, k) int64 arrays, IJK normalized.
     """
-    cells = bits.as_i64(np.asarray(cells))
-    base = bits.get_base_cell(cells)
-    res = bits.get_resolution(cells)
-    pent = BC_IS_PENTAGON[base]
-
-    work = cells
-    lead = bits.first_axe(work)
-    fix = pent & (lead == 5)  # leading IK
-    if fix.any():
-        work = np.where(fix, bits.rotate60(work, 1, ccw=False), work)
-
-    face = BC_HOME_FACE[base].copy()
-    i = BC_HOME_IJK[base, 0].copy()
-    j = BC_HOME_IJK[base, 1].copy()
-    k = BC_HOME_IJK[base, 2].copy()
-    home_origin = (i == 0) & (j == 0) & (k == 0)
-    possible_overage = pent | (res != 0) | ~home_origin
-
-    max_res = int(res.max()) if res.size else 0
-    for r in range(1, max_res + 1):
-        m = res >= r
-        if not m.any():
-            continue
-        ccw = (r % 2) == 1
-        di, dj, dk = _down_aperture7(i, j, k, ccw)
-        digit = np.where(m, bits.get_direction(work, r), 0)
-        ui = bits.DIGIT_IJK[digit, 0]
-        uj = bits.DIGIT_IJK[digit, 1]
-        uk = bits.DIGIT_IJK[digit, 2]
-        ni, nj, nk = _normalize_ijk(di + ui, dj + uj, dk + uk)
-        i = np.where(m, ni, i)
-        j = np.where(m, nj, j)
-        k = np.where(m, nk, k)
-
-    if not possible_overage.any():
-        return face, i, j, k
-
-    orig_i, orig_j, orig_k = i.copy(), j.copy(), k.copy()
-    class3 = (res % 2) == 1
-    class2_res = np.where(class3, res + 1, res)
-    if class3.any():
-        di, dj, dk = _down_aperture7(i, j, k, ccw=False)
-        i = np.where(class3, di, i)
-        j = np.where(class3, dj, j)
-        k = np.where(class3, dk, k)
-
-    is_pent4 = pent & (bits.first_axe(work) == 4)
-
-    # First overage pass. MAX_DIM / UNIT_SCALE lookups are per-row.
-    max_dim = MAX_DIM_BY_CII_RES[class2_res]
-    dim = i + j + k
-    had = possible_overage & (dim > max_dim)
-    face, i, j, k = _adjust_overage_rows(face, i, j, k, class2_res, is_pent4, had)
-
-    # Secondary overages for pentagons.
-    sec = had & pent
-    guard = 0
-    while True:
-        dim = i + j + k
-        again = sec & (dim > MAX_DIM_BY_CII_RES[class2_res])
-        if not again.any() or guard > 4:
-            break
-        face, i, j, k = _adjust_overage_rows(
-            face, i, j, k, class2_res, np.zeros_like(again), again)
-        guard += 1
-
-    # Restore resolution.
-    back = had & class3
-    if back.any():
-        ui, uj, uk = _up_aperture7(i, j, k, ccw=False)
-        i = np.where(back, ui, i)
-        j = np.where(back, uj, j)
-        k = np.where(back, uk, k)
-    keep = ~had & class3
-    i = np.where(keep, orig_i, i)
-    j = np.where(keep, orig_j, j)
-    k = np.where(keep, orig_k, k)
-    return face, i, j, k
+    face, a, b = _face_axial(bits.as_i64(np.asarray(cells)))
+    return (face, *axial_to_ijk(a, b))
 
 
-def _adjust_overage_rows(face, i, j, k, class2_res, is_pent4, over):
-    """Apply the overage transform to rows in `over` (assumed dim>max_dim)."""
-    if not over.any():
-        return face, i, j, k
-    max_dim = MAX_DIM_BY_CII_RES[class2_res]
-
-    q_jk = over & (k > 0) & (j > 0)
-    q_ki = over & (k > 0) & ~(j > 0)
-
-    pent_fix = q_ki & is_pent4
-    if pent_fix.any():
-        ti = i - max_dim
-        ri, rj, rk = _rotate60_ijk(ti, j, k, ccw=False)
-        i = np.where(pent_fix, ri + max_dim, i)
-        j = np.where(pent_fix, rj, j)
-        k = np.where(pent_fix, rk, k)
-
-    quadrant = np.where(q_jk, 3, np.where(q_ki, 2, 1))
-    nbr_face = FACE_NBR_FACE[face, quadrant]
-    nbr_rot = FACE_NBR_CCWROT[face, quadrant]
-    t0 = FACE_NBR_TRANSLATE[face, quadrant, 0]
-    t1 = FACE_NBR_TRANSLATE[face, quadrant, 1]
-    t2 = FACE_NBR_TRANSLATE[face, quadrant, 2]
-
-    todo = np.where(over, nbr_rot, 0)
-    while (todo > 0).any():
-        m = todo > 0
-        ri, rj, rk = _rotate60_ijk(i, j, k, ccw=True)
-        i = np.where(m, ri, i)
-        j = np.where(m, rj, j)
-        k = np.where(m, rk, k)
-        todo -= m
-
-    unit_scale = UNIT_SCALE_BY_CII_RES[class2_res]
-    ni, nj, nk = _normalize_ijk(i + t0 * unit_scale, j + t1 * unit_scale,
-                                k + t2 * unit_scale)
-    face = np.where(over, nbr_face, face)
-    i = np.where(over, ni, i)
-    j = np.where(over, nj, j)
-    k = np.where(over, nk, k)
-    return face, i, j, k
+# Per-component (x, y, z) rows of the face centres and tangent bases.
+_CENTER_T = FACE_CENTER.T.copy()
+_NORTH_T = FACE_NORTH.T.copy()
+_EAST_T = FACE_EAST.T.copy()
 
 
-def _hex2d_to_vec3d(x, y, face, res, is_substrate: bool):
-    """Inverse gnomonic: hex2d on a face -> unit n-vector (vec3d.rs:51-109).
+def _hex2d_to_latlng(x, y, face, res, is_substrate: bool):
+    """Inverse gnomonic: hex2d on a face -> (lat_rad, lng_rad) of the unit
+    n-vector (vec3d.rs:51-109).
 
-    `res` may be an array of (extended) resolutions.
+    `res` is one res or an array of (extended) resolutions. The vector is
+    built one component at a time; each component takes the same float
+    operations in the same order as the reference's 3-vector form.
     """
     r = np.sqrt(x * x + y * y)
-    center = FACE_CENTER[face]
 
     scale = INV_SQRT7_POWERS[res]
     if is_substrate:
@@ -534,35 +639,54 @@ def _hex2d_to_vec3d(x, y, face, res, is_substrate: bool):
     theta = np.arctan2(y, x)
     if not is_substrate:
         class3 = (np.asarray(res) % 2) == 1
-        theta = np.where(class3, _to_positive_angle(theta + AP7_ROT_RADS), theta)
+        if class3.any():
+            rot = _to_positive_angle(theta + AP7_ROT_RADS)
+            theta = rot if class3.all() else np.where(class3, rot, theta)
     theta = _to_positive_angle(FACE_AXES_AZ_RADS_CII[face] - theta)
 
-    north = FACE_NORTH[face]
-    east = FACE_EAST[face]
     sin_t = np.sin(theta)
     cos_t = np.cos(theta)
-    direction = cos_t[:, None] * north + sin_t[:, None] * east
-    out = cos_r[:, None] * center + sin_r[:, None] * direction
-    norm = np.linalg.norm(out, axis=1, keepdims=True)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        out = np.where(norm > 0, out / norm, 0.0)
-    out = np.where(small[:, None], center, out)
-    return out
+    v = []
+    for c in range(3):
+        center = _CENTER_T[c][face]
+        direction = cos_t * _NORTH_T[c][face] + sin_t * _EAST_T[c][face]
+        v.append((cos_r * center + sin_r * direction, center))
+    norm = np.sqrt((v[0][0] * v[0][0] + v[1][0] * v[1][0])
+                   + v[2][0] * v[2][0])
+    pos = norm > 0
+    out = []
+    for comp, center in v:
+        if pos.all():
+            comp = comp / norm
+        else:
+            with np.errstate(invalid="ignore", divide="ignore"):
+                comp = np.where(pos, comp / norm, 0.0)
+        out.append(np.where(small, center, comp) if small.any() else comp)
+    return np.arcsin(np.clip(out[2], -1.0, 1.0)), np.arctan2(out[1], out[0])
+
+
+def _cell_to_latlng_rads(cells):
+    """cellToLatLng of int64 cells known to be valid; (lat_rad, lng_rad)."""
+    res = bits.get_resolution(cells)
+    if res.size and (res == res[0]).all():
+        res = int(res[0])
+    face, a, b = _face_axial(cells)
+    jj = b.astype(np.float64)
+    x = a.astype(np.float64) - 0.5 * jj
+    y = jj * SQRT3_2
+    return _hex2d_to_latlng(x, y, face, res, is_substrate=False)
 
 
 def cell_to_latlng_rads(cells):
-    """Vectorized cellToLatLng; returns (lat_rad, lng_rad)."""
-    cells = bits.as_i64(np.asarray(cells))
-    res = bits.get_resolution(cells)
-    face, i, j, k = cell_to_faceijk(cells)
-    x, y = _ijk_to_hex2d(i, j, k)
-    v = _hex2d_to_vec3d(x, y, face, res, is_substrate=False)
-    lat = np.arcsin(np.clip(v[:, 2], -1.0, 1.0))
-    lng = np.arctan2(v[:, 1], v[:, 0])
-    return lat, lng
+    """Vectorized cellToLatLng; returns (lat_rad, lng_rad).
+
+    Raises `InvalidCell` when a row is not a valid cell index."""
+    return _cell_to_latlng_rads(check_cells(cells))
 
 
 def cell_to_latlng(cells):
-    """Vectorized cellToLatLng; returns (lat_deg, lng_deg)."""
+    """Vectorized cellToLatLng; returns (lat_deg, lng_deg).
+
+    Raises `InvalidCell` when a row is not a valid cell index."""
     lat, lng = cell_to_latlng_rads(cells)
     return np.rad2deg(lat), np.rad2deg(lng)

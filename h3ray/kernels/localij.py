@@ -17,6 +17,9 @@ from .constants import DEFAULT_CELL_INDEX
 from ._tables import BC_IS_PENTAGON, BC_NEIGHBOR_60CCW_ROTS, BC_NEIGHBORS
 from .latlng import (
     _down_aperture7,
+    axial_to_ijk,
+    digit_walk,
+    res_groups,
     _normalize_ijk,
     _rotate60_ijk,
     _round_half_away,
@@ -116,34 +119,6 @@ def _pentagon_rotate_n(cells, counts, ccw: bool):
     return out
 
 
-def _digits_to_base_ijk(cells, res_max: int):
-    """Cell digits -> IJK in base-cell coordinate space (face unused).
-
-    Mirrors FaceIJK::from_bits (src/coord/faceijk.rs:135-160) anchored at a
-    home-origin base cell: start at (0,0,0), walk res 1..R applying the
-    class-dependent down-aperture then the digit's neighbor step.
-    """
-    n = cells.shape[0]
-    res = bits.get_resolution(cells)
-    i = np.zeros(n, dtype=np.int64)
-    j = np.zeros(n, dtype=np.int64)
-    k = np.zeros(n, dtype=np.int64)
-    for r in range(1, res_max + 1):
-        m = r <= res
-        if not m.any():
-            continue
-        ccw = (r % 2) == 1  # class III resolutions rotate CCW
-        ni, nj, nk = _down_aperture7(i, j, k, ccw=ccw)
-        d = np.where(m, bits.get_direction(cells, r), 0)
-        dijk = bits.DIGIT_IJK[d]
-        ni, nj, nk = _normalize_ijk(ni + dijk[:, 0], nj + dijk[:, 1],
-                                    nk + dijk[:, 2])
-        i = np.where(m, ni, i)
-        j = np.where(m, nj, j)
-        k = np.where(m, nk, k)
-    return i, j, k
-
-
 def cell_to_local_ijk(origins, cells):
     """Vectorized to_local_ijk (src/index/cell.rs:1702-1834).
 
@@ -198,8 +173,17 @@ def cell_to_local_ijk(origins, cells):
             rev_dir = bits.ROTATE60_CW_N[cnt % 6, rev_dir]
             work = _rotate60_count(work, cnt, ccw=False)
 
+    # The digits' IJK in base-cell coordinate space: the decode's digit
+    # walk from the origin (FaceIJK::from_bits, faceijk.rs:135-160).
+    a = np.empty(n, dtype=np.int32)
+    b = np.empty(n, dtype=np.int32)
+    for r, rows in res_groups(res_i):
+        if rows is None:
+            a, b = digit_walk(work, r)
+        else:
+            a[rows], b[rows] = digit_walk(work[rows], r)
+    i, j, k = axial_to_ijk(a, b)
     res_max = int(res_i.max()) if n else 0
-    i, j, k = _digits_to_base_ijk(work, res_max)
 
     if moved.any():
         # Pentagon unfolding rotations (cell.rs:1760-1800).

@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from . import bits
-from .boundary import cell_to_boundary_rads
+from .boundary import _cell_to_boundary_rads
 from .constants import (
     DEFAULT_CELL_INDEX,
     EARTH_RADIUS_KM,
@@ -72,7 +72,7 @@ def cell_area_rads2(cells) -> np.ndarray:
     if n == 0:
         # Empty blocks legitimately occur after filters/partitioning.
         return np.zeros(0, dtype=np.float64)
-    off, vlat, vlng = cell_to_boundary_rads(cells)
+    off, vlat, vlng = _cell_to_boundary_rads(cells)
     counts = np.diff(off)
     kmax = int(counts.max())
     # Padded vertex planes: repeat the last real vertex (zero-length arcs

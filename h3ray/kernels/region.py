@@ -49,7 +49,7 @@ import math
 import numpy as np
 
 from . import bits, grid, hierarchy, latlng
-from .boundary import cell_to_boundary_rads
+from .boundary import _cell_to_boundary_rads
 from .measures import CELL_REACH_RADS
 
 TWO_PI = 2.0 * math.pi
@@ -237,7 +237,7 @@ def _segments_relate(cax, cay, cbx, cby, pax, pay, pbx, pby):
 def _cell_vertices_in_frame(cells, geom_center_lng):
     """Cell boundaries as ragged vertex arrays, each cell unwrapped to be
     continuous and placed in the 2π-window nearest `geom_center_lng`."""
-    off, vlat, vlng = cell_to_boundary_rads(cells)
+    off, vlat, vlng = _cell_to_boundary_rads(cells)
     counts = np.diff(off)
     # Unwrap each cell's vertex longitudes around its first vertex.
     ref = np.repeat(vlng[off[:-1]], counts)
@@ -695,7 +695,7 @@ def _tile(geoms: list[dict], res: int, mode: str) -> dict:
     if mode == "candidates":
         match = np.ones(buffered.shape[0], dtype=bool)
     elif mode == "centroid":
-        match = _contains(edges, pid, *latlng.cell_to_latlng_rads(cells))
+        match = _contains(edges, pid, *latlng._cell_to_latlng_rads(cells))
     else:
         # `buffered` is sorted: each geometry's cells are one run.
         match = np.zeros(buffered.shape[0], dtype=bool)
@@ -722,7 +722,7 @@ def _tile(geoms: list[dict], res: int, mode: str) -> dict:
     inside: dict = {}
     for r in range(res):
         gid, cells = _unpack(keys, r)
-        lat, lng = latlng.cell_to_latlng_rads(cells)
+        lat, lng = latlng._cell_to_latlng_rads(cells)
         near = _meets_ring(edges, gid, lat, lng, CELL_REACH_RADS[r])
         far = np.flatnonzero(~near)
         inside[r] = keys[far[_contains(edges, gid[far], lat[far], lng[far])]]
@@ -732,7 +732,7 @@ def _tile(geoms: list[dict], res: int, mode: str) -> dict:
     keys = keys[~np.isin(keys, buffered)]
     gid, cells = _unpack(keys, res)
     parts.append(keys[_contains(edges, gid,
-                                *latlng.cell_to_latlng_rads(cells))])
+                                *latlng._cell_to_latlng_rads(cells))])
 
     # 3. Union, minus outline cells under an inside cell, compacted.
     flat = np.unique(np.concatenate(parts))

@@ -84,13 +84,16 @@ def detect_hot_keys(ds, key_col: str, row_key_col: str, *,
     the sample is uniform over ROWS and stable across partitionings),
     counts per key with the combiner pattern, and returns the keys whose
     sampled share exceeds `hot_share` — the only keys worth salting.
-    Returns (hot_keys sorted int64 array, their estimated row shares)."""
+    Returns (hot_keys sorted int64 array, their estimated row shares);
+    both empty (int64, float64) when the sample holds no rows."""
     from .reduce import combine
     from .sample import hash_sample
 
     sampled = hash_sample(ds.select_columns([row_key_col, key_col]),
                           row_key_col, rate_bp)
     hist = combine(sampled, key_col, count="_n", batch_size=131072)
+    if key_col not in hist.column_names:  # no partial reached the root
+        return np.empty(0, np.int64), np.empty(0, np.float64)
     keys = hist[key_col].to_numpy(zero_copy_only=False)
     counts = hist["_n"].to_numpy(zero_copy_only=False)
     total = max(int(counts.sum()), 1)

@@ -2,8 +2,9 @@
 
 The spatial-join core (SURVEY.md §2.7): pages stream through a stateless
 map_batches that encodes each page's point and probes the polygons'
-coverage by walking its ancestor cells — max 16 sorted-array lookups per
-page, no shuffle of the big side.
+coverage with one sorted-array lookup per page (each compacted cell is a
+contiguous range of res-`res` cell bits, see build_probe), no shuffle of
+the big side.
 
 The polygons are the small side and are tiled once per join, in one
 batched top-down pass over all of them (shared by build_probe and
@@ -86,11 +87,17 @@ def coverage_table(geoms: list[dict], res: int,
 
 def build_probe(geoms: list[dict], res: int, mode: str = "centroid",
                 compact: bool = True) -> dict:
-    """Broadcastable probe structure over the (compacted) coverage.
+    """Broadcastable interval probe over the (compacted) coverage.
 
-    Per resolution present in the compacted set: sorted unique cells with
-    CSR offsets into the polygon-id array. A page cell matches polygon P if
-    any ancestor (or itself) is in P's compacted coverage.
+    A compacted res-r cell holds exactly the res-`res` cells whose bits lie
+    in one contiguous range: its centre child at `res` (digits r+1..res
+    all 0) up to the cell with those digits all 7, since the res field and
+    the unused-digit tail are the same for every res-`res` cell. The
+    ranges of all polygons split at their ends into elementary slots,
+    `bounds` sorted; slot s holds the cells in [bounds[s-1], bounds[s])
+    and lists its polygon ids as `pids[start[s]:start[s + 1]]` (`count[s]`
+    of them; slot 0 and the last slot are empty). A page cell matches
+    polygon P if P's coverage holds the cell or one of its ancestors.
 
     mode="candidates" builds the exact-join candidate superset (centroid
     coverage + buffered outline, see region.candidate_cells) — much cheaper
@@ -98,46 +105,31 @@ def build_probe(geoms: list[dict], res: int, mode: str = "centroid",
     match is re-verified per point.
     """
     pid, cell = _tile(geoms, res, mode, compact)
-    probe: dict = {"res": res, "levels": []}
-    rs = bits.get_resolution(cell)
-    for r in np.unique(rs):
-        m = rs == r
-        c_r = cell[m]
-        p_r = pid[m]
-        order = np.argsort(c_r, kind="stable")
-        c_r = c_r[order]
-        p_r = p_r[order]
-        uniq, starts = np.unique(c_r, return_index=True)
-        counts = np.diff(np.append(starts, c_r.shape[0]))
-        probe["levels"].append({"r": int(r), "cells": uniq, "starts": starts,
-                                "counts": counts, "pids": p_r})
-    return probe
+    lo = bits.cell_to_center_child(cell, res)
+    hi = (lo | ((np.int64(1) << 3 * (15 - bits.get_resolution(cell))) - 1)) + 1
+    bounds = np.unique(np.concatenate([lo, hi]))
+    first = np.searchsorted(bounds, lo) + 1
+    n_slots = np.searchsorted(bounds, hi) + 1 - first
+    owner, slot = region._ragged(first, n_slots)
+    order = np.lexsort((pid[owner], slot))
+    count = np.bincount(slot, minlength=bounds.shape[0] + 1)
+    return {"res": res, "bounds": bounds, "count": count,
+            "start": np.concatenate([[0], np.cumsum(count)]),
+            "pids": pid[owner][order]}
 
 
 def probe_cells(probe: dict, cells: np.ndarray):
-    """Match page cells against the probe: returns (row, polygon_id)."""
-    rows_out = []
-    pids_out = []
-    for lvl in probe["levels"]:
-        anc = bits.cell_to_parent(cells, lvl["r"]) if lvl["r"] < probe["res"] \
-            else cells
-        pos = np.searchsorted(lvl["cells"], anc)
-        pos = np.minimum(pos, max(lvl["cells"].shape[0] - 1, 0))
-        hit = lvl["cells"].shape[0] > 0
-        hit = (lvl["cells"][pos] == anc) if hit else np.zeros(len(anc), bool)
-        rows = np.flatnonzero(hit)
-        if rows.size == 0:
-            continue
-        counts = lvl["counts"][pos[rows]]
-        starts = lvl["starts"][pos[rows]]
-        take = np.repeat(starts, counts) + (
-            np.arange(counts.sum()) -
-            np.repeat(np.cumsum(counts) - counts, counts))
-        rows_out.append(np.repeat(rows, counts))
-        pids_out.append(lvl["pids"][take])
-    if not rows_out:
-        return np.empty(0, np.int64), np.empty(0, np.int64)
-    return np.concatenate(rows_out), np.concatenate(pids_out)
+    """Match res-`probe["res"]` page cells against the probe, one
+    `searchsorted` per page: returns (row, polygon_id), by row."""
+    slot = np.searchsorted(probe["bounds"], cells, side="right")
+    count = probe["count"][slot]
+    rows = np.flatnonzero(count)
+    start = probe["start"][slot[rows]]
+    count = count[rows]
+    if (count == 1).all():
+        return rows, probe["pids"][start]
+    owner, take = region._ragged(start, count)
+    return rows[owner], probe["pids"][take]
 
 
 def _probe_batch(data: dict, batch: pa.Table, res: int,

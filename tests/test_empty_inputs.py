@@ -176,8 +176,8 @@ def test_empty_combine_roots(ray_session, tmp_path):
     result columns and Arrow types over an empty Dataset, both one
     empty block and a filter that drops every row. Pinned as they are:
     the exact-moment reducers and centroids_by_label return a table
-    with no columns, and detect_hot_keys raises KeyError (no partial
-    schema reaches the root)."""
+    with no columns. detect_hot_keys returns empty int64 keys and float64
+    shares."""
     import pyarrow.parquet as pq
     import pytest
 
@@ -247,9 +247,11 @@ def test_empty_combine_roots(ray_session, tmp_path):
     for fn in (scan.global_exclusive_cumsum, scan.global_exclusive_cummax):
         assert fn(rd.from_arrow(series.schema.empty_table()), "x", "y") \
             .count() == 0
-    with pytest.raises(KeyError):
-        skew.detect_hot_keys(rd.from_arrow(series.schema.empty_table()),
-                             "k", "u")
+    for empty in (rd.from_arrow(series.schema.empty_table()),
+                  rd.from_arrow(series).filter(lambda r: False)):
+        keys, shares = skew.detect_hot_keys(empty, "k", "u")
+        assert (keys.dtype, keys.shape) == (np.int64, (0,))
+        assert (shares.dtype, shares.shape) == (np.float64, (0,))
     pq.write_table(pq.read_schema(
         f"{entry.SF0001}/events.parquet").empty_table(),
         tmp_path / "events.parquet")

@@ -30,10 +30,10 @@ def test_disk_fast_matches_safe(base_cells, res, k):
     pent_idx = np.where(bits.is_pentagon(cells))[0]
     sample = np.unique(np.concatenate(
         [pent_idx, np.arange(0, len(cells), max(1, len(cells) // 25))]))
-    for s in sample:
+    so, sc, sd = grid.grid_disk_safe(cells[sample], k)
+    for i, s in enumerate(sample):
         mine = set(zip(c[o == s].tolist(), d[o == s].tolist()))
-        sc, sd = grid.grid_disk_safe_single(cells[s], k)
-        assert mine == set(zip(sc.tolist(), sd.tolist()))
+        assert mine == set(zip(sc[so == i].tolist(), sd[so == i].tolist()))
 
 
 def test_disk_counts_hexagons():

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from h3ray.kernels import bits, latlng
 
@@ -172,3 +173,51 @@ def test_non_finite_input_raises_typed_error(bad, column):
     # Finite rows alone still encode.
     ok = np.isfinite(lat) & np.isfinite(lng)
     assert latlng.latlng_to_cell(lat[ok], lng[ok], 9).shape == (3,)
+
+
+def _hostile_cells(draw_u64, n_valid, seed):
+    """Valid cells at random res with hostile values mixed in: 0, -1,
+    2^63 - 1, random u64 bits, and cells with the mode set to a directed
+    edge (2) or a vertex (4)."""
+    rng = np.random.default_rng(seed)
+    res = rng.integers(0, 16)
+    valid = latlng.latlng_to_cell(rng.uniform(-89, 89, n_valid),
+                                  rng.uniform(-180, 180, n_valid), res)
+    mode = bits.get_mode(valid[:2])
+    edge_vertex = (valid[:2] & ~(np.int64(0xF) << 59)) | (
+        np.array([2, 4], dtype=np.int64) << 59)
+    assert (mode == 1).all()
+    hostile = np.concatenate([
+        np.array([0, -1, 2 ** 63 - 1], dtype=np.int64),
+        np.asarray(draw_u64, dtype=np.uint64).view(np.int64), edge_vertex])
+    hostile = hostile[~bits.is_valid_cell(hostile)]
+    cells = np.concatenate([valid, hostile])
+    return rng.permutation(cells)
+
+
+@settings(max_examples=40, deadline=None)
+@given(u64=st.lists(st.integers(0, 2 ** 64 - 1), max_size=6),
+       n_valid=st.integers(2, 20), seed=st.integers(0, 2 ** 31))
+def test_decode_entries_raise_typed_invalid_cell(u64, n_valid, seed):
+    """cell_to_latlng, cell_to_latlng_rads, cell_to_boundary and
+    cell_to_boundary_rads raise InvalidCell (a ValueError) naming the
+    first bad row and the count whenever a row is not a valid cell, and
+    never an IndexError; the valid rows alone decode."""
+    import warnings
+
+    from h3ray.kernels import boundary
+
+    cells = _hostile_cells(u64, n_valid, seed)
+    bad = ~bits.is_valid_cell(cells)
+    for fn in (latlng.cell_to_latlng, latlng.cell_to_latlng_rads,
+               boundary.cell_to_boundary, boundary.cell_to_boundary_rads):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if bad.any():
+                with pytest.raises(latlng.InvalidCell) as err:
+                    fn(cells)
+                assert isinstance(err.value, ValueError)
+                assert (err.value.row, err.value.count) == (
+                    int(np.argmax(bad)), int(bad.sum()))
+            fn(cells[~bad])
+            fn(cells[~bad].view(np.uint64))

@@ -3,9 +3,10 @@
 import numpy as np
 import pyarrow.parquet as pq
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from h3ray.io import pages as pages_io
-from h3ray.kernels import latlng, region
+from h3ray.kernels import bits, latlng, region
 from h3ray.pipelines import pip
 
 SF = "/root/testdata/sf0.001"
@@ -65,8 +66,8 @@ def test_compact_probe_equals_flat_probe():
     flat = pip.build_probe(geoms, res, compact=False)
     comp = pip.build_probe(geoms, res, compact=True)
     # Compacted probe must be strictly smaller but match identically.
-    n_flat = sum(lvl["pids"].shape[0] for lvl in flat["levels"])
-    n_comp = sum(lvl["pids"].shape[0] for lvl in comp["levels"])
+    n_flat = flat["pids"].shape[0]
+    n_comp = comp["pids"].shape[0]
     assert n_comp < n_flat
 
     rng = np.random.default_rng(3)
@@ -150,3 +151,60 @@ def test_probe_batch_recheck_matches_contains_points(monkeypatch):
     kept = set(pid[keep].tolist())
     assert kept == set(range(len(geoms)))
     assert 0 < keep.sum() < keep.shape[0]
+
+
+def _per_level_probe(pid, cell, cells):
+    """Reference probe: for every res r in the coverage, each page cell's
+    res-r ancestor looked up in the sorted res-r coverage cells; returns
+    every (row, polygon_id) match."""
+    rows, pids = [], []
+    rs = bits.get_resolution(cell)
+    for r in np.unique(rs):
+        order = np.argsort(cell[rs == r], kind="stable")
+        c_r, p_r = cell[rs == r][order], pid[rs == r][order]
+        anc = bits.cell_to_parent(cells, r)
+        lo = np.searchsorted(c_r, anc, side="left")
+        n = np.searchsorted(c_r, anc, side="right") - lo
+        row = np.repeat(np.arange(cells.shape[0]), n)
+        rows.append(row)
+        pids.append(p_r[lo[row] + np.arange(row.shape[0])
+                        - np.repeat(np.cumsum(n) - n, n)])
+    return np.concatenate(rows), np.concatenate(pids)
+
+
+def _pairs(row, pid):
+    order = np.lexsort((pid, row))
+    return np.stack([row[order], pid[order]])
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2 ** 31), res=st.integers(4, 6),
+       compact=st.booleans(), mode=st.sampled_from(["centroid",
+                                                   "candidates"]))
+def test_interval_probe_matches_per_level_probe(seed, res, compact, mode):
+    """The one-lookup interval probe finds the same (row, polygon_id)
+    multiset as a per-level ancestor probe over the same coverage: three
+    overlapping squares at a random place plus the tiler's special shapes
+    (transmeridian, hole, multipolygon, pentagon), compacted or flat, with
+    pages drawn over every polygon's bbox."""
+    from test_tiler_golden import _square, special_geometries
+
+    rng = np.random.default_rng(seed)
+    lat0, lng0 = rng.uniform(-60, 60), rng.uniform(-170, 170)
+    geoms = [region.prepare_geometry([[_square(
+        lng0 + dx, lat0 + dy, half)]]) for dx, dy, half in
+        rng.uniform([-0.3, -0.3, 0.4], [0.3, 0.3, 0.8], (3, 3))]
+    geoms += list(special_geometries().values())
+    lat, lng = [], []
+    for x0, y0, x1, y1 in region._edge_table(geoms)["p_bbox"]:
+        lat.append(rng.uniform(y0, y1, 2000))
+        lng.append(rng.uniform(x0, x1, 2000))
+    lat = np.rad2deg(np.concatenate(lat))
+    lng = np.rad2deg((np.concatenate(lng) + np.pi) % (2 * np.pi) - np.pi)
+    cells = latlng.latlng_to_cell(lat, lng, res)
+
+    probe = pip.build_probe(geoms, res, mode, compact=compact)
+    got = pip.probe_cells(probe, cells)
+    want = _per_level_probe(*pip._tile(geoms, res, mode, compact), cells)
+    np.testing.assert_array_equal(_pairs(*got), _pairs(*want))
+    assert np.unique(got[1]).size >= 5

@@ -33,7 +33,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 from h3ray.kernels import hierarchy, latlng, measures  # noqa: E402
-from h3ray.kernels.boundary import cell_to_boundary_rads  # noqa: E402
+from h3ray.kernels.boundary import _cell_to_boundary_rads  # noqa: E402
 
 POINTS = 1024  # stratified sample cells per res
 DEPTH = 3      # descendant levels walked directly
@@ -68,7 +68,7 @@ def descendant_reach(cells: np.ndarray, depth: int):
         klat, klng = latlng.cell_to_latlng_rads(kids)
         offset.append(float(measures.great_circle_distance_rads(
             clat[row], clng[row], klat, klng).max()))
-        off, vlat, vlng = cell_to_boundary_rads(kids)
+        off, vlat, vlng = _cell_to_boundary_rads(kids)
         owner = row[np.repeat(np.arange(kids.shape[0]), np.diff(off))]
         reach.append(float(measures.great_circle_distance_rads(
             clat[owner], clng[owner], vlat, vlng).max()))
