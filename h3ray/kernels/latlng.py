@@ -504,30 +504,40 @@ def axial_to_ijk(a, b):
     return a + k, b + k, k
 
 
+# 60 deg CCW rotations of axial coords, as 2x2 maps per count 0-5: one
+# step is (a, b) -> (a - b, a).
+_ROT_CCW = [np.eye(2, dtype=np.int64)]
+for _ in range(5):
+    _ROT_CCW.append(np.array([[1, -1], [1, 0]]) @ _ROT_CCW[-1])
+_ROT_CCW = np.stack(_ROT_CCW).reshape(6, 4)
+# Neighbour face, its CCW rotation count and its axial translation per
+# [face * 4 + quadrant].
+_NBR_FACE = FACE_NBR_FACE.ravel()
+_NBR_ROT = FACE_NBR_CCWROT.ravel()
+_NBR_DA = (FACE_NBR_TRANSLATE[..., 0] - FACE_NBR_TRANSLATE[..., 2]).ravel()
+_NBR_DB = (FACE_NBR_TRANSLATE[..., 1] - FACE_NBR_TRANSLATE[..., 2]).ravel()
+
+
 def _adjust_overage(face, a, b, res2: int, pent4):
     """Overage transform (faceijk.rs:163-238) of rows past their face's
     edge at class II res `res2`, in int64 axial coords: the pentagon
     leading-IK fix-up on `pent4` rows of the KI quadrant, the neighbour
-    face's CCW rotations ((a, b) -> (a - b, a) each) and its translation.
-    """
+    face's CCW rotations and its translation."""
     max_dim = MAX_DIM_BY_CII_RES[res2]
     k = np.maximum(-np.minimum(a, b), 0)
     on_k = k > 0
     on_j = (b + k) > 0
-    quadrant = np.where(on_k, np.where(on_j, 3, 2), 1)
     fix = pent4 & on_k & ~on_j
     if fix.any():
         # Rotate (i - max_dim, j, k) 60 deg CW, then add max_dim back to i.
         a, b = (np.where(fix, b + max_dim, a),
                 np.where(fix, b - a + max_dim, b))
-    rot = FACE_NBR_CCWROT[face, quadrant]
-    for step in range(1, int(rot.max()) + 1):
-        m = rot >= step
-        a, b = np.where(m, a - b, a), np.where(m, a, b)
-    t = FACE_NBR_TRANSLATE[face, quadrant]
+    slot = face * 4 + 1 + on_k * (1 + on_j)  # quadrant: 1 IJ, 2 KI, 3 JK
+    m = _ROT_CCW[np.take(_NBR_ROT, slot)]
     scale = UNIT_SCALE_BY_CII_RES[res2]
-    return (FACE_NBR_FACE[face, quadrant],
-            a + (t[:, 0] - t[:, 2]) * scale, b + (t[:, 1] - t[:, 2]) * scale)
+    return (np.take(_NBR_FACE, slot),
+            m[:, 0] * a + m[:, 1] * b + np.take(_NBR_DA, slot) * scale,
+            m[:, 2] * a + m[:, 3] * b + np.take(_NBR_DB, slot) * scale)
 
 
 def _face_axial_res(cells, res: int):
@@ -539,42 +549,41 @@ def _face_axial_res(cells, res: int):
     whose class II coords pass their face's edge."""
     base = (cells >> BASE_OFFSET) & 0x7F
     face = BC_HOME_FACE[base]
-    pent = np.flatnonzero(BC_IS_PENTAGON[base])
-    pent4 = pent[:0]
-    if pent.size and res > 0:
-        # Pentagon leading IK: rotate the digits 60 deg CW first.
+    on_pent = BC_IS_PENTAGON[base]
+    pent = np.flatnonzero(on_pent) if res > 0 else base[:0]
+    pent4 = np.zeros(cells.shape[0], dtype=bool)
+    if pent.size:
+        # Pentagon leading IK: rotate the digits 60 deg CW first (the new
+        # leading digit is K, so only untouched rows can lead with I).
         sub = cells[pent]
-        fix = bits.first_axe(sub) == 5
+        lead = bits.first_axe(sub)
+        fix = lead == 5
         if fix.any():
-            sub = np.where(fix, bits.rotate60(sub, 1, ccw=False), sub)
             cells = cells.copy()
-            cells[pent] = sub
-        pent4 = pent[bits.first_axe(sub) == 4]
+            cells[pent[fix]] = bits.rotate60(sub[fix], 1, ccw=False)
+        pent4[pent[lead == 4]] = True
     a, b = digit_walk(cells, res, base)
 
     # Overage, at the class II res (class III coords go one CW aperture-7
     # step down first, and the adjusted rows come back up).
     res2 = res + (res & 1)
+    max_dim = MAX_DIM_BY_CII_RES[res2]
     ca, cb = (3 * a - b, a + 2 * b) if res & 1 else (a, b)
-    dim = ca + cb + 3 * np.maximum(-np.minimum(ca, cb), 0)
-    rows = np.flatnonzero(dim > MAX_DIM_BY_CII_RES[res2])
+    rows = np.flatnonzero(ca + cb + 3 * np.maximum(-np.minimum(ca, cb), 0)
+                          > max_dim)
     if rows.size == 0:
         return face, a, b
     f, oa, ob = _adjust_overage(face[rows], ca[rows].astype(np.int64),
-                                cb[rows].astype(np.int64), res2,
-                                np.isin(rows, pent4) if pent4.size
-                                else np.zeros(rows.size, dtype=bool))
+                                cb[rows].astype(np.int64), res2, pent4[rows])
     # Secondary overages of pentagon rows (at most five more passes).
-    sec = BC_IS_PENTAGON[base[rows]]
-    for _ in range(5):
-        k = np.maximum(-np.minimum(oa, ob), 0)
-        again = np.flatnonzero(sec & (oa + ob + 3 * k
-                                      > MAX_DIM_BY_CII_RES[res2]))
-        if again.size == 0:
+    sec = np.flatnonzero(on_pent[rows])
+    for _ in range(5 if sec.size else 0):
+        sa, sb = oa[sec], ob[sec]
+        sec = sec[sa + sb + 3 * np.maximum(-np.minimum(sa, sb), 0) > max_dim]
+        if sec.size == 0:
             break
-        f[again], oa[again], ob[again] = _adjust_overage(
-            f[again], oa[again], ob[again], res2,
-            np.zeros(again.size, dtype=bool))
+        f[sec], oa[sec], ob[sec] = _adjust_overage(
+            f[sec], oa[sec], ob[sec], res2, np.zeros(sec.size, dtype=bool))
     if res & 1:
         # Back up to res: aperture-7 CW parent, round(x / 7) exact in ints.
         oa, ob = (2 * oa + ob + 3) // 7, (3 * ob - oa + 3) // 7
@@ -584,21 +593,28 @@ def _face_axial_res(cells, res: int):
     return face, a, b
 
 
-def _face_axial(cells):
-    """(face, a, b) of cells of any res: one pass when the input has a
-    single res, else one pass per res present."""
-    res = bits.get_resolution(cells)
-    out = None
+def _face_axial(cells, res):
+    """(face, a, b) of cells of any res (`res`, their resolutions, an int
+    when they share one): one pass when the input has a single res, else
+    one pass per res present."""
+    if np.ndim(res) == 0:
+        return _face_axial_res(cells, int(res))
+    out = (np.empty(cells.shape[0], np.int64),
+           np.empty(cells.shape[0], np.int32),
+           np.empty(cells.shape[0], np.int32))
     for r, rows in res_groups(res):
-        if rows is None:
-            return _face_axial_res(cells, r)
-        if out is None:
-            out = (np.empty(cells.shape[0], np.int64),
-                   np.empty(cells.shape[0], np.int32),
-                   np.empty(cells.shape[0], np.int32))
         for dst, src in zip(out, _face_axial_res(cells[rows], r)):
             dst[rows] = src
     return out
+
+
+def _single_res(cells):
+    """The cells' resolutions: one int when they share one, else the
+    per-row array."""
+    res = bits.get_resolution(cells)
+    if res.size == 0:
+        return 0
+    return int(res[0]) if (res == res[0]).all() else res
 
 
 def cell_to_faceijk(cells):
@@ -606,7 +622,8 @@ def cell_to_faceijk(cells):
 
     Returns (face, i, j, k) int64 arrays, IJK normalized.
     """
-    face, a, b = _face_axial(bits.as_i64(np.asarray(cells)))
+    cells = bits.as_i64(np.asarray(cells))
+    face, a, b = _face_axial(cells, _single_res(cells))
     return (face, *axial_to_ijk(a, b))
 
 
@@ -667,10 +684,8 @@ def _hex2d_to_latlng(x, y, face, res, is_substrate: bool):
 
 def _cell_to_latlng_rads(cells):
     """cellToLatLng of int64 cells known to be valid; (lat_rad, lng_rad)."""
-    res = bits.get_resolution(cells)
-    if res.size and (res == res[0]).all():
-        res = int(res[0])
-    face, a, b = _face_axial(cells)
+    res = _single_res(cells)
+    face, a, b = _face_axial(cells, res)
     jj = b.astype(np.float64)
     x = a.astype(np.float64) - 0.5 * jj
     y = jj * SQRT3_2
