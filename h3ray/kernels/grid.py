@@ -161,9 +161,9 @@ def _neighbor_rotations_walk(cells, direction, rotations):
     """Full digit walk of `neighbor_rotations` (src/grid/algo.rs:26-169):
     finest-to-coarsest digit adjustment, base-cell hop, pentagon fixups.
     Same arguments and returns; correct for every row. Each step runs on
-    its own rows only: a res level on the rows still carrying into it, the
-    hop on the rows that carried past res 1, the fixups on the rows that
-    land on a pentagon base cell."""
+    its own rows only: three digits at a time on the rows still carrying
+    into them (`_carry`), the hop on the rows that carried past res 1, the
+    fixups on the rows that land on a pentagon base cell."""
     cells = bits.as_i64(np.asarray(cells))
     n = cells.shape[0]
     rotations = np.broadcast_to(np.asarray(rotations, dtype=np.int64), (n,)).copy()
@@ -173,7 +173,7 @@ def _neighbor_rotations_walk(cells, direction, rotations):
     res = bits.get_resolution(cells)
     valid = np.ones(n, dtype=bool)
 
-    # Adjust indexing digits from finest to coarsest, one res at a time.
+    # Adjust indexing digits from finest to coarsest, one pass per res.
     current = np.empty_like(cells)
     hops = []
     for r, rows in res_groups(res):
