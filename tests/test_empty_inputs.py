@@ -179,7 +179,6 @@ def test_empty_combine_roots(ray_session, tmp_path):
     with no columns. detect_hot_keys returns empty int64 keys and float64
     shares."""
     import pyarrow.parquet as pq
-    import pytest
 
     import __ray_entry__ as entry
     from h3ray.ops import graph, reduce, scan, sketch, skew, window
