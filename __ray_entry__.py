@@ -130,7 +130,7 @@ def _h3_knn_join(sf_dir: str):
 
     return knn.knn_join(pio.pages_from_documents(sf_dir),
                         pio.CITY_LAT[:5], pio.CITY_LNG[:5],
-                        res=5, k_ring=2, k_nearest=5, concurrency=2)
+                        res=5, k_ring=2, k_nearest=5)
 
 
 def _h3_tile_assign(sf_dir: str):

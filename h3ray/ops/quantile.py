@@ -1,10 +1,10 @@
 """Distributed exact per-group order statistics.
 
 PERCENTILE_DISC/CONT-style quantiles are non-algebraic: a combiner can't
-reduce them. Two regimes, two paths (merge="auto" picks):
+reduce them. Two regimes, two paths, picked by the size of the merged
+histogram:
 
-**Few keys x many rows ("driver", the default regime)** — two-pass
-selection:
+**Few keys x many rows (the driver path)** — two-pass selection:
 
 1. Histogram pass: a per-batch combiner counts (key, bin) pairs, where bin
    is the top 16 bits of an order-preserving float64 -> uint64 map. The
@@ -21,17 +21,17 @@ never crosses an exchange. The input Dataset is consumed twice (lineage
 re-executes); materialize/checkpoint upstream first if the input is
 itself an expensive pipeline.
 
-**Many keys ("distributed")** — per-user/per-domain key spaces (10^6+
-keys) would materialize up to |keys| x 65536 histogram rows on the
-driver, so past DRIVER_HIST_MAX_ROWS the auto path switches to one
+**Many keys (the distributed path)** — per-user/per-domain key spaces
+(10^6+ keys) would materialize up to |keys| x 65536 histogram rows on the
+driver, so past DRIVER_HIST_MAX_ROWS the selection switches to one
 hash-bucketed exchange of the (key, value) columns with a vectorized
 segmented order-statistic reducer per bucket (lexsort + segment rank
 picks, no per-key Python callback). With many keys each key's row count
 is small (~n/|keys|) and co-locating each key's rows once is the
 irreducible cost of EXACT per-key order statistics; per-reducer memory
-is ~n/num_buckets. (A single pathological key whose rows alone overflow
-a reducer would need the histogram trick nested per-key; not implemented
-— detect_hot_keys can flag such keys upstream.)
+is ~n/default_num_buckets(). (A single pathological key whose rows alone
+overflow a reducer would need the histogram trick nested per-key; not
+implemented — detect_hot_keys can flag such keys upstream.)
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ def _float_order_key(v: np.ndarray) -> np.ndarray:
 
 
 #: Driver-histogram row budget: past this many merged (key, bin) rows the
-#: auto path abandons the two-pass driver selection and re-routes through
+#: selection leaves the two-pass driver path and re-routes through
 #: the distributed bucketed reducer (the histogram partials already
 #: streamed are discarded; lineage recomputes — the switch is the rare
 #: case and costs one extra combiner pass).
@@ -59,8 +59,7 @@ DRIVER_HIST_MAX_ROWS = 4_000_000
 
 def _grouped_order_select_distributed(ds, key_col: str, value_col: str,
                                       qs: list[float], out_cols: list[str],
-                                      interpolate: bool,
-                                      num_buckets: int | None = None):
+                                      interpolate: bool):
     """Unbounded-key path: hash-bucket (key, value) rows so every key's
     rows land in one reducer, then one vectorized segmented selection per
     bucket — lexsort by (key, value), segment boundaries, per-quantile
@@ -69,7 +68,7 @@ def _grouped_order_select_distributed(ds, key_col: str, value_col: str,
     from .sample import _key_hash
     from .skew import default_num_buckets
 
-    nb = num_buckets or default_num_buckets()
+    nb = default_num_buckets()
     n_q = len(qs)
 
     def bucket(batch: pa.Table) -> pa.Table:
@@ -120,30 +119,21 @@ def _grouped_order_select_distributed(ds, key_col: str, value_col: str,
 
 def _grouped_order_select(ds, key_col: str, value_col: str,
                           qs: list[float], out_cols: list[str],
-                          interpolate: bool, merge: str = "auto",
-                          num_buckets: int | None = None):
+                          interpolate: bool):
     """Shared selection engine. For each key and quantile j it selects the
     needed order statistic(s): DISC takes rank ceil(q*n); CONT takes ranks
     floor(p)+1 and ceil(p)+1 with p = q*(n-1) and linearly interpolates
     `lo + (p - floor(p)) * (hi - lo)` — the SQL PERCENTILE_CONT formula,
     evaluated in the same float64 operation order.
 
-    merge: "driver" = two-pass histogram selection (bounded key spaces),
-    "distributed" = bucketed segmented selection (unbounded key spaces),
-    "auto" = driver until the merged histogram exceeds
-    DRIVER_HIST_MAX_ROWS rows, then distributed."""
+    Two-pass histogram selection on the driver (bounded key spaces) until
+    the merged histogram exceeds DRIVER_HIST_MAX_ROWS rows, then the
+    bucketed segmented selection (unbounded key spaces)."""
     if len(qs) != len(out_cols) or not qs:
         raise ValueError("qs and out_cols must be equal-length, non-empty")
     for q in qs:
         if not 0.0 < q <= 1.0:
             raise ValueError(f"q must be in (0, 1], got {q}")
-    if merge not in ("auto", "driver", "distributed"):
-        raise ValueError(f"merge must be auto|driver|distributed, "
-                         f"got {merge!r}")
-    if merge == "distributed":
-        return _grouped_order_select_distributed(
-            ds, key_col, value_col, qs, out_cols, interpolate, num_buckets)
-    n_q = len(qs)
 
     def bin_of(batch: pa.Table):
         v = batch[value_col].to_numpy(zero_copy_only=False)
@@ -164,8 +154,8 @@ def _grouped_order_select(ds, key_col: str, value_col: str,
     # merged histogram is |keys| x (bins touched) — tiny for bounded key
     # spaces, unbounded for per-user keys. Compact (group-sum) whenever the
     # buffer doubles past the cap; if it STAYS over the cap after
-    # compaction the key space is too big for the driver root and auto
-    # re-routes through the distributed reducer.
+    # compaction the key space is too big for the driver root and the
+    # selection re-routes through the distributed reducer.
     def compact(tables: list[pa.Table]) -> pa.Table:
         t = pa.concat_tables(tables).combine_chunks()
         g = t.group_by([key_col, "_bin"]).aggregate([("_n", "sum")])
@@ -182,17 +172,17 @@ def _grouped_order_select(ds, key_col: str, value_col: str,
             continue
         buf.append(t)
         total += t.num_rows
-        if merge == "auto" and total > 2 * DRIVER_HIST_MAX_ROWS:
+        if total > 2 * DRIVER_HIST_MAX_ROWS:
             buf = [compact(buf)]
             total = buf[0].num_rows
             if total > DRIVER_HIST_MAX_ROWS:
                 over_budget = True
                 break
     merged = compact(buf) if buf else None
-    if over_budget or (merge == "auto" and merged is not None
+    if over_budget or (merged is not None
                        and merged.num_rows > DRIVER_HIST_MAX_ROWS):
         return _grouped_order_select_distributed(
-            ds, key_col, value_col, qs, out_cols, interpolate, num_buckets)
+            ds, key_col, value_col, qs, out_cols, interpolate)
     hist = (merged.to_pandas() if merged is not None
             else pa.table({key_col: [], "_bin": [], "_n": []}).to_pandas())
     if len(hist) == 0:
@@ -278,28 +268,22 @@ def _grouped_order_select(ds, key_col: str, value_col: str,
 
 
 def grouped_percentiles_disc(ds, key_col: str, value_col: str,
-                             qs: list[float], out_cols: list[str],
-                             merge: str = "auto",
-                             num_buckets: int | None = None):
+                             qs: list[float], out_cols: list[str]):
     """(key_col, *out_cols) with out_cols[j] = PERCENTILE_DISC(qs[j]) of
     value_col per key: the smallest value whose cumulative distribution
     >= q, i.e. the ceil(q*n)-th smallest — exact, matching the SQL window
     function. All quantiles share one histogram pass and one selection
     pass (driver path) or one bucketed exchange (distributed path)."""
     return _grouped_order_select(ds, key_col, value_col, qs, out_cols,
-                                 interpolate=False, merge=merge,
-                                 num_buckets=num_buckets)
+                                 interpolate=False)
 
 
 def grouped_percentiles_cont(ds, key_col: str, value_col: str,
-                             qs: list[float], out_cols: list[str],
-                             merge: str = "auto",
-                             num_buckets: int | None = None):
+                             qs: list[float], out_cols: list[str]):
     """PERCENTILE_CONT: linear interpolation between the two order
     statistics straddling p = q*(n-1), exact on either path."""
     return _grouped_order_select(ds, key_col, value_col, qs, out_cols,
-                                 interpolate=True, merge=merge,
-                                 num_buckets=num_buckets)
+                                 interpolate=True)
 
 
 def grouped_percentile_disc(ds, key_col: str, value_col: str,

@@ -64,36 +64,26 @@ class BruteForceScorer:
                       .astype(np.float64))],
             names=["query_id", self.id_col, "cosine"])
 
-def _rank_topk(partials, *, n_queries: int, k: int, id_col: str,
-               merge: str = "auto"):
-    """Final per-query ranking of (query_id, id, cosine) scorer partials.
-
-    Same two-path design as knn_join's final merge: each scorer batch
-    already emitted <= n_queries * k partial rows, so the total ranking
-    input is #blocks * n_queries * k. While n_queries * k is tiny the
-    driver tree-root merge wins (one vectorized segmented top-k, no
-    shuffle); past DRIVER_MERGE_MAX_ROWS the ranking routes through the
-    bucketed-groupby segmented top-k (`_distributed_topk`) — every row of
-    a query lands in one reducer, reducers stay Arrow-native. No per-query
-    Python/pandas callback on either path. Ties break by id ascending
-    (numeric id columns; hash string ids upstream if needed)."""
-    import ray.data as rd
-
-    from ..ops.reduce import driver_merge
+def _rank_topk(partials, *, n_queries: int, k: int, id_col: str):
+    """Final per-query ranking of (query_id, id, cosine) scorer partials
+    through knn.rank_topk, the root the kNN joins rank with: each scorer
+    batch already emitted <= n_queries * k partial rows, so the driver
+    tree-root ranks them while that bound is small, else a query-hash
+    bucketed groupby. No per-query Python/pandas callback on either path.
+    Ties break by id ascending (numeric id columns; hash string ids
+    upstream if needed)."""
     from ..ops.skew import _segmented_top_k
-    from .knn import _distributed_topk, _resolve_merge
+    from .knn import rank_topk
 
     def top_k(tbl: pa.Table) -> pa.Table:
         return _segmented_top_k(tbl, "query_id", "cosine", k, id_col)
 
-    if _resolve_merge(merge, n_queries, k) == "distributed":
-        return _distributed_topk(partials, top_k)
-    return rd.from_arrow(driver_merge(partials, top_k))
+    return rank_topk(partials, top_k, n_queries * k)
 
 
 def brute_force_topk(ds, queries: np.ndarray, *, id_col: str = "vec_id",
                      emb_col: str = "embedding", k: int = 10,
-                     concurrency: int = 4, merge: str = "auto"):
+                     concurrency: int = 4):
     """Exact cosine top-k per query over the embedding Dataset."""
     import ray
 
@@ -107,7 +97,7 @@ def brute_force_topk(ds, queries: np.ndarray, *, id_col: str = "vec_id",
         fn_constructor_args=(qref, id_col, emb_col, k),
         batch_format="pyarrow", batch_size=4096, concurrency=_pool(concurrency))
     return _rank_topk(partials, n_queries=queries.shape[0], k=k,
-                      id_col=id_col, merge=merge)
+                      id_col=id_col)
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +112,7 @@ def lsh_planes(dim: int, n_bits: int = 12, seed: int = 7) -> np.ndarray:
 def lsh_topk(ds, queries: np.ndarray, *, id_col: str = "vec_id",
              emb_col: str = "embedding", k: int = 10, n_bits: int = 8,
              n_tables: int = 4, multiprobe: int = 1,
-             concurrency: int = 4, merge: str = "auto"):
+             concurrency: int = 4):
     """ANN top-k scanning only LSH buckets near a query signature.
 
     Recall levers (both multiply the scanned fraction, never the exchange —
@@ -172,7 +162,7 @@ def lsh_topk(ds, queries: np.ndarray, *, id_col: str = "vec_id",
         BruteForceScorer, fn_constructor_args=(qref, id_col, emb_col, k),
         batch_format="pyarrow", batch_size=4096, concurrency=_pool(concurrency))
     return _rank_topk(partials, n_queries=queries.shape[0], k=k,
-                      id_col=id_col, merge=merge)
+                      id_col=id_col)
 
 
 
@@ -218,7 +208,7 @@ def _kmeans(sample: np.ndarray, n_centroids: int, n_iter: int = 10,
 def ivf_topk(ds, queries: np.ndarray, *, id_col: str = "vec_id",
              emb_col: str = "embedding", k: int = 10, n_centroids: int = 16,
              nprobe: int = 4, sample_rows: int = 4096,
-             concurrency: int = 4, merge: str = "auto"):
+             concurrency: int = 4):
     """IVF ANN: coarse-quantize the corpus against k-means centroids fitted
     on a driver-side sample (small by construction), scan only rows whose
     centroid is among each query's `nprobe` nearest lists.
@@ -266,7 +256,7 @@ def ivf_topk(ds, queries: np.ndarray, *, id_col: str = "vec_id",
         BruteForceScorer, fn_constructor_args=(qref, id_col, emb_col, k),
         batch_format="pyarrow", batch_size=4096, concurrency=_pool(concurrency))
     return _rank_topk(partials, n_queries=queries.shape[0], k=k,
-                      id_col=id_col, merge=merge)
+                      id_col=id_col)
 
 
 def _norm_block(tbl: pa.Table, id_col: str, emb_col: str):

@@ -2,15 +2,19 @@
 
 Strategy (small query side — the common case):
   1. Encode queries at res R; expand each query cell with gridDisk(k_ring).
-  2. Broadcast the disk-cell -> query lookup as *sorted numpy arrays*
-     (ray.put once, fetched in each actor's __init__) — no shuffle of the
-     big side, and the probe is a vectorized searchsorted, not a dict loop.
+  2. Build the (query id, disk cell) pairs into pip.cell_probe — the same
+     sorted interval probe the PIP join broadcasts — and ray.put it once;
+     no shuffle of the big side, and the lookup is one vectorized
+     searchsorted per page (pip.probe_cells), not a dict loop.
   3. map_batches over pages: encode, probe, emit candidate
-     (query_id, url, distance_km) rows.
-  4. groupby(query_id).map_groups(top-k by haversine distance).
+     (query_id, url, distance_km, cell) rows, then a per-batch top-k.
+  4. rank_topk: one final per-query top-k over the partials, on the
+     driver tree-root while it is small, else a query-hash bucketed
+     groupby (the same root ranks ann.py's cosine top-k).
 
 For a large query side, expand both sides to disk cells and hash-join on the
-cell instead (same kernels, shuffle join); see SURVEY.md §2.7.
+cell instead (same kernels, shuffle join, knn_join_shuffle); see SURVEY.md
+§2.7.
 """
 
 from __future__ import annotations
@@ -21,27 +25,21 @@ import pyarrow as pa
 from ..io import pages as pages_io
 from ..kernels import bits, grid, latlng, localij
 from ..kernels.constants import EARTH_RADIUS_KM
+from .pip import cell_probe, probe_cells
 
 
 def build_query_index(query_lat, query_lng, res: int, k_ring: int):
-    """Expand query points into a sorted probe table.
+    """Expand query points into a broadcastable probe.
 
-    Returns dict of numpy arrays: disk cells (sorted, with duplicates per
-    query), matching query ids and coordinates, plus unique-cell offsets.
+    Returns a dict: `probe`, the pip.cell_probe of every (query id,
+    gridDisk(k_ring) cell) pair, plus the query coordinates and cells.
     """
     query_lat = np.asarray(query_lat, dtype=np.float64)
     query_lng = np.asarray(query_lng, dtype=np.float64)
     qcells = latlng.latlng_to_cell(query_lat, query_lng, res)
     qid, disk_cells, _ = grid.grid_disk_distances(qcells, k_ring)
-    order = np.argsort(disk_cells, kind="stable")
-    disk_cells = disk_cells[order]
-    qid = qid[order]
-    uniq, starts = np.unique(disk_cells, return_index=True)
-    counts = np.diff(np.append(starts, disk_cells.shape[0]))
-    return {
-        "uniq_cells": uniq, "starts": starts, "counts": counts,
-        "qid": qid, "qlat": query_lat, "qlng": query_lng, "qcells": qcells,
-    }
+    return {"probe": cell_probe(qid, disk_cells, res), "qlat": query_lat,
+            "qlng": query_lng, "qcells": qcells}
 
 
 def haversine_km(a_lat, a_lng, b_lat, b_lng):
@@ -62,52 +60,24 @@ def _resolve_index(index_ref):
 
 
 def knn_candidates(batch: pa.Table, index, res: int) -> pa.Table:
-        urls, lat, lng, cells = pages_io.geotag_encode(batch["url"], res)
-
-        idx = index
-        pos = np.searchsorted(idx["uniq_cells"], cells)
-        pos = np.minimum(pos, idx["uniq_cells"].shape[0] - 1)
-        hit = idx["uniq_cells"][pos] == cells
-        rows = np.where(hit)[0]
-        if rows.size == 0:
-            return pa.Table.from_arrays(
-                [pa.array([], pa.int64()), pa.array([], pa.string()),
-                 pa.array([], pa.float64()), pa.array([], pa.uint64())],
-                names=["query_id", "url", "distance_km", "cell"])
-        counts = idx["counts"][pos[rows]]
-        starts = idx["starts"][pos[rows]]
-        # Expand each hit row to its per-query matches (vectorized ragged
-        # gather: start[i] + 0..count[i]).
-        out_rows = np.repeat(rows, counts)
-        total = int(counts.sum())
-        bounds = np.cumsum(counts) - counts
-        take = np.repeat(starts, counts) + (
-            np.arange(total) - np.repeat(bounds, counts))
-        qids = idx["qid"][take]
-        d = haversine_km(np.deg2rad(lat[out_rows]), np.deg2rad(lng[out_rows]),
-                         np.deg2rad(idx["qlat"][qids]),
-                         np.deg2rad(idx["qlng"][qids]))
-        return pa.Table.from_arrays(
-            [pa.array(qids), urls.take(pa.array(out_rows)), pa.array(d),
-             pa.array(bits.as_u64(cells[out_rows]))],
-            names=["query_id", "url", "distance_km", "cell"])
+    """Candidate (query_id, url, distance_km, cell) rows of one page batch:
+    every page whose cell lies in a query's disk, by page."""
+    urls, lat, lng, cells = pages_io.geotag_encode(batch["url"], res)
+    rows, qids = probe_cells(index["probe"], cells)
+    d = haversine_km(np.deg2rad(lat[rows]), np.deg2rad(lng[rows]),
+                     np.deg2rad(index["qlat"][qids]),
+                     np.deg2rad(index["qlng"][qids]))
+    return pa.Table.from_arrays(
+        [pa.array(qids), urls.take(pa.array(rows)), pa.array(d),
+         pa.array(bits.as_u64(cells[rows]))],
+        names=["query_id", "url", "distance_km", "cell"])
 
 
 #: Above this many final rows per contributing block (n_queries * k), the
 #: driver tree-root merge (bounded by #blocks * n_queries * k rows) stops
-#: being "tiny" and the ranking routes through a distributed bucketed
+#: being "tiny" and rank_topk routes through a distributed bucketed
 #: groupby instead.
 DRIVER_MERGE_MAX_ROWS = 65536
-
-
-def _resolve_merge(merge: str, n_queries: int, k: int) -> str:
-    if merge not in ("auto", "driver", "distributed"):
-        raise ValueError(f"merge must be auto|driver|distributed, "
-                         f"got {merge!r}")
-    if merge != "auto":
-        return merge
-    return ("distributed" if n_queries * k > DRIVER_MERGE_MAX_ROWS
-            else "driver")
 
 
 def _top_k(batch: pa.Table, k: int) -> pa.Table:
@@ -152,124 +122,111 @@ def _add_grid_dist(batch: pa.Table, qcells) -> pa.Table:
         "grid_dist", pa.array(gd))
 
 
-def _distributed_topk(partial, top_k_fn, num_buckets: int | None = None):
-    """Per-query top-k merge as a bucketed shuffle: partials hash-bucket by
-    query_id (every row of a query lands in one reducer; reducer count =
-    num_buckets, each holding <= #blocks * k rows per query), then the same
-    vectorized segmented top-k runs per bucket. The scale path when
-    #blocks * n_queries * k outgrows the driver tree-root."""
+def rank_topk(partial, root, n_rows: int,
+              schema: pa.Schema | None = None):
+    """Final per-query ranking of per-batch top-k partials (knn_join,
+    knn_join_shuffle and ann's cosine top-k).
+
+    `root(table)` ranks any set of partial rows: each query's best rows,
+    plus whatever decorates the winners. Every block holds <= `n_rows`
+    (n_queries * k) partial rows. Up to DRIVER_MERGE_MAX_ROWS, `root` runs
+    once on the driver tree-root over all partials (`schema` is the
+    partial schema for an input with no rows, see ops.reduce.driver_merge);
+    past it the partials hash-bucket by query_id, so every row of a query
+    lands in one of default_num_buckets() reducers, and `root` runs per
+    bucket. Both paths give the same rows."""
+    import ray.data as rd
+
+    if n_rows <= DRIVER_MERGE_MAX_ROWS:
+        from ..ops.reduce import driver_merge
+
+        return rd.from_arrow(driver_merge(partial, root, schema=schema))
+
     from ..io.pages import _mix64
     from ..ops.skew import default_num_buckets
 
-    nb = num_buckets or default_num_buckets()
+    nb = np.uint64(default_num_buckets())
 
     def bucket(batch: pa.Table) -> pa.Table:
         qid = batch["query_id"].to_numpy(zero_copy_only=False) \
             .astype(np.uint64)
         return batch.append_column(
-            "_bucket", pa.array((_mix64(qid) % np.uint64(nb))
-                                .astype(np.int32)))
-
-    def reduce(group: pa.Table) -> pa.Table:
-        return top_k_fn(group.drop_columns(["_bucket"]))
+            "_bucket", pa.array((_mix64(qid) % nb).astype(np.int32)))
 
     return partial.map_batches(bucket, batch_format="pyarrow") \
-        .groupby("_bucket").map_groups(reduce, batch_format="pyarrow")
+        .groupby("_bucket").map_groups(
+            lambda group: root(group.drop_columns(["_bucket"])),
+            batch_format="pyarrow")
+
+
+#: Partial rows of both kNN joins, before rank_topk's root.
+CANDIDATE_SCHEMA = pa.schema([("query_id", pa.int64()), ("url", pa.string()),
+                              ("distance_km", pa.float64()),
+                              ("cell", pa.uint64())])
 
 
 def knn_join(pages_ds, query_lat, query_lng, *, res: int = 7, k_ring: int = 2,
-             k_nearest: int = 5, concurrency: int | None = None,
-             merge: str = "auto"):
+             k_nearest: int = 5):
     """Top-k nearest pages per query point (broadcast ring-expansion join).
 
     Uses stateless tasks (not an actor pool): the per-batch broadcast fetch
     is a zero-copy local object-store read, and task workers stay warm
-    across executions.
-
-    `merge`: final per-query ranking strategy — "driver" (tree-root merge
-    of the <= #blocks * n_queries * k partial rows; right while that bound
-    is tiny), "distributed" (bucketed groupby segmented top-k; the scale
-    path), or "auto" (switch at DRIVER_MERGE_MAX_ROWS).
+    across executions. Each batch keeps its own top-k; rank_topk ranks
+    those partials and adds `grid_dist` to the winners.
     """
     import ray
 
     index = build_query_index(query_lat, query_lng, res, k_ring)
     index_ref = ray.put(index)
 
-    def fn(batch: pa.Table) -> pa.Table:
+    def candidates(batch: pa.Table) -> pa.Table:
         return knn_candidates(batch, _resolve_index(index_ref), res)
 
-    candidates = pages_ds.select_columns(["url"]).map_batches(
-        fn, batch_format="pyarrow", batch_size=32768)
-
-    # Partial top-k per batch, then one tiny final merge — avoids the
-    # sort-based groupby shuffle (each partial emits <= n_queries * k rows).
     def top_k(batch: pa.Table) -> pa.Table:
         return _top_k(batch, k_nearest)
 
-    def add_grid_dist(batch: pa.Table) -> pa.Table:
-        # Fetch qcells via the broadcast ref (zero-copy plasma read): the
-        # distributed merge path runs this in tasks, and the closure must
-        # not ship the whole query index per serialization.
-        return _add_grid_dist(batch, _resolve_index(index_ref)["qcells"])
+    def root(partial: pa.Table) -> pa.Table:
+        # qcells come through the broadcast ref (zero-copy plasma read):
+        # the bucketed path runs this in tasks, and the closure must not
+        # ship the whole query index per serialization.
+        return _add_grid_dist(top_k(partial),
+                              _resolve_index(index_ref)["qcells"])
 
-    partial = candidates.map_batches(top_k, batch_format="pyarrow",
-                                     batch_size=None)
-    import ray.data as rd
-
-    if _resolve_merge(merge, len(index["qlat"]),
-                      k_nearest) == "distributed":
-        ranked = _distributed_topk(partial, top_k)
-        return ranked.map_batches(add_grid_dist, batch_format="pyarrow")
-
-    # Final merge on the driver (<= #blocks * n_queries * k partial rows).
-    from ..ops.reduce import driver_merge
-
-    cand_schema = pa.schema([("query_id", pa.int64()), ("url", pa.string()),
-                             ("distance_km", pa.float64()),
-                             ("cell", pa.uint64())])
-    final = driver_merge(partial, lambda t: add_grid_dist(top_k(t)),
-                         schema=cand_schema)
-    return rd.from_arrow(final)
+    partial = pages_ds.select_columns(["url"]).map_batches(
+        candidates, batch_format="pyarrow", batch_size=32768) \
+        .map_batches(top_k, batch_format="pyarrow", batch_size=None)
+    return rank_topk(partial, root, len(index["qlat"]) * k_nearest,
+                     CANDIDATE_SCHEMA)
 
 
 def knn_join_shuffle(pages_ds, query_lat, query_lng, *, res: int = 7,
-                     k_ring: int = 2, k_nearest: int = 5,
-                     num_partitions: int = 32, merge: str = "auto"):
+                     k_ring: int = 2, k_nearest: int = 5):
     """Hash-join kNN variant for query sets too large to broadcast.
 
     Queries expand to their gridDisk(k_ring) cells as a Dataset; pages
-    encode to cells; Ray Data's hash join co-partitions both sides on the
-    cell key. Ranking reuses the same partial-top-k + driver merge as the
+    encode to cells; ops.join.hash_join co-partitions both sides on the
+    int64 cell. Ranking is the same per-batch top-k + rank_topk as the
     broadcast path. Prefer `knn_join` while the expanded query index fits
     the object store.
     """
     import ray.data as rd
 
+    from ..ops.join import hash_join
+
     query_lat = np.asarray(query_lat, dtype=np.float64)
     query_lng = np.asarray(query_lng, dtype=np.float64)
     qcells = latlng.latlng_to_cell(query_lat, query_lng, res)
     qid, disk_cells, _ = grid.grid_disk_distances(qcells, k_ring)
-    qtable = pa.Table.from_arrays(
-        [pa.array(disk_cells.view(np.uint64)), pa.array(qid),
-         pa.array(query_lat[qid]), pa.array(query_lng[qid])],
-        names=["cell", "query_id", "qlat", "qlng"])
-    queries = rd.from_arrow(qtable)
+    queries = rd.from_arrow(pa.Table.from_arrays(
+        [pa.array(disk_cells), pa.array(qid), pa.array(query_lat[qid]),
+         pa.array(query_lng[qid])],
+        names=["cell", "query_id", "qlat", "qlng"]))
 
     def encode(batch: pa.Table) -> pa.Table:
         urls, lat, lng, cells = pages_io.geotag_encode(batch["url"], res)
         return pa.Table.from_arrays(
-            [urls, pa.array(cells.view(np.uint64)), pa.array(lat),
-             pa.array(lng)], names=["url", "cell", "lat", "lng"])
-
-    keyed = pages_ds.select_columns(["url"]).map_batches(
-        encode, batch_format="pyarrow", batch_size=65536)
-    # Explicit co-partitioned hash join (ops/join.py): measured 3.4x faster
-    # than the native Dataset.join aggregator path on the bench join.
-    from ..ops.join import hash_join
-
-    joined = hash_join(keyed, queries, "cell", "cell",
-                       num_buckets=num_partitions)
+            [urls, pa.array(cells), pa.array(lat), pa.array(lng)],
+            names=["url", "cell", "lat", "lng"])
 
     def score(batch: pa.Table) -> pa.Table:
         d = haversine_km(
@@ -284,22 +241,13 @@ def knn_join_shuffle(pages_ds, query_lat, query_lng, *, res: int = 7,
     def top_k(batch: pa.Table) -> pa.Table:
         return _top_k(batch, k_nearest)
 
-    def add_grid_dist(batch: pa.Table) -> pa.Table:
-        return _add_grid_dist(batch, qcells)
+    def root(partial: pa.Table) -> pa.Table:
+        return _add_grid_dist(top_k(partial), qcells)
 
-    import ray.data as rd2
-
-    from ..ops.reduce import driver_merge
-
-    cand_schema = pa.schema([("query_id", pa.int64()), ("url", pa.string()),
-                             ("distance_km", pa.float64()),
-                             ("cell", pa.uint64())])
-    partial = joined.map_batches(score, batch_format="pyarrow") \
+    keyed = pages_ds.select_columns(["url"]).map_batches(
+        encode, batch_format="pyarrow", batch_size=65536)
+    partial = hash_join(keyed, queries, "cell", "cell") \
+        .map_batches(score, batch_format="pyarrow") \
         .map_batches(top_k, batch_format="pyarrow", batch_size=None)
-    if _resolve_merge(merge, query_lat.shape[0],
-                      k_nearest) == "distributed":
-        ranked = _distributed_topk(partial, top_k)
-        return ranked.map_batches(add_grid_dist, batch_format="pyarrow")
-    final = driver_merge(partial, lambda t: add_grid_dist(top_k(t)),
-                         schema=cand_schema)
-    return rd2.from_arrow(final)
+    return rank_topk(partial, root, query_lat.shape[0] * k_nearest,
+                     CANDIDATE_SCHEMA)

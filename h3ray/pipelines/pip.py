@@ -3,8 +3,9 @@
 The spatial-join core (SURVEY.md §2.7): pages stream through a stateless
 map_batches that encodes each page's point and probes the polygons'
 coverage with one sorted-array lookup per page (each compacted cell is a
-contiguous range of res-`res` cell bits, see build_probe), no shuffle of
-the big side.
+contiguous range of res-`res` cell bits, see cell_probe), no shuffle of
+the big side. The kNN join (knn.py) probes its query disks through the
+same cell_probe / probe_cells pair.
 
 The polygons are the small side and are tiled once per join, in one
 batched top-down pass over all of them (shared by build_probe and
@@ -85,51 +86,59 @@ def coverage_table(geoms: list[dict], res: int,
         names=["polygon_id", "cell"])
 
 
-def build_probe(geoms: list[dict], res: int, mode: str = "centroid",
-                compact: bool = True) -> dict:
-    """Broadcastable interval probe over the (compacted) coverage.
-
-    A compacted res-r cell holds exactly the res-`res` cells whose bits lie
-    in one contiguous range: its centre child at `res` (digits r+1..res
-    all 0) up to the cell with those digits all 7, since the res field and
-    the unused-digit tail are the same for every res-`res` cell. The
-    ranges of all polygons split at their ends into elementary slots,
-    `bounds` sorted; slot s holds the cells in [bounds[s-1], bounds[s])
-    and lists its polygon ids as `pids[start[s]:start[s + 1]]` (`count[s]`
-    of them; slot 0 and the last slot are empty). A page cell matches
-    polygon P if P's coverage holds the cell or one of its ancestors.
+def build_probe(geoms: list[dict], res: int, mode: str = "centroid") -> dict:
+    """Broadcastable interval probe over the polygons' compacted coverage
+    (see cell_probe). A page cell matches polygon P if P's coverage holds
+    the cell or one of its ancestors.
 
     mode="candidates" builds the exact-join candidate superset (centroid
     coverage + buffered outline, see region.candidate_cells) — much cheaper
     than the prepared-relate "covers" coverage and sufficient when every
     match is re-verified per point.
     """
-    pid, cell = _tile(geoms, res, mode, compact)
-    lo = bits.cell_to_center_child(cell, res)
-    hi = (lo | ((np.int64(1) << 3 * (15 - bits.get_resolution(cell))) - 1)) + 1
+    return cell_probe(*_tile(geoms, res, mode, compact=True), res)
+
+
+def cell_probe(ids: np.ndarray, cells: np.ndarray, res: int) -> dict:
+    """Broadcastable interval probe over (id, cell) pairs of cells at res
+    <= `res`, for probe_cells: polygon ids over a coverage, query ids over
+    their gridDisk cells.
+
+    A res-r cell holds exactly the res-`res` cells whose bits lie in one
+    contiguous range: its centre child at `res` (digits r+1..res all 0) up
+    to the cell with those digits all 7, since the res field and the
+    unused-digit tail are the same for every res-`res` cell. The ranges of
+    all pairs split at their ends into elementary slots, `bounds` sorted;
+    slot s holds the cells in [bounds[s-1], bounds[s]) and lists its ids
+    as `ids[start[s]:start[s + 1]]` (`count[s]` of them, ascending; slot 0
+    and the last slot are empty).
+    """
+    lo = bits.cell_to_center_child(cells, res)
+    tail = (np.int64(1) << 3 * (15 - bits.get_resolution(cells))) - 1
+    hi = (lo | tail) + 1
     bounds = np.unique(np.concatenate([lo, hi]))
     first = np.searchsorted(bounds, lo) + 1
     n_slots = np.searchsorted(bounds, hi) + 1 - first
     owner, slot = region._ragged(first, n_slots)
-    order = np.lexsort((pid[owner], slot))
+    order = np.lexsort((ids[owner], slot))
     count = np.bincount(slot, minlength=bounds.shape[0] + 1)
     return {"res": res, "bounds": bounds, "count": count,
             "start": np.concatenate([[0], np.cumsum(count)]),
-            "pids": pid[owner][order]}
+            "ids": ids[owner][order]}
 
 
 def probe_cells(probe: dict, cells: np.ndarray):
-    """Match res-`probe["res"]` page cells against the probe, one
-    `searchsorted` per page: returns (row, polygon_id), by row."""
+    """Match res-`probe["res"]` cells against the probe, one `searchsorted`
+    per cell: returns (row, id) of every match, by row."""
     slot = np.searchsorted(probe["bounds"], cells, side="right")
     count = probe["count"][slot]
     rows = np.flatnonzero(count)
     start = probe["start"][slot[rows]]
     count = count[rows]
     if (count == 1).all():
-        return rows, probe["pids"][start]
+        return rows, probe["ids"][start]
     owner, take = region._ragged(start, count)
-    return rows[owner], probe["pids"][take]
+    return rows[owner], probe["ids"][take]
 
 
 def _probe_batch(data: dict, batch: pa.Table, res: int,
@@ -153,85 +162,57 @@ def _probe_batch(data: dict, batch: pa.Table, res: int,
 
 
 def pip_join(pages_ds, geoms: list[dict], *, res: int = 9,
-             mode: str = "centroid", exact: bool = False,
-             batch_size: int = 65536, use_actors: bool = False,
-             concurrency: int = 4):
+             mode: str = "centroid", exact: bool = False):
     """Join pages to polygons via H3 coverage.
 
     Returns Dataset(url, polygon_id, cell). With exact=True the match is the
     exact point-in-polygon predicate (coverage = "candidates" superset +
     per-point PIP recheck); otherwise cell-level containment per `mode`.
-    use_actors=True runs the probe as a stateful actor pool
-    (PolygonProbeStage) instead of stateless tasks.
     """
     import ray
 
     probe = build_probe(geoms, res, "candidates" if exact else mode)
-    payload = {"probe": probe,
-               "edges": region._edge_table(geoms) if exact else None}
-    ref = ray.put(payload)
-
-    if use_actors:
-        return pages_ds.select_columns(["url"]).map_batches(
-            PolygonProbeStage,
-            fn_constructor_kwargs={"payload_ref": ref, "res": res,
-                                   "exact": exact},
-            batch_format="pyarrow", batch_size=batch_size,
-            concurrency=concurrency)
+    ref = ray.put({"probe": probe,
+                   "edges": region._edge_table(geoms) if exact else None})
 
     def fn(batch: pa.Table) -> pa.Table:
         return _probe_batch(ray.get(ref), batch, res, exact)
 
     return pages_ds.select_columns(["url"]).map_batches(
-        fn, batch_format="pyarrow", batch_size=batch_size)
+        fn, batch_format="pyarrow", batch_size=65536)
 
 
 def pip_join_shuffle(pages_ds, geoms: list[dict], *, res: int = 9,
-                     mode: str = "centroid", num_partitions: int = 32,
-                     batch_size: int = 65536):
+                     mode: str = "centroid"):
     """Hash-join variant of pip_join for coverage sets too large to
     broadcast (continental polygons at fine res): pages encode to cells,
-    the coverage table builds in parallel Ray tasks, and Ray Data's hash
-    join co-partitions both sides on the cell key.
+    the flat res-`res` coverage tiles in parallel Ray tasks, and
+    ops.join.hash_join co-partitions both sides on the int64 cell.
 
-    Same output schema as pip_join (url, polygon_id, cell). Prefer the
-    broadcast probe whenever the compacted coverage fits in the object
-    store — it avoids shuffling the page side entirely.
+    Same output as pip_join (url, polygon_id, cell). Prefer the broadcast
+    probe whenever the compacted coverage fits in the object store — it
+    avoids shuffling the page side entirely.
     """
     import ray.data as rd
 
-    cov = rd.from_arrow(coverage_table(geoms, res, mode))
+    from ..ops.join import hash_join
+
+    pid, cell = _tile(geoms, res, mode)
+    cov = rd.from_arrow(pa.Table.from_arrays(
+        [pa.array(pid), pa.array(cell)], names=["polygon_id", "cell"]))
 
     def encode(batch: pa.Table) -> pa.Table:
         urls, _, _, cells = pages_io.geotag_encode(batch["url"], res)
+        return pa.Table.from_arrays([urls, pa.array(cells)],
+                                    names=["url", "cell"])
+
+    def order(batch: pa.Table) -> pa.Table:
         return pa.Table.from_arrays(
-            [urls, pa.array(cells.view(np.uint64))], names=["url", "cell"])
+            [batch["url"], batch["polygon_id"],
+             batch["cell"].cast(pa.uint64())],
+            names=["url", "polygon_id", "cell"])
 
     keyed = pages_ds.select_columns(["url"]).map_batches(
-        encode, batch_format="pyarrow", batch_size=batch_size)
-    return keyed.join(cov, join_type="inner",
-                      num_partitions=num_partitions, on=("cell",))
-
-
-class PolygonProbeStage:
-    """Stateful actor-pool stage for the PIP join (north-star architecture:
-    'actor pools for stateful polygon-index stages').
-
-    __init__ runs once per actor: fetches the broadcast probe + polygon
-    edge table from the object store and keeps them resident; __call__
-    streams batches.
-    Use via pip_join(use_actors=True) when the probe is expensive enough to
-    amortize (very large coverage) or when per-batch object-store fetches
-    contend; the stateless-task path is equivalent for small probes.
-    """
-
-    def __init__(self, payload_ref, res: int, exact: bool):
-        import ray
-
-        self.data = ray.get(payload_ref) \
-            if not isinstance(payload_ref, dict) else payload_ref
-        self.res = res
-        self.exact = exact
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        return _probe_batch(self.data, batch, self.res, self.exact)
+        encode, batch_format="pyarrow", batch_size=65536)
+    return hash_join(keyed, cov, "cell", "cell").map_batches(
+        order, batch_format="pyarrow")

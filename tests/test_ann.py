@@ -97,19 +97,24 @@ def test_ivf_topk_full_probe_exact_and_pruned_recall(ray_session):
     assert recall >= 0.9  # clustered queries live in few lists
 
 
-def test_topk_merge_paths_agree(ray_session):
+def test_topk_merge_paths_agree(ray_session, monkeypatch):
     """The driver tree-root merge and the distributed bucketed segmented
-    top-k must rank identically (same rows, same cosines) — the auto switch
-    at DRIVER_MERGE_MAX_ROWS must never change results."""
+    top-k must rank identically (same rows, same cosines) — the switch
+    at knn.DRIVER_MERGE_MAX_ROWS (lowered here to reach the bucketed path)
+    must never change results."""
+    from h3ray.pipelines import knn
+
     tbl, mat = make_embeddings(n=400)
     queries = mat[:7].astype(np.float32)
 
-    def run(merge):
+    def run():
         ds = rd.from_arrow(tbl).repartition(5)
-        out = ann.brute_force_topk(ds, queries, k=8, merge=merge).to_pandas()
+        out = ann.brute_force_topk(ds, queries, k=8).to_pandas()
         return out.sort_values(["query_id", "vec_id"]).reset_index(drop=True)
 
-    a, b = run("driver"), run("distributed")
+    a = run()
+    monkeypatch.setattr(knn, "DRIVER_MERGE_MAX_ROWS", 0)
+    b = run()
     assert a[["query_id", "vec_id"]].values.tolist() == \
         b[["query_id", "vec_id"]].values.tolist()
     assert np.allclose(a.cosine, b.cosine)

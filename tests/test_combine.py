@@ -144,10 +144,8 @@ DRIVER_MERGE_ALLOWLIST = sorted([
     ("pipelines/relational.py", "orders_by_segment"),    # collector
     ("pipelines/relational.py", "orders_revenue_topk"),  # collector
     ("pipelines/relational.py", "orders_revenue_topk"),  # top-k
-    ("pipelines/ann.py", "_rank_topk"),         # top-k
     ("pipelines/ann.py", "top_dot_pairs"),      # top-k
-    ("pipelines/knn.py", "knn_join"),           # top-k (gated workload)
-    ("pipelines/knn.py", "knn_join_shuffle"),   # top-k
+    ("pipelines/knn.py", "rank_topk"),          # kNN + ANN top-k (gated)
     ("pipelines/geotag.py", "cell_counts"),     # gated workload root
     ("pipelines/tiles.py", "compact_cells_dataset"),  # compaction
 ])

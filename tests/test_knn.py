@@ -3,7 +3,6 @@
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-import pytest
 
 from h3ray.io import pages as pages_io
 from h3ray.kernels import grid, latlng
@@ -43,24 +42,22 @@ def test_knn_join_matches_brute_force(ray_session):
         assert (got.grid_dist >= -1).all()
 
 
-def test_knn_join_distributed_merge_equals_driver(ray_session):
-    """Forcing the bucketed-groupby final ranking (the scale path past
-    DRIVER_MERGE_MAX_ROWS) must reproduce the driver tree-root exactly."""
+def test_knn_join_distributed_merge_equals_driver(ray_session, monkeypatch):
+    """The bucketed-groupby final ranking (the scale path past
+    DRIVER_MERGE_MAX_ROWS, reached here by lowering it) must reproduce the
+    driver tree-root exactly."""
     n_q, k_ring, k, res = 6, 2, 4, 5
     qlat = pages_io.CITY_LAT[:n_q]
     qlng = pages_io.CITY_LNG[:n_q]
     a = knn.knn_join(pages_io.pages_from_documents(SF), qlat, qlng,
-                     res=res, k_ring=k_ring, k_nearest=k,
-                     merge="driver").to_pandas()
+                     res=res, k_ring=k_ring, k_nearest=k).to_pandas()
+    monkeypatch.setattr(knn, "DRIVER_MERGE_MAX_ROWS", 0)
     b = knn.knn_join(pages_io.pages_from_documents(SF), qlat, qlng,
-                     res=res, k_ring=k_ring, k_nearest=k,
-                     merge="distributed").to_pandas()
+                     res=res, k_ring=k_ring, k_nearest=k).to_pandas()
     key = ["query_id", "url", "distance_km", "grid_dist"]
+    assert len(a) > n_q
     assert set(map(tuple, a[key].itertuples(index=False))) == \
         set(map(tuple, b[key].itertuples(index=False)))
-    with pytest.raises(ValueError, match="driver"):
-        knn.knn_join(pages_io.pages_from_documents(SF), qlat, qlng,
-                     merge="bogus")
 
 
 def test_knn_join_shuffle_equals_broadcast(ray_session):
@@ -70,8 +67,8 @@ def test_knn_join_shuffle_equals_broadcast(ray_session):
     a = knn.knn_join(pages_io.pages_from_documents(SF), qlat, qlng,
                      res=res, k_ring=k_ring, k_nearest=k).to_pandas()
     b = knn.knn_join_shuffle(pages_io.pages_from_documents(SF), qlat, qlng,
-                             res=res, k_ring=k_ring, k_nearest=k,
-                             num_partitions=4).to_pandas()
+                             res=res, k_ring=k_ring,
+                             k_nearest=k).to_pandas()
     key = ["query_id", "url", "distance_km", "grid_dist"]
     a = a[key].sort_values(key).reset_index(drop=True)
     b = b[key].sort_values(key).reset_index(drop=True)

@@ -63,11 +63,11 @@ def test_centroid_pip_join_matches_coverage(ray_session, page_points):
 def test_compact_probe_equals_flat_probe():
     geoms = pip.city_polygons(3)
     res = 8
-    flat = pip.build_probe(geoms, res, compact=False)
-    comp = pip.build_probe(geoms, res, compact=True)
+    flat = pip.cell_probe(*pip._tile(geoms, res, "centroid"), res)
+    comp = pip.build_probe(geoms, res)
     # Compacted probe must be strictly smaller but match identically.
-    n_flat = flat["pids"].shape[0]
-    n_comp = comp["pids"].shape[0]
+    n_flat = flat["ids"].shape[0]
+    n_comp = comp["ids"].shape[0]
     assert n_comp < n_flat
 
     rng = np.random.default_rng(3)
@@ -84,23 +84,20 @@ def test_compact_probe_equals_flat_probe():
 
 
 def test_pip_join_shuffle_equals_broadcast(ray_session, page_points):
+    """The hash-join variant returns the broadcast join's rows, columns
+    and dtypes (cell as uint64)."""
+    import pandas as pd
+
     geoms = pip.city_polygons(5)
     ds = pages_io.pages_from_documents(SF)
     a = pip.pip_join(ds, geoms, res=7, mode="centroid").to_pandas()
     ds2 = pages_io.pages_from_documents(SF)
-    b = pip.pip_join_shuffle(ds2, geoms, res=7, mode="centroid",
-                             num_partitions=4).to_pandas()
-    assert set(zip(a.url, a.polygon_id)) == set(zip(b.url, b.polygon_id))
-
-
-def test_actor_pool_pip_equals_tasks(ray_session, page_points):
-    geoms = pip.city_polygons(5)
-    ds = pages_io.pages_from_documents(SF)
-    a = pip.pip_join(ds, geoms, res=8, exact=True).to_pandas()
-    ds2 = pages_io.pages_from_documents(SF)
-    b = pip.pip_join(ds2, geoms, res=8, exact=True, use_actors=True,
-                     concurrency=2).to_pandas()
-    assert set(zip(a.url, a.polygon_id)) == set(zip(b.url, b.polygon_id))
+    b = pip.pip_join_shuffle(ds2, geoms, res=7, mode="centroid").to_pandas()
+    key = ["url", "polygon_id", "cell"]
+    assert list(b.columns) == key and len(a) > 20
+    pd.testing.assert_frame_equal(
+        a.sort_values(key).reset_index(drop=True),
+        b.sort_values(key).reset_index(drop=True))
 
 
 def test_probe_batch_recheck_matches_contains_points(monkeypatch):
@@ -203,8 +200,10 @@ def test_interval_probe_matches_per_level_probe(seed, res, compact, mode):
     lng = np.rad2deg((np.concatenate(lng) + np.pi) % (2 * np.pi) - np.pi)
     cells = latlng.latlng_to_cell(lat, lng, res)
 
-    probe = pip.build_probe(geoms, res, mode, compact=compact)
+    coverage = pip._tile(geoms, res, mode, compact)
+    probe = (pip.build_probe(geoms, res, mode) if compact
+             else pip.cell_probe(*coverage, res))
     got = pip.probe_cells(probe, cells)
-    want = _per_level_probe(*pip._tile(geoms, res, mode, compact), cells)
+    want = _per_level_probe(*coverage, cells)
     np.testing.assert_array_equal(_pairs(*got), _pairs(*want))
     assert np.unique(got[1]).size >= 5

@@ -91,11 +91,15 @@ def test_grouped_percentiles_cont_matches_numpy(ray_session):
             assert row[col] == lo + (p - np.floor(p)) * (hi - lo)
 
 
-def test_distributed_path_many_keys_matches_reference(ray_session):
-    """~10^5 distinct keys through the bucketed segmented-selection path:
-    DISC and CONT must match the direct per-key order statistic, and the
-    driver path must agree where it can run (spot groups)."""
+def test_distributed_path_many_keys_matches_reference(ray_session,
+                                                     monkeypatch):
+    """~10^5 distinct keys through the bucketed segmented-selection path
+    (reached by lowering the driver histogram budget): DISC and CONT must
+    match the direct per-key order statistic (spot groups)."""
+    import h3ray.ops.quantile as qmod
     from h3ray.ops.quantile import grouped_percentiles_cont
+
+    monkeypatch.setattr(qmod, "DRIVER_HIST_MAX_ROWS", 1000)
 
     rng = np.random.default_rng(23)
     n_keys = 100_000
@@ -105,8 +109,7 @@ def test_distributed_path_many_keys_matches_reference(ray_session):
     ds = rd.from_arrow(tbl).repartition(8)
 
     disc = grouped_percentiles_disc(ds, "k", "value", [0.5, 0.9],
-                                    ["p50", "p90"],
-                                    merge="distributed").to_pandas()
+                                    ["p50", "p90"]).to_pandas()
     assert len(disc) == len(np.unique(keys))
     spot = rng.choice(np.unique(keys), 200, replace=False)
     d = disc.set_index("k")
@@ -115,8 +118,8 @@ def test_distributed_path_many_keys_matches_reference(ray_session):
         assert d.loc[k, "p50"] == _disc(grp, 0.5), f"key {k} p50"
         assert d.loc[k, "p90"] == _disc(grp, 0.9), f"key {k} p90"
 
-    cont = grouped_percentiles_cont(ds, "k", "value", [0.5], ["med"],
-                                    merge="distributed").to_pandas()
+    cont = grouped_percentiles_cont(ds, "k", "value", [0.5],
+                                    ["med"]).to_pandas()
     c = cont.set_index("k")
     for k in spot:
         grp = np.sort(vals[keys == k]).astype(np.float64)
@@ -139,7 +142,7 @@ def test_auto_switches_to_distributed_past_budget(ray_session, monkeypatch):
     def run():
         return grouped_percentiles_disc(
             rd.from_arrow(tbl).repartition(6), "k", "value",
-            [0.5], ["p50"], merge="auto").to_pandas() \
+            [0.5], ["p50"]).to_pandas() \
             .sort_values("k").reset_index(drop=True)
 
     on_driver = run()

@@ -4,8 +4,10 @@
 Runs each `queries()` entry and its `oracle_sql()` (DuckDB) side-by-side on
 $1 (default /root/testdata/sf0.01) and compares row counts, sorted column
 names, and value hashes (columns sorted by name, rows sorted, like the
-driver). Queries without an oracle report their row count and value hash,
-so two builds can be compared on them.
+driver). A query without an oracle is compared against its entry in
+tests/data/query_golden.json for the scale directory's name (OK or DIFF);
+one with no entry there reports its row count and value hash, so two builds
+can be compared on it.
 
 Usage: python tools/check_oracles.py [sf_dir] [query ...]
 """
@@ -13,6 +15,7 @@ Usage: python tools/check_oracles.py [sf_dir] [query ...]
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import sys
 from pathlib import Path
@@ -21,8 +24,10 @@ import duckdb
 import pandas as pd
 import pyarrow.parquet as pq
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT))
 
+GOLDEN = ROOT / "tests" / "data" / "query_golden.json"
 TABLES = ("region nation customer supplier part orders lineitem events "
           "documents embeddings").split()
 
@@ -73,6 +78,10 @@ def main() -> int:
     if pq.ParquetFile(f"{sf_dir}/embeddings.parquet").metadata.num_rows:
         os.environ["GRAFT_ORACLE_SF"] = sf_dir
     oracles = entry.oracle_sql()
+    scale = Path(sf_dir).name
+    golden = {q: h[scale] for q, h in
+              json.loads(GOLDEN.read_text())["entries"].items()
+              if scale in h}
     failures = 0
     for name, fn in qs.items():
         if only and name not in only:
@@ -84,8 +93,16 @@ def main() -> int:
             failures += 1
             continue
         if name not in oracles:
-            print(f"{name}: rows={len(ray_df)} "
-                  f"value_hash={value_hash(ray_df)} (no oracle)")
+            got = value_hash(ray_df)
+            if name not in golden:
+                print(f"{name}: rows={len(ray_df)} value_hash={got} "
+                      f"(no oracle)")
+            elif got == golden[name]:
+                print(f"{name}: OK rows={len(ray_df)} (golden)")
+            else:
+                failures += 1
+                print(f"{name}: DIFF rows={len(ray_df)} value_hash={got} "
+                      f"golden={golden[name]}")
             continue
         try:
             ora_df = con.execute(oracles[name]).fetchdf()
