@@ -165,7 +165,10 @@ def _h3_pip_join(sf_dir: str):
 
     ds = pip.pip_join(pio.pages_from_documents(sf_dir),
                       pip.city_polygons(8), res=8, exact=True)
-    return ds.select_columns(["url", "polygon_id"])
+    # A map, not select_columns: Ray's projection passes pip_join's typed
+    # empty lead block through unprojected.
+    return ds.map_batches(lambda b: b.select(["url", "polygon_id"]),
+                          batch_format="pyarrow")
 
 
 def _h3_polygon_coverage(sf_dir: str):
@@ -213,18 +216,36 @@ def _h3_dissolve_coverage(sf_dir: str):
                                "vert_idx"])
 
 
-def _ann_topk(sf_dir: str):
+def _ann_queries(sf_dir: str):
+    """The embeddings table and the ANN queries: the vectors of vec_id
+    < 5 stacked, or None when there are none."""
     import numpy as np
     import pyarrow.parquet as pq
+
+    tbl = pq.read_table(f"{sf_dir}/embeddings.parquet",
+                        columns=["vec_id", "embedding"])
+    vecs = tbl.filter(tbl["vec_id"].to_numpy() < 5)["embedding"] \
+        .to_numpy(zero_copy_only=False)
+    return tbl, (np.stack(vecs) if len(vecs) else None)
+
+
+def _no_ann_hits():
+    """The typed empty (query_id, vec_id) result of an ANN query (a
+    table: an empty Dataset's to_pandas() drops its columns)."""
+    import pyarrow as pa
+
+    return pa.schema([("query_id", pa.int64()),
+                      ("vec_id", pa.int64())]).empty_table()
+
+
+def _ann_topk(sf_dir: str):
     import ray.data as rd
 
     from h3ray.pipelines import ann
 
-    tbl = pq.read_table(f"{sf_dir}/embeddings.parquet",
-                        columns=["vec_id", "embedding"])
-    mask = tbl["vec_id"].to_numpy() < 5
-    queries = np.stack(tbl.filter(mask)["embedding"].to_numpy(
-        zero_copy_only=False))
+    _, queries = _ann_queries(sf_dir)
+    if queries is None:
+        return _no_ann_hits()
     ds = rd.read_parquet(f"{sf_dir}/embeddings.parquet")
     out = ann.brute_force_topk(ds, queries, k=10, concurrency=2)
     return out.select_columns(["query_id", "vec_id"])
@@ -512,17 +533,13 @@ def _ann_topk_lsh(sf_dir: str):
     never run at corpus scale, where brute force is the wrong tool)."""
     import logging
 
-    import numpy as np
-    import pyarrow.parquet as pq
     import ray.data as rd
 
     from h3ray.pipelines import ann
 
-    tbl = pq.read_table(f"{sf_dir}/embeddings.parquet",
-                        columns=["vec_id", "embedding"])
-    mask = tbl["vec_id"].to_numpy() < 5
-    queries = np.stack(tbl.filter(mask)["embedding"].to_numpy(
-        zero_copy_only=False))
+    tbl, queries = _ann_queries(sf_dir)
+    if queries is None:
+        return _no_ann_hits()
     ds = rd.read_parquet(f"{sf_dir}/embeddings.parquet")
     out = ann.lsh_topk(ds, queries, k=10, concurrency=2) \
         .select_columns(["query_id", "vec_id"])
@@ -1137,17 +1154,13 @@ def _ann_topk_ivf(sf_dir: str):
     staying exactly equal to the brute-force scan, so the exact-top-k SQL
     oracle applies. Smaller nprobe is the recall/scan-fraction scale knob
     (pytest covers pruned recall)."""
-    import numpy as np
-    import pyarrow.parquet as pq
     import ray.data as rd
 
     from h3ray.pipelines import ann
 
-    tbl = pq.read_table(f"{sf_dir}/embeddings.parquet",
-                        columns=["vec_id", "embedding"])
-    mask = tbl["vec_id"].to_numpy() < 5
-    queries = np.stack(tbl.filter(mask)["embedding"].to_numpy(
-        zero_copy_only=False))
+    _, queries = _ann_queries(sf_dir)
+    if queries is None:
+        return _no_ann_hits()
     ds = rd.read_parquet(f"{sf_dir}/embeddings.parquet")
     out = ann.ivf_topk(ds, queries, k=10, n_centroids=8, nprobe=8,
                        concurrency=2)
@@ -1370,7 +1383,7 @@ def _events_topk_by_type(sf_dir: str):
     Selective salting: a sampled-histogram pre-pass (detect_hot_keys)
     estimates which types carry outsized row share, and only those are
     salted — cold keys keep salt 0 so their round-1 partial output is k
-    rows instead of salt_mod*k (the SURVEY §4 skew design, continuously
+    rows instead of SALTS*k (the SURVEY §4 skew design, continuously
     exercised here). Salting choice never affects the result, only the
     reducer fan-in."""
     import ray.data as rd
@@ -1615,7 +1628,12 @@ def _events_winsorized(sf_dir: str):
                          columns=["event_id", "event_type", "value"])
     bounds = grouped_percentiles_cont(
         ds, "event_type", "value", [0.05, 0.95], ["p05", "p95"]) \
-        .to_pandas().sort_values("event_type")
+        .to_pandas()
+    if bounds.empty:  # no events: no columns came back either
+        return pa.schema([("event_id", pa.int64()),
+                          ("event_type", pa.string()),
+                          ("value_w", pa.float64())]).empty_table()
+    bounds = bounds.sort_values("event_type")
     types = bounds["event_type"].to_numpy()
     p05 = bounds["p05"].to_numpy()
     p95 = bounds["p95"].to_numpy()
@@ -1673,7 +1691,12 @@ def _lineitem_corr_by_flag(sf_dir: str):
             "qty": np.floor(q + 0.5).astype(np.int64),
             "price_cents": np.floor(p * 100 + 0.5).astype(np.int64)})
 
-    ints = li.map_batches(to_int, batch_format="pyarrow")
+    from h3ray.ops.join import seed_schema
+
+    ints = seed_schema(li.map_batches(to_int, batch_format="pyarrow"),
+                       pa.schema([("l_returnflag", pa.string()),
+                                  ("qty", pa.int64()),
+                                  ("price_cents", pa.int64())]))
     return grouped_corr_exact(ints, "l_returnflag", "qty", "price_cents",
                               out_col="corr_qty_price")
 
@@ -1726,21 +1749,17 @@ def _part_supplier_counts(sf_dir: str):
     import pyarrow as pa
     import ray.data as rd
 
-    from h3ray.io.pages import _mix64
-    from h3ray.ops.skew import default_num_buckets
+    from h3ray.ops.reduce import exchange
 
     li = rd.read_parquet(f"{sf_dir}/lineitem.parquet",
                          columns=["l_partkey", "l_suppkey"])
-    nb = default_num_buckets()
 
     def pairs(batch: pa.Table) -> pa.Table:
         p = batch["l_partkey"].to_numpy(zero_copy_only=False)
         s = batch["l_suppkey"].to_numpy(zero_copy_only=False)
         u = np.unique(np.stack([p, s], axis=1), axis=0)
         return pa.table({
-            "l_partkey": u[:, 0], "l_suppkey": u[:, 1],
-            "_bucket": (_mix64(u[:, 0].astype(np.uint64))
-                        % np.uint64(nb)).astype(np.int32)})
+            "l_partkey": u[:, 0], "l_suppkey": u[:, 1]})
 
     def count_distinct(group: pa.Table) -> pa.Table:
         p = group["l_partkey"].to_numpy(zero_copy_only=False)
@@ -1750,10 +1769,8 @@ def _part_supplier_counts(sf_dir: str):
         return pa.table({"l_partkey": uniq,
                          "num_suppliers": counts.astype(np.int64)})
 
-    return li.map_batches(pairs, batch_format="pyarrow",
-                          batch_size=131072) \
-        .groupby("_bucket").map_groups(count_distinct,
-                                       batch_format="pyarrow")
+    return exchange(li, "l_partkey", count_distinct, prep=pairs,
+                    batch_size=131072)
 
 
 def _docs_tfidf_topk(sf_dir: str):
@@ -2565,13 +2582,10 @@ def _sole_late_supplier_counts(sf_dir: str):
     import pyarrow.parquet as pq
     import ray.data as rd
 
-    from h3ray.io.pages import _mix64
     from h3ray.ops.join import hash_join
-    from h3ray.ops.reduce import combine
-    from h3ray.ops.skew import default_num_buckets
+    from h3ray.ops.reduce import combine, exchange
 
     late_us = np.int64(90 * 86400 * 1_000_000)  # 90 days
-    nb = default_num_buckets()
 
     line = rd.read_parquet(f"{sf_dir}/lineitem.parquet",
                            columns=["l_orderkey", "l_suppkey",
@@ -2615,9 +2629,7 @@ def _sole_late_supplier_counts(sf_dir: str):
         lm = np.zeros(uniq.shape[0], dtype=np.int64)
         np.maximum.at(lm, inv, late)
         return pa.table({
-            "ok": uniq[:, 0], "sk": uniq[:, 1], "late": lm,
-            "_bucket": (_mix64(uniq[:, 0].astype(np.uint64))
-                        % np.uint64(nb)).astype(np.int32)})
+            "ok": uniq[:, 0], "sk": uniq[:, 1], "late": lm})
 
     def per_order(group: pa.Table) -> pa.Table:
         ok = group["ok"].to_numpy(zero_copy_only=False)
@@ -2647,9 +2659,8 @@ def _sole_late_supplier_counts(sf_dir: str):
         return pa.table({"s_suppkey": winners,
                          "numwait": counts.astype(np.int64)})
 
-    partials = joined.map_batches(triples, batch_format="pyarrow",
-                                  batch_size=131072) \
-        .groupby("_bucket").map_groups(per_order, batch_format="pyarrow")
+    partials = exchange(joined, "ok", per_order, prep=triples,
+                        batch_size=131072)
 
     def finish(g: pa.Table) -> pa.Table:
         sup = pq.read_table(f"{sf_dir}/supplier.parquet",
@@ -4626,9 +4637,7 @@ def _user_type_masks(sf_dir: str, query: str):
     import ray
     import ray.data as rd
 
-    from h3ray.io.pages import _mix64
-    from h3ray.ops.reduce import combine
-    from h3ray.ops.skew import default_num_buckets
+    from h3ray.ops.reduce import combine, exchange
 
     ds = rd.read_parquet(f"{sf_dir}/events.parquet",
                          columns=["user_id", "event_type"])
@@ -4641,7 +4650,6 @@ def _user_type_masks(sf_dir: str, query: str):
         raise ValueError(f"{query}: bitmask design needs "
                          f"<= 20 distinct types, saw {types.shape[0]}")
     types_ref = ray.put(types)
-    nb = default_num_buckets()
 
     def pair_partial(batch: pa.Table) -> pa.Table:
         tl = ray.get(types_ref)
@@ -4652,9 +4660,7 @@ def _user_type_masks(sf_dir: str, query: str):
             .astype(str)).astype(np.int64)
         u = np.unique(uid * np.int64(len(tl)) + code)
         return pa.table({
-            "user_id": u // len(tl), "code": u % len(tl),
-            "_bucket": (_mix64((u // len(tl)).astype(np.uint64))
-                        % np.uint64(nb)).astype(np.int32)})
+            "user_id": u // len(tl), "code": u % len(tl)})
 
     def masks(group: pa.Table) -> pa.Table:
         uid = group["user_id"].to_numpy(zero_copy_only=False)
@@ -4666,9 +4672,8 @@ def _user_type_masks(sf_dir: str, query: str):
         mu, mc = np.unique(nmask, return_counts=True)
         return pa.table({"mask": mu, "n": mc.astype(np.int64)})
 
-    bucketed = ds.map_batches(pair_partial, batch_format="pyarrow",
-                              batch_size=131072) \
-        .groupby("_bucket").map_groups(masks, batch_format="pyarrow")
+    bucketed = exchange(ds, "user_id", masks, prep=pair_partial,
+                        batch_size=131072)
     return types, combine(bucketed, "mask", sums=("n",),
                           schema=pa.schema([("mask", pa.int64()),
                                             ("n", pa.int64())]))
@@ -4711,12 +4716,10 @@ def _signup_purchase_gap(sf_dir: str):
     import pyarrow as pa
     import ray.data as rd
 
-    from h3ray.io.pages import _mix64
-    from h3ray.ops.skew import default_num_buckets
+    from h3ray.ops.reduce import exchange
 
     ds = rd.read_parquet(f"{sf_dir}/events.parquet",
                          columns=["user_id", "ts", "event_type"])
-    nb = default_num_buckets()
 
     def prep(batch: pa.Table) -> pa.Table:
         et = batch["event_type"].to_numpy(zero_copy_only=False)
@@ -4727,9 +4730,7 @@ def _signup_purchase_gap(sf_dir: str):
             .astype(np.int64)[keep]
         return pa.table({
             "user_id": uid, "ts_us": us,
-            "is_signup": (et[keep] == "signup").astype(np.int64),
-            "_bucket": (_mix64(uid.astype(np.uint64))
-                        % np.uint64(nb)).astype(np.int32)})
+            "is_signup": (et[keep] == "signup").astype(np.int64)})
 
     def resolve(group: pa.Table) -> pa.Table:
         uid = group["user_id"].to_numpy(zero_copy_only=False)
@@ -4752,9 +4753,7 @@ def _signup_purchase_gap(sf_dir: str):
         return pa.table({"user_id": users[have],
                          "gap_us": (p0 - s0)[have]})
 
-    return ds.map_batches(prep, batch_format="pyarrow",
-                          batch_size=131072) \
-        .groupby("_bucket").map_groups(resolve, batch_format="pyarrow")
+    return exchange(ds, "user_id", resolve, prep=prep, batch_size=131072)
 
 
 def _text_tokens(batch):
@@ -4934,9 +4933,13 @@ def _events_value_trend_by_type(sf_dir: str):
         return pa.table({"event_type": batch["event_type"],
                          "x": x, "y": y})
 
+    from h3ray.ops.join import seed_schema
+
     return grouped_regr_slope_exact(
-        ds.map_batches(prep, batch_format="pyarrow",
-                       batch_size=131072),
+        seed_schema(ds.map_batches(prep, batch_format="pyarrow",
+                                   batch_size=131072),
+                    pa.schema([("event_type", pa.string()),
+                               ("x", pa.int64()), ("y", pa.int64())])),
         "event_type", "x", "y", out_col="slope")
 
 
@@ -4951,12 +4954,10 @@ def _events_max_streak(sf_dir: str):
     import pyarrow as pa
     import ray.data as rd
 
-    from h3ray.io.pages import _mix64
-    from h3ray.ops.skew import default_num_buckets
+    from h3ray.ops.reduce import exchange
 
     ds = rd.read_parquet(f"{sf_dir}/events.parquet",
                          columns=["user_id", "ts"])
-    nb = default_num_buckets()
 
     def prep(batch: pa.Table) -> pa.Table:
         uid = batch["user_id"].to_numpy(zero_copy_only=False) \
@@ -4965,9 +4966,7 @@ def _events_max_streak(sf_dir: str):
             .astype("datetime64[us]").astype(np.int64) // 86_400_000_000
         u = np.unique(np.stack([uid, day], axis=1), axis=0)
         return pa.table({
-            "user_id": u[:, 0], "day": u[:, 1],
-            "_bucket": (_mix64(u[:, 0].astype(np.uint64))
-                        % np.uint64(nb)).astype(np.int32)})
+            "user_id": u[:, 0], "day": u[:, 1]})
 
     def streaks(group: pa.Table) -> pa.Table:
         uid = group["user_id"].to_numpy(zero_copy_only=False)
@@ -4990,9 +4989,7 @@ def _events_max_streak(sf_dir: str):
         np.maximum.at(best, uinv, lens)
         return pa.table({"user_id": users, "max_streak": best})
 
-    return ds.map_batches(prep, batch_format="pyarrow",
-                          batch_size=131072) \
-        .groupby("_bucket").map_groups(streaks, batch_format="pyarrow")
+    return exchange(ds, "user_id", streaks, prep=prep, batch_size=131072)
 
 
 def _events_top_outliers(sf_dir: str):
@@ -5248,15 +5245,10 @@ def _supplier_nation_herfindahl(sf_dir: str):
 
 def _user_bucket_prep(keep: list):
     """Per-batch prep of a user-hash exchange over events: int64
-    user_id, ts as int64 microseconds (ts_us), the `keep` columns as
-    they are, and the `_bucket` the user hashes to."""
+    user_id, ts as int64 microseconds (ts_us) and the `keep` columns as
+    they are."""
     import numpy as np
     import pyarrow as pa
-
-    from h3ray.io.pages import _mix64
-    from h3ray.ops.skew import default_num_buckets
-
-    nb = default_num_buckets()
 
     def prep(batch: pa.Table) -> pa.Table:
         uid = batch["user_id"].to_numpy(zero_copy_only=False) \
@@ -5264,9 +5256,7 @@ def _user_bucket_prep(keep: list):
         us = batch["ts"].to_numpy(zero_copy_only=False) \
             .astype("datetime64[us]").astype(np.int64)
         return pa.table({
-            "user_id": uid, "ts_us": us, **{c: batch[c] for c in keep},
-            "_bucket": (_mix64(uid.astype(np.uint64))
-                        % np.uint64(nb)).astype(np.int32)})
+            "user_id": uid, "ts_us": us, **{c: batch[c] for c in keep}})
 
     return prep
 
@@ -5286,7 +5276,7 @@ def _events_session_paths(sf_dir: str):
     import pyarrow as pa
     import ray.data as rd
 
-    from h3ray.ops.reduce import combine
+    from h3ray.ops.reduce import combine, exchange
     from h3ray.ops.skew import _desc_sort_key
 
     ds = rd.read_parquet(f"{sf_dir}/events.parquet",
@@ -5326,10 +5316,9 @@ def _events_session_paths(sf_dir: str):
         acc = g["n_sessions"].to_numpy()
         return g.take(pa.array(np.lexsort((up, _desc_sort_key(acc)))[:20]))
 
-    bucketed = ds.map_batches(_user_bucket_prep(["event_id", "event_type"]),
-                              batch_format="pyarrow",
-                              batch_size=131072) \
-        .groupby("_bucket").map_groups(paths, batch_format="pyarrow")
+    bucketed = exchange(ds, "user_id", paths,
+                        prep=_user_bucket_prep(["event_id", "event_type"]),
+                        batch_size=131072)
     return combine(bucketed, "path", sums=("n_sessions",), finish=finish,
                    schema=pa.schema([("path", pa.string()),
                                      ("n_sessions", pa.int64())]))
@@ -5376,7 +5365,7 @@ def _events_interarrival_hist(sf_dir: str):
     import pyarrow as pa
     import ray.data as rd
 
-    from h3ray.ops.reduce import combine
+    from h3ray.ops.reduce import combine, exchange
 
     ds = rd.read_parquet(f"{sf_dir}/events.parquet",
                          columns=["event_id", "user_id", "ts",
@@ -5416,10 +5405,9 @@ def _events_interarrival_hist(sf_dir: str):
                 [int(k.split("\x1f")[1]) for k in uk], dtype=np.int64),
             "n": cnt})
 
-    bucketed = ds.map_batches(_user_bucket_prep(["event_id", "event_type"]),
-                              batch_format="pyarrow",
-                              batch_size=131072) \
-        .groupby("_bucket").map_groups(gaps, batch_format="pyarrow")
+    bucketed = exchange(ds, "user_id", gaps,
+                        prep=_user_bucket_prep(["event_id", "event_type"]),
+                        batch_size=131072)
     return combine(
         bucketed, ["event_type", "log2_bucket"], sums=("n",),
         schema=pa.schema([("event_type", pa.string()),
@@ -5442,13 +5430,11 @@ def _parts_bought_together(sf_dir: str):
     import ray.data as rd
     from ray.data.aggregate import Sum
 
-    from h3ray.io.pages import _mix64
-    from h3ray.ops.reduce import combine
-    from h3ray.ops.skew import _desc_sort_key, default_num_buckets
+    from h3ray.ops.reduce import combine, exchange
+    from h3ray.ops.skew import _desc_sort_key
 
     li = rd.read_parquet(f"{sf_dir}/lineitem.parquet",
                          columns=["l_orderkey", "l_partkey"])
-    nb = default_num_buckets()
 
     def prep(batch: pa.Table) -> pa.Table:
         o = batch["l_orderkey"].to_numpy(zero_copy_only=False) \
@@ -5459,9 +5445,7 @@ def _parts_bought_together(sf_dir: str):
             raise ValueError("partkey outside [0, 2^31): repack pairs")
         u = np.unique(np.stack([o, p], axis=1), axis=0)
         return pa.table({
-            "o": u[:, 0], "p": u[:, 1],
-            "_bucket": (_mix64(u[:, 0].astype(np.uint64))
-                        % np.uint64(nb)).astype(np.int32)})
+            "o": u[:, 0], "p": u[:, 1]})
 
     def pairs(group: pa.Table) -> pa.Table:
         o = group["o"].to_numpy(zero_copy_only=False)
@@ -5492,9 +5476,7 @@ def _parts_bought_together(sf_dir: str):
         uk, cnt = np.unique(key, return_counts=True)
         return pa.table({"pair": uk, "cnt": cnt.astype(np.int64)})
 
-    summed = li.map_batches(prep, batch_format="pyarrow",
-                            batch_size=131072) \
-        .groupby("_bucket").map_groups(pairs, batch_format="pyarrow") \
+    summed = exchange(li, "o", pairs, prep=prep, batch_size=131072) \
         .groupby("pair").aggregate(Sum("cnt", alias_name="cnt"))
 
     def topk(batch: pa.Table) -> pa.Table:
@@ -5526,13 +5508,10 @@ def _events_sliding_distinct_users(sf_dir: str):
     import pyarrow as pa
     import ray.data as rd
 
-    from h3ray.io.pages import _mix64
-    from h3ray.ops.reduce import combine
-    from h3ray.ops.skew import default_num_buckets
+    from h3ray.ops.reduce import combine, exchange
 
     ds = rd.read_parquet(f"{sf_dir}/events.parquet",
                          columns=["user_id", "ts"])
-    nb = default_num_buckets()
     W = 24
 
     def prep(batch: pa.Table) -> pa.Table:
@@ -5542,9 +5521,7 @@ def _events_sliding_distinct_users(sf_dir: str):
             .astype("datetime64[us]").astype(np.int64) // 3_600_000_000
         u = np.unique(np.stack([uid, h], axis=1), axis=0)
         return pa.table({
-            "user_id": u[:, 0], "h": u[:, 1],
-            "_bucket": (_mix64(u[:, 0].astype(np.uint64))
-                        % np.uint64(nb)).astype(np.int32)})
+            "user_id": u[:, 0], "h": u[:, 1]})
 
     def deltas(group: pa.Table) -> pa.Table:
         uid = group["user_id"].to_numpy(zero_copy_only=False)
@@ -5587,9 +5564,7 @@ def _events_sliding_distinct_users(sf_dir: str):
         sel = g["present"].to_numpy() > 0
         return pa.table({"h": g["h"].to_numpy()[sel], "n_users": run[sel]})
 
-    bucketed = ds.map_batches(prep, batch_format="pyarrow",
-                              batch_size=131072) \
-        .groupby("_bucket").map_groups(deltas, batch_format="pyarrow")
+    bucketed = exchange(ds, "user_id", deltas, prep=prep, batch_size=131072)
     return combine(bucketed, "h", sums=("delta", "present"), finish=finish,
                    schema=pa.schema([("h", pa.int64()),
                                      ("delta", pa.int64()),
@@ -6245,17 +6220,10 @@ def _events_session_median_dur(sf_dir: str):
     import pyarrow as pa
     import ray.data as rd
 
-    from h3ray.ops.reduce import combine
-    from h3ray.ops.skew import default_num_buckets
+    from h3ray.ops.reduce import combine, exchange
 
     ds = rd.read_parquet(f"{sf_dir}/events.parquet",
                          columns=["user_id", "ts", "event_type"])
-    nb = default_num_buckets()
-
-    def bucket(batch: pa.Table) -> pa.Table:
-        uid = batch["user_id"].to_numpy(zero_copy_only=False)
-        return batch.append_column(
-            "_bucket", pa.array((uid % nb).astype(np.int32)))
 
     def sessionize(group: pa.Table) -> pa.Table:
         uid = group["user_id"].to_numpy(zero_copy_only=False)
@@ -6310,9 +6278,7 @@ def _events_session_median_dur(sf_dir: str):
             "n_sessions": pa.array(out_n, pa.int64()),
             "median_dur_us": pa.array(out_m, pa.int64())})
 
-    sess = ds.map_batches(bucket, batch_format="pyarrow",
-                          batch_size=131072) \
-        .groupby("_bucket").map_groups(sessionize, batch_format="pyarrow")
+    sess = exchange(ds, "user_id", sessionize, batch_size=131072)
     return combine(sess, ["open_type", "dur_us"], sums=("cnt",), finish=finish,
                    schema=pa.schema([("open_type", pa.string()),
                                      ("dur_us", pa.int64()),
@@ -6919,8 +6885,13 @@ def _brand_discount_qty_corr(sf_dir: str):
                                 pa.string()),
             "disc_bp": disc[sel], "qty": qty[sel]})
 
-    ints = li.map_batches(prep, batch_format="pyarrow",
-                          batch_size=131072)
+    from h3ray.ops.join import seed_schema
+
+    ints = seed_schema(li.map_batches(prep, batch_format="pyarrow",
+                                      batch_size=131072),
+                       pa.schema([("p_brand", pa.string()),
+                                  ("disc_bp", pa.int64()),
+                                  ("qty", pa.int64())]))
     return grouped_corr_exact(ints, "p_brand", "disc_bp", "qty",
                               out_col="corr_disc_qty")
 
@@ -6939,17 +6910,10 @@ def _events_session_bounce(sf_dir: str):
     import pyarrow as pa
     import ray.data as rd
 
-    from h3ray.ops.reduce import combine
-    from h3ray.ops.skew import default_num_buckets
+    from h3ray.ops.reduce import combine, exchange
 
     ds = rd.read_parquet(f"{sf_dir}/events.parquet",
                          columns=["user_id", "ts", "event_type"])
-    nb = default_num_buckets()
-
-    def bucket(batch: pa.Table) -> pa.Table:
-        uid = batch["user_id"].to_numpy(zero_copy_only=False)
-        return batch.append_column(
-            "_bucket", pa.array((uid % nb).astype(np.int32)))
 
     def sessionize(group: pa.Table) -> pa.Table:
         uid = group["user_id"].to_numpy(zero_copy_only=False)
@@ -6990,9 +6954,7 @@ def _events_session_bounce(sf_dir: str):
             "n_sessions": ns, "n_bounce": nbn,
             "bounce_rate": pa.array(rate, pa.float64())})
 
-    sess = ds.map_batches(bucket, batch_format="pyarrow",
-                          batch_size=131072) \
-        .groupby("_bucket").map_groups(sessionize, batch_format="pyarrow")
+    sess = exchange(ds, "user_id", sessionize, batch_size=131072)
     return combine(sess, "open_type", sums=("n_sessions", "n_bounce"),
                    finish=finish,
                    schema=pa.schema([("open_type", pa.string()),
@@ -7528,11 +7490,8 @@ def _sites_reciprocity(sf_dir: str):
     import numpy as np
     import pyarrow as pa
 
-    from h3ray.io.pages import _mix64
-    from h3ray.ops.reduce import combine
-    from h3ray.ops.skew import default_num_buckets
+    from h3ray.ops.reduce import combine, exchange
 
-    nb = default_num_buckets()
     edges = _sites_edges_ds(sf_dir)
 
     def prep(batch: pa.Table) -> pa.Table:
@@ -7541,11 +7500,7 @@ def _sites_reciprocity(sf_dir: str):
         key = np.unique(src * np.int64(997) + dst)
         s, d = key // 997, key % 997
         lo, hi = np.minimum(s, d), np.maximum(s, d)
-        return pa.table({
-            "key": key,
-            "_bucket": (_mix64((lo * np.int64(997) + hi)
-                               .astype(np.uint64))
-                        % np.uint64(nb)).astype(np.int32)})
+        return pa.table({"key": key, "pair": lo * np.int64(997) + hi})
 
     def count(group: pa.Table) -> pa.Table:
         k = np.unique(group["key"].to_numpy(zero_copy_only=False))
@@ -7567,9 +7522,7 @@ def _sites_reciprocity(sf_dir: str):
             "reciprocity": pa.array(
                 [float(r) / float(n) if n else None], pa.float64())})
 
-    bucketed = edges.map_batches(prep, batch_format="pyarrow",
-                                 batch_size=131072) \
-        .groupby("_bucket").map_groups(count, batch_format="pyarrow")
+    bucketed = exchange(edges, "pair", count, prep=prep, batch_size=131072)
     return combine(bucketed, [], sums=("n_edges", "n_recip"),
                    finish=finish,
                    schema=pa.schema([("n_edges", pa.int64()),
@@ -7763,7 +7716,7 @@ def _events_reactivations_monthly(sf_dir: str):
     import pyarrow as pa
     import ray.data as rd
 
-    from h3ray.ops.reduce import combine
+    from h3ray.ops.reduce import combine, exchange
 
     GAP = 3 * 86_400_000_000
 
@@ -7786,10 +7739,9 @@ def _events_reactivations_monthly(sf_dir: str):
         uy, cnt = np.unique(ym, return_counts=True)
         return pa.table({"ym": uy, "n": cnt.astype(np.int64)})
 
-    bucketed = ds.map_batches(_user_bucket_prep(["event_id"]),
-                              batch_format="pyarrow",
-                              batch_size=131072) \
-        .groupby("_bucket").map_groups(resolve, batch_format="pyarrow")
+    bucketed = exchange(ds, "user_id", resolve,
+                        prep=_user_bucket_prep(["event_id"]),
+                        batch_size=131072)
 
     def finish(g: pa.Table) -> pa.Table:
         ym = g["ym"].to_numpy(zero_copy_only=False)
@@ -7857,19 +7809,15 @@ def _docs_common_prefix_groups(sf_dir: str):
     import pyarrow.compute as pc
     import ray.data as rd
 
-    from h3ray.io.pages import url_hash64
-    from h3ray.ops.reduce import combine
-    from h3ray.ops.skew import default_num_buckets
+    from h3ray.ops.reduce import combine, exchange
 
     ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
                          columns=["text"])
-    nb = default_num_buckets()
 
     def partial(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0:
             return pa.table({"prefix": pa.array([], pa.string()),
-                             "cnt": pa.array([], pa.int64()),
-                             "_bucket": pa.array([], pa.int32())})
+                             "cnt": pa.array([], pa.int64())})
         la = pc.split_pattern_regex(
             pc.utf8_trim_whitespace(pc.cast(batch["text"], pa.string())),
             r"\s+")
@@ -7890,11 +7838,8 @@ def _docs_common_prefix_groups(sf_dir: str):
             *cols, " ", null_handling="skip")
         t = pa.table({"prefix": prefix,
                       "cnt": np.ones(batch.num_rows, np.int64)})
-        g = t.group_by(["prefix"]).aggregate([("cnt", "sum")]) \
+        return t.group_by(["prefix"]).aggregate([("cnt", "sum")]) \
             .rename_columns(["prefix", "cnt"])
-        h = url_hash64(g["prefix"]).view(np.int64)
-        return g.append_column("_bucket", pa.array(
-            (h.view(np.uint64) % np.uint64(nb)).astype(np.int32)))
 
     def finish(group: pa.Table) -> pa.Table:
         g = group.group_by(["prefix"]).aggregate([("cnt", "sum")])
@@ -7904,9 +7849,7 @@ def _docs_common_prefix_groups(sf_dir: str):
             "prefix": g["prefix"].filter(pa.array(keep)),
             "n_docs": pa.array(n[keep], pa.int64())})
 
-    bucketed = ds.map_batches(partial, batch_format="pyarrow",
-                              batch_size=65536) \
-        .groupby("_bucket").map_groups(finish, batch_format="pyarrow")
+    bucketed = exchange(ds, "prefix", finish, prep=partial, batch_size=65536)
     return combine(bucketed, "prefix", sums=("n_docs",),
                    schema=pa.schema([("prefix", pa.string()),
                                      ("n_docs", pa.int64())]))
@@ -8004,7 +7947,7 @@ def _events_first_touch_conversion(sf_dir: str):
     import pyarrow as pa
     import ray.data as rd
 
-    from h3ray.ops.reduce import combine
+    from h3ray.ops.reduce import combine, exchange
 
     ds = rd.read_parquet(f"{sf_dir}/events.parquet",
                          columns=["user_id", "ts", "event_id",
@@ -8043,10 +7986,9 @@ def _events_first_touch_conversion(sf_dir: str):
                 [float(ci) / float(ni) for ci, ni in zip(c, n)],
                 pa.float64())})
 
-    bucketed = ds.map_batches(_user_bucket_prep(["event_id", "event_type"]),
-                              batch_format="pyarrow",
-                              batch_size=131072) \
-        .groupby("_bucket").map_groups(resolve, batch_format="pyarrow")
+    bucketed = exchange(ds, "user_id", resolve,
+                        prep=_user_bucket_prep(["event_id", "event_type"]),
+                        batch_size=131072)
     return combine(bucketed, "first_type", sums=("n", "conv"), finish=finish,
                    schema=pa.schema([("first_type", pa.string()),
                                      ("n", pa.int64()), ("conv", pa.int64())]))
@@ -8065,22 +8007,17 @@ def _orders_fanout_hist(sf_dir: str):
     import pyarrow as pa
     import ray.data as rd
 
-    from h3ray.io.pages import _mix64
-    from h3ray.ops.reduce import combine
-    from h3ray.ops.skew import default_num_buckets
+    from h3ray.ops.reduce import combine, exchange
 
     ds = rd.read_parquet(f"{sf_dir}/lineitem.parquet",
                          columns=["l_orderkey"])
-    nb = default_num_buckets()
 
     def partial(batch: pa.Table) -> pa.Table:
         ok = batch["l_orderkey"].to_numpy(zero_copy_only=False) \
             .astype(np.int64)
         u, c = np.unique(ok, return_counts=True)
         return pa.table({
-            "orderkey": u, "cnt": c.astype(np.int64),
-            "_bucket": (_mix64(u.astype(np.uint64))
-                        % np.uint64(nb)).astype(np.int32)})
+            "orderkey": u, "cnt": c.astype(np.int64)})
 
     def local_hist(group: pa.Table) -> pa.Table:
         ok = group["orderkey"].to_numpy(zero_copy_only=False)
@@ -8100,10 +8037,8 @@ def _orders_fanout_hist(sf_dir: str):
             "lines_per_order": pa.array(v[o], pa.int64()),
             "n_orders": pa.array(n[o], pa.int64())})
 
-    bucketed = ds.map_batches(partial, batch_format="pyarrow",
-                              batch_size=131072) \
-        .groupby("_bucket").map_groups(local_hist,
-                                       batch_format="pyarrow")
+    bucketed = exchange(ds, "orderkey", local_hist, prep=partial,
+                        batch_size=131072)
     return combine(bucketed, "lines_per_order", sums=("n_orders",),
                    finish=finish,
                    schema=pa.schema([("lines_per_order", pa.int64()),
@@ -8124,13 +8059,11 @@ def _docs_dup_loss_by_source(sf_dir: str):
     import pyarrow as pa
     import ray.data as rd
 
-    from h3ray.ops.reduce import combine
-    from h3ray.ops.skew import default_num_buckets
+    from h3ray.ops.reduce import combine, exchange
     from h3ray.text.analysis import fingerprint_stage
 
     ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
                          columns=["doc_id", "text", "source"])
-    nb = default_num_buckets()
     fp_fn = fingerprint_stage("text")
 
     def prep(batch: pa.Table) -> pa.Table:
@@ -8138,9 +8071,7 @@ def _docs_dup_loss_by_source(sf_dir: str):
         fp = t["fingerprint"].to_numpy(zero_copy_only=False)
         return pa.table({
             "fp": fp, "doc_id": batch["doc_id"],
-            "source": batch["source"],
-            "_bucket": pa.array(
-                (fp.view(np.uint64) % np.uint64(nb)).astype(np.int32))})
+            "source": batch["source"]})
 
     def resolve(group: pa.Table) -> pa.Table:
         fp = group["fp"].to_numpy(zero_copy_only=False)
@@ -8166,9 +8097,7 @@ def _docs_dup_loss_by_source(sf_dir: str):
                 g["dropped"].to_numpy(zero_copy_only=False),
                 pa.int64())})
 
-    bucketed = ds.map_batches(prep, batch_format="pyarrow",
-                              batch_size=65536) \
-        .groupby("_bucket").map_groups(resolve, batch_format="pyarrow")
+    bucketed = exchange(ds, "fp", resolve, prep=prep, batch_size=65536)
     return combine(
         bucketed, "source", sums=("n", "dropped"), finish=finish,
         schema=pa.schema([("source", pa.string()), ("n", pa.int64()),
@@ -8264,12 +8193,11 @@ def _events_burst_users(sf_dir: str):
             "user_id": pa.array(out_u, pa.int64()),
             "max_burst": pa.array(out_b, pa.int64())})
 
+    from h3ray.ops.reduce import exchange
     from h3ray.ops.join import seed_schema
     return seed_schema(
-        ds.map_batches(_user_bucket_prep([]), batch_format="pyarrow",
-                       batch_size=131072)
-        .groupby("_bucket").map_groups(resolve,
-                                       batch_format="pyarrow"),
+        exchange(ds, "user_id", resolve, prep=_user_bucket_prep([]),
+                 batch_size=131072),
         pa.schema([("user_id", pa.int64()),
                    ("max_burst", pa.int64())]))
 
@@ -8399,9 +8327,7 @@ def _region_part_coverage(sf_dir: str):
     import ray
     import ray.data as rd
 
-    from h3ray.io.pages import _mix64
-    from h3ray.ops.reduce import combine
-    from h3ray.ops.skew import default_num_buckets
+    from h3ray.ops.reduce import combine, exchange
 
     sup = pq.read_table(f"{sf_dir}/supplier.parquet",
                         columns=["s_suppkey", "s_nationkey"])
@@ -8429,7 +8355,6 @@ def _region_part_coverage(sf_dir: str):
     rname = reg["r_name"].to_numpy(zero_copy_only=False).astype(str)
     ro = np.argsort(rk)
     rk, rname = rk[ro], rname[ro]
-    nb = default_num_buckets()
 
     ds = rd.read_parquet(f"{sf_dir}/lineitem.parquet",
                          columns=["l_suppkey", "l_partkey"])
@@ -8441,16 +8366,11 @@ def _region_part_coverage(sf_dir: str):
         p = batch["l_partkey"].to_numpy(zero_copy_only=False) \
             .astype(np.int64)
         if keys.shape[0] == 0:
-            return pa.table({"key": pa.array([], pa.int64()),
-                             "_bucket": pa.array([], pa.int32())})
+            return pa.table({"key": pa.array([], pa.int64())})
         pos = np.minimum(np.searchsorted(keys, s), keys.shape[0] - 1)
         sel = keys[pos] == s
         key = np.unique((regs[pos[sel]] << np.int64(44)) | p[sel])
-        return pa.table({
-            "key": key,
-            "_bucket": (_mix64((key & ((np.int64(1) << 44) - 1))
-                               .astype(np.uint64))
-                        % np.uint64(nb)).astype(np.int32)})
+        return pa.table({"key": key})
 
     def distinct_counts(group: pa.Table) -> pa.Table:
         k = np.unique(group["key"].to_numpy(zero_copy_only=False))
@@ -8473,10 +8393,8 @@ def _region_part_coverage(sf_dir: str):
                                pa.string()),
             "n_parts": pa.array(n[ok], pa.int64())})
 
-    bucketed = ds.map_batches(pair_partial, batch_format="pyarrow",
-                              batch_size=131072) \
-        .groupby("_bucket").map_groups(distinct_counts,
-                                       batch_format="pyarrow")
+    bucketed = exchange(ds, "key", distinct_counts, prep=pair_partial,
+                        batch_size=131072)
     return combine(bucketed, "regionkey", sums=("n",), finish=finish,
                    schema=pa.schema([("regionkey", pa.int64()),
                                      ("n", pa.int64())]))
@@ -8497,7 +8415,7 @@ def _users_fifth_event_latency(sf_dir: str):
     import pyarrow as pa
     import ray.data as rd
 
-    from h3ray.ops.reduce import combine
+    from h3ray.ops.reduce import combine, exchange
 
     ds = rd.read_parquet(f"{sf_dir}/events.parquet",
                          columns=["user_id", "ts", "event_id"])
@@ -8526,10 +8444,9 @@ def _users_fifth_event_latency(sf_dir: str):
             "avg_gap_us": pa.array(
                 [float(sg) / float(n) if n else None], pa.float64())})
 
-    bucketed = ds.map_batches(_user_bucket_prep(["event_id"]),
-                              batch_format="pyarrow",
-                              batch_size=131072) \
-        .groupby("_bucket").map_groups(resolve, batch_format="pyarrow")
+    bucketed = exchange(ds, "user_id", resolve,
+                        prep=_user_bucket_prep(["event_id"]),
+                        batch_size=131072)
     return combine(bucketed, [], sums=("sum_gap", "n"), finish=finish,
                    schema=pa.schema([("sum_gap", pa.int64()),
                                      ("n", pa.int64())]))
@@ -9510,7 +9427,7 @@ def _events_partition_fingerprints(sf_dir: str):
 
     ds = rd.read_parquet(f"{sf_dir}/events.parquet",
                          columns=["event_id"])
-    return table_fingerprint(ds, "event_id", num_buckets=64)
+    return table_fingerprint(ds, "event_id")
 
 
 def _events_trailing_7d(sf_dir: str):

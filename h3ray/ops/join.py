@@ -4,7 +4,8 @@ Shape: both sides are bucketed by key hash (co-partitioning), null-padded to
 a common schema, tagged with a side flag and unioned; one groupby(bucket)
 shuffle co-locates matching keys; inside each bucket a vectorized sorted
 merge join (lexsort + searchsorted + ragged expansion) emits the join rows.
-No driver materialization; reducer count = num_buckets (~4x cluster cores).
+No driver materialization; both sides ride one ops.reduce.exchange, so the
+reducer count is default_num_buckets() (~4x cluster cores).
 
 Relationship to the native `Dataset.join` (which Ray 2.49 does provide;
 the library's shuffle joins, e.g. knn_join_shuffle and pip_join_shuffle,
@@ -22,8 +23,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ..io.pages import _mix64
-from .skew import default_num_buckets
+from .reduce import exchange
 
 
 def _ragged_take(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -50,7 +50,7 @@ def arrow_types(schema) -> dict[str, pa.DataType]:
 
 
 def hash_join(left_ds, right_ds, left_key: str, right_key: str,
-              num_buckets: int | None = None, how: str = "inner"):
+              how: str = "inner"):
     """Equi-join two Datasets on int64 keys.
 
     Output columns: `left_key` plus every non-key column of both sides
@@ -64,7 +64,6 @@ def hash_join(left_ds, right_ds, left_key: str, right_key: str,
     """
     if how not in ("inner", "left", "full"):
         raise ValueError(f"unsupported how={how!r}")
-    nb = num_buckets or default_num_buckets()
 
     lschema = left_ds.schema()
     rschema = right_ds.schema()
@@ -85,7 +84,7 @@ def hash_join(left_ds, right_ds, left_key: str, right_key: str,
     fields = ([pa.field("_key", pa.int64()), pa.field("_side", pa.int8())]
               + [pa.field(c, ltypes[c]) for c in lcols]
               + [pa.field(c, rtypes[c]) for c in rcols])
-    union_schema = pa.schema(fields + [pa.field("_bucket", pa.int32())])
+    union_schema = pa.schema(fields)
 
     def pad(key_col: str, side: int):
         def fn(batch: pa.Table) -> pa.Table:
@@ -109,22 +108,9 @@ def hash_join(left_ds, right_ds, left_key: str, right_key: str,
                     arrays.append(col)
                 else:
                     arrays.append(pa.nulls(n, f.type))
-            bucket = (_mix64(keys.view(np.uint64))
-                      % np.uint64(nb)).astype(np.int32)
-            arrays.append(pa.array(bucket))
             return pa.Table.from_arrays(arrays, schema=union_schema)
 
         return fn
-
-    # batch_size coalesces tiny upstream blocks BEFORE the groupby exchange:
-    # the sort's per-partition overhead is driven by input block count, and
-    # a small table read as 64x ~100-row blocks measurably doubles the
-    # shuffle wall. 32K rows keeps payload batches bounded at scale.
-    tagged = left_ds.map_batches(pad(left_key, 0), batch_format="pyarrow",
-                                 batch_size=32768) \
-        .union(right_ds.map_batches(pad(right_key, 1),
-                                    batch_format="pyarrow",
-                                    batch_size=32768))
 
     out_schema = pa.schema([pa.field(left_key, pa.int64())]
                            + [pa.field(c, ltypes[c]) for c in lcols]
@@ -202,8 +188,13 @@ def hash_join(left_ds, right_ds, left_key: str, right_key: str,
 
     import ray.data as rd
 
-    joined = tagged.groupby("_bucket").map_groups(merge,
-                                                  batch_format="pyarrow")
+    # batch_size coalesces tiny upstream blocks BEFORE the exchange: the
+    # sort's per-partition overhead is driven by input block count, and a
+    # small table read as 64x ~100-row blocks measurably doubles the
+    # shuffle wall. 32K rows keeps payload batches bounded at scale.
+    joined = exchange([left_ds, right_ds], "_key", merge,
+                      prep=[pad(left_key, 0), pad(right_key, 1)],
+                      batch_size=32768)
     # Zero groups (both inputs empty) yield a schema-less Dataset that
     # breaks downstream joins/aggregates; a typed empty seed block keeps
     # out_schema alive at negligible cost.
@@ -225,7 +216,7 @@ def seed_schema(ds, schema: pa.Schema):
 
 
 def semi_join(left_ds, right_ds, left_key: str, right_key: str,
-              num_buckets: int | None = None, anti: bool = False):
+              anti: bool = False):
     """Distributed semi/anti equi-join on int64 keys.
 
     Semi: left rows whose key appears on the right (SQL EXISTS). Anti: left
@@ -237,7 +228,6 @@ def semi_join(left_ds, right_ds, left_key: str, right_key: str,
     Null keys follow EXISTS semantics: a null never matches, so null-key
     left rows are dropped by semi and RETAINED by anti (unlike NOT IN).
     """
-    nb = num_buckets or default_num_buckets()
     lschema = left_ds.schema()
     if lschema is None:
         raise ValueError("semi_join/anti_join requires a left input with a "
@@ -248,7 +238,7 @@ def semi_join(left_ds, right_ds, left_key: str, right_key: str,
     lcols = list(lschema.names)
     fields = ([pa.field("_key", pa.int64()), pa.field("_side", pa.int8())]
               + [pa.field(c, ltypes[c]) for c in lcols])
-    union_schema = pa.schema(fields + [pa.field("_bucket", pa.int32())])
+    union_schema = pa.schema(fields)
     out_schema = pa.schema([pa.field(c, ltypes[c]) for c in lcols])
 
     def pad(key_col: str, side: int):
@@ -272,18 +262,9 @@ def semi_join(left_ds, right_ds, left_key: str, right_key: str,
                     arrays.append(col)
                 else:
                     arrays.append(pa.nulls(n, f.type))
-            bucket = (_mix64(keys.view(np.uint64))
-                      % np.uint64(nb)).astype(np.int32)
-            arrays.append(pa.array(bucket))
             return pa.Table.from_arrays(arrays, schema=union_schema)
 
         return fn
-
-    tagged = left_ds.map_batches(pad(left_key, 0), batch_format="pyarrow",
-                                 batch_size=32768) \
-        .union(right_ds.select_columns([right_key])
-               .map_batches(pad(right_key, 1), batch_format="pyarrow",
-                            batch_size=65536))
 
     def probe(group: pa.Table) -> pa.Table:
         side = group["_side"].to_numpy(zero_copy_only=False)
@@ -306,9 +287,9 @@ def semi_join(left_ds, right_ds, left_key: str, right_key: str,
 
     import ray.data as rd
 
-    result = rd.from_arrow(out_schema.empty_table()).union(
-        tagged.groupby("_bucket").map_groups(probe,
-                                             batch_format="pyarrow"))
+    result = rd.from_arrow(out_schema.empty_table()).union(exchange(
+        [left_ds, right_ds.select_columns([right_key])], "_key", probe,
+        prep=[pad(left_key, 0), pad(right_key, 1)], batch_size=32768))
     if anti:
         # NOT EXISTS keeps null-key left rows; they bypass the shuffle.
         def nulls_only(batch: pa.Table) -> pa.Table:
@@ -323,11 +304,9 @@ def semi_join(left_ds, right_ds, left_key: str, right_key: str,
     return result
 
 
-def anti_join(left_ds, right_ds, left_key: str, right_key: str,
-              num_buckets: int | None = None):
+def anti_join(left_ds, right_ds, left_key: str, right_key: str):
     """Left rows with no key match on the right (SQL NOT EXISTS)."""
-    return semi_join(left_ds, right_ds, left_key, right_key,
-                     num_buckets=num_buckets, anti=True)
+    return semi_join(left_ds, right_ds, left_key, right_key, anti=True)
 
 
 def range_join_stage(intervals: pa.Table, val_col: str,

@@ -2,9 +2,8 @@
 
 Dedup pipelines emit the same (a, b) pair once per colliding band; the
 distinct must not funnel the (unbounded) pair set through the driver.
-Pattern: hash each pair to one of `num_buckets` buckets, groupby(bucket),
-np.unique inside each group — exact, bounded group count, shuffle moves the
-pair rows once.
+Pattern: one ops.reduce.exchange on the pair, np.unique inside each bucket
+— exact, bounded group count, shuffle moves the pair rows once.
 """
 
 from __future__ import annotations
@@ -12,22 +11,14 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ..io.pages import _mix64
+from .reduce import exchange
 
 
 def distinct_pairs(pairs_ds, col_a: str, col_b: str,
-                   num_buckets: int = 32, keep: tuple[str, ...] = ()):
+                   keep: tuple[str, ...] = ()):
     """Exact distinct on (col_a, col_b); `keep` columns take the value of an
     arbitrary surviving duplicate (they are equal across duplicates in all
     current uses — similarity scores recomputed identically per band)."""
-
-    def bucket(batch: pa.Table) -> pa.Table:
-        a = batch[col_a].to_numpy(zero_copy_only=False).astype(np.uint64)
-        b = batch[col_b].to_numpy(zero_copy_only=False).astype(np.uint64)
-        h = _mix64(a * np.uint64(0x9E3779B97F4A7C15) + _mix64(b))
-        return batch.append_column(
-            "_bucket", pa.array((h % np.uint64(num_buckets)).astype(
-                np.int32)))
 
     def dedup(group: pa.Table) -> pa.Table:
         a = group[col_a].to_numpy(zero_copy_only=False)
@@ -47,9 +38,7 @@ def distinct_pairs(pairs_ds, col_a: str, col_b: str,
 
     # batch_size coalesces tiny upstream blocks before the exchange (the
     # sort pays per input block, not per row).
-    return pairs_ds.map_batches(bucket, batch_format="pyarrow",
-                                batch_size=65536) \
-        .groupby("_bucket").map_groups(dedup, batch_format="pyarrow")
+    return exchange(pairs_ds, [col_a, col_b], dedup, batch_size=65536)
 
 
 def _levenshtein_matrix(sa: np.ndarray, sb: np.ndarray) -> np.ndarray:
@@ -93,7 +82,7 @@ def _levenshtein_matrix(sa: np.ndarray, sb: np.ndarray) -> np.ndarray:
 
 
 def fuzzy_pairs_blocked(ds, key_col: str, str_col: str, *,
-                        max_dist: int = 2, num_buckets: int = 32):
+                        max_dist: int = 2):
     """Record-linkage fuzzy join: all within-blocking-key string pairs
     with Levenshtein distance <= max_dist (a < b lexicographically).
     Returns a Dataset (key, str_a, str_b, dist int64).
@@ -103,7 +92,7 @@ def fuzzy_pairs_blocked(ds, key_col: str, str_col: str, *,
     cost is sum_k |key_k|^2 string comparisons, never corpus-quadratic
     — hot keys are the caller's responsibility (tighter blocking), and
     the DP itself vectorizes over all of a reducer's pairs at once.
-    Keys hash-bucket into reducers (run detection inside, never a
+    Keys exchange into hash buckets (run detection inside, never a
     per-key tiny group); only (key, string) rows shuffle."""
     from .join import seed_schema
 
@@ -112,13 +101,8 @@ def fuzzy_pairs_blocked(ds, key_col: str, str_col: str, *,
                             ("str_b", pa.string()),
                             ("dist", pa.int64())])
 
-    def bucket(batch: pa.Table) -> pa.Table:
-        from ..io.pages import url_hash64
-
-        h = url_hash64(batch[key_col])
-        return pa.table({
-            "key": batch[key_col], "s": batch[str_col],
-            "_bucket": (h % np.uint64(num_buckets)).astype(np.int32)})
+    def project(batch: pa.Table) -> pa.Table:
+        return pa.table({"key": batch[key_col], "s": batch[str_col]})
 
     def pairs(group: pa.Table) -> pa.Table:
         key = group["key"].to_numpy(zero_copy_only=False)
@@ -153,7 +137,5 @@ def fuzzy_pairs_blocked(ds, key_col: str, str_col: str, *,
                          "str_b": pa.array(s[ib[keep]], pa.string()),
                          "dist": d[keep]})
 
-    return seed_schema(
-        ds.map_batches(bucket, batch_format="pyarrow", batch_size=65536)
-        .groupby("_bucket").map_groups(pairs, batch_format="pyarrow"),
-        out_schema)
+    return seed_schema(exchange(ds, "key", pairs, prep=project,
+                                batch_size=65536), out_schema)

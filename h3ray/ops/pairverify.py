@@ -36,7 +36,6 @@ from .join import arrow_types, hash_join
 def route_pairs_and_payload(payload_ds, pairs_ds, key_col: str,
                             payload_cols: list[str],
                             pair_a: str = "key_a", pair_b: str = "key_b",
-                            num_buckets: int = 32,
                             keep_pair_cols: tuple[str, ...] = ()):
     """Co-locate each candidate pair with BOTH endpoints' payload rows.
 
@@ -46,9 +45,12 @@ def route_pairs_and_payload(payload_ds, pairs_ds, key_col: str,
     (pair_a, pair_b, *keep_pair_cols); other columns are null. Use
     `split_pair_group` inside the verifier. `n_pairs == 0` means no
     verification is needed (the caller should return its empty schema —
-    a groupby over zero rows has no stable schema).
+    a groupby over zero rows has no stable schema). Pairs spread over
+    default_num_buckets() verification buckets.
     """
-    nb = np.uint64(num_buckets)
+    from .reduce import default_num_buckets
+
+    nb = np.uint64(default_num_buckets())
 
     def add_vbucket(batch: pa.Table) -> pa.Table:
         a = batch[pair_a].to_numpy(zero_copy_only=False).astype(np.int64) \
@@ -85,13 +87,12 @@ def route_pairs_and_payload(payload_ds, pairs_ds, key_col: str,
     routing = distinct_pairs(cand.map_batches(explode_routing,
                                               batch_format="pyarrow",
                                               batch_size=65536),
-                             key_col, "_vbucket", num_buckets=num_buckets)
+                             key_col, "_vbucket")
 
     payload = payload_ds
     if set(payload.schema().names) != {key_col, *payload_cols}:
         payload = payload.select_columns([key_col] + list(payload_cols))
-    joined = hash_join(payload, routing, key_col, key_col,
-                       num_buckets=num_buckets)
+    joined = hash_join(payload, routing, key_col, key_col)
 
     ptypes = arrow_types(payload.schema())
     ktypes = arrow_types(cand.schema())

@@ -64,19 +64,9 @@ def _grouped_order_select_distributed(ds, key_col: str, value_col: str,
     rows land in one reducer, then one vectorized segmented selection per
     bucket — lexsort by (key, value), segment boundaries, per-quantile
     rank gathers. No driver materialization anywhere."""
-    from ..io.pages import _mix64
-    from .sample import _key_hash
-    from .skew import default_num_buckets
+    from .reduce import exchange
 
-    nb = default_num_buckets()
     n_q = len(qs)
-
-    def bucket(batch: pa.Table) -> pa.Table:
-        h = _key_hash(batch[key_col])
-        return pa.table({
-            key_col: batch[key_col],
-            value_col: batch[value_col],
-            "_bucket": (_mix64(h) % np.uint64(nb)).astype(np.int32)})
 
     def select(group: pa.Table) -> pa.Table:
         karr = group[key_col].to_numpy(zero_copy_only=False)
@@ -110,11 +100,9 @@ def _grouped_order_select_distributed(ds, key_col: str, value_col: str,
             + [pa.array(o) for o in outs],
             names=[key_col] + list(out_cols))
 
-    return ds.map_batches(bucket, batch_format="pyarrow",
-                          batch_size=131072) \
-        .groupby("_bucket").map_groups(
-            lambda g: select(g.drop_columns(["_bucket"])),
-            batch_format="pyarrow")
+    return exchange(ds, key_col, select,
+                    prep=lambda b: b.select([key_col, value_col]),
+                    batch_size=131072)
 
 
 def _grouped_order_select(ds, key_col: str, value_col: str,

@@ -20,14 +20,21 @@ folds (bloom OR, fingerprint XOR), the skyline, the OHLC tie rule, top-k
 and bottom-k, Misra-Gries compression, plain collectors and the tile
 compaction (tests/test_combine.py keeps that list).
 
-For genuinely unbounded key spaces, use the groupby/shuffle paths instead
-(e.g. compact_cells_dataset(shuffle=True)).
+An unbounded key space goes through `exchange` instead: one map hashes
+each row's keys into one of `default_num_buckets()` buckets, and one
+`groupby("_bucket").map_groups` hands each bucket's rows to the caller's
+vectorized reducer. It is the library's one hash exchange, and
+`default_num_buckets` the one place that sizes it.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+
+from ..io.pages import _mix64
+from .sample import _key_hash
 
 
 def driver_merge(ds, merge_fn, schema: pa.Schema | None = None) -> pa.Table:
@@ -97,6 +104,68 @@ def combine(ds, keys, *, sums=(), mins=(), maxs=(), count=None, prep=None,
                         schema=schema)
 
 
+def default_num_buckets() -> int:
+    """Reducer bucket count of every hash exchange: ~4x cluster cores, so
+    no reducer holds more than ~1/(4 cores) of the data and parallelism
+    is never capped by a fixed constant. Tests reach small counts by
+    monkeypatching this function."""
+    import ray
+
+    if ray.is_initialized():
+        return max(32, int(4 * ray.cluster_resources().get("CPU", 8)))
+    return 128
+
+
+def _bucket_ids(table: pa.Table, keys: list, nb: int) -> np.ndarray:
+    """int32 bucket of every row: `ops.sample._key_hash` of the first key
+    column, each further key mixed in, modulo `nb`."""
+    h = _key_hash(table[keys[0]])
+    for k in keys[1:]:
+        h = _mix64(h * np.uint64(0x9E3779B97F4A7C15) + _key_hash(table[k]))
+    return (h % np.uint64(nb)).astype(np.int32)
+
+
+def exchange(ds, keys, fn, *, prep=None, batch_size=None):
+    """Hash exchange: every row with the same `keys` reaches one call of
+    `fn`, which gets a whole bucket of keys at once (run detection by
+    lexsort inside, never one tiny group per key).
+
+    One `map_batches` runs `prep(batch)` (the rows to ship; default the
+    batch itself) and appends `_bucket`, the rows' key hash modulo
+    `default_num_buckets()`; `groupby("_bucket").map_groups` then runs
+    `fn` on each bucket's table with `_bucket` dropped. `ds` may also be
+    a list of Datasets, the sides of a co-partitioned join, with `prep`
+    one callable per side emitting one common schema: each side is
+    tagged in its own map and the tagged sides are unioned before the
+    groupby."""
+    keys = [keys] if isinstance(keys, str) else list(keys)
+    sides = ds if isinstance(ds, list) else [ds]
+    preps = prep if isinstance(prep, list) else [prep] * len(sides)
+    nb = default_num_buckets()
+
+    def tagger(side_prep):
+        def tag(batch: pa.Table) -> pa.Table:
+            if side_prep is not None:
+                batch = side_prep(batch)
+            return batch.append_column(
+                "_bucket", pa.array(_bucket_ids(batch, keys, nb)))
+
+        return tag
+
+    tagged = [s.map_batches(tagger(p), batch_format="pyarrow",
+                            batch_size=batch_size)
+              for s, p in zip(sides, preps)]
+    union = tagged[0].union(*tagged[1:]) if len(tagged) > 1 else tagged[0]
+
+    def reduce_bucket(group: pa.Table) -> pa.Table:
+        if "_bucket" in group.column_names:
+            group = group.drop_columns(["_bucket"])
+        return fn(group)
+
+    return union.groupby("_bucket").map_groups(reduce_bucket,
+                                               batch_format="pyarrow")
+
+
 def grouped_mode(ds, key_col: str, value_col: str,
                  out_col: str = "mode_value") -> pa.Table:
     """Per-key MODE (most frequent value), ties broken by smallest value —
@@ -107,8 +176,6 @@ def grouped_mode(ds, key_col: str, value_col: str,
     distinct pairs, the bounded partials driver-merge, and one vectorized
     lexsort picks each key's (count DESC, value ASC) winner. Unbounded
     value spaces should pre-bucket instead (see ops.skew)."""
-    import numpy as np
-
     def finish(g: pa.Table) -> pa.Table:
         keys = g[key_col].to_numpy(zero_copy_only=False)
         vals = g[value_col].to_numpy(zero_copy_only=False)
@@ -134,8 +201,6 @@ def pivot_counts(ds, row_col: str, col_col: str, col_values: list,
     must not depend on the data). Per-batch (row, col) pair-count
     combiner, bounded driver merge, then a vectorized scatter into the
     |rows| x |cols| matrix. Values outside col_values are dropped."""
-    import numpy as np
-
     def finish(g: pa.Table) -> pa.Table:
         rows = g[row_col].to_numpy(zero_copy_only=False)
         cols = g[col_col].to_numpy(zero_copy_only=False)
@@ -162,8 +227,6 @@ def profile_numeric(ds, cols: list) -> pa.Table:
     summation-order-free and engine-portable. One combiner row per column
     per batch, bounded driver merge; all-null columns profile with null
     min/max/sum."""
-    import numpy as np
-
     def partial(batch: pa.Table) -> pa.Table:
         rows = {"column": [], "n_rows": [], "n_null": [],
                 "min_micro": [], "max_micro": [], "sum_micro": []}
@@ -201,8 +264,6 @@ def grouped_string_agg_distinct(ds, key_col: str, value_col: str,
     spaces: per-batch distinct-pair combiner, bounded driver merge, one
     lexsort, then per-key joins over the already-distinct pair rows (the
     output is pair-space-sized by construction)."""
-    import numpy as np
-
     def finish(g: pa.Table) -> pa.Table:
         keys = g[key_col].to_numpy(zero_copy_only=False)
         vals = g[value_col].to_numpy(zero_copy_only=False)
@@ -244,8 +305,6 @@ def unpivot(ds, id_col: str, value_cols: list,
 def _hugeint(values) -> pa.Array:
     """int64 values as an exact decimal128(38, 0) column — Arrow's
     HUGEINT: a combine can SUM it where an int64 SUM would wrap."""
-    import numpy as np
-
     return pa.array(np.asarray(values, np.int64)).cast(
         pa.decimal128(38, 0))
 
@@ -257,7 +316,9 @@ def _exact_moments(ds, key_col: str, names: list, products, out: list,
     returns (one array per entry of `names`), every product a HUGEINT
     column so no sum can wrap. `row(n, *sums)` maps one key's Python-int
     moments to its output values, named and typed by `out` (pa fields
-    after the key). Rows come out sorted by key."""
+    after the key). Rows come out sorted by key; over an input with no
+    rows, an empty table of those columns, the key typed as in the
+    input's schema."""
     def prep(batch: pa.Table) -> pa.Table:
         return pa.table({key_col: batch[key_col],
                          **{c: _hugeint(v)
@@ -272,14 +333,19 @@ def _exact_moments(ds, key_col: str, names: list, products, out: list,
                                        for v, f in zip(cols, out)],
                         names=[key_col] + [f.name for f in out])
 
-    return combine(ds, key_col, count="_n", sums=names, prep=prep,
-                   finish=finish, batch_size=131072)
+    t = combine(ds, key_col, count="_n", sums=names, prep=prep,
+                finish=finish, batch_size=131072)
+    if t.num_columns:
+        return t
+    sch = ds.schema(fetch_if_missing=True)  # no rows: a cheap fetch
+    base = getattr(sch, "base_schema", sch)
+    key = base.field(key_col) if base is not None \
+        else pa.field(key_col, pa.null())
+    return pa.schema([key] + out).empty_table()
 
 
 def _ints(batch: pa.Table, *cols: str) -> list:
     """Each of `cols` as an int64 numpy array."""
-    import numpy as np
-
     return [batch[c].to_numpy(zero_copy_only=False).astype(np.int64)
             for c in cols]
 
@@ -358,8 +424,6 @@ def grouped_var_exact(ds, key_col: str, x_col: str,
     matches bit-for-bit. Keys with n < 2 emit NULL (SQL VAR_SAMP).
     Returns pa.Table (key_col, n_rows, var_value, stddev_value)."""
     import math
-
-    import numpy as np
 
     sq = float(scale) * float(scale)
 
@@ -506,7 +570,6 @@ def grouping_sets_counts(ds, cols: list[str], sets: list[tuple],
     lattice siblings: group columns must be non-null (actual NULLs would
     conflate with the set markers); an empty input yields the ()-grouping
     row (COUNT 0 / SUM NULL) only if () is among `sets`."""
-    import numpy as np
     import pyarrow.compute as pc
 
     cols = list(cols)
@@ -558,8 +621,6 @@ def _skyline_mask(lo, hi):
     lo' <= lo AND hi' >= hi with at least one strict — exact duplicates
     all survive (nothing strictly beats them). One lexsort + one prefix
     max, O(n log n), fully deterministic."""
-    import numpy as np
-
     n = lo.shape[0]
     if n == 0:
         return np.zeros(0, dtype=bool)
@@ -591,8 +652,6 @@ def skyline_2d(ds, id_col: str, min_col: str, max_col: str) -> pa.Table:
     anti-correlated corpus whose front IS the dataset would need a
     two-level grid-partitioned merge instead — out of scope here and
     loudly visible as a fat root if it ever happens."""
-    import numpy as np
-
     cols = [id_col, min_col, max_col]
     schema = pa.schema([(c, pa.int64()) for c in cols])
 
@@ -635,8 +694,6 @@ def cohort_counts(ds, user_col: str, month_col: str) -> pa.Table:
     user's cohort with one run-detection pass over the pack-sorted
     array (monotone packing => sorted by (user, month)), and bincounts
     (cohort, k). No shuffle, no per-user groups."""
-    import numpy as np
-
     def prep(batch: pa.Table) -> pa.Table:
         u = batch[user_col].to_numpy(zero_copy_only=False) \
             .astype(np.int64)
@@ -681,15 +738,11 @@ def ohlc_daily(ds, key_col: str, ts_col: str, value_col: str) -> pa.Table:
     bounded partials. Values only move through MIN/MAX comparisons —
     no float arithmetic ever happens, so float64 passes through
     bit-exactly."""
-    import numpy as np
-
     INT_MIN = np.iinfo(np.int64).min
 
     def candles(key, day, ts, val, n_in):
         """One candle row per (key, day) from per-row (or per-partial
         boundary) data; n_in sums into n_events."""
-        import numpy as np
-
         comp = np.char.add(np.char.add(key.astype(np.str_), "\x1f"), day)
         uniq, inv = np.unique(comp, return_inverse=True)
         m = uniq.shape[0]
@@ -789,18 +842,18 @@ def ohlc_daily(ds, key_col: str, ts_col: str, value_col: str) -> pa.Table:
                         schema=pschema)
 
 
-def table_fingerprint(ds, key_col: str, num_buckets: int = 64) -> pa.Table:
+#: Buckets of `table_fingerprint`; part of its output, so fixed.
+FINGERPRINT_BUCKETS = 64
+
+
+def table_fingerprint(ds, key_col: str) -> pa.Table:
     """Per-hash-bucket table fingerprint for cross-run/anti-entropy
-    data validation: bucket = mix64(key) % num_buckets, with the
+    data validation: bucket = mix64(key) % FINGERPRINT_BUCKETS, with the
     bucket's row count and the XOR-fold of all its mix64 hashes.
     XOR is commutative+associative, so the fingerprint is
     order/blocking/retry-invariant — two runs (or two replicas) agree
     iff every bucket row matches, and a mismatch localizes the damage
     to one bucket. Returns (bucket, n_rows, xor_fp int64 bit-view)."""
-    import numpy as np
-
-    from ..io.pages import _mix64
-
     schema = pa.schema([("bucket", pa.int64()), ("n_rows", pa.int64()),
                         ("xor_fp", pa.int64())])
 
@@ -808,10 +861,10 @@ def table_fingerprint(ds, key_col: str, num_buckets: int = 64) -> pa.Table:
         k = batch[key_col].to_numpy(zero_copy_only=False) \
             .astype(np.uint64)
         h = _mix64(k)
-        b = (h % np.uint64(num_buckets)).astype(np.int64)
-        acc = np.zeros(num_buckets, dtype=np.uint64)
+        b = (h % np.uint64(FINGERPRINT_BUCKETS)).astype(np.int64)
+        acc = np.zeros(FINGERPRINT_BUCKETS, dtype=np.uint64)
         np.bitwise_xor.at(acc, b, h)
-        n = np.bincount(b, minlength=num_buckets).astype(np.int64)
+        n = np.bincount(b, minlength=FINGERPRINT_BUCKETS).astype(np.int64)
         nz = np.flatnonzero(n)
         return pa.table({"bucket": nz.astype(np.int64), "n_rows": n[nz],
                          "xor_fp": acc[nz].view(np.int64)})
@@ -822,9 +875,9 @@ def table_fingerprint(ds, key_col: str, num_buckets: int = 64) -> pa.Table:
             return schema.empty_table()
         fp = t["xor_fp"].to_numpy(zero_copy_only=False)
         n = t["n_rows"].to_numpy(zero_copy_only=False)
-        acc = np.zeros(num_buckets, dtype=np.int64)
+        acc = np.zeros(FINGERPRINT_BUCKETS, dtype=np.int64)
         np.bitwise_xor.at(acc, b, fp)       # int64 xor == uint64 xor
-        cnt = np.zeros(num_buckets, dtype=np.int64)
+        cnt = np.zeros(FINGERPRINT_BUCKETS, dtype=np.int64)
         np.add.at(cnt, b, n)
         nz = np.flatnonzero(cnt)
         return pa.table({"bucket": nz.astype(np.int64),

@@ -114,8 +114,7 @@ def repeat_by_group(ds, group_col: str, factors: dict, default: int = 1,
     return ds.map_batches(fn, batch_format="pyarrow")
 
 
-def cap_per_group(ds, group_col: str, key_col: str, k: int, salt: int = 0,
-                  num_buckets: int | None = None):
+def cap_per_group(ds, group_col: str, key_col: str, k: int, salt: int = 0):
     """Per-group quota cap (e.g. at most k documents per source/domain —
     the anti-boilerplate crawl cap): keep the k rows whose key hash is
     SMALLEST within each group. Winners are a deterministic, key-stable
@@ -141,7 +140,7 @@ def cap_per_group(ds, group_col: str, key_col: str, k: int, salt: int = 0,
 
     ranked = ds.map_batches(add_rank, batch_format="pyarrow")
     out = salted_top_k(ranked, group_col, "_hash_desc", k,
-                       tiebreak_col=key_col, num_buckets=num_buckets)
+                       tiebreak_col=key_col)
 
     def strip(batch: pa.Table) -> pa.Table:
         return batch.drop_columns(["_hash_desc"])

@@ -12,7 +12,9 @@ Data directly:
     gives each bucket's global carry, broadcast via ray.put.
   pass 2: groupby bucket -> one vectorized sort + cumsum per bucket plus
     its carry. Every bucket is independent, so the wide step is one
-    hash-bucket groupby, never a global sort.
+    range-bucket groupby, never a global sort. (A range bucket holds a
+    contiguous key range, not a hash of the key, so it is not an
+    ops.reduce.exchange.)
 
 Scale assumptions (documented, matching the repo's other bucketed ops):
 the order key is int64 and roughly uniform over its range, so
@@ -53,39 +55,66 @@ def _bucket_carries(ds, order_col: str, value_col: str, bucket_width: int,
     return t["_bucket"].to_numpy(), t["_carry"].to_numpy()
 
 
-def global_exclusive_cumsum(ds, order_col: str, value_col: str,
-                            out_col: str = "excl_cumsum",
-                            bucket_width: int = 65536):
-    """Append `out_col` = sum of `value_col` over all rows with a strictly
-    smaller `order_col` (exclusive running total in global key order).
-    Keys must be unique int64; values are summed as int64 (exact)."""
+def _scan(ds, order_col: str, value_col: str, bucket_width: int, agg: str,
+          carry, scan, out_col: str):
+    """Both passes: `_bucket_carries`, then every key-range bucket's rows
+    (`key // bucket_width`) to one call of `scan(group, carry)` with
+    that bucket's carry. Over an input with no rows the result is an
+    empty table of the input's columns plus an int64 `out_col`."""
     import ray
-    import ray.data  # noqa: F401
+    import ray.data as rd
 
     if bucket_width < 1:
         raise ValueError(f"bucket_width must be >= 1, got {bucket_width}")
-
-    carry_ref = ray.put(_bucket_carries(
-        ds, order_col, value_col, bucket_width, "sums",
-        lambda tot: np.cumsum(tot) - tot))
+    buckets, carries = _bucket_carries(ds, order_col, value_col,
+                                       bucket_width, agg, carry)
+    if not buckets.size:
+        sch = ds.schema(fetch_if_missing=True)
+        base = getattr(sch, "base_schema", sch) or []
+        return rd.from_arrow(pa.schema(
+            [f for f in base if f.name != out_col]
+            + [pa.field(out_col, pa.int64())]).empty_table())
+    carry_ref = ray.put((buckets, carries))
 
     def bucketize(batch: pa.Table) -> pa.Table:
         k = batch[order_col].to_numpy(zero_copy_only=False).astype(np.int64)
         return batch.append_column("_bucket",
                                    pa.array(k // bucket_width))
 
-    def scan(group: pa.Table) -> pa.Table:
-        buckets, carries = ray.get(carry_ref)
+    def per_bucket(group: pa.Table) -> pa.Table:
+        bs, cs = ray.get(carry_ref)
+        group = group.drop_columns(["_bucket"])
+        k = group[order_col].to_numpy(zero_copy_only=False).astype(np.int64)
+        return scan(group, cs[np.searchsorted(bs, k[0] // bucket_width)])
+
+    return ds.map_batches(bucketize, batch_format="pyarrow") \
+        .groupby("_bucket").map_groups(per_bucket, batch_format="pyarrow")
+
+
+def _exclusive_cumsum(ds, order_col: str, value_col: str, out_col: str,
+                      bucket_width: int, fn):
+    """`out_col` = fn(exclusive running int64 sum of `value_col`) in
+    global `order_col` order."""
+    def scan(group: pa.Table, carry) -> pa.Table:
         k = group[order_col].to_numpy(zero_copy_only=False).astype(np.int64)
         v = group[value_col].to_numpy(zero_copy_only=False).astype(np.int64)
         order = np.argsort(k, kind="stable")
         excl = np.concatenate([[0], np.cumsum(v[order])[:-1]])
-        carry = carries[np.searchsorted(buckets, k[order[0]] // bucket_width)]
-        out = group.take(pa.array(order)).drop_columns(["_bucket"])
-        return out.append_column(out_col, pa.array(excl + carry))
+        return group.take(pa.array(order)).append_column(
+            out_col, pa.array(fn(excl + carry)))
 
-    return ds.map_batches(bucketize, batch_format="pyarrow") \
-        .groupby("_bucket").map_groups(scan, batch_format="pyarrow")
+    return _scan(ds, order_col, value_col, bucket_width, "sums",
+                 lambda tot: np.cumsum(tot) - tot, scan, out_col)
+
+
+def global_exclusive_cumsum(ds, order_col: str, value_col: str,
+                            out_col: str = "excl_cumsum",
+                            bucket_width: int = 65536):
+    """Append `out_col` = sum of `value_col` over all rows with a strictly
+    smaller `order_col` (exclusive running total in global key order).
+    Keys must be unique int64; values are summed as int64 (exact)."""
+    return _exclusive_cumsum(ds, order_col, value_col, out_col,
+                             bucket_width, lambda e: e)
 
 
 def global_exclusive_cummax(ds, order_col: str, value_col: str,
@@ -100,38 +129,44 @@ def global_exclusive_cummax(ds, order_col: str, value_col: str,
     `global_exclusive_cumsum` (max is associative and commutative, so
     bucket partial maxima + an exclusive driver prefix-max carry are
     exact). Keys must be unique int64."""
-    import ray
-    import ray.data  # noqa: F401
-
-    if bucket_width < 1:
-        raise ValueError(f"bucket_width must be >= 1, got {bucket_width}")
     NEG = np.iinfo(np.int64).min
 
-    carry_ref = ray.put(_bucket_carries(
-        ds, order_col, value_col, bucket_width, "maxs",
-        lambda tot: np.r_[NEG, np.maximum.accumulate(tot)][:-1]))
-
-    def bucketize(batch: pa.Table) -> pa.Table:
-        k = batch[order_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        return batch.append_column("_bucket",
-                                   pa.array(k // bucket_width))
-
-    def scan(group: pa.Table) -> pa.Table:
-        buckets, carries = ray.get(carry_ref)
+    def scan(group: pa.Table, carry) -> pa.Table:
         k = group[order_col].to_numpy(zero_copy_only=False).astype(np.int64)
         v = group[value_col].to_numpy(zero_copy_only=False).astype(np.int64)
         order = np.argsort(k, kind="stable")
         excl = np.concatenate(
             [[NEG], np.maximum.accumulate(v[order])[:-1]])
-        carry = carries[np.searchsorted(buckets, k[order[0]] // bucket_width)]
         run = np.maximum(excl, carry)
-        out = group.take(pa.array(order)).drop_columns(["_bucket"])
-        return out.append_column(
+        return group.take(pa.array(order)).append_column(
             out_col, pa.array(np.where(run == NEG, None, run),
                               pa.int64()))
 
-    return ds.map_batches(bucketize, batch_format="pyarrow") \
-        .groupby("_bucket").map_groups(scan, batch_format="pyarrow")
+    return _scan(ds, order_col, value_col, bucket_width, "maxs",
+                 lambda tot: np.r_[NEG, np.maximum.accumulate(tot)][:-1],
+                 scan, out_col)
+
+
+def running_total(ds, order_col: str, value_col: str, out_col: str,
+                  bucket_width: int = 65536):
+    """One row per distinct int64 `order_col`: `value_col` summed over
+    its rows and `out_col`, the sum over every row whose key is <= it
+    (an inclusive running total in key order). Keys may repeat; each
+    bucket nets its rows per key before the cumsum. Same two-pass shape
+    and scale contract as `global_exclusive_cumsum`. Output columns:
+    order_col, value_col, out_col, all int64."""
+    def scan(group: pa.Table, carry) -> pa.Table:
+        t = group[order_col].to_numpy(zero_copy_only=False).astype(np.int64)
+        d = group[value_col].to_numpy(zero_copy_only=False).astype(np.int64)
+        ut, inv = np.unique(t, return_inverse=True)
+        acc = np.zeros(ut.shape[0], dtype=np.int64)
+        np.add.at(acc, inv, d)
+        return pa.table({order_col: ut, value_col: acc,
+                         out_col: np.cumsum(acc) + carry})
+
+    return _scan(ds.select_columns([order_col, value_col]), order_col,
+                 value_col, bucket_width, "sums",
+                 lambda tot: np.cumsum(tot) - tot, scan, out_col)
 
 
 def pack_sequences(ds, order_col: str, size_col: str, budget: int,
@@ -145,13 +180,5 @@ def pack_sequences(ds, order_col: str, size_col: str, budget: int,
     is exactly how training-context packing treats them."""
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
-    scanned = global_exclusive_cumsum(ds, order_col, size_col,
-                                      out_col="_excl",
-                                      bucket_width=bucket_width)
-
-    def assign(batch: pa.Table) -> pa.Table:
-        e = batch["_excl"].to_numpy(zero_copy_only=False)
-        return batch.drop_columns(["_excl"]).append_column(
-            out_col, pa.array(e // budget))
-
-    return scanned.map_batches(assign, batch_format="pyarrow")
+    return _exclusive_cumsum(ds, order_col, size_col, out_col, bucket_width,
+                             lambda e: e // budget)

@@ -37,17 +37,10 @@ def _fingerprint_stage(cols: list[str], out_col: str):
     return fn
 
 
-def _distinct_by_fp(ds, cols: list[str], fp_col: str,
-                    num_buckets: int = 64):
-    """Global DISTINCT of `cols` given a fingerprint column: bucket by
-    fingerprint hash, one lexsort per bucket, keep run starts."""
-
-    def bucket(batch: pa.Table) -> pa.Table:
-        fp = batch[fp_col].to_numpy(zero_copy_only=False) \
-            .view(np.uint64)
-        return batch.append_column(
-            "_bucket",
-            pa.array((fp % np.uint64(num_buckets)).astype(np.int32)))
+def _distinct_by_fp(ds, cols: list[str], fp_col: str):
+    """Global DISTINCT of `cols` given a fingerprint column: exchange on
+    the fingerprint, one lexsort per bucket, keep run starts."""
+    from .reduce import exchange
 
     def firsts(group: pa.Table) -> pa.Table:
         fp = group[fp_col].to_numpy(zero_copy_only=False)
@@ -56,8 +49,7 @@ def _distinct_by_fp(ds, cols: list[str], fp_col: str,
         keep[1:] = fp[order][1:] != fp[order][:-1]
         return group.take(pa.array(order[keep])).select(cols)
 
-    return ds.map_batches(bucket, batch_format="pyarrow") \
-        .groupby("_bucket").map_groups(firsts, batch_format="pyarrow")
+    return exchange(ds, fp_col, firsts)
 
 
 def _col_types(ds, cols: list[str]) -> dict[str, pa.DataType]:
@@ -68,8 +60,7 @@ def _col_types(ds, cols: list[str]) -> dict[str, pa.DataType]:
     return {c: base.field(c).type for c in cols}
 
 
-def _set_op(left_ds, right_ds, cols: list[str], anti: bool,
-            num_buckets: int | None = None):
+def _set_op(left_ds, right_ds, cols: list[str], anti: bool):
     from .join import anti_join, seed_schema, semi_join
 
     cols = list(cols)
@@ -96,22 +87,18 @@ def _set_op(left_ds, right_ds, cols: list[str], anti: bool,
                              batch_size=65536),
         pa.schema([(fp, pa.int64())]))
     join = anti_join if anti else semi_join
-    kept = join(ltag, rtag, fp, fp, num_buckets=num_buckets)
+    kept = join(ltag, rtag, fp, fp)
     return _distinct_by_fp(kept, cols, fp)
 
 
-def except_distinct(left_ds, right_ds, cols,
-                    num_buckets: int | None = None):
+def except_distinct(left_ds, right_ds, cols):
     """SQL `SELECT DISTINCT cols FROM left EXCEPT SELECT ... FROM right`.
 
     Returns a Dataset of the distinct left rows absent from the right."""
-    return _set_op(left_ds, right_ds, cols, anti=True,
-                   num_buckets=num_buckets)
+    return _set_op(left_ds, right_ds, cols, anti=True)
 
 
-def intersect_distinct(left_ds, right_ds, cols,
-                       num_buckets: int | None = None):
+def intersect_distinct(left_ds, right_ds, cols):
     """SQL `SELECT DISTINCT cols FROM left INTERSECT SELECT ... FROM
     right`. Returns a Dataset of the distinct rows present in both."""
-    return _set_op(left_ds, right_ds, cols, anti=False,
-                   num_buckets=num_buckets)
+    return _set_op(left_ds, right_ds, cols, anti=False)

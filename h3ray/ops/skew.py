@@ -2,7 +2,7 @@
 
 Web pages cluster on ~urban H3 cells (the generator plants 80% of mass in 50
 city clusters precisely to exercise this). A plain groupby(key) sends every
-row of a hot cell to one reducer; salting splits each key into `salt_mod`
+row of a hot cell to one reducer; salting splits each key into SALTS
 sub-keys for the first (heavy) aggregation round, then merges the tiny
 per-key partials in a second round:
 
@@ -21,24 +21,11 @@ import numpy as np
 import pyarrow as pa
 
 from ..io.pages import _mix64
+from .reduce import exchange
+from .sample import _key_hash
 
-
-def default_num_buckets() -> int:
-    """Reducer bucket count for hash-bucketed groupbys: ~4x cluster cores so
-    no reducer holds more than ~1/(4 cores) of the data and parallelism is
-    never capped by a fixed constant."""
-    import ray
-
-    if ray.is_initialized():
-        return max(32, int(4 * ray.cluster_resources().get("CPU", 8)))
-    return 128
-
-
-def _key_hash(col) -> np.ndarray:
-    """uint64 hash of a key column (shared with ops.sample)."""
-    from .sample import _key_hash as impl
-
-    return impl(col)
+#: Salted sub-keys per hot key in round 1 of `salted_top_k`.
+SALTS = 16
 
 
 def _desc_sort_key(vals: np.ndarray) -> np.ndarray:
@@ -56,23 +43,32 @@ def _desc_sort_key(vals: np.ndarray) -> np.ndarray:
 
 
 def _segmented_top_k(tbl: pa.Table, key_col: str, value_col: str, k: int,
-                     tiebreak_col: str | None) -> pa.Table:
-    """Vectorized per-key top-k by (value DESC, tiebreak ASC): one lexsort,
-    segment boundaries, rank-within-segment filter — no per-group callback."""
+                     tiebreak=None, *, descending: bool = True) -> pa.Table:
+    """Vectorized per-key top-k: each `key_col` value's k rows by
+    `value_col` (DESC, or ASC with `descending=False`), ties broken by
+    `tiebreak` ascending — a column name or an array aligned with the
+    rows, none for no tiebreak. One lexsort, segment boundaries, a
+    rank-within-segment filter — no per-group callback. Kept rows stay
+    in input order."""
     keys = tbl[key_col].to_numpy(zero_copy_only=False)
-    vals = tbl[value_col].to_numpy(zero_copy_only=False)
     n = keys.shape[0]
     if n == 0:
         return tbl
-    tb = (tbl[tiebreak_col].to_numpy(zero_copy_only=False)
-          if tiebreak_col else np.zeros(n, np.int8))
-    order = np.lexsort((tb, _desc_sort_key(vals), keys))
+    vals = tbl[value_col].to_numpy(zero_copy_only=False)
+    if tiebreak is None:
+        tiebreak = np.zeros(n, np.int8)
+    elif isinstance(tiebreak, str):
+        tiebreak = tbl[tiebreak].to_numpy(zero_copy_only=False)
+    order = np.lexsort((tiebreak,
+                        _desc_sort_key(vals) if descending else vals, keys))
     ks = keys[order]
     new = np.ones(n, dtype=bool)
-    new[1:] = ks[1:] != ks[:-1]
+    np.not_equal(ks[1:], ks[:-1], out=new[1:])
     seg_start = np.flatnonzero(new)
     rank = np.arange(n) - seg_start[np.cumsum(new) - 1]
-    return tbl.take(pa.array(order[rank < k]))
+    keep = order[rank < k]
+    keep.sort()
+    return tbl.take(pa.array(keep))
 
 
 def detect_hot_keys(ds, key_col: str, row_key_col: str, *,
@@ -104,26 +100,24 @@ def detect_hot_keys(ds, key_col: str, row_key_col: str, *,
 
 
 def salted_top_k(ds, key_col: str, value_col: str, k: int,
-                 salt_mod: int = 16, num_buckets: int | None = None,
                  tiebreak_col: str | None = None,
                  hot_keys: np.ndarray | None = None):
     """Per-key top-k rows by value with bounded reducer fan-in.
 
     Top-k is non-algebraic (needs the rows, not a running scalar), so a hot
     key cannot be pre-reduced by a combiner — this is exactly where salting
-    earns its keep: round 1 spreads each key's rows over `salt_mod` salted
-    hash buckets and takes per-(key,salt) partial top-k (a hot key
-    contributes at most ~rows/salt_mod to any one reducer); round 2 merges
-    the <= salt_mod*k surviving rows per key. Both rounds use the bucketed
-    segmented-top-k reducer, never a per-key Python callback. Determinism:
-    ties broken by `tiebreak_col` ascending.
+    earns its keep: round 1 exchanges on (key, salt), one of SALTS salts
+    per row, and takes per-(key,salt) partial top-k (a hot key
+    contributes at most ~rows/SALTS to any one reducer); round 2
+    exchanges on the key and merges the <= SALTS*k surviving rows per
+    key. Both rounds use the segmented-top-k reducer, never a per-key
+    Python callback. Determinism: ties broken by `tiebreak_col` ascending.
 
     With `hot_keys` (a sorted int64 array from `detect_hot_keys`), only
     those keys are salted: cold keys keep salt 0, so their round-1 partial
-    output is k rows instead of up to salt_mod*k — the sampled-histogram
+    output is k rows instead of up to SALTS*k — the sampled-histogram
     skew design (SURVEY §4) instead of blanket salting.
     """
-    nb = num_buckets or default_num_buckets()
     # Hot membership is tested in HASH space (dtype-agnostic: works for
     # string keys too; a hash collision merely salts one extra key, which
     # never affects correctness — salting is performance-only).
@@ -131,10 +125,10 @@ def salted_top_k(ds, key_col: str, value_col: str, k: int,
     if hot_keys is not None and len(hot_keys):
         hot_hashes = np.sort(_key_hash(pa.array(list(hot_keys))))
 
-    def bucket1(batch: pa.Table) -> pa.Table:
+    def add_salt(batch: pa.Table) -> pa.Table:
         h = _key_hash(batch[key_col])
         pos = np.arange(h.shape[0], dtype=np.uint64)
-        salt = _mix64(h ^ _mix64(pos)) % np.uint64(salt_mod)
+        salt = _mix64(h ^ _mix64(pos)) % np.uint64(SALTS)
         if hot_keys is not None:
             if hot_hashes is not None:
                 idx = np.minimum(np.searchsorted(hot_hashes, h),
@@ -143,21 +137,12 @@ def salted_top_k(ds, key_col: str, value_col: str, k: int,
             else:
                 is_hot = np.zeros(h.shape[0], dtype=bool)
             salt = np.where(is_hot, salt, np.uint64(0))
-        b = (h + salt * np.uint64(0x9E3779B97F4A7C15)) % np.uint64(nb)
-        return batch.append_column("_bucket",
-                                   pa.array(b.astype(np.int32)))
+        return batch.append_column("_salt", pa.array(salt.astype(np.int64)))
 
-    def topk1(group: pa.Table) -> pa.Table:
-        out = _segmented_top_k(group, key_col, value_col, k, tiebreak_col)
-        return out.drop_columns(["_bucket"])
+    def top_k(group: pa.Table) -> pa.Table:
+        return _segmented_top_k(group, key_col, value_col, k, tiebreak_col)
 
-    partial = ds.map_batches(bucket1, batch_format="pyarrow") \
-        .groupby("_bucket").map_groups(topk1, batch_format="pyarrow")
-
-    def bucket2(batch: pa.Table) -> pa.Table:
-        h = _key_hash(batch[key_col])
-        return batch.append_column(
-            "_bucket", pa.array((h % np.uint64(nb)).astype(np.int32)))
-
-    return partial.map_batches(bucket2, batch_format="pyarrow") \
-        .groupby("_bucket").map_groups(topk1, batch_format="pyarrow")
+    partial = exchange(ds, [key_col, "_salt"],
+                       lambda g: top_k(g).drop_columns(["_salt"]),
+                       prep=add_salt)
+    return exchange(partial, key_col, top_k)

@@ -1,11 +1,12 @@
 """Partitioned SQL window functions (rank family, lag/lead, ntile).
 
 Window functions need every row of a partition co-located and ordered.
-One hash-bucketed exchange (all rows of a partition land in one reducer;
-reducer count scales with cores) followed by ONE vectorized lexsort per
-bucket that computes every requested window column in the same pass —
-no per-partition Python callback, no global sort. Per-reducer memory is
-~n/num_buckets; a single partition's rows are the irreducible unit
+One hash exchange on the partition column (ops.reduce.exchange: all rows
+of a partition land in one reducer; reducer count scales with cores)
+followed by ONE vectorized lexsort per bucket that computes every
+requested window column in the same pass — no per-partition Python
+callback, no global sort. Per-reducer memory is
+~n/default_num_buckets(); a single partition's rows are the irreducible unit
 (same co-location argument as exact grouped quantiles).
 
 Semantics match SQL (DuckDB):
@@ -27,23 +28,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..io.pages import _mix64
-from .reduce import combine
-from .sample import _key_hash
-from .skew import _desc_sort_key, default_num_buckets
-
-
-def _bucketed(ds, part_col: str, num_buckets: int | None):
-    nb = num_buckets or default_num_buckets()
-
-    def bucket(batch: pa.Table) -> pa.Table:
-        h = _key_hash(batch[part_col])
-        return batch.append_column(
-            "_bucket",
-            pa.array((_mix64(h) % np.uint64(nb)).astype(np.int32)))
-
-    return ds.map_batches(bucket, batch_format="pyarrow",
-                          batch_size=131072)
+from .reduce import combine, exchange
+from .skew import _desc_sort_key
 
 
 def _partition_order(group: pa.Table, part_col: str, order_col: str,
@@ -67,14 +53,12 @@ def _partition_order(group: pa.Table, part_col: str, order_col: str,
 
 def window_rank(ds, part_col: str, order_col: str, *,
                 tiebreak_col: str, descending: bool = False,
-                ntile: int | None = None, dist: bool = False,
-                num_buckets: int | None = None):
+                ntile: int | None = None, dist: bool = False):
     """Append row_number / rank / dense_rank (and ntile_<n> when `ntile`,
     percent_rank + cume_dist when `dist`) columns, partitioned by
     `part_col`, ordered by `order_col`."""
 
     def fn(group: pa.Table) -> pa.Table:
-        group = group.drop_columns(["_bucket"])
         n = group.num_rows
         if n == 0:
             out = group
@@ -128,19 +112,16 @@ def window_rank(ds, part_col: str, order_col: str, *,
             out = out.append_column(name, pa.array(scattered))
         return out
 
-    return _bucketed(ds, part_col, num_buckets).groupby("_bucket") \
-        .map_groups(fn, batch_format="pyarrow")
+    return exchange(ds, part_col, fn, batch_size=131072)
 
 
 def window_lag_lead(ds, part_col: str, order_col: str, value_col: str, *,
                     tiebreak_col: str, lag_col: str = "lag_value",
-                    lead_col: str = "lead_value",
-                    num_buckets: int | None = None):
+                    lead_col: str = "lead_value"):
     """Append lag(value,1) / lead(value,1) over (PARTITION BY part_col
     ORDER BY order_col, tiebreak_col); null at partition edges."""
 
     def fn(group: pa.Table) -> pa.Table:
-        group = group.drop_columns(["_bucket"])
         n = group.num_rows
         vtype = group.schema.field(value_col).type
         if n == 0:
@@ -170,16 +151,14 @@ def window_lag_lead(ds, part_col: str, order_col: str, value_col: str, *,
             lag_col, pa.array(out_lag, mask=~ok_lag)) \
             .append_column(lead_col, pa.array(out_lead, mask=~ok_lead))
 
-    return _bucketed(ds, part_col, num_buckets).groupby("_bucket") \
-        .map_groups(fn, batch_format="pyarrow")
+    return exchange(ds, part_col, fn, batch_size=131072)
 
 
 def window_first_last(ds, part_col: str, order_col: str, value_col: str,
                       *, tiebreak_col: str, nth: int | None = None,
                       first_col: str = "first_value",
                       last_col: str = "last_value",
-                      nth_col: str = "nth_value",
-                      num_buckets: int | None = None):
+                      nth_col: str = "nth_value"):
     """Append FIRST_VALUE / LAST_VALUE (and NTH_VALUE(value, nth) when
     `nth`) over (PARTITION BY part_col ORDER BY order_col, tiebreak_col
     ROWS BETWEEN UNBOUNDED PRECEDING AND UNBOUNDED FOLLOWING) — the full
@@ -191,7 +170,6 @@ def window_first_last(ds, part_col: str, order_col: str, value_col: str,
     the partition has fewer than `nth` rows, as in SQL."""
 
     def fn(group: pa.Table) -> pa.Table:
-        group = group.drop_columns(["_bucket"])
         n = group.num_rows
         vtype = group.schema.field(value_col).type
         if n == 0:
@@ -227,15 +205,13 @@ def window_first_last(ds, part_col: str, order_col: str, value_col: str,
                                     pa.array(out_nth, mask=~ok_n))
         return out
 
-    return _bucketed(ds, part_col, num_buckets).groupby("_bucket") \
-        .map_groups(fn, batch_format="pyarrow")
+    return exchange(ds, part_col, fn, batch_size=131072)
 
 
 def partitioned_transitions(ds, part_col: str, order_col: str,
                             label_col: str, *, tiebreak_col: str,
                             prev_col: str = "prev_label",
-                            count_col: str = "n",
-                            num_buckets: int | None = None):
+                            count_col: str = "n"):
     """Adjacent-pair (LAG) label transition counts — the Markov-chain /
     clickstream shape: COUNT(*) of (lag(label), label) pairs over
     (PARTITION BY part_col ORDER BY order_col, tiebreak_col), first row
@@ -250,7 +226,6 @@ def partitioned_transitions(ds, part_col: str, order_col: str,
     row count)."""
 
     def fn(group: pa.Table) -> pa.Table:
-        group = group.drop_columns(["_bucket"])
         lab_type = group.schema.field(label_col).type
         empty = pa.table({
             prev_col: pa.array([], lab_type),
@@ -280,15 +255,13 @@ def partitioned_transitions(ds, part_col: str, order_col: str,
             label_col: dictionary.take(pa.array(hit % k, pa.int64())),
             count_col: pa.array(counts[hit], pa.int64())})
 
-    return _bucketed(ds, part_col, num_buckets).groupby("_bucket") \
-        .map_groups(fn, batch_format="pyarrow")
+    return exchange(ds, part_col, fn, batch_size=131072)
 
 
 def partitioned_trigrams(ds, part_col: str, order_col: str,
                          label_col: str, *, tiebreak_col: str,
                          col_1: str = "t1", col_2: str = "t2",
-                         col_3: str = "t3", count_col: str = "n",
-                         num_buckets: int | None = None):
+                         col_3: str = "t3", count_col: str = "n"):
     """Consecutive label TRIPLE counts — the sequence-mining extension
     of `partitioned_transitions`: COUNT(*) of (lag(label, 2),
     lag(label), label) over (PARTITION BY part_col ORDER BY order_col,
@@ -297,7 +270,6 @@ def partitioned_trigrams(ds, part_col: str, order_col: str,
     reducers emit at most |labels|^3 rows; fold with driver_merge."""
 
     def fn(group: pa.Table) -> pa.Table:
-        group = group.drop_columns(["_bucket"])
         lab_type = group.schema.field(label_col).type
         empty = pa.table({
             col_1: pa.array([], lab_type),
@@ -334,14 +306,12 @@ def partitioned_trigrams(ds, part_col: str, order_col: str,
             col_3: dictionary.take(pa.array(hit % k, pa.int64())),
             count_col: pa.array(cnt.astype(np.int64), pa.int64())})
 
-    return _bucketed(ds, part_col, num_buckets).groupby("_bucket") \
-        .map_groups(fn, batch_format="pyarrow")
+    return exchange(ds, part_col, fn, batch_size=131072)
 
 
 def interval_followup_count(ds, part_col: str, ts_col: str,
                             mark_col: str, id_cols: list[str], *,
-                            window: int,
-                            num_buckets: int | None = None):
+                            window: int):
     """Big-big RANGE (interval) self-join, counting form: for every row
     with `mark_col` != 0, count partition rows whose `ts_col` lies in
     (t, t + window] — "events within the hour after each purchase".
@@ -356,7 +326,7 @@ def interval_followup_count(ds, part_col: str, ts_col: str,
     covers the bucket's full timestamp range + window + 2, so a probe at
     key + window can NEVER cross into the next partition — a loud guard
     refuses buckets where the packing would overflow (distinct
-    partitions per bucket x span >= 2^63; raise num_buckets).
+    partitions per bucket x span >= 2^63).
 
     Returns id_cols + (part_col,) + followup_cnt for marked rows only.
     SQL mirror: LEFT self-join on the partition key with ts BETWEEN
@@ -379,8 +349,8 @@ def interval_followup_count(ds, part_col: str, ts_col: str,
         if npart * int(span) >= 2 ** 63:
             raise ValueError(
                 "interval_followup_count: packed key overflow "
-                f"({npart} partitions x span {int(span)}); raise "
-                "num_buckets so each bucket holds fewer partitions")
+                f"({npart} partitions x span {int(span)}): the bucket "
+                "holds too many partitions for the timestamp span")
         key = pidx.astype(np.int64) * span + (ts - tmin)
         order = np.argsort(key, kind="stable")
         skey = key[order]
@@ -395,8 +365,7 @@ def interval_followup_count(ds, part_col: str, ts_col: str,
              part_col: group[part_col].take(take),
              "followup_cnt": cnt})
 
-    return _bucketed(ds, part_col, num_buckets) \
-        .groupby("_bucket").map_groups(fn, batch_format="pyarrow")
+    return exchange(ds, part_col, fn, batch_size=131072)
 
 
 def _day_cents(ds, key_col: str, ts_col: str, value_col: str,
@@ -546,8 +515,7 @@ def moving_day_median(ds, key_col: str, ts_col: str, value_col: str,
 
 def partitioned_allocate(ds, part_col: str, weight_col: str,
                          total_col: str, *, tiebreak_col: str,
-                         out_col: str = "alloc",
-                         num_buckets: int | None = None):
+                         out_col: str = "alloc"):
     """Largest-remainder proration: split each partition's integer
     `total_col` across its rows proportionally to integer `weight_col`,
     rounding so the per-partition allocations sum EXACTLY to the total
@@ -566,8 +534,7 @@ def partitioned_allocate(ds, part_col: str, weight_col: str,
 
     def alloc(group: pa.Table) -> pa.Table:
         if group.num_rows == 0:
-            return group.drop_columns(["_bucket"]) \
-                .append_column(out_col, pa.array([], pa.int64()))
+            return group.append_column(out_col, pa.array([], pa.int64()))
         parts = group[part_col].to_numpy(zero_copy_only=False)
         w = group[weight_col].to_numpy(zero_copy_only=False) \
             .astype(np.int64)
@@ -596,8 +563,6 @@ def partitioned_allocate(ds, part_col: str, weight_col: str,
         bump_sorted = pos_in_seg < extra[order]
         bump = np.zeros(iv.shape[0], dtype=np.int64)
         bump[order] = bump_sorted
-        return group.drop_columns(["_bucket"]) \
-            .append_column(out_col, pa.array(base + bump))
+        return group.append_column(out_col, pa.array(base + bump))
 
-    return _bucketed(ds, part_col, num_buckets) \
-        .groupby("_bucket").map_groups(alloc, batch_format="pyarrow")
+    return exchange(ds, part_col, alloc, batch_size=131072)

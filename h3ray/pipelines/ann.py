@@ -69,7 +69,7 @@ def _rank_topk(partials, *, n_queries: int, k: int, id_col: str):
     through knn.rank_topk, the root the kNN joins rank with: each scorer
     batch already emitted <= n_queries * k partial rows, so the driver
     tree-root ranks them while that bound is small, else a query-hash
-    bucketed groupby. No per-query Python/pandas callback on either path.
+    exchange. No per-query Python/pandas callback on either path.
     Ties break by id ascending (numeric id columns; hash string ids
     upstream if needed)."""
     from ..ops.skew import _segmented_top_k
@@ -339,12 +339,12 @@ def cosine_dup_pairs(ds, *, id_col: str = "vec_id", emb_col: str = "embedding",
 def cosine_dup_pairs_lsh(ds, *, id_col: str = "vec_id",
                          emb_col: str = "embedding", threshold: float = 0.9,
                          n_bands: int = 16, bits_per_band: int = 8,
-                         num_buckets: int = 32, seed: int = 23):
+                         seed: int = 23):
     """Near-dup pairs via hyperplane-LSH banding + exact join-back verify.
 
     The 100-TB path, keys-only through the wide steps: each row explodes
     into `n_bands` (id, band, signature) rows — NO embedding payload —
-    identical signatures co-locate via a bucketed groupby and emit distinct
+    identical signatures co-locate via one exchange and emit distinct
     candidate pairs; embeddings then hash-join back to the pairs'
     verification buckets (`ops.pairverify`), so each embedding traverses an
     all-to-all ~once (once per distinct bucket membership), not once per
@@ -356,7 +356,8 @@ def cosine_dup_pairs_lsh(ds, *, id_col: str = "vec_id",
 
     from ..io.pages import _mix64
     from ..ops.pairverify import route_pairs_and_payload, split_pair_group
-    from ..text.dedup import _bucketize, _collision_runs
+    from ..ops.reduce import exchange
+    from ..text.dedup import _collision_runs
 
     # Planes are built lazily from the first batch's dim (seeded, so every
     # task regenerates the identical matrix).
@@ -385,10 +386,6 @@ def cosine_dup_pairs_lsh(ds, *, id_col: str = "vec_id",
             [pa.array(ids[rows]), pa.array(band), pa.array(mixed)],
             names=[id_col, "band", "band_sig"])
 
-    bands = ds.select_columns([id_col, emb_col]).map_batches(
-        band_stage, batch_format="pyarrow", batch_size=8192)
-    bucketed = _bucketize(bands, "band_sig", num_buckets)
-
     def pairs(group: pa.Table) -> pa.Table:
         ks = group[id_col].to_numpy(zero_copy_only=False)
         band = group["band"].to_numpy(zero_copy_only=False)
@@ -408,13 +405,12 @@ def cosine_dup_pairs_lsh(ds, *, id_col: str = "vec_id",
             [pa.array(a.astype(np.int64)), pa.array(b.astype(np.int64))],
             names=["id_a", "id_b"])
 
-    cand = bucketed.groupby("_bucket").map_groups(pairs,
-                                                  batch_format="pyarrow")
+    cand = exchange(ds.select_columns([id_col, emb_col]), "band_sig", pairs,
+                    prep=band_stage, batch_size=8192)
     # A pair colliding in several bands is deduped IN the verification
     # group (all copies hash to the same bucket) — no extra all-to-all.
     routed, n_pairs = route_pairs_and_payload(
-        ds, cand, id_col, [emb_col], pair_a="id_a", pair_b="id_b",
-        num_buckets=num_buckets)
+        ds, cand, id_col, [emb_col], pair_a="id_a", pair_b="id_b")
     if n_pairs == 0:
         return rd.from_arrow(_pair_schema().empty_table())
 
@@ -473,7 +469,10 @@ def centroids_by_label(ds, *, label_col: str = "label",
             "n_vecs": np.repeat(counts, d)})
 
     return combine(ds, ["label", "dim"], sums=["sum_micro", "n_vecs"],
-                   prep=partial, batch_size=65536)
+                   prep=partial, batch_size=65536,
+                   schema=pa.schema([(c, pa.int64()) for c in
+                                     ("label", "dim", "sum_micro",
+                                      "n_vecs")]))
 
 
 def quantize_int8(ds, *, id_col: str = "vec_id",

@@ -9,8 +9,8 @@ Strategy (small query side — the common case):
   3. map_batches over pages: encode, probe, emit candidate
      (query_id, url, distance_km, cell) rows, then a per-batch top-k.
   4. rank_topk: one final per-query top-k over the partials, on the
-     driver tree-root while it is small, else a query-hash bucketed
-     groupby (the same root ranks ann.py's cosine top-k).
+     driver tree-root while it is small, else a query-hash exchange
+     (the same root ranks ann.py's cosine top-k).
 
 For a large query side, expand both sides to disk cells and hash-join on the
 cell instead (same kernels, shuffle join, knn_join_shuffle); see SURVEY.md
@@ -25,6 +25,8 @@ import pyarrow as pa
 from ..io import pages as pages_io
 from ..kernels import bits, grid, latlng, localij
 from ..kernels.constants import EARTH_RADIUS_KM
+from ..ops.reduce import driver_merge, exchange
+from ..ops.skew import _segmented_top_k
 from .pip import cell_probe, probe_cells
 
 
@@ -81,30 +83,16 @@ DRIVER_MERGE_MAX_ROWS = 65536
 
 
 def _top_k(batch: pa.Table, k: int) -> pa.Table:
-    """Keep each query's k nearest rows of `batch`, in input order.
-
-    Sort keys are all numeric (np.lexsort): distance, then the url hash as
-    a deterministic tiebreak (string sorts are ~10x slower)."""
-    qid = batch["query_id"].to_numpy(zero_copy_only=False)
-    if qid.shape[0] == 0:
+    """Keep each query's k nearest rows of `batch`, in input order: the
+    segmented top-k kernel by distance ascending, the url hash as a
+    deterministic numeric tiebreak (string sorts are ~10x slower)."""
+    if batch.num_rows == 0:
         return batch
-    dist = batch["distance_km"].to_numpy(zero_copy_only=False)
     urls = batch["url"]
     if isinstance(urls, pa.ChunkedArray):
         urls = urls.combine_chunks()
-    uh = pages_io.url_hash64(urls)
-    order = np.lexsort((uh, dist, qid))
-    q_sorted = qid[order]
-    # Rank within each query run; keep rank < k.
-    new_q = np.empty(q_sorted.shape[0], dtype=bool)
-    new_q[0] = True
-    np.not_equal(q_sorted[1:], q_sorted[:-1], out=new_q[1:])
-    run_start = np.maximum.accumulate(
-        np.where(new_q, np.arange(q_sorted.shape[0]), 0))
-    rank = np.arange(q_sorted.shape[0]) - run_start
-    keep = order[rank < k]
-    keep.sort()  # preserve input order within the batch
-    return batch.take(pa.array(keep))
+    return _segmented_top_k(batch, "query_id", "distance_km", k,
+                            pages_io.url_hash64(urls), descending=False)
 
 
 def _add_grid_dist(batch: pa.Table, qcells) -> pa.Table:
@@ -132,31 +120,14 @@ def rank_topk(partial, root, n_rows: int,
     (n_queries * k) partial rows. Up to DRIVER_MERGE_MAX_ROWS, `root` runs
     once on the driver tree-root over all partials (`schema` is the
     partial schema for an input with no rows, see ops.reduce.driver_merge);
-    past it the partials hash-bucket by query_id, so every row of a query
-    lands in one of default_num_buckets() reducers, and `root` runs per
-    bucket. Both paths give the same rows."""
+    past it the partials exchange on query_id (ops.reduce.exchange), so
+    every row of a query reaches one call of `root`. Both paths give the
+    same rows."""
     import ray.data as rd
 
     if n_rows <= DRIVER_MERGE_MAX_ROWS:
-        from ..ops.reduce import driver_merge
-
         return rd.from_arrow(driver_merge(partial, root, schema=schema))
-
-    from ..io.pages import _mix64
-    from ..ops.skew import default_num_buckets
-
-    nb = np.uint64(default_num_buckets())
-
-    def bucket(batch: pa.Table) -> pa.Table:
-        qid = batch["query_id"].to_numpy(zero_copy_only=False) \
-            .astype(np.uint64)
-        return batch.append_column(
-            "_bucket", pa.array((_mix64(qid) % nb).astype(np.int32)))
-
-    return partial.map_batches(bucket, batch_format="pyarrow") \
-        .groupby("_bucket").map_groups(
-            lambda group: root(group.drop_columns(["_bucket"])),
-            batch_format="pyarrow")
+    return exchange(partial, "query_id", root)
 
 
 #: Partial rows of both kNN joins, before rank_topk's root.

@@ -168,18 +168,25 @@ def pip_join(pages_ds, geoms: list[dict], *, res: int = 9,
     Returns Dataset(url, polygon_id, cell). With exact=True the match is the
     exact point-in-polygon predicate (coverage = "candidates" superset +
     per-point PIP recheck); otherwise cell-level containment per `mode`.
+    A typed empty block leads the output, so a join over no pages still
+    has its columns.
     """
     import ray
+    import ray.data as rd
 
-    probe = build_probe(geoms, res, "candidates" if exact else mode)
-    ref = ray.put({"probe": probe,
-                   "edges": region._edge_table(geoms) if exact else None})
+    data = {"probe": build_probe(geoms, res,
+                                 "candidates" if exact else mode),
+            "edges": region._edge_table(geoms) if exact else None}
+    ref = ray.put(data)
 
     def fn(batch: pa.Table) -> pa.Table:
         return _probe_batch(ray.get(ref), batch, res, exact)
 
-    return pages_ds.select_columns(["url"]).map_batches(
-        fn, batch_format="pyarrow", batch_size=65536)
+    empty = _probe_batch(data, pa.table({"url": pa.array([], pa.string())}),
+                         res, exact)
+    return rd.from_arrow(empty).union(pages_ds.select_columns(["url"])
+                                      .map_batches(fn, batch_format="pyarrow",
+                                                   batch_size=65536))
 
 
 def pip_join_shuffle(pages_ds, geoms: list[dict], *, res: int = 9,

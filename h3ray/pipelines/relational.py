@@ -12,6 +12,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..ops.reduce import exchange
+
 
 def _read(sf_dir: str, table: str, columns=None):
     import ray.data as rd
@@ -219,29 +221,16 @@ def docs_exact_dedup(sf_dir: str):
     return exact_dedup(ds, key_col="doc_id")
 
 
-def _default_buckets() -> int:
-    from ..ops.skew import default_num_buckets
-
-    return default_num_buckets()
-
-
-def user_sessions(sf_dir: str, gap_s: int = 1800,
-                  num_buckets: int | None = None):
+def user_sessions(sf_dir: str, gap_s: int = 1800):
     """Sessionization: split each user's event stream at inactivity gaps.
 
-    The stream-shaped stateful window op: bucket users by hash (bounded
-    group count, ops/skew pattern), sort each bucket by (user, ts), start a
+    The stream-shaped stateful window op: exchange users by hash (bounded
+    group count, ops.reduce.exchange), sort each bucket by (user, ts), start a
     new session when the gap to the previous event exceeds `gap_s`.
     Session ids are per-user cumulative gap counts — identical to the SQL
     LAG/SUM-over-window formulation.
     """
     ds = _read(sf_dir, "events", columns=["user_id", "ts"])
-    nb = num_buckets or _default_buckets()
-
-    def bucket(batch: pa.Table) -> pa.Table:
-        uid = batch["user_id"].to_numpy(zero_copy_only=False)
-        return batch.append_column(
-            "_bucket", pa.array((uid % nb).astype(np.int32)))
 
     def sessionize(group: pa.Table) -> pa.Table:
         uid = group["user_id"].to_numpy(zero_copy_only=False)
@@ -277,9 +266,7 @@ def user_sessions(sf_dir: str, gap_s: int = 1800,
             names=["user_id", "session_id", "num_events",
                    "start_epoch", "end_epoch"])
 
-    return ds.map_batches(bucket, batch_format="pyarrow",
-                          batch_size=131072) \
-        .groupby("_bucket").map_groups(sessionize, batch_format="pyarrow")
+    return exchange(ds, "user_id", sessionize, batch_size=131072)
 
 
 def orders_revenue_topk(sf_dir: str, segment: str = "BUILDING",
@@ -375,8 +362,7 @@ def orders_revenue_topk(sf_dir: str, segment: str = "BUILDING",
                         block_topk)
 
 
-def events_rolling_by_user(sf_dir: str, window: int = 3,
-                           num_buckets: int | None = None):
+def events_rolling_by_user(sf_dir: str, window: int = 3):
     """Per-user ordered window functions: ROW_NUMBER and a rolling sum over
     the previous `window` rows (ROWS window-1 PRECEDING .. CURRENT ROW).
 
@@ -389,15 +375,9 @@ def events_rolling_by_user(sf_dir: str, window: int = 3,
     """
     ds = _read(sf_dir, "events",
                columns=["event_id", "user_id", "ts", "value"])
-    nb = num_buckets or _default_buckets()
     w = int(window)
     if w < 1:
         raise ValueError(f"window must be >= 1, got {window}")
-
-    def bucket(batch: pa.Table) -> pa.Table:
-        uid = batch["user_id"].to_numpy(zero_copy_only=False)
-        return batch.append_column(
-            "_bucket", pa.array((uid % nb).astype(np.int32)))
 
     def roll(group: pa.Table) -> pa.Table:
         uid = group["user_id"].to_numpy(zero_copy_only=False)
@@ -422,9 +402,7 @@ def events_rolling_by_user(sf_dir: str, window: int = 3,
              pa.array(row_idx), pa.array(cs0[idx + 1] - cs0[lo])],
             names=["event_id", "user_id", "row_idx", "roll_value_micro"])
 
-    return ds.map_batches(bucket, batch_format="pyarrow",
-                          batch_size=131072) \
-        .groupby("_bucket").map_groups(roll, batch_format="pyarrow")
+    return exchange(ds, "user_id", roll, batch_size=131072)
 
 
 def events_median_by_type(sf_dir: str):
@@ -488,21 +466,14 @@ def events_hopping_windows(sf_dir: str, size_s: int = 7200,
 
 
 def events_asof_join(sf_dir: str, left_type: str = "purchase",
-                     right_type: str = "view",
-                     num_buckets: int | None = None):
+                     right_type: str = "view"):
     """As-of join: each `left_type` event matched to the latest prior-or-equal
     `right_type` event of the same user — the temporal join Ray Data lacks
-    natively. Bucket users by hash (bounded groups), sort each bucket by
+    natively. Exchange users by hash (bounded groups), sort each bucket by
     (user, ts), then a vectorized backward-looking merge.
     """
     ds = _read(sf_dir, "events",
                columns=["event_id", "ts", "user_id", "event_type"])
-    nb = num_buckets or _default_buckets()
-
-    def bucket(batch: pa.Table) -> pa.Table:
-        uid = batch["user_id"].to_numpy(zero_copy_only=False)
-        return batch.append_column(
-            "_bucket", pa.array((uid % nb).astype(np.int32)))
 
     def asof(group: pa.Table) -> pa.Table:
         et = group["event_type"].to_numpy(zero_copy_only=False)
@@ -543,13 +514,11 @@ def events_asof_join(sf_dir: str, left_type: str = "purchase",
             names=["left_event_id", "user_id", "left_epoch",
                    "right_event_id"])
 
-    return ds.map_batches(bucket, batch_format="pyarrow",
-                          batch_size=131072) \
-        .groupby("_bucket").map_groups(asof, batch_format="pyarrow")
+    return exchange(ds, "user_id", asof, batch_size=131072)
 
 
-def events_funnel(sf_dir: str, steps=("view", "click", "purchase"),
-                  num_buckets: int | None = None) -> pa.Table:
+def events_funnel(sf_dir: str,
+                  steps=("view", "click", "purchase")) -> pa.Table:
     """Ordered funnel analysis: how many users completed each prefix of
     `steps` in order (step k counts users with a step-k event at or
     after their earliest qualifying step-(k-1) time; same-timestamp
@@ -561,21 +530,13 @@ def events_funnel(sf_dir: str, steps=("view", "click", "purchase"),
     reductions over int64 timestamps — no per-user Python, no sort
     needed. Each bucket emits a single counts row; the driver root sums
     integers, so the result is blocking-independent and SQL-exact."""
-    import ray.data as rd  # noqa: F401  (Dataset comes from _read)
-
     from ..ops.reduce import combine
 
     steps = list(steps)
     if len(steps) < 2:
         raise ValueError("funnel needs at least two steps")
-    nb = num_buckets or _default_buckets()
     ds = _read(sf_dir, "events",
                columns=["user_id", "ts", "event_type"])
-
-    def bucket(batch: pa.Table) -> pa.Table:
-        uid = batch["user_id"].to_numpy(zero_copy_only=False)
-        return batch.append_column(
-            "_bucket", pa.array((uid % nb).astype(np.int32)))
 
     imax = np.iinfo(np.int64).max
     cols = [f"n_step{i + 1}" for i in range(len(steps))]
@@ -598,9 +559,7 @@ def events_funnel(sf_dir: str, steps=("view", "click", "purchase"),
         return pa.table({c: pa.array([n], pa.int64())
                          for c, n in zip(cols, counts)})
 
-    partials = ds.map_batches(bucket, batch_format="pyarrow",
-                              batch_size=131072) \
-        .groupby("_bucket").map_groups(funnel, batch_format="pyarrow")
+    partials = exchange(ds, "user_id", funnel, batch_size=131072)
 
     return combine(partials, [], sums=cols,
                    finish=lambda g: pa.table({c: pc.fill_null(g[c], 0)
@@ -608,8 +567,7 @@ def events_funnel(sf_dir: str, steps=("view", "click", "purchase"),
                    schema=pa.schema([(c, pa.int64()) for c in cols]))
 
 
-def events_weekly_retention(sf_dir: str,
-                            num_buckets: int | None = None) -> pa.Table:
+def events_weekly_retention(sf_dir: str) -> pa.Table:
     """Cohort retention: users grouped by first-activity week (cohort),
     counted once per (cohort, week-offset) they were active in.
 
@@ -621,14 +579,8 @@ def events_weekly_retention(sf_dir: str,
     partials — integer counts, blocking-independent."""
     from ..ops.reduce import combine
 
-    nb = num_buckets or _default_buckets()
     week_us = 604800_000_000
     ds = _read(sf_dir, "events", columns=["user_id", "ts"])
-
-    def bucket(batch: pa.Table) -> pa.Table:
-        uid = batch["user_id"].to_numpy(zero_copy_only=False)
-        return batch.append_column(
-            "_bucket", pa.array((uid % nb).astype(np.int32)))
 
     def retention(group: pa.Table) -> pa.Table:
         empty = pa.table({"cohort_week": pa.array([], pa.int64()),
@@ -657,9 +609,7 @@ def events_weekly_retention(sf_dir: str,
                          "week_offset": okey % span,
                          "n_users": cnt.astype(np.int64)})
 
-    partials = ds.map_batches(bucket, batch_format="pyarrow",
-                              batch_size=131072) \
-        .groupby("_bucket").map_groups(retention, batch_format="pyarrow")
+    partials = exchange(ds, "user_id", retention, batch_size=131072)
 
     return combine(partials, ["cohort_week", "week_offset"],
                    sums=("n_users",),
@@ -669,7 +619,6 @@ def events_weekly_retention(sf_dir: str,
 
 
 def session_concurrency(sf_dir: str, gap_s: int = 1800,
-                        num_buckets: int | None = None,
                         bucket_width: int = 65536):
     """Concurrent-session curve: for every second at which any session
     starts or ends, how many sessions are live (inclusive [start, end]).
@@ -681,20 +630,14 @@ def session_concurrency(sf_dir: str, gap_s: int = 1800,
     vs ~2 s for this design): sessions emit batch-netted per-second
     deltas, the tiny bounded delta set MATERIALIZES once (it is
     consumed by both scan passes — without the lineage break the whole
-    sessionize groupby re-executes per pass), pass 1 driver-merges
-    per-time-range-bucket totals into exclusive carries, pass 2 groups
-    deltas by contiguous range bucket and nets + cumsums each bucket
-    in one vectorized reducer, adding its carry. Netting happens
-    INSIDE the reducers, so no global per-second aggregate ever
-    shuffles."""
-    import ray
-    import ray.data as rd
-
+    sessionize exchange re-executes per pass), and `ops.scan.running_total`
+    nets them per second and cumsums them per contiguous time-range
+    bucket plus the bucket's carry. Netting happens INSIDE the
+    reducers, so no global per-second aggregate ever shuffles."""
     from ..ops.join import seed_schema
-    from ..ops.reduce import combine
+    from ..ops.scan import running_total
 
-    sessions = user_sessions(sf_dir, gap_s=gap_s,
-                             num_buckets=num_buckets)
+    sessions = user_sessions(sf_dir, gap_s=gap_s)
 
     def boundaries(batch: pa.Table) -> pa.Table:
         s = batch["start_epoch"].to_numpy(zero_copy_only=False)
@@ -717,53 +660,5 @@ def session_concurrency(sf_dir: str, gap_s: int = 1800,
         sessions.map_batches(boundaries, batch_format="pyarrow",
                              batch_size=131072),
         bschema).materialize()
-
-    def tot_prep(batch: pa.Table) -> pa.Table:
-        t = batch["epoch_s"].to_numpy(zero_copy_only=False)
-        return pa.table({"_b": t // bucket_width,
-                         "_s": batch["net_delta"]})
-
-    def tot_merge(t: pa.Table) -> pa.Table:
-        b = t["_b"].to_numpy(zero_copy_only=False)
-        s = t["_s"].to_numpy(zero_copy_only=False)
-        ub, inv = np.unique(b, return_inverse=True)
-        acc = np.zeros(ub.shape[0], dtype=np.int64)
-        np.add.at(acc, inv, s)
-        carry = np.r_[np.int64(0), np.cumsum(acc)[:-1]] \
-            if ub.size else np.empty(0, np.int64)
-        return pa.table({"_b": ub, "_carry": carry.astype(np.int64)})
-
-    totals = combine(
-        bounds, "_b", sums=("_s",), prep=tot_prep, finish=tot_merge,
-        batch_size=131072,
-        schema=pa.schema([("_b", pa.int64()), ("_s", pa.int64())]))
-    carry_ref = ray.put((totals["_b"].to_numpy(),
-                         totals["_carry"].to_numpy()))
-
-    def bucketize(batch: pa.Table) -> pa.Table:
-        t = batch["epoch_s"].to_numpy(zero_copy_only=False)
-        return batch.append_column("_bucket",
-                                   pa.array(t // bucket_width))
-
-    def level(group: pa.Table) -> pa.Table:
-        buckets, carries = ray.get(carry_ref)
-        t = group["epoch_s"].to_numpy(zero_copy_only=False)
-        d = group["net_delta"].to_numpy(zero_copy_only=False)
-        if t.shape[0] == 0:
-            return pa.table({"epoch_s": pa.array([], pa.int64()),
-                             "net_delta": pa.array([], pa.int64()),
-                             "concurrent": pa.array([], pa.int64())})
-        ut, inv = np.unique(t, return_inverse=True)   # in-group netting
-        acc = np.zeros(ut.shape[0], dtype=np.int64)
-        np.add.at(acc, inv, d)
-        carry = carries[np.searchsorted(buckets, t[0] // bucket_width)]
-        level_v = np.cumsum(acc) + carry
-        return pa.table({"epoch_s": ut, "net_delta": acc,
-                         "concurrent": level_v})
-
-    return seed_schema(
-        bounds.map_batches(bucketize, batch_format="pyarrow",
-                           batch_size=131072)
-        .groupby("_bucket").map_groups(level, batch_format="pyarrow"),
-        pa.schema([("epoch_s", pa.int64()), ("net_delta", pa.int64()),
-                   ("concurrent", pa.int64())]))
+    return running_total(bounds, "epoch_s", "net_delta", "concurrent",
+                         bucket_width=bucket_width)

@@ -99,29 +99,19 @@ def compact_cells_dataset(cells_ds, cell_col: str = "cell",
         return pa.Table.from_arrays([pa.array(cells)], names=[cell_col])
 
     # Batch-local distinct first so the shuffle moves unique cells only.
-    # Reducers group by HASH BUCKET of the parent key, not by parent value:
+    # The exchange buckets by HASH of the parent key, not by parent value:
     # every cell of a given res-`group_res` subtree still lands in one
-    # group (exactness preserved), but the groupby handles ~num_buckets
-    # groups instead of one tiny Python callback per distinct parent
-    # (measured 2x on the bench compact query).
-    from ..io.pages import _mix64
-    from ..ops.skew import default_num_buckets
-
-    nb = default_num_buckets()
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        gkey = batch["_gkey"].to_numpy(zero_copy_only=False)
-        h = _mix64(gkey.astype(np.uint64))
-        return batch.append_column(
-            "_bucket", pa.array((h % np.uint64(nb)).astype(np.int32)))
+    # group (exactness preserved), but the groupby handles
+    # default_num_buckets() groups instead of one tiny Python callback per
+    # distinct parent (measured 2x on the bench compact query).
+    from ..ops.reduce import exchange
 
     keyed = cells_ds.map_batches(batch_distinct, batch_format="pyarrow",
                                  batch_size=65536).map_batches(
         stages.parent_stage(group_res, cell_col=cell_col, out_col="_gkey"),
-        batch_format="pyarrow", batch_size=65536).map_batches(
-        add_bucket, batch_format="pyarrow")
-    round1 = keyed.groupby("_bucket").map_groups(
-        local_compact, batch_format="pyarrow").select_columns([cell_col])
+        batch_format="pyarrow", batch_size=65536)
+    round1 = exchange(keyed, "_gkey", local_compact) \
+        .select_columns([cell_col])
 
     # Split: anything still finer than group_res is final.
     def split_fine(batch: pa.Table) -> pa.Table:

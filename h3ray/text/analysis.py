@@ -546,8 +546,7 @@ def _term_doc_pairs(batch: pa.Table, text_col: str,
 
 
 def inverted_postings(ds, text_col: str = "text", doc_col: str = "doc_id",
-                      min_df: int = 5, max_df: int = 60,
-                      num_buckets: int = 32):
+                      min_df: int = 5, max_df: int = 60):
     """Inverted-index builder: for every term whose document frequency
     falls in [min_df, max_df], the sorted posting list of doc ids (as a
     comma-joined string) plus its df. Returns a Dataset
@@ -568,7 +567,7 @@ def inverted_postings(ds, text_col: str = "text", doc_col: str = "doc_id",
     from ray.data.aggregate import Sum
 
     from ..ops.join import seed_schema
-    from ..ops.reduce import driver_merge
+    from ..ops.reduce import driver_merge, exchange
 
     def df_partial(batch: pa.Table) -> pa.Table:
         terms, _ = _term_doc_pairs(batch, text_col, doc_col)
@@ -603,12 +602,6 @@ def inverted_postings(ds, text_col: str = "text", doc_col: str = "doc_id",
         return pa.table({"tid": pos[hit].astype(np.int64),
                          "doc_id": did[hit]})
 
-    def bucket(batch: pa.Table) -> pa.Table:
-        tid = batch["tid"].to_numpy(zero_copy_only=False) \
-            .astype(np.uint64)
-        return batch.append_column("_bucket", pa.array(
-            (_mix64(tid) % np.uint64(num_buckets)).astype(np.int32)))
-
     def build(group: pa.Table) -> pa.Table:
         tid = group["tid"].to_numpy(zero_copy_only=False)
         did = group["doc_id"].to_numpy(zero_copy_only=False)
@@ -630,8 +623,5 @@ def inverted_postings(ds, text_col: str = "text", doc_col: str = "doc_id",
     pairs = seed_schema(
         ds.map_batches(admitted_pairs, batch_format="pyarrow",
                        batch_size=32768), pair_schema)
-    return seed_schema(
-        pairs.map_batches(bucket, batch_format="pyarrow",
-                          batch_size=65536)
-        .groupby("_bucket").map_groups(build, batch_format="pyarrow"),
-        out_schema)
+    return seed_schema(exchange(pairs, "tid", build, batch_size=65536),
+                       out_schema)

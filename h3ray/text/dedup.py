@@ -16,6 +16,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..io.pages import _mix64, url_hash64
+from ..ops.reduce import exchange
 
 N_PERM = 64  # minhash permutations
 N_BANDS = 16  # LSH bands -> 4 rows per band
@@ -312,21 +313,6 @@ def exact_dedup(ds, key_col: str, text_col: str = "text"):
         Min(key_col, alias_name=key_col)).select_columns([key_col])
 
 
-def _bucketize(bands_ds, hash_col: str, num_buckets: int):
-    """Add a shuffle bucket (hash % num_buckets): identical band hashes land
-    in the same bucket, so run detection inside each bucket is exact while
-    the groupby handles only `num_buckets` groups — not one Python callback
-    per band value (the naive map_groups-per-band is ~100x slower)."""
-
-    def fn(batch: pa.Table) -> pa.Table:
-        h = batch[hash_col].to_numpy(zero_copy_only=False).astype(np.uint64)
-        return batch.append_column(
-            "_bucket", pa.array((h % np.uint64(num_buckets)).astype(
-                np.int32)))
-
-    return bands_ds.map_batches(fn, batch_format="pyarrow")
-
-
 def _collision_runs(sort_keys: tuple[np.ndarray, ...]):
     """Vectorized run detection: lexsort by (band keys..., tiebreak), return
     (order, run_starts, run_ends) for runs of identical *band keys* (all but
@@ -347,20 +333,15 @@ def _collision_runs(sort_keys: tuple[np.ndarray, ...]):
     return order, starts[keep], ends[keep]
 
 
-def minhash_duplicate_pairs(ds, key_col: str, text_col: str = "text",
-                            num_buckets: int = 32):
+def minhash_duplicate_pairs(ds, key_col: str, text_col: str = "text"):
     """Candidate near-dup pairs via MinHash-LSH banding.
 
     Returns a Dataset of DISTINCT (key_a, key_b) star pairs (min key per
     colliding band vs the rest) with key_a < key_b — a pair colliding in
-    several bands appears once. Shuffle granularity is `num_buckets` hash
-    buckets (size it ~4x cluster cores at scale).
+    several bands appears once. Identical band hashes meet in one
+    ops.reduce.exchange bucket, so run detection inside it is exact.
     """
     from ..ops.pairs import distinct_pairs
-
-    bands = ds.map_batches(minhash_bands_stage(key_col, text_col),
-                           batch_format="pyarrow", batch_size=8192)
-    bucketed = _bucketize(bands, "band_hash", num_buckets)
 
     def pairs(group: pa.Table) -> pa.Table:
         ks = group[key_col].to_numpy(zero_copy_only=False)
@@ -378,9 +359,10 @@ def minhash_duplicate_pairs(ds, key_col: str, text_col: str = "text",
         return pa.Table.from_arrays([pa.array(a), pa.array(b)],
                                     names=["key_a", "key_b"])
 
-    cand = bucketed.groupby("_bucket").map_groups(pairs,
-                                                  batch_format="pyarrow")
-    return distinct_pairs(cand, "key_a", "key_b", num_buckets=num_buckets)
+    cand = exchange(ds, "band_hash", pairs,
+                    prep=minhash_bands_stage(key_col, text_col),
+                    batch_size=8192)
+    return distinct_pairs(cand, "key_a", "key_b")
 
 
 def simhash_duplicate_pairs(ds, key_col: str, text_col: str = "text",
@@ -406,10 +388,6 @@ def simhash_duplicate_pairs(ds, key_col: str, text_col: str = "text",
              pa.array(keys[rows]), pa.array(sh[rows].view(np.int64))],
             names=["band", "band_value", key_col, "simhash"])
 
-    bands = ds.map_batches(band_stage, batch_format="pyarrow",
-                           batch_size=8192)
-    bucketed = _bucketize(bands, "band_value", 32)
-
     def pairs(group: pa.Table) -> pa.Table:
         ks = group[key_col].to_numpy(zero_copy_only=False)
         sh = group["simhash"].to_numpy(zero_copy_only=False).astype(np.uint64)
@@ -434,8 +412,8 @@ def simhash_duplicate_pairs(ds, key_col: str, text_col: str = "text",
         return pa.Table.from_arrays([pa.array(a), pa.array(b)],
                                     names=["key_a", "key_b"])
 
-    cand = bucketed.groupby("_bucket").map_groups(pairs,
-                                                  batch_format="pyarrow")
+    cand = exchange(ds, "band_value", pairs, prep=band_stage,
+                    batch_size=8192)
 
     # A pair can collide in several bands: exact distributed distinct
     # (unbounded pair sets must not funnel through the driver).
@@ -473,8 +451,7 @@ def exact_canonical_mapping(ds, key_col: str, text_col: str = "text"):
 
 def duplicate_clusters(keys_ds, pairs_ds, key_col: str,
                        pair_a: str = "key_a", pair_b: str = "key_b",
-                       max_iters: int = 30, stats: dict | None = None,
-                       num_buckets: int | None = None):
+                       max_iters: int = 30, stats: dict | None = None):
     """Connected components of the dup-pair graph: (key, cluster_id) with
     cluster_id = min key in the component; keys without a pair cluster to
     themselves.
@@ -525,16 +502,6 @@ def duplicate_clusters(keys_ds, pairs_ds, key_col: str,
 
     from ray.data.aggregate import Min
 
-    from ..ops.skew import default_num_buckets
-
-    # Reducer buckets sized to the GRAPH, not the cluster: the loop runs
-    # 2 shuffle joins per round over (keys + edges) rows, and hundreds of
-    # near-empty reducer groups per all-to-all dominate wall time on small
-    # graphs (measured ~2x round overhead at 128 buckets vs 16 on a
-    # 5k-node graph) while adding nothing at scale.
-    nb = num_buckets or min(default_num_buckets(),
-                            max(16, (labels.count() + n_edges) // 65536))
-
     rounds = 0
     for _ in range(max_iters):
         rounds += 1
@@ -554,8 +521,7 @@ def duplicate_clusters(keys_ds, pairs_ds, key_col: str,
                     [b["cluster_id"], b[key_col]], names=["_src", "_dst"]),
                 batch_format="pyarrow", batch_size=65536)
             msg_edges = edges.union(ptr_edges)
-        msgs = hash_join(msg_edges, src_labels, "_src", "_src",
-                         num_buckets=nb)
+        msgs = hash_join(msg_edges, src_labels, "_src", "_src")
         cand = msgs.groupby("_dst").aggregate(
             Min("_label", alias_name="_min_nbr"))
 
@@ -566,7 +532,7 @@ def duplicate_clusters(keys_ds, pairs_ds, key_col: str,
                            cand.map_batches(rename_cand,
                                             batch_format="pyarrow",
                                             batch_size=65536),
-                           key_col, key_col, how="left", num_buckets=nb)
+                           key_col, key_col, how="left")
 
         def lower(batch: pa.Table) -> pa.Table:
             cur = batch["cluster_id"]
@@ -599,8 +565,7 @@ def duplicate_clusters(keys_ds, pairs_ds, key_col: str,
 
 
 def minhash_candidate_pairs(ds, key_col: str, text_col: str = "text",
-                            k: int = 5, num_buckets: int = 32,
-                            distinct: bool = True):
+                            k: int = 5, distinct: bool = True):
     """All distinct (key_a < key_b) pairs colliding in >= 1 MinHash band.
 
     Shuffle moves (key, band, band_hash) rows ONLY — no text. Duplicate
@@ -608,10 +573,6 @@ def minhash_candidate_pairs(ds, key_col: str, text_col: str = "text",
     `distinct=False` skips that all-to-all for consumers that dedupe
     downstream anyway (pairverify groups co-locate every copy of a pair)."""
     from ..ops.pairs import distinct_pairs
-
-    bands = ds.map_batches(minhash_bands_stage(key_col, text_col, k),
-                           batch_format="pyarrow", batch_size=8192)
-    bucketed = _bucketize(bands, "band_hash", num_buckets)
 
     def pairs(group: pa.Table) -> pa.Table:
         ks = group[key_col].to_numpy(zero_copy_only=False)
@@ -631,11 +592,12 @@ def minhash_candidate_pairs(ds, key_col: str, text_col: str = "text",
         return pa.Table.from_arrays([pa.array(a), pa.array(b)],
                                     names=["key_a", "key_b"])
 
-    cand = bucketed.groupby("_bucket").map_groups(pairs,
-                                                  batch_format="pyarrow")
+    cand = exchange(ds, "band_hash", pairs,
+                    prep=minhash_bands_stage(key_col, text_col, k),
+                    batch_size=8192)
     if not distinct:
         return cand
-    return distinct_pairs(cand, "key_a", "key_b", num_buckets=num_buckets)
+    return distinct_pairs(cand, "key_a", "key_b")
 
 
 def _ragged_gather(values: np.ndarray, starts: np.ndarray,
@@ -666,7 +628,6 @@ def _unique_shingle_sets(texts: pa.Array, k: int):
 
 def ngram_jaccard_pairs(ds, key_col: str, text_col: str = "text",
                         threshold: float = 0.5, k: int = 5,
-                        num_buckets: int = 64,
                         verify_block_bytes: int = 4 * 1024 * 1024):
     """Exact-verified near-dup pairs: MinHash-LSH candidates re-checked with
     true character-k-gram Jaccard >= threshold.
@@ -685,8 +646,8 @@ def ngram_jaccard_pairs(ds, key_col: str, text_col: str = "text",
     of shingle intersections per payload KB): at the default 128 MiB the
     sort packed ALL groups into 3 blocks and the whole verification ran
     3-wide regardless of cluster size (measured 12.2 s -> 2.7 s at sf0.1 /
-    32 cpus with 4 MiB + 64 buckets). The override is captured at dataset
-    BUILD time and scoped to this sub-pipeline. At corpus scales where
+    32 cpus with 4 MiB and 64 verification buckets). The override is
+    captured at dataset BUILD time and scoped to this sub-pipeline. At corpus scales where
     routed bytes / verify_block_bytes would exceed ~100k blocks, raise it —
     the goal is blocks ~ a few x cluster cores.
     """
@@ -702,13 +663,13 @@ def ngram_jaccard_pairs(ds, key_col: str, text_col: str = "text",
     ctx.target_max_block_size = verify_block_bytes
     try:
         return _ngram_jaccard_pairs_build(ds, key_col, text_col, threshold,
-                                          k, num_buckets, out_schema)
+                                          k, out_schema)
     finally:
         ctx.target_max_block_size = prev_block
 
 
 def _ngram_jaccard_pairs_build(ds, key_col, text_col, threshold, k,
-                               num_buckets, out_schema):
+                               out_schema):
     import ray.data as rd
 
     from ..ops.pairverify import route_pairs_and_payload, split_pair_group
@@ -716,10 +677,8 @@ def _ngram_jaccard_pairs_build(ds, key_col, text_col, threshold, k,
     # distinct=False: copies of a multi-band collision all hash to the same
     # verification bucket, so split_pair_group dedupes them in-group — one
     # fewer all-to-all than a pre-shuffle global distinct.
-    cand = minhash_candidate_pairs(ds, key_col, text_col, k, num_buckets,
-                                   distinct=False)
-    routed, n_pairs = route_pairs_and_payload(
-        ds, cand, key_col, [text_col], num_buckets=num_buckets)
+    cand = minhash_candidate_pairs(ds, key_col, text_col, k, distinct=False)
+    routed, n_pairs = route_pairs_and_payload(ds, cand, key_col, [text_col])
     if n_pairs == 0:
         return rd.from_arrow(out_schema.empty_table())
 
@@ -783,8 +742,7 @@ def _ngram_jaccard_pairs_build(ds, key_col, text_col, threshold, k,
 
 
 def near_dedup(docs_ds, key_col: str = "doc_id", text_col: str = "text",
-               threshold: float = 0.5, k: int = 5,
-               num_buckets: int | None = None):
+               threshold: float = 0.5, k: int = 5):
     """Near-duplicate REMOVAL: keep exactly one canonical document per
     near-dup cluster (the minimum key of its connected component); unique
     documents pass through untouched. Output schema == input schema.
@@ -805,16 +763,14 @@ def near_dedup(docs_ds, key_col: str = "doc_id", text_col: str = "text",
         docs_ds.select_columns([key_col, text_col]), key_col=key_col,
         text_col=text_col, threshold=threshold, k=k)
     clusters = duplicate_clusters(
-        docs_ds.select_columns([key_col]), pairs, key_col=key_col,
-        num_buckets=num_buckets)
+        docs_ds.select_columns([key_col]), pairs, key_col=key_col)
 
     def survivors(batch: pa.Table) -> pa.Table:
         keep = pc.equal(batch[key_col], batch["cluster_id"])
         return batch.filter(keep).select([key_col])
 
     canon = clusters.map_batches(survivors, batch_format="pyarrow")
-    return semi_join(docs_ds, canon, key_col, key_col,
-                     num_buckets=num_buckets)
+    return semi_join(docs_ds, canon, key_col, key_col)
 
 
 def contamination_flags(docs_ds, bench_ds, key_col: str = "doc_id",
@@ -857,8 +813,30 @@ def contamination_flags(docs_ds, bench_ds, key_col: str = "doc_id",
     return docs_ds.map_batches(probe, batch_format="pyarrow")
 
 
+def _shingle_exchange(ds, key_col: str, text_col: str, k: int, fn):
+    """The first exchange of the shingle statistics: each document's
+    DISTINCT k-gram hashes as (_g, key) int64 rows, every copy of one
+    hash in one call of `fn`. Shingles per NATURAL read block (a
+    32K-row coalesce funnels the whole table into one task at small SF
+    and serializes the dominant stage; block-granular tasks keep every
+    core shingling)."""
+    pair_schema = pa.schema([("_g", pa.int64()), (key_col, pa.int64())])
+
+    def pairs(batch: pa.Table) -> pa.Table:
+        if batch.num_rows == 0:
+            return pair_schema.empty_table()
+        keys = batch[key_col].to_numpy(zero_copy_only=False)
+        values, _starts, lens = _unique_shingle_sets(batch[text_col], k)
+        return pa.Table.from_arrays(
+            [pa.array(values), pa.array(np.repeat(keys, lens))],
+            schema=pair_schema)
+
+    return exchange(ds.select_columns([key_col, text_col]), "_g", fn,
+                    prep=pairs)
+
+
 def dup_ngram_stats(ds, key_col: str = "doc_id", text_col: str = "text",
-                    k: int = 5, num_buckets: int | None = None):
+                    k: int = 5):
     """Cross-document duplicated-n-gram statistics — the CCNet-style
     line/paragraph-dedup shape (Wenzek et al. 2020), expressed over
     character k-grams because the corpus here has no line structure:
@@ -869,30 +847,15 @@ def dup_ngram_stats(ds, key_col: str = "doc_id", text_col: str = "text",
     pairs only — never text. Shingles are deduped per doc inside
     map_batches (one Arrow-buffer pass + one segmented sort,
     `_unique_shingle_sets`); the dup decision is a run-length check inside
-    `num_buckets` hash buckets (identical hashes co-locate, so a run of
+    each exchange bucket (identical hashes co-locate, so a run of
     >= 2 rows == >= 2 distinct docs — within a doc each shingle appears
     once); each reducer pre-rolls its (key, n, n_dup) partials so the
     final groupby moves three ints per (doc, bucket). Output:
     (key_col, n_shingles, n_dup), all int64.
     """
-    from ..ops.skew import default_num_buckets
-
-    nb = num_buckets or default_num_buckets()
-    pair_schema = pa.schema([("_g", pa.int64()), (key_col, pa.int64()),
-                             ("_bucket", pa.int32())])
     out_schema = pa.schema([(key_col, pa.int64()),
                             ("n_shingles", pa.int64()),
                             ("n_dup", pa.int64())])
-
-    def pairs(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pair_schema.empty_table()
-        keys = batch[key_col].to_numpy(zero_copy_only=False)
-        values, _starts, lens = _unique_shingle_sets(batch[text_col], k)
-        bucket = (values.view(np.uint64) % np.uint64(nb)).astype(np.int32)
-        return pa.Table.from_arrays(
-            [pa.array(values), pa.array(np.repeat(keys, lens)),
-             pa.array(bucket)], schema=pair_schema)
 
     def mark(group: pa.Table) -> pa.Table:
         n = group.num_rows
@@ -915,12 +878,6 @@ def dup_ngram_stats(ds, key_col: str = "doc_id", text_col: str = "text",
              pa.array(np.floor(dup + 0.5).astype(np.int64))],
             schema=out_schema)
 
-    def key_bucket(batch: pa.Table) -> pa.Table:
-        k = batch[key_col].to_numpy(zero_copy_only=False)
-        return batch.append_column(
-            "_kb", pa.array((_mix64(k.astype(np.uint64))
-                             % np.uint64(nb)).astype(np.int32)))
-
     def rollup(group: pa.Table) -> pa.Table:
         if group.num_rows == 0:
             return out_schema.empty_table()
@@ -935,22 +892,16 @@ def dup_ngram_stats(ds, key_col: str = "doc_id", text_col: str = "text",
             [pa.array(uniq), pa.array(tot), pa.array(dup)],
             schema=out_schema)
 
-    # Final per-doc rollup rides a second hash-bucket exchange (the native
+    # Final per-doc rollup rides a second hash exchange (the native
     # int-key Aggregate measured 13 s on 160k partial rows — the
     # map_groups-per-tiny-group tax CLAUDE.md bans; bucketed np.add.at is
     # ~100x cheaper and unbounded-key safe).
-    # batch_size=None: shingle per NATURAL read block (a 32K-row coalesce
-    # funnels the whole table into one task at small SF and serializes the
-    # dominant stage; block-granular tasks keep every core shingling).
-    return ds.select_columns([key_col, text_col]) \
-        .map_batches(pairs, batch_format="pyarrow", batch_size=None) \
-        .groupby("_bucket").map_groups(mark, batch_format="pyarrow") \
-        .map_batches(key_bucket, batch_format="pyarrow") \
-        .groupby("_kb").map_groups(rollup, batch_format="pyarrow")
+    return exchange(_shingle_exchange(ds, key_col, text_col, k, mark),
+                    key_col, rollup)
 
 
 def shingle_novelty(ds, key_col: str = "doc_id", text_col: str = "text",
-                    k: int = 5, num_buckets: int | None = None):
+                    k: int = 5):
     """Corpus novelty curve: per document, how many of its DISTINCT
     character k-grams appear here FIRST (global MIN key over every
     occurrence — the first-crawl attribution), and the novelty ratio
@@ -965,11 +916,6 @@ def shingle_novelty(ds, key_col: str = "doc_id", text_col: str = "text",
     (key_col, n_shingles, n_new, novelty), ratio = ONE IEEE division of
     exact int64 counts.
     """
-    from ..ops.skew import default_num_buckets
-
-    nb = num_buckets or default_num_buckets()
-    pair_schema = pa.schema([("_g", pa.int64()), (key_col, pa.int64()),
-                             ("_bucket", pa.int32())])
     mid_schema = pa.schema([(key_col, pa.int64()),
                             ("n_shingles", pa.int64()),
                             ("n_new", pa.int64())])
@@ -977,16 +923,6 @@ def shingle_novelty(ds, key_col: str = "doc_id", text_col: str = "text",
                             ("n_shingles", pa.int64()),
                             ("n_new", pa.int64()),
                             ("novelty", pa.float64())])
-
-    def pairs(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pair_schema.empty_table()
-        keys = batch[key_col].to_numpy(zero_copy_only=False)
-        values, _starts, lens = _unique_shingle_sets(batch[text_col], k)
-        bucket = (values.view(np.uint64) % np.uint64(nb)).astype(np.int32)
-        return pa.Table.from_arrays(
-            [pa.array(values), pa.array(np.repeat(keys, lens)),
-             pa.array(bucket)], schema=pair_schema)
 
     def first_marks(group: pa.Table) -> pa.Table:
         n = group.num_rows
@@ -1007,12 +943,6 @@ def shingle_novelty(ds, key_col: str = "doc_id", text_col: str = "text",
             [pa.array(uniq), pa.array(tot), pa.array(new)],
             schema=mid_schema)
 
-    def key_bucket(batch: pa.Table) -> pa.Table:
-        kk = batch[key_col].to_numpy(zero_copy_only=False)
-        return batch.append_column(
-            "_kb", pa.array((_mix64(kk.astype(np.uint64))
-                             % np.uint64(nb)).astype(np.int32)))
-
     def rollup(group: pa.Table) -> pa.Table:
         if group.num_rows == 0:
             return out_schema.empty_table()
@@ -1029,8 +959,5 @@ def shingle_novelty(ds, key_col: str = "doc_id", text_col: str = "text",
              pa.array(np.where(tot > 0, nov, np.nan))],
             schema=out_schema)
 
-    return ds.select_columns([key_col, text_col]) \
-        .map_batches(pairs, batch_format="pyarrow", batch_size=None) \
-        .groupby("_bucket").map_groups(first_marks, batch_format="pyarrow") \
-        .map_batches(key_bucket, batch_format="pyarrow") \
-        .groupby("_kb").map_groups(rollup, batch_format="pyarrow")
+    return exchange(_shingle_exchange(ds, key_col, text_col, k, first_marks),
+                    key_col, rollup)

@@ -18,6 +18,20 @@ def ray_session():
     ray.shutdown()
 
 
+@pytest.fixture
+def num_buckets(monkeypatch):
+    """Setter for the bucket count of every hash exchange
+    (`h3ray.ops.reduce.default_num_buckets`), undone after the test.
+    Exchanges read the count when they are built, so a test may set one
+    count, build and run, then set another."""
+    from h3ray.ops import reduce
+
+    def set_count(n: int):
+        monkeypatch.setattr(reduce, "default_num_buckets", lambda: n)
+
+    return set_count
+
+
 @pytest.fixture(scope="session")
 def reference_dataset():
     return Path("/root/reference/dataset")

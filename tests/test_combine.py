@@ -164,3 +164,72 @@ def test_library_driver_merge_allowlist():
                     found.append((path.relative_to(root).as_posix(),
                                   getattr(top, "name", "<module>")))
     assert sorted(found) == DRIVER_MERGE_ALLOWLIST
+
+
+# Where a hash-bucket exchange may be built or sized: ops.reduce.exchange
+# is the one groupby("_bucket") over hashed keys and the one caller of
+# default_num_buckets; ops/scan.py groups by key RANGE and
+# ops/pairverify.py routes pairs to verification buckets.
+# (file, enclosing top-level function, "groupby" | "default_num_buckets")
+EXCHANGE_ALLOWLIST = sorted([
+    ("h3ray/ops/reduce.py", "exchange", "default_num_buckets"),
+    ("h3ray/ops/reduce.py", "exchange", "groupby"),
+    ("h3ray/ops/scan.py", "_scan", "groupby"),
+    ("h3ray/ops/pairverify.py", "route_pairs_and_payload",
+     "default_num_buckets"),
+])
+
+
+def test_exchange_allowlist():
+    root = Path(__file__).resolve().parent.parent
+    found = []
+    for path in sorted(root.joinpath("h3ray").rglob("*.py")) + [
+            root / "__ray_entry__.py"]:
+        tree = ast.parse(path.read_text())
+        for top in tree.body:
+            for node in ast.walk(top):
+                name = getattr(node, "id", None) or getattr(node, "attr",
+                                                            None)
+                if name == "default_num_buckets" and not isinstance(
+                        node, ast.FunctionDef):
+                    what = name
+                elif (isinstance(node, ast.Call)
+                      and getattr(node.func, "attr", None) == "groupby"
+                      and node.args
+                      and getattr(node.args[0], "value", None) == "_bucket"):
+                    what = "groupby"
+                else:
+                    continue
+                found.append((path.relative_to(root).as_posix(),
+                              getattr(top, "name", "<module>"), what))
+    assert sorted(found) == EXCHANGE_ALLOWLIST
+
+
+def test_exchange_colocates_keys_by_hash(ray_session, num_buckets):
+    """Every row of a key reaches one call of fn, with `_bucket` dropped;
+    an integer key lands in bucket _mix64(key) % default_num_buckets(),
+    and a two-column key co-locates each (key, key) pair."""
+    from h3ray.io.pages import _mix64
+    from h3ray.ops.reduce import exchange
+
+    num_buckets(5)
+    n = 600
+    t = pa.table({"k": np.arange(n, dtype=np.int64) % 37,
+                  "s": [f"s{i % 3}" for i in range(n)]})
+
+    def tag(group: pa.Table) -> pa.Table:
+        assert group.column_names == ["k", "s"]
+        k = group["k"].to_numpy()
+        return pa.table({"k": k, "s": group["s"],
+                         "g": np.full(k.shape[0], k.min())})
+
+    out = exchange(rd.from_arrow(t).repartition(4), "k", tag).to_pandas()
+    assert len(out) == n
+    assert (out.groupby("k")["g"].nunique() == 1).all()
+    bucket = _mix64(out["k"].to_numpy().astype(np.uint64)) % np.uint64(5)
+    assert (out.assign(b=bucket).groupby("g")["b"].nunique() == 1).all()
+    assert out["g"].nunique() <= 5
+    pairs = exchange(rd.from_arrow(t).repartition(4), ["k", "s"], tag) \
+        .to_pandas()
+    assert len(pairs) == n
+    assert (pairs.groupby(["k", "s"])["g"].nunique() == 1).all()

@@ -174,10 +174,12 @@ def _schema(*fields):
 def test_empty_combine_roots(ray_session, tmp_path):
     """Every library root that runs on ops.reduce.combine keeps its
     result columns and Arrow types over an empty Dataset, both one
-    empty block and a filter that drops every row. Pinned as they are:
-    the exact-moment reducers and centroids_by_label return a table
-    with no columns. detect_hot_keys returns empty int64 keys and float64
-    shares."""
+    empty block and a filter that drops every row. The exact-moment
+    reducers type their key as the input schema does; a filter that drops
+    every row leaves no schema, so there the key is typed null. The two
+    global scans keep
+    the input's columns plus their int64 output. detect_hot_keys returns
+    empty int64 keys and float64 shares."""
     import pyarrow.parquet as pq
 
     import __ray_entry__ as entry
@@ -192,7 +194,6 @@ def test_empty_combine_roots(ray_session, tmp_path):
     emb = pa.table({"label": [0], "embedding": pa.array(
         [[0.1, 0.2]], pa.list_(pa.float32()))})
     day = [("key", "string"), ("day", "string")]
-    none = pa.schema([])
     # (input, root, result schema, result rows)
     cases = [
         (series, lambda d: window.trailing_day_sum(d, "k", "ts", "v"),
@@ -202,12 +203,14 @@ def test_empty_combine_roots(ray_session, tmp_path):
          _schema(*day, ("cents", "int64"), ("was_gap", "int64")), 0),
         (series, lambda d: window.moving_day_median(d, "k", "ts", "v"),
          _schema(*day, ("day_cents", "int64"), ("med_cents", "int64")), 0),
-        (series, lambda d: reduce.grouped_var_exact(d, "k", "v"), none, 0),
+        (series, lambda d: reduce.grouped_var_exact(d, "k", "v"),
+         _schema(("k", "string"), ("n_rows", "int64"),
+                 ("var_value", "float64"), ("stddev_value", "float64")), 0),
         (series, lambda d: reduce.grouped_corr_exact(d, "k", "x", "y"),
-         none, 0),
+         _schema(("k", "string"), ("corr", "float64")), 0),
         (series,
          lambda d: reduce.grouped_regr_slope_exact(d, "k", "x", "y"),
-         none, 0),
+         _schema(("k", "string"), ("slope", "float64")), 0),
         (series, lambda d: reduce.cohort_counts(d, "u", "ts"),
          _schema(("cohort_month", "string"), ("month_k", "int64"),
                  ("n_customers", "int64")), 0),
@@ -230,7 +233,9 @@ def test_empty_combine_roots(ray_session, tmp_path):
          lambda d: rs.zonal_stats(d, 1, 10, 10),
          _schema(("cell", "uint64"), ("n_pixels", "int64"),
                  ("sum_value", "int64"), ("max_value", "int64")), 0),
-        (emb, ann.centroids_by_label, none, 0),
+        (emb, ann.centroids_by_label,
+         _schema(("label", "int64"), ("dim", "int64"),
+                 ("sum_micro", "int64"), ("n_vecs", "int64")), 0),
         (emb, ann.label_cohesion,
          _schema(("label", "int64"), ("n_vecs", "int64"),
                  ("mean_pair_dot", "float64")), 0),
@@ -239,13 +244,18 @@ def test_empty_combine_roots(ray_session, tmp_path):
                  ("num_pages", "int64")), 0),
     ]
     for tbl, fn, schema, rows in cases:
-        for empty in (rd.from_arrow(tbl.schema.empty_table()),
-                      rd.from_arrow(tbl).filter(lambda r: False)):
-            out = fn(empty)
-            assert (out.schema, out.num_rows) == (schema, rows), fn
-    for fn in (scan.global_exclusive_cumsum, scan.global_exclusive_cummax):
-        assert fn(rd.from_arrow(series.schema.empty_table()), "x", "y") \
-            .count() == 0
+        out = fn(rd.from_arrow(tbl.schema.empty_table()))
+        assert (out.schema, out.num_rows) == (schema, rows), fn
+        out = fn(rd.from_arrow(tbl).filter(lambda r: False))
+        if schema.names[0] == "k":  # an exact-moment key, typed by input
+            schema = schema.set(0, pa.field("k", pa.null()))
+        assert (out.schema, out.num_rows) == (schema, rows), fn
+    for fn, col in ((scan.global_exclusive_cumsum, "excl_cumsum"),
+                    (scan.global_exclusive_cummax, "excl_cummax")):
+        out = fn(rd.from_arrow(series.schema.empty_table()), "x", "y")
+        assert out.count() == 0
+        assert out.schema().base_schema == series.schema.append(
+            pa.field(col, pa.int64()))
     for empty in (rd.from_arrow(series.schema.empty_table()),
                   rd.from_arrow(series).filter(lambda r: False)):
         keys, shares = skew.detect_hot_keys(empty, "k", "u")
@@ -258,3 +268,35 @@ def test_empty_combine_roots(ray_session, tmp_path):
     assert out.to_pylist() == [{"n_step1": 0, "n_step2": 0, "n_step3": 0}]
     assert out.schema == _schema(("n_step1", "int64"),
                                  ("n_step2", "int64"), ("n_step3", "int64"))
+
+
+def test_empty_tables_pip_ann_winsorized(ray_session, tmp_path):
+    """Over all-empty tables the three ANN top-k queries, events_winsorized
+    and the exact PIP join return their typed empty results (the ANN
+    queries have no query vectors to stack, the winsorizer no bounds)."""
+    import pyarrow.parquet as pq
+
+    import __ray_entry__ as entry
+
+    for t in ["documents", "events", "embeddings"]:
+        s = pq.read_schema(f"{entry.SF0001}/{t}.parquet")
+        pq.write_table(s.empty_table(), tmp_path / f"{t}.parquet")
+    q = entry.queries()
+    ann = _schema(("query_id", "int64"), ("vec_id", "int64"))
+    expect = {"ann_topk_cosine": ann, "ann_topk_lsh": ann,
+              "ann_topk_ivf": ann,
+              "events_winsorized": _schema(
+                  ("event_id", "int64"), ("event_type", "string"),
+                  ("value_w", "float64")),
+}
+    for name, schema in expect.items():
+        out = q[name](str(tmp_path))
+        assert (out.schema, out.num_rows) == (schema, 0), name
+    from h3ray.io import pages as pio
+    from h3ray.pipelines import pip
+
+    out = pip.pip_join(pio.pages_from_documents(str(tmp_path)),
+                       pip.city_polygons(2), res=8, exact=True)
+    assert out.count() == 0
+    assert out.schema().base_schema == _schema(
+        ("url", "string"), ("polygon_id", "int64"), ("cell", "uint64"))

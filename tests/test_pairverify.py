@@ -13,12 +13,13 @@ def _payload(n=20):
                      "text": pa.array([f"payload-{i}" for i in range(n)])})
 
 
-def test_route_colocates_every_pair_with_both_payloads(ray_session):
+def test_route_colocates_every_pair_with_both_payloads(ray_session,
+                                                       num_buckets):
+    num_buckets(4)
     pairs = pa.table({"key_a": pa.array([0, 2, 2, 17], type=pa.int64()),
                       "key_b": pa.array([5, 9, 11, 19], type=pa.int64())})
     routed, n = route_pairs_and_payload(
-        rd.from_arrow(_payload()), rd.from_arrow(pairs), "doc_id", ["text"],
-        num_buckets=4)
+        rd.from_arrow(_payload()), rd.from_arrow(pairs), "doc_id", ["text"])
     assert n == 4
 
     seen = []
@@ -48,12 +49,12 @@ def test_route_empty_pairs_short_circuits(ray_session):
     assert routed is None and n == 0
 
 
-def test_split_raises_on_missing_payload_key(ray_session):
+def test_split_raises_on_missing_payload_key(ray_session, num_buckets):
+    num_buckets(2)
     pairs = pa.table({"key_a": pa.array([0], type=pa.int64()),
                       "key_b": pa.array([99], type=pa.int64())})  # absent
     routed, n = route_pairs_and_payload(
-        rd.from_arrow(_payload()), rd.from_arrow(pairs), "doc_id", ["text"],
-        num_buckets=2)
+        rd.from_arrow(_payload()), rd.from_arrow(pairs), "doc_id", ["text"])
     assert n == 1
 
     def verify(group: pa.Table) -> pa.Table:

@@ -120,7 +120,7 @@ def test_asof_join_tie_at_equal_ts(ray_session, tmp_path):
     assert out.loc[1, "right_event_id"] == 12
 
 
-def test_bucket_count_invariance(ray_session, tmp_path):
+def test_bucket_count_invariance(ray_session, tmp_path, num_buckets):
     """Sessionization / asof results are identical for any reducer bucket
     count (the count only controls shuffle granularity)."""
     from h3ray.pipelines.relational import events_asof_join, user_sessions
@@ -139,11 +139,13 @@ def test_bucket_count_invariance(ray_session, tmp_path):
     def canon(df):
         return df.sort_values(list(df.columns)).reset_index(drop=True)
 
-    s7 = canon(user_sessions(str(tmp_path), num_buckets=7).to_pandas())
-    s32 = canon(user_sessions(str(tmp_path), num_buckets=32).to_pandas())
+    def both(num):
+        num_buckets(num)
+        return (canon(user_sessions(str(tmp_path)).to_pandas()),
+                canon(events_asof_join(str(tmp_path)).to_pandas()))
+
+    (s7, a7), (s32, a32) = both(7), both(32)
     assert s7.equals(s32) and len(s7) > 37
-    a7 = canon(events_asof_join(str(tmp_path), num_buckets=7).to_pandas())
-    a32 = canon(events_asof_join(str(tmp_path), num_buckets=32).to_pandas())
     assert a7.equals(a32) and len(a7) > 0
 
 

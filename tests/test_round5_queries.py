@@ -738,7 +738,7 @@ def test_table_fingerprint_invariance_and_sensitivity(ray_session):
     import ray.data as rd
 
     from h3ray.io.pages import _mix64
-    from h3ray.ops.reduce import table_fingerprint
+    from h3ray.ops.reduce import FINGERPRINT_BUCKETS, table_fingerprint
 
     rng = np.random.default_rng(29)
     keys = rng.permutation(np.arange(3000, dtype=np.int64))
@@ -746,8 +746,7 @@ def test_table_fingerprint_invariance_and_sensitivity(ray_session):
 
     outs = []
     for nparts in (1, 8):
-        t = table_fingerprint(rd.from_arrow(tbl).repartition(nparts),
-                              "id", num_buckets=16)
+        t = table_fingerprint(rd.from_arrow(tbl).repartition(nparts), "id")
         outs.append(sorted(zip(t["bucket"].to_pylist(),
                                t["n_rows"].to_pylist(),
                                t["xor_fp"].to_pylist())))
@@ -757,16 +756,16 @@ def test_table_fingerprint_invariance_and_sensitivity(ray_session):
     # reference recompute
     h = _mix64(keys.astype(np.uint64))
     exp = {}
-    for b in range(16):
-        sel = h[(h % np.uint64(16)).astype(int) == b]
+    nb = FINGERPRINT_BUCKETS
+    for b in range(nb):
+        sel = h[(h % np.uint64(nb)).astype(int) == b]
         if sel.size:
             exp[b] = (sel.size,
                       int(np.bitwise_xor.reduce(sel).view(np.int64)))
     assert {b: (n, f) for b, n, f in outs[0]} == exp
 
     # dropping one row flips exactly its bucket's fingerprint
-    t2 = table_fingerprint(rd.from_arrow(tbl.slice(1)), "id",
-                           num_buckets=16)
+    t2 = table_fingerprint(rd.from_arrow(tbl.slice(1)), "id")
     got2 = {b: (n, f) for b, n, f in
             zip(t2["bucket"].to_pylist(), t2["n_rows"].to_pylist(),
                 t2["xor_fp"].to_pylist())}
@@ -794,7 +793,8 @@ def test_levenshtein_kernel_matches_duckdb(ray_session):
     assert got.tolist() == exp
 
 
-def test_fuzzy_pairs_blocked_matches_brute_force(ray_session):
+def test_fuzzy_pairs_blocked_matches_brute_force(ray_session, num_buckets):
+    num_buckets(3)
     import random
 
     import numpy as np
@@ -822,7 +822,7 @@ def test_fuzzy_pairs_blocked_matches_brute_force(ray_session):
     for nparts in (1, 5):
         out = fuzzy_pairs_blocked(
             rd.from_arrow(tbl).repartition(nparts), "grp", "s",
-            max_dist=1, num_buckets=3).to_pandas()
+            max_dist=1).to_pandas()
         got = {(r.key, r.str_a, r.str_b, r.dist)
                for r in out.itertuples()}
         assert got == exp
@@ -894,7 +894,8 @@ def test_term_dictionary_ids_dense_and_sorted(ray_session):
     assert (out.df >= 1).all()
 
 
-def test_partitioned_allocate_exact_invariant(ray_session):
+def test_partitioned_allocate_exact_invariant(ray_session, num_buckets):
+    num_buckets(4)
     import numpy as np
     import ray.data as rd
 
@@ -913,7 +914,7 @@ def test_partitioned_allocate_exact_invariant(ray_session):
     for nparts in (1, 6):
         out = partitioned_allocate(
             rd.from_arrow(tbl).repartition(nparts), "p", "w", "t",
-            tiebreak_col="tb", num_buckets=4).to_pandas()
+            tiebreak_col="tb").to_pandas()
         # invariant: per-partition allocations sum EXACTLY to the total
         sums = out.groupby("p")["alloc"].sum().to_dict()
         assert sums == totals

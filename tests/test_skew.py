@@ -7,7 +7,8 @@ import ray.data as rd
 from h3ray.ops import skew
 
 
-def test_salted_top_k_equals_direct(ray_session):
+def test_salted_top_k_equals_direct(ray_session, num_buckets):
+    num_buckets(4)
     rng = np.random.default_rng(7)
     n = 30000
     # Hot key 'a' holds ~80% of rows.
@@ -19,7 +20,7 @@ def test_salted_top_k_equals_direct(ray_session):
         [pa.array(key_names[keys]), pa.array(vals), pa.array(ids)],
         names=["key", "value", "row_id"])
     out = skew.salted_top_k(rd.from_arrow(t), "key", "value", k=5,
-                            salt_mod=8, tiebreak_col="row_id").to_pandas()
+                            tiebreak_col="row_id").to_pandas()
     got = set(zip(out.key, out.row_id))
     exp = set()
     for kv in np.unique(keys):
@@ -30,9 +31,10 @@ def test_salted_top_k_equals_direct(ray_session):
     assert (out.groupby("key").size() == 5).all()
 
 
-def test_detect_hot_keys_and_selective_salting(ray_session):
+def test_detect_hot_keys_and_selective_salting(ray_session, num_buckets):
     """The sampled histogram finds the planted hot key; selective salting
     produces identical top-k results to blanket salting."""
+    num_buckets(4)
     rng = np.random.default_rng(17)
     n = 40000
     keys = np.where(rng.random(n) < 0.7, 7,
@@ -50,18 +52,19 @@ def test_detect_hot_keys_and_selective_salting(ray_session):
     assert len(hot) <= 3  # only genuinely hot keys
 
     blanket = skew.salted_top_k(rd.from_arrow(t), "key", "value", k=4,
-                                salt_mod=8, tiebreak_col="row_id") \
+                                tiebreak_col="row_id") \
         .to_pandas()
     selective = skew.salted_top_k(rd.from_arrow(t), "key", "value", k=4,
-                                  salt_mod=8, tiebreak_col="row_id",
+                                  tiebreak_col="row_id",
                                   hot_keys=hot).to_pandas()
     assert set(zip(blanket.key, blanket.row_id)) == \
         set(zip(selective.key, selective.row_id))
 
 
-def test_detect_hot_keys_string_keys(ray_session):
+def test_detect_hot_keys_string_keys(ray_session, num_buckets):
     """String group keys (the canonical hot-key case) work end-to-end
     through detection and selective salting."""
+    num_buckets(4)
     rng = np.random.default_rng(3)
     n = 20000
     kinds = np.where(rng.random(n) < 0.8, 0, rng.integers(1, 6, n))
@@ -75,10 +78,10 @@ def test_detect_hot_keys_string_keys(ray_session):
                                        rate_bp=500, hot_share=0.1)
     assert hot.tolist() == ["hot"]
     out = skew.salted_top_k(rd.from_arrow(t), "key", "value", k=3,
-                            salt_mod=8, tiebreak_col="row_id",
+                            tiebreak_col="row_id",
                             hot_keys=hot).to_pandas()
     assert (out.groupby("key").size() == 3).all()
     direct = skew.salted_top_k(rd.from_arrow(t), "key", "value", k=3,
-                               salt_mod=8, tiebreak_col="row_id").to_pandas()
+                               tiebreak_col="row_id").to_pandas()
     assert set(zip(out.key, out.row_id)) == set(zip(direct.key,
                                                     direct.row_id))

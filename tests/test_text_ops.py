@@ -100,9 +100,10 @@ def test_normalize_stage(ray_session):
     assert list(out.text) == ["hello world x", "a"]
 
 
-def test_inverted_postings_matches_reference(ray_session):
+def test_inverted_postings_matches_reference(ray_session, num_buckets):
     """Posting lists == a pure-Python inverted index (distinct terms per
     doc, df band inclusive, doc ids ascending), under repartitioning."""
+    num_buckets(3)
     from h3ray.text.analysis import inverted_postings
 
     docs = ["the cat sat", "the dog", "cat CAT cat", "", "dog the cat",
@@ -118,7 +119,7 @@ def test_inverted_postings_matches_reference(ray_session):
     for nparts in (1, 5):
         out = inverted_postings(
             rd.from_arrow(tbl).repartition(nparts),
-            min_df=2, max_df=4, num_buckets=3).to_pandas()
+            min_df=2, max_df=4).to_pandas()
         got = {r.term: (r.df, r.postings) for r in out.itertuples()}
         assert got == {t: (len(ds), ",".join(map(str, sorted(ds))))
                        for t, ds in band.items()}

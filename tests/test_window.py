@@ -8,7 +8,8 @@ import pyarrow.parquet as pq
 from h3ray.pipelines.relational import events_rolling_by_user
 
 
-def test_rolling_window_matches_pandas(ray_session, tmp_path):
+def test_rolling_window_matches_pandas(ray_session, tmp_path, num_buckets):
+    num_buckets(4)
     rng = np.random.default_rng(5)
     n = 4000
     df = pd.DataFrame({
@@ -21,8 +22,7 @@ def test_rolling_window_matches_pandas(ray_session, tmp_path):
     })
     pq.write_table(pa.Table.from_pandas(df, preserve_index=False),
                    tmp_path / "events.parquet")
-    out = events_rolling_by_user(str(tmp_path), window=3,
-                                 num_buckets=4).to_pandas()
+    out = events_rolling_by_user(str(tmp_path), window=3).to_pandas()
     assert len(out) == n
 
     df["vm"] = np.floor(df["value"] * 1_000_000 + 0.5).astype(np.int64)
