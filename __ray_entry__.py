@@ -784,10 +784,7 @@ def _lineitem_priority_counts(sf_dir: str):
                          "high_lines": hi_np, "low_lines": 1 - hi_np})
 
     return combine(joined, "l_returnflag",
-                   sums=("high_lines", "low_lines"), prep=prep,
-                   schema=pa.schema([("l_returnflag", pa.string()),
-                                     ("high_lines", pa.int64()),
-                                     ("low_lines", pa.int64())]))
+                   sums=("high_lines", "low_lines"), prep=prep)
 
 
 def _events_pivot_by_hour(sf_dir: str):
@@ -875,7 +872,8 @@ def _promo_revenue_by_brand(sf_dir: str):
         idx = np.minimum(idx, keys.shape[0] - 1)
         hit = keys[idx] == lp
         c = cents[hit]
-        return pa.table({"p_brand": pa.array(brand_list[codes[idx[hit]]]),
+        return pa.table({"p_brand": pa.array(brand_list[codes[idx[hit]]],
+                                             pa.string()),
                          "promo_cents": np.where(econ[idx[hit]], c, 0),
                          "total_cents": c})
 
@@ -1295,8 +1293,7 @@ def _nation_supplier_customer_full(sf_dir: str):
         # input yields a schema-less Dataset, which hash_join rejects).
         return rd.from_arrow(combine(
             ds, "nk", count=out, batch_size=131072,
-            prep=lambda b: pa.table({"nk": b[key].cast(pa.int64())}),
-            schema=pa.schema([("nk", pa.int64()), (out, pa.int64())])))
+            prep=lambda b: pa.table({"nk": b[key].cast(pa.int64())})))
 
     sup = agg("supplier", "s_nationkey", "s_acctbal", "num_suppliers")
     cust = agg("customer", "c_nationkey", "c_acctbal", "num_customers")
@@ -1732,13 +1729,17 @@ def _orders_big_qty(sf_dir: str):
                                batch_size=131072) \
         .groupby("l_orderkey").aggregate(Sum("total_qty",
                                              alias_name="total_qty"))
-    big = per_order.filter(expr="total_qty > 180")
+    # A typed empty block leads the filtered aggregate: over no rows it
+    # has no schema of its own, and the join learns the schema from the
+    # seed without running the aggregate.
+    big = rd.from_arrow(pa.schema([("l_orderkey", pa.int64()),
+                                   ("total_qty", pa.int64())])
+                        .empty_table()) \
+        .union(per_order.filter(expr="total_qty > 180"))
     orders = rd.read_parquet(f"{sf_dir}/orders.parquet",
                              columns=["o_orderkey", "o_custkey",
                                       "o_totalprice"])
-    joined = hash_join(orders, big, "o_orderkey", "l_orderkey")
-    return joined.select_columns(["o_orderkey", "o_custkey",
-                                  "o_totalprice", "total_qty"])
+    return hash_join(orders, big, "o_orderkey", "l_orderkey")
 
 
 def _part_supplier_counts(sf_dir: str):
@@ -1828,7 +1829,7 @@ def _emb_kmeans_assign(sf_dir: str):
 def _revenue_local_suppliers(sf_dir: str):
     """TPC-H Q5 shape: revenue per nation from 1996 orders whose customer
     and supplier share a nation. Two big-big hash joins (orders x customer
-    on custkey, then x lineitem on orderkey), each side projected to
+    on custkey, then x lineitem on orderkey), each read projected to
     key + one small int (the Q12 discipline); the supplier->nation map is
     the broadcast small side (searchsorted probe, no shuffle); the final
     per-nation rollup is a bounded combiner + driver merge decorated with
@@ -1856,8 +1857,7 @@ def _revenue_local_suppliers(sf_dir: str):
         pa.schema([("o_orderkey", pa.int64()), ("o_custkey", pa.int64())]))
     cust = rd.read_parquet(f"{sf_dir}/customer.parquet",
                            columns=["c_custkey", "c_nationkey"])
-    ord_nat = hash_join(orders, cust, "o_custkey", "c_custkey") \
-        .select_columns(["o_orderkey", "c_nationkey"])
+    ord_nat = hash_join(orders, cust, "o_custkey", "c_custkey")
 
     sup = pq.read_table(f"{sf_dir}/supplier.parquet",
                         columns=["s_suppkey", "s_nationkey"])
@@ -1915,9 +1915,7 @@ def _revenue_local_suppliers(sf_dir: str):
                          "revenue_cents": g["revenue_cents"]})
 
     return combine(joined, "nationkey", sums=("revenue_cents",), prep=prep,
-                   finish=finish,
-                   schema=pa.schema([("nationkey", pa.int64()),
-                                     ("revenue_cents", pa.int64())]))
+                   finish=finish)
 
 
 def _brand_small_qty_revenue(sf_dir: str):
@@ -1960,10 +1958,7 @@ def _brand_small_qty_revenue(sf_dir: str):
         return pa.table({"l_partkey": lp[sel], "qty_sum": qty(batch)[sel]})
 
     stats = combine(line, "l_partkey", count="cnt", sums=("qty_sum",),
-                    prep=stats_prep, batch_size=131072,
-                    schema=pa.schema([("l_partkey", pa.int64()),
-                                      ("cnt", pa.int64()),
-                                      ("qty_sum", pa.int64())]))
+                    prep=stats_prep, batch_size=131072)
     sk = stats["l_partkey"].to_numpy()
     sorder = np.argsort(sk)
     stats_ref = ray.put((sk[sorder],
@@ -1982,8 +1977,7 @@ def _brand_small_qty_revenue(sf_dir: str):
             price[sel] * 100 + 0.5).astype(np.int64)})
 
     return combine(line, [], sums=("revenue_cents",), prep=rev_prep,
-                   batch_size=131072,
-                   schema=pa.schema([("revenue_cents", pa.int64())]))
+                   batch_size=131072)
 
 
 def _orders_bloom_pruned_revenue(sf_dir: str):
@@ -2037,9 +2031,7 @@ def _orders_bloom_pruned_revenue(sf_dir: str):
 
     return combine(joined, "o_orderpriority", sums=("cents",),
                    finish=lambda g: g.rename_columns(
-                       ["o_orderpriority", "revenue_cents"]),
-                   schema=pa.schema([("o_orderpriority", pa.string()),
-                                     ("cents", pa.int64())]))
+                       ["o_orderpriority", "revenue_cents"]))
 
 
 def _orders_cube(sf_dir: str):
@@ -2176,8 +2168,7 @@ def _nation_pair_volume(sf_dir: str):
         filter=(pc.field("c_nationkey").isin([nat_a, nat_b])))
     orders = rd.read_parquet(f"{sf_dir}/orders.parquet",
                              columns=["o_orderkey", "o_custkey"])
-    ord_nat = hash_join(orders, cust, "o_custkey", "c_custkey") \
-        .select_columns(["o_orderkey", "c_nationkey"])
+    ord_nat = hash_join(orders, cust, "o_custkey", "c_custkey")
 
     from h3ray.ops.join import seed_schema
 
@@ -2200,10 +2191,10 @@ def _nation_pair_volume(sf_dir: str):
 
     def finish(g: pa.Table) -> pa.Table:
         return pa.table({
-            "supp_nation": pa.array(_nation_names(sf_dir,
-                                                  g["s_nat"].to_numpy())),
-            "cust_nation": pa.array(_nation_names(sf_dir,
-                                                  g["c_nat"].to_numpy())),
+            "supp_nation": pa.array(_nation_names(
+                sf_dir, g["s_nat"].to_numpy()), pa.string()),
+            "cust_nation": pa.array(_nation_names(
+                sf_dir, g["c_nat"].to_numpy()), pa.string()),
             "l_year": g["l_year"], "revenue_cents": g["revenue_cents"]})
 
     return combine(joined, ["s_nat", "c_nat", "l_year"],
@@ -2251,9 +2242,7 @@ def _customer_order_dist(sf_dir: str):
         return pa.table({"c_count": pc.fill_null(batch["c_count"], 0)
                          .cast(pa.int64())})
 
-    return combine(joined, "c_count", count="custdist", prep=prep,
-                   schema=pa.schema([("c_count", pa.int64()),
-                                     ("custdist", pa.int64())]))
+    return combine(joined, "c_count", count="custdist", prep=prep)
 
 
 def _top_supplier_revenue(sf_dir: str):
@@ -2370,8 +2359,7 @@ def _disjunct_brand_revenue(sf_dir: str):
             price[cond] * (1 - disc[cond]) * 100 + 0.5).astype(np.int64)})
 
     return combine(line, [], sums=("revenue_cents",), prep=prep,
-                   batch_size=131072,
-                   schema=pa.schema([("revenue_cents", pa.int64())]))
+                   batch_size=131072)
 
 
 def _idle_rich_customers(sf_dir: str):
@@ -2403,9 +2391,7 @@ def _idle_rich_customers(sf_dir: str):
         return pa.table({"sum_cents": cents_of(batch)[pos]})
 
     scal = combine(cust, [], count="n", sums=("sum_cents",), prep=pos_prep,
-                   batch_size=131072,
-                   schema=pa.schema([("n", pa.int64()),
-                                     ("sum_cents", pa.int64())]))
+                   batch_size=131072)
     sum_cents = scal["sum_cents"][0].as_py() or 0
     n_pos = scal["n"][0].as_py()
 
@@ -2436,10 +2422,7 @@ def _idle_rich_customers(sf_dir: str):
         sums=("total_acctbal_cents",),
         prep=lambda b: pa.table({
             "c_mktsegment": b["c_mktsegment"],
-            "total_acctbal_cents": b["acct_cents"]}),
-        schema=pa.schema([("c_mktsegment", pa.string()),
-                          ("numcust", pa.int64()),
-                          ("total_acctbal_cents", pa.int64())]))
+            "total_acctbal_cents": b["acct_cents"]}))
 
 
 def _pages_domain_stats(sf_dir: str):
@@ -2709,8 +2692,7 @@ def _forecast_revenue_delta(sf_dir: str):
             price[sel] * disc[sel] * 100 + 0.5).astype(np.int64)})
 
     return combine(line, [], sums=("revenue_cents",), prep=prep,
-                   batch_size=131072,
-                   schema=pa.schema([("revenue_cents", pa.int64())]))
+                   batch_size=131072)
 
 
 def _promo_revenue_pct(sf_dir: str):
@@ -2767,9 +2749,7 @@ def _promo_revenue_pct(sf_dir: str):
         return g.append_column("promo_pct", pa.array([pct], pa.float64()))
 
     return combine(line, [], sums=("promo_cents", "total_cents"),
-                   prep=prep, finish=finish, batch_size=131072,
-                   schema=pa.schema([("promo_cents", pa.int64()),
-                                     ("total_cents", pa.int64())]))
+                   prep=prep, finish=finish, batch_size=131072)
 
 
 def _nation_market_share(sf_dir: str):
@@ -2912,10 +2892,7 @@ def _nation_market_share(sf_dir: str):
                          "mkt_share": share})
 
     return combine(joined, ["o_year", "is_tgt"], sums=("cents",),
-                   finish=finish,
-                   schema=pa.schema([("o_year", pa.int64()),
-                                     ("is_tgt", pa.int64()),
-                                     ("cents", pa.int64())]))
+                   finish=finish)
 
 
 def _product_type_profit(sf_dir: str):
@@ -3017,10 +2994,7 @@ def _product_type_profit(sf_dir: str):
                    prep=lambda b: pa.table({"o_year": b["o_year"],
                                             "s_nat": b["s_nat"],
                                             "profit_cents": b["cents"]}),
-                   finish=finish,
-                   schema=pa.schema([("o_year", pa.int64()),
-                                     ("s_nat", pa.int64()),
-                                     ("profit_cents", pa.int64())]))
+                   finish=finish)
 
 
 def _returned_item_customers(sf_dir: str):
@@ -3086,9 +3060,7 @@ def _returned_item_customers(sf_dir: str):
 
     top = combine(joined, "o_custkey", sums=("revenue_cents",),
                   prep=lambda b: b.select(["o_custkey", "revenue_cents"]),
-                  finish=topk,
-                  schema=pa.schema([("o_custkey", pa.int64()),
-                                    ("revenue_cents", pa.int64())]))
+                  finish=topk)
     if top.num_rows == 0:
         return pa.table({"c_custkey": pa.array([], pa.int64()),
                          "c_name": pa.array([], pa.string()),
@@ -3185,9 +3157,7 @@ def _excess_parts_suppliers(sf_dir: str):
                          "qty_sum": kept["qty_sum"]})
 
     return combine(line, "s_suppkey", sums=("qty_sum",), prep=prep,
-                   finish=finish, batch_size=131072,
-                   schema=pa.schema([("s_suppkey", pa.int64()),
-                                     ("qty_sum", pa.int64())]))
+                   finish=finish, batch_size=131072)
 
 
 def _best_supplier_per_part(sf_dir: str):
@@ -3258,9 +3228,7 @@ def _best_supplier_per_part(sf_dir: str):
                          "acctbal_cents": a[win]})
 
     return combine(line, ["p_partkey", "s_suppkey"], prep=pairs,
-                   finish=finish, batch_size=131072,
-                   schema=pa.schema([("p_partkey", pa.int64()),
-                                     ("s_suppkey", pa.int64())]))
+                   finish=finish, batch_size=131072)
 
 
 def _events_props_ksum_by_type(sf_dir: str):
@@ -3299,11 +3267,7 @@ def _events_props_ksum_by_type(sf_dir: str):
 
     return combine(ds, "event_type", count="n_rows",
                    sums=("k_sum", "_nval"), prep=prep, finish=finish,
-                   batch_size=131072,
-                   schema=pa.schema([("event_type", pa.string()),
-                                     ("k_sum", pa.int64()),
-                                     ("_nval", pa.int64()),
-                                     ("n_rows", pa.int64())]))
+                   batch_size=131072)
 
 
 def _docs_bigram_topk(sf_dir: str):
@@ -3596,10 +3560,7 @@ def _emb_dominant_dims(sf_dir: str):
                          "dom_dim": pa.array(dom.astype(np.int64))})
 
     return combine(ds, ["label", "dom_dim"], count="n_vecs", prep=prep,
-                   batch_size=32768,
-                   schema=pa.schema([("label", pa.int32()),
-                                     ("dom_dim", pa.int64()),
-                                     ("n_vecs", pa.int64())]))
+                   batch_size=32768)
 
 
 def _docs_char_class_stats(sf_dir: str):
@@ -3630,14 +3591,7 @@ def _docs_char_class_stats(sf_dir: str):
 
     return combine(ds, "source", count="n_docs",
                    sums=("n_chars", "n_digits", "n_upper", "n_spaces"),
-                   prep=prep, batch_size=32768,
-                   schema=pa.schema(
-                       [("source", pa.string()),
-                        ("n_docs", pa.int64()),
-                        ("n_chars", pa.int64()),
-                        ("n_digits", pa.int64()),
-                        ("n_upper", pa.int64()),
-                        ("n_spaces", pa.int64())]))
+                   prep=prep, batch_size=32768)
 
 
 def _orders_cumulative_revenue(sf_dir: str):
@@ -3688,11 +3642,7 @@ def _orders_cumulative_revenue(sf_dir: str):
                          "cum_revenue_cents": pa.array(out)})
 
     return combine(ds, ["o_orderpriority", "month"], sums=("cents",),
-                   prep=prep, finish=finish, batch_size=65536,
-                   schema=pa.schema(
-                       [("o_orderpriority", pa.string()),
-                        ("month", pa.string()),
-                        ("cents", pa.int64())]))
+                   prep=prep, finish=finish, batch_size=65536)
 
 
 def _events_quartile_stats(sf_dir: str):
@@ -3826,12 +3776,7 @@ def _events_hour_profile(sf_dir: str):
                          "sum_cents": pa.array(cents)})
 
     return combine(ds, ["event_type", "hour"], count="n",
-                   sums=("sum_cents",), prep=prep, batch_size=131072,
-                   schema=pa.schema(
-                       [("event_type", pa.string()),
-                        ("hour", pa.int64()),
-                        ("n", pa.int64()),
-                        ("sum_cents", pa.int64())]))
+                   sums=("sum_cents",), prep=prep, batch_size=131072)
 
 
 def _events_mad_by_type(sf_dir: str):
@@ -3893,12 +3838,7 @@ def _docs_len_histogram(sf_dir: str):
                          "sum_chars": pa.array(nc.astype(np.int64))})
 
     return combine(ds, ["lang", "len_bucket"], count="n_docs",
-                   sums=("sum_chars",), prep=prep, batch_size=131072,
-                   schema=pa.schema(
-                       [("lang", pa.string()),
-                        ("len_bucket", pa.int64()),
-                        ("n_docs", pa.int64()),
-                        ("sum_chars", pa.int64())]))
+                   sums=("sum_chars",), prep=prep, batch_size=131072)
 
 
 def _supplier_acctbal_quartiles(sf_dir: str):
@@ -3982,12 +3922,7 @@ def _customer_mktseg_nation_matrix(sf_dir: str):
             .filter(pa.array(hit))
 
     return combine(ds, ["n_name", "c_mktsegment"], count="n_customers",
-                   sums=("acctbal_cents",), prep=prep, batch_size=131072,
-                   schema=pa.schema(
-                       [("n_name", pa.string()),
-                        ("c_mktsegment", pa.string()),
-                        ("n_customers", pa.int64()),
-                        ("acctbal_cents", pa.int64())]))
+                   sums=("acctbal_cents",), prep=prep, batch_size=131072)
 
 
 def _lineitem_monthly_discount(sf_dir: str):
@@ -4019,12 +3954,7 @@ def _lineitem_monthly_discount(sf_dir: str):
 
     return combine(ds, "month", count="n",
                    sums=("sum_disc_bp", "sum_qty_c"), prep=prep,
-                   batch_size=131072,
-                   schema=pa.schema(
-                       [("month", pa.string()),
-                        ("n", pa.int64()),
-                        ("sum_disc_bp", pa.int64()),
-                        ("sum_qty_c", pa.int64())]))
+                   batch_size=131072)
 
 
 def _part_type_price_stats(sf_dir: str):
@@ -4050,14 +3980,7 @@ def _part_type_price_stats(sf_dir: str):
                    mins=("min_cents",), maxs=("max_cents",), prep=prep,
                    finish=lambda g: g.select(
                        ["p_type", "n_parts", "min_cents", "max_cents",
-                        "sum_cents"]),
-                   batch_size=131072,
-                   schema=pa.schema(
-                       [("p_type", pa.string()),
-                        ("n_parts", pa.int64()),
-                        ("min_cents", pa.int64()),
-                        ("max_cents", pa.int64()),
-                        ("sum_cents", pa.int64())]))
+                        "sum_cents"]), batch_size=131072)
 
 
 def _h3_zonal_stats(sf_dir: str):
@@ -4189,11 +4112,7 @@ def _shipping_priority_topk(sf_dir: str):
 
     return combine(
         joined, ["l_orderkey", "o_date_day", "o_orderpriority"],
-        sums=("cents",), finish=finish,
-        schema=pa.schema([("l_orderkey", pa.int64()),
-                          ("cents", pa.int64()),
-                          ("o_date_day", pa.int64()),
-                          ("o_orderpriority", pa.string())]))
+        sums=("cents",), finish=finish)
 
 
 def _late_priority_lines(sf_dir: str):
@@ -4276,10 +4195,7 @@ def _late_priority_lines(sf_dir: str):
             "low_late_count": pa.array(acc[0::2][keep], pa.int64())})
 
     return combine(joined, ["st_code", "is_high"], count="cnt", prep=late,
-                   finish=finish,
-                   schema=pa.schema([("st_code", pa.int64()),
-                                     ("is_high", pa.int64()),
-                                     ("cnt", pa.int64())]))
+                   finish=finish)
 
 
 def _events_mg_heavy_users(sf_dir: str):
@@ -4382,9 +4298,7 @@ def _part_value_concentration(sf_dir: str):
                                  pa.bool_()))
 
     return combine(li, "l_partkey", sums=("revenue_cents",), prep=prep,
-                   finish=finish, batch_size=131072,
-                   schema=pa.schema([("l_partkey", pa.int64()),
-                                     ("revenue_cents", pa.int64())]))
+                   finish=finish, batch_size=131072)
 
 
 def _brand_type_supplier_counts(sf_dir: str):
@@ -4452,9 +4366,7 @@ def _brand_type_supplier_counts(sf_dir: str):
             "supplier_cnt": counts.astype(np.int64)})
 
     return combine(li, ["combo", "suppkey"], prep=pairs, finish=finish,
-                   batch_size=131072,
-                   schema=pa.schema([("combo", pa.int64()),
-                                     ("suppkey", pa.int64())]))
+                   batch_size=131072)
 
 
 def _docs_bigram_pmi(sf_dir: str):
@@ -4523,10 +4435,7 @@ def _docs_bigram_pmi(sf_dir: str):
                          "ratio": pa.array(ratio[order], pa.float64())})
 
     return combine(ds, ["key", "is_bigram"], sums=("cnt",), prep=partial,
-                   finish=finish, batch_size=32768,
-                   schema=pa.schema([("key", pa.string()),
-                                     ("is_bigram", pa.int64()),
-                                     ("cnt", pa.int64())]))
+                   finish=finish, batch_size=32768)
 
 
 def _docs_source_lang_simpson(sf_dir: str):
@@ -4561,10 +4470,7 @@ def _docs_source_lang_simpson(sf_dir: str):
                          "simpson": pa.array(out_simp, pa.float64())})
 
     return combine(ds, ["source", "lang"], count="cnt", finish=finish,
-                   batch_size=131072,
-                   schema=pa.schema([("source", pa.string()),
-                                     ("lang", pa.string()),
-                                     ("cnt", pa.int64())]))
+                   batch_size=131072)
 
 
 def _events_purchase_followups(sf_dir: str):
@@ -4642,8 +4548,7 @@ def _user_type_masks(sf_dir: str, query: str):
     ds = rd.read_parquet(f"{sf_dir}/events.parquet",
                          columns=["user_id", "event_type"])
 
-    types_t = combine(ds, "event_type", batch_size=131072,
-                      schema=pa.schema([("event_type", pa.string())]))
+    types_t = combine(ds, "event_type", batch_size=131072)
     types = np.sort(types_t["event_type"].to_numpy(zero_copy_only=False)
                     .astype(str))
     if types.shape[0] > 20:
@@ -4815,10 +4720,7 @@ def _docs_hapax_stats(sf_dir: str):
             / n_tok.astype(np.float64)})
 
     return combine(ds, ["lang", "tok"], count="cnt", prep=prep,
-                   finish=finish, batch_size=32768,
-                   schema=pa.schema([("lang", pa.string()),
-                                     ("tok", pa.string()),
-                                     ("cnt", pa.int64())]))
+                   finish=finish, batch_size=32768)
 
 
 def _docs_global_rank(sf_dir: str):
@@ -4902,9 +4804,7 @@ def _orders_pareto_share(sf_dir: str):
                          .astype(np.int64)})
 
     return combine(ds, "o_custkey", sums=("revenue_cents",), prep=prep,
-                   finish=finish, batch_size=131072,
-                   schema=pa.schema([("o_custkey", pa.int64()),
-                                     ("revenue_cents", pa.int64())]))
+                   finish=finish, batch_size=131072)
 
 
 def _events_value_trend_by_type(sf_dir: str):
@@ -5020,9 +4920,7 @@ def _events_top_outliers(sf_dir: str):
     stats = combine(
         ds, "event_type", count="_n", sums=("_s",), batch_size=131072,
         prep=lambda b: pa.table({"event_type": b["event_type"],
-                                 "_s": cents_of(b)}),
-        schema=pa.schema([("event_type", pa.string()),
-                          ("_n", pa.int64()), ("_s", pa.int64())]))
+                                 "_s": cents_of(b)}))
     types = stats["event_type"].to_numpy(zero_copy_only=False).astype(str)
     order = np.argsort(types)
     side = (types[order],
@@ -5061,11 +4959,7 @@ def _events_top_outliers(sf_dir: str):
         return g.take(pa.array(o[keep]))
 
     cols = ["event_id", "event_type", "value_cents", "dev"]
-    return combine(ds, cols, prep=topk, finish=finish, batch_size=131072,
-                   schema=pa.schema([("event_id", pa.int64()),
-                                     ("event_type", pa.string()),
-                                     ("value_cents", pa.int64()),
-                                     ("dev", pa.int64())]))
+    return combine(ds, cols, prep=topk, finish=finish, batch_size=131072)
 
 
 def _lang_source_jaccard(sf_dir: str):
@@ -5109,10 +5003,7 @@ def _lang_source_jaccard(sf_dir: str):
             "n_union": pa.array(union, pa.int64()),
             "jaccard": pa.array(jac, pa.float64())})
 
-    return combine(ds, ["lang", "source"], finish=finish,
-                   batch_size=131072,
-                   schema=pa.schema([("lang", pa.string()),
-                                     ("source", pa.string())]))
+    return combine(ds, ["lang", "source"], finish=finish, batch_size=131072)
 
 
 def _part_brand_price_iqr_outliers(sf_dir: str):
@@ -5238,9 +5129,7 @@ def _supplier_nation_herfindahl(sf_dir: str):
                          "hhi": pa.array(hhi, pa.float64())})
 
     return combine(li, "l_suppkey", sums=("c",), prep=prep, finish=finish,
-                   batch_size=131072,
-                   schema=pa.schema([("l_suppkey", pa.int64()),
-                                     ("c", pa.int64())]))
+                   batch_size=131072)
 
 
 def _user_bucket_prep(keep: list):
@@ -5347,10 +5236,7 @@ def _docs_token_len_hist(sf_dir: str):
                                             pa.int64())})
 
     return combine(ds, ["lang", "tok_len"], count="n", prep=prep,
-                   batch_size=32768,
-                   schema=pa.schema([("lang", pa.string()),
-                                     ("tok_len", pa.int64()),
-                                     ("n", pa.int64())]))
+                   batch_size=32768)
 
 
 def _events_interarrival_hist(sf_dir: str):
@@ -5652,10 +5538,7 @@ def _brand_qty_weighted_price(sf_dir: str):
                 [float(wv[i]) / float(w[i]) for i in keep], pa.float64())})
 
     return combine(li, ["b", "qty"], count="n", sums=("cents",), prep=prep,
-                   finish=finish, batch_size=131072,
-                   schema=pa.schema([("b", pa.int64()), ("qty", pa.int64()),
-                                     ("n", pa.int64()),
-                                     ("cents", pa.int64())]))
+                   finish=finish, batch_size=131072)
 
 
 def _sites_edges_ds(sf_dir: str):
@@ -5856,9 +5739,7 @@ def _orders_backlog_curve(sf_dir: str):
 
     return combine(
         joined, "day", sums=("n_opened", "n_closed"), prep=deltas,
-        finish=finish, batch_size=131072,
-        schema=pa.schema([("day", pa.int64()), ("n_opened", pa.int64()),
-                          ("n_closed", pa.int64())]))
+        finish=finish, batch_size=131072)
 
 
 def _nation_top3_suppliers_others(sf_dir: str):
@@ -5929,9 +5810,7 @@ def _nation_top3_suppliers_others(sf_dir: str):
             "revenue_cents": pa.array(out_c, pa.int64())})
 
     return combine(
-        li, "sk", sums=("cents",), prep=prep, finish=finish,
-        batch_size=131072,
-        schema=pa.schema([("sk", pa.int64()), ("cents", pa.int64())]))
+        li, "sk", sums=("cents",), prep=prep, finish=finish, batch_size=131072)
 
 
 def _events_weekend_contrast(sf_dir: str):
@@ -6004,10 +5883,7 @@ def _events_weekend_contrast(sf_dir: str):
 
     return combine(
         ds, ["event_type", "we"], count="n", sums=("s",), prep=prep,
-        finish=finish, batch_size=131072,
-        schema=pa.schema([("event_type", pa.string()),
-                          ("we", pa.int64()), ("n", pa.int64()),
-                          ("s", pa.int64())]))
+        finish=finish, batch_size=131072)
 
 
 def _docs_langid_confusion(sf_dir: str):
@@ -6016,7 +5892,6 @@ def _docs_langid_confusion(sf_dir: str):
     quality diagnostic over the whole corpus. The langid stage is the
     existing Arrow regex kernel; the |langs|^2-bounded cell counts
     are one combine."""
-    import pyarrow as pa
     import ray.data as rd
 
     from h3ray.ops.reduce import combine
@@ -6024,12 +5899,8 @@ def _docs_langid_confusion(sf_dir: str):
 
     ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
                          columns=["doc_id", "text", "lang"])
-    pred = ds.map_batches(langid_stage(), batch_format="pyarrow")
-    return combine(pred, ["lang", "lang_pred"], count="n_docs",
-                   batch_size=131072,
-                   schema=pa.schema([("lang", pa.string()),
-                                     ("lang_pred", pa.string()),
-                                     ("n_docs", pa.int64())]))
+    return combine(ds, ["lang", "lang_pred"], count="n_docs",
+                   prep=langid_stage(), batch_size=131072)
 
 
 def _orders_seasonality(sf_dir: str):
@@ -6065,9 +5936,7 @@ def _orders_seasonality(sf_dir: str):
             pa.float64()))
 
     return combine(ds, "month", sums=("month_cents",), prep=prep,
-                   finish=finish, batch_size=131072,
-                   schema=pa.schema([("month", pa.int64()),
-                                     ("month_cents", pa.int64())]))
+                   finish=finish, batch_size=131072)
 
 
 def _docs_dup_source_matrix(sf_dir: str):
@@ -6202,9 +6071,7 @@ def _events_tail_share_by_type(sf_dir: str):
             "tail_share": pa.array(out["sh"], pa.float64())})
 
     return combine(ds, ["event_type", "c"], count="cnt", prep=prep,
-                   finish=finish, batch_size=131072,
-                   schema=pa.schema([("event_type", pa.string()),
-                                     ("c", pa.int64()), ("cnt", pa.int64())]))
+                   finish=finish, batch_size=131072)
 
 
 def _events_session_median_dur(sf_dir: str):
@@ -6363,9 +6230,7 @@ def _emb_norm2_quartiles_by_label(sf_dir: str):
             "q3": pa.array(out["q3"], pa.int64())})
 
     return combine(ds, ["label", "n2"], sums=("cnt",), prep=prep,
-                   finish=finish, batch_size=32768,
-                   schema=pa.schema([("label", pa.int64()), ("n2", pa.int64()),
-                                     ("cnt", pa.int64())]))
+                   finish=finish, batch_size=32768)
 
 
 def _events_ab_purchase_lift(sf_dir: str):
@@ -6437,8 +6302,7 @@ def _events_ab_purchase_lift(sf_dir: str):
             "z_score": pa.array([z], pa.float64())})
 
     return combine(ds, "uid", maxs=("p",), prep=prep, finish=finish,
-                   batch_size=131072,
-                   schema=pa.schema([("uid", pa.int64()), ("p", pa.int64())]))
+                   batch_size=131072)
 
 
 def _orders_priority_drift(sf_dir: str):
@@ -6493,9 +6357,7 @@ def _orders_priority_drift(sf_dir: str):
             "tvd": pa.array(tvd, pa.float64())})
 
     return combine(ds, ["ym", "pr"], count="c", prep=prep, finish=finish,
-                   batch_size=131072,
-                   schema=pa.schema([("ym", pa.int64()), ("pr", pa.string()),
-                                     ("c", pa.int64())]))
+                   batch_size=131072)
 
 
 def _orders_above_customer_avg(sf_dir: str):
@@ -6525,11 +6387,7 @@ def _orders_above_customer_avg(sf_dir: str):
         return c, cents
 
     stats = combine(ds, "ck", count="n", sums=("s",), batch_size=131072,
-                    prep=lambda b: pa.table(dict(zip(["ck", "s"],
-                                                     rows(b)))),
-                    schema=pa.schema([("ck", pa.int64()),
-                                      ("n", pa.int64()),
-                                      ("s", pa.int64())]))
+                    prep=lambda b: pa.table(dict(zip(["ck", "s"], rows(b)))))
     sk = stats["ck"].to_numpy(zero_copy_only=False)
     so = np.argsort(sk)
     stats_ref = ray.put((sk[so],
@@ -6547,10 +6405,7 @@ def _orders_above_customer_avg(sf_dir: str):
             cents * ns[pos] > ss[pos]).astype(np.int64)})
 
     return combine(ds, "o_custkey", count="n_orders",
-                   sums=("n_above_avg",), prep=above, batch_size=131072,
-                   schema=pa.schema([("o_custkey", pa.int64()),
-                                     ("n_orders", pa.int64()),
-                                     ("n_above_avg", pa.int64())]))
+                   sums=("n_above_avg",), prep=above, batch_size=131072)
 
 
 def _brand_return_wilson(sf_dir: str):
@@ -6620,10 +6475,7 @@ def _brand_return_wilson(sf_dir: str):
             "wilson_lb": pa.array(lbs, pa.float64())})
 
     return combine(li, "p_brand", sums=("n_lines", "n_returned"), prep=prep,
-                   finish=finish, batch_size=131072,
-                   schema=pa.schema([("p_brand", pa.string()),
-                                     ("n_lines", pa.int64()),
-                                     ("n_returned", pa.int64())]))
+                   finish=finish, batch_size=131072)
 
 
 def _nations_full_segment_coverage(sf_dir: str):
@@ -6663,8 +6515,7 @@ def _nations_full_segment_coverage(sf_dir: str):
             "n_segments": cnt[keep].astype(np.int64)})
 
     return combine(
-        ds, ["nk", "seg"], prep=prep, finish=finish, batch_size=131072,
-        schema=pa.schema([("nk", pa.int64()), ("seg", pa.string())]))
+        ds, ["nk", "seg"], prep=prep, finish=finish, batch_size=131072)
 
 
 def _region_nation_revenue_tree(sf_dir: str):
@@ -6745,8 +6596,7 @@ def _region_nation_revenue_tree(sf_dir: str):
                  for c in cents.tolist()], pa.float64())})
 
     return combine(
-        ds, "nk", sums=("cents",), prep=prep, finish=finish, batch_size=131072,
-        schema=pa.schema([("nk", pa.int64()), ("cents", pa.int64())]))
+        ds, "nk", sums=("cents",), prep=prep, finish=finish, batch_size=131072)
 
 
 def _emb_label_affinity(sf_dir: str):
@@ -6835,9 +6685,7 @@ def _emb_label_affinity(sf_dir: str):
 
     return combine(
         ds, ["label", "dim"], sums=("s",), prep=prep, finish=finish,
-        batch_size=32768,
-        schema=pa.schema([("label", pa.int64()), ("dim", pa.int64()),
-                          ("s", pa.int64())]))
+        batch_size=32768)
 
 
 def _brand_discount_qty_corr(sf_dir: str):
@@ -7024,8 +6872,7 @@ def _customer_spend_quadrants(sf_dir: str):
             "n_customers": pa.array(cnt[keep], pa.int64())})
 
     return combine(
-        ds, "ck", sums=("cents",), prep=prep, finish=finish, batch_size=131072,
-        schema=pa.schema([("ck", pa.int64()), ("cents", pa.int64())]))
+        ds, "ck", sums=("cents",), prep=prep, finish=finish, batch_size=131072)
 
 
 def _nation_top2_customer_share(sf_dir: str):
@@ -7095,8 +6942,7 @@ def _nation_top2_customer_share(sf_dir: str):
             "top2_share": pa.array(out_s, pa.float64())})
 
     return combine(
-        ds, "ck", sums=("cents",), prep=prep, finish=finish, batch_size=131072,
-        schema=pa.schema([("ck", pa.int64()), ("cents", pa.int64())]))
+        ds, "ck", sums=("cents",), prep=prep, finish=finish, batch_size=131072)
 
 
 def _events_user_growth_daily(sf_dir: str):
@@ -7139,8 +6985,7 @@ def _events_user_growth_daily(sf_dir: str):
             "cum_users": np.cumsum(cnt).astype(np.int64)})
 
     return combine(
-        ds, ["day", "uid"], prep=prep, finish=finish, batch_size=131072,
-        schema=pa.schema([("day", pa.int64()), ("uid", pa.int64())]))
+        ds, ["day", "uid"], prep=prep, finish=finish, batch_size=131072)
 
 
 def _events_weekly_churn(sf_dir: str):
@@ -7220,8 +7065,7 @@ def _events_weekly_churn(sf_dir: str):
             "churn_rate": pa.array(out["rate"], pa.float64())})
 
     return combine(ds, ["wk", "uid"], prep=prep, finish=finish,
-                   batch_size=131072,
-                   schema=pa.schema([("wk", pa.int64()), ("uid", pa.int64())]))
+                   batch_size=131072)
 
 
 def _sites_degree_assortativity(sf_dir: str):
@@ -7299,9 +7143,7 @@ def _orders_repeat_revenue_share(sf_dir: str):
                                         pa.int64())})
 
     return combine(ds, ["ym", "ck"], sums=("c",), prep=prep, finish=finish,
-                   batch_size=131072,
-                   schema=pa.schema([("ym", pa.int64()), ("ck", pa.int64()),
-                                     ("c", pa.int64())]))
+                   batch_size=131072)
 
 
 def _events_bowley_skew_by_type(sf_dir: str):
@@ -7366,9 +7208,7 @@ def _events_bowley_skew_by_type(sf_dir: str):
             "bowley_skew": pa.array(out["sk"], pa.float64())})
 
     return combine(ds, ["event_type", "c"], count="cnt", prep=prep,
-                   finish=finish, batch_size=131072,
-                   schema=pa.schema([("event_type", pa.string()),
-                                     ("c", pa.int64()), ("cnt", pa.int64())]))
+                   finish=finish, batch_size=131072)
 
 
 def _sites_clustering_coeff(sf_dir: str):
@@ -7472,9 +7312,7 @@ def _events_wow_growth(sf_dir: str):
             "wow": pa.array(out_g, pa.float64())})
 
     return combine(ds, ["event_type", "week"], count="n", prep=prep,
-                   finish=finish, batch_size=131072,
-                   schema=pa.schema([("event_type", pa.string()),
-                                     ("week", pa.int64()), ("n", pa.int64())]))
+                   finish=finish, batch_size=131072)
 
 
 def _sites_reciprocity(sf_dir: str):
@@ -7588,8 +7426,7 @@ def _events_value_decile_means(sf_dir: str):
             "mean_cents": pa.array(out_m, pa.float64())})
 
     return combine(ds, "c", count="cnt", prep=prep, finish=finish,
-                   batch_size=131072,
-                   schema=pa.schema([("c", pa.int64()), ("cnt", pa.int64())]))
+                   batch_size=131072)
 
 
 def _events_fano_daily(sf_dir: str):
@@ -7642,9 +7479,7 @@ def _events_fano_daily(sf_dir: str):
             "fano": pa.array(out_f, pa.float64())})
 
     return combine(ds, ["event_type", "day"], count="x", prep=prep,
-                   finish=finish, batch_size=131072,
-                   schema=pa.schema([("event_type", pa.string()),
-                                     ("day", pa.int64()), ("x", pa.int64())]))
+                   finish=finish, batch_size=131072)
 
 
 def _orders_monthly_hhi(sf_dir: str):
@@ -7700,9 +7535,7 @@ def _orders_monthly_hhi(sf_dir: str):
             "hhi": pa.array(out_h, pa.float64())})
 
     return combine(ds, ["ym", "ck"], sums=("c",), prep=prep, finish=finish,
-                   batch_size=131072,
-                   schema=pa.schema([("ym", pa.int64()), ("ck", pa.int64()),
-                                     ("c", pa.int64())]))
+                   batch_size=131072)
 
 
 def _events_reactivations_monthly(sf_dir: str):
@@ -7788,9 +7621,7 @@ def _users_lifetime_hist(sf_dir: str):
 
     return combine(
         ds, "user_id", mins=("mn",), maxs=("mx",), prep=prep, finish=finish,
-        batch_size=131072,
-        schema=pa.schema([("user_id", pa.int64()), ("mn", pa.int64()),
-                          ("mx", pa.int64())]))
+        batch_size=131072)
 
 
 def _docs_common_prefix_groups(sf_dir: str):
@@ -7928,10 +7759,7 @@ def _customer_momentum_by_nation(sf_dir: str):
                 pa.int64())})
 
     return combine(ds, "ck", count="n", sums=("sx", "sy", "sxy"), prep=prep,
-                   finish=finish, batch_size=131072,
-                   schema=pa.schema([("ck", pa.int64()), ("n", pa.int64()),
-                                     ("sx", pa.int64()), ("sy", pa.int64()),
-                                     ("sxy", pa.int64())]))
+                   finish=finish, batch_size=131072)
 
 
 def _events_first_touch_conversion(sf_dir: str):
@@ -8149,9 +7977,7 @@ def _events_stickiness_daily(sf_dir: str):
             "stickiness": pa.array(out_s, pa.float64())})
 
     return combine(ds, ["day", "user_id"], prep=prep, finish=finish,
-                   batch_size=131072,
-                   schema=pa.schema([("day", pa.int64()),
-                                     ("user_id", pa.int64())]))
+                   batch_size=131072)
 
 
 def _events_burst_users(sf_dir: str):
@@ -8266,9 +8092,7 @@ def _events_winsorized_mean(sf_dir: str):
             "winsorized_mean": pa.array(out["wm"], pa.float64())})
 
     return combine(ds, ["event_type", "c"], count="cnt", prep=prep,
-                   finish=finish, batch_size=131072,
-                   schema=pa.schema([("event_type", pa.string()),
-                                     ("c", pa.int64()), ("cnt", pa.int64())]))
+                   finish=finish, batch_size=131072)
 
 
 def _docs_k_anonymity(sf_dir: str):
@@ -8306,10 +8130,7 @@ def _docs_k_anonymity(sf_dir: str):
 
     return combine(
         ds, ["lang", "source", "band"], count="cnt", prep=prep,
-        finish=finish, batch_size=131072,
-        schema=pa.schema([("lang", pa.string()),
-                          ("source", pa.string()),
-                          ("band", pa.int64()), ("cnt", pa.int64())]))
+        finish=finish, batch_size=131072)
 
 
 def _region_part_coverage(sf_dir: str):
@@ -8489,8 +8310,7 @@ def _orders_revenue_drawdown(sf_dir: str):
 
     return combine(
         ds, "day", sums=("cents",), prep=prep, finish=finish,
-        batch_size=131072,
-        schema=pa.schema([("day", pa.int64()), ("cents", pa.int64())]))
+        batch_size=131072)
 
 
 def _events_anomaly_days(sf_dir: str):
@@ -8561,9 +8381,7 @@ def _events_anomaly_days(sf_dir: str):
             "mad4": pa.array(out["mad4"], pa.int64())})
 
     return combine(ds, ["event_type", "day"], count="x", prep=prep,
-                   finish=finish, batch_size=131072,
-                   schema=pa.schema([("event_type", pa.string()),
-                                     ("day", pa.int64()), ("x", pa.int64())]))
+                   finish=finish, batch_size=131072)
 
 
 def _docs_vocab_growth(sf_dir: str):
@@ -8616,10 +8434,7 @@ def _docs_vocab_growth(sf_dir: str):
                  for cp in cps], pa.int64())})
 
     return combine(ds, "tok", mins=("md",), maxs=("mx",), prep=prep,
-                   finish=finish, batch_size=131072,
-                   schema=pa.schema([("tok", pa.string()),
-                                     ("md", pa.int64()),
-                                     ("mx", pa.int64())]))
+                   finish=finish, batch_size=131072)
 
 
 def _orders_monthly_yoy(sf_dir: str):
@@ -8667,8 +8482,7 @@ def _orders_monthly_yoy(sf_dir: str):
             "yoy": pa.array(out_y, pa.float64())})
 
     return combine(
-        ds, "ym", sums=("cents",), prep=prep, finish=finish, batch_size=131072,
-        schema=pa.schema([("ym", pa.int64()), ("cents", pa.int64())]))
+        ds, "ym", sums=("cents",), prep=prep, finish=finish, batch_size=131072)
 
 
 def _nation_balance_spend_r2(sf_dir: str):
@@ -8755,8 +8569,7 @@ def _nation_balance_spend_r2(sf_dir: str):
             "r2_signed": pa.array(out_r, pa.float64())})
 
     return combine(
-        ds, "ck", sums=("cents",), prep=prep, finish=finish, batch_size=131072,
-        schema=pa.schema([("ck", pa.int64()), ("cents", pa.int64())]))
+        ds, "ck", sums=("cents",), prep=prep, finish=finish, batch_size=131072)
 
 
 def _events_type_lift(sf_dir: str):
@@ -8855,9 +8668,7 @@ def _lineitem_moment_matrix(sf_dir: str):
                             pa.float64())})
 
     return combine(ds, [], count="n", sums=moments, prep=prep,
-                   finish=finish, batch_size=32768,
-                   schema=pa.schema([("n", pa.int64())] + [
-                       (c, pa.decimal128(38, 0)) for c in moments]))
+                   finish=finish, batch_size=32768)
 
 
 def _nation_order_gini(sf_dir: str):
@@ -8931,8 +8742,7 @@ def _nation_order_gini(sf_dir: str):
             "gini": pa.array(out_g, pa.float64())})
 
     return combine(
-        ds, "ck", sums=("cents",), prep=prep, finish=finish, batch_size=131072,
-        schema=pa.schema([("ck", pa.int64()), ("cents", pa.int64())]))
+        ds, "ck", sums=("cents",), prep=prep, finish=finish, batch_size=131072)
 
 
 def _events_daily_autocorr(sf_dir: str):
@@ -8989,9 +8799,7 @@ def _events_daily_autocorr(sf_dir: str):
             "autocorr_lag1": pa.array(out_r, pa.float64())})
 
     return combine(ds, ["event_type", "day"], count="x", prep=prep,
-                   finish=finish, batch_size=131072,
-                   schema=pa.schema([("event_type", pa.string()),
-                                     ("day", pa.int64()), ("x", pa.int64())]))
+                   finish=finish, batch_size=131072)
 
 
 def _docs_lang_source_chi2(sf_dir: str):
@@ -9035,10 +8843,7 @@ def _docs_lang_source_chi2(sf_dir: str):
                                      pa.float64())})
 
     return combine(ds, ["lang", "source"], count="observed", prep=prep,
-                   finish=finish, batch_size=131072,
-                   schema=pa.schema([("lang", pa.string()),
-                                     ("source", pa.string()),
-                                     ("observed", pa.int64())]))
+                   finish=finish, batch_size=131072)
 
 
 def _monthly_top_revenue_days(sf_dir: str):
@@ -9095,8 +8900,7 @@ def _monthly_top_revenue_days(sf_dir: str):
 
     return combine(
         ds, "day", sums=("cents",), prep=prep, finish=finish,
-        batch_size=131072,
-        schema=pa.schema([("day", pa.int64()), ("cents", pa.int64())]))
+        batch_size=131072)
 
 
 def _customer_rfm_scores(sf_dir: str):
@@ -9148,9 +8952,7 @@ def _customer_rfm_scores(sf_dir: str):
 
     return combine(
         ds, "c", count="freq", sums=("mon",), maxs=("last_day",), prep=prep,
-        finish=finish, batch_size=131072,
-        schema=pa.schema([("c", pa.int64()), ("last_day", pa.int64()),
-                          ("freq", pa.int64()), ("mon", pa.int64())]))
+        finish=finish, batch_size=131072)
 
 
 def _lineitem_benford(sf_dir: str):
@@ -9177,9 +8979,7 @@ def _lineitem_benford(sf_dir: str):
         return pa.table({"digit": digit,
                          "n_rows": np.ones(digit.shape[0], np.int64)})
 
-    return combine(ds, "digit", sums=("n_rows",), prep=prep, batch_size=131072,
-                   schema=pa.schema([("digit", pa.int64()),
-                                     ("n_rows", pa.int64())]))
+    return combine(ds, "digit", sums=("n_rows",), prep=prep, batch_size=131072)
 
 
 def _events_session_concurrency(sf_dir: str):
@@ -9311,9 +9111,7 @@ def _brand_weighted_median_price(sf_dir: str):
                          "wmedian_cents": pa.array(out_m, pa.int64())})
 
     return combine(li, ["b", "cents"], sums=("qty",), prep=prep, finish=finish,
-                   batch_size=131072,
-                   schema=pa.schema([("b", pa.int64()), ("cents", pa.int64()),
-                                     ("qty", pa.int64())]))
+                   batch_size=131072)
 
 
 def _docs_term_dictionary(sf_dir: str):
@@ -9348,9 +9146,7 @@ def _docs_term_dictionary(sf_dir: str):
             "df": t["df"].to_numpy()[order]})
 
     return combine(ds, "term", sums=("df",), prep=df_partial,
-                   finish=finish, batch_size=32768,
-                   schema=pa.schema([("term", pa.string()),
-                                     ("df", pa.int64())]))
+                   finish=finish, batch_size=32768)
 
 
 def _pages_fuzzy_url_pairs(sf_dir: str):
@@ -9569,9 +9365,7 @@ def _events_ks_purchase_click(sf_dir: str):
             "ks_d": pa.array([ks], pa.float64())})
 
     return combine(ds, "c", sums=("na", "nb"), prep=prep, finish=finish,
-                   batch_size=131072,
-                   schema=pa.schema([("c", pa.int64()), ("na", pa.int64()),
-                                     ("nb", pa.int64())]))
+                   batch_size=131072)
 
 
 def _users_simpson_hist(sf_dir: str):
@@ -9612,10 +9406,7 @@ def _users_simpson_hist(sf_dir: str):
             "n_users": pa.array(cnt.astype(np.int64), pa.int64())})
 
     return combine(ds, ["user_id", "event_type"], count="n", prep=prep,
-                   finish=finish, batch_size=131072,
-                   schema=pa.schema([("user_id", pa.int64()),
-                                     ("event_type", pa.string()),
-                                     ("n", pa.int64())]))
+                   finish=finish, batch_size=131072)
 
 
 def _orders_runs_test(sf_dir: str):
@@ -9679,8 +9470,7 @@ def _orders_runs_test(sf_dir: str):
 
     return combine(
         ds, "day", sums=("cents",), prep=prep, finish=finish,
-        batch_size=131072,
-        schema=pa.schema([("day", pa.int64()), ("cents", pa.int64())]))
+        batch_size=131072)
 
 
 def _nation_rank_spearman(sf_dir: str):
@@ -9768,9 +9558,7 @@ def _nation_rank_spearman(sf_dir: str):
             "spearman_rho": pa.array([rho], pa.float64())})
 
     return combine(ds, ["nk", "y"], sums=("cents",), prep=prep, finish=finish,
-                   batch_size=131072,
-                   schema=pa.schema([("nk", pa.int64()), ("y", pa.int64()),
-                                     ("cents", pa.int64())]))
+                   batch_size=131072)
 
 
 def _customer_gap_hazard(sf_dir: str):
@@ -9858,8 +9646,7 @@ def _events_markov_stationary(sf_dir: str):
     all_types = combine(
         rd.read_parquet(f"{sf_dir}/events.parquet",
                         columns=["event_type"]),
-        "event_type", batch_size=131072,
-        schema=pa.schema([("event_type", pa.string())])
+        "event_type", batch_size=131072
     )["event_type"].to_pylist()
 
     def finish(g: pa.Table) -> pa.Table:
@@ -9976,9 +9763,7 @@ def _part_size_price_kendall(sf_dir: str):
             "tau_b": pa.array(out_tau, pa.float64())})
 
     return combine(ds, ["brand", "x", "y"], count="n", prep=prep,
-                   finish=finish, batch_size=131072,
-                   schema=pa.schema([("brand", pa.string()), ("x", pa.int64()),
-                                     ("y", pa.int64()), ("n", pa.int64())]))
+                   finish=finish, batch_size=131072)
 
 
 def _lineitem_qty_anova(sf_dir: str):
@@ -10033,9 +9818,7 @@ def _lineitem_qty_anova(sf_dir: str):
             "f_stat": pa.array([f], pa.float64())})
 
     return combine(ds, "f", sums=("n", "s", "q2"), prep=prep, finish=finish,
-                   batch_size=131072,
-                   schema=pa.schema([("f", pa.string()), ("n", pa.int64()),
-                                     ("s", pa.int64()), ("q2", pa.int64())]))
+                   batch_size=131072)
 
 
 def _docs_ari_by_lang(sf_dir: str):
@@ -10090,10 +9873,7 @@ def _docs_ari_by_lang(sf_dir: str):
 
     return combine(
         ds, "lang", sums=("n_docs", "c", "w", "s"), prep=prep, finish=finish,
-        batch_size=32768,
-        schema=pa.schema([("lang", pa.string()), ("n_docs", pa.int64()),
-                          ("c", pa.int64()), ("w", pa.int64()),
-                          ("s", pa.int64())]))
+        batch_size=32768)
 
 
 def _docs_jaccard_threshold_curve(sf_dir: str):
@@ -10198,8 +9978,7 @@ def _orders_mann_kendall(sf_dir: str):
             "z_mk": pa.array([z], pa.float64())})
 
     return combine(
-        ds, "mk", sums=("cents",), prep=prep, finish=finish, batch_size=131072,
-        schema=pa.schema([("mk", pa.int64()), ("cents", pa.int64())]))
+        ds, "mk", sums=("cents",), prep=prep, finish=finish, batch_size=131072)
 
 
 def _sites_neighbor_jaccard_topk(sf_dir: str):
@@ -10280,9 +10059,7 @@ def _emb_dim_covariance(sf_dir: str):
             "cov": pa.array(out_cov, pa.float64())})
 
     return combine(ds, ["di", "dj"], sums=("v",), prep=prep, finish=finish,
-                   batch_size=32768,
-                   schema=pa.schema([("di", pa.int64()), ("dj", pa.int64()),
-                                     ("v", pa.int64())]))
+                   batch_size=32768)
 
 
 def _events_type_trigrams_topk(sf_dir: str):
@@ -10449,11 +10226,7 @@ def _docs_quality_dup_contingency(sf_dir: str):
 
     return combine(docs, [], count="n_docs",
                    sums=("n_pass", "n_dup", "n_pass_dup"), prep=flags,
-                   finish=finish, batch_size=32768,
-                   schema=pa.schema([("n_docs", pa.int64()),
-                                     ("n_pass", pa.int64()),
-                                     ("n_dup", pa.int64()),
-                                     ("n_pass_dup", pa.int64())]))
+                   finish=finish, batch_size=32768)
 
 
 def _orders_cusum_changepoint(sf_dir: str):
@@ -10506,8 +10279,7 @@ def _orders_cusum_changepoint(sf_dir: str):
 
     return combine(
         ds, "day", sums=("cents",), prep=prep, finish=finish,
-        batch_size=131072,
-        schema=pa.schema([("day", pa.int64()), ("cents", pa.int64())]))
+        batch_size=131072)
 
 
 def _sites_harmonic_centrality(sf_dir: str):
@@ -10609,8 +10381,7 @@ def _orders_theil_sen(sf_dir: str):
 
     return combine(
         ds, "day", sums=("cents",), prep=prep, finish=finish,
-        batch_size=131072,
-        schema=pa.schema([("day", pa.int64()), ("cents", pa.int64())]))
+        batch_size=131072)
 
 
 def _docs_winnow_fingerprints(sf_dir: str):
@@ -10713,10 +10484,7 @@ def _lineitem_simpson_paradox(sf_dir: str):
             "n_reversed": pa.array([rev], pa.int64())})
 
     return combine(li, "brand", sums=("n", "sx", "sy", "sxy"), prep=prep,
-                   finish=finish, batch_size=131072,
-                   schema=pa.schema([("brand", pa.string()), ("n", pa.int64()),
-                                     ("sx", pa.int64()), ("sy", pa.int64()),
-                                     ("sxy", pa.int64())]))
+                   finish=finish, batch_size=131072)
 
 
 def _docs_dedup_method_agreement(sf_dir: str):
@@ -10845,8 +10613,7 @@ def _events_dominant_period(sf_dir: str):
             "acf_best": pa.array([acf], pa.float64())})
 
     return combine(ds, "day", count="n", prep=prep, finish=finish,
-                   batch_size=131072,
-                   schema=pa.schema([("day", pa.int64()), ("n", pa.int64())]))
+                   batch_size=131072)
 
 
 def _docs_jsonl_roundtrip(sf_dir: str):
@@ -11068,8 +10835,7 @@ def _docs_vocab_coverage_curve(sf_dir: str):
             "coverage": pa.array(rows_cov, pa.float64())})
 
     return combine(
-        ds, "term", count="n", prep=prep, finish=finish, batch_size=32768,
-        schema=pa.schema([("term", pa.string()), ("n", pa.int64())]))
+        ds, "term", count="n", prep=prep, finish=finish, batch_size=32768)
 
 
 def _docs_langid_prf(sf_dir: str):
@@ -11182,9 +10948,7 @@ def _events_type_synchrony(sf_dir: str):
             "corr_daily": pa.array(out_r, pa.float64())})
 
     return combine(ds, ["t", "day"], count="n", prep=prep, finish=finish,
-                   batch_size=131072,
-                   schema=pa.schema([("t", pa.string()), ("day", pa.int64()),
-                                     ("n", pa.int64())]))
+                   batch_size=131072)
 
 
 def _orders_gumbel_maxima(sf_dir: str):
@@ -11246,8 +11010,7 @@ def _orders_gumbel_maxima(sf_dir: str):
 
     return combine(
         ds, "day", sums=("cents",), prep=prep, finish=finish,
-        batch_size=131072,
-        schema=pa.schema([("day", pa.int64()), ("cents", pa.int64())]))
+        batch_size=131072)
 
 
 def _docs_dup_transitivity(sf_dir: str):
@@ -11401,10 +11164,7 @@ def _emb_hubness_hist(sf_dir: str):
     return combine(rd.read_parquet(f"{sf_dir}/embeddings.parquet",
                                    columns=["vec_id", "embedding"]),
                    ["qid", "vid", "dot"], prep=panel, finish=finish,
-                   batch_size=4096,
-                   schema=pa.schema([("qid", pa.int64()),
-                                     ("vid", pa.int64()),
-                                     ("dot", pa.int64())]))
+                   batch_size=4096)
 
 
 def _events_record_days(sf_dir: str):
@@ -11445,8 +11205,7 @@ def _events_record_days(sf_dir: str):
                 [int(d[np.flatnonzero(rec)[-1]])], pa.int64())})
 
     return combine(ds, "day", count="n", prep=prep, finish=finish,
-                   batch_size=131072,
-                   schema=pa.schema([("day", pa.int64()), ("n", pa.int64())]))
+                   batch_size=131072)
 
 
 def _brand_supplier_n50(sf_dir: str):
@@ -11526,9 +11285,7 @@ def _brand_supplier_n50(sf_dir: str):
 
     return combine(
         li, ["brand", "sk"], sums=("cents",), prep=prep, finish=finish,
-        batch_size=131072,
-        schema=pa.schema([("brand", pa.string()), ("sk", pa.int64()),
-                          ("cents", pa.int64())]))
+        batch_size=131072)
 
 
 def _supplier_balance_grubbs(sf_dir: str):
@@ -11647,9 +11404,7 @@ def _docs_len_jarque_bera(sf_dir: str):
             "jarque_bera": pa.array([jb], pa.float64())})
 
     return combine(ds, [], count="n", sums=powers, prep=prep,
-                   finish=finish, batch_size=131072,
-                   schema=pa.schema([("n", pa.int64())] + [
-                       (k, pa.decimal128(38, 0)) for k in powers]))
+                   finish=finish, batch_size=131072)
 
 
 def _sites_pagerank_degree_corr(sf_dir: str):
@@ -11764,9 +11519,7 @@ def _lineitem_partial_corr(sf_dir: str):
             "r_xy_given_z": pa.array([part], pa.float64())})
 
     return combine(ds, [], count="n", sums=moments, prep=prep,
-                   finish=finish, batch_size=32768,
-                   schema=pa.schema([("n", pa.int64())] + [
-                       (c, pa.decimal128(38, 0)) for c in moments]))
+                   finish=finish, batch_size=32768)
 
 
 def _events_mood_median_test(sf_dir: str):
@@ -11835,9 +11588,7 @@ def _events_mood_median_test(sf_dir: str):
             "chi2_mood": pa.array([chi2], pa.float64())})
 
     return combine(ds, "c", sums=("na", "nb"), prep=prep, finish=finish,
-                   batch_size=131072,
-                   schema=pa.schema([("c", pa.int64()), ("na", pa.int64()),
-                                     ("nb", pa.int64())]))
+                   batch_size=131072)
 
 
 def _customer_quartile_migration(sf_dir: str):
@@ -11917,9 +11668,7 @@ def _customer_quartile_migration(sf_dir: str):
 
     return combine(
         ds, ["ck", "day"], sums=("cents", "n"), prep=prep, finish=finish,
-        batch_size=131072,
-        schema=pa.schema([("ck", pa.int64()), ("day", pa.int64()),
-                          ("cents", pa.int64()), ("n", pa.int64())]))
+        batch_size=131072)
 
 
 def _part_price_endings(sf_dir: str):
@@ -11957,8 +11706,7 @@ def _part_price_endings(sf_dir: str):
             "share": pa.array(n.astype(np.float64) / float(tot))})
 
     return combine(
-        ds, "ending", count="n", prep=prep, finish=finish, batch_size=131072,
-        schema=pa.schema([("ending", pa.int64()), ("n", pa.int64())]))
+        ds, "ending", count="n", prep=prep, finish=finish, batch_size=131072)
 
 
 def _events_pacf_lag2(sf_dir: str):
@@ -12017,8 +11765,7 @@ def _events_pacf_lag2(sf_dir: str):
             "pacf2": pa.array([p2], pa.float64())})
 
     return combine(ds, "day", count="n", prep=prep, finish=finish,
-                   batch_size=131072,
-                   schema=pa.schema([("day", pa.int64()), ("n", pa.int64())]))
+                   batch_size=131072)
 
 
 def _nation_rank_volatility(sf_dir: str):
@@ -12105,9 +11852,7 @@ def _nation_rank_volatility(sf_dir: str):
             "mean_abs_d": pa.array(out["md"], pa.float64())})
 
     return combine(ds, ["nk", "y"], sums=("cents",), prep=prep, finish=finish,
-                   batch_size=131072,
-                   schema=pa.schema([("nk", pa.int64()), ("y", pa.int64()),
-                                     ("cents", pa.int64())]))
+                   batch_size=131072)
 
 
 def _orders_weekday_kruskal(sf_dir: str):
@@ -12178,8 +11923,7 @@ def _orders_weekday_kruskal(sf_dir: str):
 
     return combine(
         ds, "day", sums=("cents",), prep=prep, finish=finish,
-        batch_size=131072,
-        schema=pa.schema([("day", pa.int64()), ("cents", pa.int64())]))
+        batch_size=131072)
 
 
 def _docs_dedup_token_savings(sf_dir: str):
@@ -12298,9 +12042,7 @@ def _events_mann_whitney(sf_dir: str):
             "z_mwu": pa.array([z], pa.float64())})
 
     return combine(ds, "c", sums=("na", "nb"), prep=prep, finish=finish,
-                   batch_size=131072,
-                   schema=pa.schema([("c", pa.int64()), ("na", pa.int64()),
-                                     ("nb", pa.int64())]))
+                   batch_size=131072)
 
 
 def _events_qq_decile_slope(sf_dir: str):
@@ -12374,9 +12116,7 @@ def _events_qq_decile_slope(sf_dir: str):
             "qq_slope": pa.array([slope] * 9, pa.float64())})
 
     return combine(ds, "c", sums=("na", "nb"), prep=prep, finish=finish,
-                   batch_size=131072,
-                   schema=pa.schema([("c", pa.int64()), ("na", pa.int64()),
-                                     ("nb", pa.int64())]))
+                   batch_size=131072)
 
 
 def _events_lateness_hist(sf_dir: str):
@@ -12487,8 +12227,7 @@ def _events_shuffle_balance(sf_dir: str):
             "share": pa.array(n.astype(np.float64) / float(tot))})
 
     return combine(
-        ds, "bucket", count="n", prep=prep, finish=finish, batch_size=131072,
-        schema=pa.schema([("bucket", pa.int64()), ("n", pa.int64())]))
+        ds, "bucket", count="n", prep=prep, finish=finish, batch_size=131072)
 
 
 def _emb_knn_label_purity(sf_dir: str):
@@ -12560,10 +12299,7 @@ def _emb_knn_label_purity(sf_dir: str):
     return combine(rd.read_parquet(f"{sf_dir}/embeddings.parquet",
                                    columns=["vec_id", "embedding"]),
                    ["qid", "vid", "dot"], prep=panel, finish=finish,
-                   batch_size=4096,
-                   schema=pa.schema([("qid", pa.int64()),
-                                     ("vid", pa.int64()),
-                                     ("dot", pa.int64())]))
+                   batch_size=4096)
 
 
 def _docs_len_welch_t(sf_dir: str):
@@ -12624,10 +12360,7 @@ def _docs_len_welch_t(sf_dir: str):
             "welch_df": pa.array([df], pa.float64())})
 
     return combine(ds, "lang", count="n", sums=("s", "q"), prep=prep,
-                   finish=finish, batch_size=131072,
-                   schema=pa.schema([("lang", pa.string()),
-                                     ("n", pa.int64()), ("s", pa.int64()),
-                                     ("q", pa.int64())]))
+                   finish=finish, batch_size=131072)
 
 
 def _docs_langid_kappa(sf_dir: str):
@@ -12720,9 +12453,7 @@ def _docs_lang_len_eta2(sf_dir: str):
             "eta2": pa.array([eta2], pa.float64())})
 
     return combine(ds, "lang", sums=("n", "s", "q"), prep=prep, finish=finish,
-                   batch_size=131072,
-                   schema=pa.schema([("lang", pa.string()), ("n", pa.int64()),
-                                     ("s", pa.int64()), ("q", pa.int64())]))
+                   batch_size=131072)
 
 
 def _lineitem_abc_analysis(sf_dir: str):
@@ -12785,8 +12516,7 @@ def _lineitem_abc_analysis(sf_dir: str):
                  for k in keys], pa.float64())})
 
     return combine(
-        ds, "pk", sums=("cents",), prep=prep, finish=finish, batch_size=131072,
-        schema=pa.schema([("pk", pa.int64()), ("cents", pa.int64())]))
+        ds, "pk", sums=("cents",), prep=prep, finish=finish, batch_size=131072)
 
 
 def _docs_chao1_vocab(sf_dir: str):
@@ -12834,8 +12564,7 @@ def _docs_chao1_vocab(sf_dir: str):
             "chao1": pa.array([chao1], pa.float64())})
 
     return combine(
-        ds, "term", count="n", prep=prep, finish=finish, batch_size=32768,
-        schema=pa.schema([("term", pa.string()), ("n", pa.int64())]))
+        ds, "term", count="n", prep=prep, finish=finish, batch_size=32768)
 
 
 def _docs_good_turing(sf_dir: str):
@@ -12892,8 +12621,7 @@ def _docs_good_turing(sf_dir: str):
             "p0_unseen": pa.array([p0] * 5, pa.float64())})
 
     return combine(
-        ds, "term", count="n", prep=prep, finish=finish, batch_size=32768,
-        schema=pa.schema([("term", pa.string()), ("n", pa.int64())]))
+        ds, "term", count="n", prep=prep, finish=finish, batch_size=32768)
 
 
 def _emb_centroid_shift(sf_dir: str):
@@ -12964,9 +12692,7 @@ def _emb_centroid_shift(sf_dir: str):
                                     pa.float64())})
 
     return combine(ds, ["dim", "par"], sums=("v",), prep=prep, finish=finish,
-                   batch_size=32768,
-                   schema=pa.schema([("dim", pa.int64()), ("par", pa.int64()),
-                                     ("v", pa.int64())]))
+                   batch_size=32768)
 
 
 def _events_gap_burstiness(sf_dir: str):
@@ -13133,8 +12859,7 @@ def _users_event_count_nbfit(sf_dir: str):
             "nb_p": pa.array([p], pa.float64())})
 
     return combine(ds, "uid", count="n", prep=prep, finish=finish,
-                   batch_size=131072,
-                   schema=pa.schema([("uid", pa.int64()), ("n", pa.int64())]))
+                   batch_size=131072)
 
 
 def _nation_trade_balance(sf_dir: str):
@@ -13189,8 +12914,7 @@ def _nation_trade_balance(sf_dir: str):
                            columns=["c_custkey", "c_nationkey"])
     orders = rd.read_parquet(f"{sf_dir}/orders.parquet",
                              columns=["o_orderkey", "o_custkey"])
-    ord_nat = hash_join(orders, cust, "o_custkey", "c_custkey") \
-        .select_columns(["o_orderkey", "c_nationkey"])
+    ord_nat = hash_join(orders, cust, "o_custkey", "c_custkey")
 
     prepped = seed_schema(
         line.map_batches(line_prep, batch_format="pyarrow",
@@ -13241,8 +12965,7 @@ def _nation_trade_balance(sf_dir: str):
 
     return combine(
         joined, "k", sums=("cents",), prep=prep, finish=finish,
-        batch_size=131072,
-        schema=pa.schema([("k", pa.int64()), ("cents", pa.int64())]))
+        batch_size=131072)
 
 
 def _lineitem_ca_trend(sf_dir: str):
@@ -13297,9 +13020,7 @@ def _lineitem_ca_trend(sf_dir: str):
             "z_ca_trend": pa.array([z], pa.float64())})
 
     return combine(ds, "s", count="n", sums=("r",), prep=prep, finish=finish,
-                   batch_size=131072,
-                   schema=pa.schema([("s", pa.int64()), ("n", pa.int64()),
-                                     ("r", pa.int64())]))
+                   batch_size=131072)
 
 
 def _docs_lexical_density_by_source(sf_dir: str):
@@ -13350,9 +13071,7 @@ def _docs_lexical_density_by_source(sf_dir: str):
 
     return combine(
         ds, "source", sums=("w", "st"), prep=prep, finish=finish,
-        batch_size=32768,
-        schema=pa.schema([("source", pa.string()), ("w", pa.int64()),
-                          ("st", pa.int64())]))
+        batch_size=32768)
 
 
 def _orders_seasonal_mann_kendall(sf_dir: str):
@@ -13424,9 +13143,7 @@ def _orders_seasonal_mann_kendall(sf_dir: str):
             "z_smk": pa.array([z], pa.float64())})
 
     return combine(ds, ["m", "y"], sums=("cents",), prep=prep, finish=finish,
-                   batch_size=131072,
-                   schema=pa.schema([("m", pa.int64()), ("y", pa.int64()),
-                                     ("cents", pa.int64())]))
+                   batch_size=131072)
 
 
 def _sites_edge_support_hist(sf_dir: str):
@@ -13527,10 +13244,7 @@ def _events_shapley_attribution(sf_dir: str):
             "shapley": pa.array(out_s, pa.float64())})
 
     return combine(ds, ["uid", "code"], mins=("mn",), prep=prep,
-                   finish=finish, batch_size=131072,
-                   schema=pa.schema([("uid", pa.int64()),
-                                     ("code", pa.int64()),
-                                     ("mn", pa.int64())]))
+                   finish=finish, batch_size=131072)
 
 
 def _customer_balance_sign_test(sf_dir: str):
@@ -13566,9 +13280,7 @@ def _customer_balance_sign_test(sf_dir: str):
         return g.append_column("z_sign", pa.array([z], pa.float64()))
 
     return combine(ds, [], sums=("n_pos", "n_neg"), prep=prep,
-                   finish=finish, batch_size=131072,
-                   schema=pa.schema([("n_pos", pa.int64()),
-                                     ("n_neg", pa.int64())]))
+                   finish=finish, batch_size=131072)
 
 
 _POIS1_CDF = (0.36787944117144233, 0.7357588823428847,
@@ -13633,9 +13345,7 @@ def _orders_bootstrap_resamples(sf_dir: str):
             "mean_cents": pa.array(mean, pa.float64())})
 
     return combine(ds, "b", sums=("n", "s"), prep=prep, finish=finish,
-                   batch_size=131072,
-                   schema=pa.schema([("b", pa.int64()), ("n", pa.int64()),
-                                     ("s", pa.int64())]))
+                   batch_size=131072)
 
 
 def _nation_export_concentration(sf_dir: str):
@@ -13689,8 +13399,7 @@ def _nation_export_concentration(sf_dir: str):
                            columns=["c_custkey", "c_nationkey"])
     orders = rd.read_parquet(f"{sf_dir}/orders.parquet",
                              columns=["o_orderkey", "o_custkey"])
-    ord_nat = hash_join(orders, cust, "o_custkey", "c_custkey") \
-        .select_columns(["o_orderkey", "c_nationkey"])
+    ord_nat = hash_join(orders, cust, "o_custkey", "c_custkey")
 
     prepped = seed_schema(
         line.map_batches(line_prep, batch_format="pyarrow",
@@ -13741,8 +13450,7 @@ def _nation_export_concentration(sf_dir: str):
 
     return combine(
         joined, "k", sums=("cents",), prep=prep, finish=finish,
-        batch_size=131072,
-        schema=pa.schema([("k", pa.int64()), ("cents", pa.int64())]))
+        batch_size=131072)
 
 
 def _orders_control_chart(sf_dir: str):
@@ -13794,8 +13502,7 @@ def _orders_control_chart(sf_dir: str):
             "n_below_lcl": pa.array([below], pa.int64())})
 
     return combine(ds, "day", count="n", prep=prep, finish=finish,
-                   batch_size=131072,
-                   schema=pa.schema([("day", pa.int64()), ("n", pa.int64())]))
+                   batch_size=131072)
 
 
 def _emb_quant_error_curve(sf_dir: str):
@@ -13858,9 +13565,7 @@ def _emb_quant_error_curve(sf_dir: str):
                  for ni, si in zip(n, s)], pa.float64())})
 
     return combine(ds, "b", sums=("n", "sse"), prep=prep, finish=finish,
-                   batch_size=32768,
-                   schema=pa.schema([("b", pa.int64()), ("n", pa.int64()),
-                                     ("sse", pa.int64())]))
+                   batch_size=32768)
 
 
 def _sites_bowtie(sf_dir: str):
@@ -14025,9 +13730,7 @@ def _events_markov_removal(sf_dir: str):
 
     starts_t = combine(
         first_ds, ["uid", "ts", "eid", "t"], prep=first_partial,
-        finish=first_finish, batch_size=131072,
-        schema=pa.schema([("uid", pa.int64()), ("ts", pa.int64()),
-                          ("eid", pa.int64()), ("t", pa.string())]))
+        finish=first_finish, batch_size=131072)
 
     starts = {t_: int(n) for t_, n in
               zip(starts_t["t"].to_pylist(),
@@ -14114,8 +13817,7 @@ def _events_hour_uniformity_chi2(sf_dir: str):
             "chi2_uniform": pa.array([chi2], pa.float64())})
 
     return combine(ds, "h", count="n", prep=prep, finish=finish,
-                   batch_size=131072,
-                   schema=pa.schema([("h", pa.int64()), ("n", pa.int64())]))
+                   batch_size=131072)
 
 
 def _docs_source_vocab_overlap(sf_dir: str):
@@ -14138,8 +13840,7 @@ def _docs_source_vocab_overlap(sf_dir: str):
                          columns=["source", "text"])
 
     sources = sorted(np.unique(combine(
-        ds, "source", batch_size=131072,
-        schema=pa.schema([("source", pa.string())])
+        ds, "source", batch_size=131072
     )["source"].to_numpy(zero_copy_only=False).astype(str)).tolist())
     if len(sources) > 60:
         raise RuntimeError("vocab-overlap bitmask assumes <= 60 "
@@ -14207,9 +13908,7 @@ def _docs_source_vocab_overlap(sf_dir: str):
             "vocab_jaccard": pa.array(out["j"], pa.float64())})
 
     return combine(ds2, ["term", "bit"], prep=prep, finish=finish,
-                   batch_size=32768,
-                   schema=pa.schema([("term", pa.string()),
-                                     ("bit", pa.int64())]))
+                   batch_size=32768)
 
 
 def _events_rapid_repeat_share(sf_dir: str):

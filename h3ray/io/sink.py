@@ -155,9 +155,13 @@ def checkpoint_dataset(ds, out_dir: str, input_signature: str, *,
         return batch.append_column("ckpt_part", pa.array(part))
 
     keyed = ds.map_batches(add_part, batch_format="pyarrow")
-    write_partitioned(keyed, out_dir, "ckpt_part", input_signature)
+    job = write_partitioned(keyed, out_dir, "ckpt_part", input_signature)
     import ray.data as rd
 
+    if not (job["rows"] or job["skipped"]):  # no file to read back
+        schema = ds.schema().base_schema
+        return rd.from_arrow(schema.empty_table().select(
+            columns or schema.names))
     back = rd.read_parquet(out_dir, columns=columns)
     return back.drop_columns(["ckpt_part"]) if columns is None else back
 
@@ -170,9 +174,7 @@ def partition_row_counts(out_dir: str, partition_col: str,
     exclude = exclude or set()
     counts: dict[str, int] = {}
     prefix = f"{partition_col}="
-    for pdir in Path(out_dir).iterdir():
-        if not pdir.is_dir() or not pdir.name.startswith(prefix):
-            continue
+    for pdir in Path(out_dir).glob(f"{prefix}*/"):  # none if no dir yet
         key = pdir.name[len(prefix):]
         if key in exclude:
             continue

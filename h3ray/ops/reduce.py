@@ -11,14 +11,14 @@ with one vectorized numpy/arrow pass. The result re-enters Ray Data via
 
 `combine` is the one rule by which a bounded grouping reaches the driver:
 a batch-local Arrow `group_by` (SUM / MIN / MAX / COUNT(*), or DISTINCT
-when only keys are given), a regroup at the `driver_merge` root, and an
-explicit partial schema for input with no rows, then a `finish` for the
-last per-group arithmetic. Exact integer sums that may pass 2^63 ride as
-HUGEINT (decimal128) columns (`_hugeint`), as the exact-moment reducers
-do. `driver_merge` itself is left to roots that are not a grouping: bit
-folds (bloom OR, fingerprint XOR), the skyline, the OHLC tie rule, top-k
-and bottom-k, Misra-Gries compression, plain collectors and the tile
-compaction (tests/test_combine.py keeps that list).
+when only keys are given), a regroup at the `driver_merge` root, and a
+partial schema derived from the input's for input with no rows, then a
+`finish` for the last per-group arithmetic. Exact integer sums that may
+pass 2^63 ride as HUGEINT (decimal128) columns (`_hugeint`), as the
+exact-moment reducers do. `driver_merge` itself is left to roots that are
+not a grouping: bit folds (bloom OR, fingerprint XOR), the skyline, the
+OHLC tie rule, top-k and bottom-k, Misra-Gries compression, plain
+collectors and the tile compaction (tests/test_combine.py keeps that list).
 
 An unbounded key space goes through `exchange` instead: one map hashes
 each row's keys into one of `default_num_buckets()` buckets, and one
@@ -37,8 +37,9 @@ from ..io.pages import _mix64
 from .sample import _key_hash
 
 
-def driver_merge(ds, merge_fn, schema: pa.Schema | None = None) -> pa.Table:
-    """Stream a small partial-aggregate Dataset to the driver and merge."""
+def driver_merge(ds, merge_fn, schema=None) -> pa.Table:
+    """Stream a small partial-aggregate Dataset to the driver and merge.
+    `schema` may be a callable, asked for the schema only with no rows."""
     tables = [pa.Table.from_batches([b]) if isinstance(b, pa.RecordBatch)
               else b
               for b in ds.iter_batches(batch_format="pyarrow",
@@ -47,6 +48,8 @@ def driver_merge(ds, merge_fn, schema: pa.Schema | None = None) -> pa.Table:
     if not non_empty:
         # Preserve schema stability for empty results: explicit schema, else
         # an empty batch's schema, else the (already-executed) dataset's.
+        if callable(schema):
+            schema = schema()
         if schema is None and tables:
             schema = tables[0].schema
         if schema is None:
@@ -73,8 +76,11 @@ def combine(ds, keys, *, sums=(), mins=(), maxs=(), count=None, prep=None,
     (`count` names the COUNT(*) column) and applies `finish(table)` for
     the last per-group arithmetic. Output columns: keys, count, sums,
     mins, maxs. With no aggregate at all it is a DISTINCT over `keys`.
-    `schema` is the partial schema used when the input has no rows at
-    all; `finish` still runs on the resulting empty table.
+    When no partial row arrives, prep and group_by run on an empty table
+    of the input's Ray schema, and `finish` on the merge of that. Pass
+    `schema` (the partial schema) only where the input can arrive with
+    no Ray schema (a caller's Dataset, a filter, map or exchange output)
+    or `prep` cannot run on an empty table; never for a read or join.
 
     Keyless (`keys=[]`) is a scalar root: its merge always yields ONE
     row, also over zero input rows, where that row holds COUNT 0 and
@@ -99,9 +105,14 @@ def combine(ds, keys, *, sums=(), mins=(), maxs=(), count=None, prep=None,
             g = g.set_column(len(keys), count, pc.fill_null(g[count], 0))
         return finish(g) if finish is not None else g
 
+    def derived() -> pa.Schema | None:
+        base = getattr(ds.schema(), "base_schema", None)
+        return partial(base.empty_table()).schema \
+            if isinstance(base, pa.Schema) else None
+
     return driver_merge(ds.map_batches(partial, batch_format="pyarrow",
                                        batch_size=batch_size), merge,
-                        schema=schema)
+                        schema=derived if schema is None else schema)
 
 
 def default_num_buckets() -> int:

@@ -20,7 +20,9 @@ def _embedding_matrix(batch: pa.Table, col: str,
     if isinstance(arr, pa.ChunkedArray):
         arr = arr.combine_chunks()
     n = len(arr)
-    if n and arr.null_count == 0:
+    if not n:  # np.stack needs at least one row
+        return np.empty((0, 0), dtype)
+    if arr.null_count == 0:
         import pyarrow.compute as pc
 
         widths = pc.list_value_length(arr).to_numpy(zero_copy_only=False)

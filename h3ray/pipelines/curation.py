@@ -78,7 +78,7 @@ def curation_pipeline(sf_dir: str, *, checkpoint_dir: str | None = None,
     import pyarrow.compute as pc
     import ray.data as rd
 
-    from ..ops.join import semi_join
+    from ..ops.join import seed_schema, semi_join
     from ..ops.scan import pack_sequences
     from ..text.analysis import quality_filter_stage
     from ..text.dedup import contamination_flags, near_dedup
@@ -86,7 +86,9 @@ def curation_pipeline(sf_dir: str, *, checkpoint_dir: str | None = None,
     t0 = time.time()
     docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
                            columns=["doc_id", "text", "n_chars"])
-    kept = docs.map_batches(quality_filter_stage(), batch_format="pyarrow")
+    kept = seed_schema(docs.map_batches(quality_filter_stage(),
+                                        batch_format="pyarrow"),
+                       docs.schema().base_schema)
     bench = rd.read_parquet(f"{sf_dir}/documents.parquet",
                             columns=["doc_id", "text"],
                             filter=pc.field("doc_id") < 10)
@@ -119,7 +121,13 @@ def curation_pipeline(sf_dir: str, *, checkpoint_dir: str | None = None,
     packed = pack_sequences(unique_docs, order_col="doc_id",
                             size_col="n_chars", budget=budget,
                             bucket_width=64)
-    out = packed.select_columns(["doc_id", "pack_id"])
+    # A map, not select_columns: Ray's projection passes the typed empty
+    # block of an empty pack through unprojected; this seed types the
+    # result instead.
+    out = rd.from_arrow(pa.schema([("doc_id", pa.int64()),
+                                   ("pack_id", pa.int64())]).empty_table()) \
+        .union(packed.map_batches(lambda b: b.select(["doc_id", "pack_id"]),
+                                  batch_format="pyarrow"))
     if timings is not None:
         out = out.materialize()
         timings["pack"] = time.time() - t0

@@ -288,7 +288,7 @@ def orders_revenue_topk(sf_dir: str, segment: str = "BUILDING",
     import ray.data as rd
     from ray.data.aggregate import Min, Sum
 
-    from ..ops.join import hash_join
+    from ..ops.join import hash_join, seed_schema
     from ..ops.reduce import driver_merge
 
     cut = _dt.datetime.fromisoformat(cutoff)
@@ -319,8 +319,10 @@ def orders_revenue_topk(sf_dir: str, segment: str = "BUILDING",
         return pa.table({"o_orderkey": kept["o_orderkey"],
                          "o_epoch": epoch})
 
-    orders_f = orders.map_batches(probe, batch_format="pyarrow",
-                                  batch_size=131072)
+    orders_f = seed_schema(orders.map_batches(probe, batch_format="pyarrow",
+                                              batch_size=131072),
+                           pa.schema([("o_orderkey", pa.int64()),
+                                      ("o_epoch", pa.int64())]))
 
     li = rd.read_parquet(f"{sf_dir}/lineitem.parquet",
                          columns=["l_orderkey", "l_extendedprice",
@@ -337,8 +339,10 @@ def orders_revenue_topk(sf_dir: str, segment: str = "BUILDING",
         return pa.table({"l_orderkey": g["l_orderkey"],
                          "revenue_cents": g["revenue_cents_sum"]})
 
-    li_p = li.map_batches(li_partial, batch_format="pyarrow",
-                          batch_size=131072)
+    li_p = seed_schema(li.map_batches(li_partial, batch_format="pyarrow",
+                                      batch_size=131072),
+                       pa.schema([("l_orderkey", pa.int64()),
+                                  ("revenue_cents", pa.int64())]))
     joined = hash_join(li_p, orders_f, "l_orderkey", "o_orderkey")
     per_order = joined.groupby("l_orderkey").aggregate(
         Sum("revenue_cents", alias_name="revenue_cents"),
@@ -359,7 +363,10 @@ def orders_revenue_topk(sf_dir: str, segment: str = "BUILDING",
 
     return driver_merge(per_order.map_batches(block_topk,
                                               batch_format="pyarrow"),
-                        block_topk)
+                        block_topk, schema=pa.schema(
+                            [("o_orderkey", pa.int64()),
+                             ("revenue_cents", pa.int64()),
+                             ("o_epoch", pa.int64())]))
 
 
 def events_rolling_by_user(sf_dir: str, window: int = 3):

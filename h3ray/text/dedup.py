@@ -429,24 +429,29 @@ def exact_canonical_mapping(ds, key_col: str, text_col: str = "text"):
     """(key, canonical_id) for EVERY row: canonical = min key among rows
     with identical text. The keep-side complement of exact_dedup — training
     pipelines need the mapping (to redirect references / count dup mass),
-    not just the survivor list. Shape: fingerprint combiner -> Min groupby
-    -> shuffle hash join back on the fingerprint (both sides keyed int64).
-    """
-    from ray.data.aggregate import Min
+    not just the survivor list. Shape: fingerprint map -> one hash
+    exchange on the fingerprint, where each bucket's lexsort by
+    (fingerprint, key) puts every text's min key first. A typed empty
+    block (the key typed as in `ds`) leads the result."""
+    import ray.data as rd
 
-    from ..ops.join import hash_join
     from .analysis import fingerprint_stage
 
-    fp = ds.map_batches(fingerprint_stage(text_col), batch_format="pyarrow",
-                        batch_size=65536) \
-        .map_batches(lambda b: b.select([key_col, "fingerprint"]),
-                     batch_format="pyarrow")
-    canon = fp.groupby("fingerprint").aggregate(
-        Min(key_col, alias_name="canonical_id"))
-    joined = hash_join(fp, canon, "fingerprint", "fingerprint")
-    return joined.map_batches(
-        lambda b: b.select([key_col, "canonical_id"]),
-        batch_format="pyarrow")
+    def canonical(group: pa.Table) -> pa.Table:
+        fp = group["fingerprint"].to_numpy(zero_copy_only=False)
+        key = group[key_col].to_numpy(zero_copy_only=False)
+        order = np.lexsort((key, fp))
+        fp, key = fp[order], key[order]
+        first = np.r_[True, fp[1:] != fp[:-1]]
+        start = np.maximum.accumulate(np.where(first, np.arange(fp.size), 0))
+        return pa.table({key_col: key, "canonical_id": key[start]})
+
+    key = ds.schema().base_schema.field(key_col)
+    fp = fingerprint_stage(text_col)
+    return rd.from_arrow(pa.schema(
+        [key, pa.field("canonical_id", key.type)]).empty_table()).union(
+        exchange(ds, "fingerprint", canonical, batch_size=65536,
+                 prep=lambda b: fp(b).select([key_col, "fingerprint"])))
 
 
 def duplicate_clusters(keys_ds, pairs_ds, key_col: str,

@@ -233,3 +233,42 @@ def test_exchange_colocates_keys_by_hash(ray_session, num_buckets):
         .to_pandas()
     assert len(pairs) == n
     assert (pairs.groupby(["k", "s"])["g"].nunique() == 1).all()
+
+
+# Inputs whose Ray schema is known before anything runs: over no rows
+# combine types its partial from them, so a `schema=` beside one is a
+# hand copy of what combine derives.
+TYPED_INPUTS = {"read_parquet", "hash_join", "semi_join", "anti_join",
+                "seed_schema"}
+
+
+def _callee(call: ast.Call):
+    return getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+
+
+def test_no_declared_schema_on_typed_inputs():
+    root = Path(__file__).resolve().parent.parent
+    found = []
+    for path in sorted(root.joinpath("h3ray").rglob("*.py")) + [
+            root / "__ray_entry__.py"]:
+        tree = ast.parse(path.read_text())
+        for top in tree.body:
+            bound = {}
+            for node in ast.walk(top):
+                if isinstance(node, ast.Assign):
+                    for t in node.targets:
+                        if isinstance(t, ast.Name):
+                            bound.setdefault(t.id, []).append(node.value)
+            for node in ast.walk(top):
+                if not (isinstance(node, ast.Call)
+                        and _callee(node) == "combine" and node.args
+                        and any(k.arg == "schema" for k in node.keywords)):
+                    continue
+                arg = node.args[0]
+                inputs = bound.get(arg.id, []) \
+                    if isinstance(arg, ast.Name) else [arg]
+                if any(isinstance(v, ast.Call)
+                       and _callee(v) in TYPED_INPUTS for v in inputs):
+                    found.append((path.relative_to(root).as_posix(),
+                                  node.lineno))
+    assert found == []

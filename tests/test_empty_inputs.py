@@ -300,3 +300,84 @@ def test_empty_tables_pip_ann_winsorized(ray_session, tmp_path):
     assert out.count() == 0
     assert out.schema().base_schema == _schema(
         ("url", "string"), ("polygon_id", "int64"), ("cell", "uint64"))
+
+
+def test_combine_derives_empty_partial_schema(ray_session, tmp_path):
+    """A read-fed combine with no `schema=` types its empty result by
+    running its own prep and group_by on an empty table of the read's
+    schema; finish runs once, on the typed empty merge. Three ways for
+    no row to reach the root: an empty file, a read filter that keeps no
+    row, and a prep that drops every row of a non-empty read (Ray then
+    yields no batch at all)."""
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    from h3ray.ops.reduce import combine
+
+    t = pa.table({"k": ["a", "b", "a"], "v": [1, 2, 3]})
+    pq.write_table(t, tmp_path / "rows.parquet")
+    pq.write_table(t.schema.empty_table(), tmp_path / "empty.parquet")
+    partial = _schema(("key", "string"), ("n", "int64"), ("v", "int64"))
+    seen = []
+
+    def prep(b: pa.Table) -> pa.Table:
+        return pa.table({"key": b["k"], "v": b["v"]})
+
+    def finish(g: pa.Table) -> pa.Table:
+        seen.append(g.schema)
+        return g.append_column(
+            "mean", pa.array([None] * g.num_rows, pa.float64()))
+
+    cases = {
+        "empty file": (rd.read_parquet(str(tmp_path / "empty.parquet")),
+                       prep),
+        "filter keeps no row": (rd.read_parquet(
+            str(tmp_path / "rows.parquet"), filter=pc.field("v") > 9), prep),
+        "prep drops every row": (rd.read_parquet(
+            str(tmp_path / "rows.parquet")), lambda b: prep(b).slice(0, 0)),
+    }
+    for name, (ds, p) in cases.items():
+        seen.clear()
+        out = combine(ds, "key", count="n", sums=("v",), prep=p,
+                      finish=finish)
+        assert out.num_rows == 0, name
+        assert out.schema == partial.append(pa.field("mean", pa.float64())), \
+            name
+        assert seen == [partial], name
+
+
+def _arrow_schema(out) -> pa.Schema:
+    if isinstance(out, pa.Table):
+        return out.schema
+    return out.materialize().schema().base_schema
+
+
+def test_empty_tables_keep_sf0001_schemas(ray_session, tmp_path):
+    """Over all-empty tables these queries return zero rows with their
+    sf0.001 Arrow schema: four that a schema-less aggregate, filter or map
+    upstream of a join used to break, four more that projected a join
+    output (Ray's select_columns passes a join's typed empty seed through
+    unprojected; orders_big_qty did too) and four whose derived empty
+    partial lists its columns in another order than a hand-written one
+    did."""
+    import pyarrow.parquet as pq
+
+    import __ray_entry__ as entry
+
+    for t in ["documents", "orders", "customer", "supplier", "nation",
+              "lineitem", "part", "events"]:
+        s = pq.read_schema(f"{entry.SF0001}/{t}.parquet")
+        pq.write_table(s.empty_table(), tmp_path / f"{t}.parquet")
+    q = entry.queries()
+    for name in ["orders_big_qty", "orders_revenue_topk",
+                 "docs_exact_canonical", "docs_curation_pipeline",
+                 "revenue_local_suppliers", "nation_pair_volume",
+                 "nation_trade_balance", "nation_export_concentration",
+                 "customer_rfm_scores", "shipping_priority_topk",
+                 "part_type_price_stats", "events_props_ksum_by_type"]:
+        empty = q[name](str(tmp_path))
+        n = empty.num_rows if isinstance(empty, pa.Table) \
+            else empty.count()
+        assert n == 0, name
+        assert _arrow_schema(empty).remove_metadata() == _arrow_schema(
+            q[name](entry.SF0001)).remove_metadata(), name
