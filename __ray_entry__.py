@@ -106,6 +106,7 @@ def _h3_cell_quality(sf_dir: str):
         return pa.table({"cell": cells, "sum_chars": nc, "sum_words": nw,
                          "sum_stop": ns})
 
+    # geotag_cells is a map Ray cannot type before it runs
     return combine(
         ds, "cell", sums=("sum_chars", "sum_words", "sum_stop"),
         count="n_pages", prep=prep, batch_size=32768,
@@ -759,18 +760,14 @@ def _lineitem_priority_counts(sf_dir: str):
     import pyarrow.compute as pc
     import ray.data as rd
 
-    from h3ray.ops.join import hash_join, seed_schema
+    from h3ray.ops.join import hash_join
     from h3ray.ops.reduce import combine
 
     cutoff = pa.scalar(datetime.datetime(1997, 1, 1),
                        type=pa.timestamp("us"))
-    line = seed_schema(rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_orderkey", "l_returnflag", "l_shipdate"],
-        filter=(pc.field("l_shipdate") < cutoff))
-        .select_columns(["l_orderkey", "l_returnflag"]),
-        pa.schema([("l_orderkey", pa.int64()),
-                   ("l_returnflag", pa.string())]))
+    line = rd.read_parquet(f"{sf_dir}/lineitem.parquet",
+                           columns=["l_orderkey", "l_returnflag"],
+                           filter=(pc.field("l_shipdate") < cutoff))
     orders = rd.read_parquet(f"{sf_dir}/orders.parquet",
                              columns=["o_orderkey", "o_orderpriority"])
     joined = hash_join(line, orders, "l_orderkey", "o_orderkey")
@@ -1277,12 +1274,11 @@ def _nation_supplier_customer_full(sf_dir: str):
     import pyarrow as pa
     import ray.data as rd
 
-    from h3ray.ops.join import hash_join, seed_schema
+    from h3ray.ops.join import hash_join
+    from h3ray.ops.reduce import combine, typed_map, typed_rows
 
     def agg(table: str, key: str, bal: str, out: str):
         import pyarrow.compute as pc
-
-        from h3ray.ops.reduce import combine
 
         ds = rd.read_parquet(f"{sf_dir}/{table}.parquet",
                              columns=[key, bal],
@@ -1301,19 +1297,15 @@ def _nation_supplier_customer_full(sf_dir: str):
     def rename(batch: pa.Table) -> pa.Table:
         return batch.rename_columns(["c_nk", "num_customers"])
 
-    counts = [("num_suppliers", pa.int64()), ("num_customers", pa.int64())]
-    joined = hash_join(sup, seed_schema(
-        cust.map_batches(rename, batch_format="pyarrow"),
-        pa.schema([("c_nk", pa.int64()), counts[1]])),
-        "nk", "c_nk", how="full")
+    joined = hash_join(sup, typed_map(cust, rename), "nk", "c_nk",
+                       how="full")
 
     def project(batch: pa.Table) -> pa.Table:
         return pa.table({"n_nationkey": batch["nk"],
                          "num_suppliers": batch["num_suppliers"],
                          "num_customers": batch["num_customers"]})
 
-    return seed_schema(joined.map_batches(project, batch_format="pyarrow"),
-                       pa.schema([("n_nationkey", pa.int64())] + counts))
+    return typed_rows(typed_map(joined, project))
 
 
 def _customers_no_urgent_orders(sf_dir: str):
@@ -1672,7 +1664,7 @@ def _lineitem_corr_by_flag(sf_dir: str):
     import pyarrow.compute as pc
     import ray.data as rd
 
-    from h3ray.ops.reduce import grouped_corr_exact
+    from h3ray.ops.reduce import grouped_corr_exact, typed_map
 
     li = rd.read_parquet(f"{sf_dir}/lineitem.parquet",
                          columns=["l_returnflag", "l_quantity",
@@ -1688,12 +1680,8 @@ def _lineitem_corr_by_flag(sf_dir: str):
             "qty": np.floor(q + 0.5).astype(np.int64),
             "price_cents": np.floor(p * 100 + 0.5).astype(np.int64)})
 
-    from h3ray.ops.join import seed_schema
 
-    ints = seed_schema(li.map_batches(to_int, batch_format="pyarrow"),
-                       pa.schema([("l_returnflag", pa.string()),
-                                  ("qty", pa.int64()),
-                                  ("price_cents", pa.int64())]))
+    ints = typed_map(li, to_int)
     return grouped_corr_exact(ints, "l_returnflag", "qty", "price_cents",
                               out_col="corr_qty_price")
 
@@ -1706,9 +1694,9 @@ def _orders_big_qty(sf_dir: str):
     import pyarrow as pa
     import pyarrow.compute as pc
     import ray.data as rd
-    from ray.data.aggregate import Sum
 
     from h3ray.ops.join import hash_join
+    from h3ray.ops.reduce import exchange
 
     li = rd.read_parquet(f"{sf_dir}/lineitem.parquet",
                          columns=["l_orderkey", "l_quantity"])
@@ -1725,17 +1713,14 @@ def _orders_big_qty(sf_dir: str):
         np.add.at(acc, inv, qty)
         return pa.table({"l_orderkey": uniq, "total_qty": acc})
 
-    per_order = li.map_batches(partial, batch_format="pyarrow",
-                               batch_size=131072) \
-        .groupby("l_orderkey").aggregate(Sum("total_qty",
-                                             alias_name="total_qty"))
-    # A typed empty block leads the filtered aggregate: over no rows it
-    # has no schema of its own, and the join learns the schema from the
-    # seed without running the aggregate.
-    big = rd.from_arrow(pa.schema([("l_orderkey", pa.int64()),
-                                   ("total_qty", pa.int64())])
-                        .empty_table()) \
-        .union(per_order.filter(expr="total_qty > 180"))
+    def big_orders(group: pa.Table) -> pa.Table:
+        g = group.group_by("l_orderkey").aggregate([("total_qty", "sum")])
+        return pa.table({"l_orderkey": g["l_orderkey"],
+                         "total_qty": g["total_qty_sum"]}).filter(
+            pc.greater(g["total_qty_sum"], 180))
+
+    big = exchange(li, "l_orderkey", big_orders, prep=partial,
+                   batch_size=131072)
     orders = rd.read_parquet(f"{sf_dir}/orders.parquet",
                              columns=["o_orderkey", "o_custkey",
                                       "o_totalprice"])
@@ -1778,18 +1763,15 @@ def _docs_tfidf_topk(sf_dir: str):
     """Per-doc top-5 terms by integer-exact TF-IDF ordering (tf DESC, df
     ASC, term ASC): vocabulary-bounded df combiner + broadcast, then a
     zero-shuffle per-batch segmented top-k (text/analysis.py)."""
-    import pyarrow as pa
     import ray.data as rd
 
-    from h3ray.ops.join import seed_schema
+    from h3ray.ops.reduce import typed_rows
     from h3ray.text.analysis import tfidf_top_terms
 
     ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
                          columns=["doc_id", "text"])
-    return seed_schema(
-        tfidf_top_terms(ds, id_col="doc_id", text_col="text", k=5),
-        pa.schema([("doc_id", pa.int64()), ("term", pa.string()),
-                   ("tf", pa.int64()), ("df", pa.int64())]))
+    return typed_rows(tfidf_top_terms(ds, id_col="doc_id", text_col="text",
+                                      k=5))
 
 
 def _h3_ring_smoothed(sf_dir: str):
@@ -1843,18 +1825,15 @@ def _revenue_local_suppliers(sf_dir: str):
     import ray
     import ray.data as rd
 
-    from h3ray.ops.join import hash_join, seed_schema
-    from h3ray.ops.reduce import combine
+    from h3ray.ops.join import hash_join
+    from h3ray.ops.reduce import combine, typed_map
 
     lo = pa.scalar(datetime.datetime(1996, 1, 1), type=pa.timestamp("us"))
     hi = pa.scalar(datetime.datetime(1997, 1, 1), type=pa.timestamp("us"))
-    orders = seed_schema(rd.read_parquet(
-        f"{sf_dir}/orders.parquet",
-        columns=["o_orderkey", "o_custkey", "o_orderdate"],
-        filter=((pc.field("o_orderdate") >= lo)
-                & (pc.field("o_orderdate") < hi)))
-        .select_columns(["o_orderkey", "o_custkey"]),
-        pa.schema([("o_orderkey", pa.int64()), ("o_custkey", pa.int64())]))
+    orders = rd.read_parquet(f"{sf_dir}/orders.parquet",
+                             columns=["o_orderkey", "o_custkey"],
+                             filter=((pc.field("o_orderdate") >= lo)
+                                     & (pc.field("o_orderdate") < hi)))
     cust = rd.read_parquet(f"{sf_dir}/customer.parquet",
                            columns=["c_custkey", "c_nationkey"])
     ord_nat = hash_join(orders, cust, "o_custkey", "c_custkey")
@@ -1892,12 +1871,8 @@ def _revenue_local_suppliers(sf_dir: str):
                          else np.zeros(0, dtype=np.int64),
                          "cents": cents[sel]})
 
-    joined = hash_join(seed_schema(
-        line.map_batches(line_prep, batch_format="pyarrow",
-                         batch_size=131072),
-        pa.schema([("l_orderkey", pa.int64()), ("s_nat", pa.int64()),
-                   ("cents", pa.int64())])),
-        ord_nat, "l_orderkey", "o_orderkey")
+    joined = hash_join(typed_map(line, line_prep, batch_size=131072),
+                       ord_nat, "l_orderkey", "o_orderkey")
 
     def prep(batch: pa.Table) -> pa.Table:
         cn = batch["c_nationkey"].to_numpy(
@@ -1996,19 +1971,15 @@ def _orders_bloom_pruned_revenue(sf_dir: str):
     import ray.data as rd
 
     from h3ray.ops.bloom import bloom_build, bloom_prune
-    from h3ray.ops.join import hash_join, seed_schema
-    from h3ray.ops.reduce import combine
+    from h3ray.ops.join import hash_join
+    from h3ray.ops.reduce import combine, typed_map
 
     lo = pa.scalar(datetime.datetime(1995, 1, 1), type=pa.timestamp("us"))
     hi = pa.scalar(datetime.datetime(1996, 1, 1), type=pa.timestamp("us"))
-    orders = seed_schema(rd.read_parquet(
-        f"{sf_dir}/orders.parquet",
-        columns=["o_orderkey", "o_orderpriority", "o_orderdate"],
-        filter=((pc.field("o_orderdate") >= lo)
-                & (pc.field("o_orderdate") < hi)))
-        .select_columns(["o_orderkey", "o_orderpriority"]),
-        pa.schema([("o_orderkey", pa.int64()),
-                   ("o_orderpriority", pa.string())]))
+    orders = rd.read_parquet(f"{sf_dir}/orders.parquet",
+                             columns=["o_orderkey", "o_orderpriority"],
+                             filter=((pc.field("o_orderdate") >= lo)
+                                     & (pc.field("o_orderdate") < hi)))
     bloom = ray.put(bloom_build(orders, "o_orderkey"))
 
     line = rd.read_parquet(f"{sf_dir}/lineitem.parquet",
@@ -2023,10 +1994,8 @@ def _orders_bloom_pruned_revenue(sf_dir: str):
             "cents": np.floor(price * (1 - disc) * 100 + 0.5)
             .astype(np.int64)})
 
-    pruned = seed_schema(
-        bloom_prune(line, "l_orderkey", bloom)
-        .map_batches(to_cents, batch_format="pyarrow", batch_size=131072),
-        pa.schema([("l_orderkey", pa.int64()), ("cents", pa.int64())]))
+    pruned = typed_map(bloom_prune(line, "l_orderkey", bloom), to_cents,
+                       batch_size=131072)
     joined = hash_join(pruned, orders, "l_orderkey", "o_orderkey")
 
     return combine(joined, "o_orderpriority", sums=("cents",),
@@ -2042,8 +2011,7 @@ def _orders_cube(sf_dir: str):
     import pyarrow as pa
     import ray.data as rd
 
-    from h3ray.ops.join import seed_schema
-    from h3ray.ops.reduce import cube_counts
+    from h3ray.ops.reduce import cube_counts, typed_map
 
     orders = rd.read_parquet(f"{sf_dir}/orders.parquet",
                              columns=["o_orderstatus", "o_orderpriority",
@@ -2056,12 +2024,7 @@ def _orders_cube(sf_dir: str):
             "o_orderpriority": batch["o_orderpriority"],
             "price_cents": np.floor(p * 100 + 0.5).astype(np.int64)})
 
-    cents = seed_schema(
-        orders.map_batches(to_cents, batch_format="pyarrow",
-                           batch_size=131072),
-        pa.schema([("o_orderstatus", pa.string()),
-                   ("o_orderpriority", pa.string()),
-                   ("price_cents", pa.int64())]))
+    cents = typed_map(orders, to_cents, batch_size=131072)
     return cube_counts(cents, "o_orderstatus", "o_orderpriority",
                        "price_cents", count_col="num_rows",
                        sum_col="sum_cents")
@@ -2126,7 +2089,7 @@ def _nation_pair_volume(sf_dir: str):
     import ray.data as rd
 
     from h3ray.ops.join import hash_join
-    from h3ray.ops.reduce import combine
+    from h3ray.ops.reduce import combine, typed_map
 
     nat_a, nat_b = 3, 7
     sup = pq.read_table(f"{sf_dir}/supplier.parquet",
@@ -2170,13 +2133,8 @@ def _nation_pair_volume(sf_dir: str):
                              columns=["o_orderkey", "o_custkey"])
     ord_nat = hash_join(orders, cust, "o_custkey", "c_custkey")
 
-    from h3ray.ops.join import seed_schema
 
-    prepped = seed_schema(
-        line.map_batches(line_prep, batch_format="pyarrow",
-                         batch_size=131072),
-        pa.schema([("l_orderkey", pa.int64()), ("s_nat", pa.int64()),
-                   ("l_year", pa.int64()), ("cents", pa.int64())]))
+    prepped = typed_map(line, line_prep, batch_size=131072)
     joined = hash_join(prepped, ord_nat, "l_orderkey", "o_orderkey")
 
     def prep(batch: pa.Table) -> pa.Table:
@@ -2210,10 +2168,9 @@ def _customer_order_dist(sf_dir: str):
     import numpy as np
     import pyarrow as pa
     import ray.data as rd
-    from ray.data.aggregate import Sum
 
     from h3ray.ops.join import hash_join
-    from h3ray.ops.reduce import combine
+    from h3ray.ops.reduce import combine, exchange
 
     orders = rd.read_parquet(f"{sf_dir}/orders.parquet",
                              columns=["o_custkey"])
@@ -2224,14 +2181,13 @@ def _customer_order_dist(sf_dir: str):
         return pa.table({"o_custkey": uniq,
                          "c_count": counts.astype(np.int64)})
 
-    from h3ray.ops.join import seed_schema
+    def total(group: pa.Table) -> pa.Table:
+        g = group.group_by("o_custkey").aggregate([("c_count", "sum")])
+        return pa.table({"o_custkey": g["o_custkey"],
+                         "c_count": g["c_count_sum"]})
 
-    per_cust = seed_schema(
-        orders.map_batches(count_partial, batch_format="pyarrow",
-                           batch_size=131072)
-        .groupby("o_custkey").aggregate(Sum("c_count",
-                                            alias_name="c_count")),
-        pa.schema([("o_custkey", pa.int64()), ("c_count", pa.int64())]))
+    per_cust = exchange(orders, "o_custkey", total, prep=count_partial,
+                        batch_size=131072)
     cust = rd.read_parquet(f"{sf_dir}/customer.parquet",
                            columns=["c_custkey"])
     joined = hash_join(cust, per_cust, "c_custkey", "o_custkey",
@@ -2258,9 +2214,8 @@ def _top_supplier_revenue(sf_dir: str):
     import pyarrow.compute as pc
     import pyarrow.parquet as pq
     import ray.data as rd
-    from ray.data.aggregate import Sum
 
-    from h3ray.ops.reduce import combine
+    from h3ray.ops.reduce import combine, exchange
 
     lo = pa.scalar(datetime.datetime(1996, 1, 1), type=pa.timestamp("us"))
     hi = pa.scalar(datetime.datetime(1996, 4, 1), type=pa.timestamp("us"))
@@ -2281,13 +2236,15 @@ def _top_supplier_revenue(sf_dir: str):
         np.add.at(acc, inv, cents)
         return pa.table({"l_suppkey": uniq, "cents": acc})
 
-    rev = line.map_batches(rev_partial, batch_format="pyarrow",
-                           batch_size=131072) \
-        .groupby("l_suppkey").aggregate(
-            Sum("cents", alias_name="total_revenue_cents"))
+    def total(group: pa.Table) -> pa.Table:
+        g = group.group_by("l_suppkey").aggregate([("cents", "sum")])
+        return pa.table({"l_suppkey": g["l_suppkey"],
+                         "total_revenue_cents": g["cents_sum"]})
 
-    maxv = combine(rev, [], maxs=("total_revenue_cents",),
-                   schema=pa.schema([("total_revenue_cents", pa.int64())])
+    rev = exchange(line, "l_suppkey", total, prep=rev_partial,
+                   batch_size=131072)
+
+    maxv = combine(rev, [], maxs=("total_revenue_cents",)
                    )["total_revenue_cents"][0].as_py()
     if maxv is None:
         return pa.table({"s_suppkey": pa.array([], pa.int64()),
@@ -2376,8 +2333,8 @@ def _idle_rich_customers(sf_dir: str):
     import pyarrow.compute as pc
     import ray.data as rd
 
-    from h3ray.ops.join import anti_join, seed_schema
-    from h3ray.ops.reduce import combine
+    from h3ray.ops.join import anti_join
+    from h3ray.ops.reduce import combine, typed_map
 
     cust_cols = ["c_custkey", "c_acctbal", "c_mktsegment"]
     cust = rd.read_parquet(f"{sf_dir}/customer.parquet", columns=cust_cols)
@@ -2404,11 +2361,7 @@ def _idle_rich_customers(sf_dir: str):
              batch["c_mktsegment"].filter(pa.array(keep))],
             names=["c_custkey", "acct_cents", "c_mktsegment"])
 
-    rich_ds = seed_schema(
-        cust.map_batches(rich, batch_format="pyarrow",
-                         batch_size=131072),
-        pa.schema([("c_custkey", pa.int64()), ("acct_cents", pa.int64()),
-                   ("c_mktsegment", pa.string())]))
+    rich_ds = typed_map(cust, rich, batch_size=131072)
     early = pa.scalar(datetime.datetime(1996, 1, 1),
                       type=pa.timestamp("us"))
     orders = rd.read_parquet(f"{sf_dir}/orders.parquet",
@@ -2417,9 +2370,10 @@ def _idle_rich_customers(sf_dir: str):
         .select_columns(["o_custkey"])
     idle = anti_join(rich_ds, orders, "c_custkey", "o_custkey")
 
+    # batch_size bundles the anti join's typed empty blocks with its rows
     return combine(
         idle, "c_mktsegment", count="numcust",
-        sums=("total_acctbal_cents",),
+        sums=("total_acctbal_cents",), batch_size=131072,
         prep=lambda b: pa.table({
             "c_mktsegment": b["c_mktsegment"],
             "total_acctbal_cents": b["acct_cents"]}))
@@ -2527,16 +2481,10 @@ def _pages_snapshot_diff(sf_dir: str):
         fb = url_hash64(text_b).view(np.int64)
         return pa.table({"doc_id": did[inb], "fb": fb[inb]})
 
-    from h3ray.ops.join import seed_schema
+    from h3ray.ops.reduce import typed_map
 
-    a_ds = seed_schema(
-        docs.map_batches(snap_a, batch_format="pyarrow",
-                         batch_size=32768),
-        pa.schema([("doc_id", pa.int64()), ("fa", pa.int64())]))
-    b_ds = seed_schema(
-        docs.map_batches(snap_b, batch_format="pyarrow",
-                         batch_size=32768),
-        pa.schema([("doc_id", pa.int64()), ("fb", pa.int64())]))
+    a_ds = typed_map(docs, snap_a, batch_size=32768)
+    b_ds = typed_map(docs, snap_b, batch_size=32768)
     joined = hash_join(a_ds, b_ds, "doc_id", "doc_id", how="full")
 
     def status(batch: pa.Table) -> pa.Table:
@@ -2566,7 +2514,7 @@ def _sole_late_supplier_counts(sf_dir: str):
     import ray.data as rd
 
     from h3ray.ops.join import hash_join
-    from h3ray.ops.reduce import combine, exchange
+    from h3ray.ops.reduce import combine, exchange, typed_map
 
     late_us = np.int64(90 * 86400 * 1_000_000)  # 90 days
 
@@ -2587,18 +2535,10 @@ def _sole_late_supplier_counts(sf_dir: str):
         return pa.table({"o_orderkey": batch["o_orderkey"],
                          "od_us": batch["o_orderdate"].cast(pa.int64())})
 
-    from h3ray.ops.join import seed_schema
 
     joined = hash_join(
-        seed_schema(line.map_batches(line_prep, batch_format="pyarrow",
-                                     batch_size=131072),
-                    pa.schema([("l_orderkey", pa.int64()),
-                               ("l_suppkey", pa.int64()),
-                               ("ship_us", pa.int64())])),
-        seed_schema(orders.map_batches(ord_prep, batch_format="pyarrow",
-                                       batch_size=131072),
-                    pa.schema([("o_orderkey", pa.int64()),
-                               ("od_us", pa.int64())])),
+        typed_map(line, line_prep, batch_size=131072),
+        typed_map(orders, ord_prep, batch_size=131072),
         "l_orderkey", "o_orderkey")
 
     def triples(batch: pa.Table) -> pa.Table:
@@ -2655,9 +2595,7 @@ def _sole_late_supplier_counts(sf_dir: str):
         return pa.table({"s_name": pa.array(names[pos], type=pa.string()),
                          "numwait": g["numwait"]})
 
-    return combine(partials, "s_suppkey", sums=("numwait",), finish=finish,
-                   schema=pa.schema([("s_suppkey", pa.int64()),
-                                     ("numwait", pa.int64())]))
+    return combine(partials, "s_suppkey", sums=("numwait",), finish=finish)
 
 
 def _forecast_revenue_delta(sf_dir: str):
@@ -2770,7 +2708,7 @@ def _nation_market_share(sf_dir: str):
     import ray.data as rd
 
     from h3ray.ops.join import hash_join
-    from h3ray.ops.reduce import combine
+    from h3ray.ops.reduce import combine, typed_map
 
     target_nation = 3
     part = pq.read_table(f"{sf_dir}/part.parquet",
@@ -2826,11 +2764,7 @@ def _nation_market_share(sf_dir: str):
         return pa.table({"o_orderkey": kept["o_orderkey"],
                          "o_year": year})
 
-    from h3ray.ops.join import seed_schema
-    ord_side = seed_schema(
-        ord_cust.map_batches(ord_prep, batch_format="pyarrow",
-                             batch_size=131072),
-        pa.schema([("o_orderkey", pa.int64()), ("o_year", pa.int64())]))
+    ord_side = typed_map(ord_cust, ord_prep, batch_size=131072)
 
     line = rd.read_parquet(
         f"{sf_dir}/lineitem.parquet",
@@ -2868,11 +2802,7 @@ def _nation_market_share(sf_dir: str):
         return pa.table({"l_orderkey": uniq // 2, "is_tgt": uniq % 2,
                          "cents": acc})
 
-    li_p = seed_schema(
-        line.map_batches(line_prep, batch_format="pyarrow",
-                         batch_size=131072),
-        pa.schema([("l_orderkey", pa.int64()), ("is_tgt", pa.int64()),
-                   ("cents", pa.int64())]))
+    li_p = typed_map(line, line_prep, batch_size=131072)
     joined = hash_join(li_p, ord_side, "l_orderkey", "o_orderkey")
 
     def finish(g: pa.Table) -> pa.Table:
@@ -2909,7 +2839,7 @@ def _product_type_profit(sf_dir: str):
     import ray.data as rd
 
     from h3ray.ops.join import hash_join
-    from h3ray.ops.reduce import combine
+    from h3ray.ops.reduce import combine, typed_map
 
     part = pq.read_table(f"{sf_dir}/part.parquet",
                          columns=["p_partkey", "p_name"])
@@ -2961,12 +2891,7 @@ def _product_type_profit(sf_dir: str):
         return pa.table({"l_orderkey": uniq // 32, "s_nat": uniq % 32,
                          "cents": acc})
 
-    from h3ray.ops.join import seed_schema
-    li_p = seed_schema(
-        line.map_batches(line_prep, batch_format="pyarrow",
-                         batch_size=131072),
-        pa.schema([("l_orderkey", pa.int64()), ("s_nat", pa.int64()),
-                   ("cents", pa.int64())]))
+    li_p = typed_map(line, line_prep, batch_size=131072)
 
     orders = rd.read_parquet(f"{sf_dir}/orders.parquet",
                              columns=["o_orderkey", "o_orderdate"])
@@ -2977,10 +2902,7 @@ def _product_type_profit(sf_dir: str):
         return pa.table({"o_orderkey": batch["o_orderkey"],
                          "o_year": year})
 
-    ord_side = seed_schema(
-        orders.map_batches(ord_prep, batch_format="pyarrow",
-                           batch_size=131072),
-        pa.schema([("o_orderkey", pa.int64()), ("o_year", pa.int64())]))
+    ord_side = typed_map(orders, ord_prep, batch_size=131072)
     joined = hash_join(li_p, ord_side, "l_orderkey", "o_orderkey")
 
     def finish(g: pa.Table) -> pa.Table:
@@ -3013,22 +2935,17 @@ def _returned_item_customers(sf_dir: str):
     import pyarrow.parquet as pq
     import ray.data as rd
 
-    from h3ray.ops.join import hash_join, seed_schema
-    from h3ray.ops.reduce import combine
+    from h3ray.ops.join import hash_join
+    from h3ray.ops.reduce import combine, typed_map
     from h3ray.ops.skew import _desc_sort_key
 
     k = 20
     lo = pa.scalar(datetime.datetime(1995, 10, 1), type=pa.timestamp("us"))
     hi = pa.scalar(datetime.datetime(1996, 1, 1), type=pa.timestamp("us"))
-    orders = seed_schema(
-        rd.read_parquet(
-            f"{sf_dir}/orders.parquet",
-            columns=["o_orderkey", "o_custkey", "o_orderdate"],
-            filter=((pc.field("o_orderdate") >= lo)
-                    & (pc.field("o_orderdate") < hi)))
-        .select_columns(["o_orderkey", "o_custkey"]),
-        pa.schema([("o_orderkey", pa.int64()),
-                   ("o_custkey", pa.int64())]))
+    orders = rd.read_parquet(f"{sf_dir}/orders.parquet",
+                             columns=["o_orderkey", "o_custkey"],
+                             filter=((pc.field("o_orderdate") >= lo)
+                                     & (pc.field("o_orderdate") < hi)))
 
     line = rd.read_parquet(
         f"{sf_dir}/lineitem.parquet",
@@ -3046,11 +2963,7 @@ def _returned_item_customers(sf_dir: str):
         np.add.at(acc, inv, cents)
         return pa.table({"l_orderkey": uniq, "revenue_cents": acc})
 
-    li_p = seed_schema(
-        line.map_batches(li_partial, batch_format="pyarrow",
-                         batch_size=131072),
-        pa.schema([("l_orderkey", pa.int64()),
-                   ("revenue_cents", pa.int64())]))
+    li_p = typed_map(line, li_partial, batch_size=131072)
     joined = hash_join(li_p, orders, "l_orderkey", "o_orderkey")
 
     def topk(g: pa.Table) -> pa.Table:
@@ -3351,7 +3264,7 @@ def _orders_grouping_sets(sf_dir: str):
     import pyarrow as pa
     import ray.data as rd
 
-    from h3ray.ops.reduce import grouping_sets_counts
+    from h3ray.ops.reduce import grouping_sets_counts, typed_map
 
     ds = rd.read_parquet(f"{sf_dir}/orders.parquet",
                          columns=["o_orderstatus", "o_orderpriority",
@@ -3364,14 +3277,8 @@ def _orders_grouping_sets(sf_dir: str):
                          "o_orderpriority": batch["o_orderpriority"],
                          "cents": v})
 
-    from h3ray.ops.join import seed_schema
 
-    prepped = seed_schema(
-        ds.map_batches(cents, batch_format="pyarrow",
-                       batch_size=131072),
-        pa.schema([("o_orderstatus", pa.string()),
-                   ("o_orderpriority", pa.string()),
-                   ("cents", pa.int64())]))
+    prepped = typed_map(ds, cents, batch_size=131072)
     return grouping_sets_counts(
         prepped, ["o_orderstatus", "o_orderpriority"],
         [("o_orderstatus",), ("o_orderpriority",)], "cents")
@@ -3413,7 +3320,7 @@ def _sites_pagerank(sf_dir: str):
 
     from h3ray.io.pages import _mix64
     from h3ray.ops.graph import pagerank_fixed
-    from h3ray.ops.join import seed_schema
+    from h3ray.ops.reduce import typed_map
 
     ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
                          columns=["doc_id"])
@@ -3427,9 +3334,7 @@ def _sites_pagerank(sf_dir: str):
         keep = src != dst
         return pa.table({"src": src[keep], "dst": dst[keep]})
 
-    edges_ds = seed_schema(
-        ds.map_batches(edges, batch_format="pyarrow", batch_size=131072),
-        pa.schema([("src", pa.int64()), ("dst", pa.int64())]))
+    edges_ds = typed_map(ds, edges, batch_size=131072)
     return pagerank_fixed(edges_ds, 997, iters=3)
 
 
@@ -3450,6 +3355,7 @@ def _pages_byte_stats_by_lang(sf_dir: str):
     stats = byte_stats(pages_from_documents(sf_dir), col="html",
                        concurrency=(1, 4))
 
+    # byte_stats is an actor-pool map Ray cannot type before it runs
     return combine(stats, "lang", sums=("total_bytes",), count="n_pages",
                    prep=lambda b: pa.table({"lang": b["lang"],
                                             "total_bytes": b["n_bytes"]}),
@@ -3479,7 +3385,6 @@ def _events_transition_counts(sf_dir: str):
     most |event_types|^2 partial rows (dictionary-coded bincount, see
     ops.window.partitioned_transitions), so the driver merge is bounded
     by the type-vocabulary square regardless of event volume."""
-    import pyarrow as pa
     import ray.data as rd
 
     from h3ray.ops.reduce import combine
@@ -3492,10 +3397,7 @@ def _events_transition_counts(sf_dir: str):
                                     tiebreak_col="event_id",
                                     prev_col="prev_type")
 
-    return combine(pairs, ["prev_type", "event_type"], sums=("n",),
-                   schema=pa.schema([("prev_type", pa.string()),
-                                     ("event_type", pa.string()),
-                                     ("n", pa.int64())]))
+    return combine(pairs, ["prev_type", "event_type"], sums=("n",))
 
 
 def _events_session_stats(sf_dir: str):
@@ -3518,10 +3420,7 @@ def _events_session_stats(sf_dir: str):
                          "total_span_s": span.cast(pa.int64())})
 
     return combine(sessions, "num_events", count="n_sessions",
-                   sums=("total_span_s",), prep=prep, batch_size=131072,
-                   schema=pa.schema([("num_events", pa.int64()),
-                                     ("n_sessions", pa.int64()),
-                                     ("total_span_s", pa.int64())]))
+                   sums=("total_span_s",), prep=prep, batch_size=131072)
 
 
 def _emb_dominant_dims(sf_dir: str):
@@ -3671,12 +3570,7 @@ def _events_quartile_stats(sf_dir: str):
                          "sum_cents": pa.array(cents)})
 
     return combine(w, ["event_type", "quartile"], count="n",
-                   sums=("sum_cents",), prep=prep, batch_size=131072,
-                   schema=pa.schema(
-                       [("event_type", pa.string()),
-                        ("quartile", pa.int64()),
-                        ("n", pa.int64()),
-                        ("sum_cents", pa.int64())]))
+                   sums=("sum_cents",), prep=prep, batch_size=131072)
 
 
 def _customer_order_gaps(sf_dir: str):
@@ -3711,9 +3605,7 @@ def _customer_order_gaps(sf_dir: str):
         return pa.table({"gap_days": pa.array(cur // DAY_US
                                               - prev // DAY_US)})
 
-    return combine(w, "gap_days", count="n", prep=prep, batch_size=131072,
-                   schema=pa.schema([("gap_days", pa.int64()),
-                                     ("n", pa.int64())]))
+    return combine(w, "gap_days", count="n", prep=prep, batch_size=131072)
 
 
 def _events_dau(sf_dir: str):
@@ -3737,12 +3629,9 @@ def _events_dau(sf_dir: str):
                       "user_id": batch["user_id"]})
         return t.group_by(["day", "user_id"]).aggregate([])
 
-    from h3ray.ops.join import seed_schema
+    from h3ray.ops.reduce import typed_map
 
-    pairs = seed_schema(
-        ds.map_batches(batch_distinct, batch_format="pyarrow",
-                       batch_size=131072),
-        pa.schema([("day", pa.string()), ("user_id", pa.int64())]))
+    pairs = typed_map(ds, batch_distinct, batch_size=131072)
     distinct = pairs.groupby(["day", "user_id"]).aggregate(
         Count(alias_name="_dup"))
     return distinct.groupby("day").aggregate(
@@ -4033,8 +3922,8 @@ def _shipping_priority_topk(sf_dir: str):
     import ray
     import ray.data as rd
 
-    from h3ray.ops.join import hash_join, seed_schema
-    from h3ray.ops.reduce import combine
+    from h3ray.ops.join import hash_join
+    from h3ray.ops.reduce import combine, typed_map
 
     cut_day = (np.datetime64("1998-01-01") - np.datetime64("1970-01-01")) \
         .astype(np.int64)
@@ -4069,11 +3958,7 @@ def _shipping_priority_topk(sf_dir: str):
                              batch["o_orderpriority"].filter(
                                  pa.array(sel))})
 
-    ord_side = seed_schema(
-        orders.map_batches(ord_prep, batch_format="pyarrow",
-                           batch_size=131072),
-        pa.schema([("o_orderkey", pa.int64()), ("o_date_day", pa.int64()),
-                   ("o_orderpriority", pa.string())]))
+    ord_side = typed_map(orders, ord_prep, batch_size=131072)
 
     line = rd.read_parquet(
         f"{sf_dir}/lineitem.parquet",
@@ -4094,10 +3979,7 @@ def _shipping_priority_topk(sf_dir: str):
         np.add.at(acc, inv, cents)
         return pa.table({"l_orderkey": uniq, "cents": acc})
 
-    li_p = seed_schema(
-        line.map_batches(line_prep, batch_format="pyarrow",
-                         batch_size=131072),
-        pa.schema([("l_orderkey", pa.int64()), ("cents", pa.int64())]))
+    li_p = typed_map(line, line_prep, batch_size=131072)
     joined = hash_join(li_p, ord_side, "l_orderkey", "o_orderkey")
 
     def finish(g: pa.Table) -> pa.Table:
@@ -4126,8 +4008,8 @@ def _late_priority_lines(sf_dir: str):
     import pyarrow as pa
     import ray.data as rd
 
-    from h3ray.ops.join import hash_join, seed_schema
-    from h3ray.ops.reduce import combine
+    from h3ray.ops.join import hash_join
+    from h3ray.ops.reduce import combine, typed_map
 
     lo_day = (np.datetime64("1997-01-01") - np.datetime64("1970-01-01")) \
         .astype(np.int64)
@@ -4149,11 +4031,7 @@ def _late_priority_lines(sf_dir: str):
             "st_code": (st == "O").astype(np.int64),
             "ship_day": day[sel]})
 
-    li_p = seed_schema(
-        line.map_batches(line_prep, batch_format="pyarrow",
-                         batch_size=131072),
-        pa.schema([("l_orderkey", pa.int64()), ("st_code", pa.int64()),
-                   ("ship_day", pa.int64())]))
+    li_p = typed_map(line, line_prep, batch_size=131072)
 
     orders = rd.read_parquet(f"{sf_dir}/orders.parquet",
                              columns=["o_orderkey", "o_orderdate",
@@ -4169,11 +4047,7 @@ def _late_priority_lines(sf_dir: str):
                              zero_copy_only=False).astype(np.int64),
                          "o_day": day, "is_high": is_high})
 
-    ord_side = seed_schema(
-        orders.map_batches(ord_prep, batch_format="pyarrow",
-                           batch_size=131072),
-        pa.schema([("o_orderkey", pa.int64()), ("o_day", pa.int64()),
-                   ("is_high", pa.int64())]))
+    ord_side = typed_map(orders, ord_prep, batch_size=131072)
     joined = hash_join(li_p, ord_side, "l_orderkey", "o_orderkey")
 
     def late(batch: pa.Table) -> pa.Table:
@@ -4579,9 +4453,7 @@ def _user_type_masks(sf_dir: str, query: str):
 
     bucketed = exchange(ds, "user_id", masks, prep=pair_partial,
                         batch_size=131072)
-    return types, combine(bucketed, "mask", sums=("n",),
-                          schema=pa.schema([("mask", pa.int64()),
-                                            ("n", pa.int64())]))
+    return types, combine(bucketed, "mask", sums=("n",))
 
 
 def _events_type_cooccurrence(sf_dir: str):
@@ -4737,6 +4609,7 @@ def _docs_global_rank(sf_dir: str):
     import pyarrow as pa
     import ray.data as rd
 
+    from h3ray.ops.reduce import typed_map, typed_rows
     from h3ray.ops.scan import global_exclusive_cumsum
 
     ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
@@ -4757,7 +4630,7 @@ def _docs_global_rank(sf_dir: str):
                          "doc_id": did, "n_chars": nc})
 
     ranked = global_exclusive_cumsum(
-        ds.map_batches(prep, batch_format="pyarrow", batch_size=131072),
+        typed_map(ds, prep, batch_size=131072),
         "_key", "_one", out_col="_excl", bucket_width=1 << 30)
 
     def finish(batch: pa.Table) -> pa.Table:
@@ -4766,7 +4639,7 @@ def _docs_global_rank(sf_dir: str):
                          "n_chars": batch["n_chars"],
                          "rn": rn.astype(np.int64)})
 
-    return ranked.map_batches(finish, batch_format="pyarrow")
+    return typed_rows(typed_map(ranked, finish))
 
 
 def _orders_pareto_share(sf_dir: str):
@@ -4819,7 +4692,7 @@ def _events_value_trend_by_type(sf_dir: str):
     import pyarrow as pa
     import ray.data as rd
 
-    from h3ray.ops.reduce import grouped_regr_slope_exact
+    from h3ray.ops.reduce import grouped_regr_slope_exact, typed_map
 
     ds = rd.read_parquet(f"{sf_dir}/events.parquet",
                          columns=["event_type", "ts", "value"])
@@ -4833,13 +4706,9 @@ def _events_value_trend_by_type(sf_dir: str):
         return pa.table({"event_type": batch["event_type"],
                          "x": x, "y": y})
 
-    from h3ray.ops.join import seed_schema
 
     return grouped_regr_slope_exact(
-        seed_schema(ds.map_batches(prep, batch_format="pyarrow",
-                                   batch_size=131072),
-                    pa.schema([("event_type", pa.string()),
-                               ("x", pa.int64()), ("y", pa.int64())])),
+        typed_map(ds, prep, batch_size=131072),
         "event_type", "x", "y", out_col="slope")
 
 
@@ -5054,12 +4923,9 @@ def _part_brand_price_iqr_outliers(sf_dir: str):
                          "p_retailprice":
                              batch["p_retailprice"].filter(sel)})
 
-    from h3ray.ops.join import seed_schema
+    from h3ray.ops.reduce import typed_map, typed_rows
 
-    return seed_schema(
-        ds.map_batches(flag, batch_format="pyarrow", batch_size=131072),
-        pa.schema([("p_partkey", pa.int64()), ("p_brand", pa.string()),
-                   ("p_retailprice", pa.float64())]))
+    return typed_rows(typed_map(ds, flag, batch_size=131072))
 
 
 def _supplier_nation_herfindahl(sf_dir: str):
@@ -5208,9 +5074,7 @@ def _events_session_paths(sf_dir: str):
     bucketed = exchange(ds, "user_id", paths,
                         prep=_user_bucket_prep(["event_id", "event_type"]),
                         batch_size=131072)
-    return combine(bucketed, "path", sums=("n_sessions",), finish=finish,
-                   schema=pa.schema([("path", pa.string()),
-                                     ("n_sessions", pa.int64())]))
+    return combine(bucketed, "path", sums=("n_sessions",), finish=finish)
 
 
 def _docs_token_len_hist(sf_dir: str):
@@ -5295,10 +5159,7 @@ def _events_interarrival_hist(sf_dir: str):
                         prep=_user_bucket_prep(["event_id", "event_type"]),
                         batch_size=131072)
     return combine(
-        bucketed, ["event_type", "log2_bucket"], sums=("n",),
-        schema=pa.schema([("event_type", pa.string()),
-                          ("log2_bucket", pa.int64()),
-                          ("n", pa.int64())]))
+        bucketed, ["event_type", "log2_bucket"], sums=("n",))
 
 
 def _parts_bought_together(sf_dir: str):
@@ -5306,7 +5167,7 @@ def _parts_bought_together(sf_dir: str):
     most orders. Within-order pair generation is linear in data (order
     sizes are bounded), fully vectorized (repeat + run-offset
     arithmetic, no Python over orders); pairs pack into one int64
-    (a·2³² + b, a < b, loud 2³¹ guard) so the one pair-key groupby
+    (a·2³² + b, a < b, loud 2³¹ guard) so the pair-key exchange
     shuffles integers; per-block top-k rows (distinct by pair) feed a
     DISTINCT combine whose finish takes the top-k again, so the driver
     root holds k rows per block. The orderkey exchange itself moves only
@@ -5314,7 +5175,6 @@ def _parts_bought_together(sf_dir: str):
     import numpy as np
     import pyarrow as pa
     import ray.data as rd
-    from ray.data.aggregate import Sum
 
     from h3ray.ops.reduce import combine, exchange
     from h3ray.ops.skew import _desc_sort_key
@@ -5362,8 +5222,12 @@ def _parts_bought_together(sf_dir: str):
         uk, cnt = np.unique(key, return_counts=True)
         return pa.table({"pair": uk, "cnt": cnt.astype(np.int64)})
 
-    summed = exchange(li, "o", pairs, prep=prep, batch_size=131072) \
-        .groupby("pair").aggregate(Sum("cnt", alias_name="cnt"))
+    def total(group: pa.Table) -> pa.Table:
+        g = group.group_by("pair").aggregate([("cnt", "sum")])
+        return pa.table({"pair": g["pair"], "cnt": g["cnt_sum"]})
+
+    summed = exchange(exchange(li, "o", pairs, prep=prep,
+                               batch_size=131072), "pair", total)
 
     def topk(batch: pa.Table) -> pa.Table:
         cnt = batch["cnt"].to_numpy(zero_copy_only=False)
@@ -5371,9 +5235,7 @@ def _parts_bought_together(sf_dir: str):
         return batch.take(pa.array(
             np.lexsort((pr, _desc_sort_key(cnt)))[:20]))
 
-    top = combine(summed, ["pair", "cnt"], prep=topk, finish=topk,
-                  schema=pa.schema([("pair", pa.int64()),
-                                    ("cnt", pa.int64())]))
+    top = combine(summed, ["pair", "cnt"], prep=topk, finish=topk)
     pr = top["pair"].to_numpy(zero_copy_only=False)
     return pa.table({"p1": pr >> 32, "p2": pr & ((1 << 32) - 1),
                      "n_orders": top["cnt"]})
@@ -5451,10 +5313,7 @@ def _events_sliding_distinct_users(sf_dir: str):
         return pa.table({"h": g["h"].to_numpy()[sel], "n_users": run[sel]})
 
     bucketed = exchange(ds, "user_id", deltas, prep=prep, batch_size=131072)
-    return combine(bucketed, "h", sums=("delta", "present"), finish=finish,
-                   schema=pa.schema([("h", pa.int64()),
-                                     ("delta", pa.int64()),
-                                     ("present", pa.int64())]))
+    return combine(bucketed, "h", sums=("delta", "present"), finish=finish)
 
 
 def _events_p50_disc_by_type(sf_dir: str):
@@ -5550,7 +5409,7 @@ def _sites_edges_ds(sf_dir: str):
     import ray.data as rd
 
     from h3ray.io.pages import _mix64
-    from h3ray.ops.join import seed_schema
+    from h3ray.ops.reduce import typed_map
 
     ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
                          columns=["doc_id"])
@@ -5564,9 +5423,7 @@ def _sites_edges_ds(sf_dir: str):
         keep = src != dst
         return pa.table({"src": src[keep], "dst": dst[keep]})
 
-    return seed_schema(
-        ds.map_batches(edges, batch_format="pyarrow", batch_size=131072),
-        pa.schema([("src", pa.int64()), ("dst", pa.int64())]))
+    return typed_map(ds, edges, batch_size=131072)
 
 
 def _sites_bfs_hops(sf_dir: str):
@@ -5613,7 +5470,7 @@ def _part_price_size_skyline(sf_dir: str):
     import pyarrow as pa
     import ray.data as rd
 
-    from h3ray.ops.reduce import skyline_2d
+    from h3ray.ops.reduce import skyline_2d, typed_map
 
     ds = rd.read_parquet(f"{sf_dir}/part.parquet",
                          columns=["p_partkey", "p_size",
@@ -5629,12 +5486,7 @@ def _part_price_size_skyline(sf_dir: str):
             "p_size": batch["p_size"].to_numpy(zero_copy_only=False)
             .astype(np.int64)})
 
-    from h3ray.ops.join import seed_schema
-    prepped = seed_schema(
-        ds.map_batches(prep, batch_format="pyarrow", batch_size=131072),
-        pa.schema([("p_partkey", pa.int64()),
-                   ("price_cents", pa.int64()),
-                   ("p_size", pa.int64())]))
+    prepped = typed_map(ds, prep, batch_size=131072)
     return skyline_2d(prepped, "p_partkey", "price_cents", "p_size")
 
 
@@ -5668,10 +5520,9 @@ def _orders_backlog_curve(sf_dir: str):
     import numpy as np
     import pyarrow as pa
     import ray.data as rd
-    from ray.data.aggregate import Max
 
     from h3ray.ops.join import hash_join
-    from h3ray.ops.reduce import combine
+    from h3ray.ops.reduce import combine, exchange, typed_map
 
     li = rd.read_parquet(f"{sf_dir}/lineitem.parquet",
                          columns=["l_orderkey", "l_shipdate"])
@@ -5685,13 +5536,13 @@ def _orders_backlog_curve(sf_dir: str):
         np.maximum.at(mx, inv, day)
         return pa.table({"l_orderkey": uniq, "cday": mx})
 
-    from h3ray.ops.join import seed_schema
+    def latest(group: pa.Table) -> pa.Table:
+        g = group.group_by("l_orderkey").aggregate([("cday", "max")])
+        return pa.table({"l_orderkey": g["l_orderkey"],
+                         "cday": g["cday_max"]})
 
-    close = seed_schema(
-        li.map_batches(close_partial, batch_format="pyarrow",
-                       batch_size=131072)
-        .groupby("l_orderkey").aggregate(Max("cday", alias_name="cday")),
-        pa.schema([("l_orderkey", pa.int64()), ("cday", pa.int64())]))
+    close = exchange(li, "l_orderkey", latest, prep=close_partial,
+                     batch_size=131072)
 
     orders = rd.read_parquet(f"{sf_dir}/orders.parquet",
                              columns=["o_orderkey", "o_orderdate"])
@@ -5702,10 +5553,7 @@ def _orders_backlog_curve(sf_dir: str):
         return pa.table({"o_orderkey": batch["o_orderkey"],
                          "oday": day})
 
-    opened = seed_schema(
-        orders.map_batches(open_day, batch_format="pyarrow",
-                           batch_size=131072),
-        pa.schema([("o_orderkey", pa.int64()), ("oday", pa.int64())]))
+    opened = typed_map(orders, open_day, batch_size=131072)
     joined = hash_join(opened, close, "o_orderkey", "l_orderkey")
 
     def deltas(batch: pa.Table) -> pa.Table:
@@ -5983,10 +5831,7 @@ def _docs_dup_source_matrix(sf_dir: str):
                            pa.string())})
 
     return combine(pairs, ["s1", "s2"], count="n_pairs", prep=prep,
-                   batch_size=131072,
-                   schema=pa.schema([("s1", pa.string()),
-                                     ("s2", pa.string()),
-                                     ("n_pairs", pa.int64())]))
+                   batch_size=131072)
 
 
 def _docs_shingle_novelty(sf_dir: str):
@@ -6146,10 +5991,7 @@ def _events_session_median_dur(sf_dir: str):
             "median_dur_us": pa.array(out_m, pa.int64())})
 
     sess = exchange(ds, "user_id", sessionize, batch_size=131072)
-    return combine(sess, ["open_type", "dur_us"], sums=("cnt",), finish=finish,
-                   schema=pa.schema([("open_type", pa.string()),
-                                     ("dur_us", pa.int64()),
-                                     ("cnt", pa.int64())]))
+    return combine(sess, ["open_type", "dur_us"], sums=("cnt",), finish=finish)
 
 
 def _emb_norm2_quartiles_by_label(sf_dir: str):
@@ -6700,7 +6542,7 @@ def _brand_discount_qty_corr(sf_dir: str):
     import pyarrow.parquet as pq
     import ray.data as rd
 
-    from h3ray.ops.reduce import grouped_corr_exact
+    from h3ray.ops.reduce import grouped_corr_exact, typed_map
 
     part = pq.read_table(f"{sf_dir}/part.parquet",
                          columns=["p_partkey", "p_brand"])
@@ -6733,13 +6575,8 @@ def _brand_discount_qty_corr(sf_dir: str):
                                 pa.string()),
             "disc_bp": disc[sel], "qty": qty[sel]})
 
-    from h3ray.ops.join import seed_schema
 
-    ints = seed_schema(li.map_batches(prep, batch_format="pyarrow",
-                                      batch_size=131072),
-                       pa.schema([("p_brand", pa.string()),
-                                  ("disc_bp", pa.int64()),
-                                  ("qty", pa.int64())]))
+    ints = typed_map(li, prep, batch_size=131072)
     return grouped_corr_exact(ints, "p_brand", "disc_bp", "qty",
                               out_col="corr_disc_qty")
 
@@ -6804,10 +6641,7 @@ def _events_session_bounce(sf_dir: str):
 
     sess = exchange(ds, "user_id", sessionize, batch_size=131072)
     return combine(sess, "open_type", sums=("n_sessions", "n_bounce"),
-                   finish=finish,
-                   schema=pa.schema([("open_type", pa.string()),
-                                     ("n_sessions", pa.int64()),
-                                     ("n_bounce", pa.int64())]))
+                   finish=finish)
 
 
 def _customer_spend_quadrants(sf_dir: str):
@@ -7258,8 +7092,7 @@ def _sites_clustering_coeff(sf_dir: str):
                 pa.float64())})
 
     return combine(edges, "key", prep=prep, finish=finish,
-                   batch_size=131072,
-                   schema=pa.schema([("key", pa.int64())]))
+                   batch_size=131072)
 
 
 def _events_wow_growth(sf_dir: str):
@@ -7362,9 +7195,7 @@ def _sites_reciprocity(sf_dir: str):
 
     bucketed = exchange(edges, "pair", count, prep=prep, batch_size=131072)
     return combine(bucketed, [], sums=("n_edges", "n_recip"),
-                   finish=finish,
-                   schema=pa.schema([("n_edges", pa.int64()),
-                                     ("n_recip", pa.int64())]))
+                   finish=finish)
 
 
 def _events_value_decile_means(sf_dir: str):
@@ -7563,9 +7394,8 @@ def _events_reactivations_monthly(sf_dir: str):
         eid = group["event_id"].to_numpy(zero_copy_only=False)
         o = np.lexsort((eid, ts, uid))
         uid, ts = uid[o], ts[o]
-        same = np.r_[False, uid[1:] == uid[:-1]]
-        gap = np.r_[np.int64(0), ts[1:] - ts[:-1]]
-        hit = same & (gap >= GAP)
+        hit = np.zeros(uid.shape[0], dtype=bool)
+        hit[1:] = (uid[1:] == uid[:-1]) & (ts[1:] - ts[:-1] >= GAP)
         mi = ts[hit].astype("datetime64[us]") \
             .astype("datetime64[M]").astype(np.int64)
         ym = (1970 + mi // 12) * 100 + mi % 12 + 1
@@ -7584,8 +7414,7 @@ def _events_reactivations_monthly(sf_dir: str):
             "ym": pa.array(ym[o], pa.int64()),
             "n_reactivations": pa.array(n[o], pa.int64())})
 
-    return combine(bucketed, "ym", sums=("n",), finish=finish,
-                   schema=pa.schema([("ym", pa.int64()), ("n", pa.int64())]))
+    return combine(bucketed, "ym", sums=("n",), finish=finish)
 
 
 def _users_lifetime_hist(sf_dir: str):
@@ -7681,9 +7510,7 @@ def _docs_common_prefix_groups(sf_dir: str):
             "n_docs": pa.array(n[keep], pa.int64())})
 
     bucketed = exchange(ds, "prefix", finish, prep=partial, batch_size=65536)
-    return combine(bucketed, "prefix", sums=("n_docs",),
-                   schema=pa.schema([("prefix", pa.string()),
-                                     ("n_docs", pa.int64())]))
+    return combine(bucketed, "prefix", sums=("n_docs",))
 
 
 def _customer_momentum_by_nation(sf_dir: str):
@@ -7789,7 +7616,9 @@ def _events_first_touch_conversion(sf_dir: str):
         et = group["event_type"].to_numpy(zero_copy_only=False)
         o = np.lexsort((eid, ts, uid))
         uid, et = uid[o], et[o]
-        starts = np.flatnonzero(np.r_[True, uid[1:] != uid[:-1]])
+        new = np.ones(uid.shape[0], dtype=bool)
+        new[1:] = uid[1:] != uid[:-1]
+        starts = np.flatnonzero(new)
         ends = np.r_[starts[1:], uid.shape[0]]
         is_p = et == "purchase"
         cum = np.r_[0, np.cumsum(is_p)]
@@ -7817,9 +7646,7 @@ def _events_first_touch_conversion(sf_dir: str):
     bucketed = exchange(ds, "user_id", resolve,
                         prep=_user_bucket_prep(["event_id", "event_type"]),
                         batch_size=131072)
-    return combine(bucketed, "first_type", sums=("n", "conv"), finish=finish,
-                   schema=pa.schema([("first_type", pa.string()),
-                                     ("n", pa.int64()), ("conv", pa.int64())]))
+    return combine(bucketed, "first_type", sums=("n", "conv"), finish=finish)
 
 
 def _orders_fanout_hist(sf_dir: str):
@@ -7868,9 +7695,7 @@ def _orders_fanout_hist(sf_dir: str):
     bucketed = exchange(ds, "orderkey", local_hist, prep=partial,
                         batch_size=131072)
     return combine(bucketed, "lines_per_order", sums=("n_orders",),
-                   finish=finish,
-                   schema=pa.schema([("lines_per_order", pa.int64()),
-                                     ("n_orders", pa.int64())]))
+                   finish=finish)
 
 
 def _docs_dup_loss_by_source(sf_dir: str):
@@ -7907,7 +7732,8 @@ def _docs_dup_loss_by_source(sf_dir: str):
         src = group["source"].to_numpy(zero_copy_only=False)
         o = np.lexsort((doc, fp))
         fp, doc, src = fp[o], doc[o], src[o]
-        keep_min = np.r_[True, fp[1:] != fp[:-1]]
+        keep_min = np.ones(fp.shape[0], dtype=bool)
+        keep_min[1:] = fp[1:] != fp[:-1]
         t = pa.table({"source": pa.array(src.astype(object),
                                          pa.string()),
                       "n": np.ones(src.shape[0], np.int64),
@@ -7927,9 +7753,7 @@ def _docs_dup_loss_by_source(sf_dir: str):
 
     bucketed = exchange(ds, "fp", resolve, prep=prep, batch_size=65536)
     return combine(
-        bucketed, "source", sums=("n", "dropped"), finish=finish,
-        schema=pa.schema([("source", pa.string()), ("n", pa.int64()),
-                          ("dropped", pa.int64())]))
+        bucketed, "source", sums=("n", "dropped"), finish=finish)
 
 
 def _events_stickiness_daily(sf_dir: str):
@@ -8004,7 +7828,9 @@ def _events_burst_users(sf_dir: str):
         ts = group["ts_us"].to_numpy(zero_copy_only=False)
         o = np.lexsort((ts, uid))
         uid, ts = uid[o], ts[o]
-        starts = np.flatnonzero(np.r_[True, uid[1:] != uid[:-1]])
+        new = np.ones(uid.shape[0], dtype=bool)
+        new[1:] = uid[1:] != uid[:-1]
+        starts = np.flatnonzero(new)
         ends = np.r_[starts[1:], uid.shape[0]]
         out_u, out_b = [], []
         for s, e in zip(starts, ends):
@@ -8019,13 +7845,10 @@ def _events_burst_users(sf_dir: str):
             "user_id": pa.array(out_u, pa.int64()),
             "max_burst": pa.array(out_b, pa.int64())})
 
-    from h3ray.ops.reduce import exchange
-    from h3ray.ops.join import seed_schema
-    return seed_schema(
-        exchange(ds, "user_id", resolve, prep=_user_bucket_prep([]),
-                 batch_size=131072),
-        pa.schema([("user_id", pa.int64()),
-                   ("max_burst", pa.int64())]))
+    from h3ray.ops.reduce import exchange, typed_rows
+    return typed_rows(exchange(ds, "user_id", resolve,
+                               prep=_user_bucket_prep([]),
+                               batch_size=131072))
 
 
 def _events_winsorized_mean(sf_dir: str):
@@ -8216,9 +8039,7 @@ def _region_part_coverage(sf_dir: str):
 
     bucketed = exchange(ds, "key", distinct_counts, prep=pair_partial,
                         batch_size=131072)
-    return combine(bucketed, "regionkey", sums=("n",), finish=finish,
-                   schema=pa.schema([("regionkey", pa.int64()),
-                                     ("n", pa.int64())]))
+    return combine(bucketed, "regionkey", sums=("n",), finish=finish)
 
 
 def _users_fifth_event_latency(sf_dir: str):
@@ -8268,9 +8089,7 @@ def _users_fifth_event_latency(sf_dir: str):
     bucketed = exchange(ds, "user_id", resolve,
                         prep=_user_bucket_prep(["event_id"]),
                         batch_size=131072)
-    return combine(bucketed, [], sums=("sum_gap", "n"), finish=finish,
-                   schema=pa.schema([("sum_gap", pa.int64()),
-                                     ("n", pa.int64())]))
+    return combine(bucketed, [], sums=("sum_gap", "n"), finish=finish)
 
 
 def _orders_revenue_drawdown(sf_dir: str):
@@ -9004,7 +8823,8 @@ def _order_alloc_by_qty(sf_dir: str):
     import pyarrow as pa
     import ray.data as rd
 
-    from h3ray.ops.join import hash_join, seed_schema
+    from h3ray.ops.join import hash_join
+    from h3ray.ops.reduce import typed_map
     from h3ray.ops.window import partitioned_allocate
 
     li = rd.read_parquet(f"{sf_dir}/lineitem.parquet",
@@ -9026,15 +8846,8 @@ def _order_alloc_by_qty(sf_dir: str):
         return pa.table({"o_orderkey": batch["o_orderkey"], "t": t})
 
     j = hash_join(
-        seed_schema(li.map_batches(li_prep, batch_format="pyarrow",
-                                   batch_size=131072),
-                    pa.schema([("l_orderkey", pa.int64()),
-                               ("l_partkey", pa.int64()),
-                               ("q", pa.int64())])),
-        seed_schema(ords.map_batches(o_prep, batch_format="pyarrow",
-                                     batch_size=131072),
-                    pa.schema([("o_orderkey", pa.int64()),
-                               ("t", pa.int64())])),
+        typed_map(li, li_prep, batch_size=131072),
+        typed_map(ords, o_prep, batch_size=131072),
         "l_orderkey", "o_orderkey")
     out = partitioned_allocate(j, "l_orderkey", "q", "t",
                                tiebreak_col="l_partkey",
@@ -9159,8 +8972,8 @@ def _pages_fuzzy_url_pairs(sf_dir: str):
     import pyarrow.compute as pc
 
     from h3ray.io.pages import pages_from_documents
-    from h3ray.ops.join import seed_schema
     from h3ray.ops.pairs import fuzzy_pairs_blocked
+    from h3ray.ops.reduce import typed_map, typed_rows
 
     pages = pages_from_documents(sf_dir)
 
@@ -9171,12 +8984,12 @@ def _pages_fuzzy_url_pairs(sf_dir: str):
         return pa.table({
             "domain": pc.utf8_slice_codeunits(url, 8, 25), "url": url})
 
-    ds = seed_schema(
-        pages.map_batches(keyed, batch_format="pyarrow",
-                          batch_size=65536),
-        pa.schema([("domain", pa.string()), ("url", pa.string())]))
+    ds = typed_map(pages, keyed, batch_size=65536)
     out = fuzzy_pairs_blocked(ds, "domain", "url", max_dist=2)
-    return out.rename_columns(["domain", "url_a", "url_b", "dist"])
+    # a map, not rename_columns: Ray's projection passes a typed empty
+    # block through unrenamed
+    return typed_rows(typed_map(out, lambda b: b.rename_columns(
+        ["domain", "url_a", "url_b", "dist"])))
 
 
 def _events_moving_median_7d(sf_dir: str):
@@ -9616,8 +9429,7 @@ def _customer_gap_hazard(sf_dir: str):
                                / at_risk.astype(np.float64))})
 
     return combine(
-        w, "gap_days", count="n", prep=prep, finish=finish, batch_size=131072,
-        schema=pa.schema([("gap_days", pa.int64()), ("n", pa.int64())]))
+        w, "gap_days", count="n", prep=prep, finish=finish, batch_size=131072)
 
 
 def _events_markov_stationary(sf_dir: str):
@@ -9670,9 +9482,7 @@ def _events_markov_stationary(sf_dir: str):
                                       pa.int64())})
 
     return combine(pairs, ["prev_type", "event_type"], sums=("n",),
-                   finish=finish, schema=pa.schema(
-                       [("prev_type", pa.string()),
-                        ("event_type", pa.string()), ("n", pa.int64())]))
+                   finish=finish)
 
 
 def _part_size_price_kendall(sf_dir: str):
@@ -9914,9 +9724,7 @@ def _docs_jaccard_threshold_curve(sf_dir: str):
                                  for tx in THRESH], pa.int64())})
 
     return combine(pairs, "threshold_x10", sums=("n",), prep=prep,
-                   finish=finish, batch_size=131072,
-                   schema=pa.schema([("threshold_x10", pa.int64()),
-                                     ("n", pa.int64())]))
+                   finish=finish, batch_size=131072)
 
 
 def _orders_mann_kendall(sf_dir: str):
@@ -10098,10 +9906,7 @@ def _events_type_trigrams_topk(sf_dir: str):
             "t3": pa.array([r[2] for r in rows], pa.string()),
             "n_seqs": pa.array([r[3] for r in rows], pa.int64())})
 
-    return combine(tri, ["t1", "t2", "t3"], sums=("n",), finish=finish,
-                   schema=pa.schema(
-                       [("t1", pa.string()), ("t2", pa.string()),
-                        ("t3", pa.string()), ("n", pa.int64())]))
+    return combine(tri, ["t1", "t2", "t3"], sums=("n",), finish=finish)
 
 
 def _docs_simhash_bit_bias(sf_dir: str):
@@ -10115,13 +9920,13 @@ def _docs_simhash_bit_bias(sf_dir: str):
     import pyarrow as pa
     import ray.data as rd
 
-    from h3ray.ops.reduce import combine
+    from h3ray.ops.reduce import combine, typed_map
     from h3ray.text.dedup import simhash_stage
 
     ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
                          columns=["doc_id", "text"])
-    sh = ds.map_batches(simhash_stage(), batch_format="pyarrow") \
-        .select_columns(["simhash"])
+    stage = simhash_stage()
+    sh = typed_map(ds, lambda b: stage(b).select(["simhash"]))
 
     BITS = np.arange(64, dtype=np.uint64)
 
@@ -10155,9 +9960,7 @@ def _docs_simhash_bit_bias(sf_dir: str):
 
     return combine(
         sh, "bit", sums=("n_ones", "n_docs"), prep=prep, finish=finish,
-        batch_size=131072,
-        schema=pa.schema([("bit", pa.int64()), ("n_ones", pa.int64()),
-                          ("n_docs", pa.int64())]))
+        batch_size=131072)
 
 
 def _docs_quality_dup_contingency(sf_dir: str):
@@ -10186,8 +9989,7 @@ def _docs_quality_dup_contingency(sf_dir: str):
     dup_sorted = np.sort(combine(
         pairs, "doc_id", batch_size=131072,
         prep=lambda b: pa.table({"doc_id": pa.concat_arrays(
-            [b["key_a"].combine_chunks(), b["key_b"].combine_chunks()])}),
-        schema=pa.schema([("doc_id", pa.int64())])
+            [b["key_a"].combine_chunks(), b["key_b"].combine_chunks()])})
     )["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64))
 
     stop_all = set().union(*_STOPWORDS.values())
@@ -10505,9 +10307,7 @@ def _docs_dedup_method_agreement(sf_dir: str):
                            columns=["doc_id", "text"])
 
     def pair_set(pairs_ds) -> set:
-        t = combine(pairs_ds, ["key_a", "key_b"], batch_size=131072,
-                    schema=pa.schema([("key_a", pa.int64()),
-                                      ("key_b", pa.int64())]))
+        t = combine(pairs_ds, ["key_a", "key_b"], batch_size=131072)
         return set(zip(t["key_a"].to_pylist(), t["key_b"].to_pylist()))
 
     ja = pair_set(ngram_jaccard_pairs(docs, key_col="doc_id",
@@ -10552,9 +10352,7 @@ def _docs_dup_cluster_size_hist(sf_dir: str):
             "n_clusters": pa.array(cnt.astype(np.int64))})
 
     return combine(clusters, "cluster_id", count="n", prep=prep, finish=finish,
-                   batch_size=131072,
-                   schema=pa.schema([("cluster_id", pa.int64()),
-                                     ("n", pa.int64())]))
+                   batch_size=131072)
 
 
 def _events_dominant_period(sf_dir: str):
@@ -10654,10 +10452,7 @@ def _docs_jsonl_roundtrip(sf_dir: str):
 
         return combine(
             back, "lang", count="n_docs", sums=("sum_chars",), prep=prep,
-            batch_size=131072,
-            schema=pa.schema([("lang", pa.string()),
-                              ("n_docs", pa.int64()),
-                              ("sum_chars", pa.int64())]))
+            batch_size=131072)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
 
@@ -10718,10 +10513,7 @@ def _events_inspection_paradox(sf_dir: str):
             "inspection_ratio": pa.array([ratio], pa.float64())})
 
     return combine(w, [], count="n", sums=("s", "s2"), prep=prep,
-                   finish=finish, batch_size=131072,
-                   schema=pa.schema([("n", pa.int64()),
-                                     ("s", pa.decimal128(38, 0)),
-                                     ("s2", pa.decimal128(38, 0))]))
+                   finish=finish, batch_size=131072)
 
 
 def _events_csv_roundtrip(sf_dir: str):
@@ -10768,10 +10560,7 @@ def _events_csv_roundtrip(sf_dir: str):
 
         return combine(
             back, "event_type", count="n_events", sums=("sum_cents",),
-            prep=prep, batch_size=131072,
-            schema=pa.schema([("event_type", pa.string()),
-                              ("n_events", pa.int64()),
-                              ("sum_cents", pa.int64())]))
+            prep=prep, batch_size=131072)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
 
@@ -11059,9 +10848,7 @@ def _docs_dup_transitivity(sf_dir: str):
             "transitivity": pa.array([trans], pa.float64())})
 
     return combine(pairs, ["key_a", "key_b"], finish=census,
-                   batch_size=131072,
-                   schema=pa.schema([("key_a", pa.int64()),
-                                     ("key_b", pa.int64())]))
+                   batch_size=131072)
 
 
 def _knn_panel(qt, k: int):
@@ -11945,8 +11732,7 @@ def _docs_dedup_token_savings(sf_dir: str):
             ds, [], count="n", sums=("tok",), batch_size=32768,
             prep=lambda b: pa.table({"tok": pc.count_substring_regex(
                 b["text"], r"\S+").to_numpy(zero_copy_only=False)
-                .astype(np.int64)}),
-            schema=pa.schema([("n", pa.int64()), ("tok", pa.int64())]))
+                .astype(np.int64)}))
         return t["n"][0].as_py(), t["tok"][0].as_py() or 0
 
     docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
@@ -12137,8 +11923,7 @@ def _events_lateness_hist(sf_dir: str):
     import ray.data as rd
 
     from h3ray.io.pages import _mix64
-    from h3ray.ops.join import seed_schema
-    from h3ray.ops.reduce import combine
+    from h3ray.ops.reduce import combine, typed_map
     from h3ray.ops.scan import global_exclusive_cummax
 
     ds = rd.read_parquet(f"{sf_dir}/events.parquet",
@@ -12153,10 +11938,7 @@ def _events_lateness_hist(sf_dir: str):
         return pa.table({"arr": arr, "u": u})
 
     wm = global_exclusive_cummax(
-        seed_schema(ds.map_batches(prep, batch_format="pyarrow",
-                                   batch_size=131072),
-                    pa.schema([("arr", pa.int64()),
-                               ("u", pa.int64())])),
+        typed_map(ds, prep, batch_size=131072),
         "arr", "u", out_col="pm")
 
     POWS = (2 ** np.arange(1, 63, dtype=np.int64))
@@ -12184,9 +11966,7 @@ def _events_lateness_hist(sf_dir: str):
                 .astype(np.int64))})
 
     return combine(wm, "log2_lateness_s", count="n", prep=prep, finish=finish,
-                   batch_size=131072,
-                   schema=pa.schema([("log2_lateness_s", pa.int64()),
-                                     ("n", pa.int64())]))
+                   batch_size=131072)
 
 
 def _events_shuffle_balance(sf_dir: str):
@@ -12763,9 +12543,7 @@ def _events_gap_burstiness(sf_dir: str):
             "burstiness": pa.array(out_b, pa.float64())})
 
     return combine(w, "t", sums=("n", "s", "q"), prep=prep, finish=finish,
-                   batch_size=131072,
-                   schema=pa.schema([("t", pa.string()), ("n", pa.int64()),
-                                     ("s", pa.int64()), ("q", pa.int64())]))
+                   batch_size=131072)
 
 
 def _sites_rich_club(sf_dir: str):
@@ -12876,8 +12654,8 @@ def _nation_trade_balance(sf_dir: str):
     import ray
     import ray.data as rd
 
-    from h3ray.ops.join import hash_join, seed_schema
-    from h3ray.ops.reduce import combine
+    from h3ray.ops.join import hash_join
+    from h3ray.ops.reduce import combine, typed_map
 
     sup = pq.read_table(f"{sf_dir}/supplier.parquet",
                         columns=["s_suppkey", "s_nationkey"])
@@ -12916,11 +12694,7 @@ def _nation_trade_balance(sf_dir: str):
                              columns=["o_orderkey", "o_custkey"])
     ord_nat = hash_join(orders, cust, "o_custkey", "c_custkey")
 
-    prepped = seed_schema(
-        line.map_batches(line_prep, batch_format="pyarrow",
-                         batch_size=131072),
-        pa.schema([("l_orderkey", pa.int64()), ("s_nat", pa.int64()),
-                   ("cents", pa.int64())]))
+    prepped = typed_map(line, line_prep, batch_size=131072)
     joined = hash_join(prepped, ord_nat, "l_orderkey", "o_orderkey")
 
     def prep(batch: pa.Table) -> pa.Table:
@@ -13361,8 +13135,8 @@ def _nation_export_concentration(sf_dir: str):
     import ray
     import ray.data as rd
 
-    from h3ray.ops.join import hash_join, seed_schema
-    from h3ray.ops.reduce import combine
+    from h3ray.ops.join import hash_join
+    from h3ray.ops.reduce import combine, typed_map
 
     sup = pq.read_table(f"{sf_dir}/supplier.parquet",
                         columns=["s_suppkey", "s_nationkey"])
@@ -13401,11 +13175,7 @@ def _nation_export_concentration(sf_dir: str):
                              columns=["o_orderkey", "o_custkey"])
     ord_nat = hash_join(orders, cust, "o_custkey", "c_custkey")
 
-    prepped = seed_schema(
-        line.map_batches(line_prep, batch_format="pyarrow",
-                         batch_size=131072),
-        pa.schema([("l_orderkey", pa.int64()), ("s_nat", pa.int64()),
-                   ("cents", pa.int64())]))
+    prepped = typed_map(line, line_prep, batch_size=131072)
     joined = hash_join(prepped, ord_nat, "l_orderkey", "o_orderkey")
 
     def prep(batch: pa.Table) -> pa.Table:
@@ -13655,9 +13425,7 @@ def _users_episode_hist(sf_dir: str):
             "n_users": pa.array(cnt.astype(np.int64))})
 
     return combine(w, "uid", sums=("gaps", "seen"), prep=prep, finish=finish,
-                   batch_size=131072,
-                   schema=pa.schema([("uid", pa.int64()), ("gaps", pa.int64()),
-                                     ("seen", pa.int64())]))
+                   batch_size=131072)
 
 
 _MARKOV_K = 6
@@ -13692,10 +13460,7 @@ def _events_markov_removal(sf_dir: str):
                                     tiebreak_col="event_id",
                                     prev_col="prev_type")
 
-    trans = combine(pairs, ["prev_type", "event_type"], sums=("n",),
-                    schema=pa.schema([("prev_type", pa.string()),
-                                      ("event_type", pa.string()),
-                                      ("n", pa.int64())]))
+    trans = combine(pairs, ["prev_type", "event_type"], sums=("n",))
 
     first_ds = rd.read_parquet(f"{sf_dir}/events.parquet",
                                columns=["event_id", "user_id", "ts",
@@ -13922,7 +13687,7 @@ def _events_rapid_repeat_share(sf_dir: str):
     import pyarrow.compute as pc
     import ray.data as rd
 
-    from h3ray.ops.reduce import combine
+    from h3ray.ops.reduce import combine, typed_map
     from h3ray.ops.window import window_lag_lead
 
     ds = rd.read_parquet(f"{sf_dir}/events.parquet",
@@ -13936,8 +13701,7 @@ def _events_rapid_repeat_share(sf_dir: str):
                 batch["event_type"], "|"))
 
     w = window_lag_lead(
-        ds.map_batches(keyed, batch_format="pyarrow",
-                       batch_size=131072),
+        typed_map(ds, keyed, batch_size=131072),
         "uk", "ts", "ts", tiebreak_col="event_id",
         lag_col="prev_ts")
 
@@ -13975,9 +13739,7 @@ def _events_rapid_repeat_share(sf_dir: str):
 
     return combine(
         w, "t", sums=("n_gaps", "n_rapid"), prep=prep, finish=finish,
-        batch_size=131072,
-        schema=pa.schema([("t", pa.string()), ("n_gaps", pa.int64()),
-                          ("n_rapid", pa.int64())]))
+        batch_size=131072)
 
 
 def queries() -> dict[str, Callable[[str], Any]]:

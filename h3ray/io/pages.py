@@ -280,4 +280,6 @@ def pages_from_documents(sf_dir: str):
                                     names=["url", "warc_ts", "html", "text",
                                            "lang"])
 
-    return ds.map_batches(to_pages, batch_format="pyarrow", batch_size=32768)
+    from ..ops.reduce import typed_map
+
+    return typed_map(ds, to_pages, batch_size=32768)

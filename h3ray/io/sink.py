@@ -163,7 +163,11 @@ def checkpoint_dataset(ds, out_dir: str, input_signature: str, *,
         return rd.from_arrow(schema.empty_table().select(
             columns or schema.names))
     back = rd.read_parquet(out_dir, columns=columns)
-    return back.drop_columns(["ckpt_part"]) if columns is None else back
+    if columns is not None:
+        return back
+    from ..ops.reduce import typed_map
+
+    return typed_map(back, lambda b: b.drop_columns(["ckpt_part"]))
 
 
 def partition_row_counts(out_dir: str, partition_col: str,

@@ -31,7 +31,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..io.pages import _mix64
-from .reduce import driver_merge
+from .reduce import driver_merge, typed_map
 
 # Fixed odd salts; k hash functions = mix64(key * salt_j).
 _SALTS = np.array([0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F,
@@ -83,8 +83,9 @@ def bloom_build(ds, key_col: str, *, m_bits: int = 1 << 22,
             dense[w[starts]] = np.bitwise_or.reduceat(b, starts)
         return dense
 
-    return driver_merge(ds.map_batches(partial, batch_format="pyarrow",
-                                       batch_size=131072), merge)
+    # typed, the partials give merge a typed empty table over no rows, so
+    # the filter is the all-zero array rather than a table with no columns
+    return driver_merge(typed_map(ds, partial, batch_size=131072), merge)
 
 
 def bloom_prune(ds, key_col: str, bloom_ref, *, m_bits: int = 1 << 22,
@@ -105,4 +106,4 @@ def bloom_prune(ds, key_col: str, bloom_ref, *, m_bits: int = 1 << 22,
             ok &= (word >> (pos[j] & np.uint64(63))) & np.uint64(1) != 0
         return batch.filter(pa.array(ok))
 
-    return ds.map_batches(fn, batch_format="pyarrow", batch_size=131072)
+    return typed_map(ds, fn, batch_size=131072)

@@ -7,6 +7,14 @@ merge join (lexsort + searchsorted + ragged expansion) emits the join rows.
 No driver materialization; both sides ride one ops.reduce.exchange, so the
 reducer count is default_num_buckets() (~4x cluster cores).
 
+Each side's columns come from `ops.reduce.arrow_schema`, free for a read or
+a `typed_map`/`exchange` output; an input Ray cannot type without running
+(a plain map, a union) is executed up to one block first, so feed joins
+typed inputs. The output's schema is recorded (`hash_join` through its
+exchange, `semi_join` by `_record_schema`) and a typed empty block leads
+its rows (`ops.reduce.typed_rows`), so the joined Dataset answers
+`schema()` without a run and keeps its columns over no rows.
+
 Relationship to the native `Dataset.join` (which Ray 2.49 does provide;
 the library's shuffle joins, e.g. knn_join_shuffle and pip_join_shuffle,
 use this one instead): this explicit variant measured 3.4x faster on the
@@ -23,7 +31,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from .reduce import exchange
+from .reduce import _record_schema, arrow_schema, exchange, typed_rows
 
 
 def _ragged_take(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -34,19 +42,6 @@ def _ragged_take(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     bounds = np.cumsum(lengths) - lengths
     pos = np.arange(total, dtype=np.int64) - np.repeat(bounds, lengths)
     return np.repeat(starts, lengths) + pos
-
-
-def _one_type(t) -> pa.DataType:
-    if isinstance(t, pa.DataType):
-        return t
-    t = np.dtype(t)
-    return pa.string() if t == np.dtype("O") else pa.from_numpy_dtype(t)
-
-
-def arrow_types(schema) -> dict[str, pa.DataType]:
-    """Column name -> Arrow type for a Ray Dataset schema (Ray yields numpy
-    dtypes — object for strings — when blocks are pandas-backed)."""
-    return {n: _one_type(t) for n, t in zip(schema.names, schema.types)}
 
 
 def hash_join(left_ds, right_ds, left_key: str, right_key: str,
@@ -65,22 +60,22 @@ def hash_join(left_ds, right_ds, left_key: str, right_key: str,
     if how not in ("inner", "left", "full"):
         raise ValueError(f"unsupported how={how!r}")
 
-    lschema = left_ds.schema()
-    rschema = right_ds.schema()
+    lschema = arrow_schema(left_ds)
+    rschema = arrow_schema(right_ds)
     if lschema is None or rschema is None:
         # An empty upstream aggregate yields a schema-less Dataset; the
-        # caller must materialize it (e.g. ops.reduce.driver_merge +
+        # caller must type it (ops.reduce.typed_map, or a driver_merge +
         # from_arrow) so the join knows its columns.
         raise ValueError("hash_join requires inputs with a known schema; "
                          "an empty upstream aggregate loses its schema — "
-                         "materialize it with a stable schema first")
+                         "type it with ops.reduce.typed_map first")
     lcols = [c for c in lschema.names if c != left_key]
     rcols = [c for c in rschema.names if c != right_key]
     overlap = set(lcols) & set(rcols)
     if overlap:
         raise ValueError(f"column name collision: {sorted(overlap)}")
-    ltypes = arrow_types(lschema)
-    rtypes = arrow_types(rschema)
+    ltypes = dict(zip(lschema.names, lschema.types))
+    rtypes = dict(zip(rschema.names, rschema.types))
     fields = ([pa.field("_key", pa.int64()), pa.field("_side", pa.int8())]
               + [pa.field(c, ltypes[c]) for c in lcols]
               + [pa.field(c, rtypes[c]) for c in rcols])
@@ -186,33 +181,16 @@ def hash_join(left_ds, right_ds, left_key: str, right_key: str,
                     [out, pa.Table.from_arrays(extra, schema=out_schema)])
         return out
 
-    import ray.data as rd
-
     # batch_size coalesces tiny upstream blocks BEFORE the exchange: the
     # sort's per-partition overhead is driven by input block count, and a
     # small table read as 64x ~100-row blocks measurably doubles the
     # shuffle wall. 32K rows keeps payload batches bounded at scale.
-    joined = exchange([left_ds, right_ds], "_key", merge,
-                      prep=[pad(left_key, 0), pad(right_key, 1)],
-                      batch_size=32768)
-    # Zero groups (both inputs empty) yield a schema-less Dataset that
-    # breaks downstream joins/aggregates; a typed empty seed block keeps
-    # out_schema alive at negligible cost.
-    return rd.from_arrow(out_schema.empty_table()).union(joined)
-
-
-def seed_schema(ds, schema: pa.Schema):
-    """`ds`, or a typed empty Dataset if `ds` lost its schema.
-
-    map_batches over an empty input never runs the UDF, so the resulting
-    Dataset has schema None and trips the join schema guards. Callers that
-    feed a map_batches output into a join declare its schema here so empty
-    partitions flow through instead of raising."""
-    import ray.data as rd
-
-    if ds.schema() is None:
-        return rd.from_arrow(schema.empty_table())
-    return ds
+    # Zero groups (both inputs empty) yield no typed block at all; a
+    # typed empty lead block keeps out_schema in the rows at negligible
+    # cost.
+    return typed_rows(exchange([left_ds, right_ds], "_key", merge,
+                               prep=[pad(left_key, 0), pad(right_key, 1)],
+                               batch_size=32768))
 
 
 def semi_join(left_ds, right_ds, left_key: str, right_key: str,
@@ -228,13 +206,13 @@ def semi_join(left_ds, right_ds, left_key: str, right_key: str,
     Null keys follow EXISTS semantics: a null never matches, so null-key
     left rows are dropped by semi and RETAINED by anti (unlike NOT IN).
     """
-    lschema = left_ds.schema()
+    lschema = arrow_schema(left_ds)
     if lschema is None:
         raise ValueError("semi_join/anti_join requires a left input with a "
                          "known schema; an empty upstream aggregate yields "
-                         "a schema-less Dataset — seed it with an explicit "
-                         "empty table instead")
-    ltypes = arrow_types(lschema)
+                         "a schema-less Dataset — type it with "
+                         "ops.reduce.typed_map first")
+    ltypes = dict(zip(lschema.names, lschema.types))
     lcols = list(lschema.names)
     fields = ([pa.field("_key", pa.int64()), pa.field("_side", pa.int8())]
               + [pa.field(c, ltypes[c]) for c in lcols])
@@ -285,9 +263,7 @@ def semi_join(left_ds, right_ds, left_key: str, right_key: str,
             arrays.append(col.take(take))
         return pa.Table.from_arrays(arrays, schema=out_schema)
 
-    import ray.data as rd
-
-    result = rd.from_arrow(out_schema.empty_table()).union(exchange(
+    result = typed_rows(exchange(
         [left_ds, right_ds.select_columns([right_key])], "_key", probe,
         prep=[pad(left_key, 0), pad(right_key, 1)], batch_size=32768))
     if anti:
@@ -301,7 +277,7 @@ def semi_join(left_ds, right_ds, left_key: str, right_key: str,
 
         result = result.union(left_ds.map_batches(
             nulls_only, batch_format="pyarrow", batch_size=65536))
-    return result
+    return _record_schema(result, out_schema)
 
 
 def anti_join(left_ds, right_ds, left_key: str, right_key: str):

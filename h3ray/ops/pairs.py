@@ -94,8 +94,6 @@ def fuzzy_pairs_blocked(ds, key_col: str, str_col: str, *,
     the DP itself vectorizes over all of a reducer's pairs at once.
     Keys exchange into hash buckets (run detection inside, never a
     per-key tiny group); only (key, string) rows shuffle."""
-    from .join import seed_schema
-
     out_schema = pa.schema([("key", pa.string()),
                             ("str_a", pa.string()),
                             ("str_b", pa.string()),
@@ -137,5 +135,4 @@ def fuzzy_pairs_blocked(ds, key_col: str, str_col: str, *,
                          "str_b": pa.array(s[ib[keep]], pa.string()),
                          "dist": d[keep]})
 
-    return seed_schema(exchange(ds, "key", pairs, prep=project,
-                                batch_size=65536), out_schema)
+    return exchange(ds, "key", pairs, prep=project, batch_size=65536)

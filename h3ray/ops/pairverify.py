@@ -30,7 +30,8 @@ import numpy as np
 import pyarrow as pa
 
 from ..io.pages import _mix64
-from .join import arrow_types, hash_join
+from .join import hash_join
+from .reduce import arrow_schema, typed_map
 
 
 def route_pairs_and_payload(payload_ds, pairs_ds, key_col: str,
@@ -84,23 +85,24 @@ def route_pairs_and_payload(payload_ds, pairs_ds, key_col: str,
 
     from .pairs import distinct_pairs
 
-    routing = distinct_pairs(cand.map_batches(explode_routing,
-                                              batch_format="pyarrow",
-                                              batch_size=65536),
+    routing = distinct_pairs(typed_map(cand, explode_routing,
+                                       batch_size=65536),
                              key_col, "_vbucket")
 
     payload = payload_ds
-    if set(payload.schema().names) != {key_col, *payload_cols}:
-        payload = payload.select_columns([key_col] + list(payload_cols))
+    pschema = arrow_schema(payload)
+    if set(pschema.names) != {key_col, *payload_cols}:
+        payload = typed_map(payload, lambda b: b.select(
+            [key_col] + list(payload_cols)))
     joined = hash_join(payload, routing, key_col, key_col)
 
-    ptypes = arrow_types(payload.schema())
-    ktypes = arrow_types(cand.schema())
+    kschema = arrow_schema(cand)
     fields = ([pa.field("_vbucket", pa.int64()), pa.field("_kind", pa.int8()),
                pa.field(key_col, pa.int64())]
-              + [pa.field(c, ptypes[c]) for c in payload_cols]
+              + [pa.field(c, pschema.field(c).type) for c in payload_cols]
               + [pa.field(pair_a, pa.int64()), pa.field(pair_b, pa.int64())]
-              + [pa.field(c, ktypes[c]) for c in keep_pair_cols])
+              + [pa.field(c, kschema.field(c).type)
+                 for c in keep_pair_cols])
     union_schema = pa.schema(fields)
 
     def tag(kind: int):

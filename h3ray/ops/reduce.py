@@ -25,9 +25,24 @@ each row's keys into one of `default_num_buckets()` buckets, and one
 `groupby("_bucket").map_groups` hands each bucket's rows to the caller's
 vectorized reducer. It is the library's one hash exchange, and
 `default_num_buckets` the one place that sizes it.
+
+What a stage's columns are when Ray cannot tell is decided here too. Ray
+knows the schema of a read, or of a `from_arrow` with rows, before
+anything runs, but not of a `map_batches`, `map_groups` or `union`
+output: `Dataset.schema()` then executes the plan up to one block, and a
+mapped input with no rows reaches the next stage as a block with no
+columns. `typed_map` runs its function once on an empty table of the
+input's schema, `exchange` its reducer, and both record the result as
+the output's schema (`_record_schema`, as `hash_join` and `semi_join` do
+with theirs), so a later `schema()` runs nothing and `combine` types an
+empty result from it. Where the rows themselves must carry the columns
+over no input (a query's result, a `materialize()`), `typed_rows` leads
+them with a typed empty block.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 import pyarrow as pa
@@ -35,6 +50,92 @@ import pyarrow.compute as pc
 
 from ..io.pages import _mix64
 from .sample import _key_hash
+
+
+def _one_type(t) -> pa.DataType:
+    if isinstance(t, pa.DataType):
+        return t
+    t = np.dtype(t)
+    return pa.string() if t == np.dtype("O") else pa.from_numpy_dtype(t)
+
+
+def arrow_schema(ds, fetch: bool = True) -> pa.Schema | None:
+    """`ds`'s columns as an Arrow schema, or None when Ray holds none (an
+    input with no rows and no typed block). Ray yields numpy dtypes, object
+    for strings, when blocks are pandas-backed. Free for a read, a
+    `from_arrow` with rows and every output this module types; for any
+    other input Ray executes the plan up to one block to answer, or, with
+    `fetch=False`, gives None."""
+    sch = ds.schema(fetch_if_missing=fetch)
+    if sch is None:
+        return None
+    base = getattr(sch, "base_schema", sch)
+    if isinstance(base, pa.Schema):
+        return base
+    return pa.schema([(n, _one_type(t)) for n, t in zip(sch.names,
+                                                         sch.types)])
+
+
+def _record_schema(ds, schema: pa.Schema):
+    """`ds`, with `schema` recorded as the answer of its `schema()`.
+
+    This is Ray 2.49's own cache: `Dataset.schema()` stores what it
+    fetched with `ExecutionPlan.cache_schema`, and `ExecutionPlan.copy`
+    does not carry it to the Datasets built on `ds`. The library's one
+    touch of a Ray private (tests/test_combine.py pins both)."""
+    ds._plan.cache_schema(schema)
+    return ds
+
+
+def _typed_fn(fn, empty: pa.Table):
+    """`fn`'s output schema on `empty`, a table with no rows, and `fn`
+    wrapped to raise TypeError on an output of any other schema (metadata
+    aside): a derivation that went wrong fails where it happens instead
+    of mistyping a join downstream."""
+    schema = fn(empty).schema
+
+    @functools.wraps(fn)
+    def checked(batch: pa.Table) -> pa.Table:
+        out = fn(batch)
+        if not out.schema.equals(schema):
+            raise TypeError(
+                f"{getattr(fn, '__name__', fn)} returned ({out.schema}) "
+                f"where its empty-table output is ({schema})".replace(
+                    "\n", ", "))
+        return out
+
+    return schema, checked
+
+
+def typed_map(ds, fn, *, batch_size=None):
+    """`ds.map_batches(fn, batch_format="pyarrow")` with its output schema
+    known before it runs: `fn` runs once, on the driver, on an empty table
+    of `ds`'s schema (so it must take a table with no rows), and that
+    output's schema is recorded as the result's. A batch whose output has
+    another schema raises TypeError. Over an input Ray holds no schema
+    for, a plain map."""
+    base = arrow_schema(ds)
+    if base is None:
+        return ds.map_batches(fn, batch_format="pyarrow",
+                              batch_size=batch_size)
+    schema, checked = _typed_fn(fn, base.empty_table())
+    return _record_schema(ds.map_batches(checked, batch_format="pyarrow",
+                                         batch_size=batch_size), schema)
+
+
+def typed_rows(ds):
+    """`ds` led by an empty block of its schema, so its rows carry its
+    columns even when no block holds a row: a map over no rows emits
+    blocks with no columns, which is what `materialize()`, `to_pandas()`
+    or a caller would see. The schema stays recorded; over an input Ray
+    holds no schema for, `ds` itself."""
+    import ray.data as rd
+
+    schema = arrow_schema(ds)
+    if schema is None:
+        return ds
+    return _record_schema(rd.from_arrow(schema.empty_table()).union(ds),
+                          schema)
 
 
 def driver_merge(ds, merge_fn, schema=None) -> pa.Table:
@@ -77,10 +178,13 @@ def combine(ds, keys, *, sums=(), mins=(), maxs=(), count=None, prep=None,
     the last per-group arithmetic. Output columns: keys, count, sums,
     mins, maxs. With no aggregate at all it is a DISTINCT over `keys`.
     When no partial row arrives, prep and group_by run on an empty table
-    of the input's Ray schema, and `finish` on the merge of that. Pass
-    `schema` (the partial schema) only where the input can arrive with
-    no Ray schema (a caller's Dataset, a filter, map or exchange output)
-    or `prep` cannot run on an empty table; never for a read or join.
+    of the input's schema (`prep` must take one), and `finish` on the
+    merge of that: a read, a join, a `typed_map` or an `exchange` output
+    answers it without a run; any other input Ray executes up to one
+    block. Pass `schema` (the partial schema) only where a library root
+    takes a caller's Dataset that may hold no schema at all (a row
+    filter that drops every row emits blocks with no columns); never
+    beside a typed input.
 
     Keyless (`keys=[]`) is a scalar root: its merge always yields ONE
     row, also over zero input rows, where that row holds COUNT 0 and
@@ -106,9 +210,9 @@ def combine(ds, keys, *, sums=(), mins=(), maxs=(), count=None, prep=None,
         return finish(g) if finish is not None else g
 
     def derived() -> pa.Schema | None:
-        base = getattr(ds.schema(), "base_schema", None)
+        base = arrow_schema(ds)
         return partial(base.empty_table()).schema \
-            if isinstance(base, pa.Schema) else None
+            if base is not None else None
 
     return driver_merge(ds.map_batches(partial, batch_format="pyarrow",
                                        batch_size=batch_size), merge,
@@ -148,7 +252,10 @@ def exchange(ds, keys, fn, *, prep=None, batch_size=None):
     a list of Datasets, the sides of a co-partitioned join, with `prep`
     one callable per side emitting one common schema: each side is
     tagged in its own map and the tagged sides are unioned before the
-    groupby."""
+    groupby. When Ray knows the first side's schema before it runs, the
+    output's is recorded: `fn`'s on that side's prep of an empty table (so
+    `prep` and `fn` must take one), checked on every bucket as `typed_map`
+    checks its batches."""
     keys = [keys] if isinstance(keys, str) else list(keys)
     sides = ds if isinstance(ds, list) else [ds]
     preps = prep if isinstance(prep, list) else [prep] * len(sides)
@@ -168,13 +275,20 @@ def exchange(ds, keys, fn, *, prep=None, batch_size=None):
               for s, p in zip(sides, preps)]
     union = tagged[0].union(*tagged[1:]) if len(tagged) > 1 else tagged[0]
 
+    schema, base = None, arrow_schema(sides[0], fetch=False)
+    if base is not None:
+        empty = base.empty_table()
+        schema, fn = _typed_fn(fn, preps[0](empty) if preps[0] is not None
+                               else empty)
+
     def reduce_bucket(group: pa.Table) -> pa.Table:
         if "_bucket" in group.column_names:
             group = group.drop_columns(["_bucket"])
         return fn(group)
 
-    return union.groupby("_bucket").map_groups(reduce_bucket,
-                                               batch_format="pyarrow")
+    out = union.groupby("_bucket").map_groups(reduce_bucket,
+                                              batch_format="pyarrow")
+    return out if schema is None else _record_schema(out, schema)
 
 
 def grouped_mode(ds, key_col: str, value_col: str,
@@ -346,13 +460,9 @@ def _exact_moments(ds, key_col: str, names: list, products, out: list,
 
     t = combine(ds, key_col, count="_n", sums=names, prep=prep,
                 finish=finish, batch_size=131072)
-    if t.num_columns:
-        return t
-    sch = ds.schema(fetch_if_missing=True)  # no rows: a cheap fetch
-    base = getattr(sch, "base_schema", sch)
-    key = base.field(key_col) if base is not None \
-        else pa.field(key_col, pa.null())
-    return pa.schema([key] + out).empty_table()
+    # no columns only when Ray holds no schema for `ds` at all
+    return t if t.num_columns else pa.schema(
+        [pa.field(key_col, pa.null())] + out).empty_table()
 
 
 def _ints(batch: pa.Table, *cols: str) -> list:
@@ -455,26 +565,6 @@ def grouped_var_exact(ds, key_col: str, x_col: str,
          pa.field("stddev_value", pa.float64())], row)
 
 
-def _lattice_partial_schema(ds, cols: list[str]) -> pa.Schema:
-    """Explicit schema of the rollup/cube/grouping-sets combiner output,
-    taken from the INPUT dataset's column types — so driver_merge can call
-    merge on an empty table (emitting the SQL ()-grouping row) even when
-    the mapped dataset is fully empty and Ray cannot infer the partial
-    schema. A UDF-mapped empty input has no block and so no schema: seed
-    it with ops.join.seed_schema first."""
-    sch = ds.schema(fetch_if_missing=True)
-    if sch is None:
-        raise ValueError("rollup/cube/grouping-sets counts need an input "
-                         "with a known schema; seed an empty mapped input "
-                         "with ops.join.seed_schema first")
-    base = getattr(sch, "base_schema", None)
-    if base is None:
-        base = pa.schema(list(zip(sch.names, sch.types)))
-    return pa.schema([pa.field(c, base.field(c).type) for c in cols]
-                     + [pa.field("_n", pa.int64()),
-                        pa.field("_s", pa.int64())])
-
-
 def _lattice_prep(col_a: str, col_b: str, value_col: str):
     """Per-row (a, b, int64 value) columns of the rollup/cube combiner."""
     import pyarrow.compute as pc
@@ -522,8 +612,7 @@ def rollup_counts(ds, col_a: str, col_b: str, value_col: str,
 
     return combine(ds, [col_a, col_b], sums=("_s",), count="_n",
                    prep=_lattice_prep(col_a, col_b, value_col),
-                   finish=merge, batch_size=131072,
-                   schema=_lattice_partial_schema(ds, [col_a, col_b]))
+                   finish=merge, batch_size=131072)
 
 
 def cube_counts(ds, col_a: str, col_b: str, value_col: str,
@@ -566,8 +655,7 @@ def cube_counts(ds, col_a: str, col_b: str, value_col: str,
 
     return combine(ds, [col_a, col_b], sums=("_s",), count="_n",
                    prep=_lattice_prep(col_a, col_b, value_col),
-                   finish=merge, batch_size=131072,
-                   schema=_lattice_partial_schema(ds, [col_a, col_b]))
+                   finish=merge, batch_size=131072)
 
 
 def grouping_sets_counts(ds, cols: list[str], sets: list[tuple],
@@ -622,8 +710,7 @@ def grouping_sets_counts(ds, cols: list[str], sets: list[tuple],
         return pa.concat_tables(pieces)
 
     return combine(ds, cols, sums=("_s",), count="_n", prep=prep,
-                   finish=merge, batch_size=131072,
-                   schema=_lattice_partial_schema(ds, cols))
+                   finish=merge, batch_size=131072)
 
 
 def _skyline_mask(lo, hi):

@@ -29,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from .reduce import combine
+from .reduce import _record_schema, arrow_schema, combine, typed_map
 
 
 def _bucket_carries(ds, order_col: str, value_col: str, bucket_width: int,
@@ -59,21 +59,24 @@ def _scan(ds, order_col: str, value_col: str, bucket_width: int, agg: str,
           carry, scan, out_col: str):
     """Both passes: `_bucket_carries`, then every key-range bucket's rows
     (`key // bucket_width`) to one call of `scan(group, carry)` with
-    that bucket's carry. Over an input with no rows the result is an
-    empty table of the input's columns plus an int64 `out_col`."""
+    that bucket's carry. The output's schema is `scan`'s over an empty
+    table of the input's (so `scan` must take one), recorded when Ray
+    knows the input's before it runs; over an input with no rows the
+    result is that empty table."""
     import ray
     import ray.data as rd
 
     if bucket_width < 1:
         raise ValueError(f"bucket_width must be >= 1, got {bucket_width}")
+
+    def empty(base) -> pa.Table:
+        return pa.table({out_col: pa.array([], pa.int64())}) \
+            if base is None else scan(base.empty_table(), np.int64(0))
+
     buckets, carries = _bucket_carries(ds, order_col, value_col,
                                        bucket_width, agg, carry)
     if not buckets.size:
-        sch = ds.schema(fetch_if_missing=True)
-        base = getattr(sch, "base_schema", sch) or []
-        return rd.from_arrow(pa.schema(
-            [f for f in base if f.name != out_col]
-            + [pa.field(out_col, pa.int64())]).empty_table())
+        return rd.from_arrow(empty(arrow_schema(ds)))
     carry_ref = ray.put((buckets, carries))
 
     def bucketize(batch: pa.Table) -> pa.Table:
@@ -87,8 +90,10 @@ def _scan(ds, order_col: str, value_col: str, bucket_width: int, agg: str,
         k = group[order_col].to_numpy(zero_copy_only=False).astype(np.int64)
         return scan(group, cs[np.searchsorted(bs, k[0] // bucket_width)])
 
-    return ds.map_batches(bucketize, batch_format="pyarrow") \
+    out = ds.map_batches(bucketize, batch_format="pyarrow") \
         .groupby("_bucket").map_groups(per_bucket, batch_format="pyarrow")
+    base = arrow_schema(ds, fetch=False)
+    return out if base is None else _record_schema(out, empty(base).schema)
 
 
 def _exclusive_cumsum(ds, order_col: str, value_col: str, out_col: str,
@@ -99,7 +104,7 @@ def _exclusive_cumsum(ds, order_col: str, value_col: str, out_col: str,
         k = group[order_col].to_numpy(zero_copy_only=False).astype(np.int64)
         v = group[value_col].to_numpy(zero_copy_only=False).astype(np.int64)
         order = np.argsort(k, kind="stable")
-        excl = np.concatenate([[0], np.cumsum(v[order])[:-1]])
+        excl = np.cumsum(v[order]) - v[order]
         return group.take(pa.array(order)).append_column(
             out_col, pa.array(fn(excl + carry)))
 
@@ -135,8 +140,8 @@ def global_exclusive_cummax(ds, order_col: str, value_col: str,
         k = group[order_col].to_numpy(zero_copy_only=False).astype(np.int64)
         v = group[value_col].to_numpy(zero_copy_only=False).astype(np.int64)
         order = np.argsort(k, kind="stable")
-        excl = np.concatenate(
-            [[NEG], np.maximum.accumulate(v[order])[:-1]])
+        excl = np.full(order.shape[0], NEG)
+        excl[1:] = np.maximum.accumulate(v[order])[:-1]
         run = np.maximum(excl, carry)
         return group.take(pa.array(order)).append_column(
             out_col, pa.array(np.where(run == NEG, None, run),
@@ -164,8 +169,8 @@ def running_total(ds, order_col: str, value_col: str, out_col: str,
         return pa.table({order_col: ut, value_col: acc,
                          out_col: np.cumsum(acc) + carry})
 
-    return _scan(ds.select_columns([order_col, value_col]), order_col,
-                 value_col, bucket_width, "sums",
+    return _scan(typed_map(ds, lambda b: b.select([order_col, value_col])),
+                 order_col, value_col, bucket_width, "sums",
                  lambda tot: np.cumsum(tot) - tot, scan, out_col)
 
 

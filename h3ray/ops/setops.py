@@ -49,45 +49,32 @@ def _distinct_by_fp(ds, cols: list[str], fp_col: str):
         keep[1:] = fp[order][1:] != fp[order][:-1]
         return group.take(pa.array(order[keep])).select(cols)
 
-    return exchange(ds, fp_col, firsts)
-
-
-def _col_types(ds, cols: list[str]) -> dict[str, pa.DataType]:
-    sch = ds.schema(fetch_if_missing=True)
-    base = getattr(sch, "base_schema", None)
-    if base is None:
-        base = pa.schema(list(zip(sch.names, sch.types)))
-    return {c: base.field(c).type for c in cols}
+    # batch_size bundles the join's typed empty lead block with rows: a
+    # map task holding only an empty block emits one with no columns
+    return exchange(ds, fp_col, firsts, batch_size=65536)
 
 
 def _set_op(left_ds, right_ds, cols: list[str], anti: bool):
-    from .join import anti_join, seed_schema, semi_join
+    from .join import anti_join, semi_join
+    from .reduce import typed_map
 
     cols = list(cols)
     fp = "_setop_fp"
-    types = _col_types(left_ds, cols)
-    lschema = pa.schema([(c, types[c]) for c in cols]
-                        + [(fp, pa.int64())])
-    ltag = seed_schema(
-        left_ds.map_batches(_fingerprint_stage(cols, fp),
-                            batch_format="pyarrow", batch_size=65536)
-        .select_columns(cols + [fp]),
-        lschema)
-    # Right side collapses to batch-local distinct fingerprints before
-    # the membership exchange — fingerprints only, payload never ships.
     fps = _fingerprint_stage(cols, fp)
 
+    def left_rows(batch: pa.Table) -> pa.Table:
+        return fps(batch).select(cols + [fp])
+
+    # Right side collapses to batch-local distinct fingerprints before
+    # the membership exchange — fingerprints only, payload never ships.
     def right_keys(batch: pa.Table) -> pa.Table:
         t = fps(batch)
         u = np.unique(t[fp].to_numpy(zero_copy_only=False))
         return pa.table({fp: pa.array(u)})
 
-    rtag = seed_schema(
-        right_ds.map_batches(right_keys, batch_format="pyarrow",
-                             batch_size=65536),
-        pa.schema([(fp, pa.int64())]))
     join = anti_join if anti else semi_join
-    kept = join(ltag, rtag, fp, fp)
+    kept = join(typed_map(left_ds, left_rows, batch_size=65536),
+                typed_map(right_ds, right_keys, batch_size=65536), fp, fp)
     return _distinct_by_fp(kept, cols, fp)
 
 

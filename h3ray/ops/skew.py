@@ -145,4 +145,7 @@ def salted_top_k(ds, key_col: str, value_col: str, k: int,
     partial = exchange(ds, [key_col, "_salt"],
                        lambda g: top_k(g).drop_columns(["_salt"]),
                        prep=add_salt)
-    return exchange(partial, key_col, top_k)
+    # batch_size coalesces round 1's per-bucket outputs: round 2 then sorts
+    # few blocks, and leaves no partition empty (an empty one yields a
+    # block with no columns) unless its input is
+    return exchange(partial, key_col, top_k, batch_size=65536)

@@ -301,9 +301,10 @@ def cosine_dup_pairs(ds, *, id_col: str = "vec_id", emb_col: str = "embedding",
     import ray
     import ray.data as rd
 
-    blocks = ds.select_columns([id_col, emb_col]) \
-        .map_batches(lambda b: b, batch_format="pyarrow",
-                     batch_size=target_block_rows).to_arrow_refs()
+    from ..ops.reduce import typed_map
+
+    blocks = typed_map(ds, lambda b: b.select([id_col, emb_col]),
+                       batch_size=target_block_rows).to_arrow_refs()
     if len(blocks) > max_blocks:
         raise ValueError(
             f"cosine_dup_pairs is the exact O(N^2) path: {len(blocks)} "
@@ -726,9 +727,10 @@ def top_dot_pairs(ds, *, k: int = 20, id_col: str = "vec_id",
     out_schema = pa.schema([("id_a", pa.int64()), ("id_b", pa.int64()),
                             ("dot", pa.int64())])
 
-    blocks = ds.select_columns([id_col, emb_col]) \
-        .map_batches(lambda b: b, batch_format="pyarrow",
-                     batch_size=target_block_rows).to_arrow_refs()
+    from ..ops.reduce import typed_map
+
+    blocks = typed_map(ds, lambda b: b.select([id_col, emb_col]),
+                       batch_size=target_block_rows).to_arrow_refs()
     if len(blocks) > max_blocks:
         raise ValueError(
             f"top_dot_pairs is the exact O(N^2) path: {len(blocks)} "

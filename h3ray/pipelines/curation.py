@@ -78,7 +78,8 @@ def curation_pipeline(sf_dir: str, *, checkpoint_dir: str | None = None,
     import pyarrow.compute as pc
     import ray.data as rd
 
-    from ..ops.join import seed_schema, semi_join
+    from ..ops.join import semi_join
+    from ..ops.reduce import typed_map
     from ..ops.scan import pack_sequences
     from ..text.analysis import quality_filter_stage
     from ..text.dedup import contamination_flags, near_dedup
@@ -86,9 +87,7 @@ def curation_pipeline(sf_dir: str, *, checkpoint_dir: str | None = None,
     t0 = time.time()
     docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
                            columns=["doc_id", "text", "n_chars"])
-    kept = seed_schema(docs.map_batches(quality_filter_stage(),
-                                        batch_format="pyarrow"),
-                       docs.schema().base_schema)
+    kept = typed_map(docs, quality_filter_stage())
     bench = rd.read_parquet(f"{sf_dir}/documents.parquet",
                             columns=["doc_id", "text"],
                             filter=pc.field("doc_id") < 10)

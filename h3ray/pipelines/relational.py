@@ -255,14 +255,14 @@ def user_sessions(sf_dir: str, gap_s: int = 1800):
         # Aggregate (user, session): count + span.
         key_change = new_user | (gap == 1)
         seg = np.cumsum(key_change) - 1
-        n_seg = seg[-1] + 1
-        counts = np.bincount(seg, minlength=n_seg)
+        counts = np.bincount(seg)
         first = np.flatnonzero(key_change)
+        # each session's last row (no session, no row, over no rows)
+        last = np.append(first[1:], u.shape[0])[:first.shape[0]] - 1
         return pa.Table.from_arrays(
             [pa.array(u[first]), pa.array(sess[first]),
              pa.array(counts.astype(np.int64)),
-             pa.array(t[first]),
-             pa.array(t[np.append(first[1:] - 1, u.shape[0] - 1)])],
+             pa.array(t[first]), pa.array(t[last])],
             names=["user_id", "session_id", "num_events",
                    "start_epoch", "end_epoch"])
 
@@ -288,8 +288,8 @@ def orders_revenue_topk(sf_dir: str, segment: str = "BUILDING",
     import ray.data as rd
     from ray.data.aggregate import Min, Sum
 
-    from ..ops.join import hash_join, seed_schema
-    from ..ops.reduce import driver_merge
+    from ..ops.join import hash_join
+    from ..ops.reduce import driver_merge, typed_map
 
     cut = _dt.datetime.fromisoformat(cutoff)
     cust = driver_merge(
@@ -319,10 +319,7 @@ def orders_revenue_topk(sf_dir: str, segment: str = "BUILDING",
         return pa.table({"o_orderkey": kept["o_orderkey"],
                          "o_epoch": epoch})
 
-    orders_f = seed_schema(orders.map_batches(probe, batch_format="pyarrow",
-                                              batch_size=131072),
-                           pa.schema([("o_orderkey", pa.int64()),
-                                      ("o_epoch", pa.int64())]))
+    orders_f = typed_map(orders, probe, batch_size=131072)
 
     li = rd.read_parquet(f"{sf_dir}/lineitem.parquet",
                          columns=["l_orderkey", "l_extendedprice",
@@ -339,10 +336,7 @@ def orders_revenue_topk(sf_dir: str, segment: str = "BUILDING",
         return pa.table({"l_orderkey": g["l_orderkey"],
                          "revenue_cents": g["revenue_cents_sum"]})
 
-    li_p = seed_schema(li.map_batches(li_partial, batch_format="pyarrow",
-                                      batch_size=131072),
-                       pa.schema([("l_orderkey", pa.int64()),
-                                  ("revenue_cents", pa.int64())]))
+    li_p = typed_map(li, li_partial, batch_size=131072)
     joined = hash_join(li_p, orders_f, "l_orderkey", "o_orderkey")
     per_order = joined.groupby("l_orderkey").aggregate(
         Sum("revenue_cents", alias_name="revenue_cents"),
@@ -570,8 +564,7 @@ def events_funnel(sf_dir: str,
 
     return combine(partials, [], sums=cols,
                    finish=lambda g: pa.table({c: pc.fill_null(g[c], 0)
-                                              for c in cols}),
-                   schema=pa.schema([(c, pa.int64()) for c in cols]))
+                                              for c in cols}))
 
 
 def events_weekly_retention(sf_dir: str) -> pa.Table:
@@ -619,10 +612,7 @@ def events_weekly_retention(sf_dir: str) -> pa.Table:
     partials = exchange(ds, "user_id", retention, batch_size=131072)
 
     return combine(partials, ["cohort_week", "week_offset"],
-                   sums=("n_users",),
-                   schema=pa.schema([("cohort_week", pa.int64()),
-                                     ("week_offset", pa.int64()),
-                                     ("n_users", pa.int64())]))
+                   sums=("n_users",))
 
 
 def session_concurrency(sf_dir: str, gap_s: int = 1800,
@@ -641,7 +631,7 @@ def session_concurrency(sf_dir: str, gap_s: int = 1800,
     nets them per second and cumsums them per contiguous time-range
     bucket plus the bucket's carry. Netting happens INSIDE the
     reducers, so no global per-second aggregate ever shuffles."""
-    from ..ops.join import seed_schema
+    from ..ops.reduce import typed_map, typed_rows
     from ..ops.scan import running_total
 
     sessions = user_sessions(sf_dir, gap_s=gap_s)
@@ -659,13 +649,9 @@ def session_concurrency(sf_dir: str, gap_s: int = 1800,
         # boundary second" (SQL GROUP BY keeps SUM()=0 rows)
         return pa.table({"epoch_s": ut, "net_delta": acc})
 
-    bschema = pa.schema([("epoch_s", pa.int64()),
-                         ("net_delta", pa.int64())])
     # bounded by distinct boundary seconds per batch -- tiny; consumed
     # twice below, so break lineage once here
-    bounds = seed_schema(
-        sessions.map_batches(boundaries, batch_format="pyarrow",
-                             batch_size=131072),
-        bschema).materialize()
+    bounds = typed_rows(typed_map(sessions, boundaries,
+                                  batch_size=131072)).materialize()
     return running_total(bounds, "epoch_s", "net_delta", "concurrent",
                          bucket_width=bucket_width)

@@ -52,20 +52,25 @@ def compact_cells_dataset(cells_ds, cell_col: str = "cell",
 
     Shuffle path (shuffle=True): hash-group by parent at `group_res`; local
     compact per group (exact — compaction never crosses a res-0 subtree);
-    tiny second pass for cells that compacted up to the group key
-    (SURVEY.md §3.3 two-round shuffle).
+    the cells that compacted up to the group key or coarser (res <=
+    group_res: a bounded set) take a tiny second pass at one driver root
+    (SURVEY.md §3.3 two-round shape).
 
     shuffle=None auto-selects: the shuffle path when `distinct_estimate`
     (upper bound on distinct cells, e.g. rows of the input) exceeds
     SHUFFLE_COMPACT_THRESHOLD, else the driver path.
     """
-    if shuffle is None:
-        shuffle = (distinct_estimate or 0) > SHUFFLE_COMPACT_THRESHOLD
-    if not shuffle:
-        def batch_distinct(batch: pa.Table) -> pa.Table:
-            cells = np.unique(batch[cell_col].to_numpy(zero_copy_only=False))
-            return pa.Table.from_arrays([pa.array(cells)], names=[cell_col])
+    import ray.data as rd
 
+    from ..ops.reduce import driver_merge
+
+    def batch_distinct(batch: pa.Table) -> pa.Table:
+        cells = np.unique(batch[cell_col].to_numpy(zero_copy_only=False))
+        return pa.Table.from_arrays([pa.array(cells)], names=[cell_col])
+
+    def driver_compact(ds):
+        """compact_mixed of every distinct cell of `ds`, in ONE task at
+        the driver root: a typed Dataset, also over no rows."""
         def final_compact(batch: pa.Table) -> pa.Table:
             cells = bits.as_i64(batch[cell_col].to_numpy(
                 zero_copy_only=False))
@@ -73,14 +78,15 @@ def compact_cells_dataset(cells_ds, cell_col: str = "cell",
             return pa.Table.from_arrays([pa.array(bits.as_u64(out))],
                                         names=[cell_col])
 
-        distinct = cells_ds.map_batches(batch_distinct,
-                                        batch_format="pyarrow",
-                                        batch_size=131072)
-        import ray.data as rd
+        return rd.from_arrow(driver_merge(
+            ds, final_compact,
+            schema=lambda: pa.schema([(cell_col, pa.uint64())])))
 
-        from ..ops.reduce import driver_merge
-
-        return rd.from_arrow(driver_merge(distinct, final_compact))
+    if shuffle is None:
+        shuffle = (distinct_estimate or 0) > SHUFFLE_COMPACT_THRESHOLD
+    if not shuffle:
+        return driver_compact(cells_ds.map_batches(
+            batch_distinct, batch_format="pyarrow", batch_size=131072))
 
     # NOTE (round-5 measured): scoping a small target_max_block_size here
     # (the ngram_jaccard_pairs trick) makes this path 2.3x SLOWER, not
@@ -93,10 +99,6 @@ def compact_cells_dataset(cells_ds, cell_col: str = "cell",
         out = hierarchy.compact(np.unique(cells))
         return pa.Table.from_arrays([pa.array(bits.as_u64(out))],
                                     names=[cell_col])
-
-    def batch_distinct(batch: pa.Table) -> pa.Table:
-        cells = np.unique(batch[cell_col].to_numpy(zero_copy_only=False))
-        return pa.Table.from_arrays([pa.array(cells)], names=[cell_col])
 
     # Batch-local distinct first so the shuffle moves unique cells only.
     # The exchange buckets by HASH of the parent key, not by parent value:
@@ -121,23 +123,19 @@ def compact_cells_dataset(cells_ds, cell_col: str = "cell",
             [pa.array(bits.as_u64(cells)), pa.array(fine)],
             names=[cell_col, "_fine"])
 
-    flagged = round1.map_batches(split_fine, batch_format="pyarrow")
+    # Both halves below read the flags: materialize them once, so the
+    # driver root of round 2 does not run round 1 a second time.
+    flagged = round1.map_batches(split_fine,
+                                 batch_format="pyarrow").materialize()
     fine = flagged.filter(expr="_fine == True").select_columns([cell_col])
     coarse = flagged.filter(expr="_fine == False").select_columns([cell_col])
 
-    def base_compact(group: pa.Table) -> pa.Table:
-        cells = bits.as_i64(group[cell_col].to_numpy(zero_copy_only=False))
-        merged = hierarchy.compact_mixed(np.unique(cells))
-        return pa.Table.from_arrays([pa.array(bits.as_u64(merged))],
-                                    names=[cell_col])
-
-    coarse_keyed = coarse.map_batches(
-        stages.parent_stage(0, cell_col=cell_col, out_col="_bkey"),
-        batch_format="pyarrow")
-    round2 = coarse_keyed.groupby("_bkey").map_groups(
-        base_compact, batch_format="pyarrow").select_columns([cell_col])
-
-    return fine.union(round2)
+    # Round 2 compacts the cells that reached group_res or coarser, a set
+    # bounded by the cell count at res <= group_res, so one driver root
+    # (compaction never crosses a res-0 subtree, so compacting them all
+    # at once equals compacting each res-0 group). Its typed block keeps
+    # the union's schema when no cell is coarse.
+    return fine.union(driver_compact(coarse))
 
 
 def dissolve_groups(ds, group_col: str, cell_col: str = "cell",

@@ -391,6 +391,7 @@ def tfidf_top_terms(ds, *, id_col: str = "doc_id", text_col: str = "text",
     each doc's top k. Emits (doc_id, term, tf, df)."""
     import ray
 
+    from ..ops.reduce import typed_map
     from ..ops.skew import _desc_sort_key
 
     dft = document_frequency(ds, id_col, text_col)
@@ -429,7 +430,7 @@ def tfidf_top_terms(ds, *, id_col: str = "doc_id", text_col: str = "text",
                          "tf": tf[keep].astype(np.int64),
                          "df": df[keep].astype(np.int64)})
 
-    return ds.map_batches(fn, batch_format="pyarrow", batch_size=8192)
+    return typed_map(ds, fn, batch_size=8192)
 
 
 def _doc_bigrams(texts) -> tuple:
@@ -566,8 +567,7 @@ def inverted_postings(ds, text_col: str = "text", doc_col: str = "doc_id",
     import ray
     from ray.data.aggregate import Sum
 
-    from ..ops.join import seed_schema
-    from ..ops.reduce import driver_merge, exchange
+    from ..ops.reduce import driver_merge, exchange, typed_map, typed_rows
 
     def df_partial(batch: pa.Table) -> pa.Table:
         terms, _ = _term_doc_pairs(batch, text_col, doc_col)
@@ -620,8 +620,6 @@ def inverted_postings(ds, text_col: str = "text", doc_col: str = "doc_id",
                          "df": dfs,
                          "postings": pa.array(posts, type=pa.string())})
 
-    pairs = seed_schema(
-        ds.map_batches(admitted_pairs, batch_format="pyarrow",
-                       batch_size=32768), pair_schema)
-    return seed_schema(exchange(pairs, "tid", build, batch_size=65536),
-                       out_schema)
+    return typed_rows(exchange(typed_map(ds, admitted_pairs,
+                                         batch_size=32768),
+                               "tid", build, batch_size=65536))

@@ -16,7 +16,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..io.pages import _mix64, url_hash64
-from ..ops.reduce import exchange
+from ..ops.reduce import exchange, typed_map, typed_rows
 
 N_PERM = 64  # minhash permutations
 N_BANDS = 16  # LSH bands -> 4 rows per band
@@ -121,8 +121,10 @@ def minhash_signature_batch(texts, k: int = 5) -> np.ndarray:
         shingles = [_shingle_hashes(t, k) for t in texts]
         lengths = np.array([s.shape[0] for s in shingles], dtype=np.int64)
         flat = np.concatenate(shingles) if n else np.empty(0, np.uint64)
-    bounds = np.concatenate([[0], np.cumsum(lengths)[:-1]])
     out = np.empty((n, N_PERM), dtype=np.uint64)
+    if n == 0:
+        return out
+    bounds = np.concatenate([[0], np.cumsum(lengths)[:-1]])
     for p in range(N_PERM):
         # Affine permutation of the already-mixed shingle hashes
         # (odd multiplier => bijective mod 2^64): 2 ops per element vs a
@@ -433,8 +435,6 @@ def exact_canonical_mapping(ds, key_col: str, text_col: str = "text"):
     exchange on the fingerprint, where each bucket's lexsort by
     (fingerprint, key) puts every text's min key first. A typed empty
     block (the key typed as in `ds`) leads the result."""
-    import ray.data as rd
-
     from .analysis import fingerprint_stage
 
     def canonical(group: pa.Table) -> pa.Table:
@@ -446,12 +446,10 @@ def exact_canonical_mapping(ds, key_col: str, text_col: str = "text"):
         start = np.maximum.accumulate(np.where(first, np.arange(fp.size), 0))
         return pa.table({key_col: key, "canonical_id": key[start]})
 
-    key = ds.schema().base_schema.field(key_col)
     fp = fingerprint_stage(text_col)
-    return rd.from_arrow(pa.schema(
-        [key, pa.field("canonical_id", key.type)]).empty_table()).union(
-        exchange(ds, "fingerprint", canonical, batch_size=65536,
-                 prep=lambda b: fp(b).select([key_col, "fingerprint"])))
+    return typed_rows(exchange(
+        ds, "fingerprint", canonical, batch_size=65536,
+        prep=lambda b: fp(b).select([key_col, "fingerprint"])))
 
 
 def duplicate_clusters(keys_ds, pairs_ds, key_col: str,
@@ -486,8 +484,9 @@ def duplicate_clusters(keys_ds, pairs_ds, key_col: str,
     # batch_size=65536 on the loop's map stages coalesces tiny blocks
     # before each exchange — per-round shuffle wall is dominated by input
     # BLOCK count, not rows, and a 64x tiny-block keys read doubles it.
-    labels = keys_ds.map_batches(project_keys, batch_format="pyarrow",
-                                 batch_size=65536).materialize()
+    # a typed empty lead block keeps the labels' columns over no keys
+    labels = typed_rows(typed_map(keys_ds, project_keys,
+                                  batch_size=65536)).materialize()
 
     def both_dirs(batch: pa.Table) -> pa.Table:
         a = batch[pair_a].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -505,7 +504,9 @@ def duplicate_clusters(keys_ds, pairs_ds, key_col: str,
             stats["rounds"] = 0
         return labels
 
-    from ray.data.aggregate import Min
+    def min_label(group: pa.Table) -> pa.Table:
+        g = group.group_by("_dst").aggregate([("_label", "min")])
+        return pa.table({key_col: g["_dst"], "_min_nbr": g["_label_min"]})
 
     rounds = 0
     for _ in range(max_iters):
@@ -515,28 +516,20 @@ def duplicate_clusters(keys_ds, pairs_ds, key_col: str,
         # (src=label(v), dst=v) delivers label(label(v)) through the same
         # join — the pointer-doubling shortcut. Round 1 skips the pointer
         # edges: labels are the identity, so they are pure self-loops.
-        src_labels = labels.map_batches(
-            lambda b: b.rename_columns(["_src", "_label"]),
-            batch_format="pyarrow", batch_size=65536)
+        src_labels = typed_map(
+            labels, lambda b: b.rename_columns(["_src", "_label"]),
+            batch_size=65536)
         if rounds == 1:
             msg_edges = edges
         else:
-            ptr_edges = labels.map_batches(
-                lambda b: pa.Table.from_arrays(
+            ptr_edges = typed_map(
+                labels, lambda b: pa.Table.from_arrays(
                     [b["cluster_id"], b[key_col]], names=["_src", "_dst"]),
-                batch_format="pyarrow", batch_size=65536)
-            msg_edges = edges.union(ptr_edges)
+                batch_size=65536)
+            # materialized, the union's schema is known before the join
+            msg_edges = edges.union(ptr_edges).materialize()
         msgs = hash_join(msg_edges, src_labels, "_src", "_src")
-        cand = msgs.groupby("_dst").aggregate(
-            Min("_label", alias_name="_min_nbr"))
-
-        def rename_cand(batch: pa.Table) -> pa.Table:
-            return batch.rename_columns([key_col, "_min_nbr"])
-
-        merged = hash_join(labels,
-                           cand.map_batches(rename_cand,
-                                            batch_format="pyarrow",
-                                            batch_size=65536),
+        merged = hash_join(labels, exchange(msgs, "_dst", min_label),
                            key_col, key_col, how="left")
 
         def lower(batch: pa.Table) -> pa.Table:
@@ -555,7 +548,7 @@ def duplicate_clusters(keys_ds, pairs_ds, key_col: str,
         n_changed = stepped.sum("_changed")
         # Lazy projection over the materialized blocks: lineage is already
         # broken at `stepped`, a second materialize would be a wasted pass.
-        labels = stepped.drop_columns(["_changed"])
+        labels = typed_map(stepped, lambda b: b.drop_columns(["_changed"]))
         if not n_changed:
             break
     else:
@@ -765,10 +758,11 @@ def near_dedup(docs_ds, key_col: str = "doc_id", text_col: str = "text",
     from ..ops.join import semi_join
 
     pairs = ngram_jaccard_pairs(
-        docs_ds.select_columns([key_col, text_col]), key_col=key_col,
-        text_col=text_col, threshold=threshold, k=k)
+        typed_map(docs_ds, lambda b: b.select([key_col, text_col])),
+        key_col=key_col, text_col=text_col, threshold=threshold, k=k)
     clusters = duplicate_clusters(
-        docs_ds.select_columns([key_col]), pairs, key_col=key_col)
+        typed_map(docs_ds, lambda b: b.select([key_col])), pairs,
+        key_col=key_col)
 
     def survivors(batch: pa.Table) -> pa.Table:
         keep = pc.equal(batch[key_col], batch["cluster_id"])

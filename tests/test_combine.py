@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray.data as rd
 
 from h3ray.ops.reduce import combine
@@ -218,10 +219,11 @@ def test_exchange_colocates_keys_by_hash(ray_session, num_buckets):
                   "s": [f"s{i % 3}" for i in range(n)]})
 
     def tag(group: pa.Table) -> pa.Table:
+        # exchange also runs it once on an empty table to type its output
         assert group.column_names == ["k", "s"]
         k = group["k"].to_numpy()
         return pa.table({"k": k, "s": group["s"],
-                         "g": np.full(k.shape[0], k.min())})
+                         "g": np.full(k.shape[0], k.min() if k.size else 0)})
 
     out = exchange(rd.from_arrow(t).repartition(4), "k", tag).to_pandas()
     assert len(out) == n
@@ -235,11 +237,11 @@ def test_exchange_colocates_keys_by_hash(ray_session, num_buckets):
     assert (pairs.groupby(["k", "s"])["g"].nunique() == 1).all()
 
 
-# Inputs whose Ray schema is known before anything runs: over no rows
+# Inputs whose schema is known before anything runs: over no rows
 # combine types its partial from them, so a `schema=` beside one is a
 # hand copy of what combine derives.
 TYPED_INPUTS = {"read_parquet", "hash_join", "semi_join", "anti_join",
-                "seed_schema"}
+                "typed_map", "typed_rows", "exchange"}
 
 
 def _callee(call: ast.Call):
@@ -247,10 +249,15 @@ def _callee(call: ast.Call):
 
 
 def test_no_declared_schema_on_typed_inputs():
+    """No `combine(..., schema=)` over a read, join, `typed_map` or
+    `exchange` input; no `seed_schema` (the fetch-then-seed helper
+    `typed_map` replaced) anywhere; and `_plan`, Ray's private plan
+    object, is touched only by `ops.reduce._record_schema`."""
     root = Path(__file__).resolve().parent.parent
-    found = []
+    found, seeds, plans = [], [], []
     for path in sorted(root.joinpath("h3ray").rglob("*.py")) + [
             root / "__ray_entry__.py"]:
+        rel = path.relative_to(root).as_posix()
         tree = ast.parse(path.read_text())
         for top in tree.body:
             bound = {}
@@ -259,6 +266,16 @@ def test_no_declared_schema_on_typed_inputs():
                     for t in node.targets:
                         if isinstance(t, ast.Name):
                             bound.setdefault(t.id, []).append(node.value)
+                name = getattr(node, "id", None) or getattr(node, "attr",
+                                                            None)
+                if name == "seed_schema" or getattr(
+                        node, "name", None) == "seed_schema" or any(
+                        a.name == "seed_schema"
+                        for a in getattr(node, "names", [])
+                        if isinstance(a, ast.alias)):
+                    seeds.append((rel, node.lineno))
+                if isinstance(node, ast.Attribute) and node.attr == "_plan":
+                    plans.append((rel, getattr(top, "name", "<module>")))
             for node in ast.walk(top):
                 if not (isinstance(node, ast.Call)
                         and _callee(node) == "combine" and node.args
@@ -269,6 +286,73 @@ def test_no_declared_schema_on_typed_inputs():
                     if isinstance(arg, ast.Name) else [arg]
                 if any(isinstance(v, ast.Call)
                        and _callee(v) in TYPED_INPUTS for v in inputs):
-                    found.append((path.relative_to(root).as_posix(),
-                                  node.lineno))
+                    found.append((rel, node.lineno))
     assert found == []
+    assert seeds == []
+    assert plans == [("h3ray/ops/reduce.py", "_record_schema")]
+
+
+def test_recorded_schemas_need_no_run(ray_session, tmp_path):
+    """The one private Ray call: `_record_schema` stores an output schema
+    with Ray 2.49's `ExecutionPlan.cache_schema`, so `Dataset.schema()` of
+    a `typed_map`, `exchange` or `hash_join` output starts no execution
+    (unrecorded, each would run its plan up to one block). A `typed_map`
+    function whose output over rows differs from its empty-table output
+    raises TypeError when the stage runs."""
+    import ray
+    import pyarrow.parquet as pq
+    import pytest
+    from ray.data._internal.execution.streaming_executor import \
+        StreamingExecutor
+
+    from h3ray.ops.join import hash_join
+    from h3ray.ops.reduce import exchange, typed_map
+
+    assert ray.__version__.startswith("2.49."), ray.__version__
+
+    pq.write_table(pa.table({"k": np.arange(40, dtype=np.int64),
+                             "v": np.arange(40, dtype=np.int64) % 3}),
+                   tmp_path / "t.parquet")
+    src = rd.read_parquet(str(tmp_path / "t.parquet"))
+
+    def scaled(b: pa.Table) -> pa.Table:
+        return pa.table({"k": b["k"], "w": pc.multiply(b["v"], 2)})
+
+    def keep(g: pa.Table) -> pa.Table:
+        return g
+
+    mapped = typed_map(src, scaled)
+    outputs = {"typed_map": mapped,
+               "exchange": exchange(mapped, "k", keep),
+               "hash_join": hash_join(src, mapped.map_batches(
+                   lambda b: b.rename_columns(["k2", "w"]),
+                   batch_format="pyarrow").materialize(), "k", "k2")}
+    runs = []
+    execute = StreamingExecutor.execute
+
+    def counted(self, *args, **kwargs):
+        runs.append(1)
+        return execute(self, *args, **kwargs)
+
+    StreamingExecutor.execute = counted
+    try:
+        schemas = {name: ds.schema().base_schema
+                   for name, ds in outputs.items()}
+    finally:
+        StreamingExecutor.execute = execute
+    assert runs == []
+    assert schemas["typed_map"] == pa.schema([("k", pa.int64()),
+                                              ("w", pa.int64())])
+    assert schemas["exchange"] == schemas["typed_map"]
+    assert schemas["hash_join"] == pa.schema(
+        [("k", pa.int64()), ("v", pa.int64()), ("w", pa.int64())])
+    for name, ds in outputs.items():
+        assert ds.to_arrow_refs() and ds.count() == 40, name
+
+    # empty: a null-typed list; with rows: int64
+    drift = typed_map(src, lambda b: pa.table(
+        {"k": pa.array(b["k"].to_pylist())}))
+    assert drift.schema().base_schema == pa.schema([("k", pa.null())])
+    with pytest.raises(Exception) as err:
+        drift.materialize()
+    assert isinstance(err.value, TypeError) or "TypeError" in str(err.value)

@@ -78,8 +78,8 @@ def test_empty_tables_wave34_queries(ray_session, tmp_path):
     result over fully-empty input tables (join outputs keep their schema
     via the typed empty seed in ops.join). A projected or UDF-mapped
     empty dataset has no block and so no Ray schema; orders_cube,
-    docs_tfidf_topk and the four join queries after it declare theirs
-    with ops.join.seed_schema, and docs_dup_ngram_fraction and
+    docs_tfidf_topk and the four join queries after it derive theirs
+    with ops.reduce.typed_map, and docs_dup_ngram_fraction and
     pages_snapshot_diff return a typed empty table when the documents
     table has no rows. orders_cube's ()-grouping row keeps the
     string group columns of a non-empty run."""
@@ -359,7 +359,8 @@ def test_empty_tables_keep_sf0001_schemas(ray_session, tmp_path):
     output (Ray's select_columns passes a join's typed empty seed through
     unprojected; orders_big_qty did too) and four whose derived empty
     partial lists its columns in another order than a hand-written one
-    did."""
+    did, and docs_global_rank, whose finish map runs after a scan that
+    now types its output."""
     import pyarrow.parquet as pq
 
     import __ray_entry__ as entry
@@ -374,10 +375,45 @@ def test_empty_tables_keep_sf0001_schemas(ray_session, tmp_path):
                  "revenue_local_suppliers", "nation_pair_volume",
                  "nation_trade_balance", "nation_export_concentration",
                  "customer_rfm_scores", "shipping_priority_topk",
-                 "part_type_price_stats", "events_props_ksum_by_type"]:
+                 "part_type_price_stats", "events_props_ksum_by_type",
+                 "docs_global_rank"]:
         empty = q[name](str(tmp_path))
         n = empty.num_rows if isinstance(empty, pa.Table) \
             else empty.count()
         assert n == 0, name
         assert _arrow_schema(empty).remove_metadata() == _arrow_schema(
             q[name](entry.SF0001)).remove_metadata(), name
+
+
+def test_no_schema_divergence_warnings(ray_session):
+    """A map whose task holds only empty blocks emits a block with no
+    columns, and a sort leaves one for each empty partition; after a
+    typed block, Ray logs `Operator produced a RefBundle with a different
+    schema`. These queries used to: a join's typed empty lead block
+    alone in a task (set ops, the anti join under idle_rich_customers),
+    the empty partitions of a round-2 top-k exchange and of the tile
+    compaction's second groupby."""
+    import logging
+
+    import __ray_entry__ as entry
+
+    seen = []
+
+    class Grab(logging.Handler):
+        def emit(self, record):
+            seen.append(record.getMessage())
+
+    grab = Grab(level=logging.WARNING)
+    log = logging.getLogger("ray.data")
+    log.addHandler(grab)
+    try:
+        q = entry.queries()
+        for name in ["docs_lang_source_except", "events_topk_by_type",
+                     "idle_rich_customers", "h3_compact_tiles",
+                     "h3_tile_cells"]:
+            out = q[name](entry.SF0001)
+            if not isinstance(out, pa.Table):
+                out.materialize()
+    finally:
+        log.removeHandler(grab)
+    assert [m for m in seen if "different schema" in m] == []

@@ -8,7 +8,9 @@ own process, on the scale directory and on a directory holding an empty
 table of each of its tables' schemas. For each query it records the row
 count, the Arrow schema, the pandas dtypes and `check_oracles.value_hash`
 (or the exception a query raised), and prints only the queries whose
-record differs between the two sides.
+record differs between the two sides. It also prints, per query and
+side, how many executions `Dataset.schema()` started (a schema Ray could
+not tell without running the plan up to one block), with the totals.
 
 Usage: python tools/empty_schema_identity.py <git-rev> [--sf DIR] [query ...]
 Exit status 0 when no query differs.
@@ -49,9 +51,35 @@ def record(out) -> dict:
             "value_hash": value_hash(df)}
 
 
+def count_schema_probes() -> dict:
+    """Count the plan executions that start inside `Dataset.schema()`:
+    returns a dict whose "probes" grows by one per such execution."""
+    from ray.data import Dataset
+    from ray.data._internal.execution.streaming_executor import \
+        StreamingExecutor
+
+    state = {"depth": 0, "probes": 0}
+    schema, execute = Dataset.schema, StreamingExecutor.execute
+
+    def counted_schema(self, *args, **kwargs):
+        state["depth"] += 1
+        try:
+            return schema(self, *args, **kwargs)
+        finally:
+            state["depth"] -= 1
+
+    def counted_execute(self, *args, **kwargs):
+        state["probes"] += state["depth"] > 0
+        return execute(self, *args, **kwargs)
+
+    Dataset.schema = counted_schema
+    StreamingExecutor.execute = counted_execute
+    return state
+
+
 def compute(tree: Path, sf_dir: str, out: Path, only: list) -> None:
     """Run the queries of the `__ray_entry__` in `tree` on `sf_dir`;
-    write {query: record} as JSON."""
+    write {query: record} and {query: schema probes} as JSON."""
     import ray
 
     sys.path[:0] = [str(tree), str(ROOT / "tools")]
@@ -59,10 +87,12 @@ def compute(tree: Path, sf_dir: str, out: Path, only: list) -> None:
              logging_level="ERROR")
     import __ray_entry__ as entry
 
-    got = {}
+    state = count_schema_probes()
+    got, probes = {}, {}
     for name, fn in entry.queries().items():
         if only and name not in only:
             continue
+        state["probes"] = 0
         try:
             got[name] = record(fn(sf_dir))
         except Exception as exc:  # noqa: BLE001
@@ -71,8 +101,10 @@ def compute(tree: Path, sf_dir: str, out: Path, only: list) -> None:
             last = str(exc).strip().splitlines()[-1:]
             got[name] = {"error": f"{type(exc).__name__}: {''.join(last)}"
                          [:300]}
+        probes[name] = state["probes"]
     ray.shutdown()
-    out.write_text(json.dumps(got, indent=1, sort_keys=True))
+    out.write_text(json.dumps({"records": got, "probes": probes},
+                              indent=1, sort_keys=True))
 
 
 def empty_copy(sf_dir: str, dest: Path) -> None:
@@ -122,7 +154,8 @@ def main() -> int:
                                env={**os.environ, "PYTHONPATH": str(tree)})
                 runs.append(json.loads(out.read_text()))
                 out.unlink()
-            old, new = runs
+            (old, old_probes), (new, new_probes) = (
+                (r["records"], r.get("probes", {})) for r in runs)
             names = sorted(set(old) | set(new))
             diff = [n for n in names if old.get(n) != new.get(n)]
             total += len(diff)
@@ -137,6 +170,13 @@ def main() -> int:
                             != (new.get(n) or {}).get(k)] or list(rec)
                     print(f"    {side}: " + "; ".join(
                         f"{k}={rec.get(k)}" for k in keys))
+            print(f"{label}: executions started by Dataset.schema(): "
+                  f"{sum(old_probes.values())} ({args.rev}), "
+                  f"{sum(new_probes.values())} (working tree)")
+            for n in names:
+                if old_probes.get(n) or new_probes.get(n):
+                    print(f"  {n}: {old_probes.get(n, 0)} -> "
+                          f"{new_probes.get(n, 0)}")
     return 0 if total == 0 else 1
 
 
